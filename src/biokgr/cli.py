@@ -82,9 +82,12 @@ def graph_stats(store_path):
 
 
 def _load_store(path):
-    if Path(path).exists():
+    if not Path(path).exists():
+        return evidence.EvidenceGraphStore()
+    try:
         return evidence.import_graph(path)
-    return evidence.EvidenceGraphStore()
+    except (evidence.MalformedSnapshot, evidence.WorkspaceUnavailable) as exc:
+        raise click.ClickException(str(exc)) from exc
 
 
 # -- fetch -----------------------------------------------------------------------

@@ -8,15 +8,20 @@ reads may run concurrently between merges.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import os
 import re
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 logger = logging.getLogger(__name__)
 
-ENTITY_KINDS = frozenset({
+# Declaration order doubles as the precedence that resolves a display label
+# stored under several kinds, so the answer never depends on set iteration.
+ENTITY_KIND_ORDER = (
     "GENE_PROTEIN",
     "DISEASE_PHENOTYPE",
     "CHEMICAL_DRUG",
@@ -24,7 +29,8 @@ ENTITY_KINDS = frozenset({
     "PATHWAY_GENESET",
     "PAPER",
     "FINDING",
-})
+)
+ENTITY_KINDS = frozenset(ENTITY_KIND_ORDER)
 
 RELATION_PREDICATES = frozenset({
     # mechanistic
@@ -38,8 +44,8 @@ RELATION_PREDICATES = frozenset({
 })
 
 # Predicates that attach context (assay, tissue, co-mention) to a finding
-# rather than stating a mechanism. Findings with more than
-# MAX_CONTEXT_EDGES_PER_FINDING of these only produce a lint warning, because
+# rather than stating a mechanism. A finding that gains more than
+# MAX_CONTEXT_EDGES_PER_FINDING of these only produces a lint warning, because
 # recognising "contextual" is heuristic.
 CONTEXT_PREDICATES = frozenset({"ASSOCIATED_WITH", "CO_OCCURS", "EXPRESSED_IN"})
 MAX_CONTEXT_EDGES_PER_FINDING = 2
@@ -91,6 +97,10 @@ class MismatchedEndpoints(EvidenceGraphError):
 
 class WorkspaceUnavailable(EvidenceGraphError):
     pass
+
+
+class MalformedSnapshot(EvidenceGraphError):
+    """A snapshot that is not JSON, or not a document `to_document` writes."""
 
 
 def normalize_label(raw: str) -> str:
@@ -242,18 +252,31 @@ class StoredRelation:
 class EvidenceGraphStore:
     """In-memory deduplicated entity/relation store with snapshot export.
 
-    Single-writer, many-reader: merge cycles and conflict tagging are
-    serialized behind a lock; read operations work on plain dict lookups and
-    may interleave freely between merges.
+    Every write keeps the indexes current: the CURIE and label lookups, the
+    relations incident to each node, and each finding's count of contextual
+    edges. A merge therefore costs O(batch) and never rescans the store. A
+    subgraph read costs the sum of the degrees of the nodes it reaches, plus
+    sorting what it returns; it does not depend on the size of the store.
+
+    Merges, conflict tagging and every read that iterates the store (subgraph
+    queries, listings, stats and snapshots) hold one re-entrant lock, so a
+    read never sees a half-applied batch or an index set that a merge is
+    changing. Single-key lookups (`get`, `resolve_key`) take no lock.
+
+    A finding is warned about once in the store's lifetime: in the merge whose
+    new relations take its contextual edges past
+    MAX_CONTEXT_EDGES_PER_FINDING. A store rebuilt from a snapshot does not
+    warn again for findings that were already past the cap.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._entities: dict[str, StoredEntity] = {}
         self._curie_index: dict[str, str] = {}
-        self._label_index: dict[tuple[str, str], str] = {}
+        self._label_index: dict[str, dict[str, str]] = {}  # label -> {kind: key}
         self._relations: dict[RelationKey, StoredRelation] = {}
-        self._adjacency: dict[str, set[str]] = {}
+        self._incident: dict[str, set[RelationKey]] = {}
+        self._context_edges: dict[str, int] = {}
         self._conflict_groups: dict[str, list[RelationKey]] = {}
         self._conflict_seq = 0
 
@@ -271,7 +294,11 @@ class EvidenceGraphStore:
         return self._entities.get(key) if key else None
 
     def resolve_key(self, ref: str, kind: str | None = None) -> str | None:
-        """Resolve a CURIE, display name, or storage key to a storage key."""
+        """Resolve a CURIE, display name, or storage key to a storage key.
+
+        A label stored under several kinds resolves to the first of them in
+        ENTITY_KIND_ORDER unless `kind` is given.
+        """
         if ref in self._entities:
             return ref
         hit = self._curie_index.get(normalize_curie(ref))
@@ -281,13 +308,15 @@ class EvidenceGraphStore:
             label = normalize_label(ref)
         except EmptyLabel:
             return None
+        return self._label_key(label, kind)
+
+    def _label_key(self, label: str, kind: str | None) -> str | None:
+        by_kind = self._label_index.get(label)
+        if not by_kind:
+            return None
         if kind is not None:
-            return self._label_index.get((kind, label))
-        for k in ENTITY_KINDS:
-            hit = self._label_index.get((k, label))
-            if hit:
-                return hit
-        return None
+            return by_kind.get(kind)
+        return next(by_kind[k] for k in ENTITY_KIND_ORDER if k in by_kind)
 
     def _match(self, entity: EntityRef) -> str | None:
         """Dedup match: CURIE first, then normalized label within kind."""
@@ -295,7 +324,7 @@ class EvidenceGraphStore:
             hit = self._curie_index.get(normalize_curie(entity.curie))
             if hit:
                 return hit
-        return self._label_index.get((entity.kind, normalize_label(entity.name)))
+        return self._label_key(normalize_label(entity.name), entity.kind)
 
     # -- merge cycle ---------------------------------------------------------
 
@@ -329,13 +358,20 @@ class EvidenceGraphStore:
                 )
 
             report = MergeReport()
+            crossed: set[str] = set()
             for entity in batch.entities:
                 self._apply_entity(entity, report)
             for relation in batch.relations:
-                self._apply_relation(relation, report)
+                self._apply_relation(relation, report, crossed)
             for obs in batch.observations:
                 self._apply_observation(obs, report)
-            self._lint_context_edges(report)
+            for key in sorted(crossed):
+                msg = (
+                    f"finding {key!r} carries {self._context_edges[key]} contextual edges "
+                    f"(recommended max {MAX_CONTEXT_EDGES_PER_FINDING})"
+                )
+                report.warnings.append(msg)
+                logger.warning(msg)
             return report
 
     def _count_new_entities(self, entities: tuple[EntityRef, ...]) -> int:
@@ -394,21 +430,24 @@ class EvidenceGraphStore:
         key = normalize_curie(entity.curie) if entity.curie else (
             f"{entity.kind.lower()}/{normalize_label(entity.name)}"
         )
-        stored = StoredEntity(
+        self._add_entity(StoredEntity(
             key=key,
             name=entity.name,
             kind=entity.kind,
             curie=entity.curie,
             sources=[entity.source],
-        )
-        self._entities[key] = stored
-        self._label_index[(entity.kind, normalize_label(entity.name))] = key
-        if entity.curie:
-            self._curie_index[normalize_curie(entity.curie)] = key
-        self._adjacency.setdefault(key, set())
+        ))
         report.created += 1
 
-    def _apply_relation(self, relation: RelationEdge, report: MergeReport) -> None:
+    def _add_entity(self, stored: StoredEntity) -> None:
+        label = normalize_label(stored.name)
+        self._entities[stored.key] = stored
+        self._label_index.setdefault(label, {})[stored.kind] = stored.key
+        if stored.curie:
+            self._curie_index[normalize_curie(stored.curie)] = stored.key
+
+    def _apply_relation(self, relation: RelationEdge, report: MergeReport,
+                        crossed: set[str]) -> None:
         skey = self.resolve_key(relation.subject)
         okey = self.resolve_key(relation.object)
         if skey is None or okey is None:
@@ -426,16 +465,30 @@ class EvidenceGraphStore:
                 if ev not in stored.evidence:
                     stored.evidence.append(ev)
             return
-        self._relations[triple] = StoredRelation(
+        if self._add_relation(StoredRelation(
             subject=skey,
             predicate=relation.predicate,
             object=okey,
             evidence=list(relation.evidence),
             conflict_group=relation.conflict_group,
-        )
-        self._adjacency.setdefault(skey, set()).add(okey)
-        self._adjacency.setdefault(okey, set()).add(skey)
+        )):
+            crossed.add(skey)
         report.relations_added += 1
+
+    def _add_relation(self, rel: StoredRelation) -> bool:
+        """Store and index a new relation.
+
+        Returns True when it is the contextual edge that takes its subject
+        finding past MAX_CONTEXT_EDGES_PER_FINDING. Counts only grow, so that
+        happens at most once per finding.
+        """
+        self._relations[rel.key] = rel
+        self._incident.setdefault(rel.subject, set()).add(rel.key)
+        self._incident.setdefault(rel.object, set()).add(rel.key)
+        if rel.predicate not in CONTEXT_PREDICATES or self._entities[rel.subject].kind != "FINDING":
+            return False
+        n = self._context_edges[rel.subject] = self._context_edges.get(rel.subject, 0) + 1
+        return n == MAX_CONTEXT_EDGES_PER_FINDING + 1
 
     def _apply_observation(self, obs: Observation, report: MergeReport) -> None:
         key = self.resolve_key(obs.entity)
@@ -448,21 +501,6 @@ class EvidenceGraphStore:
         stored = self._entities[key]
         if obs.text not in stored.observations:
             stored.observations.append(obs.text)
-
-    def _lint_context_edges(self, report: MergeReport) -> None:
-        counts: dict[str, int] = {}
-        for (skey, predicate, _okey) in self._relations:
-            entity = self._entities.get(skey)
-            if entity and entity.kind == "FINDING" and predicate in CONTEXT_PREDICATES:
-                counts[skey] = counts.get(skey, 0) + 1
-        for key, n in sorted(counts.items()):
-            if n > MAX_CONTEXT_EDGES_PER_FINDING:
-                msg = (
-                    f"finding {key!r} carries {n} contextual edges "
-                    f"(recommended max {MAX_CONTEXT_EDGES_PER_FINDING})"
-                )
-                report.warnings.append(msg)
-                logger.warning(msg)
 
     # -- conflicts ------------------------------------------------------------
 
@@ -503,141 +541,220 @@ class EvidenceGraphStore:
     # -- reads ----------------------------------------------------------------
 
     def query_subgraph(self, seeds: list[str], depth: int) -> dict:
-        """Entities within `depth` undirected hops of any seed, plus induced relations."""
+        """Entities within `depth` undirected hops of any seed, plus induced relations.
+
+        Entities come in sorted key order and relations in sorted triple order.
+        """
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        frontier = {k for k in (self.resolve_key(s) for s in seeds) if k is not None}
-        reached = set(frontier)
-        for _ in range(depth):
-            nxt = set()
-            for key in frontier:
-                nxt |= self._adjacency.get(key, set())
-            frontier = nxt - reached
-            if not frontier:
-                break
-            reached |= frontier
-        entities = {k: self._entities[k] for k in sorted(reached)}
-        relations = [
-            rel for (s, _p, o), rel in sorted(self._relations.items())
-            if s in reached and o in reached
-        ]
-        return {"entities": entities, "relations": relations}
+        with self._lock:
+            frontier = {k for k in (self.resolve_key(s) for s in seeds) if k is not None}
+            reached = set(frontier)
+            for _ in range(depth):
+                nxt = set()
+                for key in frontier:
+                    for subject, _p, object_ in self._incident.get(key, ()):
+                        nxt.add(subject)
+                        nxt.add(object_)
+                frontier = nxt - reached
+                if not frontier:
+                    break
+                reached |= frontier
+            # An induced relation is listed once, from its subject's incident set.
+            induced = [
+                triple for key in reached for triple in self._incident.get(key, ())
+                if triple[0] == key and triple[2] in reached
+            ]
+            return {
+                "entities": {k: self._entities[k] for k in sorted(reached)},
+                "relations": [self._relations[t] for t in sorted(induced)],
+            }
 
     def relations(self) -> list[StoredRelation]:
-        return [self._relations[k] for k in sorted(self._relations)]
+        with self._lock:
+            return [self._relations[k] for k in sorted(self._relations)]
 
     def entities(self) -> list[StoredEntity]:
-        return [self._entities[k] for k in sorted(self._entities)]
+        with self._lock:
+            return [self._entities[k] for k in sorted(self._entities)]
 
     def stats(self) -> dict:
-        kind_counts: dict[str, int] = {}
-        for entity in self._entities.values():
-            kind_counts[entity.kind] = kind_counts.get(entity.kind, 0) + 1
-        return {
-            "entities": len(self._entities),
-            "relations": len(self._relations),
-            "observations": sum(len(e.observations) for e in self._entities.values()),
-            "conflict_groups": len(self._conflict_groups),
-            "entities_by_kind": dict(sorted(kind_counts.items())),
-        }
+        with self._lock:
+            kind_counts: dict[str, int] = {}
+            for entity in self._entities.values():
+                kind_counts[entity.kind] = kind_counts.get(entity.kind, 0) + 1
+            return {
+                "entities": len(self._entities),
+                "relations": len(self._relations),
+                "observations": sum(len(e.observations) for e in self._entities.values()),
+                "conflict_groups": len(self._conflict_groups),
+                "entities_by_kind": dict(sorted(kind_counts.items())),
+            }
 
     # -- snapshot -------------------------------------------------------------
 
     def to_document(self) -> dict:
         """Snapshot with stable ordering; round-trips through `from_document`."""
-        return {
-            "entities": [
-                {
-                    "key": e.key,
-                    "name": e.name,
-                    "kind": e.kind,
-                    "curie": e.curie,
-                    "sources": list(e.sources),
-                }
-                for e in self.entities()
-            ],
-            "relations": [
-                {
-                    "subject": r.subject,
-                    "predicate": r.predicate,
-                    "object": r.object,
-                    "evidence": list(r.evidence),
-                    "conflict_group": r.conflict_group,
-                }
-                for r in self.relations()
-            ],
-            "observations": [
-                {"entity": e.key, "text": text}
-                for e in self.entities()
-                for text in e.observations
-            ],
-            "conflict_groups": [
-                {"id": gid, "relations": [list(k) for k in members]}
-                for gid, members in sorted(self._conflict_groups.items())
-            ],
-        }
+        with self._lock:
+            entities = self.entities()
+            return {
+                "entities": [
+                    {
+                        "key": e.key,
+                        "name": e.name,
+                        "kind": e.kind,
+                        "curie": e.curie,
+                        "sources": list(e.sources),
+                    }
+                    for e in entities
+                ],
+                "relations": [
+                    {
+                        "subject": r.subject,
+                        "predicate": r.predicate,
+                        "object": r.object,
+                        "evidence": list(r.evidence),
+                        "conflict_group": r.conflict_group,
+                    }
+                    for r in self.relations()
+                ],
+                "observations": [
+                    {"entity": e.key, "text": text}
+                    for e in entities
+                    for text in e.observations
+                ],
+                "conflict_groups": [
+                    {"id": gid, "relations": [list(k) for k in members]}
+                    for gid, members in sorted(self._conflict_groups.items())
+                ],
+            }
 
     @classmethod
     def from_document(cls, doc: dict) -> "EvidenceGraphStore":
+        """Rebuild a store from a `to_document` snapshot, without lint warnings.
+
+        Raises MalformedSnapshot when a section or field is missing or
+        ill-typed, an entity kind or predicate is outside the vocabulary, or a
+        relation, observation or conflict group names something not stored.
+        """
         store = cls()
-        for e in doc.get("entities", []):
+        for e in _records(doc, "entities"):
             stored = StoredEntity(
-                key=e["key"],
-                name=e["name"],
-                kind=e["kind"],
-                curie=e.get("curie"),
-                sources=list(e.get("sources", [])),
+                key=_field(e, "key", str, "entity"),
+                name=_field(e, "name", str, "entity"),
+                kind=_field(e, "kind", str, "entity"),
+                curie=_field(e, "curie", (str, type(None)), "entity"),
+                sources=_strings(e, "sources", "entity"),
             )
-            store._entities[stored.key] = stored
-            store._label_index[(stored.kind, normalize_label(stored.name))] = stored.key
-            if stored.curie:
-                store._curie_index[normalize_curie(stored.curie)] = stored.key
-            store._adjacency.setdefault(stored.key, set())
-        for r in doc.get("relations", []):
+            if stored.kind not in ENTITY_KINDS:
+                raise MalformedSnapshot(f"entity {stored.key!r} has unknown kind {stored.kind!r}")
+            if stored.key in store._entities:
+                raise MalformedSnapshot(f"entity {stored.key!r} appears twice")
+            try:
+                store._add_entity(stored)
+            except EmptyLabel as exc:
+                raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
+        for r in _records(doc, "relations"):
             rel = StoredRelation(
-                subject=r["subject"],
-                predicate=r["predicate"],
-                object=r["object"],
-                evidence=list(r["evidence"]),
-                conflict_group=r.get("conflict_group"),
+                subject=_field(r, "subject", str, "relation"),
+                predicate=_field(r, "predicate", str, "relation"),
+                object=_field(r, "object", str, "relation"),
+                evidence=_strings(r, "evidence", "relation"),
+                conflict_group=_field(r, "conflict_group", (str, type(None)), "relation"),
             )
-            store._relations[rel.key] = rel
-            store._adjacency.setdefault(rel.subject, set()).add(rel.object)
-            store._adjacency.setdefault(rel.object, set()).add(rel.subject)
-        for o in doc.get("observations", []):
-            entity = store._entities.get(o["entity"])
-            if entity is not None and o["text"] not in entity.observations:
-                entity.observations.append(o["text"])
+            if rel.predicate not in RELATION_PREDICATES:
+                raise MalformedSnapshot(f"relation {rel.key} has unknown predicate")
+            for endpoint in (rel.subject, rel.object):
+                if endpoint not in store._entities:
+                    raise MalformedSnapshot(f"relation {rel.key} names unknown entity {endpoint!r}")
+            if rel.key in store._relations:
+                raise MalformedSnapshot(f"relation {rel.key} appears twice")
+            store._add_relation(rel)
+        for o in _records(doc, "observations"):
+            key = _field(o, "entity", str, "observation")
+            text = _field(o, "text", str, "observation")
+            entity = store._entities.get(key)
+            if entity is None:
+                raise MalformedSnapshot(f"observation names unknown entity {key!r}")
+            if text not in entity.observations:
+                entity.observations.append(text)
         max_seq = 0
-        for g in doc.get("conflict_groups", []):
-            store._conflict_groups[g["id"]] = [tuple(k) for k in g["relations"]]
-            m = re.match(r"cg-(\d+)$", g["id"])
+        for g in _records(doc, "conflict_groups"):
+            gid = _field(g, "id", str, "conflict group")
+            members = []
+            for member in _field(g, "relations", list, "conflict group"):
+                if not (isinstance(member, list) and len(member) == 3
+                        and all(isinstance(part, str) for part in member)):
+                    raise MalformedSnapshot(f"conflict group {gid!r} member {member!r:.80} "
+                                            "is not a [subject, predicate, object] triple")
+                if tuple(member) not in store._relations:
+                    raise MalformedSnapshot(f"conflict group {gid!r} names unknown relation {member}")
+                members.append(tuple(member))
+            store._conflict_groups[gid] = members
+            m = re.match(r"cg-(\d+)$", gid)
             if m:
                 max_seq = max(max_seq, int(m.group(1)))
         store._conflict_seq = max_seq
         return store
 
 
+def _records(doc, section: str) -> list:
+    if not isinstance(doc, dict):
+        raise MalformedSnapshot(f"snapshot is a JSON {type(doc).__name__}, not an object")
+    return _field(doc, section, list, "snapshot")
+
+
+def _field(record, name: str, types, where: str):
+    if not isinstance(record, dict):
+        raise MalformedSnapshot(f"{where} record {record!r:.80} is not an object")
+    if name not in record:
+        raise MalformedSnapshot(f"{where} record lacks {name!r}")
+    value = record[name]
+    if not isinstance(value, types):
+        raise MalformedSnapshot(
+            f"{where} field {name!r} is a {type(value).__name__}: {value!r:.80}"
+        )
+    return value
+
+
+def _strings(record, name: str, where: str) -> list[str]:
+    values = _field(record, name, list, where)
+    if not all(isinstance(v, str) for v in values):
+        raise MalformedSnapshot(f"{where} field {name!r} holds a non-string: {values!r:.80}")
+    return list(values)
+
+
 def export_graph(store: EvidenceGraphStore, destination) -> dict:
     """Write the store snapshot as one JSON document; returns the document.
 
-    `destination` is a path or a writable file object.
+    `destination` is a path or a writable file object. The JSON is streamed,
+    not built as one string. A path is written through `<path>.tmp` and then
+    renamed, so a failed write never leaves a truncated snapshot behind.
     """
     doc = store.to_document()
-    payload = json.dumps(doc, indent=2, sort_keys=True)
+    tmp = None
     try:
         if hasattr(destination, "write"):
-            destination.write(payload)
+            json.dump(doc, destination, indent=2, sort_keys=True)
         else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            tmp = Path(f"{destination}.tmp")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+            os.replace(tmp, destination)
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
         raise WorkspaceUnavailable(f"cannot write snapshot to {destination}: {exc}") from exc
     return doc
 
 
 def import_graph(source) -> EvidenceGraphStore:
-    """Load a snapshot written by :func:`export_graph`."""
+    """Load a snapshot written by :func:`export_graph`.
+
+    Raises WorkspaceUnavailable when the source cannot be read and
+    MalformedSnapshot when it is not a valid snapshot.
+    """
     try:
         if hasattr(source, "read"):
             doc = json.load(source)
@@ -646,4 +763,6 @@ def import_graph(source) -> EvidenceGraphStore:
                 doc = json.load(fh)
     except OSError as exc:
         raise WorkspaceUnavailable(f"cannot read snapshot from {source}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+        raise MalformedSnapshot(f"snapshot {source} is not valid JSON: {exc}") from exc
     return EvidenceGraphStore.from_document(doc)

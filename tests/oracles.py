@@ -1,9 +1,10 @@
-"""Independent brute-force oracles for the graph analytics.
+"""Independent brute-force oracles for the graph analytics and the evidence store.
 
 Deliberately naive implementations kept separate from the library code paths:
 polarity by exhaustive simple-path enumeration via networkx, betweenness by
 per-pair shortest-path counting over all-sources BFS tables, SCCs by mutual
-reachability, neighborhoods by explicit level-by-level expansion.
+reachability, neighborhoods by explicit level-by-level expansion, and
+evidence-store reads and lint counts by full scans of every stored relation.
 """
 from __future__ import annotations
 
@@ -129,3 +130,34 @@ def k_step_oracle(graph, node: str, k: int, direction: str) -> set[str]:
 
 def terminal_oracle(graph) -> set[str]:
     return {n for n in graph.node_ids() if all(src != n for src, _dst in graph.edge_pairs())}
+
+
+def subgraph_oracle(store, seeds, depth: int) -> dict:
+    """`query_subgraph` by full scans: adjacency rebuilt from every stored
+    relation on each call, and every relation filtered for the result."""
+    relations = store.relations()
+    adjacency: dict[str, set[str]] = {}
+    for r in relations:
+        adjacency.setdefault(r.subject, set()).add(r.object)
+        adjacency.setdefault(r.object, set()).add(r.subject)
+    frontier = {k for k in map(store.resolve_key, seeds) if k is not None}
+    reached = set(frontier)
+    for _ in range(depth):
+        frontier = set().union(*(adjacency.get(k, set()) for k in frontier)) - reached
+        if not frontier:
+            break
+        reached |= frontier
+    return {
+        "entities": {e.key: e for e in store.entities() if e.key in reached},
+        "relations": [r for r in relations if r.subject in reached and r.object in reached],
+    }
+
+
+def findings_over_context_cap_oracle(store, predicates, cap: int) -> set[str]:
+    """Findings whose outgoing contextual relations number more than `cap`."""
+    kinds = {e.key: e.kind for e in store.entities()}
+    counts: dict[str, int] = {}
+    for r in store.relations():
+        if r.predicate in predicates and kinds[r.subject] == "FINDING":
+            counts[r.subject] = counts.get(r.subject, 0) + 1
+    return {key for key, n in counts.items() if n > cap}

@@ -39,6 +39,19 @@ def test_graph_export_and_stats(runner, tmp_path):
     assert json.loads(result.output)["entities"] == 1
 
 
+@pytest.mark.parametrize("command", ["stats", "export"])
+def test_graph_commands_report_a_malformed_snapshot_in_one_line(runner, tmp_path, command):
+    snapshot = tmp_path / "store.json"
+    snapshot.write_text('{"entities": [{"key": "tnf"}], "relations": []}', encoding="utf-8")
+    args = ["graph", command, "--store", str(snapshot)]
+    if command == "export":
+        args += ["--out", str(tmp_path / "out.json")]
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code != 0
+    assert result.output.startswith("Error: entity record lacks 'name'")
+    assert result.output.count("\n") == 1
+
+
 def test_pathway_parse(runner, tmp_path):
     kgml = tmp_path / "hsa04750.xml"
     kgml.write_text(ulcerative_colitis_kgml(), encoding="utf-8")

@@ -1,17 +1,29 @@
 """Evidence-graph store: normalization, merge cycles, dedup, conflicts, export."""
 import copy
 import io
+import json
+import logging
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import biokgr
 from biokgr.evidence import (
+    CONTEXT_PREDICATES,
+    MAX_CONTEXT_EDGES_PER_FINDING,
     BatchLimitExceeded,
     EmptyLabel,
     EntityRef,
     EvidenceGraphStore,
     InvalidName,
     InvalidObservation,
+    MalformedSnapshot,
     MergeBatch,
     MismatchedEndpoints,
     MissingEvidence,
@@ -24,6 +36,8 @@ from biokgr.evidence import (
     import_graph,
     normalize_label,
 )
+
+from oracles import findings_over_context_cap_oracle, subgraph_oracle
 
 
 def gene(name, curie=None, source="kegg@r109"):
@@ -311,12 +325,138 @@ def test_roundtrip_structural_equality(tmp_path):
     assert loaded.to_document() == store.to_document()
 
 
-def test_export_stable_ordering():
+def test_export_stable_ordering(tmp_path):
     store = make_small_store()
     buf1, buf2 = io.StringIO(), io.StringIO()
-    export_graph(store, buf1)
+    doc = export_graph(store, buf1)
     export_graph(store, buf2)
     assert buf1.getvalue() == buf2.getvalue()
+    path = tmp_path / "graph.json"
+    export_graph(store, path)
+    assert path.read_text(encoding="utf-8") == buf1.getvalue() == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_failed_export_keeps_the_previous_snapshot(tmp_path, monkeypatch):
+    path = tmp_path / "evidence_graph.json"
+    export_graph(make_small_store(), path)
+    before = path.read_bytes()
+
+    def dump_until_disk_full(doc, fh, **kwargs):
+        fh.write('{"entities": [')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_until_disk_full)
+    with pytest.raises(WorkspaceUnavailable):
+        export_graph(EvidenceGraphStore(), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# -- malformed snapshots ---------------------------------------------------------
+
+def snapshot_doc():
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(
+        entities=(gene("TNF", curie="HGNC:11892"), gene("IL6")),
+        relations=(rel("TNF", "ACTIVATES", "IL6"), rel("TNF", "INHIBITS", "IL6")),
+        observations=(Observation(entity="IL6", text="Secreted by macrophages."),),
+    ))
+    store.tag_conflict(("TNF", "ACTIVATES", "IL6"), ("TNF", "INHIBITS", "IL6"))
+    return store.to_document()
+
+
+_DROP = object()
+
+
+def _edit(path, value=_DROP):
+    """A mutation that sets the item at `path`, or deletes it when no value is given."""
+    def mutate(doc):
+        *parents, last = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+        return doc
+    return mutate
+
+
+MALFORMED = {
+    "not an object": lambda doc: [doc],
+    "missing section": _edit(["relations"]),
+    "section not a list": _edit(["entities"], {"TNF": {}}),
+    "record not an object": _edit(["entities", 0], "TNF"),
+    "missing field": _edit(["entities", 0, "kind"]),
+    "ill-typed field": _edit(["entities", 0, "sources"], "kegg@r109"),
+    "non-string list item": _edit(["relations", 0, "evidence"], [1]),
+    "null name": _edit(["entities", 0, "name"], None),
+    "blank name": _edit(["entities", 0, "name"], "  "),
+    "unknown kind": _edit(["entities", 0, "kind"], "ORGANISM"),
+    "duplicate entity": lambda doc: {**doc, "entities": doc["entities"] * 2},
+    "unknown predicate": _edit(["relations", 0, "predicate"], "BLOCKS"),
+    "relation to unknown entity": _edit(["relations", 0, "object"], "gene_protein/ghost"),
+    "duplicate relation": lambda doc: {**doc, "relations": doc["relations"] * 2},
+    "observation of unknown entity": _edit(["observations", 0, "entity"], "gene_protein/ghost"),
+    "conflict member not a triple": _edit(["conflict_groups", 0, "relations", 0], ["a", "b"]),
+    "conflict member unknown": _edit(["conflict_groups", 0, "relations", 0], ["a", "BINDS", "b"]),
+}
+
+
+def test_snapshot_doc_is_valid():
+    doc = snapshot_doc()
+    assert EvidenceGraphStore.from_document(doc).to_document() == doc
+
+
+@pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_snapshot_is_rejected(mutate, tmp_path):
+    doc = mutate(snapshot_doc())
+    with pytest.raises(MalformedSnapshot):
+        EvidenceGraphStore.from_document(doc)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedSnapshot):
+        import_graph(path)
+
+
+@pytest.mark.parametrize("payload", [b"", b'{"entities": [', b"\xff\xfe{}"],
+                         ids=["empty", "truncated", "not utf-8"])
+def test_snapshot_that_is_not_json_is_rejected(payload, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_bytes(payload)
+    with pytest.raises(MalformedSnapshot):
+        import_graph(path)
+
+
+# -- label resolution ----------------------------------------------------------
+
+def test_label_under_two_kinds_resolves_by_kind_order_whatever_the_hash_seed():
+    program = textwrap.dedent("""
+        import sys
+        from biokgr.evidence import EntityRef, EvidenceGraphStore, MergeBatch, RelationEdge, export_graph
+        store = EvidenceGraphStore()
+        store.upsert_batch(MergeBatch(
+            entities=(EntityRef(name="TNF", kind="DISEASE_PHENOTYPE"),
+                      EntityRef(name="TNF", kind="GENE_PROTEIN"),
+                      EntityRef(name="IL6", kind="GENE_PROTEIN")),
+            relations=(RelationEdge(subject="TNF", predicate="ACTIVATES", object="IL6",
+                                    evidence=("PMID:1",)),),
+        ))
+        assert store.resolve_key("TNF") == "gene_protein/tnf"
+        assert store.resolve_key("TNF", kind="DISEASE_PHENOTYPE") == "disease_phenotype/tnf"
+        export_graph(store, sys.stdout)
+    """)
+    src = str(Path(biokgr.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    snapshots = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=pythonpath)
+        run = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        snapshots.add(run.stdout)
+    assert len(snapshots) == 1
 
 
 # -- property tests ------------------------------------------------------------
@@ -391,8 +531,6 @@ def test_stats_counts():
 
 
 def test_concurrent_merges_are_serialized():
-    import threading
-
     store = EvidenceGraphStore()
     errors = []
 
@@ -417,3 +555,164 @@ def test_concurrent_merges_are_serialized():
     assert len(store) == 28
     doc = store.to_document()
     assert EvidenceGraphStore.from_document(doc).to_document() == doc
+
+
+# -- indexes kept current on each write ---------------------------------------------
+
+_sub_names = ["TNF", "tnf.", "IL6", "NFKB1", "STAT3", "F1", "F2", "PMID:7"]
+_sub_refs = st.sampled_from(_sub_names + ["GHOST"])
+_sub_predicates = st.sampled_from(["ACTIVATES", "INHIBITS", "ASSOCIATED_WITH", "CO_OCCURS",
+                                   "EXPRESSED_IN"])
+
+
+@st.composite
+def merge_step(draw):
+    fixed_kinds = {"F1": "FINDING", "F2": "FINDING", "PMID:7": "PAPER"}
+    entities = tuple(
+        EntityRef(name=name, source="s@1", kind=fixed_kinds.get(name) or draw(
+            st.sampled_from(["GENE_PROTEIN", "DISEASE_PHENOTYPE", "FINDING"])))
+        for name in draw(st.lists(st.sampled_from(_sub_names), max_size=5))
+    )
+    relations = tuple(
+        rel(draw(_sub_refs), draw(_sub_predicates), draw(_sub_refs), evidence=(f"PMID:{i}",))
+        for i in range(draw(st.integers(0, 6)))
+    )
+    return ("merge", MergeBatch(entities=entities, relations=relations))
+
+
+@st.composite
+def query_step(draw):
+    return ("query", draw(st.lists(_sub_refs, min_size=1, max_size=3)), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(merge_step(), query_step()), min_size=1, max_size=25))
+def test_reads_between_merges_match_the_full_scan_oracle(steps):
+    store = EvidenceGraphStore()
+    warned = []
+    for step in steps:
+        if step[0] == "merge":
+            report = store.upsert_batch(step[1])
+            warned += [w.split("'")[1] for w in report.warnings if w.startswith("finding ")]
+            continue
+        _, seeds, depth = step
+        got = store.query_subgraph(seeds, depth)
+        want = subgraph_oracle(store, seeds, depth)
+        assert list(got["entities"].items()) == list(want["entities"].items())
+        assert [r.key for r in got["relations"]] == [r.key for r in want["relations"]]
+    # each finding past the cap was warned about exactly once
+    assert len(warned) == len(set(warned))
+    assert set(warned) == findings_over_context_cap_oracle(
+        store, CONTEXT_PREDICATES, MAX_CONTEXT_EDGES_PER_FINDING)
+
+
+class NoScanDict(dict):
+    """A table that may be probed by key but never iterated."""
+
+    def _scan(self, *args, **kwargs):
+        raise AssertionError("the store scanned a whole table")
+
+    __iter__ = keys = items = values = _scan
+
+
+def test_merges_and_reads_never_scan_the_tables():
+    store = EvidenceGraphStore()
+    names = [f"G{i}" for i in range(40)]
+    for start in range(0, 40, 10):
+        chunk = names[start:start + 10]
+        store.upsert_batch(MergeBatch(
+            entities=tuple(gene(n) for n in chunk),
+            relations=tuple(rel(a, "BINDS", b) for a, b in zip(chunk, chunk[1:])),
+        ))
+    store._relations = NoScanDict(store._relations)
+    store._entities = NoScanDict(store._entities)
+    for i in range(10):
+        finding = EntityRef(name=f"finding {i}", kind="FINDING", source="s@1")
+        store.upsert_batch(MergeBatch(
+            entities=(finding, gene(names[i])),
+            relations=tuple(rel(finding.name, "CO_OCCURS", names[i + j]) for j in range(4))
+            + (rel(names[i], "ACTIVATES", names[i + 20]),),
+        ))
+        for depth in (1, 2):
+            sub = store.query_subgraph([names[i], "GHOST"], depth)
+            assert sub["relations"]
+
+
+def test_context_lint_warns_once_in_the_batch_that_crosses_the_cap(caplog, tmp_path):
+    finding = EntityRef(name="F1", kind="FINDING", source="s@1")
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(entities=(finding,) + tuple(gene(f"G{i}") for i in range(6))))
+    caplog.set_level(logging.WARNING, logger="biokgr.evidence")
+    per_batch = []
+    for i in range(5):
+        caplog.clear()
+        report = store.upsert_batch(MergeBatch(relations=(rel("F1", "ASSOCIATED_WITH", f"G{i}"),)))
+        per_batch.append(([r.getMessage() for r in caplog.records], report.warnings))
+    expected = "finding 'finding/f1' carries 3 contextual edges (recommended max 2)"
+    assert per_batch == [([], []), ([], []), ([expected], [expected]), ([], []), ([], [])]
+
+    path = tmp_path / "graph.json"
+    export_graph(store, path)
+    caplog.clear()
+    restored = import_graph(path)
+    report = restored.upsert_batch(MergeBatch(relations=(rel("F1", "CO_OCCURS", "G5"),)))
+    assert caplog.records == [] and report.warnings == []
+
+    # several edges in one batch: one warning, with the count at the end of the batch
+    caplog.clear()
+    store.upsert_batch(MergeBatch(entities=(EntityRef(name="F2", kind="FINDING", source="s@1"),)))
+    report = store.upsert_batch(MergeBatch(
+        relations=tuple(rel("F2", "EXPRESSED_IN", f"G{i}") for i in range(4)),
+    ))
+    assert report.warnings == ["finding 'finding/f2' carries 4 contextual edges (recommended max 2)"]
+    assert len(caplog.records) == 1
+
+
+def test_reads_interleave_with_merges_from_another_thread():
+    # Every batch links the hub to four new genes, so readers walk an incident
+    # set that the writer keeps growing.
+    store = EvidenceGraphStore()
+    errors, torn = [], []
+    writer_done = threading.Event()
+
+    def writer():
+        try:
+            for b in range(200):
+                names = [f"N{4 * b + j}" for j in range(4)]
+                store.upsert_batch(MergeBatch(
+                    entities=(gene("HUB"),) + tuple(gene(n) for n in names),
+                    relations=tuple(rel("HUB", "ACTIVATES", n) for n in names)
+                    + tuple(rel(a, "BINDS", c) for a, c in zip(names, names[1:])),
+                ))
+        except Exception as exc:  # pragma: no cover - failure capture
+            errors.append(exc)
+        finally:
+            writer_done.set()
+
+    def reader(offset):
+        try:
+            i = 0
+            while not writer_done.is_set():
+                seed = "HUB" if i % 2 else f"N{(offset + 7 * i) % 800}"
+                sub = store.query_subgraph([seed], depth=1 + i % 3 // 2)
+                keys = set(sub["entities"])
+                torn.extend(r.key for r in sub["relations"]
+                            if r.subject not in keys or r.object not in keys)
+                i += 1
+        except Exception as exc:  # pragma: no cover - failure capture
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer)]
+    threads += [threading.Thread(target=reader, args=(k * 50,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not torn
+    assert (len(store), store.relation_count) == (801, 1400)
