@@ -9,4 +9,19 @@ Subpackages:
   bench       open-benchmark preparation and scoring
 """
 
+import json
+from functools import cache
+from importlib import resources
+
 __version__ = "0.1.0"
+
+
+@cache
+def load_data(name: str):
+    """A bundled file under `biokgr/data/`, read once per process.
+
+    JSON files come back parsed, any other file as text. Every caller shares
+    the returned object, so callers must not mutate it.
+    """
+    text = resources.files("biokgr.data").joinpath(name).read_text(encoding="utf-8")
+    return json.loads(text) if name.endswith(".json") else text

@@ -4,14 +4,16 @@
 without any model: plans come from task templates, relevance is normalized
 lexical overlap, expansion order breaks ties lexicographically. `HttpOracle`
 speaks a chat-completion-style JSON protocol to an external endpoint and is
-treated strictly as a wire format.
+treated strictly as a wire format. It posts through a `KgClient`, so it shares
+the knowledge-base clients' transport, clock and retry policy: HTTP 429/5xx
+and transport errors are retried with exponential backoff, and any other
+failure raises `OracleUnavailable` at once.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
-
-import requests
 
 from biokgr.agents.actions import (
     Action,
@@ -26,6 +28,7 @@ from biokgr.agents.actions import (
 )
 from biokgr.agents.plan import PlanChecklist, PlanStep
 from biokgr.evidence import EntityRef, MergeBatch, Observation, RelationEdge
+from biokgr.federation import FederationError, FetchRequest, KgClient, SourceDescriptor
 
 _TOKEN = re.compile(r"[A-Za-z0-9:]+")
 _PMID_TOKEN = re.compile(r"^pmid:?\d*$|^\d{4,}$")
@@ -216,39 +219,42 @@ class HttpOracle:
 
     Request body: {"messages": [{"role": "system", ...}, {"role": "user", ...}]}
     where the user content is the JSON-encoded request. Response body:
-    {"message": {"role": "assistant", "content": "<json>"}}.
+    {"message": {"role": "assistant", "content": "<json object>"}}.
     """
 
-    def __init__(self, endpoint: str, session=None, max_attempts: int = 3,
-                 timeout: float = 15.0):
+    def __init__(self, endpoint: str, transport=None, clock=None):
         self.endpoint = endpoint
-        self._session = session or requests.Session()
-        self._max_attempts = max_attempts
-        self._timeout = timeout
+        # The endpoint is a deployment address, not a registered source: no
+        # rate limit, no URL override and no API key from the environment.
+        self._client = KgClient(
+            SourceDescriptor(source_id="oracle", base_url=endpoint,
+                             rate_limit_per_sec=math.inf),
+            transport=transport, clock=clock, env={},
+        )
 
     def _call(self, request: dict) -> dict:
-        body = {
+        body = json.dumps({
             "messages": [
                 {"role": "system", "content": ORACLE_SYSTEM_GUIDE},
                 {"role": "user", "content": json.dumps(request, sort_keys=True)},
             ]
-        }
-        last = ""
-        for _attempt in range(self._max_attempts):
-            try:
-                response = self._session.post(self.endpoint, json=body, timeout=self._timeout)
-                if response.status_code >= 500:
-                    last = f"HTTP {response.status_code}"
-                    continue
-                payload = response.json()
-                content = (payload.get("message") or {}).get("content", "")
-                return json.loads(content)
-            except (requests.RequestException, ValueError) as exc:
-                last = str(exc)
-        raise OracleUnavailable(
-            f"oracle endpoint {self.endpoint} unreachable after "
-            f"{self._max_attempts} attempts: {last}"
-        )
+        })
+        try:
+            reply = self._client.fetch_with_policy(FetchRequest(
+                path="", method="POST", body=body,
+                headers={"Content-Type": "application/json"},
+            ))
+        except FederationError as exc:
+            raise OracleUnavailable(f"oracle endpoint {self.endpoint}: {exc}") from exc
+        try:
+            payload = json.loads(reply["message"]["content"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise OracleUnavailable(
+                f"oracle endpoint {self.endpoint} sent no JSON message content: {exc!r}"
+            ) from exc
+        if not isinstance(payload, dict):
+            raise OracleUnavailable(f"oracle endpoint {self.endpoint} sent a non-object reply")
+        return payload
 
     def plan(self, query: str) -> PlanChecklist:
         payload = self._call({"op": "plan", "query": query})

@@ -13,9 +13,7 @@ import json
 import re
 from pathlib import Path
 
-
-class WorkspaceUnavailable(Exception):
-    pass
+from biokgr.evidence import WorkspaceUnavailable
 
 
 class AnalysisError(Exception):
@@ -69,16 +67,6 @@ class Workspace:
     def save_json(self, relpath: str, payload, description: str) -> str:
         with self._open_out(relpath) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-        self.register(relpath, description)
-        return relpath
-
-    def save_csv(self, relpath: str, rows: list[dict], description: str) -> str:
-        columns = sorted({key for row in rows for key in row})
-        with self._open_out(relpath) as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: row.get(k, "") for k in columns})
         self.register(relpath, description)
         return relpath
 

@@ -14,7 +14,7 @@ import click
 
 from biokgr import bench as bench_mod
 from biokgr import evidence
-from biokgr.agents import DefaultOracle, HttpOracle, OrchestratorRunner
+from biokgr.agents import DefaultOracle, HttpOracle, OracleUnavailable, OrchestratorRunner
 from biokgr.bench.scoring import load_predictions, run_suite, write_report
 from biokgr.curation import ebm
 from biokgr.curation.items import write_items_jsonl
@@ -408,7 +408,10 @@ def research_run(query, bfrs_budget, dfrs_budget, oracle_spec, kbs, workspace_di
     runner = OrchestratorRunner(
         Federation(), oracle, bfrs_budget=bfrs_budget, dfrs_budget=dfrs_budget
     )
-    result = runner.run(query, workspace_dir)
+    try:
+        result = runner.run(query, workspace_dir)
+    except (OracleUnavailable, evidence.WorkspaceUnavailable) as exc:
+        raise click.ClickException(str(exc)) from exc
     click.echo(result.state.plan.render())
     click.echo("")
     click.echo(result.answer)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from biokgr.curation.items import McqItem, finalize_item
-from biokgr.curation.target_id import GainScore
+from biokgr.curation.target_id import GainScore, NoCorrectOption
 from biokgr.pathways.analytics import cyclic_nodes, k_step_neighborhood, terminal_endpoints
 from biokgr.pathways.graphs import ReactionGraph, SignedPathwayGraph
 
@@ -35,10 +35,6 @@ TEMPLATE_DEPENDENCIES = (
 
 
 class TargetNotInPathway(Exception):
-    pass
-
-
-class NoCorrectOption(Exception):
     pass
 
 

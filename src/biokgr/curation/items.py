@@ -62,19 +62,6 @@ class McqItem:
             "metadata": dict(self.metadata),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "McqItem":
-        return cls(
-            item_id=payload["id"],
-            task_type=payload["task_type"],
-            question=payload["question"],
-            options=[
-                McqOption(o["label"], o["text"], o["gain"]) for o in payload["options"]
-            ],
-            answers=list(payload["answers"]),
-            metadata=dict(payload.get("metadata", {})),
-        )
-
 
 def finalize_item(
     item_id: str,
@@ -107,12 +94,3 @@ def write_items_jsonl(items: list[McqItem], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for item in items:
             fh.write(json.dumps(item.to_dict(), sort_keys=True) + "\n")
-
-
-def read_items_jsonl(path) -> list[McqItem]:
-    items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                items.append(McqItem.from_dict(json.loads(line)))
-    return items

@@ -10,13 +10,11 @@ proximal target-engagement measurements.
 """
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 
+from biokgr import load_data
 from biokgr.curation.items import McqItem, finalize_item
 from biokgr.pathways.flat import KeggFlatRecord
 from biokgr.pathways.graphs import SignedPathwayGraph
@@ -60,24 +58,6 @@ class TherapeuticContext:
     evidence_field: str  # COMMENT/EFFICACY | DISEASE | CLASS | none
 
 
-@lru_cache(maxsize=1)
-def _marker_library() -> dict:
-    path = resources.files("biokgr.data").joinpath("process_markers.json")
-    return json.loads(path.read_text(encoding="utf-8"))["processes"]
-
-
-@lru_cache(maxsize=1)
-def _strategy_library() -> dict:
-    path = resources.files("biokgr.data").joinpath("surrogate_strategies.json")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-@lru_cache(maxsize=1)
-def _context_keywords() -> dict:
-    path = resources.files("biokgr.data").joinpath("context_keywords.json")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def strip_identifiers(text: str) -> str:
     for pattern in IDENTIFIER_PATTERNS:
         text = pattern.sub("", text)
@@ -87,7 +67,7 @@ def strip_identifiers(text: str) -> str:
 
 def categorize_context(record: KeggFlatRecord) -> TherapeuticContext:
     """Keyword heuristics over clinical text fields, highest priority first."""
-    tables = _context_keywords()
+    tables = load_data("context_keywords.json")
     field_texts = [
         ("COMMENT/EFFICACY", f"{record.comment} {record.efficacy}"),
         ("DISEASE", " ".join(record.diseases)),
@@ -150,7 +130,7 @@ def infer_downstream_processes(
         raise NoMappedTarget(f"{record.accession} has no target mapped into the graphs")
     depths = _bidirectional_depths(graph, roots)
     matches: list[ProcessMatch] = []
-    for process, spec in sorted(_marker_library().items()):
+    for process, spec in sorted(load_data("process_markers.json")["processes"].items()):
         reached = {
             marker: depths[marker] for marker in spec["markers"] if marker in depths
         }
@@ -170,7 +150,7 @@ def gain2_strategies(
     context: TherapeuticContext,
 ) -> list[str]:
     """Context-matched distal strategy texts for the matched processes."""
-    library = _strategy_library()
+    library = load_data("surrogate_strategies.json")
     preferred = set(library["context_processes"].get(context.category, []))
     matched = [m.process for m in processes]
     chosen = [p for p in matched if p in preferred] or matched
@@ -195,7 +175,7 @@ def build_surrogate_item(
     """
     if not cross_drug_pool:
         raise PoolEmpty(f"{record.accession}: cross-drug distractor pool is empty")
-    library = _strategy_library()
+    library = load_data("surrogate_strategies.json")
     rng = random.Random(seed)
 
     correct = gain2_strategies(processes, context)

@@ -8,13 +8,11 @@ functional classes.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 
+from biokgr import load_data
 from biokgr.curation.items import McqItem, finalize_item
 from biokgr.pathways.analytics import betweenness, path_polarity
 from biokgr.pathways.families import infer_functional_type
@@ -66,14 +64,8 @@ PROFILES = {
 }
 
 
-@lru_cache(maxsize=1)
-def _load_blacklist() -> dict:
-    path = resources.files("biokgr.data").joinpath("druggability_blacklist.json")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def is_blacklisted(graph: SignedPathwayGraph, symbol: str, blacklist: dict | None = None) -> bool:
-    rules = blacklist if blacklist is not None else _load_blacklist()
+    rules = blacklist if blacklist is not None else load_data("druggability_blacklist.json")
     upper = symbol.upper()
     if any(upper.startswith(p.upper()) for p in rules.get("prefixes", [])):
         return True

@@ -10,13 +10,13 @@ from biokgr.federation.client import (
     AuthMissing,
     FederationError,
     FetchRequest,
+    InvalidQuery,
     KgClient,
     RequestFailed,
     SourceUnavailable,
 )
 from biokgr.federation.queries import (
-    RELATION_PREDICATES,
-    UnknownPredicate,
+    RELATION_SEARCH_TYPES,
     UnsupportedEntityType,
     build_boolean_query,
 )
@@ -24,7 +24,6 @@ from biokgr.federation.unified import (
     AllSourcesFailed,
     Federation,
     FetchResult,
-    InvalidQuery,
     SourceStatus,
     UnifiedRecord,
 )
@@ -40,17 +39,16 @@ __all__ = [
     "AuthMissing",
     "FederationError",
     "FetchRequest",
+    "InvalidQuery",
     "KgClient",
     "RequestFailed",
     "SourceUnavailable",
-    "RELATION_PREDICATES",
-    "UnknownPredicate",
+    "RELATION_SEARCH_TYPES",
     "UnsupportedEntityType",
     "build_boolean_query",
     "AllSourcesFailed",
     "Federation",
     "FetchResult",
-    "InvalidQuery",
     "SourceStatus",
     "UnifiedRecord",
     "WorkspaceUnavailable",

@@ -4,15 +4,16 @@ One `KgClient` wraps one source descriptor. All requests go through
 `fetch_with_policy`, which (1) checks credentials for the source's auth mode,
 (2) acquires a rate-limit slot for the host, (3) retries transient failures
 with exponential backoff, and (4) parses the response body into structured
-form (JSON when possible, text otherwise). Every dispatched request is
-appended to `call_log` with its granted timestamp so tests and budget
-accounting can audit the client's behavior.
+form (JSON when possible, text otherwise). Every dispatched attempt adds one
+to `attempts`, which budget accounting reads; the count is kept under a lock
+because one client is shared by the federation's worker threads.
 """
 from __future__ import annotations
 
 import json
 import logging
 import os
+import threading
 from dataclasses import dataclass, field
 
 import requests
@@ -31,6 +32,10 @@ class FederationError(Exception):
 
 
 class AuthMissing(FederationError):
+    pass
+
+
+class InvalidQuery(FederationError):
     pass
 
 
@@ -72,14 +77,6 @@ class FetchRequest:
     headers: dict = field(default_factory=dict)
 
 
-@dataclass
-class CallRecord:
-    url: str
-    timestamp: float
-    status: int | None = None
-    attempt: int = 1
-
-
 class RequestsTransport:
     """Default transport over a shared `requests.Session`."""
 
@@ -119,7 +116,8 @@ class KgClient:
         self._transport = transport or RequestsTransport()
         self._limiter = limiter or RateLimiter(self._clock)
         self._env = env if env is not None else os.environ
-        self.call_log: list[CallRecord] = []
+        self.attempts = 0
+        self._attempts_lock = threading.Lock()
 
     @property
     def source_id(self) -> str:
@@ -149,9 +147,9 @@ class KgClient:
 
         last_reason = ""
         for attempt in range(1, policy.max_attempts + 1):
-            granted = self._limiter.acquire(host, min_interval)
-            record = CallRecord(url=url, timestamp=granted, attempt=attempt)
-            self.call_log.append(record)
+            self._limiter.acquire(host, min_interval)
+            with self._attempts_lock:
+                self.attempts += 1
             try:
                 response = self._transport.send(
                     request.method, url, params, dict(request.headers), request.body
@@ -160,7 +158,6 @@ class KgClient:
                 last_reason = f"transport: {exc}"
                 logger.debug("attempt %d against %s failed: %s", attempt, host, exc)
             else:
-                record.status = response.status
                 if response.status < 400:
                     return parse_body(response)
                 if response.status not in TRANSIENT_STATUSES:

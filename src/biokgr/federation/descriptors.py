@@ -9,10 +9,10 @@ bundled mock server.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from importlib import resources
+
+from biokgr import load_data
 
 PROTOCOLS = ("rest", "graphql", "flat-file")
 AUTH_MODES = ("none", "api-key", "session")
@@ -58,11 +58,6 @@ class SourceDescriptor:
         override = env.get(f"BIOKGR_{self.source_id.upper()}_URL")
         return (override or self.base_url).rstrip("/")
 
-    @property
-    def host(self) -> str:
-        url = self.base_url
-        return url.split("//", 1)[-1].split("/", 1)[0]
-
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -105,5 +100,4 @@ def load_registry(payload: dict) -> dict[str, SourceDescriptor]:
 
 
 def default_registry() -> dict[str, SourceDescriptor]:
-    path = resources.files("biokgr.data").joinpath("sources.json")
-    return load_registry(json.loads(path.read_text(encoding="utf-8")))
+    return load_registry(load_data("sources.json"))

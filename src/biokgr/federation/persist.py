@@ -5,9 +5,7 @@ import csv
 import json
 from pathlib import Path
 
-
-class WorkspaceUnavailable(Exception):
-    pass
+from biokgr.evidence import WorkspaceUnavailable
 
 
 def persist_results(records, directory, stem: str = "results") -> dict:

@@ -1,16 +1,14 @@
-"""Entity-typed boolean query construction and relation-predicate vocabulary."""
+"""Entity-typed boolean query construction and the relation-search type vocabulary."""
 from __future__ import annotations
+
+from biokgr.federation.client import InvalidQuery
 
 SUPPORTED_ENTITY_TYPES = ("GENE", "DISEASE", "CHEMICAL", "VARIANT", "SPECIES", "CELLLINE")
 
-RELATION_PREDICATES = ("TREAT", "CAUSE", "INTERACT", "INHIBIT", "ASSOCIATE")
+RELATION_SEARCH_TYPES = ("TREAT", "CAUSE", "INTERACT", "INHIBIT", "ASSOCIATE")
 
 
 class UnsupportedEntityType(Exception):
-    pass
-
-
-class UnknownPredicate(Exception):
     pass
 
 
@@ -50,6 +48,6 @@ def build_boolean_query(
 
 def validate_predicate(predicate: str) -> str:
     upper = predicate.upper()
-    if upper not in RELATION_PREDICATES:
-        raise UnknownPredicate(f"{predicate!r} not in {RELATION_PREDICATES}")
+    if upper not in RELATION_SEARCH_TYPES:
+        raise InvalidQuery(f"{predicate!r} not in {RELATION_SEARCH_TYPES}")
     return upper

@@ -15,8 +15,9 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from biokgr import load_data
 from biokgr.evidence import EntityRef
-from biokgr.federation.client import FederationError, FetchRequest, KgClient
+from biokgr.federation.client import FederationError, FetchRequest, InvalidQuery, KgClient
 from biokgr.federation.descriptors import QuerySpec, SourceDescriptor, default_registry
 from biokgr.federation.queries import validate_predicate
 from biokgr.federation.ratelimit import RateLimiter, SystemClock
@@ -35,10 +36,6 @@ _KIND_MAP = {
     "paper": "PAPER",
     "trial": "FINDING",
 }
-
-
-class InvalidQuery(FederationError):
-    pass
 
 
 class AllSourcesFailed(FederationError):
@@ -185,18 +182,11 @@ ADAPTERS = {
 }
 
 
-def _graphql_template(name: str) -> str:
-    from importlib import resources
-
-    path = resources.files("biokgr.data").joinpath(f"graphql/{name}.graphql")
-    return path.read_text(encoding="utf-8")
-
-
 def _search_request(descriptor: SourceDescriptor, spec: QuerySpec) -> FetchRequest:
     if descriptor.protocol == "graphql":
         # parameterized query template shipped as a data file
         body = json.dumps({
-            "query": _graphql_template(f"{descriptor.source_id}_search"),
+            "query": load_data(f"graphql/{descriptor.source_id}_search.graphql"),
             "variables": {"queryString": spec.text, "entityNames": [spec.kind],
                           "size": spec.limit},
         }, sort_keys=True)
@@ -248,8 +238,8 @@ class Federation:
 
     @property
     def invocations(self) -> int:
-        """Total federation invocations so far (one per policy fetch attempt set)."""
-        return sum(len(c.call_log) for c in self.clients.values())
+        """Total fetch attempts so far, summed over every source's client."""
+        return sum(c.attempts for c in self.clients.values())
 
     def client(self, source_id: str) -> KgClient:
         if source_id not in self.clients:

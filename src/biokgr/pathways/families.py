@@ -7,10 +7,7 @@ editable JSON data file so coverage can grow without code changes.
 """
 from __future__ import annotations
 
-import json
-from functools import lru_cache
-from importlib import resources
-
+from biokgr import load_data
 from biokgr.pathways.graphs import PathwayNode
 
 FUNCTIONAL_TYPES = (
@@ -28,15 +25,9 @@ FUNCTIONAL_TYPES = (
 )
 
 
-@lru_cache(maxsize=1)
-def _load_families() -> dict:
-    path = resources.files("biokgr.data").joinpath("gene_families.json")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def infer_functional_type(node: PathwayNode, families: dict | None = None) -> str:
     """Classify a pathway node into one of the closed functional-type labels."""
-    data = families if families is not None else _load_families()
+    data = families if families is not None else load_data("gene_families.json")
     symbol = node.symbol.upper()
     for label in data["precedence"]:
         family = data["families"].get(label, {})

@@ -10,11 +10,10 @@ symbols to those edges.
 """
 from __future__ import annotations
 
-import json
 import re
 import xml.etree.ElementTree as ET
-from importlib import resources
 
+from biokgr import load_data
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 SUBTYPE_SIGNS = {
@@ -30,11 +29,6 @@ _ACCESSION_LIKE = re.compile(r"^(C|D|G|R)\d{5}$")
 
 class MalformedKgml(Exception):
     """Raised when a document is not well-formed KGML; carries context."""
-
-
-def _default_endpoint_lexicon() -> list[str]:
-    path = resources.files("biokgr.data").joinpath("endpoint_lexicon.json")
-    return json.loads(path.read_text(encoding="utf-8"))["terms"]
 
 
 def _graphics_label(entry: ET.Element) -> str:
@@ -195,8 +189,9 @@ def parse_kgml(
         for symbol, reactions in sorted(enzyme_reactions.items())
     }
 
-    lexicon = endpoint_lexicon if endpoint_lexicon is not None else _default_endpoint_lexicon()
-    terms = [t.casefold() for t in lexicon]
+    if endpoint_lexicon is None:
+        endpoint_lexicon = load_data("endpoint_lexicon.json")["terms"]
+    terms = [t.casefold() for t in endpoint_lexicon]
     for key, node in graph.nodes.items():
         haystack = f"{node.graphics_label} {key}".casefold()
         if any(term in haystack for term in terms):

@@ -17,16 +17,19 @@ from biokgr.agents import (
     PlanStep,
     ResearchTask,
     Workspace,
+    WorkspaceUnavailable,
     run_analysis,
     run_bfrs,
     run_dfrs,
     step_orchestrator,
     update_plan,
 )
+from biokgr.agents.oracle import ORACLE_SYSTEM_GUIDE
 from biokgr.agents.orchestrator import OrchestratorState
 from biokgr.evidence import EvidenceGraphStore
+from biokgr.federation.client import RawResponse, TransportError
 
-from fedmock import make_mock_federation
+from fedmock import CountingClock, json_response, make_mock_federation
 
 
 # -- plan checklist ----------------------------------------------------------------
@@ -76,6 +79,14 @@ def test_workspace_manifest_roundtrip(tmp_path):
     assert ws.exists("a.json")
     manifest = ws.manifest()
     assert manifest["files"][0] == {"path": "a.json", "description": "one record"}
+
+
+def test_workspace_on_unwritable_root_is_unavailable(tmp_path):
+    # a regular file in the directory position fails mkdir even for root
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    with pytest.raises(WorkspaceUnavailable):
+        Workspace(blocker / "ws")
 
 
 def test_analysis_filter_join_aggregate_dedup(tmp_path):
@@ -320,28 +331,40 @@ def test_budgets_never_negative_and_log_append_only(tmp_path):
 
 # -- http oracle --------------------------------------------------------------------------
 
-class FakeSession:
+class OracleTransport:
+    """Answers each oracle post from a handler of the decoded body; records what was sent."""
+
     def __init__(self, handler):
         self.handler = handler
-        self.posts = []
+        self.sent = []
 
-    def post(self, url, json=None, timeout=None):
-        self.posts.append((url, json))
-        return self.handler(json)
-
-
-class FakeHttpResponse:
-    def __init__(self, payload, status=200):
-        self._payload = payload
-        self.status_code = status
-
-    def json(self):
-        return self._payload
+    def send(self, method, url, params, headers, body):
+        self.sent.append((method, url, headers, body))
+        return self.handler(json.loads(body))
 
 
-def assistant(content: dict) -> FakeHttpResponse:
-    return FakeHttpResponse({"message": {"role": "assistant",
-                                         "content": json.dumps(content)}})
+def assistant(content: dict) -> RawResponse:
+    return json_response({"message": {"role": "assistant", "content": json.dumps(content)}})
+
+
+def scripted(*responses):
+    """A handler that returns (or raises) the given responses in order."""
+    queue = list(responses)
+
+    def handler(body):
+        item = queue.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    return handler
+
+
+def make_oracle(handler):
+    transport = OracleTransport(handler)
+    clock = CountingClock()
+    oracle = HttpOracle("http://oracle.test/chat/", transport=transport, clock=clock)
+    return oracle, transport, clock
 
 
 def test_http_oracle_plan_and_action():
@@ -355,7 +378,7 @@ def test_http_oracle_plan_and_action():
             return assistant({"action": "finalize", "answer": "done"})
         return assistant({"score": 0.75})
 
-    oracle = HttpOracle("http://oracle.test", session=FakeSession(handler))
+    oracle, transport, _clock = make_oracle(handler)
     plan = oracle.plan("query")
     assert [s.hint for s in plan.steps] == ["bfrs", "finalize"]
     assert oracle.score_relevance("a", "b") == 0.75
@@ -365,14 +388,56 @@ def test_http_oracle_plan_and_action():
     action = oracle.choose_action(state, "obs")
     assert isinstance(action, Finalize) and action.answer == "done"
 
+    method, url, headers, body = transport.sent[0]
+    assert (method, url) == ("POST", "http://oracle.test/chat")
+    assert headers == {"Content-Type": "application/json"}
+    assert body == json.dumps({"messages": [
+        {"role": "system", "content": ORACLE_SYSTEM_GUIDE},
+        {"role": "user", "content": json.dumps({"op": "plan", "query": "query"},
+                                                sort_keys=True)},
+    ]})
+
 
 def test_http_oracle_unavailable_after_retries():
-    def handler(body):
-        raise __import__("requests").RequestException("refused")
+    oracle, transport, clock = make_oracle(scripted(*[TransportError("refused")] * 4))
+    with pytest.raises(OracleUnavailable, match="refused"):
+        oracle.plan("q")
+    assert len(transport.sent) == 3
+    assert clock.now() == 0.5 + 1.0
 
-    oracle = HttpOracle("http://oracle.test", session=FakeSession(handler), max_attempts=2)
+
+@pytest.mark.parametrize("status", [503, 429])
+def test_http_oracle_retries_a_transient_status_after_backoff(status):
+    oracle, transport, clock = make_oracle(scripted(
+        json_response({}, status=status), assistant({"score": 0.25}),
+    ))
+    assert oracle.score_relevance("a", "b") == 0.25
+    assert len(transport.sent) == 2
+    assert clock.now() == 0.5
+
+
+def test_http_oracle_client_error_fails_at_once():
+    oracle, transport, clock = make_oracle(scripted(json_response({}, status=404)))
+    with pytest.raises(OracleUnavailable, match="HTTP 404"):
+        oracle.plan("q")
+    assert len(transport.sent) == 1
+    assert clock.now() == 0.0
+
+
+@pytest.mark.parametrize("reply", [
+    json_response({"message": {"role": "assistant"}}),
+    json_response({"choices": []}),
+    json_response({"message": {"content": "not json"}}),
+    json_response({"message": {"content": "[1, 2]"}}),
+    json_response(["not", "an", "object"]),
+    RawResponse(status=200, body="<html>gateway</html>", headers={"Content-Type": "text/html"}),
+])
+def test_http_oracle_bad_output_fails_at_once(reply):
+    oracle, transport, clock = make_oracle(scripted(reply, reply))
     with pytest.raises(OracleUnavailable):
         oracle.plan("q")
+    assert len(transport.sent) == 1
+    assert clock.now() == 0.0
 
 
 def test_http_oracle_none_action_maps_to_halt(tmp_path):
@@ -382,7 +447,7 @@ def test_http_oracle_none_action_maps_to_halt(tmp_path):
             return assistant({"steps": [{"text": "noop", "hint": "bfrs"}]})
         return assistant({"action": "none"})
 
-    oracle = HttpOracle("http://oracle.test", session=FakeSession(handler))
+    oracle, _transport, _clock = make_oracle(handler)
     state = OrchestratorState(query="q", plan=oracle.plan("q"),
                               budgets={"bfrs": 1, "dfrs": 1},
                               workspace=Workspace(tmp_path), graph=EvidenceGraphStore())

@@ -219,6 +219,36 @@ def test_research_run_with_mock_endpoints(runner, tmp_path, monkeypatch):
         server.stop()
 
 
+@pytest.mark.parametrize("route", ["none", "malformed"])
+def test_research_run_reports_an_unavailable_oracle_in_one_line(runner, tmp_path, route):
+    from biokgr.federation.mockserver import FixtureServer
+
+    # 404 and bad output both fail at once, so no backoff sleep runs
+    with FixtureServer() as (server, base):
+        if route == "malformed":
+            server.add_json("/", {"message": {"content": "not json"}})
+        result = runner.invoke(main, [
+            "research", "run", "--query", "TNF", "--oracle", base,
+            "--workspace", str(tmp_path / "ws"),
+        ], catch_exceptions=False)
+        assert server.route_hits("/") == (1 if route == "malformed" else 0)
+        assert len(server.request_log) == 1
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: oracle endpoint {base}")
+    assert result.output.count("\n") == 1
+
+
+def test_research_run_reports_an_unwritable_workspace_in_one_line(runner, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    result = runner.invoke(main, [
+        "research", "run", "--query", "TNF", "--workspace", str(blocker / "ws"),
+    ], catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: cannot create workspace")
+    assert result.output.count("\n") == 1
+
+
 def test_fetch_against_mock_server(runner, monkeypatch, tmp_path):
     from biokgr.federation.mockserver import FixtureServer
 

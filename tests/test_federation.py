@@ -1,8 +1,9 @@
 """Federation contracts: boolean queries, rate limiting, retries, unified search."""
 import json
+import math
 import os
-
 import threading
+import time
 
 import pytest
 
@@ -19,7 +20,6 @@ from biokgr.federation import (
     RetryPolicy,
     SourceDescriptor,
     SourceUnavailable,
-    UnknownPredicate,
     UnsupportedEntityType,
     WorkspaceUnavailable,
     build_boolean_query,
@@ -149,13 +149,55 @@ def test_rate_limiter_hosts_independent():
 
 def test_client_spaces_back_to_back_requests():
     clock = FakeClock()
-    transport = ScriptedTransport(default=json_response({"ok": True}))
-    client = KgClient(descriptor(rate=1.0), transport=transport, clock=clock,
+    sent_at = []
+
+    class StampingTransport:
+        def send(self, method, url, params, headers, body):
+            sent_at.append(clock.now())
+            return json_response({"ok": True})
+
+    client = KgClient(descriptor(rate=1.0), transport=StampingTransport(), clock=clock,
                       limiter=RateLimiter(clock), env={})
     client.fetch_with_policy(FetchRequest(path="/x"))
     client.fetch_with_policy(FetchRequest(path="/x"))
-    t1, t2 = (record.timestamp for record in client.call_log)
+    t1, t2 = sent_at
     assert t2 - t1 >= 1.0
+
+
+def test_attempt_counter_is_exact_under_concurrent_fetches():
+    transport = ScriptedTransport(default=json_response({"ok": True}))
+    clock = FakeClock()
+    client = KgClient(descriptor(rate=math.inf), transport=transport, clock=clock,
+                      limiter=RateLimiter(clock), env={})
+
+    def yield_between_opcodes(frame, event, arg):
+        # The interpreter may not switch threads inside `attempts += 1` on its
+        # own; offering a switch between every bytecode of the fetch makes a
+        # lost update show whenever the increment is not under the lock.
+        if event == "call":
+            if frame.f_code is not KgClient.fetch_with_policy.__code__:
+                return None
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            time.sleep(0)
+        return yield_between_opcodes
+
+    def worker():
+        for _ in range(25):
+            client.fetch_with_policy(FetchRequest(path="/x"))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    threading.settrace(yield_between_opcodes)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        threading.settrace(None)
+    assert not any(t.is_alive() for t in threads)
+    assert len(transport.sent) == 200
+    assert client.attempts == 200
 
 
 # -- retry policy ---------------------------------------------------------------------
@@ -168,7 +210,7 @@ def test_retry_then_success():
     client = KgClient(descriptor(attempts=2), transport=transport, clock=clock,
                       limiter=RateLimiter(clock), env={})
     assert client.fetch_with_policy(FetchRequest(path="/x")) == {"ok": 1}
-    assert len(client.call_log) == 2
+    assert client.attempts == 2
 
 
 def test_retry_exhaustion():
@@ -191,7 +233,7 @@ def test_nontransient_error_not_retried():
                       limiter=RateLimiter(clock), env={})
     with pytest.raises(RequestFailed):
         client.fetch_with_policy(FetchRequest(path="/x"))
-    assert len(client.call_log) == 1
+    assert client.attempts == 1
 
 
 def test_transport_errors_are_transient():
@@ -399,7 +441,7 @@ def test_find_related_entities():
 def test_find_related_unknown_predicate():
     federation = make_federation({})
     disease = EntityRef(name="disease X", kind="DISEASE_PHENOTYPE", source="t")
-    with pytest.raises(UnknownPredicate):
+    with pytest.raises(InvalidQuery):
         federation.find_related_entities(disease, "BLOCKS")
 
 
