@@ -84,18 +84,16 @@ def categorize_context(record: KeggFlatRecord) -> TherapeuticContext:
 
 
 def _bidirectional_depths(graph: SignedPathwayGraph, roots: list[str]) -> dict[str, int]:
-    undirected: dict[str, set[str]] = {}
-    for edge in graph.edges:
-        undirected.setdefault(edge.source, set()).add(edge.target)
-        undirected.setdefault(edge.target, set()).add(edge.source)
-    depths = {root: 0 for root in roots if root in graph.nodes}
+    topology = graph.topology()
+    depths = {root: 0 for root in roots if root in topology.nodes}
     frontier = list(depths)
     depth = 0
     while frontier and depth < TRAVERSAL_DEPTH_LIMIT:
         depth += 1
         nxt = []
         for node in frontier:
-            for neighbor in undirected.get(node, ()):
+            around = topology.successors.get(node, []) + topology.predecessors.get(node, [])
+            for neighbor, _w in around:
                 if neighbor not in depths:
                     depths[neighbor] = depth
                     nxt.append(neighbor)

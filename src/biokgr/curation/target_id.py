@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from biokgr import load_data
 from biokgr.curation.items import McqItem, finalize_item
-from biokgr.pathways.analytics import betweenness, path_polarity
+from biokgr.pathways.analytics import Topology
 from biokgr.pathways.families import infer_functional_type
 from biokgr.pathways.graphs import SignedPathwayGraph
 
@@ -93,11 +93,18 @@ def assign_target_gains(
     blacklist: dict | None = None,
 ) -> dict[str, GainScore]:
     """Score each candidate gene for therapeutic-target plausibility."""
+    return _assign_gains(graph, graph.topology(), candidates, profile, endpoints, blacklist)
+
+
+def _assign_gains(
+    graph, topology: Topology, candidates, profile, endpoints, blacklist
+) -> dict[str, GainScore]:
+    """`assign_target_gains` on the caller's `graph.topology()`."""
     targets = set(endpoints) if endpoints is not None else set(graph.endpoints)
     if not targets:
         raise NoEndpoints(f"pathway {graph.pathway_id or '?'} has no disease endpoints")
 
-    centrality = betweenness(graph)
+    centrality = topology.betweenness
     candidate_centrality = {c: centrality.get(c, 0.0) for c in candidates}
     cutoff = nearest_rank_percentile(list(candidate_centrality.values()), CENTRALITY_PERCENTILE)
 
@@ -106,14 +113,11 @@ def assign_target_gains(
         if is_blacklisted(graph, candidate, blacklist):
             scores[candidate] = GainScore(0, "non_druggable")
             continue
-        polarity = path_polarity(graph, candidate, targets)
+        polarity = topology.path_polarity(candidate, targets)
         node = graph.nodes[candidate]
         ftype = node.functional_type or infer_functional_type(node)
-        threshold = (
-            profile.prioritized_threshold
-            if ftype in profile.prioritized_types
-            else GAIN2_THRESHOLD
-        )
+        prioritized = ftype in profile.prioritized_types
+        threshold = profile.prioritized_threshold if prioritized else GAIN2_THRESHOLD
         if polarity.value < 0:
             scores[candidate] = GainScore(0, "protective")
         elif candidate_centrality[candidate] >= cutoff and polarity.value > 0:
@@ -142,20 +146,16 @@ def build_target_item(
     """
     candidates = graph.gene_symbols()
     if len(candidates) < option_count:
-        raise InsufficientCandidates(
-            f"{len(candidates)} candidates < option count {option_count}"
-        )
-    gains = assign_target_gains(graph, candidates, profile, endpoints, blacklist)
+        raise InsufficientCandidates(f"{len(candidates)} candidates < option count {option_count}")
+    topology = graph.topology()
+    gains = _assign_gains(graph, topology, candidates, profile, endpoints, blacklist)
     answers = sorted(c for c, s in gains.items() if s.value == 2)
     if not answers:
         raise NoCorrectOption(f"no gain-2 candidate in pathway {graph.pathway_id or '?'}")
 
-    centrality = betweenness(graph)
+    centrality = topology.betweenness
     chosen = answers[:option_count]
-    fillers = sorted(
-        (c for c in candidates if c not in set(chosen)),
-        key=lambda c: (-centrality.get(c, 0.0), c),
-    )
+    fillers = sorted(set(candidates) - set(chosen), key=lambda c: (-centrality.get(c, 0.0), c))
     chosen = chosen + fillers[: option_count - len(chosen)]
 
     def render(symbol: str) -> str:

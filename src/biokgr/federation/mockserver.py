@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlparse
 
+# How often the serving thread checks for `stop()`; it bounds stop's latency.
+SHUTDOWN_POLL_S = 0.02
+
 
 @dataclass
 class MockResponse:
@@ -97,7 +100,8 @@ class FixtureServer:
                 pass
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True,
+                                        kwargs={"poll_interval": SHUTDOWN_POLL_S})
         self._thread.start()
         host, port = self._httpd.server_address
         return f"http://{host}:{port}"

@@ -1,16 +1,20 @@
 """Graph analytics used by the benchmark curators.
 
-All functions are pure; the graph arguments are never mutated. Anything with
-a `node_ids()` / `edge_pairs()` pair is accepted, so the same routines serve
-both the signed interaction graph and the reaction graph.
+Every analytic reads a `Topology`: the structure of one pathway graph,
+compiled by `SignedPathwayGraph.topology()` or `ReactionGraph.topology()`,
+with betweenness, SCCs, cyclic and terminal nodes cached on first use. A
+curator holds one topology per item; the module functions build one per call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable
 
 import networkx as nx
 
-from biokgr.pathways.graphs import ReactionGraph, SignedPathwayGraph
+if TYPE_CHECKING:
+    from biokgr.pathways.graphs import ReactionGraph, SignedPathwayGraph
 
 MAX_PATH_EDGES = 8
 MAX_PATHS_PER_PAIR = 10_000
@@ -35,11 +39,129 @@ class PolarityResult:
     truncated: bool = False
 
 
-def _digraph(graph) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.node_ids())
-    g.add_edges_from(graph.edge_pairs())
-    return g
+class Topology:
+    """The structure of one directed graph, compiled once and shared by its analytics.
+
+    Built from the declared nodes and `(source, target, weight)` edges. Edge
+    endpoints need not be declared; they take part in paths, betweenness and
+    SCCs but are never members of `nodes`. The cached results are shared
+    between readers and must not be mutated.
+    """
+
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str, int]]):
+        self._order = list(nodes)
+        self._edges = list(edges)
+        self.nodes = frozenset(self._order)
+        self.successors: dict[str, list[tuple[str, int]]] = {n: [] for n in self._order}
+        self.predecessors: dict[str, list[tuple[str, int]]] = {}
+        for src, dst, weight in self._edges:
+            self.successors.setdefault(src, []).append((dst, weight))
+            self.predecessors.setdefault(dst, []).append((src, weight))
+        for out in self.successors.values():
+            out.sort()
+
+    @cached_property
+    def _networkx(self) -> nx.DiGraph:
+        # declared nodes first, then edges in their stored order, so that
+        # networkx iterates (and betweenness sums) in a fixed order
+        g = nx.DiGraph()
+        g.add_nodes_from(self._order)
+        g.add_edges_from((src, dst) for src, dst, _w in self._edges)
+        return g
+
+    @cached_property
+    def betweenness(self) -> dict[str, float]:
+        """Unnormalized directed betweenness centrality with unit edge lengths."""
+        return dict(nx.betweenness_centrality(self._networkx, normalized=False))
+
+    @cached_property
+    def components(self) -> list[set[str]]:
+        """Strongly connected components, ordered by their smallest member."""
+        components = [set(c) for c in nx.strongly_connected_components(self._networkx)]
+        return sorted(components, key=min)
+
+    @cached_property
+    def cyclic(self) -> set[str]:
+        """Nodes on a directed cycle: members of a multi-node SCC or a self-loop."""
+        cyclic = {n for c in self.components if len(c) > 1 for n in c}
+        return cyclic | {src for src, dst, _w in self._edges if src == dst}
+
+    @cached_property
+    def terminals(self) -> set[str]:
+        """Exactly the declared nodes with out-degree zero."""
+        return {n for n in self.nodes if not self.successors[n]}
+
+    def path_polarity(
+        self,
+        gene: str,
+        endpoints: Iterable[str],
+        max_edges: int = MAX_PATH_EDGES,
+        max_paths: int = MAX_PATHS_PER_PAIR,
+    ) -> PolarityResult:
+        """Average signed-path polarity from `gene` to `endpoints`.
+
+        Simple paths are expanded depth-first in lexicographic neighbor order,
+        up to `max_edges` edges per path and `max_paths` paths per (gene,
+        endpoint) pair. Each path contributes the product of its edge weights;
+        the result is the mean over every enumerated path against every
+        endpoint.
+        """
+        if gene not in self.nodes:
+            raise NodeNotFound(f"gene {gene!r} not in pathway graph")
+        targets = sorted(endpoints)
+        for endpoint in targets:
+            if endpoint not in self.nodes:
+                raise NodeNotFound(f"endpoint {endpoint!r} not in pathway graph")
+
+        adjacency = self.successors
+        total = 0
+        count = 0
+        truncated = False
+
+        for endpoint in targets:
+            if endpoint == gene:
+                continue
+            # iterative DFS over (node, product, depth) with an explicit path set
+            stack: list[tuple[str, int, int, tuple[str, ...]]] = [(gene, 1, 0, (gene,))]
+            pair_count = 0
+            while stack:
+                node, product, depth, path = stack.pop()
+                if node == endpoint:
+                    total += product
+                    count += 1
+                    pair_count += 1
+                    if pair_count >= max_paths:
+                        truncated = True
+                        break
+                    continue
+                if depth == max_edges:
+                    continue
+                # reversed so the lexicographically smallest neighbor pops first
+                for nxt, weight in reversed(adjacency.get(node, [])):
+                    if nxt in path:
+                        continue
+                    stack.append((nxt, product * weight, depth + 1, path + (nxt,)))
+
+        if count == 0:
+            return PolarityResult(value=0.0, path_count=0, no_path=True)
+        return PolarityResult(value=total / count, path_count=count, truncated=truncated)
+
+    def k_step_neighborhood(self, node: str, k: int, direction: str = "downstream") -> set[str]:
+        """Nodes reachable within 1..k steps of `node`, excluding `node` itself."""
+        if direction not in ("downstream", "upstream"):
+            raise ValueError(f"direction must be downstream or upstream, got {direction!r}")
+        if node not in self.nodes:
+            raise NodeNotFound(f"node {node!r} not in graph")
+        if k < 0:
+            raise ValueError("k must be >= 0")
+
+        step = self.successors if direction == "downstream" else self.predecessors
+        reached: set[str] = set()
+        frontier = {node}
+        for _ in range(k):
+            frontier = {m for n in frontier for m, _w in step.get(n, ())} - reached - {node}
+            reached |= frontier
+        return reached
 
 
 def path_polarity(
@@ -49,80 +171,25 @@ def path_polarity(
     max_edges: int = MAX_PATH_EDGES,
     max_paths: int = MAX_PATHS_PER_PAIR,
 ) -> PolarityResult:
-    """Average signed-path polarity from `gene` to the disease endpoints.
-
-    Simple paths are expanded depth-first in lexicographic neighbor order, up
-    to `max_edges` edges per path and `max_paths` paths per (gene, endpoint)
-    pair. Each path contributes the product of its edge weights; the result
-    is the mean over every enumerated path against every endpoint.
-    """
-    if gene not in graph.nodes:
-        raise NodeNotFound(f"gene {gene!r} not in pathway graph")
-    targets = sorted(endpoints) if endpoints is not None else sorted(graph.endpoints)
-    for endpoint in targets:
-        if endpoint not in graph.nodes:
-            raise NodeNotFound(f"endpoint {endpoint!r} not in pathway graph")
-
-    adjacency = graph.signed_adjacency()
-    total = 0
-    count = 0
-    truncated = False
-
-    for endpoint in targets:
-        if endpoint == gene:
-            continue
-        # iterative DFS over (node, product, depth) with an explicit path set
-        stack: list[tuple[str, int, int, tuple[str, ...]]] = [(gene, 1, 0, (gene,))]
-        pair_count = 0
-        while stack:
-            node, product, depth, path = stack.pop()
-            if node == endpoint:
-                total += product
-                count += 1
-                pair_count += 1
-                if pair_count >= max_paths:
-                    truncated = True
-                    break
-                continue
-            if depth == max_edges:
-                continue
-            # reversed so the lexicographically smallest neighbor pops first
-            for nxt, weight in reversed(adjacency.get(node, [])):
-                if nxt in path:
-                    continue
-                stack.append((nxt, product * weight, depth + 1, path + (nxt,)))
-
-    if count == 0:
-        return PolarityResult(value=0.0, path_count=0, no_path=True)
-    return PolarityResult(
-        value=total / count, path_count=count, truncated=truncated
+    """`Topology.path_polarity`; `endpoints` defaults to the graph's disease endpoints."""
+    return graph.topology().path_polarity(
+        gene, graph.endpoints if endpoints is None else endpoints, max_edges, max_paths
     )
 
 
 def betweenness(graph) -> dict[str, float]:
     """Unnormalized directed betweenness centrality with unit edge lengths."""
-    g = _digraph(graph)
-    if g.number_of_nodes() == 0:
-        return {}
-    return dict(nx.betweenness_centrality(g, normalized=False))
+    return graph.topology().betweenness
 
 
 def strongly_connected_components(graph) -> list[set[str]]:
     """Partition of the node set into strongly connected components."""
-    g = _digraph(graph)
-    components = [set(c) for c in nx.strongly_connected_components(g)]
-    return sorted(components, key=lambda c: sorted(c)[0])
+    return graph.topology().components
 
 
 def cyclic_nodes(graph) -> set[str]:
     """Nodes on a directed cycle: members of a multi-node SCC or a self-loop."""
-    g = _digraph(graph)
-    cyclic: set[str] = set()
-    for component in nx.strongly_connected_components(g):
-        if len(component) > 1:
-            cyclic |= component
-    cyclic |= {u for u, v in g.edges if u == v}
-    return cyclic
+    return graph.topology().cyclic
 
 
 def k_step_neighborhood(
@@ -132,35 +199,9 @@ def k_step_neighborhood(
     direction: str = "downstream",
 ) -> set[str]:
     """Nodes reachable within 1..k steps of `node`, excluding `node` itself."""
-    if direction not in ("downstream", "upstream"):
-        raise ValueError(f"direction must be downstream or upstream, got {direction!r}")
-    if node not in set(graph.node_ids()):
-        raise NodeNotFound(f"node {node!r} not in graph")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-
-    forward: dict[str, set[str]] = {}
-    for src, dst in graph.edge_pairs():
-        if direction == "downstream":
-            forward.setdefault(src, set()).add(dst)
-        else:
-            forward.setdefault(dst, set()).add(src)
-
-    reached: set[str] = set()
-    frontier = {node}
-    for _ in range(k):
-        nxt: set[str] = set()
-        for n in frontier:
-            nxt |= forward.get(n, set())
-        frontier = nxt - reached - {node}
-        if not frontier:
-            break
-        reached |= frontier
-    return reached
+    return graph.topology().k_step_neighborhood(node, k, direction)
 
 
 def terminal_endpoints(graph: ReactionGraph) -> set[str]:
     """Exactly the nodes with out-degree zero."""
-    nodes = set(graph.node_ids())
-    with_out = {src for src, _dst in graph.edge_pairs()}
-    return nodes - with_out
+    return graph.topology().terminals

@@ -2,10 +2,14 @@
 
 Both graph classes are immutable-by-convention value objects: the analytics
 functions never mutate them, so they are safe to share across threads.
+`topology()` compiles a graph for the analytics; it does not follow later
+changes to the graph, so build it after the graph is complete.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from biokgr.pathways.analytics import Topology
 
 
 @dataclass
@@ -40,22 +44,11 @@ class SignedPathwayGraph:
     endpoints: set[str] = field(default_factory=set)
     skipped_relations: list[tuple[str, str, str]] = field(default_factory=list)
 
-    def node_ids(self) -> list[str]:
-        return list(self.nodes)
-
-    def edge_pairs(self) -> list[tuple[str, str]]:
-        return [(e.source, e.target) for e in self.edges]
+    def topology(self) -> Topology:
+        return Topology(self.nodes, ((e.source, e.target, e.weight) for e in self.edges))
 
     def gene_symbols(self) -> list[str]:
         return [key for key, node in self.nodes.items() if node.entry_type == "gene"]
-
-    def signed_adjacency(self) -> dict[str, list[tuple[str, int]]]:
-        adj: dict[str, list[tuple[str, int]]] = {key: [] for key in self.nodes}
-        for edge in self.edges:
-            adj.setdefault(edge.source, []).append((edge.target, edge.weight))
-        for out in adj.values():
-            out.sort()
-        return adj
 
     def merged_with(self, other: "SignedPathwayGraph") -> "SignedPathwayGraph":
         """Union of nodes/edges/endpoints; first graph wins on node metadata."""
@@ -69,12 +62,8 @@ class SignedPathwayGraph:
         )
         for key, node in other.nodes.items():
             merged.nodes.setdefault(key, node)
-        seen = {(e.source, e.target, e.weight, e.subtype) for e in merged.edges}
-        for edge in other.edges:
-            sig = (edge.source, edge.target, edge.weight, edge.subtype)
-            if sig not in seen:
-                merged.edges.append(edge)
-                seen.add(sig)
+        seen = set(merged.edges)
+        merged.edges.extend(e for e in dict.fromkeys(other.edges) if e not in seen)
         merged.endpoints |= other.endpoints
         merged.skipped_relations.extend(other.skipped_relations)
         return merged
@@ -90,11 +79,9 @@ class ReactionGraph:
     reaction_substrates: dict[str, tuple[str, ...]] = field(default_factory=dict)
     reaction_products: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def node_ids(self) -> list[str]:
-        return list(self.compounds)
-
-    def edge_pairs(self) -> list[tuple[str, str]]:
-        return [(s, p) for s, p, _r in self.edges]
+    def topology(self) -> Topology:
+        """Compounds and substrate→product edges, every edge with weight 1."""
+        return Topology(self.compounds, ((s, p, 1) for s, p, _r in self.edges))
 
     def reactions_for_gene(self, symbol: str) -> tuple[str, ...]:
         return self.enzymes.get(symbol, ())

@@ -144,6 +144,7 @@ def parse_kgml(
         key = entry_key.get(entry_id)
         return [key] if key else []
 
+    seen: set[tuple[str, str, int, str]] = set()
     for relation in root.findall("relation"):
         subtypes = [s.get("name") or "" for s in relation.findall("subtype")]
         sign = next((SUBTYPE_SIGNS[s] for s in subtypes if s in SUBTYPE_SIGNS), None)
@@ -156,7 +157,6 @@ def parse_kgml(
             )
             continue
         subtype_name = next(s for s in subtypes if s in SUBTYPE_SIGNS)
-        seen = {(e.source, e.target, e.weight, e.subtype) for e in graph.edges}
         for src in sources:
             for dst in targets:
                 sig = (src, dst, sign, subtype_name)

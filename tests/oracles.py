@@ -57,10 +57,10 @@ def _bfs_tables(nodes, adjacency) -> dict:
 
 def betweenness_oracle(graph) -> dict[str, float]:
     """Sum over ordered pairs (s, t) of the fraction of shortest s->t paths through v."""
-    nodes = list(graph.node_ids())
+    nodes = list(graph.nodes)
     adjacency: dict[str, list[str]] = {}
-    for src, dst in graph.edge_pairs():
-        adjacency.setdefault(src, []).append(dst)
+    for edge in graph.edges:
+        adjacency.setdefault(edge.source, []).append(edge.target)
     tables = _bfs_tables(nodes, adjacency)
     centrality = {v: 0.0 for v in nodes}
     for s in nodes:
@@ -79,10 +79,10 @@ def betweenness_oracle(graph) -> dict[str, float]:
 
 def scc_oracle(graph) -> list[set[str]]:
     """Mutual-reachability partition via per-node BFS closures."""
-    nodes = list(graph.node_ids())
+    nodes = list(graph.nodes)
     adjacency: dict[str, set[str]] = {}
-    for src, dst in graph.edge_pairs():
-        adjacency.setdefault(src, set()).add(dst)
+    for edge in graph.edges:
+        adjacency.setdefault(edge.source, set()).add(edge.target)
 
     def reachable(start: str) -> set[str]:
         seen = {start}
@@ -107,9 +107,9 @@ def scc_oracle(graph) -> list[set[str]]:
     return sorted(components, key=lambda c: sorted(c)[0])
 
 
-def k_step_oracle(graph, node: str, k: int, direction: str) -> set[str]:
+def k_step_oracle(rg, node: str, k: int, direction: str) -> set[str]:
     adjacency: dict[str, set[str]] = {}
-    for src, dst in graph.edge_pairs():
+    for src, dst, _reaction in rg.edges:
         if direction == "downstream":
             adjacency.setdefault(src, set()).add(dst)
         else:
@@ -128,8 +128,8 @@ def k_step_oracle(graph, node: str, k: int, direction: str) -> set[str]:
     return seen - {node}
 
 
-def terminal_oracle(graph) -> set[str]:
-    return {n for n in graph.node_ids() if all(src != n for src, _dst in graph.edge_pairs())}
+def terminal_oracle(rg) -> set[str]:
+    return {n for n in rg.compounds if all(src != n for src, _dst, _r in rg.edges)}
 
 
 def subgraph_oracle(store, seeds, depth: int) -> dict:

@@ -1,5 +1,6 @@
 """Agent contracts: plans, budgets, reports, determinism, oracle protocol."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -295,7 +296,8 @@ def test_full_run_writes_transcript_and_graph(tmp_path):
     runner = OrchestratorRunner(make_mock_federation(), DefaultOracle(),
                                 bfrs_budget=1, dfrs_budget=1)
     result = runner.run(QUERY, tmp_path / "run")
-    transcript = [json.loads(l) for l in open(result.transcript_path, encoding="utf-8")]
+    lines = Path(result.transcript_path).read_text(encoding="utf-8").splitlines()
+    transcript = [json.loads(l) for l in lines]
     assert transcript[0]["action"]["action"] == "invoke_bfrs"
     assert transcript[-1]["action"]["action"] == "finalize"
     ws = result.state.workspace

@@ -1,5 +1,6 @@
 """Benchmark preparation filters and scoring harness."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,8 +186,9 @@ def test_run_suite_aggregates(tmp_path):
     assert report.aggregates["hle_med"]["accuracy"] == pytest.approx(0.5)
     assert report.aggregates["surrogate"]["mean_f1"] == pytest.approx(0.8)
     paths = write_report(report, tmp_path)
-    assert "hle_med" in open(paths["md"], encoding="utf-8").read()
-    rows = [json.loads(l) for l in open(paths["jsonl"], encoding="utf-8")]
+    assert "hle_med" in Path(paths["md"]).read_text(encoding="utf-8")
+    lines = Path(paths["jsonl"]).read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(l) for l in lines]
     assert len(rows) == 3
 
 

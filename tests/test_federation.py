@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -475,7 +476,7 @@ def test_persist_writes_three_files(tmp_path):
     manifest = persist_results(sample_records(), tmp_path, stem="genes")
     for path in manifest.values():
         assert os.path.exists(path)
-    md_text = open(manifest["md"], encoding="utf-8").read()
+    md_text = Path(manifest["md"]).read_text(encoding="utf-8")
     assert "3 results" in md_text
 
 
@@ -490,7 +491,7 @@ def test_persist_roundtrip(tmp_path):
 
 def test_persist_empty_records(tmp_path):
     manifest = persist_results([], tmp_path)
-    assert "0 results" in open(manifest["md"], encoding="utf-8").read()
+    assert "0 results" in Path(manifest["md"]).read_text(encoding="utf-8")
     assert load_records(manifest["json"]) == []
 
 

@@ -1,6 +1,7 @@
 """Target-identification and flux curators: gain rules, fixtures, determinism."""
 import random
 
+import networkx as nx
 import pytest
 
 from biokgr.curation.flux import (
@@ -8,6 +9,7 @@ from biokgr.curation.flux import (
     TargetNotInPathway,
     build_flux_item,
     classify_flux_option,
+    target_facts,
 )
 from biokgr.curation.target_id import (
     PROFILES,
@@ -33,6 +35,12 @@ def uc_graph():
 @pytest.fixture(scope="module")
 def shmt2():
     return parse_kgml(shmt2_flux_kgml())
+
+
+@pytest.fixture(scope="module")
+def shmt2_facts(shmt2):
+    _graph, rg = shmt2
+    return target_facts(rg, "SHMT2")
 
 
 # -- gain assignment -------------------------------------------------------------
@@ -143,48 +151,42 @@ def test_shuffle_preserves_text_gain_pairs(uc_graph):
 
 # -- flux classification -----------------------------------------------------------
 
-def test_flux_downstream_decrease_within_two_steps(shmt2):
-    graph, rg = shmt2
-    score = classify_flux_option(graph, rg, "SHMT2", FluxOption("downstream", "decrease", "Glycine"))
+def test_flux_downstream_decrease_within_two_steps(shmt2_facts):
+    score = classify_flux_option(shmt2_facts, FluxOption("downstream", "decrease", "Glycine"))
     assert score.value == 2
 
 
-def test_flux_downstream_increase_is_mass_balance_violation(shmt2):
-    graph, rg = shmt2
-    score = classify_flux_option(graph, rg, "SHMT2", FluxOption("downstream", "increase", "Glycine"))
+def test_flux_downstream_increase_is_mass_balance_violation(shmt2_facts):
+    score = classify_flux_option(shmt2_facts, FluxOption("downstream", "increase", "Glycine"))
     assert score.value == 0
     assert score.rationale == "mass_balance_violation"
 
 
-def test_flux_upstream_accumulation(shmt2):
-    graph, rg = shmt2
-    score = classify_flux_option(graph, rg, "SHMT2", FluxOption("upstream", "increase", "Serine"))
+def test_flux_upstream_accumulation(shmt2_facts):
+    score = classify_flux_option(shmt2_facts, FluxOption("upstream", "increase", "Serine"))
     assert score.value == 2
 
 
-def test_flux_terminal_endpoint_sustained(shmt2):
-    graph, rg = shmt2
-    score = classify_flux_option(graph, rg, "SHMT2", FluxOption("downstream", "sustained", "Purine"))
+def test_flux_terminal_endpoint_sustained(shmt2_facts):
+    score = classify_flux_option(shmt2_facts, FluxOption("downstream", "sustained", "Purine"))
     assert score.value == 2
     assert score.rationale == "endpoint_suppression"
 
 
-def test_flux_cycle_capped_at_one(shmt2):
-    graph, rg = shmt2
-    score = classify_flux_option(graph, rg, "SHMT2", FluxOption("downstream", "sustained", "CycloA"))
+def test_flux_cycle_capped_at_one(shmt2_facts):
+    score = classify_flux_option(shmt2_facts, FluxOption("downstream", "sustained", "CycloA"))
     assert score.value == 1
     assert score.rationale in ("feedback_transient", "neutral")
 
 
-def test_flux_no_change_zero(shmt2):
-    graph, rg = shmt2
-    assert classify_flux_option(graph, rg, "SHMT2", FluxOption("none", "no_change")).value == 0
+def test_flux_no_change_zero(shmt2_facts):
+    assert classify_flux_option(shmt2_facts, FluxOption("none", "no_change")).value == 0
 
 
 def test_flux_unlinked_target(shmt2):
-    graph, rg = shmt2
+    _graph, rg = shmt2
     with pytest.raises(TargetNotInPathway):
-        classify_flux_option(graph, rg, "NOPE", FluxOption("none", "no_change"))
+        classify_flux_option(target_facts(rg, "NOPE"), FluxOption("none", "no_change"))
 
 
 # -- flux item ------------------------------------------------------------------
@@ -243,6 +245,34 @@ def test_flux_item_absent_gene(shmt2):
     graph, rg = shmt2
     with pytest.raises(TargetNotInPathway):
         build_flux_item(graph, rg, "TP53", seed=0)
+
+
+# -- one topology per item --------------------------------------------------------
+
+def count_calls(monkeypatch, module, name) -> list[int]:
+    """Replace `module.name` with a wrapper that appends to the returned list."""
+    calls: list[int] = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_target_item_computes_betweenness_once(uc_graph, monkeypatch):
+    calls = count_calls(monkeypatch, nx, "betweenness_centrality")
+    build_target_item(uc_graph, PROFILES["infection"], seed=42)
+    assert len(calls) == 1
+
+
+def test_flux_item_computes_the_scc_partition_once(shmt2, monkeypatch):
+    graph, rg = shmt2
+    calls = count_calls(monkeypatch, nx, "strongly_connected_components")
+    build_flux_item(graph, rg, "SHMT2", seed=3)
+    assert len(calls) == 1
 
 
 # -- invariants over random graphs ------------------------------------------------
