@@ -25,13 +25,15 @@ from biokgr.agents.actions import (
     ResearchTask,
     RetrieveGraph,
     UpdateGraph,
+    action_from_dict,
 )
 from biokgr.agents.plan import PlanChecklist, PlanStep
-from biokgr.evidence import EntityRef, MergeBatch, Observation, RelationEdge
+from biokgr.evidence import EntityRef, MergeBatch, Observation
 from biokgr.federation import FederationError, FetchRequest, KgClient, SourceDescriptor
 
 _TOKEN = re.compile(r"[A-Za-z0-9:]+")
 _PMID_TOKEN = re.compile(r"^pmid:?\d*$|^\d{4,}$")
+TASK_BUDGET = 3  # federation invocations per delegated subagent task
 
 ORACLE_SYSTEM_GUIDE = (
     "You drive a budgeted knowledge-graph research loop. Requests arrive as "
@@ -56,9 +58,8 @@ def tokenize(text: str) -> set[str]:
 class DefaultOracle:
     """Deterministic planner and scorer; the reference pipeline driver."""
 
-    def __init__(self, knowledge_bases=("mygene", "kegg", "pubmed"), task_budget: int = 3):
+    def __init__(self, knowledge_bases=("mygene", "kegg", "pubmed")):
         self.knowledge_bases = tuple(knowledge_bases)
-        self.task_budget = task_budget
 
     # -- planning -------------------------------------------------------------
 
@@ -110,7 +111,7 @@ class DefaultOracle:
                     description=state.query,
                     entities=tuple(sorted(tokenize(state.query)))[:5],
                     knowledge_bases=self.knowledge_bases,
-                    budget=self.task_budget,
+                    budget=TASK_BUDGET,
                     mode="breadth",
                 )
             )
@@ -120,7 +121,7 @@ class DefaultOracle:
                 ResearchTask(
                     description=state.query,
                     knowledge_bases=self.knowledge_bases,
-                    budget=self.task_budget,
+                    budget=TASK_BUDGET,
                     mode="depth",
                     seeds=seeds or (state.query,),
                 )
@@ -163,55 +164,6 @@ class DefaultOracle:
 
 
 # -- external oracle ------------------------------------------------------------------
-
-
-def action_from_dict(payload: dict) -> Action | None:
-    """Parse one wire-format action; unknown or 'none' actions map to None."""
-    kind = (payload or {}).get("action", "none")
-    if kind in ("none", ""):
-        return None
-    if kind in ("invoke_bfrs", "invoke_dfrs"):
-        task_payload = payload.get("task", {})
-        task = ResearchTask(
-            description=task_payload.get("description", ""),
-            entities=tuple(task_payload.get("entities", ())),
-            knowledge_bases=tuple(task_payload.get("knowledge_bases", ())),
-            budget=int(task_payload.get("budget", 1)),
-            mode="breadth" if kind == "invoke_bfrs" else "depth",
-            seeds=tuple(task_payload.get("seeds", ())),
-            entity_kind=task_payload.get("entity_kind", "gene"),
-        )
-        return InvokeBFRS(task) if kind == "invoke_bfrs" else InvokeDFRS(task)
-    if kind == "update_graph":
-        raw = payload.get("batch", {})
-        batch = MergeBatch(
-            entities=tuple(
-                EntityRef(name=e["name"], kind=e.get("kind", "FINDING"),
-                          curie=e.get("curie"), source=e.get("source", "oracle"))
-                for e in raw.get("entities", [])
-            ),
-            relations=tuple(
-                RelationEdge(subject=r["subject"], predicate=r["predicate"],
-                             object=r["object"], evidence=tuple(r.get("evidence", ())))
-                for r in raw.get("relations", [])
-            ),
-            observations=tuple(
-                Observation(entity=o["entity"], text=o["text"])
-                for o in raw.get("observations", [])
-            ),
-            cycle_id=raw.get("cycle_id", ""),
-        )
-        return UpdateGraph(batch)
-    if kind == "retrieve_graph":
-        return RetrieveGraph(seeds=tuple(payload.get("seeds", ())),
-                             depth=int(payload.get("depth", 1)))
-    if kind == "analyze_workspace":
-        return AnalyzeWorkspace(spec=dict(payload.get("spec", {})))
-    if kind == "finalize":
-        return Finalize(answer=payload.get("answer", ""))
-    if kind == "halt":
-        return Halt(reason=payload.get("reason", ""))
-    return None
 
 
 class HttpOracle:
@@ -282,4 +234,9 @@ class HttpOracle:
             "observation": observation,
             "graph_stats": state.graph.stats(),
         })
-        return action_from_dict(payload)
+        try:
+            return action_from_dict(payload)
+        except ValueError as exc:
+            raise OracleUnavailable(
+                f"oracle endpoint {self.endpoint} sent a malformed action: {exc}"
+            ) from exc

@@ -2,18 +2,18 @@
 
 `step_orchestrator` validates one oracle proposal against the remaining
 subagent budgets (a subagent proposal with zero budget left coerces to
-Finalize; no proposal at all yields Halt) and appends it to the append-only
-step log. `OrchestratorRunner.run` drives the full loop, executing actions,
-marking plan steps, persisting the transcript and the evidence-graph
-snapshot into the run workspace.
+Finalize; no proposal at all yields Halt) and appends its entry to the step
+log. `OrchestratorRunner.run` drives the full loop, executing actions,
+marking plan steps, persisting the step log (the transcript) and the
+evidence-graph snapshot into the run workspace.
 """
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 
 from biokgr.agents.actions import (
+    ACTION_NAMES,
     Action,
     AnalyzeWorkspace,
     Finalize,
@@ -30,7 +30,8 @@ from biokgr.agents.research import run_bfrs, run_dfrs
 from biokgr.agents.workspace import AnalysisError, Workspace, run_analysis
 from biokgr.evidence import EvidenceGraphStore, EvidenceGraphError, export_graph
 
-logger = logging.getLogger(__name__)
+# subagent action -> (budget key and plan hint, runner)
+SUBAGENTS = {InvokeBFRS: ("bfrs", run_bfrs), InvokeDFRS: ("dfrs", run_dfrs)}
 
 
 @dataclass
@@ -40,12 +41,9 @@ class OrchestratorState:
     budgets: dict
     workspace: Workspace
     graph: EvidenceGraphStore
-    step_log: list = field(default_factory=list)   # append-only
+    step_log: list = field(default_factory=list)   # append-only; the transcript
     notes: dict = field(default_factory=dict)
     answer: str | None = None
-
-    def log(self, entry: dict) -> None:
-        self.step_log.append(entry)
 
 
 def step_orchestrator(state: OrchestratorState, observation: str, oracle) -> Action:
@@ -55,26 +53,26 @@ def step_orchestrator(state: OrchestratorState, observation: str, oracle) -> Act
             raise ValueError("budgets must never go negative")
 
     proposed = oracle.choose_action(state, observation)
+    subagent = SUBAGENTS.get(type(proposed))
+    extra = {}
     if proposed is None:
         action: Action = Halt(reason="oracle proposed no tool action")
-    elif isinstance(proposed, InvokeBFRS) and state.budgets.get("bfrs", 0) <= 0:
-        action = Finalize(answer=_exhausted_answer(state, "BFRS"))
-        state.log({"coerced": "invoke_bfrs with zero budget -> finalize"})
-    elif isinstance(proposed, InvokeDFRS) and state.budgets.get("dfrs", 0) <= 0:
-        action = Finalize(answer=_exhausted_answer(state, "DFRS"))
-        state.log({"coerced": "invoke_dfrs with zero budget -> finalize"})
+    elif subagent is not None and state.budgets.get(subagent[0], 0) <= 0:
+        stats = state.graph.stats()
+        action = Finalize(answer=(
+            f"{subagent[0].upper()} budget exhausted; finalizing with current evidence "
+            f"({stats['entities']} entities, {stats['relations']} relations)."
+        ))
+        extra["coerced"] = f"{ACTION_NAMES[type(proposed)]} with zero budget -> finalize"
     else:
         action = proposed
-    state.log({"step": len(state.step_log), "action": action_to_dict(action)})
+    _record(state, action, **extra)
     return action
 
 
-def _exhausted_answer(state: OrchestratorState, kind: str) -> str:
-    stats = state.graph.stats()
-    return (
-        f"{kind} budget exhausted; finalizing with current evidence "
-        f"({stats['entities']} entities, {stats['relations']} relations)."
-    )
+def _record(state: OrchestratorState, action: Action, **extra) -> None:
+    """Append `action`'s step-log entry, numbered by its index."""
+    state.step_log.append({"step": len(state.step_log), "action": action_to_dict(action), **extra})
 
 
 @dataclass
@@ -107,62 +105,51 @@ class OrchestratorRunner:
             workspace=workspace,
             graph=EvidenceGraphStore(),
         )
-        transcript: list[dict] = []
         observation = "run started"
         halted = False
         max_steps = self.bfrs_budget + self.dfrs_budget + 2 * len(state.plan.steps) + 8
 
-        for _step in range(max_steps):
+        for _ in range(max_steps):
             before = (tuple(sorted(state.budgets.items())), state.plan.signature())
             action = step_orchestrator(state, observation, self.oracle)
             observation = self._execute(state, action)
-            transcript.append(
-                {"step": _step, "action": action_to_dict(action), "observation": observation}
-            )
+            state.step_log[-1]["observation"] = observation
             if isinstance(action, (Finalize, Halt)):
                 halted = isinstance(action, Halt)
                 break
             after = (tuple(sorted(state.budgets.items())), state.plan.signature())
             if before == after:
                 # the action neither consumed budget nor advanced the plan
-                transcript.append(
-                    {"step": _step + 1, "action": {"action": "halt",
-                     "reason": "no progress"}, "observation": "halted: no progress"}
-                )
+                _record(state, Halt(reason="no progress"), observation="halted: no progress")
                 halted = True
                 break
 
-        transcript_path = workspace.root / "transcript.jsonl"
-        with open(transcript_path, "w", encoding="utf-8") as fh:
-            for entry in transcript:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        workspace.register("transcript.jsonl", "orchestrator action/observation log")
+        workspace.save_text(
+            "transcript.jsonl",
+            "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in state.step_log),
+            "orchestrator action/observation log",
+        )
         export_graph(state.graph, workspace.root / "evidence_graph.json")
         workspace.register("evidence_graph.json", "final evidence-graph snapshot")
 
         return RunResult(
             answer=state.answer or "halted without final answer",
             state=state,
-            transcript_path=str(transcript_path),
+            transcript_path=str(workspace.root / "transcript.jsonl"),
             halted=halted,
         )
 
     # -- action execution ------------------------------------------------------
 
     def _execute(self, state: OrchestratorState, action: Action) -> str:
-        if isinstance(action, InvokeBFRS):
-            report = run_bfrs(action.task, self.federation, self.oracle, state.workspace)
-            state.budgets["bfrs"] -= 1
+        subagent = SUBAGENTS.get(type(action))
+        if subagent is not None:
+            kind, run_subagent = subagent
+            report = run_subagent(action.task, self.federation, self.oracle, state.workspace)
+            state.budgets[kind] -= 1
             merged = sorted(set(state.notes.get("candidates", [])) | set(report.key_entities))
             state.notes["candidates"] = merged
-            self._mark(state, "bfrs")
-            return report.render()
-        if isinstance(action, InvokeDFRS):
-            report = run_dfrs(action.task, self.federation, self.oracle, state.workspace)
-            state.budgets["dfrs"] -= 1
-            merged = sorted(set(state.notes.get("candidates", [])) | set(report.key_entities))
-            state.notes["candidates"] = merged
-            self._mark(state, "dfrs")
+            self._mark(state, kind)
             return report.render()
         if isinstance(action, UpdateGraph):
             try:

@@ -28,28 +28,40 @@ class Workspace:
         except OSError as exc:
             raise WorkspaceUnavailable(f"cannot create workspace {root}: {exc}") from exc
         self._manifest_path = self.root / "manifest.json"
-        if not self._manifest_path.exists():
-            self._write_manifest({"files": []})
+        self._files: dict[str, str] = {}  # registered path -> description
+        if self._manifest_path.exists():
+            self._files = self._load_manifest()
+        else:
+            self._write_manifest()
 
     # -- manifest ----------------------------------------------------------------
 
     def manifest(self) -> dict:
-        with open(self._manifest_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return {"files": [{"path": path, "description": description}
+                          for path, description in sorted(self._files.items())]}
 
-    def _write_manifest(self, manifest: dict) -> None:
+    def _load_manifest(self) -> dict[str, str]:
+        try:
+            with open(self._manifest_path, "r", encoding="utf-8") as fh:
+                files = {e["path"]: e["description"] for e in json.load(fh)["files"]}
+            if not all(isinstance(text, str) for entry in files.items() for text in entry):
+                raise ValueError("entries need a string path and description")
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            raise WorkspaceUnavailable(
+                f"unreadable or malformed {self._manifest_path}: {exc!r}"
+            ) from exc
+        return files
+
+    def _write_manifest(self) -> None:
         try:
             with open(self._manifest_path, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
+                json.dump(self.manifest(), fh, indent=2, sort_keys=True)
         except OSError as exc:
             raise WorkspaceUnavailable(str(exc)) from exc
 
     def register(self, relpath: str, description: str) -> None:
-        manifest = self.manifest()
-        entries = [e for e in manifest["files"] if e["path"] != relpath]
-        entries.append({"path": relpath, "description": description})
-        manifest["files"] = sorted(entries, key=lambda e: e["path"])
-        self._write_manifest(manifest)
+        self._files[relpath] = description
+        self._write_manifest()
 
     def exists(self, relpath: str) -> bool:
         return (self.root / relpath).exists()

@@ -119,7 +119,6 @@ def build_flux_item(
     rg: ReactionGraph,
     target: str,
     seed: int = 0,
-    disease_context: str | None = None,
 ) -> McqItem:
     """Seven candidate phenotypic outcomes for inhibition of `target`.
 
@@ -163,7 +162,7 @@ def build_flux_item(
         raise NoCorrectOption(f"no gain-2 outcome constructible for {target!r}")
 
     dependency = f"{primary} metabolism" if primary else rng.choice(TEMPLATE_DEPENDENCIES)
-    context = disease_context or graph.title or "tumor metabolism"
+    context = graph.title or "tumor metabolism"
     question = (
         f"In an investigation into the metabolic dependencies of {context}, "
         f"with a focus on {dependency}, which mouse cohorts would likely show "

@@ -64,8 +64,8 @@ PROFILES = {
 }
 
 
-def is_blacklisted(graph: SignedPathwayGraph, symbol: str, blacklist: dict | None = None) -> bool:
-    rules = blacklist if blacklist is not None else load_data("druggability_blacklist.json")
+def is_blacklisted(graph: SignedPathwayGraph, symbol: str) -> bool:
+    rules = load_data("druggability_blacklist.json")
     upper = symbol.upper()
     if any(upper.startswith(p.upper()) for p in rules.get("prefixes", [])):
         return True
@@ -90,14 +90,13 @@ def assign_target_gains(
     candidates: list[str],
     profile: LogicProfile,
     endpoints: set[str] | None = None,
-    blacklist: dict | None = None,
 ) -> dict[str, GainScore]:
     """Score each candidate gene for therapeutic-target plausibility."""
-    return _assign_gains(graph, graph.topology(), candidates, profile, endpoints, blacklist)
+    return _assign_gains(graph, graph.topology(), candidates, profile, endpoints)
 
 
 def _assign_gains(
-    graph, topology: Topology, candidates, profile, endpoints, blacklist
+    graph, topology: Topology, candidates, profile, endpoints
 ) -> dict[str, GainScore]:
     """`assign_target_gains` on the caller's `graph.topology()`."""
     targets = set(endpoints) if endpoints is not None else set(graph.endpoints)
@@ -110,7 +109,7 @@ def _assign_gains(
 
     scores: dict[str, GainScore] = {}
     for candidate in candidates:
-        if is_blacklisted(graph, candidate, blacklist):
+        if is_blacklisted(graph, candidate):
             scores[candidate] = GainScore(0, "non_druggable")
             continue
         polarity = topology.path_polarity(candidate, targets)
@@ -135,8 +134,6 @@ def build_target_item(
     option_count: int = 10,
     seed: int = 0,
     endpoints: set[str] | None = None,
-    blacklist: dict | None = None,
-    disease_context: str | None = None,
 ) -> McqItem:
     """One target-identification MCQ from a parsed disease pathway.
 
@@ -148,7 +145,7 @@ def build_target_item(
     if len(candidates) < option_count:
         raise InsufficientCandidates(f"{len(candidates)} candidates < option count {option_count}")
     topology = graph.topology()
-    gains = _assign_gains(graph, topology, candidates, profile, endpoints, blacklist)
+    gains = _assign_gains(graph, topology, candidates, profile, endpoints)
     answers = sorted(c for c, s in gains.items() if s.value == 2)
     if not answers:
         raise NoCorrectOption(f"no gain-2 candidate in pathway {graph.pathway_id or '?'}")
@@ -164,7 +161,7 @@ def build_target_item(
         return f"{symbol} : {ftype}"
 
     scored = [(render(c), gains[c].value) for c in chosen]
-    context = disease_context or graph.title or graph.pathway_id or "this disease"
+    context = graph.title or graph.pathway_id or "this disease"
     question = (
         f"Which genes represent the most promising therapeutic targets for "
         f"modulating {context}? Focus on targets that can be inhibited to "

@@ -78,18 +78,17 @@ class FetchRequest:
 
 
 class RequestsTransport:
-    """Default transport over a shared `requests.Session`."""
+    """Default transport over its own `requests.Session`."""
 
-    def __init__(self, session: requests.Session | None = None, timeout: float = DEFAULT_TIMEOUT):
-        self._session = session or requests.Session()
+    def __init__(self):
+        self._session = requests.Session()
         self._session.headers.setdefault("User-Agent", "biokgr/0.1")
-        self._timeout = timeout
 
     def send(self, method: str, url: str, params: dict, headers: dict, body: str | None) -> RawResponse:
         try:
             response = self._session.request(
                 method, url, params=params or None, headers=headers or None,
-                data=body, timeout=self._timeout,
+                data=body, timeout=DEFAULT_TIMEOUT,
             )
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc

@@ -39,10 +39,8 @@ class SourceDescriptor:
     rate_limit_per_sec: float = 3.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     priority: int = 100          # lower merges first
-    kinds: tuple[str, ...] = ()  # entity kinds the source serves
     api_key_env: str | None = None
     search_path: str = "/search"
-    live: bool = False           # has a real adapter in this build
 
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -66,7 +64,6 @@ class QuerySpec:
     sources: tuple[str, ...]
     limit: int = 10
     save_dir: str | None = None
-    stem: str = "results"
 
     def validate(self) -> None:
         if not self.text or not self.text.strip():
@@ -89,10 +86,8 @@ def load_registry(payload: dict) -> dict[str, SourceDescriptor]:
             rate_limit_per_sec=entry.get("rate_limit_per_sec", 3.0),
             retry=retry,
             priority=entry.get("priority", 100),
-            kinds=tuple(entry.get("kinds", [])),
             api_key_env=entry.get("api_key_env"),
             search_path=entry.get("search_path", "/search"),
-            live=entry.get("live", False),
         )
         descriptor.validate()
         registry[descriptor.source_id] = descriptor

@@ -8,8 +8,8 @@ from pathlib import Path
 from biokgr.evidence import WorkspaceUnavailable
 
 
-def persist_results(records, directory, stem: str = "results") -> dict:
-    """Write `<stem>.json`, `<stem>.csv`, and `<stem>.md`; returns the path manifest.
+def persist_results(records, directory) -> dict:
+    """Write `results.json`, `results.csv`, and `results.md`; returns the path manifest.
 
     The JSON file round-trips through `load_records`; the CSV is a flat
     projection with one xref namespace per column.
@@ -18,9 +18,9 @@ def persist_results(records, directory, stem: str = "results") -> dict:
     rows = [r.to_dict() if hasattr(r, "to_dict") else dict(r) for r in records]
     namespaces = sorted({ns for row in rows for ns in row.get("xrefs", {})})
 
-    json_path = directory / f"{stem}.json"
-    csv_path = directory / f"{stem}.csv"
-    md_path = directory / f"{stem}.md"
+    json_path = directory / "results.json"
+    csv_path = directory / "results.csv"
+    md_path = directory / "results.md"
     try:
         directory.mkdir(parents=True, exist_ok=True)
         with open(json_path, "w", encoding="utf-8") as fh:
@@ -34,7 +34,7 @@ def persist_results(records, directory, stem: str = "results") -> dict:
                     + [row.get("xrefs", {}).get(ns, "") for ns in namespaces]
                 )
         with open(md_path, "w", encoding="utf-8") as fh:
-            fh.write(f"# Results: {stem}\n\n{len(rows)} results\n\n")
+            fh.write(f"# Results: results\n\n{len(rows)} results\n\n")
             if rows:
                 fh.write("| name | sources |\n|---|---|\n")
                 for row in rows[:10]:

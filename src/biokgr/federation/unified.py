@@ -1,12 +1,13 @@
 """Unified multi-source entity search, relation search, and citation lookup.
 
-`Federation` owns one client per registered source (shared rate limiter and
-transport), fans searches out concurrently over a bounded worker pool, and
-merges per-source records into `UnifiedRecord`s with deterministic ordering:
-source priority first, then the source's native rank. Records from different
-sources that share a cross-reference id enrich each other's xref maps;
-conflicting ids are never overwritten silently, they are recorded side by
-side with their sources.
+`Federation` owns one client per registered source (one shared rate limiter
+and clock; an injected transport is shared too, otherwise each client opens
+its own `requests` session), fans searches out concurrently over at most
+`MAX_WORKERS` threads, and merges per-source records into `UnifiedRecord`s
+with deterministic ordering: source priority first, then the source's native
+rank. Records from different sources that share a cross-reference id enrich
+each other's xref maps; conflicting ids are never overwritten silently, they
+are recorded side by side with their sources.
 """
 from __future__ import annotations
 
@@ -224,7 +225,6 @@ class Federation:
         transport=None,
         clock=None,
         env=None,
-        max_workers: int = MAX_WORKERS,
     ):
         self.registry = registry or default_registry()
         clock = clock or SystemClock()
@@ -234,7 +234,6 @@ class Federation:
                                 clock=clock, env=env)
             for source_id, descriptor in self.registry.items()
         }
-        self._max_workers = max_workers
 
     @property
     def invocations(self) -> int:
@@ -268,7 +267,7 @@ class Federation:
             )
             return adapter(payload, spec.limit)
 
-        with ThreadPoolExecutor(max_workers=min(self._max_workers, len(ordered))) as pool:
+        with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(ordered))) as pool:
             futures = {source_id: pool.submit(run_one, source_id) for source_id in ordered}
             for source_id in ordered:
                 try:
@@ -309,7 +308,7 @@ class Federation:
         if spec.save_dir:
             from biokgr.federation.persist import persist_results
 
-            result.manifest = persist_results(merged, spec.save_dir, stem=spec.stem)
+            result.manifest = persist_results(merged, spec.save_dir)
             result.summary += "\nSaved: " + ", ".join(
                 str(p) for p in result.manifest.values()
             )

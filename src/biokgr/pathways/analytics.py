@@ -95,13 +95,12 @@ class Topology:
         self,
         gene: str,
         endpoints: Iterable[str],
-        max_edges: int = MAX_PATH_EDGES,
         max_paths: int = MAX_PATHS_PER_PAIR,
     ) -> PolarityResult:
         """Average signed-path polarity from `gene` to `endpoints`.
 
         Simple paths are expanded depth-first in lexicographic neighbor order,
-        up to `max_edges` edges per path and `max_paths` paths per (gene,
+        up to `MAX_PATH_EDGES` edges per path and `max_paths` paths per (gene,
         endpoint) pair. Each path contributes the product of its edge weights;
         the result is the mean over every enumerated path against every
         endpoint.
@@ -134,7 +133,7 @@ class Topology:
                         truncated = True
                         break
                     continue
-                if depth == max_edges:
+                if depth == MAX_PATH_EDGES:
                     continue
                 # reversed so the lexicographically smallest neighbor pops first
                 for nxt, weight in reversed(adjacency.get(node, [])):
@@ -168,12 +167,11 @@ def path_polarity(
     graph: SignedPathwayGraph,
     gene: str,
     endpoints: set[str] | list[str] | None = None,
-    max_edges: int = MAX_PATH_EDGES,
     max_paths: int = MAX_PATHS_PER_PAIR,
 ) -> PolarityResult:
     """`Topology.path_polarity`; `endpoints` defaults to the graph's disease endpoints."""
     return graph.topology().path_polarity(
-        gene, graph.endpoints if endpoints is None else endpoints, max_edges, max_paths
+        gene, graph.endpoints if endpoints is None else endpoints, max_paths
     )
 
 

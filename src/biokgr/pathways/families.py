@@ -7,6 +7,8 @@ editable JSON data file so coverage can grow without code changes.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from biokgr import load_data
 from biokgr.pathways.graphs import PathwayNode
 
@@ -25,22 +27,30 @@ FUNCTIONAL_TYPES = (
 )
 
 
-def infer_functional_type(node: PathwayNode, families: dict | None = None) -> str:
-    """Classify a pathway node into one of the closed functional-type labels."""
-    data = families if families is not None else load_data("gene_families.json")
-    symbol = node.symbol.upper()
+@cache
+def _family_lookup() -> tuple[tuple[str, frozenset[str], tuple[str, ...]], ...]:
+    """(label, symbols, prefixes) per family, in precedence order."""
+    data = load_data("gene_families.json")
+    lookup = []
     for label in data["precedence"]:
         family = data["families"].get(label, {})
-        if symbol in set(family.get("symbols", [])):
-            return label
-        if any(symbol.startswith(prefix) for prefix in family.get("prefixes", [])):
+        lookup.append((label, frozenset(family.get("symbols", [])),
+                       tuple(family.get("prefixes", []))))
+    return tuple(lookup)
+
+
+def infer_functional_type(node: PathwayNode) -> str:
+    """Classify a pathway node into one of the closed functional-type labels."""
+    symbol = node.symbol.upper()
+    for label, symbols, prefixes in _family_lookup():
+        if symbol in symbols or symbol.startswith(prefixes):
             return label
     if node.ec_numbers:
         return "enzyme"
     return "other"
 
 
-def annotate_functional_types(graph, families: dict | None = None) -> None:
+def annotate_functional_types(graph) -> None:
     """Fill `functional_type` on every node of a signed pathway graph."""
     for node in graph.nodes.values():
-        node.functional_type = infer_functional_type(node, families)
+        node.functional_type = infer_functional_type(node)

@@ -53,15 +53,12 @@ def _compound_display(entry: ET.Element) -> str:
     return label or (entry.get("name") or "").strip()
 
 
-def parse_kgml(
-    document: str,
-    endpoint_lexicon: list[str] | None = None,
-) -> tuple[SignedPathwayGraph, ReactionGraph]:
+def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
     """Parse one KGML document into its signed and reaction graphs.
 
-    `endpoint_lexicon` overrides the shipped disease-endpoint terms; a node
-    whose label contains any term (case-insensitive) is marked as a disease
-    endpoint of the signed graph.
+    A node whose label contains any term of the shipped disease-endpoint
+    lexicon (case-insensitive) is marked as a disease endpoint of the signed
+    graph.
     """
     try:
         root = ET.fromstring(document)
@@ -189,9 +186,7 @@ def parse_kgml(
         for symbol, reactions in sorted(enzyme_reactions.items())
     }
 
-    if endpoint_lexicon is None:
-        endpoint_lexicon = load_data("endpoint_lexicon.json")["terms"]
-    terms = [t.casefold() for t in endpoint_lexicon]
+    terms = [t.casefold() for t in load_data("endpoint_lexicon.json")["terms"]]
     for key, node in graph.nodes.items():
         haystack = f"{node.graphics_label} {key}".casefold()
         if any(term in haystack for term in terms):

@@ -1,10 +1,14 @@
 """Agent contracts: plans, budgets, reports, determinism, oracle protocol."""
+import hashlib
 import json
+import typing
 from pathlib import Path
 
 import pytest
 
 from biokgr.agents import (
+    Action,
+    AnalyzeWorkspace,
     BudgetExhausted,
     DefaultOracle,
     Finalize,
@@ -12,11 +16,14 @@ from biokgr.agents import (
     HttpOracle,
     InvalidStep,
     InvokeBFRS,
+    InvokeDFRS,
     OracleUnavailable,
     OrchestratorRunner,
     PlanChecklist,
     PlanStep,
     ResearchTask,
+    RetrieveGraph,
+    UpdateGraph,
     Workspace,
     WorkspaceUnavailable,
     run_analysis,
@@ -25,9 +32,10 @@ from biokgr.agents import (
     step_orchestrator,
     update_plan,
 )
+from biokgr.agents.actions import ACTION_NAMES, action_from_dict, action_to_dict
 from biokgr.agents.oracle import ORACLE_SYSTEM_GUIDE
 from biokgr.agents.orchestrator import OrchestratorState
-from biokgr.evidence import EvidenceGraphStore
+from biokgr.evidence import EntityRef, EvidenceGraphStore, MergeBatch, Observation, RelationEdge
 from biokgr.federation.client import RawResponse, TransportError
 
 from fedmock import CountingClock, json_response, make_mock_federation
@@ -80,6 +88,29 @@ def test_workspace_manifest_roundtrip(tmp_path):
     assert ws.exists("a.json")
     manifest = ws.manifest()
     assert manifest["files"][0] == {"path": "a.json", "description": "one record"}
+
+
+def test_workspace_reopened_keeps_earlier_manifest_entries(tmp_path):
+    Workspace(tmp_path).save_text("a.txt", "one", "first file")
+    ws = Workspace(tmp_path)
+    ws.save_text("b.txt", "two", "second file")
+    assert Workspace(tmp_path).manifest() == ws.manifest() == {"files": [
+        {"path": "a.txt", "description": "first file"},
+        {"path": "b.txt", "description": "second file"},
+    ]}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[]",
+    '{"entries": []}',
+    '{"files": [{"path": "a.txt"}]}',
+    '{"files": [{"path": 1, "description": "one"}]}',
+])
+def test_workspace_malformed_manifest_is_unavailable(tmp_path, text):
+    (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+    with pytest.raises(WorkspaceUnavailable, match="malformed"):
+        Workspace(tmp_path)
 
 
 def test_workspace_on_unwritable_root_is_unavailable(tmp_path):
@@ -331,6 +362,78 @@ def test_budgets_never_negative_and_log_append_only(tmp_path):
     assert steps == sorted(steps)
 
 
+def test_coerced_step_is_one_transcript_row(tmp_path):
+    runner = OrchestratorRunner(make_mock_federation(), DefaultOracle(),
+                                bfrs_budget=1, dfrs_budget=0)
+    result = runner.run(QUERY, tmp_path / "run")
+    lines = Path(result.transcript_path).read_text(encoding="utf-8").splitlines()
+    transcript = [json.loads(line) for line in lines]
+    assert transcript == json.loads(json.dumps(result.state.step_log))
+    assert [row["step"] for row in transcript] == list(range(len(transcript)))
+    assert transcript[-1]["coerced"] == "invoke_dfrs with zero budget -> finalize"
+    assert transcript[-1]["action"]["action"] == "finalize"
+    assert transcript[-1]["observation"] == "finalized"
+    assert all("coerced" not in row for row in transcript[:-1])
+
+
+def test_mock_run_transcript_and_manifest_bytes_are_pinned(tmp_path):
+    result = OrchestratorRunner(make_mock_federation(), DefaultOracle()).run(QUERY, tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("transcript.jsonl", "manifest.json")}
+    assert digests == {
+        "transcript.jsonl": "dacb93c3ff18b90a527c2c6a9e3304d2cbbce402c57f3c43ac4c59cb9e1a1eeb",
+        "manifest.json": "8decf1ef71ac7b4575079c6649cb8cdeb46842cd4778107eb0bc2e031f31a007",
+    }
+    assert result.transcript_path == str(tmp_path / "transcript.jsonl")
+
+
+# -- action wire format -----------------------------------------------------------------
+
+ALL_ACTIONS = [
+    InvokeBFRS(ResearchTask(description="TNF signalling", entities=("TNF",),
+                            knowledge_bases=("mygene", "kegg"), budget=2, mode="breadth")),
+    InvokeDFRS(ResearchTask(description="TNF signalling", budget=1, mode="depth",
+                            seeds=("PMID:100", "TNF"), entity_kind="paper")),
+    AnalyzeWorkspace({"op": "dedup", "input": "a.json", "key": "name", "out": "b.json"}),
+    UpdateGraph(MergeBatch(
+        entities=(EntityRef("TNF", "GENE_PROTEIN", curie="HGNC:11892", source="mygene"),
+                  EntityRef("F1", "FINDING")),
+        relations=(RelationEdge("TNF", "ASSOCIATE", "F1", ("PMID:1", "PMID:2"),
+                                conflict_group="tnf-f1"),
+                   RelationEdge("F1", "SUPPORT", "TNF", ())),
+        observations=(Observation("TNF", "Raised in inflamed mucosa"),),
+        cycle_id="cycle-3",
+    )),
+    RetrieveGraph(seeds=("TNF", "IL6"), depth=2),
+    Finalize(answer="TNF"),
+    Halt(reason="done"),
+]
+
+
+def test_action_names_cover_every_action_type():
+    assert set(ACTION_NAMES) == set(typing.get_args(Action))
+    assert len(set(ACTION_NAMES.values())) == len(ACTION_NAMES)
+    assert {type(a) for a in ALL_ACTIONS} == set(ACTION_NAMES)
+
+
+@pytest.mark.parametrize("action", ALL_ACTIONS, ids=lambda a: ACTION_NAMES[type(a)])
+def test_action_wire_format_roundtrips(action):
+    wire = json.loads(json.dumps(action_to_dict(action)))
+    assert wire["action"] == ACTION_NAMES[type(action)]
+    assert action_from_dict(wire) == action
+
+
+def test_action_to_dict_rejects_a_non_action():
+    with pytest.raises(TypeError):
+        action_to_dict(ResearchTask(description="not an action"))
+
+
+@pytest.mark.parametrize("payload", [{}, {"action": "none"}, {"action": None},
+                                     {"action": "teleport"}])
+def test_action_from_dict_maps_no_action_to_none(payload):
+    assert action_from_dict(payload) is None
+
+
 # -- http oracle --------------------------------------------------------------------------
 
 class OracleTransport:
@@ -438,6 +541,29 @@ def test_http_oracle_bad_output_fails_at_once(reply):
     oracle, transport, clock = make_oracle(scripted(reply, reply))
     with pytest.raises(OracleUnavailable):
         oracle.plan("q")
+    assert len(transport.sent) == 1
+    assert clock.now() == 0.0
+
+
+@pytest.mark.parametrize("action", [
+    {"action": "update_graph", "batch": {"entities": [{"kind": "GENE_PROTEIN"}]}},
+    {"action": "invoke_bfrs", "task": ["TNF"]},
+    {"action": "invoke_bfrs", "task": {"description": "TNF", "budget": "many"}},
+    {"action": "invoke_bfrs", "task": {"description": "TNF", "budget": True}},
+    {"action": "retrieve_graph", "seeds": ["TNF"], "depth": "deep"},
+    {"action": "update_graph", "batch": {"relations": [
+        {"subject": "TNF", "predicate": "ASSOCIATE", "object": "F1", "evidence": "PMID:1"}]}},
+    {"action": "invoke_dfrs", "task": {"description": "TNF", "budget": 0}},
+    {"action": ["finalize"]},
+], ids=["entity-without-name", "task-list", "budget-word", "budget-bool", "depth-word",
+        "evidence-string", "zero-budget", "action-list"])
+def test_http_oracle_malformed_action_fails_at_once(action):
+    oracle, transport, clock = make_oracle(scripted(assistant(action), assistant(action)))
+    state = OrchestratorState(query="q", plan=PlanChecklist(steps=[PlanStep("survey", hint="bfrs")]),
+                              budgets={"bfrs": 1, "dfrs": 1}, workspace=None,
+                              graph=EvidenceGraphStore())
+    with pytest.raises(OracleUnavailable, match="malformed action"):
+        oracle.choose_action(state, "obs")
     assert len(transport.sent) == 1
     assert clock.now() == 0.0
 

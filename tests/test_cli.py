@@ -238,6 +238,24 @@ def test_research_run_reports_an_unavailable_oracle_in_one_line(runner, tmp_path
     assert result.output.count("\n") == 1
 
 
+def test_research_run_reports_a_malformed_oracle_action_in_one_line(runner, tmp_path):
+    from biokgr.federation.mockserver import FixtureServer
+
+    # one reply answers both the plan request and the action request
+    reply = {"steps": [{"text": "survey", "hint": "bfrs"}],
+             "action": "invoke_bfrs", "task": {"description": "TNF", "budget": 0}}
+    with FixtureServer() as (server, base):
+        server.add_json("/", {"message": {"content": json.dumps(reply)}})
+        result = runner.invoke(main, [
+            "research", "run", "--query", "TNF", "--oracle", base,
+            "--workspace", str(tmp_path / "ws"),
+        ], catch_exceptions=False)
+        assert server.route_hits("/") == 2
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: oracle endpoint {base} sent a malformed action")
+    assert result.output.count("\n") == 1
+
+
 def test_research_run_reports_an_unwritable_workspace_in_one_line(runner, tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

@@ -473,7 +473,7 @@ def sample_records():
 
 
 def test_persist_writes_three_files(tmp_path):
-    manifest = persist_results(sample_records(), tmp_path, stem="genes")
+    manifest = persist_results(sample_records(), tmp_path)
     for path in manifest.values():
         assert os.path.exists(path)
     md_text = Path(manifest["md"]).read_text(encoding="utf-8")
