@@ -5,6 +5,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Union
 
+from biokgr.agents.plan import PlanStep
 from biokgr.evidence import EntityRef, MergeBatch, Observation, RelationEdge
 
 MAX_REPORT_LINES = 10
@@ -179,6 +180,16 @@ def action_from_dict(payload: dict) -> Action | None:
     return None
 
 
+def plan_steps_from_dict(payload: dict) -> list[PlanStep]:
+    """Decode a wire-format plan's steps; `text` and `hint` default to "".
+
+    Raises ValueError when `steps` is not a list of objects or a field is not
+    a string.
+    """
+    return [PlanStep(text=_get(step, "text", str, ""), hint=_get(step, "hint", str, ""))
+            for step in _items(payload, "steps", dict)]
+
+
 def _get(raw: dict, key: str, types, default=None):
     """`raw[key]`, or `default` when absent; ValueError unless it is one of `types`.
 
@@ -187,12 +198,12 @@ def _get(raw: dict, key: str, types, default=None):
     value = raw.get(key, default)
     # bool is an int subclass, but never a count or a depth
     if not isinstance(value, types) or (isinstance(value, bool) and types is int):
-        raise ValueError(f"action field {key!r} is missing or has the wrong type: {value!r}")
+        raise ValueError(f"field {key!r} is missing or has the wrong type: {value!r}")
     return value
 
 
 def _items(raw: dict, key: str, item_type: type) -> list:
     values = _get(raw, key, list, [])
     if not all(isinstance(v, item_type) for v in values):
-        raise ValueError(f"action field {key!r} must list {item_type.__name__} values: {values!r}")
+        raise ValueError(f"field {key!r} must list {item_type.__name__} values: {values!r}")
     return values

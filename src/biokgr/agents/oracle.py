@@ -26,6 +26,7 @@ from biokgr.agents.actions import (
     RetrieveGraph,
     UpdateGraph,
     action_from_dict,
+    plan_steps_from_dict,
 )
 from biokgr.agents.plan import PlanChecklist, PlanStep
 from biokgr.evidence import EntityRef, MergeBatch, Observation
@@ -210,10 +211,12 @@ class HttpOracle:
 
     def plan(self, query: str) -> PlanChecklist:
         payload = self._call({"op": "plan", "query": query})
-        steps = [
-            PlanStep(text=s.get("text", ""), hint=s.get("hint", ""))
-            for s in payload.get("steps", [])
-        ]
+        try:
+            steps = plan_steps_from_dict(payload)
+        except ValueError as exc:
+            raise OracleUnavailable(
+                f"oracle endpoint {self.endpoint} sent a malformed plan: {exc}"
+            ) from exc
         if not steps:
             steps = [PlanStep(text=f"Investigate: {query}", hint="finalize")]
         return PlanChecklist(steps=steps)

@@ -39,7 +39,7 @@ from biokgr.curation.surrogate import (
 )
 from biokgr.curation.target_id import PROFILES, build_target_item
 from biokgr.curation.flux import build_flux_item, TargetNotInPathway
-from biokgr.federation import Federation, QuerySpec
+from biokgr.federation import Federation, QuerySpec, persist_results
 from biokgr.pathways import parse_kgml, parse_flat_record
 from biokgr.pathways.families import annotate_functional_types
 from biokgr.pathways.flat import split_flat_records
@@ -105,13 +105,16 @@ def fetch(kind, query, sources, limit, out_dir):
     federation = Federation()
     spec = QuerySpec(
         kind=kind, text=query, sources=tuple(s.strip() for s in sources.split(",") if s.strip()),
-        limit=limit, save_dir=out_dir,
+        limit=limit,
     )
     try:
         result = federation.search_entities_unified(spec)
+        saved = persist_results(result.records, out_dir) if out_dir else {}
     except Exception as exc:  # surface as exit code 1 with the reason
         raise click.ClickException(str(exc)) from exc
     click.echo(result.summary)
+    if saved:
+        click.echo("Saved: " + ", ".join(saved.values()))
 
 
 # -- pathway -----------------------------------------------------------------------

@@ -7,6 +7,11 @@ with exponential backoff, and (4) parses the response body into structured
 form (JSON when possible, text otherwise). Every dispatched attempt adds one
 to `attempts`, which budget accounting reads; the count is kept under a lock
 because one client is shared by the federation's worker threads.
+
+Requests leave through a transport: any object with `send(method, url,
+params, headers, body) -> RawResponse`. The default, `HttpTransport`, is
+stateless: one `urllib.request` round trip per call, with no connection
+reuse. Tests substitute scripted transports.
 """
 from __future__ import annotations
 
@@ -14,9 +19,11 @@ import json
 import logging
 import os
 import threading
+import urllib.request
 from dataclasses import dataclass, field
-
-import requests
+from http.client import HTTPException
+from urllib.error import HTTPError
+from urllib.parse import urlencode
 
 from biokgr.federation.descriptors import SourceDescriptor
 from biokgr.federation.ratelimit import RateLimiter, SystemClock
@@ -65,7 +72,6 @@ class RawResponse:
     status: int
     body: str
     headers: dict = field(default_factory=dict)
-    url: str = ""
 
 
 @dataclass(frozen=True)
@@ -77,27 +83,35 @@ class FetchRequest:
     headers: dict = field(default_factory=dict)
 
 
-class RequestsTransport:
-    """Default transport over its own `requests.Session`."""
+class HttpTransport:
+    """Default transport: one standard-library HTTP round trip per call.
 
-    def __init__(self):
-        self._session = requests.Session()
-        self._session.headers.setdefault("User-Agent", "biokgr/0.1")
+    A status >= 400 comes back as a `RawResponse`; a failure to connect, send
+    or read, a timeout included, raises `TransportError`. The body is decoded
+    with the `Content-Type` charset, or UTF-8 when there is none.
+    """
 
     def send(self, method: str, url: str, params: dict, headers: dict, body: str | None) -> RawResponse:
+        if params:
+            url = f"{url}?{urlencode(params)}"
         try:
-            response = self._session.request(
-                method, url, params=params or None, headers=headers or None,
-                data=body, timeout=DEFAULT_TIMEOUT,
+            request = urllib.request.Request(
+                url, data=None if body is None else body.encode("utf-8"),
+                headers={"User-Agent": "biokgr/0.1", **headers}, method=method,
             )
-        except requests.RequestException as exc:
+            try:
+                response = urllib.request.urlopen(request, timeout=DEFAULT_TIMEOUT)
+            except HTTPError as exc:  # the error status and body are the response
+                response = exc
+            with response:
+                charset = response.headers.get_content_charset() or "utf-8"
+                return RawResponse(
+                    status=response.status,
+                    body=response.read().decode(charset, errors="replace"),
+                    headers=dict(response.headers),
+                )
+        except (OSError, ValueError, LookupError, HTTPException) as exc:
             raise TransportError(str(exc)) from exc
-        return RawResponse(
-            status=response.status_code,
-            body=response.text,
-            headers=dict(response.headers),
-            url=response.url,
-        )
 
 
 class KgClient:
@@ -112,7 +126,7 @@ class KgClient:
         descriptor.validate()
         self.descriptor = descriptor
         self._clock = clock or SystemClock()
-        self._transport = transport or RequestsTransport()
+        self._transport = transport or HttpTransport()
         self._limiter = limiter or RateLimiter(self._clock)
         self._env = env if env is not None else os.environ
         self.attempts = 0

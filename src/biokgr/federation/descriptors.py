@@ -63,7 +63,6 @@ class QuerySpec:
     text: str
     sources: tuple[str, ...]
     limit: int = 10
-    save_dir: str | None = None
 
     def validate(self) -> None:
         if not self.text or not self.text.strip():

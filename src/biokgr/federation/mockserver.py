@@ -2,13 +2,14 @@
 
 Routes are registered by path prefix. A route's payload is either a single
 response or a sequence consumed one response per request (for retry tests).
-Every handled request is appended to `request_log`.
+Every handled request's path, query and headers (names lower-cased) are
+appended to `request_log`.
 """
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlparse
 
@@ -42,6 +43,7 @@ class _Route:
 class RequestRecord:
     path: str
     query: str = ""
+    headers: dict = field(default_factory=dict)
 
 
 class FixtureServer:
@@ -67,9 +69,9 @@ class FixtureServer:
         route = self._routes.get(prefix)
         return route.hits if route else 0
 
-    def _respond(self, path: str, query: str) -> MockResponse:
+    def _respond(self, path: str, query: str, headers: dict) -> MockResponse:
         with self._lock:
-            self.request_log.append(RequestRecord(path=path, query=query))
+            self.request_log.append(RequestRecord(path=path, query=query, headers=headers))
             candidates = [p for p in self._routes if path.startswith(p)]
             if not candidates:
                 return MockResponse.json({"error": "no fixture"}, status=404)
@@ -86,7 +88,8 @@ class FixtureServer:
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):  # noqa: N802 (http.server API)
                 parsed = urlparse(self.path)
-                response = server._respond(parsed.path, parsed.query)
+                response = server._respond(parsed.path, parsed.query,
+                                           {k.lower(): v for k, v in self.headers.items()})
                 body = response.body.encode("utf-8")
                 self.send_response(response.status)
                 self.send_header("Content-Type", response.content_type)

@@ -1,9 +1,9 @@
 """Unified multi-source entity search, relation search, and citation lookup.
 
-`Federation` owns one client per registered source (one shared rate limiter
-and clock; an injected transport is shared too, otherwise each client opens
-its own `requests` session), fans searches out concurrently over at most
-`MAX_WORKERS` threads, and merges per-source records into `UnifiedRecord`s
+`Federation` owns one client per registered source, all sharing one rate
+limiter, one clock and one transport (the stateless `HttpTransport` unless
+one is injected), fans searches out concurrently over at most `MAX_WORKERS`
+threads, and merges per-source records into `UnifiedRecord`s
 with deterministic ordering: source priority first, then the source's native
 rank. Records from different sources that share a cross-reference id enrich
 each other's xref maps; conflicting ids are never overwritten silently, they
@@ -15,6 +15,7 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from urllib.parse import quote
 
 from biokgr import load_data
 from biokgr.evidence import EntityRef
@@ -73,7 +74,6 @@ class SourceStatus:
 class FetchResult:
     records: list[UnifiedRecord]
     summary: str
-    manifest: dict = field(default_factory=dict)
     statuses: list[SourceStatus] = field(default_factory=list)
 
 
@@ -196,7 +196,10 @@ def _search_request(descriptor: SourceDescriptor, spec: QuerySpec) -> FetchReque
     if descriptor.source_id == "kegg":
         db = {"gene": "genes", "drug": "drug", "chemical": "compound",
               "pathway": "pathway"}.get(spec.kind, "genes")
-        return FetchRequest(path=f"{descriptor.search_path}/{db}/{spec.text}")
+        # http.client rejects a space or a non-ASCII character in the path;
+        # reserved characters such as "/" and "+" go through as they are
+        text = quote(spec.text, safe="!#$&'()*+,/:;=?@[]~")
+        return FetchRequest(path=f"{descriptor.search_path}/{db}/{text}")
     if descriptor.source_id == "pubmed":
         return FetchRequest(
             path=descriptor.search_path,
@@ -302,17 +305,9 @@ class Federation:
             if not status.ok:
                 summary_lines.append(f"! {status.source_id} failed: {status.reason}")
 
-        result = FetchResult(
+        return FetchResult(
             records=merged, summary="\n".join(summary_lines), statuses=statuses
         )
-        if spec.save_dir:
-            from biokgr.federation.persist import persist_results
-
-            result.manifest = persist_results(merged, spec.save_dir)
-            result.summary += "\nSaved: " + ", ".join(
-                str(p) for p in result.manifest.values()
-            )
-        return result
 
     # -- relation search --------------------------------------------------------
 

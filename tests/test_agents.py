@@ -536,6 +536,10 @@ def test_http_oracle_client_error_fails_at_once():
     json_response({"message": {"content": "[1, 2]"}}),
     json_response(["not", "an", "object"]),
     RawResponse(status=200, body="<html>gateway</html>", headers={"Content-Type": "text/html"}),
+    # well-formed messages carrying malformed plans
+    assistant({"steps": ["survey"]}),
+    assistant({"steps": "abc"}),
+    assistant({"steps": [{"text": "survey", "hint": ["bfrs"]}]}),
 ])
 def test_http_oracle_bad_output_fails_at_once(reply):
     oracle, transport, clock = make_oracle(scripted(reply, reply))

@@ -1,9 +1,14 @@
 """CLI surface: every documented subcommand works end to end on fixtures."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import biokgr
 from biokgr.cli import main
 from biokgr.evidence import EntityRef, EvidenceGraphStore, MergeBatch, export_graph
 
@@ -256,6 +261,21 @@ def test_research_run_reports_a_malformed_oracle_action_in_one_line(runner, tmp_
     assert result.output.count("\n") == 1
 
 
+def test_research_run_reports_a_malformed_oracle_plan_in_one_line(runner, tmp_path):
+    from biokgr.federation.mockserver import FixtureServer
+
+    with FixtureServer() as (server, base):
+        server.add_json("/", {"message": {"content": json.dumps({"steps": ["survey"]})}})
+        result = runner.invoke(main, [
+            "research", "run", "--query", "TNF", "--oracle", base,
+            "--workspace", str(tmp_path / "ws"),
+        ], catch_exceptions=False)
+        assert server.route_hits("/") == 1
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: oracle endpoint {base} sent a malformed plan")
+    assert result.output.count("\n") == 1
+
+
 def test_research_run_reports_an_unwritable_workspace_in_one_line(runner, tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
@@ -278,8 +298,19 @@ def test_fetch_against_mock_server(runner, monkeypatch, tmp_path):
         result = invoke(runner, ["fetch", "--kind", "gene", "--query", "TP53",
                                  "--sources", "mygene", "--out", str(tmp_path / "out")])
         assert "TP53" in result.output
+        assert f"Saved: {tmp_path / 'out' / 'results.json'}" in result.output
         assert (tmp_path / "out" / "results.json").exists()
         assert (tmp_path / "out" / "results.csv").exists()
         assert (tmp_path / "out" / "results.md").exists()
     finally:
         server.stop()
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    src = str(Path(biokgr.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, biokgr.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -1,9 +1,13 @@
-"""Federation contracts: boolean queries, rate limiting, retries, unified search."""
+"""Federation contracts: boolean queries, rate limiting, retries, unified search, HTTP."""
+import contextlib
+import gc
 import json
 import math
 import os
+import socket
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -28,7 +32,8 @@ from biokgr.federation import (
     load_records,
     persist_results,
 )
-from biokgr.federation.client import RawResponse, RequestFailed, TransportError
+from biokgr.federation import client as client_module
+from biokgr.federation.client import HttpTransport, RawResponse, RequestFailed, TransportError
 from biokgr.federation.mockserver import FixtureServer, MockResponse
 from biokgr.federation.unified import UnifiedRecord
 
@@ -39,6 +44,7 @@ class FakeClock:
     def __init__(self):
         self._now = 0.0
         self._lock = threading.Lock()
+        self.slept = []
 
     def now(self) -> float:
         with self._lock:
@@ -47,6 +53,7 @@ class FakeClock:
     def sleep(self, seconds: float) -> None:
         with self._lock:
             self._now += max(seconds, 1e-6)
+            self.slept.append(seconds)
 
 
 class ScriptedTransport:
@@ -585,3 +592,125 @@ def test_graphql_source_uses_parameterized_template():
     assert body["variables"] == {"queryString": "TP53", "entityNames": ["gene"], "size": 10}
     assert result.records[0].name == "TP53"
     assert result.records[0].xrefs == {"opentargets": "ENSG00000141510"}
+
+
+# -- HTTP transport ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, path, query", [
+    ("TP53 inflammation", "TP53%20inflammation", "TP53+inflammation"),
+    ("IL-6/JAK", "IL-6/JAK", "IL-6%2FJAK"),
+    ("50% inhibition", "50%25%20inhibition", "50%25+inhibition"),
+    ("TNF\u03b1", "TNF%CE%B1", "TNF%CE%B1"),
+    ("a+b", "a+b", "a%2Bb"),
+])
+def test_search_text_arrives_percent_encoded(text, path, query):
+    with FixtureServer() as (server, base):
+        server.add_json("/query", mygene_payload())
+        server.add_text("/find", "hsa:7157\tTP53, BCC7; tumor protein p53")
+        federation = Federation(registry=two_source_registry(),
+                                env={"BIOKGR_MYGENE_URL": base, "BIOKGR_KEGG_URL": base})
+        result = federation.search_entities_unified(
+            QuerySpec(kind="gene", text=text, sources=("mygene", "kegg"))
+        )
+    assert all(status.ok for status in result.statuses)
+    logged = {record.path.split("/")[1]: record for record in server.request_log}
+    assert logged["find"].path == f"/find/genes/{path}"
+    assert logged["query"].query == f"q={query}&size=10"
+
+
+@pytest.mark.parametrize("headers, agent", [
+    ({}, "biokgr/0.1"),
+    ({"User-Agent": "probe/1"}, "probe/1"),
+])
+def test_transport_user_agent(headers, agent):
+    with FixtureServer() as (server, base):
+        server.add_json("/x", {})
+        HttpTransport().send("GET", f"{base}/x", {}, headers, None)
+    assert server.request_log[0].headers["user-agent"] == agent
+
+
+@contextlib.contextmanager
+def no_resource_warning():
+    """Fails when the block leaves a socket or file to the garbage collector."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("unreachable", ["refused", "no-scheme"])
+def test_unreachable_source_is_unavailable_after_backoff(unreachable):
+    base = f"http://127.0.0.1:{_closed_port()}" if unreachable == "refused" else "mygene.test"
+    clock = FakeClock()
+    desc = SourceDescriptor(source_id="mygene", base_url=base, rate_limit_per_sec=math.inf)
+    client = KgClient(desc, clock=clock, env={})
+    with pytest.raises(SourceUnavailable) as excinfo:
+        client.fetch_with_policy(FetchRequest(path="/query"))
+    assert excinfo.value.attempts == client.attempts == 3
+    assert clock.slept == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("reply, hold, match", [
+    (b"", True, "timed out"),
+    (b"HTTP/1.0 503 Service Unavailable\r\nContent-Length: 100\r\n\r\npartial", True,
+     "timed out"),
+    (b"", False, "closed connection"),
+    (b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\npartial", False, "IncompleteRead"),
+], ids=["silent", "stalled-error-body", "closed-without-reply", "truncated-body"])
+def test_transport_maps_a_broken_reply_to_transport_error(monkeypatch, reply, hold, match):
+    monkeypatch.setattr(client_module, "DEFAULT_TIMEOUT", 0.2)
+    done = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(reply)
+                if hold:
+                    done.wait(10)
+
+        thread = threading.Thread(target=answer)
+        thread.start()
+        try:
+            with no_resource_warning(), pytest.raises(TransportError, match=match):
+                HttpTransport().send("GET", f"http://127.0.0.1:{listener.getsockname()[1]}/x",
+                                     {}, {}, None)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_transport_returns_an_error_status_as_a_response():
+    with FixtureServer() as (server, base):
+        server.add_json("/missing", {"error": "no such gene"}, status=404)
+        with no_resource_warning():
+            response = HttpTransport().send("GET", f"{base}/missing", {}, {}, None)
+    assert response.status == 404
+    assert json.loads(response.body) == {"error": "no such gene"}
+    assert response.headers["Content-Type"] == "application/json"
+
+
+@pytest.mark.parametrize("content_type, body", [
+    ("text/plain", "TNF\u03b1"),
+    ("text/plain; charset=iso-8859-1", "TNF\u00ce\u00b1"),
+])
+def test_transport_decodes_with_the_content_type_charset(content_type, body):
+    with FixtureServer() as (server, base):
+        server.add_sequence("/t", [MockResponse(body="TNF\u03b1", content_type=content_type)])
+        response = HttpTransport().send("GET", f"{base}/t", {}, {}, None)
+    assert response.body == body
+
+
+def test_transport_reports_an_unknown_charset():
+    with FixtureServer() as (server, base):
+        server.add_sequence("/t", [MockResponse(body="TNF", content_type="text/plain; charset=nope")])
+        with pytest.raises(TransportError, match="nope"):
+            HttpTransport().send("GET", f"{base}/t", {}, {}, None)
