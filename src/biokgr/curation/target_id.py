@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from biokgr import load_data
 from biokgr.curation.items import McqItem, finalize_item
@@ -64,16 +65,23 @@ PROFILES = {
 }
 
 
-def is_blacklisted(graph: SignedPathwayGraph, symbol: str) -> bool:
+@cache
+def _blacklist_rules() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The shipped rules: upper-cased symbol prefixes and casefolded label words."""
     rules = load_data("druggability_blacklist.json")
-    upper = symbol.upper()
-    if any(upper.startswith(p.upper()) for p in rules.get("prefixes", [])):
+    return (tuple(p.upper() for p in rules.get("prefixes", [])),
+            tuple(w.casefold() for w in rules.get("words", [])))
+
+
+def is_blacklisted(graph: SignedPathwayGraph, symbol: str) -> bool:
+    prefixes, words = _blacklist_rules()
+    if symbol.upper().startswith(prefixes):
         return True
     node = graph.nodes.get(symbol)
     haystack = symbol.casefold()
     if node is not None:
         haystack = " ".join((node.graphics_label, *node.aliases, symbol)).casefold()
-    return any(w.casefold() in haystack for w in rules.get("words", []))
+    return any(w in haystack for w in words)
 
 
 def nearest_rank_percentile(values: list[float], percentile: int) -> float:

@@ -4,6 +4,11 @@ Every analytic reads a `Topology`: the structure of one pathway graph,
 compiled by `SignedPathwayGraph.topology()` or `ReactionGraph.topology()`,
 with betweenness, SCCs, cyclic and terminal nodes cached on first use. A
 curator holds one topology per item; the module functions build one per call.
+
+Path polarity walks the simple paths from a gene once for all its endpoints,
+with a path cap per endpoint and exact distance pruning, over an integer index
+compiled on first use; the pruned successor lists are cached per endpoint set,
+so a curator's calls for every candidate gene share them.
 """
 from __future__ import annotations
 
@@ -59,6 +64,7 @@ class Topology:
             self.predecessors.setdefault(dst, []).append((src, weight))
         for out in self.successors.values():
             out.sort()
+        self._withins: dict[frozenset[int], list[list[list[tuple[int, int]]]]] = {}
 
     @cached_property
     def _networkx(self) -> nx.DiGraph:
@@ -99,11 +105,18 @@ class Topology:
     ) -> PolarityResult:
         """Average signed-path polarity from `gene` to `endpoints`.
 
-        Simple paths are expanded depth-first in lexicographic neighbor order,
-        up to `MAX_PATH_EDGES` edges per path and `max_paths` paths per (gene,
-        endpoint) pair. Each path contributes the product of its edge weights;
-        the result is the mean over every enumerated path against every
-        endpoint.
+        Counts the simple paths of up to `MAX_PATH_EDGES` edges from `gene` to
+        each endpoint other than `gene`, the first `max_paths` of them per
+        endpoint in lexicographic (neighbor name, weight) order; a path may
+        pass through other endpoints. Each path contributes the product of its
+        edge weights, and the result is the mean over every counted path
+        against every endpoint (an endpoint listed twice counts twice).
+
+        One depth-first walk from `gene` serves every endpoint. An endpoint
+        leaves the walk when its cap is reached, and the walk ends when none
+        is left. It never enters a node whose shortest distance to the
+        endpoint set exceeds the edges left: that distance ignores the
+        simple-path rule, so it is a lower bound and no counted path is lost.
         """
         if gene not in self.nodes:
             raise NodeNotFound(f"gene {gene!r} not in pathway graph")
@@ -112,38 +125,96 @@ class Topology:
             if endpoint not in self.nodes:
                 raise NodeNotFound(f"endpoint {endpoint!r} not in pathway graph")
 
-        adjacency = self.successors
-        total = 0
-        count = 0
+        ids = self._index[0]
+        source = ids[gene]
+        within = self._within(frozenset(ids[e] for e in targets))
+        listed = [0] * len(ids)  # how often each endpoint under its cap is listed
+        for endpoint in targets:
+            if endpoint != gene:
+                listed[ids[endpoint]] += 1
+        live = sum(1 for times in listed if times)
+        found = [0] * len(ids)
+        total = count = 0
         truncated = False
 
-        for endpoint in targets:
-            if endpoint == gene:
-                continue
-            # iterative DFS over (node, product, depth) with an explicit path set
-            stack: list[tuple[str, int, int, tuple[str, ...]]] = [(gene, 1, 0, (gene,))]
-            pair_count = 0
-            while stack:
-                node, product, depth, path = stack.pop()
-                if node == endpoint:
-                    total += product
-                    count += 1
-                    pair_count += 1
-                    if pair_count >= max_paths:
+        # product[n] is the sign product of the walked path up to n while n
+        # is on it, and 0 otherwise
+        product = [0] * len(ids)
+        product[source] = here = 1
+        path = [source]
+        slack = MAX_PATH_EDGES - 1  # edges left after the next one
+        stack = [iter(within[slack][source])]
+        while stack:
+            for nxt, sign in stack[-1]:
+                if product[nxt]:
+                    continue
+                times = listed[nxt]
+                if times:
+                    total += here * sign * times
+                    count += times
+                    found[nxt] += 1
+                    if found[nxt] >= max_paths:
+                        listed[nxt] = 0
                         truncated = True
-                        break
-                    continue
-                if depth == MAX_PATH_EDGES:
-                    continue
-                # reversed so the lexicographically smallest neighbor pops first
-                for nxt, weight in reversed(adjacency.get(node, [])):
-                    if nxt in path:
-                        continue
-                    stack.append((nxt, product * weight, depth + 1, path + (nxt,)))
+                        live -= 1
+                        if not live:
+                            return PolarityResult(total / count, count, truncated=True)
+                if slack:
+                    product[nxt] = here = here * sign
+                    path.append(nxt)
+                    slack -= 1
+                    stack.append(iter(within[slack][nxt]))
+                    break
+            else:
+                stack.pop()
+                product[path.pop()] = 0
+                if path:
+                    here = product[path[-1]]
+                slack += 1
 
         if count == 0:
             return PolarityResult(value=0.0, path_count=0, no_path=True)
         return PolarityResult(value=total / count, path_count=count, truncated=truncated)
+
+    @cached_property
+    def _index(self) -> tuple[dict[str, int], list[list[tuple[int, int]]], list[list[int]]]:
+        """Integer ids in name order, each id's sorted `(id, weight)` successors
+        and its predecessor ids."""
+        names = sorted(self.successors.keys() | self.predecessors.keys())
+        ids = {name: i for i, name in enumerate(names)}
+        # ids follow name order, so the sorted successor lists stay sorted
+        successors = [[(ids[dst], w) for dst, w in self.successors.get(n, ())] for n in names]
+        predecessors = [[ids[src] for src, _w in self.predecessors.get(n, ())] for n in names]
+        return ids, successors, predecessors
+
+    def _within(self, targets: frozenset[int]) -> list[list[list[tuple[int, int]]]]:
+        """`within[s][n]`: the successors of id `n` at most `s` edges from the
+        nearest of `targets`, in successor order. Cached per target set."""
+        within = self._withins.get(targets)
+        if within is None:
+            _ids, successors, predecessors = self._index
+            # reverse BFS from the targets, up to the longest distance a walk can use
+            distance = [MAX_PATH_EDGES] * len(predecessors)
+            frontier = list(targets)
+            for node in frontier:
+                distance[node] = 0
+            for step in range(1, MAX_PATH_EDGES):
+                reached = []
+                for node in frontier:
+                    for src in predecessors[node]:
+                        if distance[src] > step:
+                            distance[src] = step
+                            reached.append(src)
+                frontier = reached
+            # top level first: each level filters the (shorter) lists of the one above
+            level = successors
+            within = []
+            for s in reversed(range(MAX_PATH_EDGES)):
+                level = [[e for e in out if distance[e[0]] <= s] if out else out for out in level]
+                within.append(level)
+            within.reverse()
+            self._withins[targets] = within
+        return within
 
     def k_step_neighborhood(self, node: str, k: int, direction: str = "downstream") -> set[str]:
         """Nodes reachable within 1..k steps of `node`, excluding `node` itself."""

@@ -207,3 +207,61 @@ def egfr_cancer_kgml() -> str:
         entries=entries,
         relations=relations,
     )
+
+
+_CASCADE_STEMS = ["MAPK", "JAK", "STAT", "CXCL", "SMAD", "PTPN", "SLC", "ZNF", "CYP", "HDAC"]
+
+
+def cascade_kgml(seed: int, n_genes: int = 30, dense_core: int = 0) -> str:
+    """A seeded signalling cascade with mixed signs, feeding 1-2 endpoint map nodes.
+
+    Genes form four layers with random forward and feedback edges; some
+    pairs carry two relations (activation and expression), and one gene is
+    ribosomal so the druggability blacklist applies. With `dense_core` > 0
+    that many extra genes form a ring in which each sends edges to the next
+    six, and every third one feeds the first endpoint, so polarity from a
+    core gene hits `MAX_PATHS_PER_PAIR` and the value covers a capped prefix.
+    """
+    rng = random.Random(seed)
+    symbols: list[str] = []
+    for i in range(n_genes + dense_core):
+        symbols.append("RPL5" if i == 3 else f"{_CASCADE_STEMS[i % len(_CASCADE_STEMS)]}{i + 1}")
+    entries = [
+        {"id": str(i + 1), "name": f"hsa:{1000 + i}", "type": "gene",
+         "graphics": f"{symbol}, {symbol}L" + (", ribosomal protein" if symbol == "RPL5" else "")}
+        for i, symbol in enumerate(symbols)
+    ]
+    endpoint_ids = []
+    for label in rng.sample(["Apoptosis", "Cell proliferation", "Inflammation"], rng.randint(1, 2)):
+        endpoint_ids.append(str(len(entries) + 1))
+        entries.append({"id": endpoint_ids[-1], "name": f"path:hsa0{len(entries)}", "type": "map",
+                        "graphics": label})
+
+    def sign(positive_share: float = 0.6) -> list[str]:
+        return [rng.choice(["activation", "expression"]) if rng.random() < positive_share
+                else rng.choice(["inhibition", "repression"])]
+
+    cascade = [str(i + 1) for i in range(n_genes)]
+    layers = [cascade[k::4] for k in range(4)]
+    relations = []
+    for depth, layer in enumerate(layers[:-1]):
+        for src in layer:
+            for dst in rng.sample(layers[depth + 1], min(2, len(layers[depth + 1]))):
+                relations.append((src, dst, sign()))
+            if depth > 0 and rng.random() < 0.2:
+                relations.append((src, rng.choice(layers[depth - 1]), sign()))
+    for src, dst, subtypes in relations[:4]:
+        relations.append((src, dst, ["expression"] if subtypes == ["activation"] else ["activation"]))
+    for src in layers[-1]:
+        relations.append((src, rng.choice(endpoint_ids), sign(0.85)))
+
+    core = [str(n_genes + i + 1) for i in range(dense_core)]
+    for i, src in enumerate(core):
+        for step in range(1, 7):
+            relations.append((src, core[(i + step) % dense_core], sign(0.6)))
+        if i % 3 == 0:
+            relations.append((src, endpoint_ids[0], sign(0.85)))
+    if core:
+        relations.append((layers[0][0], core[0], ["activation"]))
+    return make_kgml(pathway_id=f"hsa9{seed:04d}", title=f"Generated cascade {seed}",
+                     entries=entries, relations=relations)

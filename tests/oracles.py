@@ -1,7 +1,9 @@
 """Independent brute-force oracles for the graph analytics and the evidence store.
 
 Deliberately naive implementations kept separate from the library code paths:
-polarity by exhaustive simple-path enumeration via networkx, betweenness by
+polarity by exhaustive simple-path enumeration via networkx, capped polarity
+by one depth-first search per endpoint (the library's former algorithm, which
+fixes what the path cap keeps), betweenness by
 per-pair shortest-path counting over all-sources BFS tables, SCCs by mutual
 reachability, neighborhoods by explicit level-by-level expansion, and
 evidence-store reads and lint counts by full scans of every stored relation.
@@ -12,10 +14,20 @@ from collections import deque
 
 import networkx as nx
 
+from biokgr.pathways.analytics import (
+    MAX_PATH_EDGES,
+    MAX_PATHS_PER_PAIR,
+    NodeNotFound,
+    PolarityResult,
+)
+
 
 def polarity_oracle(graph, gene: str, endpoints, max_edges: int = 8) -> tuple[float, int]:
-    """(mean product of signs, path count) over all simple paths up to max_edges."""
-    g = nx.DiGraph()
+    """(mean product of signs, path count) over all simple paths up to max_edges.
+
+    Parallel edges are distinct paths, so the graph is a multigraph.
+    """
+    g = nx.MultiDiGraph()
     g.add_nodes_from(graph.nodes)
     for edge in graph.edges:
         g.add_edge(edge.source, edge.target, weight=edge.weight)
@@ -24,15 +36,69 @@ def polarity_oracle(graph, gene: str, endpoints, max_edges: int = 8) -> tuple[fl
     for endpoint in endpoints:
         if endpoint == gene or endpoint not in g:
             continue
-        for path in nx.all_simple_paths(g, gene, endpoint, cutoff=max_edges):
+        for path in nx.all_simple_edge_paths(g, gene, endpoint, cutoff=max_edges):
             product = 1
-            for u, v in zip(path, path[1:]):
-                product *= g[u][v]["weight"]
+            for u, v, key in path:
+                product *= g[u][v][key]["weight"]
             total += product
             count += 1
     if count == 0:
         return 0.0, 0
     return total / count, count
+
+
+def capped_polarity_reference(
+    topology,
+    gene: str,
+    endpoints,
+    max_paths: int = MAX_PATHS_PER_PAIR,
+) -> PolarityResult:
+    """`Topology.path_polarity` by one iterative DFS per endpoint.
+
+    Simple paths are expanded depth-first in lexicographic neighbor order,
+    up to `MAX_PATH_EDGES` edges per path and `max_paths` paths per (gene,
+    endpoint) pair; the mean is over every enumerated path against every
+    endpoint.
+    """
+    if gene not in topology.nodes:
+        raise NodeNotFound(f"gene {gene!r} not in pathway graph")
+    targets = sorted(endpoints)
+    for endpoint in targets:
+        if endpoint not in topology.nodes:
+            raise NodeNotFound(f"endpoint {endpoint!r} not in pathway graph")
+
+    adjacency = topology.successors
+    total = 0
+    count = 0
+    truncated = False
+
+    for endpoint in targets:
+        if endpoint == gene:
+            continue
+        # iterative DFS over (node, product, depth) with an explicit path set
+        stack: list[tuple[str, int, int, tuple[str, ...]]] = [(gene, 1, 0, (gene,))]
+        pair_count = 0
+        while stack:
+            node, product, depth, path = stack.pop()
+            if node == endpoint:
+                total += product
+                count += 1
+                pair_count += 1
+                if pair_count >= max_paths:
+                    truncated = True
+                    break
+                continue
+            if depth == MAX_PATH_EDGES:
+                continue
+            # reversed so the lexicographically smallest neighbor pops first
+            for nxt, weight in reversed(adjacency.get(node, [])):
+                if nxt in path:
+                    continue
+                stack.append((nxt, product * weight, depth + 1, path + (nxt,)))
+
+    if count == 0:
+        return PolarityResult(value=0.0, path_count=0, no_path=True)
+    return PolarityResult(value=total / count, path_count=count, truncated=truncated)
 
 
 def _bfs_tables(nodes, adjacency) -> dict:

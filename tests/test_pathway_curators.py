@@ -1,4 +1,5 @@
 """Target-identification and flux curators: gain rules, fixtures, determinism."""
+import hashlib
 import random
 
 import networkx as nx
@@ -20,10 +21,13 @@ from biokgr.curation.target_id import (
     is_blacklisted,
     nearest_rank_percentile,
 )
+from biokgr.curation.items import write_items_jsonl
 from biokgr.pathways import parse_kgml
+from biokgr.pathways.analytics import MAX_PATHS_PER_PAIR
+from biokgr.pathways.families import annotate_functional_types
 from biokgr.pathways.graphs import PathwayNode, SignedEdge, SignedPathwayGraph
 
-from kgmlgen import random_signed_graph, shmt2_flux_kgml, ulcerative_colitis_kgml
+from kgmlgen import cascade_kgml, random_signed_graph, shmt2_flux_kgml, ulcerative_colitis_kgml
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,24 @@ def test_target_item_deterministic(uc_graph):
     assert a.to_dict() == b.to_dict()
     c = build_target_item(uc_graph, PROFILES["infection"], seed=43)
     assert [o.text for o in c.options] != [o.text for o in a.options] or c.item_id != a.item_id
+
+
+def test_generated_target_item_bytes_are_pinned(tmp_path):
+    # two cascades (one with two endpoints) and one whose dense core hits the
+    # path cap, so the gains of core genes rest on the capped path prefix
+    items = []
+    truncated = 0
+    for seed, n_genes, dense_core in ((5, 30, 0), (7, 40, 0), (3, 20, 14)):
+        graph, _rg = parse_kgml(cascade_kgml(seed, n_genes, dense_core))
+        annotate_functional_types(graph)
+        topology = graph.topology()
+        polarities = [topology.path_polarity(g, graph.endpoints) for g in graph.gene_symbols()]
+        truncated += sum(p.truncated and p.path_count == MAX_PATHS_PER_PAIR for p in polarities)
+        items.append(build_target_item(graph, PROFILES["cancer"], seed=seed))
+    assert truncated == 14
+    write_items_jsonl(items, tmp_path / "items.jsonl")
+    digest = hashlib.sha256((tmp_path / "items.jsonl").read_bytes()).hexdigest()
+    assert digest == "f2780a15746681403ec1acd690064f6cbb348cf9ae4fedbcc31851b2cc19faf0"
 
 
 def test_shuffle_preserves_text_gain_pairs(uc_graph):

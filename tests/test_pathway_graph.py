@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biokgr.pathways import (
     MalformedKgml,
@@ -16,11 +17,13 @@ from biokgr.pathways import (
     strongly_connected_components,
     terminal_endpoints,
 )
+from biokgr.pathways.analytics import MAX_PATHS_PER_PAIR, Topology
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 from kgmlgen import make_kgml, random_signed_graph, shmt2_flux_kgml, ulcerative_colitis_kgml
 from oracles import (
     betweenness_oracle,
+    capped_polarity_reference,
     k_step_oracle,
     polarity_oracle,
     scc_oracle,
@@ -373,6 +376,79 @@ def test_polarity_matches_enumeration_oracle():
         assert not result.truncated
         assert result.path_count == count
         assert abs(result.value - expected) < 1e-12
+
+
+def test_parallel_edges_are_distinct_paths():
+    # A->B as both activation and expression keeps two +1 edges; with
+    # A->C->B (-1) the mean is (1 + 1 - 1) / 3, where one A->B edge gives 0
+    doc = make_kgml(
+        entries=[
+            {"id": "1", "name": "hsa:1", "graphics": "A"},
+            {"id": "2", "name": "hsa:2", "graphics": "B"},
+            {"id": "3", "name": "hsa:3", "graphics": "C"},
+        ],
+        relations=[
+            ("1", "2", ["activation"]),
+            ("1", "2", ["expression"]),
+            ("1", "3", ["inhibition"]),
+            ("3", "2", ["activation"]),
+        ],
+    )
+    graph, _rg = parse_kgml(doc)
+    assert [(e.source, e.target, e.subtype) for e in graph.edges][:2] == [
+        ("A", "B", "activation"), ("A", "B", "expression")
+    ]
+    result = path_polarity(graph, "A", {"B"})
+    assert (result.value, result.path_count) == (1 / 3, 3)
+    assert polarity_oracle(graph, "A", ["B"]) == (1 / 3, 3)
+
+
+NAMES = "ABCDEFGHI"
+
+
+@st.composite
+def polarity_cases(draw):
+    """A digraph over NAMES: parallel edges, self-loops and edge endpoints
+    that are not declared nodes; endpoints may repeat or include the gene."""
+    declared = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=7, unique=True))
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES), st.sampled_from((1, -1))),
+        max_size=30,
+    ))
+    endpoints = draw(st.lists(st.sampled_from(declared), min_size=1, max_size=4))
+    max_paths = draw(st.one_of(st.integers(1, 4), st.just(MAX_PATHS_PER_PAIR)))
+    return declared, edges, endpoints, max_paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(polarity_cases())
+def test_one_walk_per_gene_equals_one_dfs_per_endpoint(case):
+    declared, edges, endpoints, max_paths = case
+    topology = Topology(declared, edges)
+    # every declared gene on one topology, so the calls share its cached index
+    for gene in declared:
+        ours = topology.path_polarity(gene, endpoints, max_paths)
+        assert ours == capped_polarity_reference(topology, gene, endpoints, max_paths)
+
+
+def test_cap_keeps_the_lexicographic_prefix_per_endpoint():
+    # SRC->{A+, B-, C+}->{D+, E-}->T1 gives six T1 paths with signs
+    # +1 -1 -1 +1 +1 -1 in lexicographic order; the cap of 3 keeps the first
+    # three (sum -1), where the last three would sum +1. T2 is reached by
+    # SRC-A-T2 (+1) and SRC-T2 (-1), under the cap.
+    edges = [("SRC", "A", 1), ("SRC", "B", -1), ("SRC", "C", 1), ("SRC", "T2", -1),
+             ("A", "T2", 1)]
+    edges += [(mid, last, w) for mid in "ABC" for last, w in (("D", 1), ("E", -1))]
+    edges += [("D", "T1", 1), ("E", "T1", 1)]
+    topology = Topology(["SRC", "A", "B", "C", "D", "E", "T1", "T2"], edges)
+
+    t1 = topology.path_polarity("SRC", ["T1"], max_paths=3)
+    assert (t1.value, t1.path_count, t1.truncated) == (-1 / 3, 3, True)
+    t2 = topology.path_polarity("SRC", ["T2"], max_paths=3)
+    assert (t2.value, t2.path_count, t2.truncated) == (0.0, 2, False)
+    both = topology.path_polarity("SRC", ["T1", "T2"], max_paths=3)
+    assert (both.value, both.path_count, both.truncated) == (-1 / 5, 5, True)
+    assert topology.path_polarity("SRC", ["T1"]).value == 0.0  # all six paths
 
 
 def test_betweenness_matches_counting_oracle():
