@@ -25,3 +25,14 @@ def load_data(name: str):
     """
     text = resources.files("biokgr.data").joinpath(name).read_text(encoding="utf-8")
     return json.loads(text) if name.endswith(".json") else text
+
+
+def jsonl_lines(rows):
+    """Each row as one line of JSON with sorted keys, its newline included."""
+    return (json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def read_jsonl(path) -> list:
+    """The rows of a JSON-lines file; blank lines are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]

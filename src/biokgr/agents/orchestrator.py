@@ -9,9 +9,9 @@ evidence-graph snapshot into the run workspace.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from biokgr import jsonl_lines
 from biokgr.agents.actions import (
     ACTION_NAMES,
     Action,
@@ -126,7 +126,7 @@ class OrchestratorRunner:
 
         workspace.save_text(
             "transcript.jsonl",
-            "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in state.step_log),
+            "".join(jsonl_lines(state.step_log)),
             "orchestrator action/observation log",
         )
         export_graph(state.graph, workspace.root / "evidence_graph.json")

@@ -10,9 +10,10 @@ All filters are idempotent and output ids are a subset of input ids.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
+
+from biokgr import jsonl_lines, read_jsonl
 
 TASK_FAMILIES = (
     "hle_med", "litqa2", "supergpqa_med_hard", "trialpanorama_eqa",
@@ -164,14 +165,8 @@ def prepare_dataset(records: list[dict], benchmark: str, seed: int = 0) -> list[
 
 def write_bench_items(items: list[BenchItem], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(item.to_dict(), sort_keys=True) + "\n")
+        fh.writelines(jsonl_lines(item.to_dict() for item in items))
 
 
 def read_bench_items(path) -> list[BenchItem]:
-    items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                items.append(BenchItem.from_dict(json.loads(line)))
-    return items
+    return [BenchItem.from_dict(row) for row in read_jsonl(path)]

@@ -7,10 +7,10 @@ malformed flag rather than erroring.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
+from biokgr import jsonl_lines, read_jsonl
 from biokgr.bench.prepare import BenchItem
 from biokgr.curation import ebm
 
@@ -94,14 +94,7 @@ def load_predictions(path) -> dict:
     """JSONL `{id, prediction}` rows keyed by item id."""
     if not os.path.exists(path):
         raise PredictionsNotFound(f"predictions file {path} not found")
-    predictions: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            predictions[str(row["id"])] = row.get("prediction")
-    return predictions
+    return {str(row["id"]): row.get("prediction") for row in read_jsonl(path)}
 
 
 def run_suite(items: list[BenchItem], predictions: dict) -> SuiteReport:
@@ -152,8 +145,7 @@ def write_report(report: SuiteReport, directory) -> dict:
     jsonl_path = os.path.join(directory, "report.jsonl")
     md_path = os.path.join(directory, "report.md")
     with open(jsonl_path, "w", encoding="utf-8") as fh:
-        for row in report.rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        fh.writelines(jsonl_lines(report.rows))
     with open(md_path, "w", encoding="utf-8") as fh:
         fh.write("# Benchmark suite report\n\n")
         fh.write(f"{report.metadata.get('items', len(report.rows))} items scored\n\n")

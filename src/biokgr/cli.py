@@ -14,6 +14,7 @@ import click
 
 from biokgr import bench as bench_mod
 from biokgr import evidence
+from biokgr import read_jsonl
 from biokgr.agents import DefaultOracle, HttpOracle, OracleUnavailable, OrchestratorRunner
 from biokgr.bench.scoring import load_predictions, run_suite, write_report
 from biokgr.curation import ebm
@@ -230,22 +231,20 @@ def curate_flux(kgml_dir, target, seed, out_path):
 @click.option("--out", "out_path", required=True)
 def curate_sample_size(truths_path, seed, out_path):
     items = []
-    with open(truths_path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(l for l in fh if l.strip()):
-            row = json.loads(line)
-            try:
-                items.append(
-                    gen_sample_size_item(
-                        int(row["truth"]), seed=seed + i,
-                        item_id=row.get("id"),
-                        condition=row.get("condition", ""),
-                        arms=row.get("arms"),
-                        primary_outcome=row.get("primary_outcome", ""),
-                        assumption=row.get("assumption", ""),
-                    )
+    for i, row in enumerate(read_jsonl(truths_path)):
+        try:
+            items.append(
+                gen_sample_size_item(
+                    int(row["truth"]), seed=seed + i,
+                    item_id=row.get("id"),
+                    condition=row.get("condition", ""),
+                    arms=row.get("arms"),
+                    primary_outcome=row.get("primary_outcome", ""),
+                    assumption=row.get("assumption", ""),
                 )
-            except Exception as exc:
-                logger.warning("skipping row %d: %s", i, exc)
+            )
+        except Exception as exc:
+            logger.warning("skipping row %d: %s", i, exc)
     write_items_jsonl(items, out_path)
     click.echo(f"wrote {len(items)} sample-size items to {out_path}")
 
@@ -354,13 +353,8 @@ def score():
               help="JSONL rows: {base_doi, ranked: [PMIDs...]}")
 @click.option("--k", default=30, show_default=True)
 def score_ebm(tasks_path, preds_path, k):
-    tasks = ebm.read_gap_tasks(tasks_path)
-    predictions = {}
-    with open(preds_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                row = json.loads(line)
-                predictions[row["base_doi"]] = row.get("ranked", [])
+    tasks = read_jsonl(tasks_path)
+    predictions = {row["base_doi"]: row.get("ranked", []) for row in read_jsonl(preds_path)}
     results = []
     for task in tasks:
         ranked = [int(str(p).removeprefix("PMID:")) for p in
@@ -438,10 +432,7 @@ def bench_group():
 @click.option("--seed", default=0, show_default=True)
 def bench_prepare(benchmark, in_path, out_path, seed):
     text = Path(in_path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("["):
-        records = json.loads(text)
-    else:
-        records = [json.loads(l) for l in text.splitlines() if l.strip()]
+    records = json.loads(text) if text.lstrip().startswith("[") else read_jsonl(in_path)
     items = bench_mod.prepare_dataset(records, benchmark, seed=seed)
     bench_mod.write_bench_items(items, out_path)
     expected = bench_mod.EXPECTED_SNAPSHOT_COUNTS.get(benchmark)

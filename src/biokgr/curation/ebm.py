@@ -7,11 +7,12 @@ by gap detection (any truth PMID in the top k) and recall@k.
 """
 from __future__ import annotations
 
-import json
 import logging
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+
+from biokgr import jsonl_lines
 
 logger = logging.getLogger(__name__)
 
@@ -225,14 +226,4 @@ def score_predictions(
 
 def write_gap_tasks(tasks: list[GapTask], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for task in tasks:
-            fh.write(json.dumps(task.to_dict(), sort_keys=True) + "\n")
-
-
-def read_gap_tasks(path) -> list[dict]:
-    tasks = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                tasks.append(json.loads(line))
-    return tasks
+        fh.writelines(jsonl_lines(task.to_dict() for task in tasks))

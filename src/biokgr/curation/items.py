@@ -6,10 +6,11 @@ JSON object per line; every curator and the scoring harness share this schema.
 """
 from __future__ import annotations
 
-import json
 import random
 import string
 from dataclasses import dataclass, field
+
+from biokgr import jsonl_lines
 
 
 class ItemInvariantError(Exception):
@@ -92,5 +93,4 @@ def finalize_item(
 
 def write_items_jsonl(items: list[McqItem], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(item.to_dict(), sort_keys=True) + "\n")
+        fh.writelines(jsonl_lines(item.to_dict() for item in items))

@@ -11,7 +11,7 @@ because one client is shared by the federation's worker threads.
 Requests leave through a transport: any object with `send(method, url,
 params, headers, body) -> RawResponse`. The default, `HttpTransport`, is
 stateless: one `urllib.request` round trip per call, with no connection
-reuse. Tests substitute scripted transports.
+reuse. Tests substitute `mockserver.MockTransport`.
 """
 from __future__ import annotations
 

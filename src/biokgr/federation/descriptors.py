@@ -5,7 +5,7 @@ auth mode, rate limit, retry policy, merge priority. The shipped registry
 covers the live-capable core subset plus descriptor stubs for the remaining
 services; endpoints are overridable per source via environment variables
 (``BIOKGR_<SOURCE>_URL``), which is also how tests point clients at the
-bundled mock server.
+fixture server.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from biokgr import load_data
 
-PROTOCOLS = ("rest", "graphql", "flat-file")
-AUTH_MODES = ("none", "api-key", "session")
+PROTOCOLS = ("rest", "graphql")
+AUTH_MODES = ("none", "api-key")
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,6 @@ class QuerySpec:
     text: str
     sources: tuple[str, ...]
     limit: int = 10
-
-    def validate(self) -> None:
-        if not self.text or not self.text.strip():
-            raise ValueError("query text is empty")
-        if self.limit < 1:
-            raise ValueError("result cap must be >= 1")
-        if not self.sources:
-            raise ValueError("at least one source required")
 
 
 def load_registry(payload: dict) -> dict[str, SourceDescriptor]:

@@ -1,101 +1,109 @@
-"""In-process HTTP server serving recorded fixtures for hermetic tests.
+"""A fake of the knowledge-base services, for hermetic tests.
 
-Routes are registered by path prefix. A route's payload is either a single
-response or a sequence consumed one response per request (for retry tests).
-Every handled request's path, query and headers (names lower-cased) are
-appended to `request_log`.
+`MockTransport` stands in for `HttpTransport`: it answers each `send` from a
+route table and logs every request. `FixtureServer` puts one `MockTransport`
+behind a localhost socket, for tests that need a real HTTP round trip.
 """
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlparse
+
+from biokgr.federation.client import RawResponse
 
 # How often the serving thread checks for `stop()`; it bounds stop's latency.
 SHUTDOWN_POLL_S = 0.02
 
 
-@dataclass
-class MockResponse:
-    status: int = 200
-    body: str = ""
-    content_type: str = "application/json"
+@dataclass(frozen=True)
+class SentRequest:
+    """One request as `MockTransport.send` received it."""
 
-    @classmethod
-    def json(cls, payload, status: int = 200) -> "MockResponse":
-        return cls(status=status, body=json.dumps(payload))
-
-    @classmethod
-    def text(cls, body: str, status: int = 200) -> "MockResponse":
-        return cls(status=status, body=body, content_type="text/plain")
+    method: str
+    url: str
+    params: dict
+    headers: dict
+    body: str | None
 
 
-@dataclass
-class _Route:
-    responses: list[MockResponse]
-    sticky: bool  # final response repeats once the sequence is consumed
-    hits: int = 0
+class MockTransport:
+    """A transport that answers from a route table instead of the network.
 
+    `routes` maps a key to one of:
+    - a `RawResponse`, returned on every match;
+    - an exception, raised on every match;
+    - a callable, called with the `SentRequest` and returning a `RawResponse`;
+    - a list or tuple of the above, served one entry per match in order; its
+      last entry repeats once the others are used up.
 
-@dataclass
-class RequestRecord:
-    path: str
-    query: str = ""
-    headers: dict = field(default_factory=dict)
+    A request goes to the first key, in registration order, that its URL
+    contains; the empty key matches every URL. A request that matches no key
+    gets HTTP 404. The URL is the one given to `send`: `KgClient` passes the
+    query string apart, in `params`, while `FixtureServer` passes the raw path
+    with its query.
+
+    Every request is appended to `requests`, and `hits(key)` counts the
+    requests that `key` answered.
+    """
+
+    def __init__(self, routes: dict | None = None):
+        self.routes = dict(routes or {})
+        self.requests: list[SentRequest] = []
+        self._hits: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def hits(self, key: str) -> int:
+        with self._lock:
+            return self._hits[key]
+
+    def send(self, method: str, url: str, params: dict, headers: dict, body: str | None) -> RawResponse:
+        request = SentRequest(method, url, dict(params), dict(headers), body)
+        with self._lock:
+            self.requests.append(request)
+            key = next((key for key in self.routes if key in url), None)
+            if key is None:
+                return RawResponse(status=404, body='{"error": "no fixture"}',
+                                   headers={"Content-Type": "application/json"})
+            self._hits[key] += 1
+            reply = self.routes[key]
+            if isinstance(reply, (list, tuple)):
+                reply = reply[min(self._hits[key], len(reply)) - 1]
+        if isinstance(reply, Exception):
+            raise reply
+        return reply(request) if callable(reply) else reply
 
 
 class FixtureServer:
+    """A localhost HTTP front for one `MockTransport`, `transport`.
+
+    The handler passes each request's method, raw path and query, headers
+    (names lower-cased) and body to `transport.send` and writes back the
+    response's status, headers and UTF-8 encoded body.
+    """
+
     def __init__(self):
-        self._routes: dict[str, _Route] = {}
-        self._lock = threading.Lock()
-        self.request_log: list[RequestRecord] = []
+        self.transport = MockTransport()
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
-    # -- route registration ----------------------------------------------------
-
-    def add_json(self, prefix: str, payload, status: int = 200) -> None:
-        self._routes[prefix] = _Route([MockResponse.json(payload, status)], sticky=True)
-
-    def add_text(self, prefix: str, body: str, status: int = 200) -> None:
-        self._routes[prefix] = _Route([MockResponse.text(body, status)], sticky=True)
-
-    def add_sequence(self, prefix: str, responses: list[MockResponse]) -> None:
-        self._routes[prefix] = _Route(list(responses), sticky=True)
-
-    def route_hits(self, prefix: str) -> int:
-        route = self._routes.get(prefix)
-        return route.hits if route else 0
-
-    def _respond(self, path: str, query: str, headers: dict) -> MockResponse:
-        with self._lock:
-            self.request_log.append(RequestRecord(path=path, query=query, headers=headers))
-            candidates = [p for p in self._routes if path.startswith(p)]
-            if not candidates:
-                return MockResponse.json({"error": "no fixture"}, status=404)
-            route = self._routes[max(candidates, key=len)]
-            route.hits += 1
-            index = min(route.hits - 1, len(route.responses) - 1)
-            return route.responses[index]
-
-    # -- lifecycle ---------------------------------------------------------------
-
     def start(self) -> str:
-        server = self
+        transport = self.transport
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):  # noqa: N802 (http.server API)
-                parsed = urlparse(self.path)
-                response = server._respond(parsed.path, parsed.query,
-                                           {k.lower(): v for k, v in self.headers.items()})
-                body = response.body.encode("utf-8")
+                length = int(self.headers.get("Content-Length") or 0)
+                body = self.rfile.read(length).decode("utf-8") if length else None
+                headers = {k.lower(): v for k, v in self.headers.items()}
+                response = transport.send(self.command, self.path, {}, headers, body)
+                payload = response.body.encode("utf-8")
                 self.send_response(response.status)
-                self.send_header("Content-Type", response.content_type)
-                self.send_header("Content-Length", str(len(body)))
+                for name, value in response.headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
-                self.wfile.write(body)
+                self.wfile.write(payload)
 
             do_POST = do_GET
 

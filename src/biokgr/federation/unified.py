@@ -98,7 +98,7 @@ def _adapt_mygene(payload, limit: int) -> list[UnifiedRecord]:
 
 
 def _adapt_kegg(payload, limit: int) -> list[UnifiedRecord]:
-    # flat-file TSV: "hsa:7157\tTP53, BCC7; tumor protein p53"
+    # KEGG replies in TSV: "hsa:7157\tTP53, BCC7; tumor protein p53"
     records = []
     text = payload if isinstance(payload, str) else ""
     for i, line in enumerate(line for line in text.splitlines() if line.strip()):
@@ -253,7 +253,10 @@ class Federation:
     def search_entities_unified(self, spec: QuerySpec) -> FetchResult:
         if not spec.text or not spec.text.strip():
             raise InvalidQuery("query text is empty")
-        spec.validate()
+        if spec.limit < 1:
+            raise InvalidQuery("result cap must be >= 1")
+        if not spec.sources:
+            raise InvalidQuery("at least one source required")
         for source_id in spec.sources:
             if source_id not in self.registry:
                 raise InvalidQuery(f"unknown source {source_id!r}")

@@ -1,34 +1,49 @@
-"""Scripted mock federation over canned knowledge-base fixtures."""
+"""The suite's fake knowledge bases: one clock, canned routes and mock registries."""
 from __future__ import annotations
 
 import json
-from urllib.parse import parse_qs, urlparse
+import threading
 
 from biokgr.federation import Federation, RetryPolicy, SourceDescriptor
 from biokgr.federation.client import RawResponse
+from biokgr.federation.mockserver import MockTransport
 
 
-class CallableTransport:
-    """Dispatch by URL substring to a fixed response or a params-callable."""
+class FakeClock:
+    """Deterministic, thread-safe clock; sleep() advances time."""
 
-    def __init__(self, routes):
-        self.routes = dict(routes)
-        self.sent = []
+    def __init__(self):
+        self._now = 0.0
+        self._lock = threading.Lock()
+        self.slept = []
 
-    def send(self, method, url, params, headers, body):
-        merged = dict(parse_qs(urlparse(url).query))
-        merged.update({k: v for k, v in (params or {}).items()})
-        self.sent.append((url, dict(merged)))
-        for key, item in self.routes.items():
-            if key in url:
-                response = item(merged) if callable(item) else item
-                return response
-        return RawResponse(status=404, body="{}")
+    def now(self) -> float:
+        with self._lock:
+            return self._now
+
+    def sleep(self, seconds: float) -> None:
+        with self._lock:
+            self._now += max(seconds, 1e-6)
+            self.slept.append(seconds)
 
 
 def json_response(payload, status=200):
     return RawResponse(status=status, body=json.dumps(payload),
                        headers={"Content-Type": "application/json"})
+
+
+def text_response(body, status=200):
+    return RawResponse(status=status, body=body, headers={"Content-Type": "text/plain"})
+
+
+def descriptor(source_id="mock", rate=1000.0, attempts=3, backoff=0.01, **kwargs):
+    return SourceDescriptor(
+        source_id=source_id,
+        base_url=f"http://{source_id}.test",
+        rate_limit_per_sec=rate,
+        retry=RetryPolicy(max_attempts=attempts, backoff_seconds=backoff),
+        **kwargs,
+    )
 
 
 CITATION_CHAIN = {
@@ -51,81 +66,44 @@ RELATIONS = {
 
 
 def mock_registry():
-    def descriptor(source_id, priority, **kwargs):
-        return SourceDescriptor(
-            source_id=source_id,
-            base_url=f"http://{source_id}.test",
-            priority=priority,
-            rate_limit_per_sec=10_000.0,
-            retry=RetryPolicy(max_attempts=1, backoff_seconds=0.0),
-            **kwargs,
-        )
-
+    """mygene, kegg, pubmed and pubtator at `http://<source>.test`, in that priority order."""
+    search_paths = {"mygene": "/query", "kegg": "/find", "pubmed": "/esearch.fcgi",
+                    "pubtator": "/search"}
     return {
-        "mygene": descriptor("mygene", 1, search_path="/query"),
-        "kegg": descriptor("kegg", 2, protocol="flat-file", search_path="/find"),
-        "pubmed": descriptor("pubmed", 3, search_path="/esearch.fcgi"),
-        "pubtator": descriptor("pubtator", 4, search_path="/search"),
+        source_id: descriptor(source_id, rate=10_000.0, attempts=1, backoff=0.0,
+                              priority=priority, search_path=path)
+        for priority, (source_id, path) in enumerate(search_paths.items(), start=1)
     }
 
 
 def mock_routes():
-    def mygene(params):
-        return json_response({
+    return {
+        "mygene.test/query": json_response({
             "hits": [
                 {"symbol": "TNF", "name": "tumor necrosis factor",
                  "entrezgene": 7124, "ensembl": {"gene": "ENSG00000232810"}},
                 {"symbol": "IL6", "name": "interleukin 6", "entrezgene": 3569},
             ]
-        })
-
-    def kegg(params):
-        return RawResponse(
-            status=200,
-            body="hsa:7124\tTNF, DIF; tumor necrosis factor\nhsa:3569\tIL6, BSF2; interleukin 6",
-            headers={"Content-Type": "text/plain"},
-        )
-
-    def pubmed_search(params):
-        return json_response({"esearchresult": {"idlist": ["30994898", "20379742"]}})
-
-    def pubmed_elink(params):
-        pmid = str(params.get("id", [""])[0] if isinstance(params.get("id"), list)
-                   else params.get("id", ""))
-        return json_response({"citations": CITATION_CHAIN.get(pmid, [])})
-
-    def pubtator_relations(params):
-        e1 = params.get("e1", "")
-        if isinstance(e1, list):
-            e1 = e1[0]
-        return json_response({"relations": RELATIONS.get(e1, [])})
-
-    return {
-        "mygene.test/query": mygene,
-        "kegg.test/find": kegg,
-        "pubmed.test/esearch.fcgi": pubmed_search,
-        "pubmed.test/elink.fcgi": pubmed_elink,
-        "pubtator.test/relations": pubtator_relations,
+        }),
+        "kegg.test/find": text_response(
+            "hsa:7124\tTNF, DIF; tumor necrosis factor\nhsa:3569\tIL6, BSF2; interleukin 6"
+        ),
+        "pubmed.test/esearch.fcgi": json_response(
+            {"esearchresult": {"idlist": ["30994898", "20379742"]}}
+        ),
+        "pubmed.test/elink.fcgi": lambda request: json_response(
+            {"citations": CITATION_CHAIN.get(str(request.params.get("id", "")), [])}
+        ),
+        "pubtator.test/relations": lambda request: json_response(
+            {"relations": RELATIONS.get(request.params.get("e1", ""), [])}
+        ),
     }
-
-
-class CountingClock:
-    """Real-enough fake clock for single-threaded agent runs."""
-
-    def __init__(self):
-        self._now = 0.0
-
-    def now(self):
-        return self._now
-
-    def sleep(self, seconds):
-        self._now += max(seconds, 1e-6)
 
 
 def make_mock_federation() -> Federation:
     return Federation(
         registry=mock_registry(),
-        transport=CallableTransport(mock_routes()),
-        clock=CountingClock(),
+        transport=MockTransport(mock_routes()),
+        clock=FakeClock(),
         env={},
     )

@@ -51,6 +51,7 @@ from biokgr.federation import (
     load_records,
 )
 from biokgr.federation.client import FetchRequest
+from biokgr.federation.mockserver import MockTransport
 from biokgr.pathways import parse_kgml, parse_flat_record, path_polarity, betweenness
 from biokgr.pathways.analytics import (
     k_step_neighborhood,
@@ -59,7 +60,7 @@ from biokgr.pathways.analytics import (
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 from corpusgen import make_review_xml, regimen_corpus
-from fedmock import make_mock_federation
+from fedmock import FakeClock, descriptor, json_response, make_mock_federation
 from kgmlgen import (
     pde4_inflammation_kgml,
     random_signed_graph,
@@ -67,7 +68,6 @@ from kgmlgen import (
     ulcerative_colitis_kgml,
 )
 from oracles import betweenness_oracle, k_step_oracle, polarity_oracle, scc_oracle
-from test_federation import FakeClock, ScriptedTransport, json_response, descriptor
 from test_pathway_graph import NERANDOMILAST
 
 
@@ -490,16 +490,14 @@ def test_criterion_5_federation_contracts():
     clock = FakeClock()
     client = KgClient(
         descriptor(attempts=2),
-        transport=ScriptedTransport(responses=[json_response({}, status=500),
-                                               json_response({"ok": 1})]),
+        transport=MockTransport({"": [json_response({}, status=500), json_response({"ok": 1})]}),
         clock=clock, limiter=RateLimiter(clock), env={},
     )
     assert client.fetch_with_policy(FetchRequest(path="/x")) == {"ok": 1}
 
     client = KgClient(
         descriptor(attempts=2),
-        transport=ScriptedTransport(responses=[json_response({}, status=500),
-                                               json_response({}, status=500)]),
+        transport=MockTransport({"": json_response({}, status=500)}),
         clock=clock, limiter=RateLimiter(clock), env={},
     )
     with pytest.raises(SourceUnavailable) as excinfo:

@@ -37,8 +37,9 @@ from biokgr.agents.oracle import ORACLE_SYSTEM_GUIDE
 from biokgr.agents.orchestrator import OrchestratorState
 from biokgr.evidence import EntityRef, EvidenceGraphStore, MergeBatch, Observation, RelationEdge
 from biokgr.federation.client import RawResponse, TransportError
+from biokgr.federation.mockserver import MockTransport
 
-from fedmock import CountingClock, json_response, make_mock_federation
+from fedmock import FakeClock, json_response, make_mock_federation
 
 
 # -- plan checklist ----------------------------------------------------------------
@@ -436,44 +437,21 @@ def test_action_from_dict_maps_no_action_to_none(payload):
 
 # -- http oracle --------------------------------------------------------------------------
 
-class OracleTransport:
-    """Answers each oracle post from a handler of the decoded body; records what was sent."""
-
-    def __init__(self, handler):
-        self.handler = handler
-        self.sent = []
-
-    def send(self, method, url, params, headers, body):
-        self.sent.append((method, url, headers, body))
-        return self.handler(json.loads(body))
-
-
 def assistant(content: dict) -> RawResponse:
     return json_response({"message": {"role": "assistant", "content": json.dumps(content)}})
 
 
-def scripted(*responses):
-    """A handler that returns (or raises) the given responses in order."""
-    queue = list(responses)
-
-    def handler(body):
-        item = queue.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-    return handler
-
-
-def make_oracle(handler):
-    transport = OracleTransport(handler)
-    clock = CountingClock()
+def make_oracle(reply):
+    """An `HttpOracle` whose posts are all answered by the `MockTransport` route `reply`."""
+    transport = MockTransport({"oracle.test": reply})
+    clock = FakeClock()
     oracle = HttpOracle("http://oracle.test/chat/", transport=transport, clock=clock)
     return oracle, transport, clock
 
 
 def test_http_oracle_plan_and_action():
-    def handler(body):
+    def handler(sent):
+        body = json.loads(sent.body)
         request = json.loads(body["messages"][1]["content"])
         assert body["messages"][0]["role"] == "system"
         if request["op"] == "plan":
@@ -493,10 +471,10 @@ def test_http_oracle_plan_and_action():
     action = oracle.choose_action(state, "obs")
     assert isinstance(action, Finalize) and action.answer == "done"
 
-    method, url, headers, body = transport.sent[0]
-    assert (method, url) == ("POST", "http://oracle.test/chat")
-    assert headers == {"Content-Type": "application/json"}
-    assert body == json.dumps({"messages": [
+    sent = transport.requests[0]
+    assert (sent.method, sent.url) == ("POST", "http://oracle.test/chat")
+    assert sent.headers == {"Content-Type": "application/json"}
+    assert sent.body == json.dumps({"messages": [
         {"role": "system", "content": ORACLE_SYSTEM_GUIDE},
         {"role": "user", "content": json.dumps({"op": "plan", "query": "query"},
                                                 sort_keys=True)},
@@ -504,28 +482,28 @@ def test_http_oracle_plan_and_action():
 
 
 def test_http_oracle_unavailable_after_retries():
-    oracle, transport, clock = make_oracle(scripted(*[TransportError("refused")] * 4))
+    oracle, transport, clock = make_oracle(TransportError("refused"))
     with pytest.raises(OracleUnavailable, match="refused"):
         oracle.plan("q")
-    assert len(transport.sent) == 3
+    assert len(transport.requests) == 3
     assert clock.now() == 0.5 + 1.0
 
 
 @pytest.mark.parametrize("status", [503, 429])
 def test_http_oracle_retries_a_transient_status_after_backoff(status):
-    oracle, transport, clock = make_oracle(scripted(
+    oracle, transport, clock = make_oracle([
         json_response({}, status=status), assistant({"score": 0.25}),
-    ))
+    ])
     assert oracle.score_relevance("a", "b") == 0.25
-    assert len(transport.sent) == 2
+    assert len(transport.requests) == 2
     assert clock.now() == 0.5
 
 
 def test_http_oracle_client_error_fails_at_once():
-    oracle, transport, clock = make_oracle(scripted(json_response({}, status=404)))
+    oracle, transport, clock = make_oracle(json_response({}, status=404))
     with pytest.raises(OracleUnavailable, match="HTTP 404"):
         oracle.plan("q")
-    assert len(transport.sent) == 1
+    assert len(transport.requests) == 1
     assert clock.now() == 0.0
 
 
@@ -542,10 +520,10 @@ def test_http_oracle_client_error_fails_at_once():
     assistant({"steps": [{"text": "survey", "hint": ["bfrs"]}]}),
 ])
 def test_http_oracle_bad_output_fails_at_once(reply):
-    oracle, transport, clock = make_oracle(scripted(reply, reply))
+    oracle, transport, clock = make_oracle(reply)
     with pytest.raises(OracleUnavailable):
         oracle.plan("q")
-    assert len(transport.sent) == 1
+    assert len(transport.requests) == 1
     assert clock.now() == 0.0
 
 
@@ -562,19 +540,19 @@ def test_http_oracle_bad_output_fails_at_once(reply):
 ], ids=["entity-without-name", "task-list", "budget-word", "budget-bool", "depth-word",
         "evidence-string", "zero-budget", "action-list"])
 def test_http_oracle_malformed_action_fails_at_once(action):
-    oracle, transport, clock = make_oracle(scripted(assistant(action), assistant(action)))
+    oracle, transport, clock = make_oracle(assistant(action))
     state = OrchestratorState(query="q", plan=PlanChecklist(steps=[PlanStep("survey", hint="bfrs")]),
                               budgets={"bfrs": 1, "dfrs": 1}, workspace=None,
                               graph=EvidenceGraphStore())
     with pytest.raises(OracleUnavailable, match="malformed action"):
         oracle.choose_action(state, "obs")
-    assert len(transport.sent) == 1
+    assert len(transport.requests) == 1
     assert clock.now() == 0.0
 
 
 def test_http_oracle_none_action_maps_to_halt(tmp_path):
-    def handler(body):
-        request = json.loads(body["messages"][1]["content"])
+    def handler(sent):
+        request = json.loads(json.loads(sent.body)["messages"][1]["content"])
         if request["op"] == "plan":
             return assistant({"steps": [{"text": "noop", "hint": "bfrs"}]})
         return assistant({"action": "none"})

@@ -11,8 +11,10 @@ from click.testing import CliRunner
 import biokgr
 from biokgr.cli import main
 from biokgr.evidence import EntityRef, EvidenceGraphStore, MergeBatch, export_graph
+from biokgr.federation.mockserver import FixtureServer
 
 from corpusgen import make_review_xml, regimen_corpus
+from fedmock import json_response, text_response
 from kgmlgen import egfr_cancer_kgml, pde4_inflammation_kgml, shmt2_flux_kgml, ulcerative_colitis_kgml
 from test_pathway_graph import NERANDOMILAST
 
@@ -199,14 +201,14 @@ def test_bench_prepare_and_score(runner, tmp_path):
 
 
 def test_research_run_with_mock_endpoints(runner, tmp_path, monkeypatch):
-    from biokgr.federation.mockserver import FixtureServer
-
     server = FixtureServer()
-    server.add_json("/query", {"hits": [{"symbol": "TNF", "entrezgene": 7124}]})
-    server.add_text("/find", "hsa:7124\tTNF, DIF; tumor necrosis factor")
-    server.add_json("/esearch.fcgi", {"esearchresult": {"idlist": []}})
-    server.add_json("/elink.fcgi", {"citations": []})
-    server.add_json("/relations", {"relations": []})
+    server.transport.routes.update({
+        "/query": json_response({"hits": [{"symbol": "TNF", "entrezgene": 7124}]}),
+        "/find": text_response("hsa:7124\tTNF, DIF; tumor necrosis factor"),
+        "/esearch.fcgi": json_response({"esearchresult": {"idlist": []}}),
+        "/elink.fcgi": json_response({"citations": []}),
+        "/relations": json_response({"relations": []}),
+    })
     base = server.start()
     for source in ("MYGENE", "KEGG", "PUBMED", "PUBTATOR"):
         monkeypatch.setenv(f"BIOKGR_{source}_URL", base)
@@ -226,51 +228,49 @@ def test_research_run_with_mock_endpoints(runner, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("route", ["none", "malformed"])
 def test_research_run_reports_an_unavailable_oracle_in_one_line(runner, tmp_path, route):
-    from biokgr.federation.mockserver import FixtureServer
-
     # 404 and bad output both fail at once, so no backoff sleep runs
     with FixtureServer() as (server, base):
         if route == "malformed":
-            server.add_json("/", {"message": {"content": "not json"}})
+            server.transport.routes["/"] = json_response({"message": {"content": "not json"}})
         result = runner.invoke(main, [
             "research", "run", "--query", "TNF", "--oracle", base,
             "--workspace", str(tmp_path / "ws"),
         ], catch_exceptions=False)
-        assert server.route_hits("/") == (1 if route == "malformed" else 0)
-        assert len(server.request_log) == 1
+        assert server.transport.hits("/") == (1 if route == "malformed" else 0)
+        assert len(server.transport.requests) == 1
     assert result.exit_code == 1
     assert result.output.startswith(f"Error: oracle endpoint {base}")
     assert result.output.count("\n") == 1
 
 
 def test_research_run_reports_a_malformed_oracle_action_in_one_line(runner, tmp_path):
-    from biokgr.federation.mockserver import FixtureServer
-
     # one reply answers both the plan request and the action request
     reply = {"steps": [{"text": "survey", "hint": "bfrs"}],
              "action": "invoke_bfrs", "task": {"description": "TNF", "budget": 0}}
     with FixtureServer() as (server, base):
-        server.add_json("/", {"message": {"content": json.dumps(reply)}})
+        server.transport.routes["/"] = json_response({"message": {"content": json.dumps(reply)}})
         result = runner.invoke(main, [
             "research", "run", "--query", "TNF", "--oracle", base,
             "--workspace", str(tmp_path / "ws"),
         ], catch_exceptions=False)
-        assert server.route_hits("/") == 2
+        assert server.transport.hits("/") == 2
+        posted = [json.loads(json.loads(sent.body)["messages"][1]["content"])
+                  for sent in server.transport.requests]
+        assert [request["op"] for request in posted] == ["plan", "choose_action"]
     assert result.exit_code == 1
     assert result.output.startswith(f"Error: oracle endpoint {base} sent a malformed action")
     assert result.output.count("\n") == 1
 
 
 def test_research_run_reports_a_malformed_oracle_plan_in_one_line(runner, tmp_path):
-    from biokgr.federation.mockserver import FixtureServer
-
     with FixtureServer() as (server, base):
-        server.add_json("/", {"message": {"content": json.dumps({"steps": ["survey"]})}})
+        server.transport.routes["/"] = json_response(
+            {"message": {"content": json.dumps({"steps": ["survey"]})}})
         result = runner.invoke(main, [
             "research", "run", "--query", "TNF", "--oracle", base,
             "--workspace", str(tmp_path / "ws"),
         ], catch_exceptions=False)
-        assert server.route_hits("/") == 1
+        assert server.transport.hits("/") == 1
     assert result.exit_code == 1
     assert result.output.startswith(f"Error: oracle endpoint {base} sent a malformed plan")
     assert result.output.count("\n") == 1
@@ -288,10 +288,8 @@ def test_research_run_reports_an_unwritable_workspace_in_one_line(runner, tmp_pa
 
 
 def test_fetch_against_mock_server(runner, monkeypatch, tmp_path):
-    from biokgr.federation.mockserver import FixtureServer
-
     server = FixtureServer()
-    server.add_json("/query", {"hits": [{"symbol": "TP53", "entrezgene": 7157}]})
+    server.transport.routes["/query"] = json_response({"hits": [{"symbol": "TP53", "entrezgene": 7157}]})
     base = server.start()
     monkeypatch.setenv("BIOKGR_MYGENE_URL", base)
     try:

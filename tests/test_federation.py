@@ -1,4 +1,5 @@
 """Federation contracts: boolean queries, rate limiting, retries, unified search, HTTP."""
+import ast
 import contextlib
 import gc
 import json
@@ -9,6 +10,7 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from urllib.parse import urlparse
 
 import pytest
 
@@ -34,62 +36,10 @@ from biokgr.federation import (
 )
 from biokgr.federation import client as client_module
 from biokgr.federation.client import HttpTransport, RawResponse, RequestFailed, TransportError
-from biokgr.federation.mockserver import FixtureServer, MockResponse
+from biokgr.federation.mockserver import FixtureServer, MockTransport
 from biokgr.federation.unified import UnifiedRecord
 
-
-class FakeClock:
-    """Deterministic, thread-safe clock; sleep() advances time."""
-
-    def __init__(self):
-        self._now = 0.0
-        self._lock = threading.Lock()
-        self.slept = []
-
-    def now(self) -> float:
-        with self._lock:
-            return self._now
-
-    def sleep(self, seconds: float) -> None:
-        with self._lock:
-            self._now += max(seconds, 1e-6)
-            self.slept.append(seconds)
-
-
-class ScriptedTransport:
-    """Returns queued responses; records every send."""
-
-    def __init__(self, responses=None, default=None):
-        self.responses = list(responses or [])
-        self.default = default
-        self.sent = []
-
-    def send(self, method, url, params, headers, body):
-        self.sent.append((method, url, dict(params or {})))
-        if self.responses:
-            item = self.responses.pop(0)
-        else:
-            item = self.default
-        if item is None:
-            raise TransportError("no scripted response")
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-
-def json_response(payload, status=200):
-    return RawResponse(status=status, body=json.dumps(payload),
-                       headers={"Content-Type": "application/json"})
-
-
-def descriptor(source_id="mock", rate=1000.0, attempts=3, **kwargs):
-    return SourceDescriptor(
-        source_id=source_id,
-        base_url=f"http://{source_id}.test",
-        rate_limit_per_sec=rate,
-        retry=RetryPolicy(max_attempts=attempts, backoff_seconds=0.01),
-        **kwargs,
-    )
+from fedmock import FakeClock, descriptor, json_response, mock_registry, text_response
 
 
 # -- boolean queries -------------------------------------------------------------
@@ -159,12 +109,11 @@ def test_client_spaces_back_to_back_requests():
     clock = FakeClock()
     sent_at = []
 
-    class StampingTransport:
-        def send(self, method, url, params, headers, body):
-            sent_at.append(clock.now())
-            return json_response({"ok": True})
+    def stamp(request):
+        sent_at.append(clock.now())
+        return json_response({"ok": True})
 
-    client = KgClient(descriptor(rate=1.0), transport=StampingTransport(), clock=clock,
+    client = KgClient(descriptor(rate=1.0), transport=MockTransport({"": stamp}), clock=clock,
                       limiter=RateLimiter(clock), env={})
     client.fetch_with_policy(FetchRequest(path="/x"))
     client.fetch_with_policy(FetchRequest(path="/x"))
@@ -173,7 +122,7 @@ def test_client_spaces_back_to_back_requests():
 
 
 def test_attempt_counter_is_exact_under_concurrent_fetches():
-    transport = ScriptedTransport(default=json_response({"ok": True}))
+    transport = MockTransport({"": json_response({"ok": True})})
     clock = FakeClock()
     client = KgClient(descriptor(rate=math.inf), transport=transport, clock=clock,
                       limiter=RateLimiter(clock), env={})
@@ -204,7 +153,7 @@ def test_attempt_counter_is_exact_under_concurrent_fetches():
     finally:
         threading.settrace(None)
     assert not any(t.is_alive() for t in threads)
-    assert len(transport.sent) == 200
+    assert len(transport.requests) == 200
     assert client.attempts == 200
 
 
@@ -212,9 +161,7 @@ def test_attempt_counter_is_exact_under_concurrent_fetches():
 
 def test_retry_then_success():
     clock = FakeClock()
-    transport = ScriptedTransport(
-        responses=[json_response({}, status=500), json_response({"ok": 1})]
-    )
+    transport = MockTransport({"": [json_response({}, status=500), json_response({"ok": 1})]})
     client = KgClient(descriptor(attempts=2), transport=transport, clock=clock,
                       limiter=RateLimiter(clock), env={})
     assert client.fetch_with_policy(FetchRequest(path="/x")) == {"ok": 1}
@@ -223,9 +170,7 @@ def test_retry_then_success():
 
 def test_retry_exhaustion():
     clock = FakeClock()
-    transport = ScriptedTransport(
-        responses=[json_response({}, status=500), json_response({}, status=500)]
-    )
+    transport = MockTransport({"": json_response({}, status=500)})
     client = KgClient(descriptor(attempts=2), transport=transport, clock=clock,
                       limiter=RateLimiter(clock), env={})
     with pytest.raises(SourceUnavailable) as excinfo:
@@ -236,7 +181,7 @@ def test_retry_exhaustion():
 
 def test_nontransient_error_not_retried():
     clock = FakeClock()
-    transport = ScriptedTransport(responses=[json_response({}, status=404)])
+    transport = MockTransport({"": json_response({}, status=404)})
     client = KgClient(descriptor(attempts=3), transport=transport, clock=clock,
                       limiter=RateLimiter(clock), env={})
     with pytest.raises(RequestFailed):
@@ -246,9 +191,7 @@ def test_nontransient_error_not_retried():
 
 def test_transport_errors_are_transient():
     clock = FakeClock()
-    transport = ScriptedTransport(
-        responses=[TransportError("boom"), json_response({"ok": 1})]
-    )
+    transport = MockTransport({"": [TransportError("boom"), json_response({"ok": 1})]})
     client = KgClient(descriptor(attempts=2), transport=transport, clock=clock,
                       limiter=RateLimiter(clock), env={})
     assert client.fetch_with_policy(FetchRequest(path="/x")) == {"ok": 1}
@@ -256,7 +199,7 @@ def test_transport_errors_are_transient():
 
 def test_auth_missing():
     clock = FakeClock()
-    transport = ScriptedTransport(default=json_response({}))
+    transport = MockTransport({"": json_response({})})
     desc = descriptor(auth="api-key", api_key_env="MOCK_KEY")
     client = KgClient(desc, transport=transport, clock=clock,
                       limiter=RateLimiter(clock), env={})
@@ -270,35 +213,7 @@ def test_auth_missing():
 # -- unified search --------------------------------------------------------------------
 
 def two_source_registry():
-    return {
-        "mygene": SourceDescriptor(
-            source_id="mygene", base_url="http://mygene.test", priority=1,
-            rate_limit_per_sec=1000, search_path="/query",
-            retry=RetryPolicy(max_attempts=1),
-        ),
-        "kegg": SourceDescriptor(
-            source_id="kegg", base_url="http://kegg.test", priority=2,
-            rate_limit_per_sec=1000, protocol="flat-file", search_path="/find",
-            retry=RetryPolicy(max_attempts=1),
-        ),
-    }
-
-
-class RoutedTransport:
-    """Dispatch scripted responses by URL substring."""
-
-    def __init__(self, routes):
-        self.routes = routes
-        self.sent = []
-
-    def send(self, method, url, params, headers, body):
-        self.sent.append(url)
-        for key, item in self.routes.items():
-            if key in url:
-                if isinstance(item, Exception):
-                    raise item
-                return item
-        return RawResponse(status=404, body="{}")
+    return {k: v for k, v in mock_registry().items() if k in ("mygene", "kegg")}
 
 
 def mygene_payload():
@@ -307,14 +222,13 @@ def mygene_payload():
 
 
 def kegg_payload():
-    return RawResponse(status=200, body="hsa:7157\tTP53, BCC7; tumor protein p53",
-                       headers={"Content-Type": "text/plain"})
+    return text_response("hsa:7157\tTP53, BCC7; tumor protein p53")
 
 
 def make_federation(routes):
     return Federation(
         registry=two_source_registry(),
-        transport=RoutedTransport(routes),
+        transport=MockTransport(routes),
         clock=FakeClock(),
         env={},
     )
@@ -339,13 +253,10 @@ def test_unified_search_xref_enrichment_on_matching_ids():
                            "ensembl": {"gene": "ENSG00000141510"}}]}
     payload_b = {"results": [{"name": "TP53", "id": "7157", "hgnc_id": "HGNC:11998"}]}
     registry = two_source_registry()
-    registry["generic"] = SourceDescriptor(
-        source_id="generic", base_url="http://generic.test", priority=3,
-        rate_limit_per_sec=1000, retry=RetryPolicy(max_attempts=1),
-    )
+    registry["generic"] = descriptor("generic", attempts=1, priority=3)
     federation = Federation(
         registry=registry,
-        transport=RoutedTransport({
+        transport=MockTransport({
             "mygene.test": json_response(payload_a),
             "generic.test": json_response(payload_b),
         }),
@@ -405,6 +316,19 @@ def test_unified_search_empty_query():
         )
 
 
+@pytest.mark.parametrize("text, sources, limit", [
+    ("  ", ("mygene",), 10),
+    ("TP53", (), 10),
+    ("TP53", ("mygene",), 0),
+], ids=["blank-text", "no-sources", "zero-limit"])
+def test_unified_search_rejects_an_invalid_spec(text, sources, limit):
+    federation = make_federation({})
+    with pytest.raises(InvalidQuery):
+        federation.search_entities_unified(
+            QuerySpec(kind="gene", text=text, sources=sources, limit=limit)
+        )
+
+
 def test_unified_search_deterministic_ordering():
     routes = {"mygene.test": json_response(mygene_payload()), "kegg.test": kegg_payload()}
     spec = QuerySpec(kind="gene", text="TP53", sources=("kegg", "mygene"))
@@ -427,14 +351,9 @@ def relations_payload():
 
 
 def test_find_related_entities():
-    registry = two_source_registry()
-    registry["pubtator"] = SourceDescriptor(
-        source_id="pubtator", base_url="http://pubtator.test", priority=0,
-        rate_limit_per_sec=1000, retry=RetryPolicy(max_attempts=1),
-    )
     federation = Federation(
-        registry=registry,
-        transport=RoutedTransport({"pubtator.test": json_response(relations_payload())}),
+        registry=mock_registry(),
+        transport=MockTransport({"pubtator.test": json_response(relations_payload())}),
         clock=FakeClock(),
         env={},
     )
@@ -454,14 +373,9 @@ def test_find_related_unknown_predicate():
 
 
 def test_find_related_empty():
-    registry = two_source_registry()
-    registry["pubtator"] = SourceDescriptor(
-        source_id="pubtator", base_url="http://pubtator.test", priority=0,
-        rate_limit_per_sec=1000, retry=RetryPolicy(max_attempts=1),
-    )
     federation = Federation(
-        registry=registry,
-        transport=RoutedTransport({"pubtator.test": json_response({"relations": []})}),
+        registry=mock_registry(),
+        transport=MockTransport({"pubtator.test": json_response({"relations": []})}),
         clock=FakeClock(),
         env={},
     )
@@ -514,7 +428,7 @@ def test_persist_unwritable_directory(tmp_path):
 
 def test_end_to_end_against_mock_server():
     server = FixtureServer()
-    server.add_json("/query", mygene_payload())
+    server.transport.routes["/query"] = json_response(mygene_payload())
     base = server.start()
     try:
         registry = {
@@ -529,17 +443,15 @@ def test_end_to_end_against_mock_server():
             QuerySpec(kind="gene", text="TP53", sources=("mygene",))
         )
         assert result.records[0].name == "TP53"
-        assert server.request_log[0].path == "/query"
+        assert urlparse(server.transport.requests[0].url).path == "/query"
     finally:
         server.stop()
 
 
 def test_mock_server_retry_sequence():
     server = FixtureServer()
-    server.add_sequence(
-        "/query",
-        [MockResponse.json({}, status=500), MockResponse.json(mygene_payload())],
-    )
+    server.transport.routes["/query"] = [json_response({}, status=500),
+                                         json_response(mygene_payload())]
     base = server.start()
     try:
         desc = SourceDescriptor(
@@ -549,7 +461,7 @@ def test_mock_server_retry_sequence():
         client = KgClient(desc, env={})
         payload = client.fetch_with_policy(FetchRequest(path="/query", params={"q": "TP53"}))
         assert payload["hits"][0]["symbol"] == "TP53"
-        assert server.route_hits("/query") == 2
+        assert server.transport.hits("/query") == 2
     finally:
         server.stop()
 
@@ -562,17 +474,18 @@ def test_default_registry_loads_and_validates():
     assert all(d.retry.max_attempts >= 1 for d in registry.values())
 
 
-def test_graphql_source_uses_parameterized_template():
-    captured = {}
+@pytest.mark.parametrize("field, value", [("protocol", "flat-file"), ("auth", "session")])
+def test_descriptor_rejects_an_unknown_registry_value(field, value):
+    with pytest.raises(ValueError, match=value):
+        descriptor(**{field: value}).validate()
 
-    class CapturingTransport:
-        def send(self, method, url, params, headers, body):
-            captured.update({"method": method, "url": url, "body": body})
-            return json_response({
-                "data": {"search": {"hits": [
-                    {"id": "ENSG00000141510", "entity": "target", "name": "TP53"},
-                ]}}
-            })
+
+def test_graphql_source_uses_parameterized_template():
+    transport = MockTransport({"ot.test": json_response({
+        "data": {"search": {"hits": [
+            {"id": "ENSG00000141510", "entity": "target", "name": "TP53"},
+        ]}}
+    })})
 
     registry = {
         "opentargets": SourceDescriptor(
@@ -581,13 +494,13 @@ def test_graphql_source_uses_parameterized_template():
             retry=RetryPolicy(max_attempts=1), search_path="",
         )
     }
-    federation = Federation(registry=registry, transport=CapturingTransport(),
+    federation = Federation(registry=registry, transport=transport,
                             clock=FakeClock(), env={})
     result = federation.search_entities_unified(
         QuerySpec(kind="gene", text="TP53", sources=("opentargets",))
     )
-    assert captured["method"] == "POST"
-    body = json.loads(captured["body"])
+    assert transport.requests[0].method == "POST"
+    body = json.loads(transport.requests[0].body)
     assert "query EntitySearch" in body["query"]
     assert body["variables"] == {"queryString": "TP53", "entityNames": ["gene"], "size": 10}
     assert result.records[0].name == "TP53"
@@ -605,15 +518,16 @@ def test_graphql_source_uses_parameterized_template():
 ])
 def test_search_text_arrives_percent_encoded(text, path, query):
     with FixtureServer() as (server, base):
-        server.add_json("/query", mygene_payload())
-        server.add_text("/find", "hsa:7157\tTP53, BCC7; tumor protein p53")
+        server.transport.routes.update({"/query": json_response(mygene_payload()),
+                                        "/find": kegg_payload()})
         federation = Federation(registry=two_source_registry(),
                                 env={"BIOKGR_MYGENE_URL": base, "BIOKGR_KEGG_URL": base})
         result = federation.search_entities_unified(
             QuerySpec(kind="gene", text=text, sources=("mygene", "kegg"))
         )
     assert all(status.ok for status in result.statuses)
-    logged = {record.path.split("/")[1]: record for record in server.request_log}
+    logged = {url.path.split("/")[1]: url
+              for url in (urlparse(sent.url) for sent in server.transport.requests)}
     assert logged["find"].path == f"/find/genes/{path}"
     assert logged["query"].query == f"q={query}&size=10"
 
@@ -624,9 +538,9 @@ def test_search_text_arrives_percent_encoded(text, path, query):
 ])
 def test_transport_user_agent(headers, agent):
     with FixtureServer() as (server, base):
-        server.add_json("/x", {})
+        server.transport.routes["/x"] = json_response({})
         HttpTransport().send("GET", f"{base}/x", {}, headers, None)
-    assert server.request_log[0].headers["user-agent"] == agent
+    assert server.transport.requests[0].headers["user-agent"] == agent
 
 
 @contextlib.contextmanager
@@ -690,7 +604,7 @@ def test_transport_maps_a_broken_reply_to_transport_error(monkeypatch, reply, ho
 
 def test_transport_returns_an_error_status_as_a_response():
     with FixtureServer() as (server, base):
-        server.add_json("/missing", {"error": "no such gene"}, status=404)
+        server.transport.routes["/missing"] = json_response({"error": "no such gene"}, status=404)
         with no_resource_warning():
             response = HttpTransport().send("GET", f"{base}/missing", {}, {}, None)
     assert response.status == 404
@@ -704,13 +618,49 @@ def test_transport_returns_an_error_status_as_a_response():
 ])
 def test_transport_decodes_with_the_content_type_charset(content_type, body):
     with FixtureServer() as (server, base):
-        server.add_sequence("/t", [MockResponse(body="TNF\u03b1", content_type=content_type)])
+        server.transport.routes["/t"] = RawResponse(200, "TNF\u03b1", {"Content-Type": content_type})
         response = HttpTransport().send("GET", f"{base}/t", {}, {}, None)
     assert response.body == body
 
 
 def test_transport_reports_an_unknown_charset():
     with FixtureServer() as (server, base):
-        server.add_sequence("/t", [MockResponse(body="TNF", content_type="text/plain; charset=nope")])
+        server.transport.routes["/t"] = RawResponse(200, "TNF", {"Content-Type": "text/plain; charset=nope"})
         with pytest.raises(TransportError, match="nope"):
             HttpTransport().send("GET", f"{base}/t", {}, {}, None)
+
+
+# -- mock transport ------------------------------------------------------------------------
+
+def test_mock_transport_routes_logs_and_counts():
+    transport = MockTransport({
+        "a.test": [json_response({}, status=503), text_response("ok")],
+        "b.test": lambda request: text_response(request.params["q"]),
+        "c.test": TransportError("down"),
+    })
+    assert [transport.send("GET", "http://a.test/x", {}, {}, None).status
+            for _ in range(3)] == [503, 200, 200]
+    assert transport.send("GET", "http://b.test/y", {"q": "TP53"}, {}, None).body == "TP53"
+    with pytest.raises(TransportError, match="down"):
+        transport.send("GET", "http://c.test/z", {}, {}, None)
+    assert transport.send("POST", "http://d.test/", {}, {}, "{}").status == 404
+    assert [transport.hits(key) for key in ("a.test", "b.test", "c.test")] == [3, 1, 1]
+    assert [(sent.method, sent.url, sent.body) for sent in transport.requests[-2:]] == [
+        ("GET", "http://c.test/z", None), ("POST", "http://d.test/", "{}")]
+    assert len(transport.requests) == 6
+
+
+def test_only_the_http_and_mock_transports_implement_send():
+    root = Path(__file__).resolve().parents[1]
+    transports = set()
+    for path in sorted([*root.joinpath("src").rglob("*.py"), *root.joinpath("tests").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "send"
+                and [a.arg for a in item.args.args] == ["self", "method", "url", "params",
+                                                        "headers", "body"]
+                for item in node.body
+            ):
+                transports.add((path.relative_to(root).as_posix(), node.name))
+    assert transports == {("src/biokgr/federation/client.py", "HttpTransport"),
+                          ("src/biokgr/federation/mockserver.py", "MockTransport")}
