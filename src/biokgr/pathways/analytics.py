@@ -5,18 +5,21 @@ compiled by `SignedPathwayGraph.topology()` or `ReactionGraph.topology()`,
 with betweenness, SCCs, cyclic and terminal nodes cached on first use. A
 curator holds one topology per item; the module functions build one per call.
 
-Path polarity walks the simple paths from a gene once for all its endpoints,
-with a path cap per endpoint and exact distance pruning, over an integer index
-compiled on first use; the pruned successor lists are cached per endpoint set,
-so a curator's calls for every candidate gene share them.
+Every analytic but k-step runs over one integer index, compiled on first use
+with ids in name order. Path polarity walks the simple paths from a gene once
+for all its endpoints, with a path cap per endpoint and exact distance
+pruning; the pruned successor lists are cached per endpoint set, so a
+curator's calls for every candidate gene share them. Betweenness is Brandes'
+algorithm (J. Math. Sociol. 25(2), 2001): a BFS per source that counts
+shortest paths, then dependencies accumulated in reverse BFS order. SCCs are
+Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with an explicit stack in
+place of recursion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
-
-import networkx as nx
 
 if TYPE_CHECKING:
     from biokgr.pathways.graphs import ReactionGraph, SignedPathwayGraph
@@ -49,17 +52,18 @@ class Topology:
 
     Built from the declared nodes and `(source, target, weight)` edges. Edge
     endpoints need not be declared; they take part in paths, betweenness and
-    SCCs but are never members of `nodes`. The cached results are shared
-    between readers and must not be mutated.
+    SCCs but are never members of `nodes`. Betweenness (Brandes) and SCCs
+    (iterative Tarjan) are computed over the integer index that path polarity
+    uses; betweenness treats the graph as simple, so parallel edges count once
+    and self-loops add nothing. The cached results are shared between readers
+    and must not be mutated.
     """
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str, int]]):
-        self._order = list(nodes)
-        self._edges = list(edges)
-        self.nodes = frozenset(self._order)
-        self.successors: dict[str, list[tuple[str, int]]] = {n: [] for n in self._order}
+        self.successors: dict[str, list[tuple[str, int]]] = {n: [] for n in nodes}
+        self.nodes = frozenset(self.successors)
         self.predecessors: dict[str, list[tuple[str, int]]] = {}
-        for src, dst, weight in self._edges:
+        for src, dst, weight in edges:
             self.successors.setdefault(src, []).append((dst, weight))
             self.predecessors.setdefault(dst, []).append((src, weight))
         for out in self.successors.values():
@@ -67,30 +71,25 @@ class Topology:
         self._withins: dict[frozenset[int], list[list[list[tuple[int, int]]]]] = {}
 
     @cached_property
-    def _networkx(self) -> nx.DiGraph:
-        # declared nodes first, then edges in their stored order, so that
-        # networkx iterates (and betweenness sums) in a fixed order
-        g = nx.DiGraph()
-        g.add_nodes_from(self._order)
-        g.add_edges_from((src, dst) for src, dst, _w in self._edges)
-        return g
-
-    @cached_property
     def betweenness(self) -> dict[str, float]:
-        """Unnormalized directed betweenness centrality with unit edge lengths."""
-        return dict(nx.betweenness_centrality(self._networkx, normalized=False))
+        """Unnormalized directed betweenness centrality with unit edge lengths,
+        keyed by node name in name order."""
+        ids, successors, _predecessors = self._index
+        return dict(zip(ids, _brandes(successors)))
 
     @cached_property
     def components(self) -> list[set[str]]:
         """Strongly connected components, ordered by their smallest member."""
-        components = [set(c) for c in nx.strongly_connected_components(self._networkx)]
+        names = list(self._index[0])
+        components = [{names[v] for v in c} for c in _tarjan(self._index[1])]
         return sorted(components, key=min)
 
     @cached_property
     def cyclic(self) -> set[str]:
         """Nodes on a directed cycle: members of a multi-node SCC or a self-loop."""
         cyclic = {n for c in self.components if len(c) > 1 for n in c}
-        return cyclic | {src for src, dst, _w in self._edges if src == dst}
+        ids, successors, _predecessors = self._index
+        return cyclic | {n for n, v in ids.items() if any(w == v for w, _s in successors[v])}
 
     @cached_property
     def terminals(self) -> set[str]:
@@ -232,6 +231,90 @@ class Topology:
             frontier = {m for n in frontier for m, _w in step.get(n, ())} - reached - {node}
             reached |= frontier
         return reached
+
+
+def _brandes(successors: list[list[tuple[int, int]]]) -> list[float]:
+    """Unnormalized betweenness of each id, by Brandes (2001).
+
+    One BFS per source counts the shortest paths to every node (`sigma`) and
+    records each node's predecessors on them; walking the BFS order backwards
+    then accumulates each node's dependency on the source. Parallel edges
+    count once and self-loops never lie on a shortest path.
+    """
+    n = len(successors)
+    out = [list(dict.fromkeys(w for w, _sign in adjacent)) for adjacent in successors]
+    centrality = [0.0] * n
+    for source in range(n):
+        distance = [-1] * n
+        distance[source] = 0
+        sigma = [0.0] * n
+        sigma[source] = 1.0
+        preds: list[list[int]] = [[] for _ in range(n)]
+        order = [source]
+        for v in order:  # the BFS queue: iteration reaches the nodes appended below
+            step = distance[v] + 1
+            for w in out[v]:
+                if distance[w] < 0:
+                    distance[w] = step
+                    order.append(w)
+                if distance[w] == step:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(order):
+            coeff = (1 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != source:
+                centrality[w] += delta[w]
+    return centrality
+
+
+def _tarjan(successors: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Strongly connected components of the ids, by Tarjan (1972).
+
+    The depth-first search keeps an explicit stack of successor iterators, so
+    no graph is too deep for it. `low[v]` is the smallest visit number that v
+    reaches through nodes not yet in a component; v roots a component when
+    that is its own visit number.
+    """
+    n = len(successors)
+    visit = [0] * n  # 1-based visit numbers; 0 until visited
+    low = [0] * n
+    finished = n + 1  # the low of a node once its component is emitted
+    pending: list[int] = []  # visited nodes not yet in a component
+    components = []
+    count = 0
+    for root in range(n):
+        if visit[root]:
+            continue
+        count += 1
+        visit[root] = low[root] = count
+        pending.append(root)
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            v, out = stack[-1]
+            for w, _sign in out:
+                if not visit[w]:
+                    count += 1
+                    visit[w] = low[w] = count
+                    pending.append(w)
+                    stack.append((w, iter(successors[w])))
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                stack.pop()
+                if low[v] == visit[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        w = pending.pop()
+                        low[w] = finished
+                        component.append(w)
+                    components.append(component)
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+    return components
 
 
 def path_polarity(

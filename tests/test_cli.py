@@ -1,4 +1,5 @@
 """CLI surface: every documented subcommand works end to end on fixtures."""
+import ast
 import json
 import os
 import subprocess
@@ -304,11 +305,25 @@ def test_fetch_against_mock_server(runner, monkeypatch, tmp_path):
         server.stop()
 
 
-def test_cli_import_loads_no_third_party_http_client():
+def test_cli_import_loads_neither_networkx_nor_an_http_client():
     src = str(Path(biokgr.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, biokgr.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    code = ("import sys, biokgr.cli; "
+            "print(sorted({'networkx', 'requests', 'urllib3'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_src_imports_only_the_stdlib_click_and_biokgr():
+    src = Path(biokgr.__file__).resolve().parents[1]
+    allowed = sys.stdlib_module_names | {"biokgr", "click"}
+    imported = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    assert imported <= allowed, sorted(imported - allowed)

@@ -249,24 +249,23 @@ def test_unified_search_merges_and_attributes():
 
 
 def test_unified_search_xref_enrichment_on_matching_ids():
-    payload_a = {"hits": [{"symbol": "TP53", "entrezgene": 7157,
-                           "ensembl": {"gene": "ENSG00000141510"}}]}
-    payload_b = {"results": [{"name": "TP53", "id": "7157", "hgnc_id": "HGNC:11998"}]}
-    registry = two_source_registry()
-    registry["generic"] = descriptor("generic", attempts=1, priority=3)
+    # mygene and pubtator both name the gene by its Entrez id
+    registry = {k: v for k, v in mock_registry().items() if k in ("mygene", "pubtator")}
     federation = Federation(
         registry=registry,
         transport=MockTransport({
-            "mygene.test": json_response(payload_a),
-            "generic.test": json_response(payload_b),
+            "mygene.test": json_response(mygene_payload()),
+            "pubtator.test": json_response(
+                {"results": [{"name": "TP53", "curie": "HGNC:11998", "entrez": 7157}]}),
         }),
         clock=FakeClock(),
         env={},
     )
-    # generic adapter lifts "id" into xrefs; rename to entrez via raw:: use id key
-    spec = QuerySpec(kind="gene", text="TP53", sources=("mygene", "generic"))
-    result = federation.search_entities_unified(spec)
-    assert len(result.records) == 2
+    spec = QuerySpec(kind="gene", text="TP53", sources=("mygene", "pubtator"))
+    mygene, pubtator = federation.search_entities_unified(spec).records
+    assert mygene.xrefs == pubtator.xrefs == {
+        "entrez": "7157", "ensembl": "ENSG00000141510", "symbol": "TP53", "curie": "HGNC:11998"}
+    assert mygene.xref_conflicts == pubtator.xref_conflicts == []
 
 
 def test_unified_search_conflicting_ids_recorded_side_by_side():

@@ -2,7 +2,6 @@
 import hashlib
 import random
 
-import networkx as nx
 import pytest
 
 from biokgr.curation.flux import (
@@ -22,7 +21,7 @@ from biokgr.curation.target_id import (
     nearest_rank_percentile,
 )
 from biokgr.curation.items import write_items_jsonl
-from biokgr.pathways import parse_kgml
+from biokgr.pathways import analytics, parse_kgml
 from biokgr.pathways.analytics import MAX_PATHS_PER_PAIR
 from biokgr.pathways.families import annotate_functional_types
 from biokgr.pathways.graphs import PathwayNode, SignedEdge, SignedPathwayGraph
@@ -285,14 +284,14 @@ def count_calls(monkeypatch, module, name) -> list[int]:
 
 
 def test_target_item_computes_betweenness_once(uc_graph, monkeypatch):
-    calls = count_calls(monkeypatch, nx, "betweenness_centrality")
+    calls = count_calls(monkeypatch, analytics, "_brandes")
     build_target_item(uc_graph, PROFILES["infection"], seed=42)
     assert len(calls) == 1
 
 
 def test_flux_item_computes_the_scc_partition_once(shmt2, monkeypatch):
     graph, rg = shmt2
-    calls = count_calls(monkeypatch, nx, "strongly_connected_components")
+    calls = count_calls(monkeypatch, analytics, "_tarjan")
     build_flux_item(graph, rg, "SHMT2", seed=3)
     assert len(calls) == 1
 

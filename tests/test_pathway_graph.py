@@ -1,6 +1,7 @@
 """KGML/flat parsing and graph analytics against brute-force oracles."""
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -429,6 +430,22 @@ def test_one_walk_per_gene_equals_one_dfs_per_endpoint(case):
     for gene in declared:
         ours = topology.path_polarity(gene, endpoints, max_paths)
         assert ours == capped_polarity_reference(topology, gene, endpoints, max_paths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polarity_cases())
+def test_betweenness_and_sccs_match_networkx(case):
+    declared, edges, _endpoints, _max_paths = case
+    topology = Topology(declared, edges)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(declared)
+    graph.add_edges_from((src, dst) for src, dst, _sign in edges)
+    expected = nx.betweenness_centrality(graph, normalized=False)
+    # every node, undeclared edge endpoints included
+    assert topology.betweenness.keys() == expected.keys()
+    for node, value in expected.items():
+        assert abs(topology.betweenness[node] - value) < 1e-9
+    assert topology.components == sorted(map(set, nx.strongly_connected_components(graph)), key=min)
 
 
 def test_cap_keeps_the_lexicographic_prefix_per_endpoint():
