@@ -172,7 +172,7 @@ class OrchestratorRunner:
         if isinstance(action, AnalyzeWorkspace):
             try:
                 out = run_analysis(state.workspace, action.spec)
-            except (AnalysisError, KeyError) as exc:
+            except AnalysisError as exc:
                 self._mark(state, "analyze", outcome="failed", note=str(exc))
                 return f"analysis failed: {exc}"
             self._mark(state, "analyze")

@@ -3,7 +3,8 @@
 Agents act on retrieved data through a closed set of deterministic table
 operations (filter, join, aggregate, extract, dedup) over workspace files
 instead of free-form code execution. Every saved artifact is registered in
-`manifest.json` with a one-sentence description.
+`manifest.json` with a one-sentence description. Paths come from the oracle,
+possibly an outside service, so one that resolves outside the root is refused.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ class Workspace:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise WorkspaceUnavailable(f"cannot create workspace {root}: {exc}") from exc
+        self._resolved_root = self.root.resolve()
         self._manifest_path = self.root / "manifest.json"
         self._files: dict[str, str] = {}  # registered path -> description
         if self._manifest_path.exists():
@@ -64,12 +66,19 @@ class Workspace:
         self._write_manifest()
 
     def exists(self, relpath: str) -> bool:
-        return (self.root / relpath).exists()
+        return self._path(relpath).exists()
+
+    def _path(self, relpath: str) -> Path:
+        """`relpath` under the root; refused if it resolves outside (`..`, absolute, symlink)."""
+        path = (self.root / relpath).resolve()
+        if not path.is_relative_to(self._resolved_root):
+            raise WorkspaceUnavailable(f"{relpath!r} resolves outside the workspace {self.root}")
+        return path
 
     # -- writers ------------------------------------------------------------------
 
     def _open_out(self, relpath: str):
-        path = self.root / relpath
+        path = self._path(relpath)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             return open(path, "w", encoding="utf-8", newline="")
@@ -92,9 +101,9 @@ class Workspace:
 
     def read_text(self, relpath: str) -> str:
         try:
-            with open(self.root / relpath, "r", encoding="utf-8") as fh:
+            with open(self._path(relpath), "r", encoding="utf-8") as fh:
                 return fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise WorkspaceUnavailable(f"cannot read {relpath}: {exc}") from exc
 
     def read_table(self, relpath: str) -> list[dict]:
@@ -109,6 +118,13 @@ class Workspace:
         return [dict(row) for row in reader]
 
 
+def _field(spec: dict, name: str, kind: type = str):
+    value = spec.get(name)
+    if not isinstance(value, kind):
+        raise AnalysisError(f"analysis spec needs {name!r} of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def run_analysis(workspace: Workspace, spec: dict) -> str:
     """Execute one typed analysis action; returns the output file's relpath.
 
@@ -118,28 +134,37 @@ def run_analysis(workspace: Workspace, spec: dict) -> str:
       aggregate  {input, group_by, out}            (count per group)
       extract    {input, pattern, out}             (regex findall over the file text)
       dedup      {input, key, out}
+
+    A malformed spec, an input that is missing, not text or not a table, and a
+    path outside the workspace raise `AnalysisError`.
     """
+    try:
+        return _apply(workspace, spec)
+    except (WorkspaceUnavailable, ValueError, re.error) as exc:  # ValueError: bad JSON, NUL path
+        raise AnalysisError(str(exc)) from exc
+
+
+def _apply(workspace: Workspace, spec: dict) -> str:
     op = spec.get("op")
-    out = spec.get("out")
-    if not op or not out:
-        raise AnalysisError("analysis spec needs 'op' and 'out'")
+    out = _field(spec, "out")
 
     if op == "filter":
-        rows = workspace.read_table(spec["input"])
+        rows = workspace.read_table(_field(spec, "input"))
         if "where" in spec:
-            where = spec["where"]
+            where = _field(spec, "where", dict)
             rows = [r for r in rows if all(str(r.get(k, "")) == str(v) for k, v in where.items())]
         elif "contains" in spec:
-            col, text = spec["contains"]["col"], spec["contains"]["text"]
+            contains = _field(spec, "contains", dict)
+            col, text = _field(contains, "col"), _field(contains, "text")
             rows = [r for r in rows if text.casefold() in str(r.get(col, "")).casefold()]
         else:
             raise AnalysisError("filter needs 'where' or 'contains'")
         return workspace.save_json(out, rows, f"filter of {spec['input']}")
 
     if op == "join":
-        left = workspace.read_table(spec["left"])
-        right = workspace.read_table(spec["right"])
-        on = spec["on"]
+        left = workspace.read_table(_field(spec, "left"))
+        right = workspace.read_table(_field(spec, "right"))
+        on = _field(spec, "on")
         index: dict[str, dict] = {}
         for row in right:
             index.setdefault(str(row.get(on, "")), row)
@@ -153,8 +178,8 @@ def run_analysis(workspace: Workspace, spec: dict) -> str:
         return workspace.save_json(out, joined, f"join of {spec['left']} and {spec['right']}")
 
     if op == "aggregate":
-        rows = workspace.read_table(spec["input"])
-        group_by = spec["group_by"]
+        rows = workspace.read_table(_field(spec, "input"))
+        group_by = _field(spec, "group_by")
         counts: dict[str, int] = {}
         for row in rows:
             key = str(row.get(group_by, ""))
@@ -163,13 +188,13 @@ def run_analysis(workspace: Workspace, spec: dict) -> str:
         return workspace.save_json(out, table, f"counts of {spec['input']} by {group_by}")
 
     if op == "extract":
-        text = workspace.read_text(spec["input"])
-        matches = sorted(set(re.findall(spec["pattern"], text)))
+        text = workspace.read_text(_field(spec, "input"))
+        matches = sorted(set(re.findall(_field(spec, "pattern"), text)))
         return workspace.save_json(out, matches, f"regex extraction from {spec['input']}")
 
     if op == "dedup":
-        rows = workspace.read_table(spec["input"])
-        key = spec["key"]
+        rows = workspace.read_table(_field(spec, "input"))
+        key = _field(spec, "key")
         seen: set[str] = set()
         deduped = []
         for row in rows:

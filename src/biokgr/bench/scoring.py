@@ -45,7 +45,7 @@ def _parse_labels(prediction) -> list[str]:
     return [p for p in parts if p]
 
 
-def _parse_pmids(prediction) -> list[int]:
+def parse_pmids(prediction) -> list[int]:
     values = prediction if isinstance(prediction, (list, tuple)) else (
         str(prediction).replace(";", ",").split(",")
     )
@@ -61,7 +61,7 @@ def score_item(item: BenchItem, prediction) -> dict:
     """Score one prediction; malformed input scores zero with a flag."""
     if item.family == EBM_FAMILY:
         truth = frozenset(int(p) for p in item.answer_key)
-        ranked = _parse_pmids(prediction)
+        ranked = parse_pmids(prediction)
         if not ranked:
             return {"score": 0.0, "gap_detected": False, "recall_at_k": 0.0,
                     "malformed": True}

@@ -16,7 +16,7 @@ from biokgr import bench as bench_mod
 from biokgr import evidence
 from biokgr import read_jsonl
 from biokgr.agents import DefaultOracle, HttpOracle, OracleUnavailable, OrchestratorRunner
-from biokgr.bench.scoring import load_predictions, run_suite, write_report
+from biokgr.bench.scoring import load_predictions, parse_pmids, run_suite, write_report
 from biokgr.curation import ebm
 from biokgr.curation.items import write_items_jsonl
 from biokgr.curation.regimen import (
@@ -357,8 +357,7 @@ def score_ebm(tasks_path, preds_path, k):
     predictions = {row["base_doi"]: row.get("ranked", []) for row in read_jsonl(preds_path)}
     results = []
     for task in tasks:
-        ranked = [int(str(p).removeprefix("PMID:")) for p in
-                  predictions.get(task["base_doi"], [])]
+        ranked = parse_pmids(predictions.get(task["base_doi"], []))
         truth = frozenset(task["truth"])
         if not ranked:
             results.append({"base_doi": task["base_doi"], "gap_detected": False,

@@ -63,17 +63,10 @@ def target_facts(rg: ReactionGraph, target: str) -> TargetFacts:
     if not rg.reactions_for_gene(target):
         raise TargetNotInPathway(f"{target!r} is not linked to any reaction")
     topology = rg.topology()
-    products = set(rg.gene_products(target))
-    substrates = set(rg.gene_substrates(target))
-    down = set(products)
-    reachable = set(products)
-    for p in products:
-        down |= topology.k_step_neighborhood(p, FLUX_STEP_LIMIT - 1, "downstream")
-        reachable |= topology.k_step_neighborhood(p, REACHABILITY_LIMIT, "downstream")
-    up = set(substrates)
-    for s in substrates:
-        up |= topology.k_step_neighborhood(s, FLUX_STEP_LIMIT - 1, "upstream")
-    return TargetFacts(down, up, reachable, topology.terminals, topology.cyclic)
+    downstream = topology.distances(rg.gene_products(target), REACHABILITY_LIMIT)
+    down = {n for n, steps in downstream.items() if steps < FLUX_STEP_LIMIT}
+    up = set(topology.distances(rg.gene_substrates(target), FLUX_STEP_LIMIT - 1, "upstream"))
+    return TargetFacts(down, up, set(downstream), topology.terminals, topology.cyclic)
 
 
 def classify_flux_option(facts: TargetFacts, option: FluxOption) -> GainScore:

@@ -83,24 +83,6 @@ def categorize_context(record: KeggFlatRecord) -> TherapeuticContext:
     return TherapeuticContext("other", "none")
 
 
-def _bidirectional_depths(graph: SignedPathwayGraph, roots: list[str]) -> dict[str, int]:
-    topology = graph.topology()
-    depths = {root: 0 for root in roots if root in topology.nodes}
-    frontier = list(depths)
-    depth = 0
-    while frontier and depth < TRAVERSAL_DEPTH_LIMIT:
-        depth += 1
-        nxt = []
-        for node in frontier:
-            around = topology.successors.get(node, []) + topology.predecessors.get(node, [])
-            for neighbor, _w in around:
-                if neighbor not in depths:
-                    depths[neighbor] = depth
-                    nxt.append(neighbor)
-        frontier = nxt
-    return depths
-
-
 def map_targets(record: KeggFlatRecord, graph: SignedPathwayGraph) -> list[str]:
     """Record target symbols present in the merged graph (by symbol or alias)."""
     aliases: dict[str, str] = {}
@@ -126,7 +108,7 @@ def infer_downstream_processes(
     roots = map_targets(record, graph)
     if not roots:
         raise NoMappedTarget(f"{record.accession} has no target mapped into the graphs")
-    depths = _bidirectional_depths(graph, roots)
+    depths = graph.topology().distances(roots, TRAVERSAL_DEPTH_LIMIT, "both")
     matches: list[ProcessMatch] = []
     for process, spec in sorted(load_data("process_markers.json")["processes"].items()):
         reached = {

@@ -24,6 +24,7 @@ from biokgr.federation.unified import (
     AllSourcesFailed,
     Federation,
     FetchResult,
+    MalformedResponse,
     SourceStatus,
     UnifiedRecord,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "AllSourcesFailed",
     "Federation",
     "FetchResult",
+    "MalformedResponse",
     "SourceStatus",
     "UnifiedRecord",
     "WorkspaceUnavailable",

@@ -44,6 +44,10 @@ class AllSourcesFailed(FederationError):
     pass
 
 
+class MalformedResponse(FederationError):
+    """A source answered with a body its adapter cannot read (an HTML page, a wrong shape)."""
+
+
 @dataclass
 class UnifiedRecord:
     name: str
@@ -173,6 +177,25 @@ def _adapt_opentargets(payload, limit: int) -> list[UnifiedRecord]:
     ]
 
 
+def _adapt_relations(payload, source_id: str) -> list[tuple[EntityRef, list[str]]]:
+    related: list[tuple[EntityRef, list[str]]] = []
+    for row in (payload or {}).get("relations", []):
+        kind = _KIND_MAP.get(str(row.get("kind", "")).lower(), "FINDING")
+        ref = EntityRef(
+            name=row.get("name", ""),
+            kind=kind,
+            curie=row.get("curie"),
+            source=source_id,
+        )
+        pmids = [str(p) for p in row.get("pmids", [])]
+        related.append((ref, pmids))
+    return related
+
+
+def _adapt_citations(payload) -> list[str]:
+    return [str(p) for p in payload.get("citations") or payload.get("linked") or []]
+
+
 ADAPTERS = {
     "mygene": _adapt_mygene,
     "kegg": _adapt_kegg,
@@ -248,6 +271,15 @@ class Federation:
             raise InvalidQuery(f"unknown source {source_id!r}")
         return self.clients[source_id]
 
+    def _fetch(self, source_id: str, request: FetchRequest, adapter, *args):
+        """`adapter(body, *args)` on the answer to `request`; raises `MalformedResponse`."""
+        payload = self.client(source_id).fetch_with_policy(request)
+        try:
+            return adapter(payload, *args)
+        except (AttributeError, TypeError) as exc:
+            raise MalformedResponse(
+                f"{source_id} sent a body its adapter cannot read: {exc}") from exc
+
     # -- unified entity search ------------------------------------------------
 
     def search_entities_unified(self, spec: QuerySpec) -> FetchResult:
@@ -266,12 +298,9 @@ class Federation:
         per_source: dict[str, list[UnifiedRecord]] = {}
 
         def run_one(source_id: str):
-            descriptor = self.registry[source_id]
-            adapter = ADAPTERS.get(source_id, _adapt_generic)
-            payload = self.client(source_id).fetch_with_policy(
-                _search_request(descriptor, spec)
-            )
-            return adapter(payload, spec.limit)
+            request = _search_request(self.registry[source_id], spec)
+            return self._fetch(source_id, request, ADAPTERS.get(source_id, _adapt_generic),
+                               spec.limit)
 
         with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(ordered))) as pool:
             futures = {source_id: pool.submit(run_one, source_id) for source_id in ordered}
@@ -319,39 +348,19 @@ class Federation:
     ) -> list[tuple[EntityRef, list[str]]]:
         """Entities related to `entity` under a typed predicate, with PMID evidence."""
         predicate = validate_predicate(predicate)
-        client = self.client(source_id)
-        payload = client.fetch_with_policy(
-            FetchRequest(
-                path="/relations",
-                params={"e1": entity.curie or entity.name, "type": predicate},
-            )
+        request = FetchRequest(
+            path="/relations",
+            params={"e1": entity.curie or entity.name, "type": predicate},
         )
-        related: list[tuple[EntityRef, list[str]]] = []
-        for row in (payload or {}).get("relations", []):
-            kind = _KIND_MAP.get(str(row.get("kind", "")).lower(), "FINDING")
-            ref = EntityRef(
-                name=row.get("name", ""),
-                kind=kind,
-                curie=row.get("curie"),
-                source=source_id,
-            )
-            pmids = [str(p) for p in row.get("pmids", [])]
-            related.append((ref, pmids))
-        return related
+        return self._fetch(source_id, request, _adapt_relations, source_id)
 
     # -- citation lookup ----------------------------------------------------------
 
     def fetch_citations(self, pmid: str, source_id: str = "pubmed") -> list[str]:
         """PMIDs cited by / citing the given paper, for citation-chain traversal."""
-        client = self.client(source_id)
-        payload = client.fetch_with_policy(
-            FetchRequest(path="/elink.fcgi",
-                         params={"dbfrom": "pubmed", "id": pmid, "retmode": "json"})
-        )
-        if isinstance(payload, dict):
-            linked = payload.get("citations") or payload.get("linked") or []
-            return [str(p) for p in linked]
-        return []
+        request = FetchRequest(path="/elink.fcgi",
+                               params={"dbfrom": "pubmed", "id": pmid, "retmode": "json"})
+        return self._fetch(source_id, request, _adapt_citations)
 
 
 def _merge_xrefs(records: list[UnifiedRecord]) -> None:

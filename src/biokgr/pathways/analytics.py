@@ -5,15 +5,16 @@ compiled by `SignedPathwayGraph.topology()` or `ReactionGraph.topology()`,
 with betweenness, SCCs, cyclic and terminal nodes cached on first use. A
 curator holds one topology per item; the module functions build one per call.
 
-Every analytic but k-step runs over one integer index, compiled on first use
-with ids in name order. Path polarity walks the simple paths from a gene once
-for all its endpoints, with a path cap per endpoint and exact distance
-pruning; the pruned successor lists are cached per endpoint set, so a
-curator's calls for every candidate gene share them. Betweenness is Brandes'
-algorithm (J. Math. Sociol. 25(2), 2001): a BFS per source that counts
-shortest paths, then dependencies accumulated in reverse BFS order. SCCs are
-Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with an explicit stack in
-place of recursion.
+Every analytic runs over one integer index built with the topology: ids in
+name order, sorted `(id, weight)` successors and predecessor ids. One
+breadth-first search, `Topology.distances`, serves k-step, flux and surrogate
+reach and the pruning of path polarity, which walks the simple paths from a
+gene once for all its endpoints, with a path cap per endpoint; the pruned
+successor lists are cached per endpoint set, so a curator's calls for every
+candidate gene share them. Betweenness is Brandes' algorithm (J. Math.
+Sociol. 25(2), 2001): a BFS per source that counts shortest paths, then
+dependencies accumulated in reverse BFS order. SCCs are Tarjan's algorithm
+(SIAM J. Comput. 1(2), 1972) with an explicit stack in place of recursion.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ if TYPE_CHECKING:
 
 MAX_PATH_EDGES = 8
 MAX_PATHS_PER_PAIR = 10_000
+DIRECTIONS = ("downstream", "upstream", "both")
 
 
 class NodeNotFound(Exception):
@@ -52,49 +54,49 @@ class Topology:
 
     Built from the declared nodes and `(source, target, weight)` edges. Edge
     endpoints need not be declared; they take part in paths, betweenness and
-    SCCs but are never members of `nodes`. Betweenness (Brandes) and SCCs
-    (iterative Tarjan) are computed over the integer index that path polarity
-    uses; betweenness treats the graph as simple, so parallel edges count once
-    and self-loops add nothing. The cached results are shared between readers
-    and must not be mutated.
+    SCCs but are never members of `nodes`. Betweenness treats the graph as
+    simple, so parallel edges count once and self-loops add nothing. The
+    cached results are shared between readers and must not be mutated.
     """
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str, int]]):
-        self.successors: dict[str, list[tuple[str, int]]] = {n: [] for n in nodes}
-        self.nodes = frozenset(self.successors)
-        self.predecessors: dict[str, list[tuple[str, int]]] = {}
+        self.nodes = frozenset(nodes)
+        edges = list(edges)
+        # ids follow name order, so sorting successors by id sorts them by name
+        self._names = sorted(self.nodes.union(*((src, dst) for src, dst, _w in edges)))
+        self._ids = {name: i for i, name in enumerate(self._names)}
+        self._successors: list[list[tuple[int, int]]] = [[] for _ in self._names]
+        self._predecessors: list[list[int]] = [[] for _ in self._names]
         for src, dst, weight in edges:
-            self.successors.setdefault(src, []).append((dst, weight))
-            self.predecessors.setdefault(dst, []).append((src, weight))
-        for out in self.successors.values():
+            source, target = self._ids[src], self._ids[dst]
+            self._successors[source].append((target, weight))
+            self._predecessors[target].append(source)
+        for out in self._successors:
             out.sort()
-        self._withins: dict[frozenset[int], list[list[list[tuple[int, int]]]]] = {}
+        self._withins: dict[frozenset[str], list[list[list[tuple[int, int]]]]] = {}
 
     @cached_property
     def betweenness(self) -> dict[str, float]:
         """Unnormalized directed betweenness centrality with unit edge lengths,
         keyed by node name in name order."""
-        ids, successors, _predecessors = self._index
-        return dict(zip(ids, _brandes(successors)))
+        return dict(zip(self._names, _brandes(self._successors)))
 
     @cached_property
     def components(self) -> list[set[str]]:
         """Strongly connected components, ordered by their smallest member."""
-        names = list(self._index[0])
-        components = [{names[v] for v in c} for c in _tarjan(self._index[1])]
+        components = [{self._names[v] for v in c} for c in _tarjan(self._successors)]
         return sorted(components, key=min)
 
     @cached_property
     def cyclic(self) -> set[str]:
         """Nodes on a directed cycle: members of a multi-node SCC or a self-loop."""
         cyclic = {n for c in self.components if len(c) > 1 for n in c}
-        ids, successors, _predecessors = self._index
-        return cyclic | {n for n, v in ids.items() if any(w == v for w, _s in successors[v])}
+        return cyclic | {n for v, n in enumerate(self._names) if v in self._predecessors[v]}
 
     @cached_property
     def terminals(self) -> set[str]:
         """Exactly the declared nodes with out-degree zero."""
-        return {n for n in self.nodes if not self.successors[n]}
+        return {n for n in self.nodes if not self._successors[self._ids[n]]}
 
     def path_polarity(
         self,
@@ -120,13 +122,9 @@ class Topology:
         if gene not in self.nodes:
             raise NodeNotFound(f"gene {gene!r} not in pathway graph")
         targets = sorted(endpoints)
-        for endpoint in targets:
-            if endpoint not in self.nodes:
-                raise NodeNotFound(f"endpoint {endpoint!r} not in pathway graph")
-
-        ids = self._index[0]
+        within = self._within(frozenset(targets))  # raises NodeNotFound for an unknown endpoint
+        ids = self._ids
         source = ids[gene]
-        within = self._within(frozenset(ids[e] for e in targets))
         listed = [0] * len(ids)  # how often each endpoint under its cap is listed
         for endpoint in targets:
             if endpoint != gene:
@@ -175,38 +173,43 @@ class Topology:
             return PolarityResult(value=0.0, path_count=0, no_path=True)
         return PolarityResult(value=total / count, path_count=count, truncated=truncated)
 
-    @cached_property
-    def _index(self) -> tuple[dict[str, int], list[list[tuple[int, int]]], list[list[int]]]:
-        """Integer ids in name order, each id's sorted `(id, weight)` successors
-        and its predecessor ids."""
-        names = sorted(self.successors.keys() | self.predecessors.keys())
-        ids = {name: i for i, name in enumerate(names)}
-        # ids follow name order, so the sorted successor lists stay sorted
-        successors = [[(ids[dst], w) for dst, w in self.successors.get(n, ())] for n in names]
-        predecessors = [[ids[src] for src, _w in self.predecessors.get(n, ())] for n in names]
-        return ids, successors, predecessors
+    def distances(
+        self, roots: Iterable[str], limit: int, direction: str = "downstream"
+    ) -> dict[str, int]:
+        """Steps from the nearest of `roots` (declared nodes, at 0) to each node
+        at most `limit` steps away, by breadth-first search: downstream along
+        edges, upstream against them, or both ways at each step."""
+        if direction not in DIRECTIONS:
+            raise ValueError(f"direction must be one of {', '.join(DIRECTIONS)}, got {direction!r}")
+        if limit < 0:
+            raise ValueError("limit must be >= 0")
+        steps: dict[int, int] = {}
+        for root in roots:
+            if root not in self.nodes:
+                raise NodeNotFound(f"node {root!r} not in graph")
+            steps[self._ids[root]] = 0
+        frontier = set(steps)
+        for step in range(1, limit + 1):
+            reached: set[int] = set()
+            if direction != "upstream":
+                reached.update(w for v in frontier for w, _sign in self._successors[v])
+            if direction != "downstream":
+                reached.update(w for v in frontier for w in self._predecessors[v])
+            frontier = reached - steps.keys()
+            steps.update(dict.fromkeys(frontier, step))
+        return {self._names[v]: n for v, n in steps.items()}
 
-    def _within(self, targets: frozenset[int]) -> list[list[list[tuple[int, int]]]]:
+    def _within(self, targets: frozenset[str]) -> list[list[list[tuple[int, int]]]]:
         """`within[s][n]`: the successors of id `n` at most `s` edges from the
         nearest of `targets`, in successor order. Cached per target set."""
         within = self._withins.get(targets)
         if within is None:
-            _ids, successors, predecessors = self._index
-            # reverse BFS from the targets, up to the longest distance a walk can use
-            distance = [MAX_PATH_EDGES] * len(predecessors)
-            frontier = list(targets)
-            for node in frontier:
-                distance[node] = 0
-            for step in range(1, MAX_PATH_EDGES):
-                reached = []
-                for node in frontier:
-                    for src in predecessors[node]:
-                        if distance[src] > step:
-                            distance[src] = step
-                            reached.append(src)
-                frontier = reached
+            # distances up to the longest a walk can use; farther ids are left out
+            distance = [MAX_PATH_EDGES] * len(self._names)
+            for name, steps in self.distances(targets, MAX_PATH_EDGES - 1, "upstream").items():
+                distance[self._ids[name]] = steps
             # top level first: each level filters the (shorter) lists of the one above
-            level = successors
+            level = self._successors
             within = []
             for s in reversed(range(MAX_PATH_EDGES)):
                 level = [[e for e in out if distance[e[0]] <= s] if out else out for out in level]
@@ -214,23 +217,6 @@ class Topology:
             within.reverse()
             self._withins[targets] = within
         return within
-
-    def k_step_neighborhood(self, node: str, k: int, direction: str = "downstream") -> set[str]:
-        """Nodes reachable within 1..k steps of `node`, excluding `node` itself."""
-        if direction not in ("downstream", "upstream"):
-            raise ValueError(f"direction must be downstream or upstream, got {direction!r}")
-        if node not in self.nodes:
-            raise NodeNotFound(f"node {node!r} not in graph")
-        if k < 0:
-            raise ValueError("k must be >= 0")
-
-        step = self.successors if direction == "downstream" else self.predecessors
-        reached: set[str] = set()
-        frontier = {node}
-        for _ in range(k):
-            frontier = {m for n in frontier for m, _w in step.get(n, ())} - reached - {node}
-            reached |= frontier
-        return reached
 
 
 def _brandes(successors: list[list[tuple[int, int]]]) -> list[float]:
@@ -351,7 +337,9 @@ def k_step_neighborhood(
     direction: str = "downstream",
 ) -> set[str]:
     """Nodes reachable within 1..k steps of `node`, excluding `node` itself."""
-    return graph.topology().k_step_neighborhood(node, k, direction)
+    if direction not in ("downstream", "upstream"):
+        raise ValueError(f"direction must be downstream or upstream, got {direction!r}")
+    return set(graph.topology().distances([node], k, direction)) - {node}
 
 
 def terminal_endpoints(graph: ReactionGraph) -> set[str]:

@@ -48,26 +48,33 @@ def polarity_oracle(graph, gene: str, endpoints, max_edges: int = 8) -> tuple[fl
 
 
 def capped_polarity_reference(
-    topology,
+    nodes,
+    edges,
     gene: str,
     endpoints,
     max_paths: int = MAX_PATHS_PER_PAIR,
 ) -> PolarityResult:
     """`Topology.path_polarity` by one iterative DFS per endpoint.
 
+    Reads the declared `nodes` and the `(source, target, weight)` `edges`.
     Simple paths are expanded depth-first in lexicographic neighbor order,
     up to `MAX_PATH_EDGES` edges per path and `max_paths` paths per (gene,
     endpoint) pair; the mean is over every enumerated path against every
     endpoint.
     """
-    if gene not in topology.nodes:
+    declared = set(nodes)
+    if gene not in declared:
         raise NodeNotFound(f"gene {gene!r} not in pathway graph")
     targets = sorted(endpoints)
     for endpoint in targets:
-        if endpoint not in topology.nodes:
+        if endpoint not in declared:
             raise NodeNotFound(f"endpoint {endpoint!r} not in pathway graph")
 
-    adjacency = topology.successors
+    adjacency: dict[str, list[tuple[str, int]]] = {}
+    for src, dst, weight in edges:
+        adjacency.setdefault(src, []).append((dst, weight))
+    for out in adjacency.values():
+        out.sort()
     total = 0
     count = 0
     truncated = False
@@ -173,16 +180,19 @@ def scc_oracle(graph) -> list[set[str]]:
     return sorted(components, key=lambda c: sorted(c)[0])
 
 
-def k_step_oracle(rg, node: str, k: int, direction: str) -> set[str]:
+def distance_oracle(edges, roots, limit: int, direction: str) -> dict[str, int]:
+    """Steps from the nearest root to each node within `limit` steps, by
+    explicit level-by-level expansion over `(source, target, ...)` edges;
+    direction is downstream, upstream or both."""
     adjacency: dict[str, set[str]] = {}
-    for src, dst, _reaction in rg.edges:
-        if direction == "downstream":
+    for src, dst, *_rest in edges:
+        if direction in ("downstream", "both"):
             adjacency.setdefault(src, set()).add(dst)
-        else:
+        if direction in ("upstream", "both"):
             adjacency.setdefault(dst, set()).add(src)
-    levels = [{node}]
-    seen = {node}
-    for _ in range(k):
+    levels = [set(roots)]
+    seen = set(roots)
+    for _ in range(limit):
         nxt = set()
         for u in levels[-1]:
             nxt |= adjacency.get(u, set())
@@ -191,7 +201,11 @@ def k_step_oracle(rg, node: str, k: int, direction: str) -> set[str]:
             break
         seen |= nxt
         levels.append(nxt)
-    return seen - {node}
+    return {node: step for step, level in enumerate(levels) for node in level}
+
+
+def k_step_oracle(rg, node: str, k: int, direction: str) -> set[str]:
+    return set(distance_oracle(rg.edges, [node], k, direction)) - {node}
 
 
 def terminal_oracle(rg) -> set[str]:

@@ -35,11 +35,13 @@ from biokgr.agents import (
 from biokgr.agents.actions import ACTION_NAMES, action_from_dict, action_to_dict
 from biokgr.agents.oracle import ORACLE_SYSTEM_GUIDE
 from biokgr.agents.orchestrator import OrchestratorState
+from biokgr.agents.workspace import AnalysisError
 from biokgr.evidence import EntityRef, EvidenceGraphStore, MergeBatch, Observation, RelationEdge
 from biokgr.federation.client import RawResponse, TransportError
+from biokgr.federation import Federation
 from biokgr.federation.mockserver import MockTransport
 
-from fedmock import FakeClock, json_response, make_mock_federation
+from fedmock import FakeClock, json_response, make_mock_federation, mock_registry, mock_routes
 
 
 # -- plan checklist ----------------------------------------------------------------
@@ -158,6 +160,73 @@ def test_analysis_extract(tmp_path):
     assert json.loads(ws.read_text(out)) == ["PMID:123", "PMID:456"]
 
 
+def test_workspace_refuses_paths_outside_its_root(tmp_path):
+    outside = tmp_path / "secret.json"
+    outside.write_text('[{"name": "TNF"}]', encoding="utf-8")
+    ws = Workspace(tmp_path / "ws")
+    (tmp_path / "ws" / "link").symlink_to(tmp_path)
+    for relpath in ("../secret.json", str(outside), "link/secret.json", "a/../../secret.json"):
+        with pytest.raises(WorkspaceUnavailable, match="outside the workspace"):
+            ws.read_text(relpath)
+        with pytest.raises(WorkspaceUnavailable, match="outside the workspace"):
+            ws.save_json(relpath, [], "overwrite")
+    assert outside.read_text(encoding="utf-8") == '[{"name": "TNF"}]'
+    assert ws.manifest() == {"files": []}
+    ws.save_json("sub/../inside.json", [], "still inside")
+    assert ws.exists("inside.json")
+
+
+@pytest.mark.parametrize("spec", [
+    {"op": "extract", "input": "notes.txt", "pattern": "(", "out": "x.json"},
+    {"op": "filter", "input": "genes.json", "where": ["kind"], "out": "x.json"},
+    {"op": "filter", "input": "genes.json", "contains": "TNF", "out": "x.json"},
+    {"op": "dedup", "input": "genes.json", "out": "x.json"},
+    {"op": "join", "left": "genes.json", "right": "genes.json", "on": ["name"], "out": "x.json"},
+    {"op": ["dedup"], "input": "genes.json", "key": "name", "out": "x.json"},
+    {"op": "dedup", "input": "broken.json", "key": "name", "out": "x.json"},
+    {"op": "dedup", "input": "absent.json", "key": "name", "out": "x.json"},
+    {"op": "dedup", "input": "../secret.json", "key": "name", "out": "x.json"},
+    {"op": "dedup", "input": "genes.json", "key": "name", "out": "../escape.json"},
+    {"op": "dedup", "input": "genes.json", "key": "name", "out": "x\x00.json"},
+], ids=["bad-regex", "where-not-a-dict", "contains-not-a-dict", "missing-key",
+        "non-string-field", "unhashable-op", "non-json-table", "missing-input",
+        "read-outside", "write-outside", "nul-in-path"])
+def test_malformed_analysis_spec_raises_analysis_error(tmp_path, spec):
+    (tmp_path / "secret.json").write_text('[{"name": "TNF"}]', encoding="utf-8")
+    ws = Workspace(tmp_path / "ws")
+    ws.save_json("genes.json", [{"name": "TNF"}], "genes")
+    ws.save_text("notes.txt", "PMID:1", "notes")
+    ws.save_text("broken.json", "{not json", "broken")
+    with pytest.raises(AnalysisError):
+        run_analysis(ws, spec)
+    assert not (tmp_path / "escape.json").exists()
+    assert not ws.exists("x.json")
+
+
+@pytest.mark.parametrize("spec", [
+    {"op": "extract", "input": "bfrs_screened.json", "pattern": "(", "out": "x.json"},
+    {"op": "dedup", "input": "bfrs_screened.json", "key": "name", "out": "../escape.json"},
+], ids=["bad-regex", "write-outside"])
+def test_malformed_analysis_fails_its_step_and_the_run_goes_on(tmp_path, spec):
+    class AnalyzingOracle(DefaultOracle):
+        def plan(self, query):
+            return PlanChecklist(steps=[PlanStep("survey", hint="bfrs"),
+                                        PlanStep("tabulate", hint="analyze"),
+                                        PlanStep("answer", hint="finalize")])
+
+        def choose_action(self, state, observation):
+            state.notes["analysis_spec"] = spec
+            return super().choose_action(state, observation)
+
+    runner = OrchestratorRunner(make_mock_federation(), AnalyzingOracle(),
+                                bfrs_budget=1, dfrs_budget=1)
+    result = runner.run(QUERY, tmp_path / "run")
+    assert [s.status for s in result.state.plan.steps] == ["done", "failed", "done"]
+    transcript = Path(result.transcript_path).read_text(encoding="utf-8")
+    assert "analysis failed" in transcript
+    assert not (tmp_path / "escape.json").exists()
+
+
 # -- BFRS ------------------------------------------------------------------------------
 
 QUERY = "TNF and IL6 drivers of intestinal inflammation"
@@ -262,6 +331,24 @@ def test_dfrs_absent_seed_reports_no_expansion(tmp_path):
     assert len(rendered.splitlines()) <= 10
     layer0 = json.loads(ws.read_text(report.files[0][0]))
     assert layer0["children"] == []
+
+
+def test_subagents_survive_a_source_that_answers_an_unreadable_body(tmp_path):
+    routes = mock_routes()
+    routes["mygene.test/query"] = json_response({"hits": 5})
+    routes["pubtator.test/relations"] = RawResponse(
+        status=200, body="<html>busy</html>", headers={"Content-Type": "text/html"})
+    federation = Federation(registry=mock_registry(), transport=MockTransport(routes),
+                            clock=FakeClock(), env={})
+    breadth = ResearchTask(description=QUERY, knowledge_bases=("mygene", "kegg"),
+                           budget=2, mode="breadth")
+    report = run_bfrs(breadth, federation, DefaultOracle(), Workspace(tmp_path / "b"))
+    assert "(1 source(s) failed)" in report.findings
+    assert report.key_entities == ["IL6", "TNF"]  # kegg's records survive
+    depth = ResearchTask(description="TNF associated partners", budget=2, mode="depth",
+                         seeds=("TNF",))
+    report = run_dfrs(depth, federation, DefaultOracle(), Workspace(tmp_path / "d"))
+    assert report.key_entities == []
 
 
 def test_dfrs_deterministic_expansion_order(tmp_path):

@@ -170,12 +170,14 @@ def test_curate_and_score_ebm(runner, tmp_path):
     assert rows[0]["truth"] == [300, 400]
 
     predictions = tmp_path / "preds.jsonl"
-    predictions.write_text(json.dumps({"base_doi": base, "ranked": [300, 999]}) + "\n")
-    result = invoke(runner, ["score", "ebm", "--tasks", str(tasks),
-                             "--predictions", str(predictions)])
-    payload = json.loads(result.output)
-    assert payload["gap_detection_rate"] == 1.0
-    assert payload["mean_recall_at_30"] == 0.5
+    # entries that are not PMIDs are skipped, as `bench score` skips them
+    for ranked in ([300, 999], ["PMID:300", "n/a", None, "999"]):
+        predictions.write_text(json.dumps({"base_doi": base, "ranked": ranked}) + "\n")
+        result = invoke(runner, ["score", "ebm", "--tasks", str(tasks),
+                                 "--predictions", str(predictions)])
+        payload = json.loads(result.output)
+        assert payload["gap_detection_rate"] == 1.0
+        assert payload["mean_recall_at_30"] == 0.5
 
 
 def test_bench_prepare_and_score(runner, tmp_path):

@@ -22,6 +22,7 @@ from biokgr.federation import (
     FetchRequest,
     InvalidQuery,
     KgClient,
+    MalformedResponse,
     QuerySpec,
     RateLimiter,
     RetryPolicy,
@@ -296,6 +297,46 @@ def test_unified_search_partial_failure():
     assert len(result.records) == 1
     failed = [s for s in result.statuses if not s.ok]
     assert [s.source_id for s in failed] == ["kegg"]
+
+
+HTML_PAGE = RawResponse(status=200, body="<html><body>Service busy</body></html>",
+                        headers={"Content-Type": "text/html"})
+
+
+@pytest.mark.parametrize("reply", [HTML_PAGE, json_response({"hits": 5})],
+                         ids=["html-page", "hits-not-a-list"])
+def test_unified_search_marks_an_unreadable_reply_failed(reply):
+    federation = make_federation({"mygene.test": reply, "kegg.test": kegg_payload()})
+    spec = QuerySpec(kind="gene", text="TP53", sources=("mygene", "kegg"))
+    result = federation.search_entities_unified(spec)
+    assert [r.sources for r in result.records] == [["kegg"]]
+    failed = [s for s in result.statuses if not s.ok]
+    assert [s.source_id for s in failed] == ["mygene"]
+    assert "mygene sent a body its adapter cannot read" in failed[0].reason
+
+
+def related(federation):
+    disease = EntityRef(name="disease X", kind="DISEASE_PHENOTYPE", source="t")
+    return federation.find_related_entities(disease, "TREAT")
+
+
+def citations(federation):
+    return federation.fetch_citations("100")
+
+
+@pytest.mark.parametrize("lookup, reply", [
+    (related, HTML_PAGE),
+    (related, json_response({"relations": 5})),
+    (related, json_response({"relations": ["drugA"]})),
+    (citations, HTML_PAGE),
+    (citations, json_response({"citations": 5})),
+], ids=["relations-html-page", "relations-not-a-list", "relation-not-an-object",
+        "citations-html-page", "citations-not-a-list"])
+def test_relation_and_citation_lookups_reject_an_unreadable_reply(lookup, reply):
+    federation = Federation(registry=mock_registry(), transport=MockTransport({"": reply}),
+                            clock=FakeClock(), env={})
+    with pytest.raises(MalformedResponse, match="sent a body its adapter cannot read"):
+        lookup(federation)
 
 
 def test_unified_search_all_failed():

@@ -18,13 +18,14 @@ from biokgr.pathways import (
     strongly_connected_components,
     terminal_endpoints,
 )
-from biokgr.pathways.analytics import MAX_PATHS_PER_PAIR, Topology
+from biokgr.pathways.analytics import DIRECTIONS, MAX_PATHS_PER_PAIR, Topology
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 from kgmlgen import make_kgml, random_signed_graph, shmt2_flux_kgml, ulcerative_colitis_kgml
 from oracles import (
     betweenness_oracle,
     capped_polarity_reference,
+    distance_oracle,
     k_step_oracle,
     polarity_oracle,
     scc_oracle,
@@ -426,10 +427,10 @@ def polarity_cases(draw):
 def test_one_walk_per_gene_equals_one_dfs_per_endpoint(case):
     declared, edges, endpoints, max_paths = case
     topology = Topology(declared, edges)
-    # every declared gene on one topology, so the calls share its cached index
+    # every declared gene on one topology, so the calls share its cached pruned lists
     for gene in declared:
         ours = topology.path_polarity(gene, endpoints, max_paths)
-        assert ours == capped_polarity_reference(topology, gene, endpoints, max_paths)
+        assert ours == capped_polarity_reference(declared, edges, gene, endpoints, max_paths)
 
 
 @settings(max_examples=300, deadline=None)
@@ -446,6 +447,31 @@ def test_betweenness_and_sccs_match_networkx(case):
     for node, value in expected.items():
         assert abs(topology.betweenness[node] - value) < 1e-9
     assert topology.components == sorted(map(set, nx.strongly_connected_components(graph)), key=min)
+    cycles = {n for c in nx.strongly_connected_components(graph) if len(c) > 1 for n in c}
+    assert topology.cyclic == cycles | set(nx.nodes_with_selfloops(graph))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polarity_cases(), st.data())
+def test_distances_from_several_roots_match_a_level_by_level_oracle(case, data):
+    declared, edges, _endpoints, _max_paths = case
+    topology = Topology(declared, edges)
+    roots = data.draw(st.lists(st.sampled_from(declared), max_size=4))
+    limit = data.draw(st.integers(0, 6))
+    for direction in DIRECTIONS:
+        assert topology.distances(roots, limit, direction) == distance_oracle(
+            edges, roots, limit, direction)
+
+
+@pytest.mark.parametrize("roots, limit, direction, error", [
+    (["Z"], 1, "downstream", NodeNotFound),
+    (["A"], -1, "downstream", ValueError),
+    (["A"], 1, "sideways", ValueError),
+], ids=["undeclared-root", "negative-limit", "unknown-direction"])
+def test_distances_rejects_a_bad_query(roots, limit, direction, error):
+    # Z is an edge endpoint, not a declared node
+    with pytest.raises(error):
+        Topology(["A", "B"], [("A", "B", 1), ("B", "Z", 1)]).distances(roots, limit, direction)
 
 
 def test_cap_keeps_the_lexicographic_prefix_per_endpoint():
