@@ -353,8 +353,9 @@ def score():
               help="JSONL rows: {base_doi, ranked: [PMIDs...]}")
 @click.option("--k", default=30, show_default=True)
 def score_ebm(tasks_path, preds_path, k):
-    tasks = read_jsonl(tasks_path)
-    predictions = {row["base_doi"]: row.get("ranked", []) for row in read_jsonl(preds_path)}
+    tasks = _rows_with(tasks_path, "base_doi", "truth")
+    predictions = {row["base_doi"]: row.get("ranked", [])
+                   for row in _rows_with(preds_path, "base_doi")}
     results = []
     for task in tasks:
         ranked = parse_pmids(predictions.get(task["base_doi"], []))
@@ -375,6 +376,16 @@ def score_ebm(tasks_path, preds_path, k):
         f"mean_recall_at_{k}": mean_recall,
         "per_task": results,
     }, indent=2, sort_keys=True))
+
+
+def _rows_with(path, *keys) -> list[dict]:
+    """The rows of a JSONL file; a row without one of `keys` is a one-line error."""
+    rows = read_jsonl(path)
+    for number, row in enumerate(rows, start=1):
+        for key in keys:
+            if not isinstance(row, dict) or key not in row:
+                raise click.ClickException(f"{path} row {number} lacks {key!r}: {row}")
+    return rows
 
 
 # -- research ---------------------------------------------------------------------------

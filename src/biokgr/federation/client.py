@@ -123,7 +123,6 @@ class KgClient:
         clock=None,
         env=None,
     ):
-        descriptor.validate()
         self.descriptor = descriptor
         self._clock = clock or SystemClock()
         self._transport = transport or HttpTransport()

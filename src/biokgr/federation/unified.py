@@ -1,5 +1,11 @@
 """Unified multi-source entity search, relation search, and citation lookup.
 
+Sources are registry entries (see `descriptors`): `Federation` builds every
+request from the entry's template for the operation and reads every reply
+through one checked reader, `_read`, so no source has code of its own. A
+reply the reader cannot follow, or a leaf of the wrong type, raises
+`MalformedResponse`, which fails that source alone.
+
 `Federation` owns one client per registered source, all sharing one rate
 limiter, one clock and one transport (the stateless `HttpTransport` unless
 one is injected), fans searches out concurrently over at most `MAX_WORKERS`
@@ -20,7 +26,7 @@ from urllib.parse import quote
 from biokgr import load_data
 from biokgr.evidence import EntityRef
 from biokgr.federation.client import FederationError, FetchRequest, InvalidQuery, KgClient
-from biokgr.federation.descriptors import QuerySpec, SourceDescriptor, default_registry
+from biokgr.federation.descriptors import SLOT, QuerySpec, SourceDescriptor, default_registry
 from biokgr.federation.queries import validate_predicate
 from biokgr.federation.ratelimit import RateLimiter, SystemClock
 
@@ -45,7 +51,7 @@ class AllSourcesFailed(FederationError):
 
 
 class MalformedResponse(FederationError):
-    """A source answered with a body its adapter cannot read (an HTML page, a wrong shape)."""
+    """A source's reply does not fit its reply shape (an HTML page, a wrong shape or leaf type)."""
 
 
 @dataclass
@@ -54,7 +60,6 @@ class UnifiedRecord:
     xrefs: dict = field(default_factory=dict)            # namespace -> id
     sources: list[str] = field(default_factory=list)     # attribution, >= 1
     rank: int = 0                                        # source-native rank
-    raw: dict = field(default_factory=dict)
     xref_conflicts: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -81,165 +86,97 @@ class FetchResult:
     statuses: list[SourceStatus] = field(default_factory=list)
 
 
-# -- per-source response adapters ----------------------------------------------
+# -- request templates and the checked reply reader ------------------------------
 
-def _adapt_mygene(payload, limit: int) -> list[UnifiedRecord]:
+def _request(template: dict, text: str, kind: str = "", limit: int | None = None) -> FetchRequest:
+    """`template` with its slots filled; a slot in the path is percent-encoded."""
+    kinds = template.get("kinds", {})
+    values = {"text": text, "limit": limit, "kind": kinds.get(kind, kinds.get("*", kind))}
+
+    def fill(value):
+        if isinstance(value, dict):
+            if set(value) == {"file"}:
+                return load_data(value["file"])
+            return {key: fill(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [fill(item) for item in value]
+        if not isinstance(value, str):  # a literal number, boolean or null
+            return value
+        lone = SLOT.fullmatch(value)  # keeps the value's type: an integer limit stays one
+        return values[lone[1]] if lone else SLOT.sub(lambda m: str(values[m[1]]), value)
+
+    # http.client rejects a space or a non-ASCII character in the path;
+    # reserved characters such as "/" and "+" go through as they are
+    path = SLOT.sub(lambda m: quote(str(values[m[1]]), safe="!#$&'()*+,/:;=?@[]~"),
+                    template["path"])
+    body = template.get("body")
+    return FetchRequest(
+        path=path, params=fill(template.get("params", {})), method=template.get("method", "GET"),
+        body=None if body is None else json.dumps(fill(body), sort_keys=True),
+        headers={} if body is None else {"Content-Type": "application/json"},
+    )
+
+
+def _read(payload, reply: dict | None, limit: int | None) -> list[tuple[int, str, dict]]:
+    """`(rank, name, xrefs)` for each record of `payload` read through a reply shape.
+
+    A missing, null or empty value is absent, and so is a value under a step
+    that is not an object; a leaf of the wrong type raises `TypeError`.
+    Without a shape, every object row under ``results`` or ``hits`` is read
+    with its ``id`` and ``*_id`` fields as xrefs.
+    """
+    if reply is None:
+        if not isinstance(payload, dict):
+            return []
+        rows = (payload.get("results") or payload.get("hits") or [])[:limit]
+        return [(i, str(row.get("name") or row.get("id") or ""),
+                 {k: str(v) for k, v in row.items() if k.endswith("_id") or k == "id"})
+                for i, row in enumerate(rows) if isinstance(row, dict)]
+    tsv = reply.get("form") == "tsv"
+    if not isinstance(payload, str if tsv else dict):
+        raise TypeError(f"expected {'text' if tsv else 'a JSON object'}, got {payload!r:.60}")
+    if tsv:  # "id<TAB>synonym, synonym; description" lines; the name is the first synonym
+        lines = [line.partition("\t") for line in payload.splitlines() if line.strip()]
+        rows = [{"id": ident.strip(), "name": label.split(";")[0].split(",")[0].strip()}
+                for ident, _, label in lines]
+    else:
+        rows = _walk(payload, reply.get("records", ""))
+        if not isinstance(rows, (list, type(None))):
+            raise TypeError(f"{reply.get('records')!r} holds {type(rows).__name__}, not a list")
+    names, xrefs = reply.get("names", ()), reply.get("xrefs", {})
+    reads_fields = any(path for path, _type in [*names, *xrefs.values()])
     records = []
-    for i, hit in enumerate((payload or {}).get("hits", [])[:limit]):
-        xrefs = {}
-        if hit.get("entrezgene") is not None:
-            xrefs["entrez"] = str(hit["entrezgene"])
-        ensembl = hit.get("ensembl") or {}
-        if isinstance(ensembl, dict) and ensembl.get("gene"):
-            xrefs["ensembl"] = ensembl["gene"]
-        if hit.get("symbol"):
-            xrefs["symbol"] = hit["symbol"]
-        records.append(
-            UnifiedRecord(name=hit.get("symbol") or hit.get("name", ""), xrefs=xrefs,
-                          rank=i, raw=hit)
-        )
+    for i, row in enumerate((rows or [])[:limit]):
+        if reads_fields and not isinstance(row, dict):
+            raise TypeError(f"record {row!r} is not an object")
+        name = None
+        for leaf in names:
+            if (name := _leaf(row, *leaf)) is not None:
+                break
+        fields = {key: value for key, leaf in xrefs.items()
+                  if (value := _leaf(row, *leaf)) is not None}
+        records.append((i, "" if name is None else reply.get("name_prefix", "") + name, fields))
     return records
 
 
-def _adapt_kegg(payload, limit: int) -> list[UnifiedRecord]:
-    # KEGG replies in TSV: "hsa:7157\tTP53, BCC7; tumor protein p53"
-    records = []
-    text = payload if isinstance(payload, str) else ""
-    for i, line in enumerate(line for line in text.splitlines() if line.strip()):
-        if i >= limit:
-            break
-        ident, _, label = line.partition("\t")
-        name = label.split(";")[0].split(",")[0].strip() or ident
-        records.append(
-            UnifiedRecord(name=name, xrefs={"kegg": ident.strip()}, rank=i,
-                          raw={"line": line})
-        )
-    return records
+def _walk(value, path: str):
+    """The value at a dotted path (the empty path is `value` itself); None past a non-object."""
+    for key in path.split(".") if path else ():
+        value = value.get(key) if isinstance(value, dict) else None
+    return value
 
 
-def _adapt_pubmed(payload, limit: int) -> list[UnifiedRecord]:
-    ids = ((payload or {}).get("esearchresult") or {}).get("idlist", [])
-    return [
-        UnifiedRecord(name=f"PMID:{pmid}", xrefs={"pmid": str(pmid)}, rank=i,
-                      raw={"pmid": pmid})
-        for i, pmid in enumerate(ids[:limit])
-    ]
-
-
-def _adapt_pubtator(payload, limit: int) -> list[UnifiedRecord]:
-    records = []
-    for i, hit in enumerate((payload or {}).get("results", [])[:limit]):
-        xrefs = {}
-        if hit.get("curie"):
-            xrefs["curie"] = hit["curie"]
-        if hit.get("entrez"):
-            xrefs["entrez"] = str(hit["entrez"])
-        records.append(
-            UnifiedRecord(name=hit.get("name", ""), xrefs=xrefs, rank=i, raw=hit)
-        )
-    return records
-
-
-def _adapt_clinicaltrials(payload, limit: int) -> list[UnifiedRecord]:
-    records = []
-    for i, study in enumerate((payload or {}).get("studies", [])[:limit]):
-        ident = ((study.get("protocolSection") or {}).get("identificationModule") or {})
-        nct = ident.get("nctId", "")
-        records.append(
-            UnifiedRecord(name=ident.get("briefTitle") or nct,
-                          xrefs={"nct": nct} if nct else {}, rank=i, raw=study)
-        )
-    return records
-
-
-def _adapt_generic(payload, limit: int) -> list[UnifiedRecord]:
-    if not isinstance(payload, dict):
-        return []
-    rows = payload.get("results") or payload.get("hits") or []
-    records = []
-    for i, row in enumerate(rows[:limit]):
-        if not isinstance(row, dict):
-            continue
-        xrefs = {k: str(v) for k, v in row.items() if k.endswith("_id") or k in ("id",)}
-        records.append(
-            UnifiedRecord(name=str(row.get("name") or row.get("id") or ""), xrefs=xrefs,
-                          rank=i, raw=row)
-        )
-    return records
-
-
-def _adapt_opentargets(payload, limit: int) -> list[UnifiedRecord]:
-    hits = (((payload or {}).get("data") or {}).get("search") or {}).get("hits", [])
-    return [
-        UnifiedRecord(name=hit.get("name", ""), xrefs={"opentargets": hit.get("id", "")},
-                      rank=i, raw=hit)
-        for i, hit in enumerate(hits[:limit])
-    ]
-
-
-def _adapt_relations(payload, source_id: str) -> list[tuple[EntityRef, list[str]]]:
-    related: list[tuple[EntityRef, list[str]]] = []
-    for row in (payload or {}).get("relations", []):
-        kind = _KIND_MAP.get(str(row.get("kind", "")).lower(), "FINDING")
-        ref = EntityRef(
-            name=row.get("name", ""),
-            kind=kind,
-            curie=row.get("curie"),
-            source=source_id,
-        )
-        pmids = [str(p) for p in row.get("pmids", [])]
-        related.append((ref, pmids))
-    return related
-
-
-def _adapt_citations(payload) -> list[str]:
-    return [str(p) for p in payload.get("citations") or payload.get("linked") or []]
-
-
-ADAPTERS = {
-    "mygene": _adapt_mygene,
-    "kegg": _adapt_kegg,
-    "pubmed": _adapt_pubmed,
-    "pubtator": _adapt_pubtator,
-    "clinicaltrials": _adapt_clinicaltrials,
-    "opentargets": _adapt_opentargets,
-}
-
-
-def _search_request(descriptor: SourceDescriptor, spec: QuerySpec) -> FetchRequest:
-    if descriptor.protocol == "graphql":
-        # parameterized query template shipped as a data file
-        body = json.dumps({
-            "query": load_data(f"graphql/{descriptor.source_id}_search.graphql"),
-            "variables": {"queryString": spec.text, "entityNames": [spec.kind],
-                          "size": spec.limit},
-        }, sort_keys=True)
-        return FetchRequest(path=descriptor.search_path, method="POST", body=body,
-                            headers={"Content-Type": "application/json"})
-    if descriptor.source_id == "kegg":
-        db = {"gene": "genes", "drug": "drug", "chemical": "compound",
-              "pathway": "pathway"}.get(spec.kind, "genes")
-        # http.client rejects a space or a non-ASCII character in the path;
-        # reserved characters such as "/" and "+" go through as they are
-        text = quote(spec.text, safe="!#$&'()*+,/:;=?@[]~")
-        return FetchRequest(path=f"{descriptor.search_path}/{db}/{text}")
-    if descriptor.source_id == "pubmed":
-        return FetchRequest(
-            path=descriptor.search_path,
-            params={"db": "pubmed", "term": spec.text, "retmode": "json",
-                    "retmax": spec.limit},
-        )
-    if descriptor.source_id == "clinicaltrials":
-        return FetchRequest(
-            path=descriptor.search_path,
-            params={"query.term": spec.text, "pageSize": spec.limit},
-        )
-    if descriptor.source_id == "mygene":
-        return FetchRequest(
-            path=descriptor.search_path,
-            params={"q": spec.text, "size": spec.limit},
-        )
-    return FetchRequest(path=descriptor.search_path, params={"q": spec.text, "limit": spec.limit})
+def _leaf(row, path: str, leaf_type: str):
+    """The leaf at `path` as a string (a list of them for `ids`); None when absent."""
+    value = _walk(row, path)
+    if value is None or value == "":
+        return None
+    if leaf_type == "ids":
+        if isinstance(value, list) and all(isinstance(v, str) or type(v) is int for v in value):
+            return [str(v) for v in value]
+    elif isinstance(value, str) or (leaf_type == "id" and type(value) is int):
+        return str(value)  # an integer id becomes a string
+    raise TypeError(f"{path or 'the record'} holds {value!r}, not a valid {leaf_type} leaf")
 
 
 class Federation:
@@ -271,12 +208,17 @@ class Federation:
             raise InvalidQuery(f"unknown source {source_id!r}")
         return self.clients[source_id]
 
-    def _fetch(self, source_id: str, request: FetchRequest, adapter, *args):
-        """`adapter(body, *args)` on the answer to `request`; raises `MalformedResponse`."""
-        payload = self.client(source_id).fetch_with_policy(request)
+    def _fetch(self, source_id: str, operation: str, text: str, kind: str = "",
+               limit: int | None = None) -> list[tuple[int, str, dict]]:
+        """The records `source_id` answers to `operation`; raises `MalformedResponse`."""
+        client = self.client(source_id)
+        template = client.descriptor.operations.get(operation)
+        if template is None:
+            raise InvalidQuery(f"source {source_id!r} serves no {operation} requests")
+        payload = client.fetch_with_policy(_request(template, text, kind, limit))
         try:
-            return adapter(payload, *args)
-        except (AttributeError, TypeError) as exc:
+            return _read(payload, template.get("reply"), limit)
+        except TypeError as exc:
             raise MalformedResponse(
                 f"{source_id} sent a body its adapter cannot read: {exc}") from exc
 
@@ -297,10 +239,9 @@ class Federation:
         statuses: list[SourceStatus] = []
         per_source: dict[str, list[UnifiedRecord]] = {}
 
-        def run_one(source_id: str):
-            request = _search_request(self.registry[source_id], spec)
-            return self._fetch(source_id, request, ADAPTERS.get(source_id, _adapt_generic),
-                               spec.limit)
+        def run_one(source_id: str) -> list[UnifiedRecord]:
+            return [UnifiedRecord(name=name, xrefs=xrefs, rank=rank) for rank, name, xrefs
+                    in self._fetch(source_id, "search", spec.text, spec.kind, spec.limit)]
 
         with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(ordered))) as pool:
             futures = {source_id: pool.submit(run_one, source_id) for source_id in ordered}
@@ -347,20 +288,19 @@ class Federation:
         self, entity: EntityRef, predicate: str, source_id: str = "pubtator",
     ) -> list[tuple[EntityRef, list[str]]]:
         """Entities related to `entity` under a typed predicate, with PMID evidence."""
-        predicate = validate_predicate(predicate)
-        request = FetchRequest(
-            path="/relations",
-            params={"e1": entity.curie or entity.name, "type": predicate},
-        )
-        return self._fetch(source_id, request, _adapt_relations, source_id)
+        rows = self._fetch(source_id, "relations", entity.curie or entity.name,
+                           validate_predicate(predicate))
+        return [
+            (EntityRef(name=name, kind=_KIND_MAP.get(fields.get("kind", "").lower(), "FINDING"),
+                       curie=fields.get("curie"), source=source_id), fields.get("pmids", []))
+            for _rank, name, fields in rows
+        ]
 
     # -- citation lookup ----------------------------------------------------------
 
     def fetch_citations(self, pmid: str, source_id: str = "pubmed") -> list[str]:
         """PMIDs cited by / citing the given paper, for citation-chain traversal."""
-        request = FetchRequest(path="/elink.fcgi",
-                               params={"dbfrom": "pubmed", "id": pmid, "retmode": "json"})
-        return self._fetch(source_id, request, _adapt_citations)
+        return [name for _rank, name, _xrefs in self._fetch(source_id, "citations", pmid)]
 
 
 def _merge_xrefs(records: list[UnifiedRecord]) -> None:

@@ -1,10 +1,11 @@
 """The suite's fake knowledge bases: one clock, canned routes and mock registries."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
-from biokgr.federation import Federation, RetryPolicy, SourceDescriptor
+from biokgr.federation import Federation, RetryPolicy, SourceDescriptor, default_registry
 from biokgr.federation.client import RawResponse
 from biokgr.federation.mockserver import MockTransport
 
@@ -46,6 +47,14 @@ def descriptor(source_id="mock", rate=1000.0, attempts=3, backoff=0.01, **kwargs
     )
 
 
+def shipped(source_id, base_url, rate=1000.0, attempts=1, backoff=0.0, **changes):
+    """The shipped registry entry for `source_id` at `base_url`, with a test rate and retry."""
+    return dataclasses.replace(
+        default_registry()[source_id], base_url=base_url, rate_limit_per_sec=rate,
+        retry=RetryPolicy(max_attempts=attempts, backoff_seconds=backoff), **changes,
+    )
+
+
 CITATION_CHAIN = {
     "100": ["200"],
     "200": ["300"],
@@ -67,12 +76,9 @@ RELATIONS = {
 
 def mock_registry():
     """mygene, kegg, pubmed and pubtator at `http://<source>.test`, in that priority order."""
-    search_paths = {"mygene": "/query", "kegg": "/find", "pubmed": "/esearch.fcgi",
-                    "pubtator": "/search"}
     return {
-        source_id: descriptor(source_id, rate=10_000.0, attempts=1, backoff=0.0,
-                              priority=priority, search_path=path)
-        for priority, (source_id, path) in enumerate(search_paths.items(), start=1)
+        source_id: shipped(source_id, f"http://{source_id}.test", rate=10_000.0, priority=priority)
+        for priority, source_id in enumerate(("mygene", "kegg", "pubmed", "pubtator"), start=1)
     }
 
 

@@ -351,6 +351,24 @@ def test_subagents_survive_a_source_that_answers_an_unreadable_body(tmp_path):
     assert report.key_entities == []
 
 
+def test_subagents_finish_when_a_source_sends_a_wrong_typed_leaf(tmp_path):
+    routes = mock_routes()
+    routes["mygene.test/query"] = json_response(
+        {"hits": [{"symbol": "TNF", "ensembl": {"gene": 5}}]})
+    routes["pubtator.test/relations"] = json_response({"relations": [{"name": 7}]})
+    federation = Federation(registry=mock_registry(), transport=MockTransport(routes),
+                            clock=FakeClock(), env={})
+    breadth = ResearchTask(description=QUERY, knowledge_bases=("mygene", "kegg"),
+                           budget=2, mode="breadth")
+    report = run_bfrs(breadth, federation, DefaultOracle(), Workspace(tmp_path / "b"))
+    assert "(1 source(s) failed)" in report.findings
+    assert report.key_entities == ["IL6", "TNF"]  # kegg's records survive
+    depth = ResearchTask(description="TNF associated partners", budget=2, mode="depth",
+                         seeds=("TNF",))
+    report = run_dfrs(depth, federation, DefaultOracle(), Workspace(tmp_path / "d"))
+    assert report.key_entities == []
+
+
 def test_dfrs_deterministic_expansion_order(tmp_path):
     task = ResearchTask(description="Trace citations from PMID:100",
                         budget=4, mode="depth", seeds=("PMID:100",))

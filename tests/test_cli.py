@@ -180,6 +180,24 @@ def test_curate_and_score_ebm(runner, tmp_path):
         assert payload["mean_recall_at_30"] == 0.5
 
 
+@pytest.mark.parametrize("task, prediction, missing", [
+    ({"base_doi": "10.1/a", "truth": [1]}, {"ranked": [1]}, "preds.jsonl row 1 lacks 'base_doi'"),
+    ({"truth": [1]}, {"base_doi": "10.1/a", "ranked": [1]}, "tasks.jsonl row 1 lacks 'base_doi'"),
+    ({"base_doi": "10.1/a"}, {"base_doi": "10.1/a", "ranked": [1]},
+     "tasks.jsonl row 1 lacks 'truth'"),
+], ids=["prediction-without-doi", "task-without-doi", "task-without-truth"])
+def test_score_ebm_reports_a_row_without_a_field_in_one_line(runner, tmp_path, task,
+                                                             prediction, missing):
+    tasks, predictions = tmp_path / "tasks.jsonl", tmp_path / "preds.jsonl"
+    tasks.write_text(json.dumps(task) + "\n")
+    predictions.write_text(json.dumps(prediction) + "\n")
+    result = runner.invoke(main, ["score", "ebm", "--tasks", str(tasks),
+                                  "--predictions", str(predictions)], catch_exceptions=False)
+    assert result.exit_code != 0
+    assert result.output.startswith("Error: ") and missing in result.output
+    assert result.output.count("\n") == 1
+
+
 def test_bench_prepare_and_score(runner, tmp_path):
     from test_bench import hle_snapshot
 

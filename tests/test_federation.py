@@ -25,7 +25,6 @@ from biokgr.federation import (
     MalformedResponse,
     QuerySpec,
     RateLimiter,
-    RetryPolicy,
     SourceDescriptor,
     SourceUnavailable,
     UnsupportedEntityType,
@@ -36,11 +35,13 @@ from biokgr.federation import (
     persist_results,
 )
 from biokgr.federation import client as client_module
+from biokgr.federation import unified
 from biokgr.federation.client import HttpTransport, RawResponse, RequestFailed, TransportError
+from biokgr.federation.descriptors import load_registry
 from biokgr.federation.mockserver import FixtureServer, MockTransport
 from biokgr.federation.unified import UnifiedRecord
 
-from fedmock import FakeClock, descriptor, json_response, mock_registry, text_response
+from fedmock import FakeClock, descriptor, json_response, mock_registry, shipped, text_response
 
 
 # -- boolean queries -------------------------------------------------------------
@@ -303,8 +304,11 @@ HTML_PAGE = RawResponse(status=200, body="<html><body>Service busy</body></html>
                         headers={"Content-Type": "text/html"})
 
 
-@pytest.mark.parametrize("reply", [HTML_PAGE, json_response({"hits": 5})],
-                         ids=["html-page", "hits-not-a-list"])
+@pytest.mark.parametrize("reply", [
+    HTML_PAGE,
+    json_response({"hits": 5}),
+    json_response({"hits": [{"symbol": "TNF", "ensembl": {"gene": 5}}]}),
+], ids=["html-page", "hits-not-a-list", "ensembl-gene-not-a-string"])
 def test_unified_search_marks_an_unreadable_reply_failed(reply):
     federation = make_federation({"mygene.test": reply, "kegg.test": kegg_payload()})
     spec = QuerySpec(kind="gene", text="TP53", sources=("mygene", "kegg"))
@@ -313,6 +317,38 @@ def test_unified_search_marks_an_unreadable_reply_failed(reply):
     failed = [s for s in result.statuses if not s.ok]
     assert [s.source_id for s in failed] == ["mygene"]
     assert "mygene sent a body its adapter cannot read" in failed[0].reason
+
+
+def test_unified_search_marks_a_json_reply_to_a_tsv_source_failed():
+    federation = make_federation(
+        {"mygene.test": json_response(mygene_payload()), "kegg.test": json_response({"hits": []})})
+    result = federation.search_entities_unified(
+        QuerySpec(kind="gene", text="TP53", sources=("mygene", "kegg")))
+    assert [r.sources for r in result.records] == [["mygene"]]
+    assert [s.source_id for s in result.statuses if not s.ok] == ["kegg"]
+
+
+def test_unified_search_reads_a_list_valued_ensembl_as_absent():
+    # mygene lists the ids of a gene with several Ensembl entries
+    hit = {"symbol": "HLA-A", "entrezgene": 3105, "ensembl": [{"gene": "ENSG1"}, {"gene": "ENSG2"}]}
+    federation = make_federation({"mygene.test": json_response({"hits": [hit]})})
+    result = federation.search_entities_unified(
+        QuerySpec(kind="gene", text="HLA-A", sources=("mygene",)))
+    assert [(r.name, r.xrefs) for r in result.records] == [
+        ("HLA-A", {"entrez": "3105", "symbol": "HLA-A"})]
+
+
+def test_unified_search_reads_clinical_trial_studies():
+    registry = {"clinicaltrials": shipped("clinicaltrials", "http://ct.test")}
+    studies = [{"protocolSection": {"identificationModule": module}} for module in (
+        {"nctId": "NCT01", "briefTitle": "Anti-TNF in colitis"}, {"nctId": "NCT02"})]
+    transport = MockTransport({"ct.test/studies": json_response({"studies": studies})})
+    federation = Federation(registry=registry, transport=transport, clock=FakeClock(), env={})
+    result = federation.search_entities_unified(
+        QuerySpec(kind="trial", text="colitis", sources=("clinicaltrials",), limit=5))
+    assert transport.requests[0].params == {"query.term": "colitis", "pageSize": 5}
+    assert [(r.name, r.xrefs) for r in result.records] == [
+        ("Anti-TNF in colitis", {"nct": "NCT01"}), ("NCT02", {"nct": "NCT02"})]
 
 
 def related(federation):
@@ -330,8 +366,9 @@ def citations(federation):
     (related, json_response({"relations": ["drugA"]})),
     (citations, HTML_PAGE),
     (citations, json_response({"citations": 5})),
+    (related, json_response({"relations": [{"name": 7}]})),
 ], ids=["relations-html-page", "relations-not-a-list", "relation-not-an-object",
-        "citations-html-page", "citations-not-a-list"])
+        "citations-html-page", "citations-not-a-list", "relation-name-not-a-string"])
 def test_relation_and_citation_lookups_reject_an_unreadable_reply(lookup, reply):
     federation = Federation(registry=mock_registry(), transport=MockTransport({"": reply}),
                             clock=FakeClock(), env={})
@@ -471,13 +508,7 @@ def test_end_to_end_against_mock_server():
     server.transport.routes["/query"] = json_response(mygene_payload())
     base = server.start()
     try:
-        registry = {
-            "mygene": SourceDescriptor(
-                source_id="mygene", base_url="http://mygene.test", priority=1,
-                rate_limit_per_sec=1000, search_path="/query",
-                retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
-            )
-        }
+        registry = {"mygene": shipped("mygene", "http://mygene.test", attempts=2, priority=1)}
         federation = Federation(registry=registry, env={"BIOKGR_MYGENE_URL": base})
         result = federation.search_entities_unified(
             QuerySpec(kind="gene", text="TP53", sources=("mygene",))
@@ -494,10 +525,7 @@ def test_mock_server_retry_sequence():
                                          json_response(mygene_payload())]
     base = server.start()
     try:
-        desc = SourceDescriptor(
-            source_id="mygene", base_url=base, rate_limit_per_sec=1000,
-            search_path="/query", retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
-        )
+        desc = shipped("mygene", base, attempts=2)
         client = KgClient(desc, env={})
         payload = client.fetch_with_policy(FetchRequest(path="/query", params={"q": "TP53"}))
         assert payload["hits"][0]["symbol"] == "TP53"
@@ -514,10 +542,40 @@ def test_default_registry_loads_and_validates():
     assert all(d.retry.max_attempts >= 1 for d in registry.values())
 
 
-@pytest.mark.parametrize("field, value", [("protocol", "flat-file"), ("auth", "session")])
-def test_descriptor_rejects_an_unknown_registry_value(field, value):
-    with pytest.raises(ValueError, match=value):
+def search_op(**template):
+    return {"search": {"path": "/query", **template}}
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("operations", search_op(reply={"form": "xml"}), "unknown reply form 'xml'"),
+    ("auth", "session", "session"),
+    ("operations", search_op(params={"q": "{query}"}), r"unknown template slot \{query\}"),
+    ("operations", search_op(path=None), "path None is not a string"),
+    ("operations", search_op(reply={"records": ["hits"]}), r"path \['hits'\] is not a string"),
+    ("operations", search_op(reply={"xrefs": {"entrez": [7, "id"]}}), "path 7 is not a string"),
+    ("operations", search_op(reply={"names": [["symbol", "int"]]}), r"got \['symbol', 'int'\]"),
+    ("operations", search_op(parms={}), r"unknown keys \['parms'\]"),
+    ("operations", {"lookup": {"path": "/x"}}, "unknown operation 'lookup'"),
+], ids=["operations-reply-form-xml", "auth-session", "operations-template-slot",
+        "operations-request-path", "operations-records-path", "operations-xref-path",
+        "operations-leaf-type", "operations-template-key", "operations-name"])
+def test_descriptor_rejects_an_unknown_registry_value(field, value, match):
+    with pytest.raises(ValueError, match=match):
         descriptor(**{field: value}).validate()
+
+
+def test_load_registry_rejects_an_unknown_entry_field():
+    entry = {"source_id": "kegg", "base_url": "https://rest.kegg.jp", "protocol": "rest"}
+    with pytest.raises(ValueError, match="'kegg'.*'protocol'"):
+        load_registry({"sources": [entry]})
+
+
+def test_request_template_keeps_literal_values():
+    template = {"path": "/q", "params": {"q": "{text} genes", "n": 5, "exact": True},
+                "body": {"page": {"index": 0, "size": "{limit}"}, "filter": None}}
+    request = unified._request(template, "TP53", "gene", 10)
+    assert request.params == {"q": "TP53 genes", "n": 5, "exact": True}
+    assert json.loads(request.body) == {"page": {"index": 0, "size": 10}, "filter": None}
 
 
 def test_graphql_source_uses_parameterized_template():
@@ -527,13 +585,7 @@ def test_graphql_source_uses_parameterized_template():
         ]}}
     })})
 
-    registry = {
-        "opentargets": SourceDescriptor(
-            source_id="opentargets", base_url="http://ot.test/graphql",
-            protocol="graphql", priority=1, rate_limit_per_sec=1000,
-            retry=RetryPolicy(max_attempts=1), search_path="",
-        )
-    }
+    registry = {"opentargets": shipped("opentargets", "http://ot.test/graphql", priority=1)}
     federation = Federation(registry=registry, transport=transport,
                             clock=FakeClock(), env={})
     result = federation.search_entities_unified(
@@ -704,3 +756,24 @@ def test_only_the_http_and_mock_transports_implement_send():
                 transports.add((path.relative_to(root).as_posix(), node.name))
     assert transports == {("src/biokgr/federation/client.py", "HttpTransport"),
                           ("src/biokgr/federation/mockserver.py", "MockTransport")}
+
+
+def test_unified_has_no_per_source_code():
+    """Sources differ only in their registry entries, never in `unified.py`."""
+    source_ids = set(default_registry())
+
+    def names_a_source(node) -> bool:
+        return any(isinstance(n, ast.Constant) and n.value in source_ids for n in ast.walk(node))
+
+    offences = []
+    for node in ast.walk(ast.parse(Path(unified.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_adapt_"):
+            offences.append(f"line {node.lineno}: defines {node.name}")
+        elif isinstance(node, (ast.Compare, ast.MatchValue)) and names_a_source(node):
+            offences.append(f"line {node.lineno}: compares with a source id")
+        elif isinstance(node, ast.Dict) and any(k is not None and names_a_source(k)
+                                                for k in node.keys):
+            offences.append(f"line {node.lineno}: keys a table by a source id")
+        elif isinstance(node, ast.Subscript) and names_a_source(node.slice):
+            offences.append(f"line {node.lineno}: looks a source id up in a table")
+    assert offences == []
