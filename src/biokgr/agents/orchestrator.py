@@ -5,7 +5,8 @@ subagent budgets (a subagent proposal with zero budget left coerces to
 Finalize; no proposal at all yields Halt) and appends its entry to the step
 log. `OrchestratorRunner.run` drives the full loop, executing actions,
 marking plan steps, persisting the step log (the transcript) and the
-evidence-graph snapshot into the run workspace.
+evidence-graph snapshot into the run workspace, and closing the workspace,
+which writes its manifest, when the run ends or raises.
 """
 from __future__ import annotations
 
@@ -97,40 +98,40 @@ class OrchestratorRunner:
         self.dfrs_budget = dfrs_budget
 
     def run(self, query: str, workspace_root) -> RunResult:
-        workspace = Workspace(workspace_root)
-        state = OrchestratorState(
-            query=query,
-            plan=self.oracle.plan(query),
-            budgets={"bfrs": self.bfrs_budget, "dfrs": self.dfrs_budget},
-            workspace=workspace,
-            graph=EvidenceGraphStore(),
-        )
-        observation = "run started"
-        halted = False
-        max_steps = self.bfrs_budget + self.dfrs_budget + 2 * len(state.plan.steps) + 8
+        with Workspace(workspace_root) as workspace:
+            state = OrchestratorState(
+                query=query,
+                plan=self.oracle.plan(query),
+                budgets={"bfrs": self.bfrs_budget, "dfrs": self.dfrs_budget},
+                workspace=workspace,
+                graph=EvidenceGraphStore(),
+            )
+            observation = "run started"
+            halted = False
+            max_steps = self.bfrs_budget + self.dfrs_budget + 2 * len(state.plan.steps) + 8
 
-        for _ in range(max_steps):
-            before = (tuple(sorted(state.budgets.items())), state.plan.signature())
-            action = step_orchestrator(state, observation, self.oracle)
-            observation = self._execute(state, action)
-            state.step_log[-1]["observation"] = observation
-            if isinstance(action, (Finalize, Halt)):
-                halted = isinstance(action, Halt)
-                break
-            after = (tuple(sorted(state.budgets.items())), state.plan.signature())
-            if before == after:
-                # the action neither consumed budget nor advanced the plan
-                _record(state, Halt(reason="no progress"), observation="halted: no progress")
-                halted = True
-                break
+            for _ in range(max_steps):
+                before = (tuple(sorted(state.budgets.items())), state.plan.signature())
+                action = step_orchestrator(state, observation, self.oracle)
+                observation = self._execute(state, action)
+                state.step_log[-1]["observation"] = observation
+                if isinstance(action, (Finalize, Halt)):
+                    halted = isinstance(action, Halt)
+                    break
+                after = (tuple(sorted(state.budgets.items())), state.plan.signature())
+                if before == after:
+                    # the action neither consumed budget nor advanced the plan
+                    _record(state, Halt(reason="no progress"), observation="halted: no progress")
+                    halted = True
+                    break
 
-        workspace.save_text(
-            "transcript.jsonl",
-            "".join(jsonl_lines(state.step_log)),
-            "orchestrator action/observation log",
-        )
-        export_graph(state.graph, workspace.root / "evidence_graph.json")
-        workspace.register("evidence_graph.json", "final evidence-graph snapshot")
+            workspace.save_text(
+                "transcript.jsonl",
+                "".join(jsonl_lines(state.step_log)),
+                "orchestrator action/observation log",
+            )
+            export_graph(state.graph, workspace.root / "evidence_graph.json")
+            workspace.register("evidence_graph.json", "final evidence-graph snapshot")
 
         return RunResult(
             answer=state.answer or "halted without final answer",

@@ -3,18 +3,24 @@
 Agents act on retrieved data through a closed set of deterministic table
 operations (filter, join, aggregate, extract, dedup) over workspace files
 instead of free-form code execution. Every saved artifact is registered in
-`manifest.json` with a one-sentence description. Paths come from the oracle,
-possibly an outside service, so one that resolves outside the root is refused.
+the manifest with a one-sentence description; the manifest is kept in memory
+and written to `manifest.json` once, when the workspace closes (`close()`, or
+the end of a `with` block, even one left by an exception). Paths come from the
+oracle, possibly an outside service, so one that resolves outside the root is
+refused.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import logging
 import re
 from pathlib import Path
 
 from biokgr.evidence import WorkspaceUnavailable
+
+logger = logging.getLogger(__name__)
 
 
 class AnalysisError(Exception):
@@ -33,8 +39,26 @@ class Workspace:
         self._files: dict[str, str] = {}  # registered path -> description
         if self._manifest_path.exists():
             self._files = self._load_manifest()
-        else:
-            self._write_manifest()
+
+    def __enter__(self) -> "Workspace":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self.close()
+        except WorkspaceUnavailable as close_exc:
+            if exc is None:
+                raise
+            # the exception that ended the block is the one to report
+            logger.warning("manifest not written: %s", close_exc)
+
+    def close(self) -> None:
+        """Write the manifest to `manifest.json`; raises `WorkspaceUnavailable`."""
+        try:
+            with open(self._manifest_path, "w", encoding="utf-8") as fh:
+                json.dump(self.manifest(), fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            raise WorkspaceUnavailable(str(exc)) from exc
 
     # -- manifest ----------------------------------------------------------------
 
@@ -54,16 +78,8 @@ class Workspace:
             ) from exc
         return files
 
-    def _write_manifest(self) -> None:
-        try:
-            with open(self._manifest_path, "w", encoding="utf-8") as fh:
-                json.dump(self.manifest(), fh, indent=2, sort_keys=True)
-        except OSError as exc:
-            raise WorkspaceUnavailable(str(exc)) from exc
-
     def register(self, relpath: str, description: str) -> None:
         self._files[relpath] = description
-        self._write_manifest()
 
     def exists(self, relpath: str) -> bool:
         return self._path(relpath).exists()

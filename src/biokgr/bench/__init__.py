@@ -9,6 +9,7 @@ from biokgr.bench.prepare import (
     write_bench_items,
 )
 from biokgr.bench.scoring import (
+    MalformedPrediction,
     PredictionsNotFound,
     SuiteReport,
     UnmatchedItemId,
@@ -25,6 +26,7 @@ __all__ = [
     "prepare_dataset",
     "read_bench_items",
     "write_bench_items",
+    "MalformedPrediction",
     "PredictionsNotFound",
     "SuiteReport",
     "UnmatchedItemId",

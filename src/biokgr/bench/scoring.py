@@ -26,6 +26,10 @@ class UnmatchedItemId(Exception):
     pass
 
 
+class MalformedPrediction(Exception):
+    """A predictions row that is not a JSON object or has no `id`."""
+
+
 @dataclass
 class SuiteReport:
     rows: list[dict]
@@ -91,10 +95,15 @@ def score_item(item: BenchItem, prediction) -> dict:
 
 
 def load_predictions(path) -> dict:
-    """JSONL `{id, prediction}` rows keyed by item id."""
+    """JSONL `{id, prediction}` rows keyed by item id; a row without an id is malformed."""
     if not os.path.exists(path):
         raise PredictionsNotFound(f"predictions file {path} not found")
-    return {str(row["id"]): row.get("prediction") for row in read_jsonl(path)}
+    predictions = {}
+    for number, row in enumerate(read_jsonl(path), start=1):
+        if not isinstance(row, dict) or "id" not in row:
+            raise MalformedPrediction(f"{path} row {number} lacks 'id': {row}")
+        predictions[str(row["id"])] = row.get("prediction")
+    return predictions
 
 
 def run_suite(items: list[BenchItem], predictions: dict) -> SuiteReport:

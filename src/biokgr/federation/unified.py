@@ -8,12 +8,14 @@ reply the reader cannot follow, or a leaf of the wrong type, raises
 
 `Federation` owns one client per registered source, all sharing one rate
 limiter, one clock and one transport (the stateless `HttpTransport` unless
-one is injected), fans searches out concurrently over at most `MAX_WORKERS`
-threads, and merges per-source records into `UnifiedRecord`s
-with deterministic ordering: source priority first, then the source's native
-rank. Records from different sources that share a cross-reference id enrich
-each other's xref maps; conflicting ids are never overwritten silently, they
-are recorded side by side with their sources.
+one is injected), and fans a search out concurrently: the highest-priority
+source runs on the caller's thread and the others on at most `MAX_WORKERS`
+threads, so a one-source search starts no thread. It merges per-source
+records into `UnifiedRecord`s with deterministic ordering: source priority
+first, then the source's native rank. Records from different sources that
+share a cross-reference id enrich each other's xref maps; conflicting ids are
+never overwritten silently, they are recorded side by side with their
+sources.
 """
 from __future__ import annotations
 
@@ -239,23 +241,26 @@ class Federation:
         statuses: list[SourceStatus] = []
         per_source: dict[str, list[UnifiedRecord]] = {}
 
-        def run_one(source_id: str) -> list[UnifiedRecord]:
-            return [UnifiedRecord(name=name, xrefs=xrefs, rank=rank) for rank, name, xrefs
-                    in self._fetch(source_id, "search", spec.text, spec.kind, spec.limit)]
+        def run_one(source_id: str) -> list[UnifiedRecord] | FederationError:
+            try:
+                return [UnifiedRecord(name=name, xrefs=xrefs, rank=rank) for rank, name, xrefs
+                        in self._fetch(source_id, "search", spec.text, spec.kind, spec.limit)]
+            except FederationError as exc:
+                return exc
 
+        # the pool starts a thread per submitted source only, so a one-source search starts none
         with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(ordered))) as pool:
-            futures = {source_id: pool.submit(run_one, source_id) for source_id in ordered}
-            for source_id in ordered:
-                try:
-                    records = futures[source_id].result()
-                except FederationError as exc:
-                    statuses.append(SourceStatus(source_id, ok=False, reason=str(exc)))
-                    logger.warning("source %s failed: %s", source_id, exc)
-                    continue
-                for record in records:
-                    record.sources = [source_id]
-                per_source[source_id] = records
-                statuses.append(SourceStatus(source_id, ok=True))
+            futures = [pool.submit(run_one, source_id) for source_id in ordered[1:]]
+            outcomes = [run_one(ordered[0])] + [future.result() for future in futures]
+        for source_id, outcome in zip(ordered, outcomes):
+            if isinstance(outcome, FederationError):
+                statuses.append(SourceStatus(source_id, ok=False, reason=str(outcome)))
+                logger.warning("source %s failed: %s", source_id, outcome)
+                continue
+            for record in outcome:
+                record.sources = [source_id]
+            per_source[source_id] = outcome
+            statuses.append(SourceStatus(source_id, ok=True))
 
         if not per_source:
             raise AllSourcesFailed(

@@ -94,9 +94,10 @@ def test_workspace_manifest_roundtrip(tmp_path):
 
 
 def test_workspace_reopened_keeps_earlier_manifest_entries(tmp_path):
-    Workspace(tmp_path).save_text("a.txt", "one", "first file")
-    ws = Workspace(tmp_path)
-    ws.save_text("b.txt", "two", "second file")
+    with Workspace(tmp_path) as first:
+        first.save_text("a.txt", "one", "first file")
+    with Workspace(tmp_path) as ws:
+        ws.save_text("b.txt", "two", "second file")
     assert Workspace(tmp_path).manifest() == ws.manifest() == {"files": [
         {"path": "a.txt", "description": "first file"},
         {"path": "b.txt", "description": "second file"},
@@ -491,6 +492,54 @@ def test_mock_run_transcript_and_manifest_bytes_are_pinned(tmp_path):
         "manifest.json": "8decf1ef71ac7b4575079c6649cb8cdeb46842cd4778107eb0bc2e031f31a007",
     }
     assert result.transcript_path == str(tmp_path / "transcript.jsonl")
+
+
+def test_full_run_writes_the_manifest_once(tmp_path, monkeypatch):
+    from biokgr.agents import workspace as workspace_module
+
+    manifest_writes = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if Path(file).name == "manifest.json" and "w" in mode:
+            manifest_writes.append(file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(workspace_module, "open", counting_open, raising=False)
+    OrchestratorRunner(make_mock_federation(), DefaultOracle()).run(QUERY, tmp_path)
+    assert manifest_writes == [tmp_path / "manifest.json"]
+
+
+class OracleLostAfterBfrs(DefaultOracle):
+    """Fails the run once BFRS has saved its files; can also block the manifest."""
+
+    def __init__(self, block_manifest=False):
+        super().__init__()
+        self.block_manifest = block_manifest
+
+    def choose_action(self, state, observation):
+        if state.budgets["bfrs"] < 2:
+            if self.block_manifest:  # a directory in its place fails the manifest write
+                (state.workspace.root / "manifest.json").mkdir()
+            raise OracleUnavailable("oracle went away")
+        return super().choose_action(state, observation)
+
+
+def test_a_run_that_raises_still_lists_its_saved_files(tmp_path):
+    with pytest.raises(OracleUnavailable, match="oracle went away"):
+        OrchestratorRunner(make_mock_federation(), OracleLostAfterBfrs()).run(QUERY, tmp_path)
+    saved = sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
+    assert "bfrs_screened.json" in saved and "transcript.jsonl" not in saved
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert [entry["path"] for entry in manifest["files"]] == saved
+
+
+def test_a_failing_manifest_write_does_not_hide_the_runs_exception(tmp_path):
+    oracle = OracleLostAfterBfrs(block_manifest=True)
+    with pytest.raises(OracleUnavailable, match="oracle went away"):
+        OrchestratorRunner(make_mock_federation(), oracle).run(QUERY, tmp_path / "run")
+    with pytest.raises(WorkspaceUnavailable):  # with nothing else raised, it is the error
+        with Workspace(tmp_path / "ws") as ws:
+            (ws.root / "manifest.json").mkdir()
 
 
 # -- action wire format -----------------------------------------------------------------

@@ -221,6 +221,25 @@ def test_bench_prepare_and_score(runner, tmp_path):
     assert (report_dir / "report.md").exists()
 
 
+@pytest.mark.parametrize("row", [{"prediction": "A"}, ["hle-med-0", "A"]],
+                         ids=["row-without-id", "row-not-an-object"])
+def test_bench_score_reports_a_malformed_prediction_in_one_line(runner, tmp_path, row):
+    from test_bench import hle_snapshot
+
+    raw, items, preds = tmp_path / "hle.json", tmp_path / "items.jsonl", tmp_path / "preds.jsonl"
+    raw.write_text(json.dumps(hle_snapshot()))
+    invoke(runner, ["bench", "prepare", "--benchmark", "hle_med",
+                    "--in", str(raw), "--out", str(items), "--seed", "0"])
+    preds.write_text(json.dumps({"id": "hle-med-1", "prediction": "A"}) + "\n"
+                     + json.dumps(row) + "\n")
+    result = runner.invoke(main, ["bench", "score", "--items", str(items), "--predictions",
+                                  str(preds), "--report", str(tmp_path / "report")],
+                           catch_exceptions=False)
+    assert result.exit_code != 0
+    assert result.output.startswith(f"Error: {preds} row 2 lacks 'id'")
+    assert result.output.count("\n") == 1
+
+
 def test_research_run_with_mock_endpoints(runner, tmp_path, monkeypatch):
     server = FixtureServer()
     server.transport.routes.update({

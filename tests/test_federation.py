@@ -319,6 +319,60 @@ def test_unified_search_marks_an_unreadable_reply_failed(reply):
     assert "mygene sent a body its adapter cannot read" in failed[0].reason
 
 
+def test_one_source_search_fetches_on_the_callers_thread():
+    threads = []
+
+    def reply(request):
+        threads.append(threading.get_ident())
+        return json_response(mygene_payload())
+
+    result = make_federation({"mygene.test": reply}).search_entities_unified(
+        QuerySpec(kind="gene", text="TP53", sources=("mygene",)))
+    assert [r.name for r in result.records] == ["TP53"]
+    assert threads == [threading.get_ident()]
+
+
+def test_two_source_search_has_both_sources_in_flight_at_once():
+    # each reply waits for the other: a search that fetched one at a time
+    # would break the barrier after its timeout
+    barrier = threading.Barrier(2, timeout=5)
+    threads = {}
+
+    def waiting(source_id, response):
+        def reply(request):
+            threads[source_id] = threading.get_ident()
+            barrier.wait()
+            return response
+        return reply
+
+    federation = make_federation({"mygene.test": waiting("mygene", json_response(mygene_payload())),
+                                  "kegg.test": waiting("kegg", kegg_payload())})
+    result = federation.search_entities_unified(
+        QuerySpec(kind="gene", text="TP53", sources=("mygene", "kegg")))
+    assert [r.sources for r in result.records] == [["mygene"], ["kegg"]]
+    assert threads["mygene"] == threading.get_ident() != threads["kegg"]
+
+
+def test_a_malformed_reply_fails_only_the_inline_source():
+    registry = {k: v for k, v in mock_registry().items() if k in ("mygene", "kegg", "pubmed")}
+    federation = Federation(
+        registry=registry,
+        transport=MockTransport({
+            "mygene.test": json_response({"hits": 5}),
+            "kegg.test": kegg_payload(),
+            "pubmed.test": json_response({"esearchresult": {"idlist": ["30994898"]}}),
+        }),
+        clock=FakeClock(),
+        env={},
+    )
+    result = federation.search_entities_unified(
+        QuerySpec(kind="gene", text="TP53", sources=("pubmed", "kegg", "mygene")))
+    assert [(s.source_id, s.ok) for s in result.statuses] == [
+        ("mygene", False), ("kegg", True), ("pubmed", True)]
+    assert "mygene sent a body its adapter cannot read" in result.statuses[0].reason
+    assert [r.sources for r in result.records] == [["kegg"], ["pubmed"]]
+
+
 def test_unified_search_marks_a_json_reply_to_a_tsv_source_failed():
     federation = make_federation(
         {"mygene.test": json_response(mygene_payload()), "kegg.test": json_response({"hits": []})})
