@@ -4,7 +4,6 @@ from biokgr.agents.actions import (
     Action,
     AgentReport,
     AnalyzeWorkspace,
-    BudgetExhausted,
     Finalize,
     Halt,
     InvokeBFRS,
@@ -31,7 +30,6 @@ __all__ = [
     "Action",
     "AgentReport",
     "AnalyzeWorkspace",
-    "BudgetExhausted",
     "Finalize",
     "Halt",
     "InvokeBFRS",

@@ -2,18 +2,15 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
+from biokgr import field
 from biokgr.agents.plan import PlanStep
 from biokgr.evidence import EntityRef, MergeBatch, Observation, RelationEdge
 
 MAX_REPORT_LINES = 10
 _MAX_LISTED_FILES = 5
-
-
-class BudgetExhausted(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -41,9 +38,9 @@ class ResearchTask:
 class AgentReport:
     """Subagent deliverable: saved-file manifest plus short findings."""
 
-    files: list[tuple[str, str]] = field(default_factory=list)  # (path, description)
+    files: list[tuple[str, str]] = dataclasses.field(default_factory=list)  # (path, description)
     findings: str = ""
-    key_entities: list[str] = field(default_factory=list)       # not rendered
+    key_entities: list[str] = dataclasses.field(default_factory=list)       # not rendered
     invocations: int = 0
 
     def render(self) -> str:
@@ -132,51 +129,52 @@ def action_from_dict(payload: dict) -> Action | None:
     Fields left out take their wire defaults. Raises ValueError when a field
     has the wrong type or a subagent task fails `ResearchTask.validate`.
     """
-    kind = _ACTION_TYPES.get(_get(payload, "action", _OPTIONAL_STR))
+    kind = _ACTION_TYPES.get(field(payload, "action", _OPTIONAL_STR, None))
     if kind in (InvokeBFRS, InvokeDFRS):
-        raw = _get(payload, "task", dict, {})
+        raw = field(payload, "task", dict, {})
         task = ResearchTask(
-            description=_get(raw, "description", str, ""),
-            entities=tuple(_items(raw, "entities", str)),
-            knowledge_bases=tuple(_items(raw, "knowledge_bases", str)),
-            budget=_get(raw, "budget", int, 1),
+            description=field(raw, "description", str, ""),
+            entities=tuple(field(raw, "entities", list, [], of=str)),
+            knowledge_bases=tuple(field(raw, "knowledge_bases", list, [], of=str)),
+            budget=field(raw, "budget", int, 1),
             mode="breadth" if kind is InvokeBFRS else "depth",
-            seeds=tuple(_items(raw, "seeds", str)),
-            entity_kind=_get(raw, "entity_kind", str, "gene"),
+            seeds=tuple(field(raw, "seeds", list, [], of=str)),
+            entity_kind=field(raw, "entity_kind", str, "gene"),
         )
         task.validate()
         return kind(task)
     if kind is UpdateGraph:
-        raw = _get(payload, "batch", dict, {})
+        raw = field(payload, "batch", dict, {})
         return UpdateGraph(MergeBatch(
             entities=tuple(
-                EntityRef(name=_get(e, "name", str), kind=_get(e, "kind", str, "FINDING"),
-                          curie=_get(e, "curie", _OPTIONAL_STR),
-                          source=_get(e, "source", str, "oracle"))
-                for e in _items(raw, "entities", dict)
+                EntityRef(name=field(e, "name", str), kind=field(e, "kind", str, "FINDING"),
+                          curie=field(e, "curie", _OPTIONAL_STR, None),
+                          source=field(e, "source", str, "oracle"))
+                for e in field(raw, "entities", list, [], of=dict)
             ),
             relations=tuple(
-                RelationEdge(subject=_get(r, "subject", str), predicate=_get(r, "predicate", str),
-                             object=_get(r, "object", str),
-                             evidence=tuple(_items(r, "evidence", str)),
-                             conflict_group=_get(r, "conflict_group", _OPTIONAL_STR))
-                for r in _items(raw, "relations", dict)
+                RelationEdge(subject=field(r, "subject", str),
+                             predicate=field(r, "predicate", str),
+                             object=field(r, "object", str),
+                             evidence=tuple(field(r, "evidence", list, [], of=str)),
+                             conflict_group=field(r, "conflict_group", _OPTIONAL_STR, None))
+                for r in field(raw, "relations", list, [], of=dict)
             ),
             observations=tuple(
-                Observation(entity=_get(o, "entity", str), text=_get(o, "text", str))
-                for o in _items(raw, "observations", dict)
+                Observation(entity=field(o, "entity", str), text=field(o, "text", str))
+                for o in field(raw, "observations", list, [], of=dict)
             ),
-            cycle_id=_get(raw, "cycle_id", str, ""),
+            cycle_id=field(raw, "cycle_id", str, ""),
         ))
     if kind is RetrieveGraph:
-        return RetrieveGraph(seeds=tuple(_items(payload, "seeds", str)),
-                             depth=_get(payload, "depth", int, 1))
+        return RetrieveGraph(seeds=tuple(field(payload, "seeds", list, [], of=str)),
+                             depth=field(payload, "depth", int, 1))
     if kind is AnalyzeWorkspace:
-        return AnalyzeWorkspace(spec=dict(_get(payload, "spec", dict, {})))
+        return AnalyzeWorkspace(spec=dict(field(payload, "spec", dict, {})))
     if kind is Finalize:
-        return Finalize(answer=_get(payload, "answer", str, ""))
+        return Finalize(answer=field(payload, "answer", str, ""))
     if kind is Halt:
-        return Halt(reason=_get(payload, "reason", str, ""))
+        return Halt(reason=field(payload, "reason", str, ""))
     return None
 
 
@@ -186,24 +184,5 @@ def plan_steps_from_dict(payload: dict) -> list[PlanStep]:
     Raises ValueError when `steps` is not a list of objects or a field is not
     a string.
     """
-    return [PlanStep(text=_get(step, "text", str, ""), hint=_get(step, "hint", str, ""))
-            for step in _items(payload, "steps", dict)]
-
-
-def _get(raw: dict, key: str, types, default=None):
-    """`raw[key]`, or `default` when absent; ValueError unless it is one of `types`.
-
-    A field without a default is required: its None default fails the check.
-    """
-    value = raw.get(key, default)
-    # bool is an int subclass, but never a count or a depth
-    if not isinstance(value, types) or (isinstance(value, bool) and types is int):
-        raise ValueError(f"field {key!r} is missing or has the wrong type: {value!r}")
-    return value
-
-
-def _items(raw: dict, key: str, item_type: type) -> list:
-    values = _get(raw, key, list, [])
-    if not all(isinstance(v, item_type) for v in values):
-        raise ValueError(f"field {key!r} must list {item_type.__name__} values: {values!r}")
-    return values
+    return [PlanStep(text=field(step, "text", str, ""), hint=field(step, "hint", str, ""))
+            for step in field(payload, "steps", list, [], of=dict)]

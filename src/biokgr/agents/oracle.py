@@ -15,6 +15,7 @@ import json
 import math
 import re
 
+from biokgr import field
 from biokgr.agents.actions import (
     Action,
     AnalyzeWorkspace,
@@ -185,7 +186,11 @@ class HttpOracle:
             transport=transport, clock=clock, env={},
         )
 
-    def _call(self, request: dict) -> dict:
+    def _call(self, what: str, read, request: dict):
+        """Post `request`; returns `read` applied to the reply's JSON object.
+
+        A failed post, or a reply `read` cannot decode, raises `OracleUnavailable`.
+        """
         body = json.dumps({
             "messages": [
                 {"role": "system", "content": ORACLE_SYSTEM_GUIDE},
@@ -200,36 +205,27 @@ class HttpOracle:
         except FederationError as exc:
             raise OracleUnavailable(f"oracle endpoint {self.endpoint}: {exc}") from exc
         try:
-            payload = json.loads(reply["message"]["content"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise OracleUnavailable(
-                f"oracle endpoint {self.endpoint} sent no JSON message content: {exc!r}"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise OracleUnavailable(f"oracle endpoint {self.endpoint} sent a non-object reply")
-        return payload
-
-    def plan(self, query: str) -> PlanChecklist:
-        payload = self._call({"op": "plan", "query": query})
-        try:
-            steps = plan_steps_from_dict(payload)
+            return read(json.loads(field(field(reply, "message", dict), "content", str)))
         except ValueError as exc:
             raise OracleUnavailable(
-                f"oracle endpoint {self.endpoint} sent a malformed plan: {exc}"
-            ) from exc
+                f"oracle endpoint {self.endpoint} sent a malformed {what}: {exc}") from exc
+
+    def plan(self, query: str) -> PlanChecklist:
+        steps = self._call("plan", plan_steps_from_dict, {"op": "plan", "query": query})
         if not steps:
             steps = [PlanStep(text=f"Investigate: {query}", hint="finalize")]
         return PlanChecklist(steps=steps)
 
     def score_relevance(self, candidate: str, target: str) -> float:
-        payload = self._call({"op": "score", "candidate": candidate, "target": target})
+        score = self._call("score", lambda payload: field(payload, "score", object, 0.0),
+                           {"op": "score", "candidate": candidate, "target": target})
         try:
-            return max(0.0, min(1.0, float(payload.get("score", 0.0))))
+            return max(0.0, min(1.0, float(score)))
         except (TypeError, ValueError):
             return 0.0
 
     def choose_action(self, state, observation: str) -> Action | None:
-        payload = self._call({
+        return self._call("action", action_from_dict, {
             "op": "choose_action",
             "query": state.query,
             "plan": state.plan.render(),
@@ -237,9 +233,3 @@ class HttpOracle:
             "observation": observation,
             "graph_stats": state.graph.stats(),
         })
-        try:
-            return action_from_dict(payload)
-        except ValueError as exc:
-            raise OracleUnavailable(
-                f"oracle endpoint {self.endpoint} sent a malformed action: {exc}"
-            ) from exc

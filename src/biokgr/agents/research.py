@@ -9,7 +9,7 @@ from __future__ import annotations
 import logging
 import re
 
-from biokgr.agents.actions import AgentReport, BudgetExhausted, ResearchTask
+from biokgr.agents.actions import AgentReport, ResearchTask
 from biokgr.agents.workspace import Workspace
 from biokgr.evidence import EntityRef
 from biokgr.federation import FederationError, QuerySpec
@@ -27,8 +27,7 @@ def run_bfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
     invocations in total; retrieved records are screened by oracle relevance
     against the task target and persisted per source plus as a combined table.
     """
-    if task.budget <= 0:
-        raise BudgetExhausted("BFRS invoked with zero budget")
+    task.validate()
     if task.mode != "breadth":
         raise ValueError(f"BFRS requires breadth mode, got {task.mode!r}")
 
@@ -88,8 +87,7 @@ def run_dfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
     links, entity nodes through typed relation search. Stops at budget
     exhaustion or when no frontier node scores above zero.
     """
-    if task.budget <= 0:
-        raise BudgetExhausted("DFRS invoked with zero budget")
+    task.validate()
     if task.mode != "depth":
         raise ValueError(f"DFRS requires depth mode, got {task.mode!r}")
     seeds = task.seeds or (task.description,)

@@ -18,6 +18,7 @@ import logging
 import re
 from pathlib import Path
 
+from biokgr import field
 from biokgr.evidence import WorkspaceUnavailable
 
 logger = logging.getLogger(__name__)
@@ -69,14 +70,11 @@ class Workspace:
     def _load_manifest(self) -> dict[str, str]:
         try:
             with open(self._manifest_path, "r", encoding="utf-8") as fh:
-                files = {e["path"]: e["description"] for e in json.load(fh)["files"]}
-            if not all(isinstance(text, str) for entry in files.items() for text in entry):
-                raise ValueError("entries need a string path and description")
-        except (OSError, ValueError, TypeError, KeyError) as exc:
+                entries = field(json.load(fh), "files", list, of=dict)
+            return {field(e, "path", str): field(e, "description", str) for e in entries}
+        except (OSError, ValueError) as exc:
             raise WorkspaceUnavailable(
-                f"unreadable or malformed {self._manifest_path}: {exc!r}"
-            ) from exc
-        return files
+                f"unreadable or malformed {self._manifest_path}: {exc}") from exc
 
     def register(self, relpath: str, description: str) -> None:
         self._files[relpath] = description
@@ -134,13 +132,6 @@ class Workspace:
         return [dict(row) for row in reader]
 
 
-def _field(spec: dict, name: str, kind: type = str):
-    value = spec.get(name)
-    if not isinstance(value, kind):
-        raise AnalysisError(f"analysis spec needs {name!r} of type {kind.__name__}, got {value!r}")
-    return value
-
-
 def run_analysis(workspace: Workspace, spec: dict) -> str:
     """Execute one typed analysis action; returns the output file's relpath.
 
@@ -156,31 +147,31 @@ def run_analysis(workspace: Workspace, spec: dict) -> str:
     """
     try:
         return _apply(workspace, spec)
-    except (WorkspaceUnavailable, ValueError, re.error) as exc:  # ValueError: bad JSON, NUL path
+    except (WorkspaceUnavailable, ValueError, re.error) as exc:  # ValueError: bad spec, JSON or path
         raise AnalysisError(str(exc)) from exc
 
 
 def _apply(workspace: Workspace, spec: dict) -> str:
     op = spec.get("op")
-    out = _field(spec, "out")
+    out = field(spec, "out", str)
 
     if op == "filter":
-        rows = workspace.read_table(_field(spec, "input"))
+        rows = workspace.read_table(field(spec, "input", str))
         if "where" in spec:
-            where = _field(spec, "where", dict)
+            where = field(spec, "where", dict)
             rows = [r for r in rows if all(str(r.get(k, "")) == str(v) for k, v in where.items())]
         elif "contains" in spec:
-            contains = _field(spec, "contains", dict)
-            col, text = _field(contains, "col"), _field(contains, "text")
+            contains = field(spec, "contains", dict)
+            col, text = field(contains, "col", str), field(contains, "text", str)
             rows = [r for r in rows if text.casefold() in str(r.get(col, "")).casefold()]
         else:
             raise AnalysisError("filter needs 'where' or 'contains'")
         return workspace.save_json(out, rows, f"filter of {spec['input']}")
 
     if op == "join":
-        left = workspace.read_table(_field(spec, "left"))
-        right = workspace.read_table(_field(spec, "right"))
-        on = _field(spec, "on")
+        left = workspace.read_table(field(spec, "left", str))
+        right = workspace.read_table(field(spec, "right", str))
+        on = field(spec, "on", str)
         index: dict[str, dict] = {}
         for row in right:
             index.setdefault(str(row.get(on, "")), row)
@@ -194,8 +185,8 @@ def _apply(workspace: Workspace, spec: dict) -> str:
         return workspace.save_json(out, joined, f"join of {spec['left']} and {spec['right']}")
 
     if op == "aggregate":
-        rows = workspace.read_table(_field(spec, "input"))
-        group_by = _field(spec, "group_by")
+        rows = workspace.read_table(field(spec, "input", str))
+        group_by = field(spec, "group_by", str)
         counts: dict[str, int] = {}
         for row in rows:
             key = str(row.get(group_by, ""))
@@ -204,13 +195,13 @@ def _apply(workspace: Workspace, spec: dict) -> str:
         return workspace.save_json(out, table, f"counts of {spec['input']} by {group_by}")
 
     if op == "extract":
-        text = workspace.read_text(_field(spec, "input"))
-        matches = sorted(set(re.findall(_field(spec, "pattern"), text)))
+        text = workspace.read_text(field(spec, "input", str))
+        matches = sorted(set(re.findall(field(spec, "pattern", str), text)))
         return workspace.save_json(out, matches, f"regex extraction from {spec['input']}")
 
     if op == "dedup":
-        rows = workspace.read_table(_field(spec, "input"))
-        key = _field(spec, "key")
+        rows = workspace.read_table(field(spec, "input", str))
+        key = field(spec, "key", str)
         seen: set[str] = set()
         deduped = []
         for row in rows:

@@ -10,10 +10,11 @@ All filters are idempotent and output ids are a subset of input ids.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from biokgr import jsonl_lines, read_jsonl
+from biokgr import field, jsonl_lines, read_jsonl
 
 TASK_FAMILIES = (
     "hle_med", "litqa2", "supergpqa_med_hard", "trialpanorama_eqa",
@@ -41,7 +42,7 @@ class UnknownBenchmark(Exception):
 
 
 class MissingField(Exception):
-    pass
+    """A raw export record or a bench item that lacks a field or holds one of the wrong type."""
 
 
 @dataclass
@@ -50,7 +51,7 @@ class BenchItem:
     family: str
     question: dict
     answer_key: list  # single label, label set, or PMID set
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = dataclasses.field(default_factory=dict)
 
     def validate(self) -> None:
         if self.family not in TASK_FAMILIES:
@@ -69,24 +70,19 @@ class BenchItem:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BenchItem":
+        """Raises ValueError naming a field that is absent or of the wrong type."""
         return cls(
-            item_id=str(payload["id"]),
-            family=payload["family"],
-            question=dict(payload["question"]),
-            answer_key=list(payload["answer_key"]),
-            metadata=dict(payload.get("metadata", {})),
+            item_id=str(field(payload, "id", (str, int))),
+            family=field(payload, "family", str),
+            question=dict(field(payload, "question", dict)),
+            answer_key=list(field(payload, "answer_key", list)),
+            metadata=dict(field(payload, "metadata", dict, {})),
         )
-
-
-def _require(record: dict, key: str, benchmark: str):
-    if key not in record:
-        raise MissingField(f"{benchmark} record {record.get('id', '?')!r} lacks {key!r}")
-    return record[key]
 
 
 def _item(record: dict, family: str, question: dict, answers, filters: list[str]) -> BenchItem:
     item = BenchItem(
-        item_id=str(record["id"]),
+        item_id=str(field(record, "id", (str, int))),
         family=family,
         question=question,
         answer_key=list(answers) if isinstance(answers, (list, tuple, set)) else [answers],
@@ -97,16 +93,23 @@ def _item(record: dict, family: str, question: dict, answers, filters: list[str]
 
 
 def prepare_dataset(records: list[dict], benchmark: str, seed: int = 0) -> list[BenchItem]:
-    """Apply one benchmark's filter to its raw export records."""
+    """Apply one benchmark's filter to its raw export records; MissingField if one is malformed."""
+    try:
+        return _select(records, benchmark, seed)
+    except ValueError as exc:
+        raise MissingField(f"{benchmark} record {exc}") from exc
+
+
+def _select(records: list[dict], benchmark: str, seed: int) -> list[BenchItem]:
     if benchmark == "hle_med":
         filters = ["subject == Medicine", "no image required"]
         kept = [
             r for r in records
-            if _require(r, "subject", benchmark) == "Medicine" and not r.get("image")
+            if field(r, "subject", str) == "Medicine" and not r.get("image")
         ]
         return [
-            _item(r, benchmark, {"text": _require(r, "question", benchmark)},
-                  _require(r, "answer", benchmark), filters)
+            _item(r, benchmark, {"text": field(r, "question", str)},
+                  field(r, "answer", object), filters)
             for r in kept
         ]
 
@@ -114,29 +117,27 @@ def prepare_dataset(records: list[dict], benchmark: str, seed: int = 0) -> list[
         filters = ["difficulty == Hard", "field == Clinical Medicine"]
         kept = [
             r for r in records
-            if _require(r, "difficulty", benchmark) == "Hard"
-            and _require(r, "field", benchmark) == "Clinical Medicine"
+            if field(r, "difficulty", str) == "Hard"
+            and field(r, "field", str) == "Clinical Medicine"
         ]
         return [
             _item(r, benchmark,
-                  {"text": _require(r, "question", benchmark),
-                   "options": r.get("options", [])},
-                  _require(r, "answer", benchmark), filters)
+                  {"text": field(r, "question", str), "options": r.get("options", [])},
+                  field(r, "answer", object), filters)
             for r in kept
         ]
 
     if benchmark == "litqa2":
         filters = [f"seeded sample of {LITQA2_SAMPLE_SIZE}"]
-        pool = sorted(records, key=lambda r: str(r["id"]))
+        pool = sorted(records, key=lambda r: str(field(r, "id", (str, int))))
         rng = random.Random(seed)
         if len(pool) > LITQA2_SAMPLE_SIZE:
             pool = rng.sample(pool, LITQA2_SAMPLE_SIZE)
             pool.sort(key=lambda r: str(r["id"]))
         return [
             _item(r, benchmark,
-                  {"text": _require(r, "question", benchmark),
-                   "options": r.get("options", [])},
-                  _require(r, "answer", benchmark), filters)
+                  {"text": field(r, "question", str), "options": r.get("options", [])},
+                  field(r, "answer", object), filters)
             for r in pool
         ]
 
@@ -144,20 +145,15 @@ def prepare_dataset(records: list[dict], benchmark: str, seed: int = 0) -> list[
         filters = ["abstracts stripped", f"most recent {TRIALPANORAMA_KEEP}"]
         ordered = sorted(
             records,
-            key=lambda r: (_require(r, "date", benchmark), str(r["id"])),
+            key=lambda r: (field(r, "date", str), str(field(r, "id", (str, int)))),
             reverse=True,
         )
         kept = ordered[:TRIALPANORAMA_KEEP]
         items = []
         for r in kept:
-            question = {
-                "text": _require(r, "question", benchmark),
-                "options": r.get("options", []),
-            }
+            question = {"text": field(r, "question", str), "options": r.get("options", [])}
             # the abstracts stay out of the payload so answering requires search
-            items.append(
-                _item(r, benchmark, question, _require(r, "answer", benchmark), filters)
-            )
+            items.append(_item(r, benchmark, question, field(r, "answer", object), filters))
         return items
 
     raise UnknownBenchmark(f"no preparation rule for benchmark {benchmark!r}")
@@ -169,4 +165,8 @@ def write_bench_items(items: list[BenchItem], path) -> None:
 
 
 def read_bench_items(path) -> list[BenchItem]:
-    return [BenchItem.from_dict(row) for row in read_jsonl(path)]
+    """Raises MissingField naming the file and row of a line that is not a bench item."""
+    try:
+        return read_jsonl(path, BenchItem.from_dict)
+    except ValueError as exc:
+        raise MissingField(str(exc)) from exc

@@ -7,10 +7,11 @@ malformed flag rather than erroring.
 """
 from __future__ import annotations
 
+import dataclasses
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from biokgr import jsonl_lines, read_jsonl
+from biokgr import field, jsonl_lines, read_jsonl
 from biokgr.bench.prepare import BenchItem
 from biokgr.curation import ebm
 
@@ -27,14 +28,14 @@ class UnmatchedItemId(Exception):
 
 
 class MalformedPrediction(Exception):
-    """A predictions row that is not a JSON object or has no `id`."""
+    """A predictions row that is not JSON, not an object, or has no string or integer `id`."""
 
 
 @dataclass
 class SuiteReport:
     rows: list[dict]
     aggregates: dict
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = dataclasses.field(default_factory=dict)
 
 
 def _parse_labels(prediction) -> list[str]:
@@ -98,12 +99,11 @@ def load_predictions(path) -> dict:
     """JSONL `{id, prediction}` rows keyed by item id; a row without an id is malformed."""
     if not os.path.exists(path):
         raise PredictionsNotFound(f"predictions file {path} not found")
-    predictions = {}
-    for number, row in enumerate(read_jsonl(path), start=1):
-        if not isinstance(row, dict) or "id" not in row:
-            raise MalformedPrediction(f"{path} row {number} lacks 'id': {row}")
-        predictions[str(row["id"])] = row.get("prediction")
-    return predictions
+    try:
+        return dict(read_jsonl(path, lambda row: (str(field(row, "id", (str, int))),
+                                                  row.get("prediction"))))
+    except ValueError as exc:
+        raise MalformedPrediction(str(exc)) from exc
 
 
 def run_suite(items: list[BenchItem], predictions: dict) -> SuiteReport:

@@ -3,6 +3,10 @@
 Command groups: graph (evidence-graph snapshots), fetch (unified search),
 pathway (KGML parsing), curate (benchmark generation), score (EBM gap
 scoring), research (orchestrator runs), bench (open-benchmark prepare/score).
+
+The library's documented failures (malformed input files and replies, failed
+sources, oracles and workspaces) end a command with one `Error:` line and
+exit code 1; any other exception is a bug and keeps its traceback.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import click
 
 from biokgr import bench as bench_mod
 from biokgr import evidence
-from biokgr import read_jsonl
+from biokgr import field, read_jsonl
 from biokgr.agents import DefaultOracle, HttpOracle, OracleUnavailable, OrchestratorRunner
 from biokgr.bench.scoring import load_predictions, parse_pmids, run_suite, write_report
 from biokgr.curation import ebm
@@ -40,15 +44,30 @@ from biokgr.curation.surrogate import (
 )
 from biokgr.curation.target_id import PROFILES, build_target_item
 from biokgr.curation.flux import build_flux_item, TargetNotInPathway
-from biokgr.federation import Federation, QuerySpec, persist_results
+from biokgr.federation import Federation, FederationError, QuerySpec, persist_results
 from biokgr.pathways import parse_kgml, parse_flat_record
 from biokgr.pathways.families import annotate_functional_types
 from biokgr.pathways.flat import split_flat_records
 
 logger = logging.getLogger(__name__)
 
+_FAILURES = (ValueError, FederationError, evidence.EvidenceGraphError, OracleUnavailable,
+             bench_mod.UnknownBenchmark, bench_mod.MissingField, bench_mod.PredictionsNotFound,
+             bench_mod.UnmatchedItemId, bench_mod.MalformedPrediction)
 
-@click.group()
+
+class _Main(click.Group):
+    """The `biokgr` group: the one place a documented failure becomes an `Error:` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _FAILURES as exc:
+            click.echo(f"Error: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Main)
 @click.option("--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose):
     logging.basicConfig(
@@ -85,10 +104,7 @@ def graph_stats(store_path):
 def _load_store(path):
     if not Path(path).exists():
         return evidence.EvidenceGraphStore()
-    try:
-        return evidence.import_graph(path)
-    except (evidence.MalformedSnapshot, evidence.WorkspaceUnavailable) as exc:
-        raise click.ClickException(str(exc)) from exc
+    return evidence.import_graph(path)
 
 
 # -- fetch -----------------------------------------------------------------------
@@ -108,11 +124,8 @@ def fetch(kind, query, sources, limit, out_dir):
         kind=kind, text=query, sources=tuple(s.strip() for s in sources.split(",") if s.strip()),
         limit=limit,
     )
-    try:
-        result = federation.search_entities_unified(spec)
-        saved = persist_results(result.records, out_dir) if out_dir else {}
-    except Exception as exc:  # surface as exit code 1 with the reason
-        raise click.ClickException(str(exc)) from exc
+    result = federation.search_entities_unified(spec)
+    saved = persist_results(result.records, out_dir) if out_dir else {}
     click.echo(result.summary)
     if saved:
         click.echo("Saved: " + ", ".join(saved.values()))
@@ -235,12 +248,12 @@ def curate_sample_size(truths_path, seed, out_path):
         try:
             items.append(
                 gen_sample_size_item(
-                    int(row["truth"]), seed=seed + i,
-                    item_id=row.get("id"),
-                    condition=row.get("condition", ""),
-                    arms=row.get("arms"),
-                    primary_outcome=row.get("primary_outcome", ""),
-                    assumption=row.get("assumption", ""),
+                    field(row, "truth", int), seed=seed + i,
+                    item_id=field(row, "id", (str, type(None)), None),
+                    condition=field(row, "condition", str, ""),
+                    arms=field(row, "arms", list, None, of=str),
+                    primary_outcome=field(row, "primary_outcome", str, ""),
+                    assumption=field(row, "assumption", str, ""),
                 )
             )
         except Exception as exc:
@@ -353,19 +366,18 @@ def score():
               help="JSONL rows: {base_doi, ranked: [PMIDs...]}")
 @click.option("--k", default=30, show_default=True)
 def score_ebm(tasks_path, preds_path, k):
-    tasks = _rows_with(tasks_path, "base_doi", "truth")
-    predictions = {row["base_doi"]: row.get("ranked", [])
-                   for row in _rows_with(preds_path, "base_doi")}
+    tasks = read_jsonl(tasks_path, lambda row: (field(row, "base_doi", str),
+                                                field(row, "truth", list, of=int)))
+    predictions = dict(read_jsonl(preds_path, lambda row: (
+        field(row, "base_doi", str), field(row, "ranked", (list, str), []))))
     results = []
-    for task in tasks:
-        ranked = parse_pmids(predictions.get(task["base_doi"], []))
-        truth = frozenset(task["truth"])
+    for base_doi, truth in tasks:
+        ranked = parse_pmids(predictions.get(base_doi, []))
         if not ranked:
-            results.append({"base_doi": task["base_doi"], "gap_detected": False,
-                            "recall_at_k": 0.0})
+            results.append({"base_doi": base_doi, "gap_detected": False, "recall_at_k": 0.0})
             continue
-        outcome = ebm.score_predictions(ranked, truth, k=k)
-        results.append({"base_doi": task["base_doi"], **outcome})
+        outcome = ebm.score_predictions(ranked, frozenset(truth), k=k)
+        results.append({"base_doi": base_doi, **outcome})
     if not results:
         raise click.ClickException("no tasks to score")
     gap_rate = sum(r["gap_detected"] for r in results) / len(results)
@@ -376,16 +388,6 @@ def score_ebm(tasks_path, preds_path, k):
         f"mean_recall_at_{k}": mean_recall,
         "per_task": results,
     }, indent=2, sort_keys=True))
-
-
-def _rows_with(path, *keys) -> list[dict]:
-    """The rows of a JSONL file; a row without one of `keys` is a one-line error."""
-    rows = read_jsonl(path)
-    for number, row in enumerate(rows, start=1):
-        for key in keys:
-            if not isinstance(row, dict) or key not in row:
-                raise click.ClickException(f"{path} row {number} lacks {key!r}: {row}")
-    return rows
 
 
 # -- research ---------------------------------------------------------------------------
@@ -415,10 +417,7 @@ def research_run(query, bfrs_budget, dfrs_budget, oracle_spec, kbs, workspace_di
     runner = OrchestratorRunner(
         Federation(), oracle, bfrs_budget=bfrs_budget, dfrs_budget=dfrs_budget
     )
-    try:
-        result = runner.run(query, workspace_dir)
-    except (OracleUnavailable, evidence.WorkspaceUnavailable) as exc:
-        raise click.ClickException(str(exc)) from exc
+    result = runner.run(query, workspace_dir)
     click.echo(result.state.plan.render())
     click.echo("")
     click.echo(result.answer)
@@ -456,11 +455,7 @@ def bench_prepare(benchmark, in_path, out_path, seed):
 @click.option("--report", "report_dir", required=True)
 def bench_score(items_path, preds_path, report_dir):
     items = bench_mod.read_bench_items(items_path)
-    try:
-        predictions = load_predictions(preds_path)
-        report = run_suite(items, predictions)
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
+    report = run_suite(items, load_predictions(preds_path))
     paths = write_report(report, report_dir)
     click.echo(json.dumps(report.aggregates, indent=2, sort_keys=True))
     click.echo(f"report: {paths['jsonl']}, {paths['md']}", err=True)

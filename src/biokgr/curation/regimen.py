@@ -8,11 +8,13 @@ templates to the same drug combination.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
+from biokgr import field
 from biokgr.curation.items import McqItem, finalize_item
 
 TOXICITY_OVERLAP_CLASS_II = 0.6
@@ -36,8 +38,8 @@ class RegimenEvidence:
     drugs: list[dict]                 # [{"name", "route"}]
     dose_ladder: list[dict]           # [{"level", "doses": {drug: dose}}]
     dlt_by_level: list[dict]          # [{"level", "terms": [...], "count"}]
-    protocol_dlt_definitions: list[str] = field(default_factory=list)
-    reported_mtds: dict = field(default_factory=dict)
+    protocol_dlt_definitions: list[str] = dataclasses.field(default_factory=list)
+    reported_mtds: dict = dataclasses.field(default_factory=dict)
     escalation_design: str = ""
     approved_combination: bool = False
 
@@ -127,25 +129,24 @@ STRATEGY_TEMPLATE_II_VARIANT = STRATEGY_TEMPLATES[DesignClass.II].replace(
 
 
 def load_corpus(path) -> list[RegimenEvidence]:
+    """Every trial's regimens; ValueError when the file is not JSON or a field is ill-typed."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    regimens: list[RegimenEvidence] = []
-    for trial in payload.get("trials", []):
-        for reg in trial.get("regimens", []):
-            regimens.append(
-                RegimenEvidence(
-                    trial_id=trial.get("trial_id", ""),
-                    population=trial.get("population", ""),
-                    drugs=list(reg.get("drugs", [])),
-                    dose_ladder=list(reg.get("dose_ladder", [])),
-                    dlt_by_level=list(reg.get("dlt_by_level", [])),
-                    protocol_dlt_definitions=list(reg.get("protocol_dlt_definitions", [])),
-                    reported_mtds=dict(reg.get("reported_mtds", {})),
-                    escalation_design=reg.get("escalation_design", ""),
-                    approved_combination=bool(reg.get("approved_combination", False)),
-                )
-            )
-    return regimens
+    return [
+        RegimenEvidence(
+            trial_id=field(trial, "trial_id", str, ""),
+            population=field(trial, "population", str, ""),
+            drugs=field(reg, "drugs", list, [], of=dict),
+            dose_ladder=field(reg, "dose_ladder", list, [], of=dict),
+            dlt_by_level=field(reg, "dlt_by_level", list, [], of=dict),
+            protocol_dlt_definitions=field(reg, "protocol_dlt_definitions", list, [], of=str),
+            reported_mtds=field(reg, "reported_mtds", dict, {}),
+            escalation_design=field(reg, "escalation_design", str, ""),
+            approved_combination=field(reg, "approved_combination", bool, False),
+        )
+        for trial in field(payload, "trials", list, [], of=dict)
+        for reg in field(trial, "regimens", list, [], of=dict)
+    ]
 
 
 def compute_monotherapy_baselines(

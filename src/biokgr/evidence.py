@@ -9,13 +9,16 @@ reads may run concurrently between merges.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import logging
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+from biokgr import field
 
 logger = logging.getLogger(__name__)
 
@@ -220,7 +223,7 @@ class MergeReport:
     merged: int = 0
     relations_added: int = 0
     rejected: int = 0
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str] = dataclasses.field(default_factory=list)
 
 
 @dataclass
@@ -230,7 +233,7 @@ class StoredEntity:
     kind: str
     curie: str | None
     sources: list[str]
-    observations: list[str] = field(default_factory=list)
+    observations: list[str] = dataclasses.field(default_factory=list)
 
 
 RelationKey = tuple[str, str, str]  # (subject key, predicate, object key)
@@ -638,90 +641,76 @@ class EvidenceGraphStore:
         relation, observation or conflict group names something not stored.
         """
         store = cls()
-        for e in _records(doc, "entities"):
-            stored = StoredEntity(
-                key=_field(e, "key", str, "entity"),
-                name=_field(e, "name", str, "entity"),
-                kind=_field(e, "kind", str, "entity"),
-                curie=_field(e, "curie", (str, type(None)), "entity"),
-                sources=_strings(e, "sources", "entity"),
-            )
-            if stored.kind not in ENTITY_KINDS:
-                raise MalformedSnapshot(f"entity {stored.key!r} has unknown kind {stored.kind!r}")
-            if stored.key in store._entities:
-                raise MalformedSnapshot(f"entity {stored.key!r} appears twice")
-            try:
-                store._add_entity(stored)
-            except EmptyLabel as exc:
-                raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
-        for r in _records(doc, "relations"):
-            rel = StoredRelation(
-                subject=_field(r, "subject", str, "relation"),
-                predicate=_field(r, "predicate", str, "relation"),
-                object=_field(r, "object", str, "relation"),
-                evidence=_strings(r, "evidence", "relation"),
-                conflict_group=_field(r, "conflict_group", (str, type(None)), "relation"),
-            )
-            if rel.predicate not in RELATION_PREDICATES:
-                raise MalformedSnapshot(f"relation {rel.key} has unknown predicate")
-            for endpoint in (rel.subject, rel.object):
-                if endpoint not in store._entities:
-                    raise MalformedSnapshot(f"relation {rel.key} names unknown entity {endpoint!r}")
-            if rel.key in store._relations:
-                raise MalformedSnapshot(f"relation {rel.key} appears twice")
-            store._add_relation(rel)
-        for o in _records(doc, "observations"):
-            key = _field(o, "entity", str, "observation")
-            text = _field(o, "text", str, "observation")
-            entity = store._entities.get(key)
-            if entity is None:
-                raise MalformedSnapshot(f"observation names unknown entity {key!r}")
-            if text not in entity.observations:
-                entity.observations.append(text)
-        max_seq = 0
-        for g in _records(doc, "conflict_groups"):
-            gid = _field(g, "id", str, "conflict group")
-            members = []
-            for member in _field(g, "relations", list, "conflict group"):
-                if not (isinstance(member, list) and len(member) == 3
-                        and all(isinstance(part, str) for part in member)):
-                    raise MalformedSnapshot(f"conflict group {gid!r} member {member!r:.80} "
-                                            "is not a [subject, predicate, object] triple")
-                if tuple(member) not in store._relations:
-                    raise MalformedSnapshot(f"conflict group {gid!r} names unknown relation {member}")
-                members.append(tuple(member))
-            store._conflict_groups[gid] = members
-            m = re.match(r"cg-(\d+)$", gid)
-            if m:
-                max_seq = max(max_seq, int(m.group(1)))
+        where = "snapshot"
+        try:
+            for e in field(doc, "entities", list):
+                where = "entity record"
+                stored = StoredEntity(
+                    key=field(e, "key", str),
+                    name=field(e, "name", str),
+                    kind=field(e, "kind", str),
+                    curie=field(e, "curie", (str, type(None))),
+                    sources=list(field(e, "sources", list, of=str)),
+                )
+                if stored.kind not in ENTITY_KINDS:
+                    raise MalformedSnapshot(
+                        f"entity {stored.key!r} has unknown kind {stored.kind!r}")
+                if stored.key in store._entities:
+                    raise MalformedSnapshot(f"entity {stored.key!r} appears twice")
+                try:
+                    store._add_entity(stored)
+                except EmptyLabel as exc:
+                    raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
+            where = "snapshot"
+            for r in field(doc, "relations", list):
+                where = "relation record"
+                rel = StoredRelation(
+                    subject=field(r, "subject", str),
+                    predicate=field(r, "predicate", str),
+                    object=field(r, "object", str),
+                    evidence=list(field(r, "evidence", list, of=str)),
+                    conflict_group=field(r, "conflict_group", (str, type(None))),
+                )
+                if rel.predicate not in RELATION_PREDICATES:
+                    raise MalformedSnapshot(f"relation {rel.key} has unknown predicate")
+                for endpoint in (rel.subject, rel.object):
+                    if endpoint not in store._entities:
+                        raise MalformedSnapshot(
+                            f"relation {rel.key} names unknown entity {endpoint!r}")
+                if rel.key in store._relations:
+                    raise MalformedSnapshot(f"relation {rel.key} appears twice")
+                store._add_relation(rel)
+            where = "snapshot"
+            for o in field(doc, "observations", list):
+                where = "observation record"
+                key, text = field(o, "entity", str), field(o, "text", str)
+                entity = store._entities.get(key)
+                if entity is None:
+                    raise MalformedSnapshot(f"observation names unknown entity {key!r}")
+                if text not in entity.observations:
+                    entity.observations.append(text)
+            where = "snapshot"
+            max_seq = 0
+            for g in field(doc, "conflict_groups", list):
+                where = "conflict group record"
+                gid = field(g, "id", str)
+                members = []
+                for member in field(g, "relations", list, of=list):
+                    if not (len(member) == 3 and all(isinstance(part, str) for part in member)):
+                        raise MalformedSnapshot(f"conflict group {gid!r} member {member!r:.80} "
+                                                "is not a [subject, predicate, object] triple")
+                    if tuple(member) not in store._relations:
+                        raise MalformedSnapshot(
+                            f"conflict group {gid!r} names unknown relation {member}")
+                    members.append(tuple(member))
+                store._conflict_groups[gid] = members
+                m = re.match(r"cg-(\d+)$", gid)
+                if m:
+                    max_seq = max(max_seq, int(m.group(1)))
+        except ValueError as exc:
+            raise MalformedSnapshot(f"{where} {exc}") from exc
         store._conflict_seq = max_seq
         return store
-
-
-def _records(doc, section: str) -> list:
-    if not isinstance(doc, dict):
-        raise MalformedSnapshot(f"snapshot is a JSON {type(doc).__name__}, not an object")
-    return _field(doc, section, list, "snapshot")
-
-
-def _field(record, name: str, types, where: str):
-    if not isinstance(record, dict):
-        raise MalformedSnapshot(f"{where} record {record!r:.80} is not an object")
-    if name not in record:
-        raise MalformedSnapshot(f"{where} record lacks {name!r}")
-    value = record[name]
-    if not isinstance(value, types):
-        raise MalformedSnapshot(
-            f"{where} field {name!r} is a {type(value).__name__}: {value!r:.80}"
-        )
-    return value
-
-
-def _strings(record, name: str, where: str) -> list[str]:
-    values = _field(record, name, list, where)
-    if not all(isinstance(v, str) for v in values):
-        raise MalformedSnapshot(f"{where} field {name!r} holds a non-string: {values!r:.80}")
-    return list(values)
 
 
 def export_graph(store: EvidenceGraphStore, destination) -> dict:

@@ -138,7 +138,7 @@ class KgClient:
     def _auth_params(self) -> dict:
         if self.descriptor.auth == "none":
             return {}
-        key_env = self.descriptor.api_key_env or f"{self.source_id.upper()}_API_KEY"
+        key_env = f"{self.source_id.upper()}_API_KEY"
         key = self._env.get(key_env)
         if not key:
             raise AuthMissing(

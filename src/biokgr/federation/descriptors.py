@@ -60,7 +60,6 @@ class SourceDescriptor:
     rate_limit_per_sec: float = 3.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     priority: int = 100          # lower merges first
-    api_key_env: str | None = None
     operations: dict = field(default_factory=dict)   # operation -> template and reply shape
 
     def __post_init__(self) -> None:

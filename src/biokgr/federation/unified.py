@@ -289,10 +289,10 @@ class Federation:
 
     # -- relation search --------------------------------------------------------
 
-    def find_related_entities(
-        self, entity: EntityRef, predicate: str, source_id: str = "pubtator",
-    ) -> list[tuple[EntityRef, list[str]]]:
+    def find_related_entities(self, entity: EntityRef,
+                              predicate: str) -> list[tuple[EntityRef, list[str]]]:
         """Entities related to `entity` under a typed predicate, with PMID evidence."""
+        source_id = self._serving("relations")
         rows = self._fetch(source_id, "relations", entity.curie or entity.name,
                            validate_predicate(predicate))
         return [
@@ -303,9 +303,17 @@ class Federation:
 
     # -- citation lookup ----------------------------------------------------------
 
-    def fetch_citations(self, pmid: str, source_id: str = "pubmed") -> list[str]:
+    def fetch_citations(self, pmid: str) -> list[str]:
         """PMIDs cited by / citing the given paper, for citation-chain traversal."""
-        return [name for _rank, name, _xrefs in self._fetch(source_id, "citations", pmid)]
+        return [name for _rank, name, _xrefs
+                in self._fetch(self._serving("citations"), "citations", pmid)]
+
+    def _serving(self, operation: str) -> str:
+        """The highest-priority source whose registry entry declares `operation`."""
+        serving = [d for d in self.registry.values() if operation in d.operations]
+        if not serving:
+            raise InvalidQuery(f"no registered source serves {operation} requests")
+        return min(serving, key=lambda d: d.priority).source_id
 
 
 def _merge_xrefs(records: list[UnifiedRecord]) -> None:

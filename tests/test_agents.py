@@ -9,7 +9,6 @@ import pytest
 from biokgr.agents import (
     Action,
     AnalyzeWorkspace,
-    BudgetExhausted,
     DefaultOracle,
     Finalize,
     Halt,
@@ -110,6 +109,7 @@ def test_workspace_reopened_keeps_earlier_manifest_entries(tmp_path):
     '{"entries": []}',
     '{"files": [{"path": "a.txt"}]}',
     '{"files": [{"path": 1, "description": "one"}]}',
+    '{"files": ["a.txt"]}',
 ])
 def test_workspace_malformed_manifest_is_unavailable(tmp_path, text):
     (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
@@ -246,7 +246,7 @@ def test_bfrs_respects_budget(tmp_path):
 def test_bfrs_zero_budget(tmp_path):
     federation = make_mock_federation()
     task = ResearchTask(description=QUERY, knowledge_bases=("mygene",), budget=0)
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(ValueError, match="budget"):
         run_bfrs(task, federation, DefaultOracle(), Workspace(tmp_path))
 
 
@@ -691,8 +691,12 @@ def test_http_oracle_bad_output_fails_at_once(reply):
         {"subject": "TNF", "predicate": "ASSOCIATE", "object": "F1", "evidence": "PMID:1"}]}},
     {"action": "invoke_dfrs", "task": {"description": "TNF", "budget": 0}},
     {"action": ["finalize"]},
+    {"action": "retrieve_graph", "seeds": ["TNF", 7]},
+    {"action": "retrieve_graph", "seeds": ["TNF"], "depth": True},
+    {"action": "update_graph", "batch": {"entities": ["TNF"]}},
 ], ids=["entity-without-name", "task-list", "budget-word", "budget-bool", "depth-word",
-        "evidence-string", "zero-budget", "action-list"])
+        "evidence-string", "zero-budget", "action-list", "seed-not-a-string", "depth-bool",
+        "entity-not-an-object"])
 def test_http_oracle_malformed_action_fails_at_once(action):
     oracle, transport, clock = make_oracle(assistant(action))
     state = OrchestratorState(query="q", plan=PlanChecklist(steps=[PlanStep("survey", hint="bfrs")]),

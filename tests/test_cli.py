@@ -240,6 +240,78 @@ def test_bench_score_reports_a_malformed_prediction_in_one_line(runner, tmp_path
     assert result.output.count("\n") == 1
 
 
+ITEM = {"id": "x", "family": "hle_med", "question": {"text": "q"}, "answer_key": ["A"]}
+TASK = {"base_doi": "10.1/a", "truth": [1]}
+BENCH_SCORE = ["bench", "score", "--items", "items.jsonl", "--predictions", "preds.jsonl",
+               "--report", "report"]
+SCORE_EBM = ["score", "ebm", "--tasks", "tasks.jsonl", "--predictions", "preds.jsonl"]
+REGIMEN = ["curate", "regimen", "--corpus", "corpus.json", "--out", "items.jsonl"]
+
+
+def _rows(*rows):
+    return "".join(row if isinstance(row, str) else json.dumps(row) + "\n" for row in rows)
+
+
+# one malformed input file per case; each must end its command in one `Error:` line
+MALFORMED_INPUTS = {
+    "bench-item-without-family": (
+        BENCH_SCORE, {"items.jsonl": _rows({k: v for k, v in ITEM.items() if k != "family"}),
+                      "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
+        "items.jsonl row 1 lacks 'family'"),
+    "bench-item-a-list": (
+        BENCH_SCORE, {"items.jsonl": _rows(["x", "hle_med"]),
+                      "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
+        "items.jsonl row 1 lacks 'id'"),
+    "bench-item-not-json": (
+        BENCH_SCORE, {"items.jsonl": _rows(ITEM, "{not json\n"),
+                      "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
+        "items.jsonl row 2 is not JSON"),
+    "bench-item-string-question": (
+        BENCH_SCORE, {"items.jsonl": _rows({**ITEM, "question": "q"}),
+                      "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
+        "items.jsonl row 1 field 'question' is not dict"),
+    "bench-export-without-id": (
+        ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.json", "--out", "items.jsonl"],
+        {"raw.json": json.dumps([{"subject": "Medicine", "question": "q", "answer": "A"}])},
+        "hle_med record lacks 'id'"),
+    "bench-export-of-numbers": (
+        ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.json", "--out", "items.jsonl"],
+        {"raw.json": "[1, 2]"},
+        "hle_med record lacks 'subject': 1 is not an object"),
+    "regimen-corpus-a-list": (
+        REGIMEN, {"corpus.json": json.dumps([{"trials": []}])},
+        "lacks 'trials'"),
+    "regimen-string-drugs": (
+        REGIMEN, {"corpus.json": json.dumps({"trials": [{"trial_id": "T", "regimens": [
+            {"drugs": ["capecitabine", "oxaliplatin"]}]}]})},
+        "field 'drugs' is not list of dict"),
+    "ebm-prediction-not-json": (
+        SCORE_EBM, {"tasks.jsonl": _rows(TASK), "preds.jsonl": "{not json\n"},
+        "preds.jsonl row 1 is not JSON"),
+    "ebm-truth-not-a-list": (
+        SCORE_EBM, {"tasks.jsonl": _rows({**TASK, "truth": 1}),
+                    "preds.jsonl": _rows({"base_doi": "10.1/a", "ranked": [1]})},
+        "tasks.jsonl row 1 field 'truth' is not list of int"),
+    "sample-size-truth-not-json": (
+        ["curate", "sample-size", "--truths", "truths.jsonl", "--out", "items.jsonl"],
+        {"truths.jsonl": _rows({"truth": 268}, "{not json\n")},
+        "truths.jsonl row 2 is not JSON"),
+}
+
+
+@pytest.mark.parametrize("args, files, message", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_a_malformed_input_file_is_a_one_line_error(runner, tmp_path, monkeypatch, args, files,
+                                                    message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: ") and message in result.output
+    assert result.output.count("\n") == 1
+
+
 def test_research_run_with_mock_endpoints(runner, tmp_path, monkeypatch):
     server = FixtureServer()
     server.transport.routes.update({
@@ -353,6 +425,33 @@ def test_cli_import_loads_neither_networkx_nor_an_http_client():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+FIELD_CHECKERS = {"_field", "_get", "_items", "_strings", "_records", "_require", "_rows_with"}
+
+
+def reader_offences(package: Path) -> list[str]:
+    """Private field checkers outside `biokgr/__init__.py`, and CLI handlers that re-raise
+    a library failure as `ClickException` instead of leaving it to `main`."""
+    offences = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offences += [f"{path.name}:{node.lineno} defines {node.name}" for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name in FIELD_CHECKERS]
+    cli = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    for handler in (node for node in ast.walk(cli) if isinstance(node, ast.ExceptHandler)):
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                callee = node.exc.func
+                if getattr(callee, "attr", getattr(callee, "id", None)) == "ClickException":
+                    offences.append(f"cli.py:{node.lineno} raises ClickException in a handler")
+    return offences
+
+
+def test_outside_input_has_one_reader_and_the_cli_one_error_boundary():
+    assert reader_offences(Path(biokgr.__file__).resolve().parent) == []
 
 
 def test_src_imports_only_the_stdlib_click_and_biokgr():

@@ -1,6 +1,7 @@
 """Federation contracts: boolean queries, rate limiting, retries, unified search, HTTP."""
 import ast
 import contextlib
+import dataclasses
 import gc
 import json
 import math
@@ -202,13 +203,13 @@ def test_transport_errors_are_transient():
 def test_auth_missing():
     clock = FakeClock()
     transport = MockTransport({"": json_response({})})
-    desc = descriptor(auth="api-key", api_key_env="MOCK_KEY")
+    desc = descriptor(auth="api-key")
     client = KgClient(desc, transport=transport, clock=clock,
                       limiter=RateLimiter(clock), env={})
     with pytest.raises(AuthMissing):
         client.fetch_with_policy(FetchRequest(path="/x"))
     client2 = KgClient(desc, transport=transport, clock=clock,
-                       limiter=RateLimiter(clock), env={"MOCK_KEY": "k"})
+                       limiter=RateLimiter(clock), env={"MOCK_API_KEY": "k"})
     assert client2.fetch_with_policy(FetchRequest(path="/x")) == {}
 
 
@@ -428,6 +429,24 @@ def test_relation_and_citation_lookups_reject_an_unreadable_reply(lookup, reply)
                             clock=FakeClock(), env={})
     with pytest.raises(MalformedResponse, match="sent a body its adapter cannot read"):
         lookup(federation)
+
+
+@pytest.mark.parametrize("lookup, operation", [(related, "relations"), (citations, "citations")],
+                         ids=["relations", "citations"])
+def test_relation_and_citation_lookups_ask_the_first_source_serving_them(lookup, operation):
+    registry = mock_registry()
+    serving = next(d for d in registry.values() if operation in d.operations)
+    # a second source serving the operation, ahead of the shipped one in merge order
+    registry["mirror"] = dataclasses.replace(serving, source_id="mirror",
+                                             base_url="http://mirror.test", priority=0)
+    transport = MockTransport({"mirror.test": json_response({operation: []})})
+    assert lookup(Federation(registry=registry, transport=transport, clock=FakeClock(),
+                             env={})) == []
+    assert [urlparse(sent.url).hostname for sent in transport.requests] == ["mirror.test"]
+
+    without = {k: v for k, v in registry.items() if operation not in v.operations}
+    with pytest.raises(InvalidQuery, match=f"no registered source serves {operation}"):
+        lookup(Federation(registry=without, transport=transport, clock=FakeClock(), env={}))
 
 
 def test_unified_search_all_failed():
