@@ -1,9 +1,11 @@
 """Evidence-graph store: normalization, merge cycles, dedup, conflicts, export."""
 import copy
+import hashlib
 import io
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -214,6 +216,120 @@ def test_unresolvable_relation_endpoint_is_rejected_not_fatal():
     report = store.upsert_batch(MergeBatch(relations=(rel("A", "BINDS", "GHOST"),)))
     assert report.rejected == 1
     assert report.relations_added == 0
+
+
+# -- merge semantics pinned over a seeded stream ------------------------------------
+
+_PIN_KINDS = ("GENE_PROTEIN", "DISEASE_PHENOTYPE", "CHEMICAL_DRUG", "FINDING", "PAPER")
+_PIN_SHARED = ("TNF", "IL6", "Insulin", "p53")       # the same label under several kinds
+_PIN_PREDICATES = ("ACTIVATES", "INHIBITS", "BINDS", "ASSOCIATED_WITH", "CO_OCCURS",
+                   "EXPRESSED_IN")
+_PIN_VARIANTS = (str.upper, str.lower, lambda s: s + ".", lambda s: f'"{s},"',
+                 lambda s: "  " + s.replace(" ", "   ") + " ")
+
+
+def pinned_merge_stream(seed, batches=200):
+    """Agent-shaped batches that exercise every merge rule.
+
+    Mentions repeat stored entities through case and punctuation variants and
+    through their CURIE in either namespace case; endpoints and observations
+    also name unknown and punctuation-only strings; a few batches exceed a cap
+    or carry a punctuation-only entity name.
+    """
+    rng = random.Random(seed)
+    stored = []  # (name, kind, curie) of every entity offered so far
+    for b in range(batches):
+        fresh = []
+        n_new = 11 if rng.random() < 0.04 else rng.randint(2, 7)
+        for i in range(n_new):
+            kind = rng.choice(_PIN_KINDS)
+            if kind == "PAPER":
+                name = f"PMID:{1000 + 13 * b + i}"
+            elif rng.random() < 0.1:
+                name = rng.choice(_PIN_SHARED)
+            else:
+                name = f"{kind.split('_')[0].title()} {b}-{i}"
+            curie = f"{kind[:3]}:{b}.{i}" if kind == "PAPER" or rng.random() < 0.5 else None
+            fresh.append((name, kind, curie))
+        mentions = []
+        for _ in range(rng.randint(0, 4) if stored else 0):
+            name, kind, curie = rng.choice(stored)
+            if kind != "PAPER":
+                name = rng.choice(_PIN_VARIANTS)(name)
+            if curie and rng.random() < 0.5:
+                ns, rest = curie.split(":", 1)
+                curie = f"{rng.choice((ns.lower(), ns))}:{rest}"
+            elif rng.random() < 0.5:
+                curie = None
+            mentions.append((name, kind, curie))
+        if rng.random() < 0.03:
+            mentions.append(("?!", "GENE_PROTEIN", None))
+        offered = fresh + mentions
+        rng.shuffle(offered)
+        entities = tuple(EntityRef(name=n, kind=k, curie=c, source=f"kb{rng.randrange(4)}@r{b % 5}")
+                         for n, k, c in offered)
+
+        pool = offered + [rng.choice(stored) for _ in range(5) if stored]
+
+        def endpoint():
+            roll = rng.random()
+            if roll < 0.03:
+                return f"ghost {rng.randrange(50)}"
+            if roll < 0.05:
+                return rng.choice(("--", "...", "?"))
+            name, kind, curie = rng.choice(pool)
+            if curie and roll < 0.35:
+                return curie.lower() if roll < 0.2 else curie
+            return rng.choice(_PIN_VARIANTS)(name) if roll < 0.6 and kind != "PAPER" else name
+
+        n_rel = 18 if rng.random() < 0.04 else rng.randint(0, 12)
+        relations = tuple(
+            RelationEdge(subject=endpoint(), predicate=rng.choice(_PIN_PREDICATES),
+                         object=endpoint(), evidence=(f"PMID:{rng.randrange(40)}",))
+            for _ in range(n_rel)
+        )
+        observations = tuple(
+            Observation(entity=endpoint(), text=f"Noted in cycle {b} as {rng.choice('abc')}")
+            for _ in range(rng.randint(0, 3))
+        )
+        yield MergeBatch(entities=entities, relations=relations, observations=observations,
+                         cycle_id=f"cycle-{b}")
+        stored += fresh
+
+
+def test_merge_stream_keeps_its_pinned_outcome(tmp_path):
+    """Reports, refusals and the final snapshot of one seeded stream are fixed.
+
+    The figures were recorded before merges began to share normalized keys
+    within a batch; a change to how a batch is normalized or applied must
+    leave every one of them as it is.
+    """
+    store = EvidenceGraphStore()
+    totals = dict.fromkeys(("created", "merged", "relations_added", "rejected"), 0)
+    refusals, warnings = {}, []
+    for batch in pinned_merge_stream(seed=14):
+        try:
+            report = store.upsert_batch(batch)
+        except (BatchLimitExceeded, EmptyLabel) as exc:
+            refusals[type(exc).__name__] = refusals.get(type(exc).__name__, 0) + 1
+            continue
+        for name in totals:
+            totals[name] += getattr(report, name)
+        warnings += report.warnings
+    path = tmp_path / "graph.json"
+    export_graph(store, path)
+    assert (totals, refusals, len(warnings)) == PINNED_TOTALS
+    assert hashlib.sha256("\n".join(warnings).encode()).hexdigest() == PINNED_WARNINGS_SHA256
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SNAPSHOT_SHA256
+
+
+PINNED_TOTALS = (
+    {"created": 814, "merged": 359, "relations_added": 837, "rejected": 216},
+    {"BatchLimitExceeded": 14, "EmptyLabel": 8},
+    227,
+)
+PINNED_WARNINGS_SHA256 = "567667009549a7ea067d4e34c86cebebea42ccfb19f44215730bd639db1ec6f6"
+PINNED_SNAPSHOT_SHA256 = "43f448bad42003876ff7bfc1dee2e67abe5f93980cf9dc0d32d680dae9250f8a"
 
 
 # -- subgraph ----------------------------------------------------------------
