@@ -49,7 +49,7 @@ class RegimenEvidence:
 
     @property
     def routes(self) -> list[str]:
-        return [d.get("route", "") for d in self.drugs]
+        return [d["route"] for d in self.drugs]
 
     def is_combination(self) -> bool:
         return len(self.drugs) >= 2
@@ -136,9 +136,12 @@ def load_corpus(path) -> list[RegimenEvidence]:
         RegimenEvidence(
             trial_id=field(trial, "trial_id", str, ""),
             population=field(trial, "population", str, ""),
-            drugs=field(reg, "drugs", list, [], of=dict),
-            dose_ladder=field(reg, "dose_ladder", list, [], of=dict),
-            dlt_by_level=field(reg, "dlt_by_level", list, [], of=dict),
+            drugs=[{"name": field(drug, "name", str), "route": field(drug, "route", str, "")}
+                   for drug in field(reg, "drugs", list, [], of=dict)],
+            dose_ladder=[{**level, "doses": field(level, "doses", dict, {})}
+                         for level in field(reg, "dose_ladder", list, [], of=dict)],
+            dlt_by_level=[{**level, "terms": field(level, "terms", list, [], of=str)}
+                          for level in field(reg, "dlt_by_level", list, [], of=dict)],
             protocol_dlt_definitions=field(reg, "protocol_dlt_definitions", list, [], of=str),
             reported_mtds=field(reg, "reported_mtds", dict, {}),
             escalation_design=field(reg, "escalation_design", str, ""),
@@ -167,7 +170,7 @@ def compute_monotherapy_baselines(
             mtds[drug] = max(mtds.get(drug, 0.0), float(reported))
         bucket = terms.setdefault(drug, set())
         for level in regimen.dlt_by_level:
-            bucket.update(t.casefold() for t in level.get("terms", []))
+            bucket.update(t.casefold() for t in level["terms"])
         trials.setdefault(drug, []).append(regimen.trial_id)
     baselines: dict[str, MonotherapyBaseline] = {}
     for drug in terms:
@@ -193,7 +196,7 @@ def derive_regimen_features(
     combo_terms = {
         t.casefold()
         for level in regimen.dlt_by_level
-        for t in level.get("terms", [])
+        for t in level["terms"]
     }
     mono_union: set = set()
     for drug in regimen.drug_names:
@@ -214,9 +217,9 @@ def derive_regimen_features(
         if baseline is None or not regimen.dose_ladder:
             continue
         doses = [
-            level.get("doses", {}).get(drug)
+            level["doses"].get(drug)
             for level in regimen.dose_ladder
-            if level.get("doses", {}).get(drug) is not None
+            if level["doses"].get(drug) is not None
         ]
         if not doses:
             continue
@@ -237,8 +240,8 @@ def derive_regimen_features(
         dlt_pattern=[
             {
                 "level": level.get("level"),
-                "terms": sorted(t.casefold() for t in level.get("terms", [])),
-                "count": level.get("count", len(level.get("terms", []))),
+                "terms": sorted(t.casefold() for t in level["terms"]),
+                "count": level.get("count", len(level["terms"])),
             }
             for level in regimen.dlt_by_level
         ],

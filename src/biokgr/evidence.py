@@ -130,6 +130,39 @@ def normalize_curie(curie: str) -> str:
     return curie.lower()
 
 
+class _Normalized:
+    """Memo of `normalize_label` and `normalize_curie` for one store call.
+
+    Both are pure functions of the string, so a string is normalized once
+    however often the call names it. An EmptyLabel is remembered and raised
+    again. Instances are local to one call and are never kept by the store.
+    """
+
+    __slots__ = ("_labels", "_curies")
+
+    def __init__(self) -> None:
+        self._labels: dict[str, str | EmptyLabel] = {}
+        self._curies: dict[str, str] = {}
+
+    def label(self, raw: str) -> str:
+        key = self._labels.get(raw)
+        if key is None:
+            try:
+                key = normalize_label(raw)
+            except EmptyLabel as exc:
+                key = exc
+            self._labels[raw] = key
+        if isinstance(key, EmptyLabel):
+            raise key
+        return key
+
+    def curie(self, raw: str) -> str:
+        key = self._curies.get(raw)
+        if key is None:
+            key = self._curies[raw] = normalize_curie(raw)
+        return key
+
+
 def name_is_valid(name: str) -> bool:
     """Short-label rule: at most 5 words or at most 40 characters."""
     return bool(name.strip()) and (len(name.split()) <= MAX_NAME_WORDS or len(name) <= MAX_NAME_CHARS)
@@ -257,9 +290,12 @@ class EvidenceGraphStore:
 
     Every write keeps the indexes current: the CURIE and label lookups, the
     relations incident to each node, and each finding's count of contextual
-    edges. A merge therefore costs O(batch) and never rescans the store. A
-    subgraph read costs the sum of the degrees of the nodes it reaches, plus
-    sorting what it returns; it does not depend on the size of the store.
+    edges. A merge therefore costs O(batch) and never rescans the store.
+    Within a merge each distinct label or CURIE string is normalized once,
+    however often the batch names it, and nothing of that is kept between
+    batches. A subgraph read costs the sum of the degrees of the nodes it
+    reaches, plus sorting what it returns; it does not depend on the size of
+    the store.
 
     Merges, conflict tagging and every read that iterates the store (subgraph
     queries, listings, stats and snapshots) hold one re-entrant lock, so a
@@ -302,13 +338,16 @@ class EvidenceGraphStore:
         A label stored under several kinds resolves to the first of them in
         ENTITY_KIND_ORDER unless `kind` is given.
         """
+        return self._resolve(ref, _Normalized(), kind)
+
+    def _resolve(self, ref: str, norm: _Normalized, kind: str | None = None) -> str | None:
         if ref in self._entities:
             return ref
-        hit = self._curie_index.get(normalize_curie(ref))
+        hit = self._curie_index.get(norm.curie(ref))
         if hit:
             return hit
         try:
-            label = normalize_label(ref)
+            label = norm.label(ref)
         except EmptyLabel:
             return None
         return self._label_key(label, kind)
@@ -321,13 +360,13 @@ class EvidenceGraphStore:
             return by_kind.get(kind)
         return next(by_kind[k] for k in ENTITY_KIND_ORDER if k in by_kind)
 
-    def _match(self, entity: EntityRef) -> str | None:
+    def _match(self, entity: EntityRef, norm: _Normalized) -> str | None:
         """Dedup match: CURIE first, then normalized label within kind."""
         if entity.curie:
-            hit = self._curie_index.get(normalize_curie(entity.curie))
+            hit = self._curie_index.get(norm.curie(entity.curie))
             if hit:
                 return hit
-        return self._label_key(normalize_label(entity.name), entity.kind)
+        return self._label_key(norm.label(entity.name), entity.kind)
 
     # -- merge cycle ---------------------------------------------------------
 
@@ -347,13 +386,14 @@ class EvidenceGraphStore:
             for obs in batch.observations:
                 obs.validate()
 
-            new_entities = self._count_new_entities(batch.entities)
+            norm = _Normalized()
+            new_entities = self._count_new_entities(batch.entities, norm)
             if new_entities > MAX_NEW_ENTITIES_PER_BATCH:
                 raise BatchLimitExceeded(
                     f"batch introduces {new_entities} new entities "
                     f"(limit {MAX_NEW_ENTITIES_PER_BATCH})"
                 )
-            new_relations = self._count_new_relations(batch)
+            new_relations = self._count_new_relations(batch, norm)
             if new_relations > MAX_NEW_RELATIONS_PER_BATCH:
                 raise BatchLimitExceeded(
                     f"batch introduces {new_relations} new relations "
@@ -363,11 +403,11 @@ class EvidenceGraphStore:
             report = MergeReport()
             crossed: set[str] = set()
             for entity in batch.entities:
-                self._apply_entity(entity, report)
+                self._apply_entity(entity, report, norm)
             for relation in batch.relations:
-                self._apply_relation(relation, report, crossed)
+                self._apply_relation(relation, report, crossed, norm)
             for obs in batch.observations:
-                self._apply_observation(obs, report)
+                self._apply_observation(obs, report, norm)
             for key in sorted(crossed):
                 msg = (
                     f"finding {key!r} carries {self._context_edges[key]} contextual edges "
@@ -377,15 +417,15 @@ class EvidenceGraphStore:
                 logger.warning(msg)
             return report
 
-    def _count_new_entities(self, entities: tuple[EntityRef, ...]) -> int:
+    def _count_new_entities(self, entities: tuple[EntityRef, ...], norm: _Normalized) -> int:
         seen: set[tuple[str, str]] = set()
         curies: set[str] = set()
         count = 0
         for entity in entities:
-            if self._match(entity) is not None:
+            if self._match(entity, norm) is not None:
                 continue
-            label_key = (entity.kind, normalize_label(entity.name))
-            curie_key = normalize_curie(entity.curie) if entity.curie else None
+            label_key = (entity.kind, norm.label(entity.name))
+            curie_key = norm.curie(entity.curie) if entity.curie else None
             # duplicates inside the batch collapse onto the first occurrence
             if label_key in seen or (curie_key and curie_key in curies):
                 continue
@@ -395,14 +435,14 @@ class EvidenceGraphStore:
             count += 1
         return count
 
-    def _count_new_relations(self, batch: MergeBatch) -> int:
+    def _count_new_relations(self, batch: MergeBatch, norm: _Normalized) -> int:
         # Endpoint resolution can only be approximated before entities are
         # applied; count relations whose triple is not already stored.
         count = 0
         seen: set[tuple[str, str, str]] = set()
         for relation in batch.relations:
-            skey = self._resolve_or_raw(relation.subject)
-            okey = self._resolve_or_raw(relation.object)
+            skey = self._resolve_or_raw(relation.subject, norm)
+            okey = self._resolve_or_raw(relation.object, norm)
             triple = (skey, relation.predicate, okey)
             if triple in self._relations or triple in seen:
                 continue
@@ -410,49 +450,48 @@ class EvidenceGraphStore:
             count += 1
         return count
 
-    def _resolve_or_raw(self, ref: str) -> str:
-        key = self.resolve_key(ref)
+    def _resolve_or_raw(self, ref: str, norm: _Normalized) -> str:
+        key = self._resolve(ref, norm)
         if key:
             return key
         try:
-            return normalize_label(ref)
+            return norm.label(ref)
         except EmptyLabel:
             return ref
 
-    def _apply_entity(self, entity: EntityRef, report: MergeReport) -> None:
-        existing_key = self._match(entity)
+    def _apply_entity(self, entity: EntityRef, report: MergeReport, norm: _Normalized) -> None:
+        existing_key = self._match(entity, norm)
         if existing_key is not None:
             stored = self._entities[existing_key]
             if entity.curie and not stored.curie:
                 stored.curie = entity.curie
-                self._curie_index[normalize_curie(entity.curie)] = existing_key
+                self._curie_index[norm.curie(entity.curie)] = existing_key
             if entity.source not in stored.sources:
                 stored.sources.append(entity.source)
             report.merged += 1
             return
-        key = normalize_curie(entity.curie) if entity.curie else (
-            f"{entity.kind.lower()}/{normalize_label(entity.name)}"
-        )
+        label = norm.label(entity.name)
+        curie_key = norm.curie(entity.curie) if entity.curie else None
         self._add_entity(StoredEntity(
-            key=key,
+            key=f"{entity.kind.lower()}/{label}" if curie_key is None else curie_key,
             name=entity.name,
             kind=entity.kind,
             curie=entity.curie,
             sources=[entity.source],
-        ))
+        ), label, curie_key)
         report.created += 1
 
-    def _add_entity(self, stored: StoredEntity) -> None:
-        label = normalize_label(stored.name)
+    def _add_entity(self, stored: StoredEntity, label: str, curie_key: str | None) -> None:
+        """Store and index an entity under its normalized label and CURIE."""
         self._entities[stored.key] = stored
         self._label_index.setdefault(label, {})[stored.kind] = stored.key
-        if stored.curie:
-            self._curie_index[normalize_curie(stored.curie)] = stored.key
+        if curie_key is not None:
+            self._curie_index[curie_key] = stored.key
 
     def _apply_relation(self, relation: RelationEdge, report: MergeReport,
-                        crossed: set[str]) -> None:
-        skey = self.resolve_key(relation.subject)
-        okey = self.resolve_key(relation.object)
+                        crossed: set[str], norm: _Normalized) -> None:
+        skey = self._resolve(relation.subject, norm)
+        okey = self._resolve(relation.object, norm)
         if skey is None or okey is None:
             missing = relation.subject if skey is None else relation.object
             report.rejected += 1
@@ -493,8 +532,9 @@ class EvidenceGraphStore:
         n = self._context_edges[rel.subject] = self._context_edges.get(rel.subject, 0) + 1
         return n == MAX_CONTEXT_EDGES_PER_FINDING + 1
 
-    def _apply_observation(self, obs: Observation, report: MergeReport) -> None:
-        key = self.resolve_key(obs.entity)
+    def _apply_observation(self, obs: Observation, report: MergeReport,
+                           norm: _Normalized) -> None:
+        key = self._resolve(obs.entity, norm)
         if key is None:
             report.rejected += 1
             report.warnings.append(
@@ -658,7 +698,8 @@ class EvidenceGraphStore:
                 if stored.key in store._entities:
                     raise MalformedSnapshot(f"entity {stored.key!r} appears twice")
                 try:
-                    store._add_entity(stored)
+                    store._add_entity(stored, normalize_label(stored.name),
+                                      normalize_curie(stored.curie) if stored.curie else None)
                 except EmptyLabel as exc:
                     raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
             where = "snapshot"

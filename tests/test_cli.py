@@ -285,6 +285,18 @@ MALFORMED_INPUTS = {
         REGIMEN, {"corpus.json": json.dumps({"trials": [{"trial_id": "T", "regimens": [
             {"drugs": ["capecitabine", "oxaliplatin"]}]}]})},
         "field 'drugs' is not list of dict"),
+    "regimen-drug-without-name": (
+        REGIMEN, {"corpus.json": json.dumps({"trials": [{"trial_id": "T", "regimens": [
+            {"drugs": [{"route": "oral"}]}]}]})},
+        "lacks 'name'"),
+    "regimen-doses-a-list": (
+        REGIMEN, {"corpus.json": json.dumps({"trials": [{"trial_id": "T", "regimens": [
+            {"drugs": [{"name": "a"}, {"name": "b"}], "dose_ladder": [{"doses": [1, 2]}]}]}]})},
+        "field 'doses' is not dict"),
+    "regimen-dlt-terms-not-strings": (
+        REGIMEN, {"corpus.json": json.dumps({"trials": [{"trial_id": "T", "regimens": [
+            {"drugs": [{"name": "a"}], "dlt_by_level": [{"terms": ["rash", 3]}]}]}]})},
+        "field 'terms' is not list of str"),
     "ebm-prediction-not-json": (
         SCORE_EBM, {"tasks.jsonl": _rows(TASK), "preds.jsonl": "{not json\n"},
         "preds.jsonl row 1 is not JSON"),

@@ -1,5 +1,7 @@
 """Evidence-graph store: normalization, merge cycles, dedup, conflicts, export."""
+import collections
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -10,12 +12,14 @@ import subprocess
 import sys
 import textwrap
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import biokgr
+from biokgr import evidence
 from biokgr.evidence import (
     CONTEXT_PREDICATES,
     MAX_CONTEXT_EDGES_PER_FINDING,
@@ -330,6 +334,54 @@ PINNED_TOTALS = (
 )
 PINNED_WARNINGS_SHA256 = "567667009549a7ea067d4e34c86cebebea42ccfb19f44215730bd639db1ec6f6"
 PINNED_SNAPSHOT_SHA256 = "43f448bad42003876ff7bfc1dee2e67abe5f93980cf9dc0d32d680dae9250f8a"
+
+
+def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
+    calls = collections.Counter()
+    for name in ("normalize_label", "normalize_curie"):
+        original = getattr(evidence, name)
+
+        def counted(raw, _name=name, _original=original):
+            calls[_name, raw] += 1
+            return _original(raw)
+
+        monkeypatch.setattr(evidence, name, counted)
+    memos = []
+
+    class Recorded(evidence._Normalized):
+        def __init__(self):
+            super().__init__()
+            memos.append(weakref.ref(self))
+
+    monkeypatch.setattr(evidence, "_Normalized", Recorded)
+
+    store = EvidenceGraphStore()
+    attributes = set(vars(store))
+    store.upsert_batch(MergeBatch(entities=(gene("TNF", curie="HGNC:11892"), gene("IL6"))))
+    calls.clear()
+    report = store.upsert_batch(MergeBatch(
+        entities=(gene("tnf", curie="hgnc:11892"), gene("TNF."), gene("IL6"), gene("IL6"),
+                  gene("STAT3", curie="HGNC:11364"), gene("stat3")),
+        relations=(rel("TNF", "ACTIVATES", "IL6"), rel("tnf", "ACTIVATES", "il6"),
+                   rel("HGNC:11892", "BINDS", "STAT3"), rel("TNF", "INHIBITS", "hgnc:11364"),
+                   rel("IL6", "BINDS", "GHOST"), rel("GHOST", "BINDS", "--"),
+                   rel("--", "BINDS", "TNF")),
+        observations=(Observation(entity="TNF", text="Raised in mucosa."),
+                      Observation(entity="STAT3", text="Phosphorylated."),
+                      Observation(entity="--", text="Nothing.")),
+    ))
+    assert (report.created, report.merged, report.relations_added, report.rejected) == (1, 5, 3, 4)
+    assert calls and max(calls.values()) == 1, [c for c, n in calls.items() if n > 1]
+
+    too_many = MergeBatch(entities=tuple(gene(f"G{i}") for i in range(11)) + (gene("TNF"),) * 3)
+    calls.clear()
+    with pytest.raises(BatchLimitExceeded):
+        store.upsert_batch(too_many)
+    assert calls and max(calls.values()) == 1
+
+    gc.collect()
+    assert set(vars(store)) == attributes
+    assert memos and all(memo() is None for memo in memos)
 
 
 # -- subgraph ----------------------------------------------------------------
