@@ -60,11 +60,13 @@ def read_jsonl(path, read=None) -> list:
 
 
 def field(record, name: str, types, default=_REQUIRED, of=None):
-    """`record[name]`, checked to be one of `types` (a list of type `of`, when given).
+    """`record[name]`, checked to be one of `types`, whose items are of `of` when given.
 
-    Returns `default` when the field is absent. Raises `ValueError` naming the
-    field when `record` is not a JSON object, a field without a default is
-    absent, or the value has the wrong type; a bool is never taken for an int.
+    The items `of` checks are a list's elements or a dict's values. Returns
+    `default` when the field is absent. Raises `ValueError` naming the field
+    when `record` is not a JSON object, a field without a default is absent,
+    or the value or an item has the wrong type; a bool is never taken for an
+    int.
     """
     if not isinstance(record, dict):
         raise ValueError(f"lacks {name!r}: {record!r:.80} is not an object")
@@ -73,11 +75,15 @@ def field(record, name: str, types, default=_REQUIRED, of=None):
             raise ValueError(f"lacks {name!r}")
         return default
     value = record[name]
-    if _is(value, types) and (of is None or all(_is(item, of) for item in value)):
+    items = value.values() if isinstance(value, dict) else value
+    if _is(value, types) and (of is None or all(_is(item, of) for item in items)):
         return value
-    names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-    listed = "" if of is None else f" of {of.__name__}"
-    raise ValueError(f"field {name!r} is not {names}{listed}: {value!r:.80}")
+    listed = "" if of is None else f" of {_names(of)}"
+    raise ValueError(f"field {name!r} is not {_names(types)}{listed}: {value!r:.80}")
+
+
+def _names(types) -> str:
+    return " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
 
 
 def _is(value, types) -> bool:

@@ -128,6 +128,10 @@ STRATEGY_TEMPLATE_II_VARIANT = STRATEGY_TEMPLATES[DesignClass.II].replace(
 )
 
 
+# A dose or reported MTD: a number, or null where the trial gives none.
+_DOSE = (int, float, type(None))
+
+
 def load_corpus(path) -> list[RegimenEvidence]:
     """Every trial's regimens; ValueError when the file is not JSON or a field is ill-typed."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -138,12 +142,12 @@ def load_corpus(path) -> list[RegimenEvidence]:
             population=field(trial, "population", str, ""),
             drugs=[{"name": field(drug, "name", str), "route": field(drug, "route", str, "")}
                    for drug in field(reg, "drugs", list, [], of=dict)],
-            dose_ladder=[{**level, "doses": field(level, "doses", dict, {})}
+            dose_ladder=[{**level, "doses": field(level, "doses", dict, {}, of=_DOSE)}
                          for level in field(reg, "dose_ladder", list, [], of=dict)],
             dlt_by_level=[{**level, "terms": field(level, "terms", list, [], of=str)}
                           for level in field(reg, "dlt_by_level", list, [], of=dict)],
             protocol_dlt_definitions=field(reg, "protocol_dlt_definitions", list, [], of=str),
-            reported_mtds=field(reg, "reported_mtds", dict, {}),
+            reported_mtds=field(reg, "reported_mtds", dict, {}, of=_DOSE),
             escalation_design=field(reg, "escalation_design", str, ""),
             approved_combination=field(reg, "approved_combination", bool, False),
         )

@@ -297,6 +297,24 @@ MALFORMED_INPUTS = {
         REGIMEN, {"corpus.json": json.dumps({"trials": [{"trial_id": "T", "regimens": [
             {"drugs": [{"name": "a"}], "dlt_by_level": [{"terms": ["rash", 3]}]}]}]})},
         "field 'terms' is not list of str"),
+    "regimen-reported-mtd-a-string": (
+        REGIMEN, {"corpus.json": json.dumps({"trials": [{"trial_id": "M", "regimens": [
+            {"drugs": [{"name": "A"}], "reported_mtds": {"A": "high"},
+             "dlt_by_level": [{"terms": ["rash"]}]}]}]})},
+        "field 'reported_mtds' is not dict of int or float or NoneType"),
+    "regimen-dose-a-string": (
+        REGIMEN, {"corpus.json": json.dumps({"trials": [
+            {"trial_id": "M", "regimens": [{"drugs": [{"name": "A"}], "reported_mtds": {"A": 10},
+                                            "dlt_by_level": [{"terms": ["rash"]}]}]},
+            {"trial_id": "C", "regimens": [{"drugs": [{"name": "A"}, {"name": "B"}],
+                                            "dose_ladder": [{"doses": {"A": "5mg"}}],
+                                            "dlt_by_level": [{"terms": ["rash"]}]}]}]})},
+        "field 'doses' is not dict of int or float or NoneType"),
+    "regimen-dose-a-bool": (
+        REGIMEN, {"corpus.json": json.dumps({"trials": [{"trial_id": "C", "regimens": [
+            {"drugs": [{"name": "A"}, {"name": "B"}],
+             "dose_ladder": [{"doses": {"A": 10, "B": True}}]}]}]})},
+        "field 'doses' is not dict of int or float or NoneType"),
     "ebm-prediction-not-json": (
         SCORE_EBM, {"tasks.jsonl": _rows(TASK), "preds.jsonl": "{not json\n"},
         "preds.jsonl row 1 is not JSON"),

@@ -504,20 +504,119 @@ def test_export_stable_ordering(tmp_path):
     assert path.read_text(encoding="utf-8") == buf1.getvalue() == json.dumps(doc, indent=2, sort_keys=True)
 
 
+class DiskFullAfterFirstWrite:
+    """A file that takes one write and then fails every later one."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("no space left on device")
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
 def test_failed_export_keeps_the_previous_snapshot(tmp_path, monkeypatch):
     path = tmp_path / "evidence_graph.json"
     export_graph(make_small_store(), path)
     before = path.read_bytes()
+    files = []
 
-    def dump_until_disk_full(doc, fh, **kwargs):
-        fh.write('{"entities": [')
-        raise OSError("no space left on device")
+    def open_until_disk_full(*args, **kwargs):
+        files.append(DiskFullAfterFirstWrite(open(*args, **kwargs)))
+        return files[-1]
 
-    monkeypatch.setattr(json, "dump", dump_until_disk_full)
+    monkeypatch.setattr(evidence, "open", open_until_disk_full, raising=False)
     with pytest.raises(WorkspaceUnavailable):
-        export_graph(EvidenceGraphStore(), path)
+        export_graph(make_small_store(), path)
+    assert [f.writes for f in files] == [2]  # the first chunk reached the disk
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+# Strings that take every escape the encoder makes: quote, backslash, control
+# characters, non-ASCII inside and outside the BMP, and lone surrogates.
+_snapshot_text = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f\ud800\udfffé漢\U0001f600aZ :/'),
+                         max_size=6)
+
+
+@st.composite
+def snapshot_documents(draw):
+    """A valid snapshot, in about half the draws with every section longer than one write chunk."""
+    keys = draw(st.lists(_snapshot_text, max_size=8, unique=True))
+    entities = [{"key": key, "name": "n" + draw(_snapshot_text), "kind": "GENE_PROTEIN",
+                 "curie": draw(st.none() | _snapshot_text),
+                 "sources": draw(st.lists(_snapshot_text, max_size=3))} for key in keys]
+    triples = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(["BINDS", "INHIBITS"]),
+                                      st.sampled_from(keys)), max_size=8, unique=True)) if keys else []
+    relations = [{"subject": s, "predicate": p, "object": o,
+                  "evidence": draw(st.lists(_snapshot_text, max_size=3)),
+                  "conflict_group": draw(st.none() | _snapshot_text)} for s, p, o in triples]
+    observations = [{"entity": draw(st.sampled_from(keys)), "text": draw(_snapshot_text)}
+                    for _ in range(draw(st.integers(0, 5)) if keys else 0)]
+    members = st.lists(st.sampled_from(triples), max_size=3) if triples else st.just([])
+    groups = [{"id": gid, "relations": [list(t) for t in draw(members)]}
+              for gid in draw(st.lists(_snapshot_text, max_size=3, unique=True))]
+    if draw(st.booleans()):
+        filler = [f"filler/{i}" for i in range(evidence._CHUNK + 2)]
+        entities += [{"key": k, "name": k, "kind": "PAPER", "curie": None, "sources": []}
+                     for k in filler]
+        relations += [{"subject": s, "predicate": "CITES", "object": o, "evidence": [],
+                       "conflict_group": None} for s, o in zip(filler, filler[1:])]
+        observations += [{"entity": k, "text": k} for k in filler]
+        groups += [{"id": k, "relations": []} for k in filler]
+    return {"entities": entities, "relations": relations, "observations": observations,
+            "conflict_groups": groups}
+
+
+@settings(max_examples=40, deadline=None)
+@given(snapshot_documents())
+def test_export_writes_the_bytes_of_indented_sorted_json(tmp_path_factory, doc):
+    store = EvidenceGraphStore.from_document(doc)
+    expected = json.dumps(store.to_document(), indent=2, sort_keys=True)
+    buf = io.StringIO()
+    returned = export_graph(store, buf)
+    assert buf.getvalue() == expected == json.dumps(returned, indent=2, sort_keys=True)
+    path = tmp_path_factory.mktemp("snapshot") / "graph.json"
+    export_graph(store, path)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_import_leaves_the_collector_as_it_found_it(enabled, tmp_path, monkeypatch):
+    path = tmp_path / "graph.json"
+    export_graph(make_small_store(), path)
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps(MALFORMED["unknown kind"](snapshot_doc())), encoding="utf-8")
+    collector_during_rebuild = []
+    rebuild = EvidenceGraphStore.from_document
+
+    def recording_rebuild(doc):
+        collector_during_rebuild.append(gc.isenabled())
+        return rebuild(doc)
+
+    monkeypatch.setattr(EvidenceGraphStore, "from_document", recording_rebuild)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        import_graph(path)
+        assert gc.isenabled() is enabled
+        with pytest.raises(MalformedSnapshot):
+            import_graph(malformed)
+        assert gc.isenabled() is enabled
+        with pytest.raises(WorkspaceUnavailable):
+            import_graph(tmp_path / "absent.json")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert collector_during_rebuild == [False, False]
 
 
 # -- malformed snapshots ---------------------------------------------------------
