@@ -10,7 +10,9 @@ Subpackages:
 
 Outside JSON (oracle replies, snapshots, manifests, analysis specs, benchmark
 files) is read through `field`, which raises `ValueError` naming the field;
-each boundary turns that into its own exception.
+each boundary turns that into its own exception. A record with a fixed set of
+fields can be declared once as a `Shape`, whose `read` checks every field by
+`field`'s rules and fails with its wording.
 """
 
 import json
@@ -75,18 +77,54 @@ def field(record, name: str, types, default=_REQUIRED, of=None):
             raise ValueError(f"lacks {name!r}")
         return default
     value = record[name]
-    items = value.values() if isinstance(value, dict) else value
-    if _is(value, types) and (of is None or all(_is(item, of) for item in items)):
+    if _is(value, types) and (of is None or all(_is(item, of) for item in _items(value))):
         return value
     listed = "" if of is None else f" of {_names(of)}"
     raise ValueError(f"field {name!r} is not {_names(types)}{listed}: {value!r:.80}")
 
 
+class Shape:
+    """A JSON object's fields in reading order, each with the `types` and `of` `field` takes."""
+
+    def __init__(self, **fields) -> None:
+        self.fields = fields
+        self._checks = [
+            (name, types, of, _tuple(types), of and _tuple(of).__contains__, types is list)
+            for name, (types, of) in fields.items()]
+
+    def read(self, record) -> list:
+        """The values of `record`'s fields in order, each checked by `field`'s rules.
+
+        A value passes with one exact type test, and a list's items with one
+        each; anything else goes to `field`, which raises its `ValueError` or
+        accepts a subclass. A list field comes back copied, so the caller
+        shares no list with `record`.
+        """
+        if not isinstance(record, dict):
+            field(record, self._checks[0][0], object)  # raises: not an object
+        values = []
+        for name, types, of, exact, item_fits, copy in self._checks:
+            value = record.get(name, _REQUIRED)
+            if type(value) not in exact or of and not all(map(item_fits, map(type, _items(value)))):
+                field(record, name, types, of=of)
+            values.append(list(value) if copy else value)
+        return values
+
+
+def _tuple(types) -> tuple:
+    return types if isinstance(types, tuple) else (types,)
+
+
+def _items(value):
+    """The items `of` checks: a dict's values, or the elements of anything else."""
+    return value.values() if isinstance(value, dict) else value
+
+
 def _names(types) -> str:
-    return " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+    return " or ".join(t.__name__ for t in _tuple(types))
 
 
 def _is(value, types) -> bool:
     if type(value) is bool:  # an int subclass, but never taken for an int
-        return types is bool or (isinstance(types, tuple) and bool in types)
+        return bool in _tuple(types)
     return isinstance(value, types)

@@ -17,9 +17,12 @@ import os
 import re
 import threading
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
-from biokgr import field
+from biokgr import Shape, field
 
 logger = logging.getLogger(__name__)
 
@@ -284,6 +287,61 @@ class StoredRelation:
     @property
     def key(self) -> RelationKey:
         return (self.subject, self.predicate, self.object)
+
+
+# The JSON types of snapshot fields, as the `types` and item type `of` that
+# `biokgr.field` takes.
+_STR = (str, None)
+_STR_OR_NULL = ((str, type(None)), None)
+_LIST_OF_STR = (list, str)
+_LIST_OF_LISTS = (list, list)
+
+
+class _Section(NamedTuple):
+    """A snapshot section: its key, the kind of record it holds, and that record's shape."""
+
+    name: str
+    kind: str
+    shape: Shape
+
+    def rows(self, records) -> list[dict]:
+        """Document rows from tuples of field values in the shape's order; lists are copied."""
+        names = tuple(self.shape.fields)
+        return [{name: list(value) if type(value) is list else value
+                 for name, value in zip(names, values)} for values in records]
+
+    def stored_rows(self, stored) -> list[dict]:
+        """Document rows from stored records, whose attributes are named as the fields."""
+        return self.rows(map(attrgetter(*self.shape.fields), stored))
+
+    def records(self, doc):
+        """The field values of each record in this section of `doc`, in the shape's order.
+
+        Raises MalformedSnapshot naming the section or the record kind, and the field.
+        """
+        try:
+            rows = field(doc, self.name, list)
+        except ValueError as exc:
+            raise MalformedSnapshot(f"snapshot {exc}") from exc
+        for row in rows:
+            try:
+                yield self.shape.read(row)
+            except ValueError as exc:
+                raise MalformedSnapshot(f"{self.kind} {exc}") from exc
+
+
+# The snapshot's one declaration of its record shapes, in the order
+# `from_document` reads the sections and their fields. The entity and relation
+# fields are the `StoredEntity` and `StoredRelation` attributes, in their order.
+# `to_document`, the writer and `from_document` all follow these.
+_ENTITIES = _Section("entities", "entity record", Shape(
+    key=_STR, name=_STR, kind=_STR, curie=_STR_OR_NULL, sources=_LIST_OF_STR))
+_RELATIONS = _Section("relations", "relation record", Shape(
+    subject=_STR, predicate=_STR, object=_STR, evidence=_LIST_OF_STR, conflict_group=_STR_OR_NULL))
+_OBSERVATIONS = _Section("observations", "observation record", Shape(entity=_STR, text=_STR))
+_CONFLICT_GROUPS = _Section("conflict_groups", "conflict group record", Shape(
+    id=_STR, relations=_LIST_OF_LISTS))
+_SECTIONS = (_ENTITIES, _RELATIONS, _OBSERVATIONS, _CONFLICT_GROUPS)
 
 
 class EvidenceGraphStore:
@@ -639,44 +697,17 @@ class EvidenceGraphStore:
     # -- snapshot -------------------------------------------------------------
 
     def to_document(self) -> dict:
-        """Snapshot with stable ordering; round-trips through `from_document`.
-
-        `export_graph` writes these records from fixed templates, so a field
-        added here needs its template changed too; a property test checks that
-        the two give the bytes of `json.dumps(doc, indent=2, sort_keys=True)`.
-        """
+        """Snapshot with stable ordering; round-trips through `from_document`."""
         with self._lock:
             entities = self.entities()
             return {
-                "entities": [
-                    {
-                        "key": e.key,
-                        "name": e.name,
-                        "kind": e.kind,
-                        "curie": e.curie,
-                        "sources": list(e.sources),
-                    }
-                    for e in entities
-                ],
-                "relations": [
-                    {
-                        "subject": r.subject,
-                        "predicate": r.predicate,
-                        "object": r.object,
-                        "evidence": list(r.evidence),
-                        "conflict_group": r.conflict_group,
-                    }
-                    for r in self.relations()
-                ],
-                "observations": [
-                    {"entity": e.key, "text": text}
-                    for e in entities
-                    for text in e.observations
-                ],
-                "conflict_groups": [
-                    {"id": gid, "relations": [list(k) for k in members]}
-                    for gid, members in sorted(self._conflict_groups.items())
-                ],
+                _ENTITIES.name: _ENTITIES.stored_rows(entities),
+                _RELATIONS.name: _RELATIONS.stored_rows(self.relations()),
+                _OBSERVATIONS.name: _OBSERVATIONS.rows(
+                    (e.key, text) for e in entities for text in e.observations),
+                _CONFLICT_GROUPS.name: _CONFLICT_GROUPS.rows(
+                    (gid, [list(k) for k in members])
+                    for gid, members in sorted(self._conflict_groups.items())),
             }
 
     @classmethod
@@ -684,80 +715,56 @@ class EvidenceGraphStore:
         """Rebuild a store from a `to_document` snapshot, without lint warnings.
 
         Raises MalformedSnapshot when a section or field is missing or
-        ill-typed, an entity kind or predicate is outside the vocabulary, or a
-        relation, observation or conflict group names something not stored.
+        ill-typed, an entity kind or predicate is outside the vocabulary, a
+        relation, observation or conflict group names something not stored, or
+        an entity, relation or conflict group appears twice.
         """
         store = cls()
-        where = "snapshot"
-        try:
-            for e in field(doc, "entities", list):
-                where = "entity record"
-                stored = StoredEntity(
-                    key=field(e, "key", str),
-                    name=field(e, "name", str),
-                    kind=field(e, "kind", str),
-                    curie=field(e, "curie", (str, type(None))),
-                    sources=list(field(e, "sources", list, of=str)),
-                )
-                if stored.kind not in ENTITY_KINDS:
+        for values in _ENTITIES.records(doc):
+            stored = StoredEntity(*values)
+            if stored.kind not in ENTITY_KINDS:
+                raise MalformedSnapshot(
+                    f"entity {stored.key!r} has unknown kind {stored.kind!r}")
+            if stored.key in store._entities:
+                raise MalformedSnapshot(f"entity {stored.key!r} appears twice")
+            try:
+                store._add_entity(stored, normalize_label(stored.name),
+                                  normalize_curie(stored.curie) if stored.curie else None)
+            except EmptyLabel as exc:
+                raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
+        for values in _RELATIONS.records(doc):
+            rel = StoredRelation(*values)
+            if rel.predicate not in RELATION_PREDICATES:
+                raise MalformedSnapshot(f"relation {rel.key} has unknown predicate")
+            for endpoint in (rel.subject, rel.object):
+                if endpoint not in store._entities:
                     raise MalformedSnapshot(
-                        f"entity {stored.key!r} has unknown kind {stored.kind!r}")
-                if stored.key in store._entities:
-                    raise MalformedSnapshot(f"entity {stored.key!r} appears twice")
-                try:
-                    store._add_entity(stored, normalize_label(stored.name),
-                                      normalize_curie(stored.curie) if stored.curie else None)
-                except EmptyLabel as exc:
-                    raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
-            where = "snapshot"
-            for r in field(doc, "relations", list):
-                where = "relation record"
-                rel = StoredRelation(
-                    subject=field(r, "subject", str),
-                    predicate=field(r, "predicate", str),
-                    object=field(r, "object", str),
-                    evidence=list(field(r, "evidence", list, of=str)),
-                    conflict_group=field(r, "conflict_group", (str, type(None))),
-                )
-                if rel.predicate not in RELATION_PREDICATES:
-                    raise MalformedSnapshot(f"relation {rel.key} has unknown predicate")
-                for endpoint in (rel.subject, rel.object):
-                    if endpoint not in store._entities:
-                        raise MalformedSnapshot(
-                            f"relation {rel.key} names unknown entity {endpoint!r}")
-                if rel.key in store._relations:
-                    raise MalformedSnapshot(f"relation {rel.key} appears twice")
-                store._add_relation(rel)
-            where = "snapshot"
-            for o in field(doc, "observations", list):
-                where = "observation record"
-                key, text = field(o, "entity", str), field(o, "text", str)
-                entity = store._entities.get(key)
-                if entity is None:
-                    raise MalformedSnapshot(f"observation names unknown entity {key!r}")
-                if text not in entity.observations:
-                    entity.observations.append(text)
-            where = "snapshot"
-            max_seq = 0
-            for g in field(doc, "conflict_groups", list):
-                where = "conflict group record"
-                gid = field(g, "id", str)
-                members = []
-                for member in field(g, "relations", list, of=list):
-                    if not (len(member) == 3 and all(isinstance(part, str) for part in member)):
-                        raise MalformedSnapshot(f"conflict group {gid!r} member {member!r:.80} "
-                                                "is not a [subject, predicate, object] triple")
-                    if tuple(member) not in store._relations:
-                        raise MalformedSnapshot(
-                            f"conflict group {gid!r} names unknown relation {member}")
-                    members.append(tuple(member))
-                store._conflict_groups[gid] = members
-                m = re.match(r"cg-(\d+)$", gid)
-                if m:
-                    max_seq = max(max_seq, int(m.group(1)))
-        except ValueError as exc:
-            raise MalformedSnapshot(f"{where} {exc}") from exc
-        store._conflict_seq = max_seq
+                        f"relation {rel.key} names unknown entity {endpoint!r}")
+            if rel.key in store._relations:
+                raise MalformedSnapshot(f"relation {rel.key} appears twice")
+            store._add_relation(rel)
+        for key, text in _OBSERVATIONS.records(doc):
+            entity = store._entities.get(key)
+            if entity is None:
+                raise MalformedSnapshot(f"observation names unknown entity {key!r}")
+            if text not in entity.observations:
+                entity.observations.append(text)
+        for gid, relations in _CONFLICT_GROUPS.records(doc):
+            if gid in store._conflict_groups:
+                raise MalformedSnapshot(f"conflict group {gid!r} appears twice")
+            members = []
+            for member in relations:
+                if not (len(member) == 3 and all(isinstance(part, str) for part in member)):
+                    raise MalformedSnapshot(f"conflict group {gid!r} member {member!r:.80} "
+                                            "is not a [subject, predicate, object] triple")
+                if tuple(member) not in store._relations:
+                    raise MalformedSnapshot(
+                        f"conflict group {gid!r} names unknown relation {member}")
+                members.append(tuple(member))
+            store._conflict_groups[gid] = members
+            m = re.match(r"cg-(\d+)$", gid)
+            if m:
+                store._conflict_seq = max(store._conflict_seq, int(m.group(1)))
         return store
 
 
@@ -765,10 +772,6 @@ class EvidenceGraphStore:
 _CHUNK = 512
 
 _quote = json.encoder.encode_basestring_ascii
-
-
-def _nullable(value: str | None) -> str:
-    return "null" if value is None else _quote(value)
 
 
 def _array(items: list[str], indent: str) -> str:
@@ -779,55 +782,59 @@ def _array(items: list[str], indent: str) -> str:
     return f"[{pad}{(',' + pad).join(items)}\n{indent}]"
 
 
-def _entity_record(e: dict) -> str:
-    return (f'    {{\n      "curie": {_nullable(e["curie"])},\n      "key": {_quote(e["key"])},\n'
-            f'      "kind": {_quote(e["kind"])},\n      "name": {_quote(e["name"])},\n'
-            f'      "sources": {_array(list(map(_quote, e["sources"])), "      ")}\n    }}')
+# Each field type encoded as `indent=2` lays it out as the value of a record field.
+_ENCODERS = {
+    _STR: _quote,
+    _STR_OR_NULL: lambda value: "null" if value is None else _quote(value),
+    _LIST_OF_STR: lambda value: _array(list(map(_quote, value)), "      "),
+    _LIST_OF_LISTS: lambda value: _array(
+        [_array(list(map(_quote, item)), "        ") for item in value], "      "),
+}
 
 
-def _relation_record(r: dict) -> str:
-    return (f'    {{\n      "conflict_group": {_nullable(r["conflict_group"])},\n'
-            f'      "evidence": {_array(list(map(_quote, r["evidence"])), "      ")},\n'
-            f'      "object": {_quote(r["object"])},\n      "predicate": {_quote(r["predicate"])},\n'
-            f'      "subject": {_quote(r["subject"])}\n    }}')
+def _record_writer(shape: Shape):
+    """The formatter of a list of records of `shape`, their fields in sorted key order.
+
+    It encodes a field's values a column at a time and joins each record from
+    its keys and values, so per record only the null and list encoders run in
+    Python.
+    """
+    columns, lead = [], "    {\n"
+    for name in sorted(shape.fields):
+        key = f"{lead}      {_quote(name)}: "
+        columns.append((key, itemgetter(name), _ENCODERS[shape.fields[name]]))
+        lead = ",\n"
+
+    def write(rows: list[dict]) -> str:
+        parts = []
+        for key, get, encode in columns:
+            parts += (repeat(key), map(encode, map(get, rows)))
+        return ",\n".join(map("".join, zip(*parts, repeat("\n    }"))))
+    return write
 
 
-def _observation_record(o: dict) -> str:
-    return f'    {{\n      "entity": {_quote(o["entity"])},\n      "text": {_quote(o["text"])}\n    }}'
-
-
-def _group_record(g: dict) -> str:
-    members = [_array(list(map(_quote, m)), "        ") for m in g["relations"]]
-    return (f'    {{\n      "id": {_quote(g["id"])},\n'
-            f'      "relations": {_array(members, "      ")}\n    }}')
-
-
-# The snapshot's sections in sorted key order, each with its record template.
-_SECTIONS = (
-    ("conflict_groups", _group_record),
-    ("entities", _entity_record),
-    ("observations", _observation_record),
-    ("relations", _relation_record),
-)
+# The snapshot's sections in sorted key order, each with its records' formatter.
+_WRITERS = tuple((section.name, _record_writer(section.shape))
+                 for section in sorted(_SECTIONS, key=lambda section: section.name))
 
 
 def _write_document(doc: dict, fh) -> None:
     """Write a `to_document` snapshot exactly as `json.dump(doc, fh, indent=2, sort_keys=True)`.
 
     For indented output `json.dump` runs the pure-Python encoder, which calls
-    `fh.write` once per token. The snapshot's records have fixed shapes, so
-    each is formatted from its template, strings go through the C string
-    encoder, and _CHUNK records go to each `fh.write`.
+    `fh.write` once per token. Here the records are formatted by their
+    section's declared shape, strings go through the C string encoder, and
+    _CHUNK records go to each `fh.write`.
     """
     lead = "{\n"
-    for name, record in _SECTIONS:
+    for name, records in _WRITERS:
         rows = doc[name]
         if not rows:
             fh.write(f'{lead}  "{name}": []')
         else:
             for start in range(0, len(rows), _CHUNK):
                 head = f'{lead}  "{name}": [\n' if start == 0 else ",\n"
-                fh.write(head + ",\n".join(map(record, rows[start:start + _CHUNK])))
+                fh.write(head + records(rows[start:start + _CHUNK]))
             fh.write("\n  ]")
         lead = ",\n"
     fh.write("\n}")

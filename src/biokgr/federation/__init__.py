@@ -15,11 +15,7 @@ from biokgr.federation.client import (
     RequestFailed,
     SourceUnavailable,
 )
-from biokgr.federation.queries import (
-    RELATION_SEARCH_TYPES,
-    UnsupportedEntityType,
-    build_boolean_query,
-)
+from biokgr.federation.queries import RELATION_SEARCH_TYPES
 from biokgr.federation.unified import (
     AllSourcesFailed,
     Federation,
@@ -45,8 +41,6 @@ __all__ = [
     "RequestFailed",
     "SourceUnavailable",
     "RELATION_SEARCH_TYPES",
-    "UnsupportedEntityType",
-    "build_boolean_query",
     "AllSourcesFailed",
     "Federation",
     "FetchResult",

@@ -1,6 +1,7 @@
 """Evidence-graph store: normalization, merge cycles, dedup, conflicts, export."""
 import collections
 import copy
+import dataclasses
 import gc
 import hashlib
 import io
@@ -36,6 +37,8 @@ from biokgr.evidence import (
     Observation,
     RelationEdge,
     RelationNotFound,
+    StoredEntity,
+    StoredRelation,
     UnknownPredicate,
     WorkspaceUnavailable,
     export_graph,
@@ -668,12 +671,54 @@ MALFORMED = {
     "observation of unknown entity": _edit(["observations", 0, "entity"], "gene_protein/ghost"),
     "conflict member not a triple": _edit(["conflict_groups", 0, "relations", 0], ["a", "b"]),
     "conflict member unknown": _edit(["conflict_groups", 0, "relations", 0], ["a", "BINDS", "b"]),
+    "duplicate conflict group": lambda doc: {**doc, "conflict_groups": doc["conflict_groups"] * 2},
 }
 
 
 def test_snapshot_doc_is_valid():
     doc = snapshot_doc()
-    assert EvidenceGraphStore.from_document(doc).to_document() == doc
+    store = EvidenceGraphStore.from_document(doc)
+    assert store.to_document() == doc
+    # Neither the document read nor the one written shares a list with the store.
+    for edited in (doc, store.to_document()):
+        edited["entities"][0]["sources"].append("edited")
+        edited["relations"][0]["evidence"].append("edited")
+    assert store.to_document() == snapshot_doc()
+    # A field added to a stored record and not to the snapshot would be lost on export.
+    stored = lambda cls: [f.name for f in dataclasses.fields(cls) if f.name != "observations"]
+    assert list(evidence._ENTITIES.shape.fields) == stored(StoredEntity)
+    assert list(evidence._RELATIONS.shape.fields) == stored(StoredRelation)
+
+
+# Each snapshot field's `types` and item type `of`, as `from_document` read them
+# with one `biokgr.field` call per field.
+FIELD_TYPES = {
+    ("entities", "entity record"): {
+        "key": (str, None), "name": (str, None), "kind": (str, None),
+        "curie": ((str, type(None)), None), "sources": (list, str)},
+    ("relations", "relation record"): {
+        "subject": (str, None), "predicate": (str, None), "object": (str, None),
+        "evidence": (list, str), "conflict_group": ((str, type(None)), None)},
+    ("observations", "observation record"): {"entity": (str, None), "text": (str, None)},
+    ("conflict_groups", "conflict group record"): {"id": (str, None), "relations": (list, list)},
+}
+JSON_VALUES = [None, True, 0, 1.5, "s", [], ["s"], [None], [1], [True], {}, [["a", "b", "c"]]]
+
+
+@pytest.mark.parametrize("section,kind,name", [
+    (section, kind, name) for (section, kind), fields in FIELD_TYPES.items() for name in fields])
+def test_a_field_that_field_rejects_is_a_malformed_snapshot(section, kind, name):
+    declared = {s.name: s for s in evidence._SECTIONS}[section]
+    assert (declared.kind, list(declared.shape.fields)) == (kind, list(FIELD_TYPES[section, kind]))
+    types, of = FIELD_TYPES[section, kind][name]
+    for value in JSON_VALUES:
+        doc = snapshot_doc()
+        doc[section][0][name] = value
+        try:
+            biokgr.field(doc[section][0], name, types, of=of)
+        except ValueError:
+            with pytest.raises(MalformedSnapshot, match=f"^{kind} field '{name}' is not "):
+                EvidenceGraphStore.from_document(doc)
 
 
 @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())

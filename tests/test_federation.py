@@ -1,4 +1,4 @@
-"""Federation contracts: boolean queries, rate limiting, retries, unified search, HTTP."""
+"""Federation contracts: rate limiting, retries, unified search, HTTP."""
 import ast
 import contextlib
 import dataclasses
@@ -28,9 +28,7 @@ from biokgr.federation import (
     RateLimiter,
     SourceDescriptor,
     SourceUnavailable,
-    UnsupportedEntityType,
     WorkspaceUnavailable,
-    build_boolean_query,
     default_registry,
     load_records,
     persist_results,
@@ -43,28 +41,6 @@ from biokgr.federation.mockserver import FixtureServer, MockTransport
 from biokgr.federation.unified import UnifiedRecord
 
 from fedmock import FakeClock, descriptor, json_response, mock_registry, shipped, text_response
-
-
-# -- boolean queries -------------------------------------------------------------
-
-def test_boolean_query_rendering():
-    query = build_boolean_query(
-        [("CHEMICAL", "remdesivir"), ("DISEASE", "COVID 19")], ["and"]
-    )
-    assert query == "@CHEMICAL_remdesivir AND @DISEASE_COVID_19"
-
-
-def test_boolean_query_single_term():
-    assert build_boolean_query([("GENE", "TP53")]) == "@GENE_TP53"
-
-
-def test_boolean_query_hyphen_mapping():
-    assert build_boolean_query([("DISEASE", "COVID-19")]) == "@DISEASE_COVID_19"
-
-
-def test_boolean_query_unsupported_type():
-    with pytest.raises(UnsupportedEntityType):
-        build_boolean_query([("PLANET", "mars")])
 
 
 # -- rate limiting -----------------------------------------------------------------
