@@ -13,6 +13,12 @@ files) is read through `field`, which raises `ValueError` naming the field;
 each boundary turns that into its own exception. A record with a fixed set of
 fields can be declared once as a `Shape`, whose `read` checks every field by
 `field`'s rules and fails with its wording.
+
+Every exception that outside input or the environment can cause is an `Error`
+(a malformed file or reply, a failed source, oracle or workspace); one that
+is not means the program broke its own invariant. `WorkspaceUnavailable` is
+the `Error` for a file or directory that cannot be read or written, and
+`write_jsonl`, the one writer of JSON-lines output, raises it.
 """
 
 import json
@@ -22,6 +28,14 @@ from importlib import resources
 __version__ = "0.1.0"
 
 _REQUIRED = object()
+
+
+class Error(Exception):
+    """A failure that outside input or the environment can cause, as opposed to a bug."""
+
+
+class WorkspaceUnavailable(Error):
+    """A file or directory that cannot, or may not, be read or written."""
 
 
 @cache
@@ -38,6 +52,15 @@ def load_data(name: str):
 def jsonl_lines(rows):
     """Each row as one line of JSON with sorted keys, its newline included."""
     return (json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def write_jsonl(path, rows) -> None:
+    """Write each row as one line of JSON with sorted keys; raises `WorkspaceUnavailable`."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(jsonl_lines(rows))
+    except OSError as exc:
+        raise WorkspaceUnavailable(f"cannot write {path}: {exc}") from exc
 
 
 def read_jsonl(path, read=None) -> list:

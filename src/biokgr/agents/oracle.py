@@ -15,7 +15,7 @@ import json
 import math
 import re
 
-from biokgr import field
+from biokgr import Error, field
 from biokgr.agents.actions import (
     Action,
     AnalyzeWorkspace,
@@ -49,7 +49,7 @@ ORACLE_SYSTEM_GUIDE = (
 )
 
 
-class OracleUnavailable(Exception):
+class OracleUnavailable(Error):
     pass
 
 

@@ -18,13 +18,12 @@ import logging
 import re
 from pathlib import Path
 
-from biokgr import field
-from biokgr.evidence import WorkspaceUnavailable
+from biokgr import Error, WorkspaceUnavailable, field
 
 logger = logging.getLogger(__name__)
 
 
-class AnalysisError(Exception):
+class AnalysisError(Error):
     pass
 
 

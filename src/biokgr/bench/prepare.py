@@ -14,7 +14,7 @@ import dataclasses
 import random
 from dataclasses import dataclass
 
-from biokgr import field, jsonl_lines, read_jsonl
+from biokgr import Error, field, read_jsonl, write_jsonl
 
 TASK_FAMILIES = (
     "hle_med", "litqa2", "supergpqa_med_hard", "trialpanorama_eqa",
@@ -37,11 +37,11 @@ EXPECTED_SNAPSHOT_COUNTS = {
 }
 
 
-class UnknownBenchmark(Exception):
+class UnknownBenchmark(Error):
     pass
 
 
-class MissingField(Exception):
+class MissingField(Error):
     """A raw export record or a bench item that lacks a field or holds one of the wrong type."""
 
 
@@ -160,8 +160,7 @@ def _select(records: list[dict], benchmark: str, seed: int) -> list[BenchItem]:
 
 
 def write_bench_items(items: list[BenchItem], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(jsonl_lines(item.to_dict() for item in items))
+    write_jsonl(path, (item.to_dict() for item in items))
 
 
 def read_bench_items(path) -> list[BenchItem]:

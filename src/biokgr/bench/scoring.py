@@ -11,7 +11,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from biokgr import field, jsonl_lines, read_jsonl
+from biokgr import Error, WorkspaceUnavailable, field, read_jsonl, write_jsonl
 from biokgr.bench.prepare import BenchItem
 from biokgr.curation import ebm
 
@@ -19,15 +19,15 @@ MULTI_ANSWER_FAMILIES = {"target_id", "moa_pathway", "flux", "surrogate"}
 EBM_FAMILY = "ebm_gap"
 
 
-class PredictionsNotFound(Exception):
+class PredictionsNotFound(Error):
     pass
 
 
-class UnmatchedItemId(Exception):
+class UnmatchedItemId(Error):
     pass
 
 
-class MalformedPrediction(Exception):
+class MalformedPrediction(Error):
     """A predictions row that is not JSON, not an object, or has no string or integer `id`."""
 
 
@@ -150,16 +150,19 @@ def run_suite(items: list[BenchItem], predictions: dict) -> SuiteReport:
 
 
 def write_report(report: SuiteReport, directory) -> dict:
-    os.makedirs(directory, exist_ok=True)
+    """Write `report.jsonl` and `report.md` under `directory`; raises `WorkspaceUnavailable`."""
     jsonl_path = os.path.join(directory, "report.jsonl")
     md_path = os.path.join(directory, "report.md")
-    with open(jsonl_path, "w", encoding="utf-8") as fh:
-        fh.writelines(jsonl_lines(report.rows))
-    with open(md_path, "w", encoding="utf-8") as fh:
-        fh.write("# Benchmark suite report\n\n")
-        fh.write(f"{report.metadata.get('items', len(report.rows))} items scored\n\n")
-        for family, stats in report.aggregates.items():
-            pretty = ", ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
-                               for k, v in stats.items())
-            fh.write(f"- **{family}**: {pretty}\n")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        write_jsonl(jsonl_path, report.rows)
+        with open(md_path, "w", encoding="utf-8") as fh:
+            fh.write("# Benchmark suite report\n\n")
+            fh.write(f"{report.metadata.get('items', len(report.rows))} items scored\n\n")
+            for family, stats in report.aggregates.items():
+                pretty = ", ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
+                                   for k, v in stats.items())
+                fh.write(f"- **{family}**: {pretty}\n")
+    except OSError as exc:
+        raise WorkspaceUnavailable(f"cannot write report under {directory}: {exc}") from exc
     return {"jsonl": jsonl_path, "md": md_path}

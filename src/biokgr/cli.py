@@ -4,22 +4,26 @@ Command groups: graph (evidence-graph snapshots), fetch (unified search),
 pathway (KGML parsing), curate (benchmark generation), score (EBM gap
 scoring), research (orchestrator runs), bench (open-benchmark prepare/score).
 
-The library's documented failures (malformed input files and replies, failed
-sources, oracles and workspaces) end a command with one `Error:` line and
-exit code 1; any other exception is a bug and keeps its traceback.
+A documented failure is a `biokgr.Error` or a `ValueError` (malformed input
+files and replies, failed sources, oracles and workspaces). A documented
+failure of the command ends it with one `Error:` line and exit code 1; a
+documented failure of one input of a `curate` command (a file, row, record or
+regimen) skips that input with one warning naming it; any other exception is a
+bug and keeps its traceback.
 """
 from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from biokgr import bench as bench_mod
 from biokgr import evidence
-from biokgr import field, read_jsonl
-from biokgr.agents import DefaultOracle, HttpOracle, OracleUnavailable, OrchestratorRunner
+from biokgr import Error, field, read_jsonl
+from biokgr.agents import DefaultOracle, HttpOracle, OrchestratorRunner
 from biokgr.bench.scoring import load_predictions, parse_pmids, run_suite, write_report
 from biokgr.curation import ebm
 from biokgr.curation.items import write_items_jsonl
@@ -29,8 +33,6 @@ from biokgr.curation.regimen import (
     derive_regimen_features,
     build_regimen_item,
     load_corpus,
-    InsufficientEvidence,
-    NotACombination,
 )
 from biokgr.curation.sample_size import gen_sample_size_item
 from biokgr.curation.surrogate import (
@@ -39,21 +41,17 @@ from biokgr.curation.surrogate import (
     gain2_strategies,
     infer_downstream_processes,
     NoMappedTarget,
-    InsufficientOptions,
-    PoolEmpty,
 )
 from biokgr.curation.target_id import PROFILES, build_target_item
 from biokgr.curation.flux import build_flux_item, TargetNotInPathway
-from biokgr.federation import Federation, FederationError, QuerySpec, persist_results
+from biokgr.federation import Federation, QuerySpec, persist_results
 from biokgr.pathways import parse_kgml, parse_flat_record
 from biokgr.pathways.families import annotate_functional_types
 from biokgr.pathways.flat import split_flat_records
 
 logger = logging.getLogger(__name__)
 
-_FAILURES = (ValueError, FederationError, evidence.EvidenceGraphError, OracleUnavailable,
-             bench_mod.UnknownBenchmark, bench_mod.MissingField, bench_mod.PredictionsNotFound,
-             bench_mod.UnmatchedItemId, bench_mod.MalformedPrediction)
+_FAILURES = (ValueError, Error)
 
 
 class _Main(click.Group):
@@ -144,8 +142,7 @@ def pathway():
 @click.option("--out", "out_path", required=True)
 def pathway_parse(kgml_path, out_path):
     """Parse one KGML file into a JSON graph snapshot."""
-    text = Path(kgml_path).read_text(encoding="utf-8")
-    graph_obj, rg = _parse_and_annotate(text)
+    graph_obj, rg = _read_pathway(Path(kgml_path))
     snapshot = {
         "pathway_id": graph_obj.pathway_id,
         "title": graph_obj.title,
@@ -175,8 +172,8 @@ def pathway_parse(kgml_path, out_path):
     )
 
 
-def _parse_and_annotate(text):
-    graph_obj, rg = parse_kgml(text)
+def _read_pathway(path):
+    graph_obj, rg = parse_kgml(path.read_text(encoding="utf-8"))
     annotate_functional_types(graph_obj)
     return graph_obj, rg
 
@@ -189,6 +186,15 @@ def _kgml_files(directory):
 
 
 # -- curate -------------------------------------------------------------------------
+
+
+@contextmanager
+def _skipping(name):
+    """Skip the input `name` with one warning when its block raises a documented failure."""
+    try:
+        yield
+    except _FAILURES as exc:
+        logger.warning("skipping %s: %s", name, exc)
 
 
 @main.group()
@@ -206,14 +212,12 @@ def curate():
 def curate_target_id(kgml_dir, profile, seed, option_count, out_path):
     items = []
     for path in _kgml_files(kgml_dir):
-        graph_obj, _rg = _parse_and_annotate(path.read_text(encoding="utf-8"))
-        try:
+        with _skipping(path):
+            graph_obj, _rg = _read_pathway(path)
             items.append(
                 build_target_item(graph_obj, PROFILES[profile], option_count=option_count,
                                   seed=seed)
             )
-        except Exception as exc:
-            logger.warning("skipping %s: %s", path.name, exc)
     write_items_jsonl(items, out_path)
     click.echo(f"wrote {len(items)} target-id items to {out_path}")
 
@@ -226,13 +230,12 @@ def curate_target_id(kgml_dir, profile, seed, option_count, out_path):
 def curate_flux(kgml_dir, target, seed, out_path):
     items = []
     for path in _kgml_files(kgml_dir):
-        graph_obj, rg = _parse_and_annotate(path.read_text(encoding="utf-8"))
-        try:
-            items.append(build_flux_item(graph_obj, rg, target, seed=seed))
-        except TargetNotInPathway:
-            continue
-        except Exception as exc:
-            logger.warning("skipping %s: %s", path.name, exc)
+        with _skipping(path):
+            graph_obj, rg = _read_pathway(path)
+            try:
+                items.append(build_flux_item(graph_obj, rg, target, seed=seed))
+            except TargetNotInPathway:
+                pass  # most pathways lack any one target, so this is no warning
     write_items_jsonl(items, out_path)
     click.echo(f"wrote {len(items)} flux items to {out_path}")
 
@@ -245,7 +248,7 @@ def curate_flux(kgml_dir, target, seed, out_path):
 def curate_sample_size(truths_path, seed, out_path):
     items = []
     for i, row in enumerate(read_jsonl(truths_path)):
-        try:
+        with _skipping(f"row {i}"):
             items.append(
                 gen_sample_size_item(
                     field(row, "truth", int), seed=seed + i,
@@ -256,8 +259,6 @@ def curate_sample_size(truths_path, seed, out_path):
                     assumption=field(row, "assumption", str, ""),
                 )
             )
-        except Exception as exc:
-            logger.warning("skipping row %d: %s", i, exc)
     write_items_jsonl(items, out_path)
     click.echo(f"wrote {len(items)} sample-size items to {out_path}")
 
@@ -271,13 +272,9 @@ def curate_regimen(corpus_path, seed, out_path):
     baselines = compute_monotherapy_baselines(regimens)
     items = []
     for i, regimen in enumerate(r for r in regimens if r.is_combination()):
-        try:
-            features = derive_regimen_features(regimen, baselines)
-            design_class = classify_design(features)
-        except (NotACombination, InsufficientEvidence) as exc:
-            logger.warning("excluding %s: %s", regimen.trial_id, exc)
-            continue
-        items.append(build_regimen_item(regimen, design_class, seed=seed + i))
+        with _skipping(regimen.trial_id):
+            design_class = classify_design(derive_regimen_features(regimen, baselines))
+            items.append(build_regimen_item(regimen, design_class, seed=seed + i))
     write_items_jsonl(items, out_path)
     click.echo(f"wrote {len(items)} regimen items to {out_path}")
 
@@ -296,40 +293,30 @@ def curate_surrogate(drugs_path, kgml_dir, seed, max_pathways, out_path):
     kgml_by_id = {path.stem: path for path in _kgml_files(kgml_dir)}
 
     prepared = []
-    for chunk in chunks:
-        try:
+    for n, chunk in enumerate(chunks, start=1):
+        with _skipping(f"drug record {n}"):
             record = parse_flat_record(chunk)
-        except Exception as exc:
-            logger.warning("skipping malformed record: %s", exc)
-            continue
-        merged = None
-        for pathway_id in record.pathways[:max_pathways]:
-            path = kgml_by_id.get(pathway_id)
-            if path is None:
-                continue
-            graph_obj, _rg = _parse_and_annotate(path.read_text(encoding="utf-8"))
-            merged = graph_obj if merged is None else merged.merged_with(graph_obj)
-        if merged is None:
-            logger.warning("skipping %s: no pathway KGML available", record.accession)
-            continue
-        try:
+            merged = None
+            for pathway_id in record.pathways[:max_pathways]:
+                path = kgml_by_id.get(pathway_id)
+                if path is None:
+                    continue
+                graph_obj, _rg = _read_pathway(path)
+                merged = graph_obj if merged is None else merged.merged_with(graph_obj)
+            if merged is None:
+                raise NoMappedTarget(f"{record.accession} has no pathway KGML available")
             processes = infer_downstream_processes(record, merged)
-        except NoMappedTarget as exc:
-            logger.warning("skipping %s: %s", record.accession, exc)
-            continue
-        context = categorize_context(record)
-        prepared.append((record, processes, context, gain2_strategies(processes, context)))
+            context = categorize_context(record)
+            prepared.append((record, processes, context, gain2_strategies(processes, context)))
 
     items = []
     for i, (record, processes, context, own) in enumerate(prepared):
         pool = [s for _r, _p, _c, strategies in prepared for s in strategies
                 if s not in set(own)]
-        try:
+        with _skipping(record.accession):
             items.append(
                 build_surrogate_item(record, processes, context, pool, seed=seed + i)
             )
-        except (InsufficientOptions, PoolEmpty) as exc:
-            logger.warning("skipping %s: %s", record.accession, exc)
     write_items_jsonl(items, out_path)
     click.echo(f"wrote {len(items)} surrogate items to {out_path}")
 
@@ -341,10 +328,8 @@ def curate_surrogate(drugs_path, kgml_dir, seed, max_pathways, out_path):
 def curate_ebm(reviews_dir, out_path):
     versions = []
     for path in sorted(Path(reviews_dir).glob("*.xml")):
-        try:
+        with _skipping(path):
             versions.append(ebm.parse_review_version(path.read_text(encoding="utf-8")))
-        except ebm.MalformedDocument as exc:
-            logger.warning("skipping %s: %s", path.name, exc)
     tasks, unpaired = ebm.pair_versions(versions)
     ebm.write_gap_tasks(tasks, out_path)
     if unpaired:

@@ -12,7 +12,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from biokgr import jsonl_lines
+from biokgr import Error, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -21,11 +21,11 @@ DEFAULT_K = 30
 _VERSION_SUFFIX = re.compile(r"\.pub(\d+)$", re.IGNORECASE)
 
 
-class MalformedDocument(Exception):
+class MalformedDocument(Error):
     pass
 
 
-class DegenerateTruth(Exception):
+class DegenerateTruth(Error):
     pass
 
 
@@ -84,11 +84,17 @@ def parse_included_refs(document: str) -> tuple[frozenset, frozenset, int]:
     Only reference lists titled as included/excluded studies are harvested;
     classification is inherited by nested lists.
     """
+    return _included_refs(_parse(document))
+
+
+def _parse(document: str) -> ET.Element:
     try:
-        root = ET.fromstring(document)
+        return ET.fromstring(document)
     except ET.ParseError as exc:
         raise MalformedDocument(f"review XML does not parse: {exc}") from exc
 
+
+def _included_refs(root: ET.Element) -> tuple[frozenset, frozenset, int]:
     included: set[int] = set()
     excluded: set[int] = set()
     warnings = 0
@@ -141,11 +147,7 @@ def _abstract_sections(root: ET.Element) -> dict[str, str]:
 
 def parse_review_version(document: str) -> ReviewVersion:
     """Full parse of one review-version XML record."""
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        raise MalformedDocument(f"review XML does not parse: {exc}") from exc
-
+    root = _parse(document)
     doi = ""
     for node in root.iter("ELocationID"):
         if node.get("EIdType") == "doi" and node.text:
@@ -160,7 +162,7 @@ def parse_review_version(document: str) -> ReviewVersion:
         raise MalformedDocument("review record carries no DOI")
 
     pmid_text = root.findtext(".//PMID")
-    included, excluded, warnings = parse_included_refs(document)
+    included, excluded, warnings = _included_refs(root)
     sections = _abstract_sections(root)
     base, version = split_base_doi(doi)
     return ReviewVersion(
@@ -225,5 +227,4 @@ def score_predictions(
 
 
 def write_gap_tasks(tasks: list[GapTask], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(jsonl_lines(task.to_dict() for task in tasks))
+    write_jsonl(path, (task.to_dict() for task in tasks))

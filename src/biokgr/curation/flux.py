@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from biokgr import Error
 from biokgr.curation.items import McqItem, finalize_item
 from biokgr.curation.target_id import GainScore, NoCorrectOption
 from biokgr.pathways.graphs import ReactionGraph, SignedPathwayGraph
@@ -30,7 +31,7 @@ TEMPLATE_DEPENDENCIES = (
 )
 
 
-class TargetNotInPathway(Exception):
+class TargetNotInPathway(Error):
     pass
 
 

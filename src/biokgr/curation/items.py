@@ -10,7 +10,7 @@ import random
 import string
 from dataclasses import dataclass, field
 
-from biokgr import jsonl_lines
+from biokgr import write_jsonl
 
 
 class ItemInvariantError(Exception):
@@ -92,5 +92,4 @@ def finalize_item(
 
 
 def write_items_jsonl(items: list[McqItem], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(jsonl_lines(item.to_dict() for item in items))
+    write_jsonl(path, (item.to_dict() for item in items))

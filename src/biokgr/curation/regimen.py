@@ -1,10 +1,10 @@
 """Drug-regimen design MCQs from a dose-finding toxicity corpus.
 
 Monotherapy trials provide per-drug baselines (reference MTD, DLT term set);
-multi-agent regimens are reduced to evidence features (dose intensity,
-toxicity overlap, proxies) and mapped to a four-level design class. Each
-eligible regimen yields one item whose five options apply the class strategy
-templates to the same drug combination.
+multi-agent regimens are reduced to evidence features (toxicity overlap,
+missing monotherapy evidence, interaction hints) and mapped to a four-level
+design class. Each eligible regimen yields one item whose five options apply
+the class strategy templates to the same drug combination.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from biokgr import field
+from biokgr import Error, field
 from biokgr.curation.items import McqItem, finalize_item
 
 TOXICITY_OVERLAP_CLASS_II = 0.6
@@ -23,11 +23,11 @@ _INTERACTION_HINTS = (
 )
 
 
-class NotACombination(Exception):
+class NotACombination(Error):
     pass
 
 
-class InsufficientEvidence(Exception):
+class InsufficientEvidence(Error):
     pass
 
 
@@ -60,17 +60,11 @@ class MonotherapyBaseline:
     drug: str
     reference_mtd: float
     dlt_terms: frozenset
-    trial_ids: tuple[str, ...]
 
 
 @dataclass
 class RegimenFeatures:
     drugs: list[str]
-    routes: list[str]
-    population: str
-    start_intensity: dict      # drug -> first ladder dose / reference mono MTD
-    max_intensity: dict        # drug -> max ladder dose / reference mono MTD
-    dlt_pattern: list[dict]    # per level: {"level", "terms", "count"}
     toxicity_overlap: float
     missing_monotherapy: list[str]
     approved_combination: bool
@@ -162,7 +156,6 @@ def compute_monotherapy_baselines(
     """Per-drug reference MTD (max across monotherapy trials) and DLT term set."""
     mtds: dict[str, float] = {}
     terms: dict[str, set] = {}
-    trials: dict[str, list[str]] = {}
     for regimen in regimens:
         if regimen.is_combination():
             continue
@@ -175,7 +168,6 @@ def compute_monotherapy_baselines(
         bucket = terms.setdefault(drug, set())
         for level in regimen.dlt_by_level:
             bucket.update(t.casefold() for t in level["terms"])
-        trials.setdefault(drug, []).append(regimen.trial_id)
     baselines: dict[str, MonotherapyBaseline] = {}
     for drug in terms:
         if drug not in mtds:
@@ -184,7 +176,6 @@ def compute_monotherapy_baselines(
             drug=drug,
             reference_mtd=mtds[drug],
             dlt_terms=frozenset(terms[drug]),
-            trial_ids=tuple(trials[drug]),
         )
     return baselines
 
@@ -214,22 +205,6 @@ def derive_regimen_features(
     if not combo_terms:
         sufficient = False
 
-    start_intensity: dict[str, float] = {}
-    max_intensity: dict[str, float] = {}
-    for drug in regimen.drug_names:
-        baseline = baselines.get(drug.casefold())
-        if baseline is None or not regimen.dose_ladder:
-            continue
-        doses = [
-            level["doses"].get(drug)
-            for level in regimen.dose_ladder
-            if level["doses"].get(drug) is not None
-        ]
-        if not doses:
-            continue
-        start_intensity[drug] = doses[0] / baseline.reference_mtd
-        max_intensity[drug] = max(doses) / baseline.reference_mtd
-
     free_text = " ".join(
         regimen.protocol_dlt_definitions + [regimen.escalation_design]
     ).casefold()
@@ -237,18 +212,6 @@ def derive_regimen_features(
 
     return RegimenFeatures(
         drugs=list(regimen.drug_names),
-        routes=list(regimen.routes),
-        population=regimen.population,
-        start_intensity=start_intensity,
-        max_intensity=max_intensity,
-        dlt_pattern=[
-            {
-                "level": level.get("level"),
-                "terms": sorted(t.casefold() for t in level["terms"]),
-                "count": level.get("count", len(level["terms"])),
-            }
-            for level in regimen.dlt_by_level
-        ],
         toxicity_overlap=overlap,
         missing_monotherapy=[
             d for d in regimen.drug_names if d.casefold() not in baselines

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 
+from biokgr import Error
 from biokgr.curation.items import McqItem, finalize_item
 
 RATIO_MIN = 0.25
@@ -18,11 +19,11 @@ DISTRACTOR_COUNT = 4
 _MAX_DRAWS = 10_000
 
 
-class InvalidGroundTruth(Exception):
+class InvalidGroundTruth(Error):
     pass
 
 
-class DistractorExhaustion(Exception):
+class DistractorExhaustion(Error):
     pass
 
 

@@ -14,13 +14,12 @@ import random
 import re
 from dataclasses import dataclass
 
-from biokgr import load_data
+from biokgr import Error, load_data
 from biokgr.curation.items import McqItem, finalize_item
 from biokgr.pathways.flat import KeggFlatRecord
 from biokgr.pathways.graphs import SignedPathwayGraph
 
 TRAVERSAL_DEPTH_LIMIT = 10
-PROXIMAL_DEPTH = 3
 MIN_OPTIONS = 6
 MAX_OPTIONS = 10
 MAX_GAIN2 = 4
@@ -33,15 +32,15 @@ IDENTIFIER_PATTERNS = (
 )
 
 
-class NoMappedTarget(Exception):
+class NoMappedTarget(Error):
     pass
 
 
-class InsufficientOptions(Exception):
+class InsufficientOptions(Error):
     pass
 
 
-class PoolEmpty(Exception):
+class PoolEmpty(Error):
     pass
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 
-from biokgr import load_data
+from biokgr import Error, load_data
 from biokgr.curation.items import McqItem, finalize_item
 from biokgr.pathways.analytics import Topology
 from biokgr.pathways.families import infer_functional_type
@@ -24,15 +24,15 @@ PRIORITIZED_GAIN2_THRESHOLD = 0.3
 CENTRALITY_PERCENTILE = 90
 
 
-class NoEndpoints(Exception):
+class NoEndpoints(Error):
     pass
 
 
-class InsufficientCandidates(Exception):
+class InsufficientCandidates(Error):
     pass
 
 
-class NoCorrectOption(Exception):
+class NoCorrectOption(Error):
     pass
 
 

@@ -22,7 +22,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from biokgr import Shape, field
+from biokgr import Error, Shape, WorkspaceUnavailable, field
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +66,7 @@ MAX_NAME_CHARS = 40
 _OUTER_PUNCT = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
 
 
-class EvidenceGraphError(Exception):
+class EvidenceGraphError(Error):
     """Base class for evidence-graph failures."""
 
 
@@ -99,10 +99,6 @@ class RelationNotFound(EvidenceGraphError):
 
 
 class MismatchedEndpoints(EvidenceGraphError):
-    pass
-
-
-class WorkspaceUnavailable(EvidenceGraphError):
     pass
 
 
@@ -574,6 +570,9 @@ class EvidenceGraphStore:
             conflict_group=relation.conflict_group,
         )):
             crossed.add(skey)
+        if relation.conflict_group is not None:
+            self._conflict_groups.setdefault(relation.conflict_group, []).append(triple)
+            self._claim_group_id(relation.conflict_group)
         report.relations_added += 1
 
     def _add_relation(self, rel: StoredRelation) -> bool:
@@ -631,6 +630,12 @@ class EvidenceGraphStore:
                 if rel.key not in members:
                     members.append(rel.key)
             return group
+
+    def _claim_group_id(self, group: str) -> None:
+        """Number the groups `tag_conflict` opens past `group`, when it is a `cg-N` id."""
+        m = re.match(r"cg-(\d+)$", group)
+        if m:
+            self._conflict_seq = max(self._conflict_seq, int(m.group(1)))
 
     def _lookup_relation(self, ref: RelationKey) -> StoredRelation:
         subject, predicate, object_ = ref
@@ -762,9 +767,7 @@ class EvidenceGraphStore:
                         f"conflict group {gid!r} names unknown relation {member}")
                 members.append(tuple(member))
             store._conflict_groups[gid] = members
-            m = re.match(r"cg-(\d+)$", gid)
-            if m:
-                store._conflict_seq = max(store._conflict_seq, int(m.group(1)))
+            store._claim_group_id(gid)
         return store
 
 

@@ -25,6 +25,7 @@ from http.client import HTTPException
 from urllib.error import HTTPError
 from urllib.parse import urlencode
 
+from biokgr import Error
 from biokgr.federation.descriptors import SourceDescriptor
 from biokgr.federation.ratelimit import RateLimiter, SystemClock
 
@@ -34,7 +35,7 @@ TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
 DEFAULT_TIMEOUT = 15.0
 
 
-class FederationError(Exception):
+class FederationError(Error):
     pass
 
 

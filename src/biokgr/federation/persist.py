@@ -5,7 +5,7 @@ import csv
 import json
 from pathlib import Path
 
-from biokgr.evidence import WorkspaceUnavailable
+from biokgr import WorkspaceUnavailable
 
 
 def persist_results(records, directory) -> dict:

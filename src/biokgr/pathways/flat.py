@@ -11,13 +11,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from biokgr import Error
+
 _FIELD_WIDTH = 12
 _HSA_REF = re.compile(r"\[HSA:([^\]]+)\]")
 _PATHWAY_ID = re.compile(r"\b((?:hsa|ko|map)\d{5})\b")
 _PAREN_SUFFIX = re.compile(r"\s*\([^)]*\)\s*$")
 
 
-class MalformedRecord(Exception):
+class MalformedRecord(Error):
     pass
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
-from biokgr import load_data
+from biokgr import Error, load_data
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 SUBTYPE_SIGNS = {
@@ -27,7 +27,7 @@ _EC_PATTERN = re.compile(r"\b(\d+\.\d+\.\d+\.[\dn-]+)\b")
 _ACCESSION_LIKE = re.compile(r"^(C|D|G|R)\d{5}$")
 
 
-class MalformedKgml(Exception):
+class MalformedKgml(Error):
     """Raised when a document is not well-formed KGML; carries context."""
 
 

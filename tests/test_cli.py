@@ -1,6 +1,7 @@
 """CLI surface: every documented subcommand works end to end on fixtures."""
 import ast
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -92,6 +93,44 @@ def test_curate_flux(runner, tmp_path):
     items = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(items) == 1
     assert len(items[0]["options"]) == 7
+
+
+def test_curate_target_id_skips_a_malformed_file_with_one_warning(runner, tmp_path, caplog):
+    kgml = tmp_path / "kgml"
+    kgml.mkdir()
+    (kgml / "hsa00001.xml").write_text(ulcerative_colitis_kgml()[:300])
+    (kgml / "hsa04750.xml").write_text(ulcerative_colitis_kgml())
+    out = tmp_path / "items.jsonl"
+    caplog.set_level(logging.WARNING)
+    invoke(runner, ["curate", "target-id", "--kgml-dir", str(kgml), "--profile", "infection",
+                    "--out", str(out)])
+    assert len(out.read_text().splitlines()) == 1
+    assert len(caplog.records) == 1 and "hsa00001.xml" in caplog.records[0].getMessage()
+
+
+def test_curate_target_id_lets_a_bug_keep_its_traceback(runner, tmp_path, monkeypatch):
+    (tmp_path / "kgml").mkdir()
+    (tmp_path / "kgml" / "hsa04750.xml").write_text(ulcerative_colitis_kgml())
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("curator bug")
+
+    monkeypatch.setattr("biokgr.cli.build_target_item", broken)
+    with pytest.raises(RuntimeError, match="curator bug"):
+        runner.invoke(main, ["curate", "target-id", "--kgml-dir", str(tmp_path / "kgml"),
+                             "--out", str(tmp_path / "items.jsonl")], catch_exceptions=False)
+
+
+def test_curate_flux_passes_silently_over_a_pathway_without_the_target(runner, tmp_path, caplog):
+    (tmp_path / "kgml").mkdir()
+    (tmp_path / "kgml" / "hsa00670.xml").write_text(shmt2_flux_kgml())
+    (tmp_path / "kgml" / "hsa04750.xml").write_text(ulcerative_colitis_kgml())
+    out = tmp_path / "items.jsonl"
+    caplog.set_level(logging.WARNING)
+    invoke(runner, ["curate", "flux", "--kgml-dir", str(tmp_path / "kgml"),
+                    "--target", "SHMT2", "--out", str(out)])
+    assert len(out.read_text().splitlines()) == 1
+    assert caplog.records == []
 
 
 def test_curate_sample_size(runner, tmp_path):
@@ -252,7 +291,8 @@ def _rows(*rows):
     return "".join(row if isinstance(row, str) else json.dumps(row) + "\n" for row in rows)
 
 
-# one malformed input file per case; each must end its command in one `Error:` line
+# one malformed input file or unwritable output path per case; each must end its command in
+# one `Error:` line
 MALFORMED_INPUTS = {
     "bench-item-without-family": (
         BENCH_SCORE, {"items.jsonl": _rows({k: v for k, v in ITEM.items() if k != "family"}),
@@ -326,6 +366,24 @@ MALFORMED_INPUTS = {
         ["curate", "sample-size", "--truths", "truths.jsonl", "--out", "items.jsonl"],
         {"truths.jsonl": _rows({"truth": 268}, "{not json\n")},
         "truths.jsonl row 2 is not JSON"),
+    "kgml-truncated": (
+        ["pathway", "parse", "--kgml", "hsa04750.xml", "--out", "snapshot.json"],
+        {"hsa04750.xml": ulcerative_colitis_kgml()[:300]},
+        "XML parse failure at line"),
+    "ebm-truth-empty": (
+        SCORE_EBM, {"tasks.jsonl": _rows({**TASK, "truth": []}),
+                    "preds.jsonl": _rows({"base_doi": "10.1/a", "ranked": [1]})},
+        "truth set is empty"),
+    # a path under a regular file cannot be created, even by root
+    "sample-size-out-unwritable": (
+        ["curate", "sample-size", "--truths", "truths.jsonl", "--out", "blocker/items.jsonl"],
+        {"truths.jsonl": _rows({"truth": 268}), "blocker": "not a directory"},
+        "cannot write blocker/items.jsonl"),
+    "bench-report-unwritable": (
+        BENCH_SCORE[:-1] + ["blocker/report"],
+        {"items.jsonl": _rows(ITEM), "preds.jsonl": _rows({"id": "x", "prediction": "A"}),
+         "blocker": "not a directory"},
+        "cannot write report under blocker/report"),
 }
 
 
@@ -461,8 +519,9 @@ FIELD_CHECKERS = {"_field", "_get", "_items", "_strings", "_records", "_require"
 
 
 def reader_offences(package: Path) -> list[str]:
-    """Private field checkers outside `biokgr/__init__.py`, and CLI handlers that re-raise
-    a library failure as `ClickException` instead of leaving it to `main`."""
+    """Private field checkers outside `biokgr/__init__.py`, CLI handlers that re-raise
+    a library failure as `ClickException` instead of leaving it to `main`, and CLI
+    handlers that catch every exception, bugs included."""
     offences = []
     for path in sorted(package.rglob("*.py")):
         if path == package / "__init__.py":
@@ -472,6 +531,9 @@ def reader_offences(package: Path) -> list[str]:
                      if isinstance(node, ast.FunctionDef) and node.name in FIELD_CHECKERS]
     cli = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
     for handler in (node for node in ast.walk(cli) if isinstance(node, ast.ExceptHandler)):
+        if handler.type is None or getattr(handler.type, "id", None) in {"Exception",
+                                                                         "BaseException"}:
+            offences.append(f"cli.py:{handler.lineno} catches every exception")
         for node in ast.walk(handler):
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
                 callee = node.exc.func

@@ -450,6 +450,21 @@ def test_tag_conflict_assigns_shared_group():
     assert store.stats()["conflict_groups"] == 1
 
 
+def test_tag_conflict_numbers_past_a_group_a_batch_gave():
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(
+        entities=(gene("A"), gene("B"), gene("C")),
+        relations=(dataclasses.replace(rel("A", "ACTIVATES", "B"), conflict_group="cg-1"),
+                   rel("A", "INHIBITS", "C"), rel("A", "ACTIVATES", "C")),
+    ))
+    assert store.tag_conflict(("A", "INHIBITS", "C"), ("A", "ACTIVATES", "C")) == "cg-2"
+    a, b, c = (f"gene_protein/{name}" for name in "abc")
+    assert store.to_document()["conflict_groups"] == [
+        {"id": "cg-1", "relations": [[a, "ACTIVATES", b]]},
+        {"id": "cg-2", "relations": [[a, "INHIBITS", c], [a, "ACTIVATES", c]]},
+    ]
+
+
 def test_tag_conflict_requires_same_endpoints():
     store = EvidenceGraphStore()
     store.upsert_batch(

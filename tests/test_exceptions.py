@@ -1,4 +1,5 @@
-"""One exception class per failure mode across the whole package."""
+"""One exception class per failure mode across the whole package, each a `biokgr.Error`
+unless it marks a broken invariant."""
 import importlib
 import inspect
 import pkgutil
@@ -34,3 +35,14 @@ def test_merged_names_resolve_to_one_class():
             is biokgr.federation.WorkspaceUnavailable
             is biokgr.agents.WorkspaceUnavailable)
     assert biokgr.curation.flux.NoCorrectOption is biokgr.curation.target_id.NoCorrectOption
+
+
+# the program's own invariants, which no outside input can break
+INVARIANT_ERRORS = {"ItemInvariantError", "InvalidStep", "NodeNotFound"}
+
+
+def test_every_other_exception_class_is_a_documented_failure():
+    assert issubclass(biokgr.WorkspaceUnavailable, biokgr.Error)
+    plain = {cls.__name__ for cls in biokgr_exception_classes()
+             if not issubclass(cls, biokgr.Error)}
+    assert plain == INVARIANT_ERRORS
