@@ -17,11 +17,17 @@ fields can be declared once as a `Shape`, whose `read` checks every field by
 Every exception that outside input or the environment can cause is an `Error`
 (a malformed file or reply, a failed source, oracle or workspace); one that
 is not means the program broke its own invariant. `WorkspaceUnavailable` is
-the `Error` for a file or directory that cannot be read or written, and
-`write_jsonl`, the one writer of JSON-lines output, raises it.
+the `Error` for a file or directory that cannot be read or written.
+
+Apart from the bundled data `load_data` reads, `read_text` and `writing` are
+the only places the library opens a file: one reads a file, the other writes
+one, and each raises `WorkspaceUnavailable` naming the path. Every output replaces its target atomically, so a failed
+write leaves the previous file as it was.
 """
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from functools import cache
 from importlib import resources
 
@@ -54,13 +60,44 @@ def jsonl_lines(rows):
     return (json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at `path`; raises `WorkspaceUnavailable` naming it.
+
+    Bytes that are not UTF-8 raise `UnicodeDecodeError`, a `ValueError`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise WorkspaceUnavailable(f"cannot read {path}: {exc}") from exc
+
+
+@contextmanager
+def writing(path):
+    """A UTF-8 text file (`newline=""`) whose contents replace `path` when the block ends.
+
+    The block writes `<path>.tmp`, which `os.replace` renames onto `path` only
+    when the block ends normally, so no reader sees a partial file. Any
+    exception removes the `.tmp` and leaves `path` as it was; an `OSError`
+    raises `WorkspaceUnavailable` naming `path`.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):  # the failure may have come before the .tmp was made
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise WorkspaceUnavailable(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def write_jsonl(path, rows) -> None:
     """Write each row as one line of JSON with sorted keys; raises `WorkspaceUnavailable`."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(jsonl_lines(rows))
-    except OSError as exc:
-        raise WorkspaceUnavailable(f"cannot write {path}: {exc}") from exc
+    with writing(path) as fh:
+        fh.writelines(jsonl_lines(rows))
 
 
 def read_jsonl(path, read=None) -> list:
@@ -70,17 +107,16 @@ def read_jsonl(path, read=None) -> list:
     naming the file and the row (its line number).
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                rows.append(row if read is None else read(row))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} row {number} is not JSON: {exc}") from exc
-            except ValueError as exc:
-                raise ValueError(f"{path} row {number} {exc}") from exc
+    for number, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            rows.append(row if read is None else read(row))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} row {number} is not JSON: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path} row {number} {exc}") from exc
     return rows
 
 

@@ -1,7 +1,7 @@
 """Plan checklists with checkbox rendering.
 
 Status transitions form a DAG: open->done and open->failed only. Failed steps
-carry a note and may append a replacement step directly after themselves.
+carry a note.
 """
 from __future__ import annotations
 
@@ -51,9 +51,8 @@ def update_plan(
     index: int,
     outcome: str,
     note: str = "",
-    replacement: str | None = None,
 ) -> PlanChecklist:
-    """Mark one step done or failed; failed steps may append a replacement."""
+    """Mark one step done or failed; a failed step keeps `note` as its reason."""
     if not 0 <= index < len(plan.steps):
         raise InvalidStep(f"step index {index} out of range")
     if outcome not in ("done", "failed"):
@@ -68,6 +67,4 @@ def update_plan(
     step.status = outcome
     if outcome == "failed":
         step.note = note or "unspecified failure"
-        if replacement:
-            plan.steps.insert(index + 1, PlanStep(text=replacement, hint=step.hint))
     return plan

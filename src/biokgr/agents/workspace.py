@@ -5,9 +5,11 @@ operations (filter, join, aggregate, extract, dedup) over workspace files
 instead of free-form code execution. Every saved artifact is registered in
 the manifest with a one-sentence description; the manifest is kept in memory
 and written to `manifest.json` once, when the workspace closes (`close()`, or
-the end of a `with` block, even one left by an exception). Paths come from the
-oracle, possibly an outside service, so one that resolves outside the root is
-refused.
+the end of a `with` block, even one left by an exception). Files are read and
+written through `biokgr.read_text` and `biokgr.writing`, so each saved file
+and the manifest replace their previous contents atomically. Paths come from
+the oracle, possibly an outside service, so one that resolves outside the
+root is refused.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import logging
 import re
 from pathlib import Path
 
-from biokgr import Error, WorkspaceUnavailable, field
+from biokgr import Error, WorkspaceUnavailable, field, read_text, writing
 
 logger = logging.getLogger(__name__)
 
@@ -54,11 +56,8 @@ class Workspace:
 
     def close(self) -> None:
         """Write the manifest to `manifest.json`; raises `WorkspaceUnavailable`."""
-        try:
-            with open(self._manifest_path, "w", encoding="utf-8") as fh:
-                json.dump(self.manifest(), fh, indent=2, sort_keys=True)
-        except OSError as exc:
-            raise WorkspaceUnavailable(str(exc)) from exc
+        with writing(self._manifest_path) as fh:
+            json.dump(self.manifest(), fh, indent=2, sort_keys=True)
 
     # -- manifest ----------------------------------------------------------------
 
@@ -67,13 +66,11 @@ class Workspace:
                           for path, description in sorted(self._files.items())]}
 
     def _load_manifest(self) -> dict[str, str]:
-        try:
-            with open(self._manifest_path, "r", encoding="utf-8") as fh:
-                entries = field(json.load(fh), "files", list, of=dict)
+        try:  # ValueError: not UTF-8, not JSON or a field of the wrong type
+            entries = field(json.loads(read_text(self._manifest_path)), "files", list, of=dict)
             return {field(e, "path", str): field(e, "description", str) for e in entries}
-        except (OSError, ValueError) as exc:
-            raise WorkspaceUnavailable(
-                f"unreadable or malformed {self._manifest_path}: {exc}") from exc
+        except ValueError as exc:
+            raise WorkspaceUnavailable(f"malformed {self._manifest_path}: {exc}") from exc
 
     def register(self, relpath: str, description: str) -> None:
         self._files[relpath] = description
@@ -90,22 +87,16 @@ class Workspace:
 
     # -- writers ------------------------------------------------------------------
 
-    def _open_out(self, relpath: str):
+    def save_json(self, relpath: str, payload, description: str) -> str:
+        return self.save_text(relpath, json.dumps(payload, indent=2, sort_keys=True), description)
+
+    def save_text(self, relpath: str, text: str, description: str) -> str:
         path = self._path(relpath)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            return open(path, "w", encoding="utf-8", newline="")
         except OSError as exc:
             raise WorkspaceUnavailable(f"cannot write {path}: {exc}") from exc
-
-    def save_json(self, relpath: str, payload, description: str) -> str:
-        with self._open_out(relpath) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        self.register(relpath, description)
-        return relpath
-
-    def save_text(self, relpath: str, text: str, description: str) -> str:
-        with self._open_out(relpath) as fh:
+        with writing(path) as fh:
             fh.write(text)
         self.register(relpath, description)
         return relpath
@@ -113,15 +104,11 @@ class Workspace:
     # -- readers --------------------------------------------------------------------
 
     def read_text(self, relpath: str) -> str:
-        try:
-            with open(self._path(relpath), "r", encoding="utf-8") as fh:
-                return fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise WorkspaceUnavailable(f"cannot read {relpath}: {exc}") from exc
+        return read_text(self._path(relpath))
 
     def read_table(self, relpath: str) -> list[dict]:
         """JSON list-of-objects or CSV file as a list of row dicts."""
-        text = self.read_text(relpath)
+        text = read_text(self._path(relpath))
         if relpath.endswith(".json"):
             payload = json.loads(text)
             if isinstance(payload, list):
@@ -194,7 +181,7 @@ def _apply(workspace: Workspace, spec: dict) -> str:
         return workspace.save_json(out, table, f"counts of {spec['input']} by {group_by}")
 
     if op == "extract":
-        text = workspace.read_text(field(spec, "input", str))
+        text = read_text(workspace._path(field(spec, "input", str)))
         matches = sorted(set(re.findall(field(spec, "pattern", str), text)))
         return workspace.save_json(out, matches, f"regex extraction from {spec['input']}")
 

@@ -10,7 +10,6 @@ from biokgr.bench.prepare import (
 )
 from biokgr.bench.scoring import (
     MalformedPrediction,
-    PredictionsNotFound,
     SuiteReport,
     UnmatchedItemId,
     load_predictions,
@@ -27,7 +26,6 @@ __all__ = [
     "read_bench_items",
     "write_bench_items",
     "MalformedPrediction",
-    "PredictionsNotFound",
     "SuiteReport",
     "UnmatchedItemId",
     "load_predictions",

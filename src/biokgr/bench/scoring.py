@@ -11,16 +11,12 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from biokgr import Error, WorkspaceUnavailable, field, read_jsonl, write_jsonl
+from biokgr import Error, WorkspaceUnavailable, field, read_jsonl, write_jsonl, writing
 from biokgr.bench.prepare import BenchItem
 from biokgr.curation import ebm
 
 MULTI_ANSWER_FAMILIES = {"target_id", "moa_pathway", "flux", "surrogate"}
 EBM_FAMILY = "ebm_gap"
-
-
-class PredictionsNotFound(Error):
-    pass
 
 
 class UnmatchedItemId(Error):
@@ -97,8 +93,6 @@ def score_item(item: BenchItem, prediction) -> dict:
 
 def load_predictions(path) -> dict:
     """JSONL `{id, prediction}` rows keyed by item id; a row without an id is malformed."""
-    if not os.path.exists(path):
-        raise PredictionsNotFound(f"predictions file {path} not found")
     try:
         return dict(read_jsonl(path, lambda row: (str(field(row, "id", (str, int))),
                                                   row.get("prediction"))))
@@ -155,14 +149,14 @@ def write_report(report: SuiteReport, directory) -> dict:
     md_path = os.path.join(directory, "report.md")
     try:
         os.makedirs(directory, exist_ok=True)
-        write_jsonl(jsonl_path, report.rows)
-        with open(md_path, "w", encoding="utf-8") as fh:
-            fh.write("# Benchmark suite report\n\n")
-            fh.write(f"{report.metadata.get('items', len(report.rows))} items scored\n\n")
-            for family, stats in report.aggregates.items():
-                pretty = ", ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
-                                   for k, v in stats.items())
-                fh.write(f"- **{family}**: {pretty}\n")
     except OSError as exc:
         raise WorkspaceUnavailable(f"cannot write report under {directory}: {exc}") from exc
+    write_jsonl(jsonl_path, report.rows)
+    with writing(md_path) as fh:
+        fh.write("# Benchmark suite report\n\n")
+        fh.write(f"{report.metadata.get('items', len(report.rows))} items scored\n\n")
+        for family, stats in report.aggregates.items():
+            pretty = ", ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
+                               for k, v in stats.items())
+            fh.write(f"- **{family}**: {pretty}\n")
     return {"jsonl": jsonl_path, "md": md_path}

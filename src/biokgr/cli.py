@@ -22,7 +22,7 @@ import click
 
 from biokgr import bench as bench_mod
 from biokgr import evidence
-from biokgr import Error, field, read_jsonl
+from biokgr import Error, field, read_jsonl, read_text, writing
 from biokgr.agents import DefaultOracle, HttpOracle, OrchestratorRunner
 from biokgr.bench.scoring import load_predictions, parse_pmids, run_suite, write_report
 from biokgr.curation import ebm
@@ -142,7 +142,7 @@ def pathway():
 @click.option("--out", "out_path", required=True)
 def pathway_parse(kgml_path, out_path):
     """Parse one KGML file into a JSON graph snapshot."""
-    graph_obj, rg = _read_pathway(Path(kgml_path))
+    graph_obj, rg = _read_pathway(kgml_path)
     snapshot = {
         "pathway_id": graph_obj.pathway_id,
         "title": graph_obj.title,
@@ -164,7 +164,7 @@ def pathway_parse(kgml_path, out_path):
         ],
         "enzymes": {k: list(v) for k, v in rg.enzymes.items()},
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with writing(out_path) as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
     click.echo(
         f"{graph_obj.pathway_id}: {len(graph_obj.nodes)} nodes, "
@@ -173,7 +173,7 @@ def pathway_parse(kgml_path, out_path):
 
 
 def _read_pathway(path):
-    graph_obj, rg = parse_kgml(path.read_text(encoding="utf-8"))
+    graph_obj, rg = parse_kgml(read_text(path))
     annotate_functional_types(graph_obj)
     return graph_obj, rg
 
@@ -289,7 +289,7 @@ def curate_regimen(corpus_path, seed, out_path):
 def curate_surrogate(drugs_path, kgml_dir, seed, max_pathways, out_path):
     """Two-pass construction: per-drug correct strategies first, then items
     whose distractors sample from the other drugs' correct strategies."""
-    chunks = split_flat_records(Path(drugs_path).read_text(encoding="utf-8"))
+    chunks = split_flat_records(read_text(drugs_path))
     kgml_by_id = {path.stem: path for path in _kgml_files(kgml_dir)}
 
     prepared = []
@@ -329,7 +329,7 @@ def curate_ebm(reviews_dir, out_path):
     versions = []
     for path in sorted(Path(reviews_dir).glob("*.xml")):
         with _skipping(path):
-            versions.append(ebm.parse_review_version(path.read_text(encoding="utf-8")))
+            versions.append(ebm.parse_review_version(read_text(path)))
     tasks, unpaired = ebm.pair_versions(versions)
     ebm.write_gap_tasks(tasks, out_path)
     if unpaired:
@@ -425,7 +425,7 @@ def bench_group():
 @click.option("--out", "out_path", required=True)
 @click.option("--seed", default=0, show_default=True)
 def bench_prepare(benchmark, in_path, out_path, seed):
-    text = Path(in_path).read_text(encoding="utf-8")
+    text = read_text(in_path)
     records = json.loads(text) if text.lstrip().startswith("[") else read_jsonl(in_path)
     items = bench_mod.prepare_dataset(records, benchmark, seed=seed)
     bench_mod.write_bench_items(items, out_path)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from biokgr import Error, field
+from biokgr import Error, field, read_text
 from biokgr.curation.items import McqItem, finalize_item
 
 TOXICITY_OVERLAP_CLASS_II = 0.6
@@ -128,8 +128,7 @@ _DOSE = (int, float, type(None))
 
 def load_corpus(path) -> list[RegimenEvidence]:
     """Every trial's regimens; ValueError when the file is not JSON or a field is ill-typed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads(read_text(path))
     return [
         RegimenEvidence(
             trial_id=field(trial, "trial_id", str, ""),

@@ -8,21 +8,18 @@ reads may run concurrently between merges.
 """
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import gc
 import json
 import logging
-import os
 import re
 import threading
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter, itemgetter
-from pathlib import Path
 from typing import NamedTuple
 
-from biokgr import Error, Shape, WorkspaceUnavailable, field
+from biokgr import Error, Shape, WorkspaceUnavailable, field, read_text, writing
 
 logger = logging.getLogger(__name__)
 
@@ -721,8 +718,9 @@ class EvidenceGraphStore:
 
         Raises MalformedSnapshot when a section or field is missing or
         ill-typed, an entity kind or predicate is outside the vocabulary, a
-        relation, observation or conflict group names something not stored, or
-        an entity, relation or conflict group appears twice.
+        relation, observation or conflict group names something not stored, a
+        relation's conflict group is not listed, or an entity, relation or
+        conflict group appears twice.
         """
         store = cls()
         for values in _ENTITIES.records(doc):
@@ -768,6 +766,10 @@ class EvidenceGraphStore:
                 members.append(tuple(member))
             store._conflict_groups[gid] = members
             store._claim_group_id(gid)
+        for rel in store._relations.values():
+            if rel.conflict_group is not None and rel.conflict_group not in store._conflict_groups:
+                raise MalformedSnapshot(
+                    f"relation {rel.key} names unknown conflict group {rel.conflict_group!r}")
         return store
 
 
@@ -849,24 +851,18 @@ def export_graph(store: EvidenceGraphStore, destination) -> dict:
     `destination` is a path or a writable file object. The bytes are those of
     `json.dump(doc, fh, indent=2, sort_keys=True)`, written a chunk of records
     at a time, so the snapshot is never built as one string. A path is written
-    through `<path>.tmp` and then renamed, so a failed write never leaves a
-    truncated snapshot behind.
+    through `biokgr.writing`, so a failed write never leaves a truncated
+    snapshot behind.
     """
     doc = store.to_document()
-    tmp = None
-    try:
-        if hasattr(destination, "write"):
+    if hasattr(destination, "write"):
+        try:
             _write_document(doc, destination)
-        else:
-            tmp = Path(f"{destination}.tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                _write_document(doc, fh)
-            os.replace(tmp, destination)
-    except OSError as exc:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                tmp.unlink(missing_ok=True)
-        raise WorkspaceUnavailable(f"cannot write snapshot to {destination}: {exc}") from exc
+        except OSError as exc:
+            raise WorkspaceUnavailable(f"cannot write snapshot to {destination}: {exc}") from exc
+    else:
+        with writing(destination) as fh:
+            _write_document(doc, fh)
     return doc
 
 
@@ -888,11 +884,7 @@ def import_graph(source) -> EvidenceGraphStore:
     gc.disable()
     try:
         try:
-            if hasattr(source, "read"):
-                doc = json.load(source)
-            else:
-                with open(source, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
+            doc = json.load(source) if hasattr(source, "read") else json.loads(read_text(source))
         except OSError as exc:
             raise WorkspaceUnavailable(f"cannot read snapshot from {source}: {exc}") from exc
         except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8

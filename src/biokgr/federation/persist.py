@@ -5,7 +5,7 @@ import csv
 import json
 from pathlib import Path
 
-from biokgr import WorkspaceUnavailable
+from biokgr import WorkspaceUnavailable, read_text, writing
 
 
 def persist_results(records, directory) -> dict:
@@ -23,27 +23,26 @@ def persist_results(records, directory) -> dict:
     md_path = directory / "results.md"
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "sources"] + namespaces)
-            for row in rows:
-                writer.writerow(
-                    [row.get("name", ""), ";".join(row.get("sources", []))]
-                    + [row.get("xrefs", {}).get(ns, "") for ns in namespaces]
-                )
-        with open(md_path, "w", encoding="utf-8") as fh:
-            fh.write(f"# Results: results\n\n{len(rows)} results\n\n")
-            if rows:
-                fh.write("| name | sources |\n|---|---|\n")
-                for row in rows[:10]:
-                    fh.write(f"| {row.get('name', '')} | {';'.join(row.get('sources', []))} |\n")
     except OSError as exc:
         raise WorkspaceUnavailable(f"cannot write results under {directory}: {exc}") from exc
+    with writing(json_path) as fh:
+        json.dump(rows, fh, indent=2, sort_keys=True)
+    with writing(csv_path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["name", "sources"] + namespaces)
+        for row in rows:
+            writer.writerow(
+                [row.get("name", ""), ";".join(row.get("sources", []))]
+                + [row.get("xrefs", {}).get(ns, "") for ns in namespaces]
+            )
+    with writing(md_path) as fh:
+        fh.write(f"# Results: results\n\n{len(rows)} results\n\n")
+        if rows:
+            fh.write("| name | sources |\n|---|---|\n")
+            for row in rows[:10]:
+                fh.write(f"| {row.get('name', '')} | {';'.join(row.get('sources', []))} |\n")
     return {"json": str(json_path), "csv": str(csv_path), "md": str(md_path)}
 
 
 def load_records(json_path) -> list[dict]:
-    with open(json_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(read_text(json_path))

@@ -19,10 +19,8 @@ from biokgr.pathways.analytics import (
     betweenness,
     k_step_neighborhood,
     path_polarity,
-    strongly_connected_components,
-    terminal_endpoints,
 )
-from biokgr.pathways.families import FUNCTIONAL_TYPES, infer_functional_type
+from biokgr.pathways.families import infer_functional_type
 
 __all__ = [
     "PathwayNode",
@@ -39,8 +37,5 @@ __all__ = [
     "betweenness",
     "k_step_neighborhood",
     "path_polarity",
-    "strongly_connected_components",
-    "terminal_endpoints",
-    "FUNCTIONAL_TYPES",
     "infer_functional_type",
 ]

@@ -320,11 +320,6 @@ def betweenness(graph) -> dict[str, float]:
     return graph.topology().betweenness
 
 
-def strongly_connected_components(graph) -> list[set[str]]:
-    """Partition of the node set into strongly connected components."""
-    return graph.topology().components
-
-
 def cyclic_nodes(graph) -> set[str]:
     """Nodes on a directed cycle: members of a multi-node SCC or a self-loop."""
     return graph.topology().cyclic
@@ -340,8 +335,3 @@ def k_step_neighborhood(
     if direction not in ("downstream", "upstream"):
         raise ValueError(f"direction must be downstream or upstream, got {direction!r}")
     return set(graph.topology().distances([node], k, direction)) - {node}
-
-
-def terminal_endpoints(graph: ReactionGraph) -> set[str]:
-    """Exactly the nodes with out-degree zero."""
-    return graph.topology().terminals

@@ -12,20 +12,6 @@ from functools import cache
 from biokgr import load_data
 from biokgr.pathways.graphs import PathwayNode
 
-FUNCTIONAL_TYPES = (
-    "enzyme",
-    "kinase",
-    "cytokine",
-    "receptor",
-    "transporter",
-    "transcription factor",
-    "transcription regulator",
-    "phosphatase",
-    "pattern recognition receptor",
-    "growth factor",
-    "other",
-)
-
 
 @cache
 def _family_lookup() -> tuple[tuple[str, frozenset[str], tuple[str, ...]], ...]:

@@ -53,10 +53,7 @@ from biokgr.federation import (
 from biokgr.federation.client import FetchRequest
 from biokgr.federation.mockserver import MockTransport
 from biokgr.pathways import parse_kgml, parse_flat_record, path_polarity, betweenness
-from biokgr.pathways.analytics import (
-    k_step_neighborhood,
-    strongly_connected_components,
-)
+from biokgr.pathways.analytics import k_step_neighborhood
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 from corpusgen import make_review_xml, regimen_corpus
@@ -105,7 +102,7 @@ def test_criterion_1_analytics_match_bruteforce_oracles():
             assert abs(ours_b.get(node, 0.0) - expected_b[node]) < 1e-9
 
         # SCC exact against mutual reachability
-        assert strongly_connected_components(graph) == scc_oracle(graph)
+        assert graph.topology().components == scc_oracle(graph)
 
         # k-step neighborhoods exact, both directions
         rg = ReactionGraph(compounds={n: n for n in nodes})

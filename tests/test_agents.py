@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import biokgr
+from biokgr import write_jsonl
 from biokgr.agents import (
     Action,
     AnalyzeWorkspace,
@@ -57,13 +59,10 @@ def test_done_renders_checkmark():
     assert "2. [ ] second" in rendered
 
 
-def test_failed_renders_x_with_note_and_replacement():
+def test_failed_renders_x_with_note():
     plan = make_plan()
-    update_plan(plan, 1, "failed", note="source offline", replacement="second (retry)")
-    rendered = plan.render()
-    assert "2. [x] second (failed: source offline)" in rendered
-    assert "3. [ ] second (retry)" in rendered
-    assert len(plan.steps) == 4
+    update_plan(plan, 1, "failed", note="source offline")
+    assert "2. [x] second (failed: source offline)" in plan.render()
 
 
 def test_remark_done_is_noop():
@@ -123,6 +122,49 @@ def test_workspace_on_unwritable_root_is_unavailable(tmp_path):
     blocker.write_text("not a directory")
     with pytest.raises(WorkspaceUnavailable):
         Workspace(blocker / "ws")
+
+
+class FailingWrites:
+    """A file whose every write raises `error`."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error = fh, error
+
+    def write(self, text):
+        raise self.error
+
+    writelines = write
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+WRITERS = {
+    "write_jsonl": write_jsonl,
+    "Workspace.save_json": lambda path, rows: Workspace(path.parent).save_json(
+        path.name, rows, "rows"),
+}
+
+
+@pytest.mark.parametrize("error, raised, message", [
+    (OSError("no space left on device"), WorkspaceUnavailable, "cannot write .*out.json"),
+    (RuntimeError("writer bug"), RuntimeError, "writer bug"),
+], ids=["OSError", "other exception"])
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, write, error, raised,
+                                                message):
+    path = tmp_path / "out.json"
+    write(path, [{"n": 1}])
+    before = path.read_bytes()
+    monkeypatch.setattr(biokgr, "open", lambda *args, **kwargs: FailingWrites(
+        open(*args, **kwargs), error), raising=False)
+    with pytest.raises(raised, match=message):
+        write(path, [{"n": 2}])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no .tmp left behind
 
 
 def test_analysis_filter_join_aggregate_dedup(tmp_path):
@@ -495,16 +537,14 @@ def test_mock_run_transcript_and_manifest_bytes_are_pinned(tmp_path):
 
 
 def test_full_run_writes_the_manifest_once(tmp_path, monkeypatch):
-    from biokgr.agents import workspace as workspace_module
-
     manifest_writes = []
 
     def counting_open(file, mode="r", *args, **kwargs):
-        if Path(file).name == "manifest.json" and "w" in mode:
-            manifest_writes.append(file)
+        if Path(file).name == "manifest.json.tmp" and "w" in mode:  # renamed onto manifest.json
+            manifest_writes.append(Path(file).with_suffix(""))
         return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(workspace_module, "open", counting_open, raising=False)
+    monkeypatch.setattr(biokgr, "open", counting_open, raising=False)
     OrchestratorRunner(make_mock_federation(), DefaultOracle()).run(QUERY, tmp_path)
     assert manifest_writes == [tmp_path / "manifest.json"]
 

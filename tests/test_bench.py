@@ -206,10 +206,10 @@ def test_unmatched_prediction_id():
 
 
 def test_predictions_file_loading(tmp_path):
-    from biokgr.bench import PredictionsNotFound
+    from biokgr import WorkspaceUnavailable
 
     path = tmp_path / "preds.jsonl"
     path.write_text('{"id": "s1", "prediction": "B"}\n', encoding="utf-8")
     assert load_predictions(path) == {"s1": "B"}
-    with pytest.raises(PredictionsNotFound):
+    with pytest.raises(WorkspaceUnavailable, match="missing.jsonl"):
         load_predictions(tmp_path / "missing.jsonl")

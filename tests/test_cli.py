@@ -95,17 +95,22 @@ def test_curate_flux(runner, tmp_path):
     assert len(items[0]["options"]) == 7
 
 
-def test_curate_target_id_skips_a_malformed_file_with_one_warning(runner, tmp_path, caplog):
+@pytest.mark.parametrize("name, make", [
+    ("hsa00001.xml", lambda path: path.write_text(ulcerative_colitis_kgml()[:300])),
+    ("hsa00002.xml", Path.mkdir),
+], ids=["truncated", "a directory"])
+def test_curate_target_id_skips_a_malformed_file_with_one_warning(runner, tmp_path, caplog, name,
+                                                                  make):
     kgml = tmp_path / "kgml"
     kgml.mkdir()
-    (kgml / "hsa00001.xml").write_text(ulcerative_colitis_kgml()[:300])
+    make(kgml / name)
     (kgml / "hsa04750.xml").write_text(ulcerative_colitis_kgml())
     out = tmp_path / "items.jsonl"
     caplog.set_level(logging.WARNING)
     invoke(runner, ["curate", "target-id", "--kgml-dir", str(kgml), "--profile", "infection",
                     "--out", str(out)])
     assert len(out.read_text().splitlines()) == 1
-    assert len(caplog.records) == 1 and "hsa00001.xml" in caplog.records[0].getMessage()
+    assert len(caplog.records) == 1 and name in caplog.records[0].getMessage()
 
 
 def test_curate_target_id_lets_a_bug_keep_its_traceback(runner, tmp_path, monkeypatch):
@@ -291,8 +296,10 @@ def _rows(*rows):
     return "".join(row if isinstance(row, str) else json.dumps(row) + "\n" for row in rows)
 
 
-# one malformed input file or unwritable output path per case; each must end its command in
-# one `Error:` line
+DIRECTORY = None  # in a case's files: make a directory where the command expects a file
+
+# one malformed or unreadable input file or unwritable output path per case; each must end its
+# command in one `Error:` line
 MALFORMED_INPUTS = {
     "bench-item-without-family": (
         BENCH_SCORE, {"items.jsonl": _rows({k: v for k, v in ITEM.items() if k != "family"}),
@@ -384,6 +391,27 @@ MALFORMED_INPUTS = {
         {"items.jsonl": _rows(ITEM), "preds.jsonl": _rows({"id": "x", "prediction": "A"}),
          "blocker": "not a directory"},
         "cannot write report under blocker/report"),
+    "pathway-snapshot-unwritable": (
+        ["pathway", "parse", "--kgml", "hsa04750.xml", "--out", "blocker/p.json"],
+        {"hsa04750.xml": ulcerative_colitis_kgml(), "blocker": "not a directory"},
+        "cannot write blocker/p.json"),
+    "pathway-kgml-a-directory": (
+        ["pathway", "parse", "--kgml", "hsa04750.xml", "--out", "snapshot.json"],
+        {"hsa04750.xml": DIRECTORY},
+        "cannot read hsa04750.xml"),
+    "ebm-tasks-a-directory": (
+        SCORE_EBM, {"tasks.jsonl": DIRECTORY, "preds.jsonl": _rows({"base_doi": "10.1/a"})},
+        "cannot read tasks.jsonl"),
+    "bench-predictions-a-directory": (
+        BENCH_SCORE, {"items.jsonl": _rows(ITEM), "preds.jsonl": DIRECTORY},
+        "cannot read preds.jsonl"),
+    "bench-export-a-directory": (
+        ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.json", "--out", "items.jsonl"],
+        {"raw.json": DIRECTORY},
+        "cannot read raw.json"),
+    "regimen-corpus-a-directory": (
+        REGIMEN, {"corpus.json": DIRECTORY},
+        "cannot read corpus.json"),
 }
 
 
@@ -393,7 +421,10 @@ def test_a_malformed_input_file_is_a_one_line_error(runner, tmp_path, monkeypatc
                                                     message):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        if text is DIRECTORY:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text(text, encoding="utf-8")
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 1
     assert result.output.startswith("Error: ") and message in result.output
@@ -518,10 +549,24 @@ def test_cli_import_loads_neither_networkx_nor_an_http_client():
 FIELD_CHECKERS = {"_field", "_get", "_items", "_strings", "_records", "_require", "_rows_with"}
 
 
+def _file_access(call: ast.Call) -> str | None:
+    """The name of the file access `call` makes, when it is one that only `biokgr` may make."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        return "open"
+    if isinstance(func, ast.Attribute):
+        if func.attr in {"read_text", "write_text"}:
+            return f".{func.attr}"
+        if func.attr == "replace" and getattr(func.value, "id", None) == "os":
+            return "os.replace"
+    return None
+
+
 def reader_offences(package: Path) -> list[str]:
-    """Private field checkers outside `biokgr/__init__.py`, CLI handlers that re-raise
-    a library failure as `ClickException` instead of leaving it to `main`, and CLI
-    handlers that catch every exception, bugs included."""
+    """Outside `biokgr/__init__.py`: private field checkers, calls that open, read, write
+    or rename a file themselves instead of going through `biokgr.read_text` and
+    `biokgr.writing`; and CLI handlers that re-raise a library failure as `ClickException`
+    instead of leaving it to `main`, or that catch every exception, bugs included."""
     offences = []
     for path in sorted(package.rglob("*.py")):
         if path == package / "__init__.py":
@@ -529,6 +574,8 @@ def reader_offences(package: Path) -> list[str]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         offences += [f"{path.name}:{node.lineno} defines {node.name}" for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef) and node.name in FIELD_CHECKERS]
+        offences += [f"{path.name}:{node.lineno} calls {access}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and (access := _file_access(node))]
     cli = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
     for handler in (node for node in ast.walk(cli) if isinstance(node, ast.ExceptHandler)):
         if handler.type is None or getattr(handler.type, "id", None) in {"Exception",
@@ -542,7 +589,7 @@ def reader_offences(package: Path) -> list[str]:
     return offences
 
 
-def test_outside_input_has_one_reader_and_the_cli_one_error_boundary():
+def test_one_field_reader_one_file_reader_one_file_writer_and_one_cli_error_boundary():
     assert reader_offences(Path(biokgr.__file__).resolve().parent) == []
 
 

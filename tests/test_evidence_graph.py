@@ -551,7 +551,7 @@ def test_failed_export_keeps_the_previous_snapshot(tmp_path, monkeypatch):
         files.append(DiskFullAfterFirstWrite(open(*args, **kwargs)))
         return files[-1]
 
-    monkeypatch.setattr(evidence, "open", open_until_disk_full, raising=False)
+    monkeypatch.setattr(biokgr, "open", open_until_disk_full, raising=False)
     with pytest.raises(WorkspaceUnavailable):
         export_graph(make_small_store(), path)
     assert [f.writes for f in files] == [2]  # the first chunk reached the disk
@@ -574,14 +574,15 @@ def snapshot_documents(draw):
                  "sources": draw(st.lists(_snapshot_text, max_size=3))} for key in keys]
     triples = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(["BINDS", "INHIBITS"]),
                                       st.sampled_from(keys)), max_size=8, unique=True)) if keys else []
+    gids = draw(st.lists(_snapshot_text, max_size=3, unique=True))
+    group_of = st.none() | st.sampled_from(gids) if gids else st.none()
     relations = [{"subject": s, "predicate": p, "object": o,
                   "evidence": draw(st.lists(_snapshot_text, max_size=3)),
-                  "conflict_group": draw(st.none() | _snapshot_text)} for s, p, o in triples]
+                  "conflict_group": draw(group_of)} for s, p, o in triples]
     observations = [{"entity": draw(st.sampled_from(keys)), "text": draw(_snapshot_text)}
                     for _ in range(draw(st.integers(0, 5)) if keys else 0)]
     members = st.lists(st.sampled_from(triples), max_size=3) if triples else st.just([])
-    groups = [{"id": gid, "relations": [list(t) for t in draw(members)]}
-              for gid in draw(st.lists(_snapshot_text, max_size=3, unique=True))]
+    groups = [{"id": gid, "relations": [list(t) for t in draw(members)]} for gid in gids]
     if draw(st.booleans()):
         filler = [f"filler/{i}" for i in range(evidence._CHUNK + 2)]
         entities += [{"key": k, "name": k, "kind": "PAPER", "curie": None, "sources": []}
@@ -687,6 +688,7 @@ MALFORMED = {
     "conflict member not a triple": _edit(["conflict_groups", 0, "relations", 0], ["a", "b"]),
     "conflict member unknown": _edit(["conflict_groups", 0, "relations", 0], ["a", "BINDS", "b"]),
     "duplicate conflict group": lambda doc: {**doc, "conflict_groups": doc["conflict_groups"] * 2},
+    "relation in an unlisted conflict group": _edit(["relations", 0, "conflict_group"], "cg-7"),
 }
 
 

@@ -15,8 +15,6 @@ from biokgr.pathways import (
     parse_flat_record,
     parse_kgml,
     path_polarity,
-    strongly_connected_components,
-    terminal_endpoints,
 )
 from biokgr.pathways.analytics import DIRECTIONS, MAX_PATHS_PER_PAIR, Topology
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
@@ -296,7 +294,7 @@ def test_betweenness_star():
 
 def test_scc_dag_is_singletons():
     graph, names = chain_graph([1, 1, 1])
-    components = strongly_connected_components(graph)
+    components = graph.topology().components
     assert all(len(c) == 1 for c in components)
     assert len(components) == len(names)
 
@@ -306,7 +304,7 @@ def test_scc_cycle_detected():
     for name in "ABC":
         graph.nodes[name] = PathwayNode(symbol=name)
     graph.edges += [SignedEdge("A", "B", 1), SignedEdge("B", "C", 1), SignedEdge("C", "A", 1)]
-    components = strongly_connected_components(graph)
+    components = graph.topology().components
     assert components == [{"A", "B", "C"}]
 
 
@@ -342,7 +340,7 @@ def test_k_step_missing_node():
 
 def test_terminal_chain_tail():
     rg = reaction_chain(["C1", "C2", "C3"])
-    assert terminal_endpoints(rg) == {"C3"}
+    assert rg.topology().terminals == {"C3"}
 
 
 def test_terminal_cycle_is_empty():
@@ -350,7 +348,7 @@ def test_terminal_cycle_is_empty():
     for name in ["C1", "C2", "C3"]:
         rg.compounds[name] = name
     rg.edges += [("C1", "C2", "R1"), ("C2", "C3", "R2"), ("C3", "C1", "R3")]
-    assert terminal_endpoints(rg) == set()
+    assert rg.topology().terminals == set()
 
 
 def test_shmt2_fixture_shapes():
@@ -358,7 +356,7 @@ def test_shmt2_fixture_shapes():
     assert rg.reactions_for_gene("SHMT2") == ("R00945",)
     assert rg.gene_products("SHMT2") == ["Glycine"]
     assert rg.gene_substrates("SHMT2") == ["Serine"]
-    assert "Purine" in terminal_endpoints(rg)
+    assert "Purine" in rg.topology().terminals
 
 
 # -- analytics: randomized oracle equivalence ------------------------------------
@@ -508,7 +506,7 @@ def test_scc_matches_reachability_oracle():
     rng = random.Random(13)
     for _ in range(30):
         graph = random_signed_graph(rng, max_nodes=25)
-        assert strongly_connected_components(graph) == scc_oracle(graph)
+        assert graph.topology().components == scc_oracle(graph)
 
 
 def test_sign_flip_antisymmetry_on_odd_length_paths():
@@ -556,7 +554,7 @@ def test_k_step_monotone_and_matches_oracle():
             current = k_step_neighborhood(rg, node, k, "downstream")
             assert previous <= current
             previous = current
-        assert terminal_endpoints(rg) == terminal_oracle(rg)
+        assert rg.topology().terminals == terminal_oracle(rg)
 
 
 def test_upstream_equals_downstream_on_reversed_graph():
