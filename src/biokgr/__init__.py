@@ -106,8 +106,13 @@ def read_jsonl(path, read=None) -> list:
     A line that is not JSON, or a `ValueError` from `read`, raises `ValueError`
     naming the file and the row (its line number).
     """
+    return parse_jsonl(read_text(path), path, read)
+
+
+def parse_jsonl(text: str, path, read=None) -> list:
+    """`read_jsonl` on `text` already read from the file at `path`."""
     rows = []
-    for number, line in enumerate(read_text(path).split("\n"), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

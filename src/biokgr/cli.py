@@ -22,7 +22,7 @@ import click
 
 from biokgr import bench as bench_mod
 from biokgr import evidence
-from biokgr import Error, field, read_jsonl, read_text, writing
+from biokgr import Error, field, parse_jsonl, read_jsonl, read_text, writing
 from biokgr.agents import DefaultOracle, HttpOracle, OrchestratorRunner
 from biokgr.bench.scoring import load_predictions, parse_pmids, run_suite, write_report
 from biokgr.curation import ebm
@@ -426,7 +426,7 @@ def bench_group():
 @click.option("--seed", default=0, show_default=True)
 def bench_prepare(benchmark, in_path, out_path, seed):
     text = read_text(in_path)
-    records = json.loads(text) if text.lstrip().startswith("[") else read_jsonl(in_path)
+    records = json.loads(text) if text.lstrip().startswith("[") else parse_jsonl(text, in_path)
     items = bench_mod.prepare_dataset(records, benchmark, seed=seed)
     bench_mod.write_bench_items(items, out_path)
     expected = bench_mod.EXPECTED_SNAPSHOT_COUNTS.get(benchmark)

@@ -11,7 +11,12 @@ breadth-first search, `Topology.distances`, serves k-step, flux and surrogate
 reach and the pruning of path polarity, which walks the simple paths from a
 gene once for all its endpoints, with a path cap per endpoint; the pruned
 successor lists are cached per endpoint set, so a curator's calls for every
-candidate gene share them. Betweenness is Brandes' algorithm (J. Math.
+candidate gene share them. The walk keeps stack frames only for nodes with
+three or more edges left, and scans the last two edges of each path in
+place, in nested loops over the pruned lists; most of the nodes a walk
+visits lie on those two levels. The loops take the successors in the order
+the frames would, so the paths are counted in the same order and each cap
+keeps the same prefix. Betweenness is Brandes' algorithm (J. Math.
 Sociol. 25(2), 2001): a BFS per source that counts shortest paths, then
 dependencies accumulated in reverse BFS order. SCCs are Tarjan's algorithm
 (SIAM J. Comput. 1(2), 1972) with an explicit stack in place of recursion.
@@ -118,6 +123,13 @@ class Topology:
         is left. It never enters a node whose shortest distance to the
         endpoint set exceeds the edges left: that distance ignores the
         simple-path rule, so it is a lower bound and no counted path is lost.
+
+        The walk pushes a frame for each node with three or more edges left.
+        A node with two edges left gets none: the walk scans those two edges
+        in place, counting each successor in order and then that successor's
+        own successors in order before it takes the next one. That is the
+        order in which frames would visit them, so the paths are counted in
+        the same lexicographic order and each cap keeps the same prefix.
         """
         if gene not in self.nodes:
             raise NodeNotFound(f"gene {gene!r} not in pathway graph")
@@ -141,13 +153,15 @@ class Topology:
         path = [source]
         slack = MAX_PATH_EDGES - 1  # edges left after the next one
         stack = [iter(within[slack][source])]
+        near, last = within[1], within[0]
         while stack:
             for nxt, sign in stack[-1]:
                 if product[nxt]:
                     continue
+                step = here * sign
                 times = listed[nxt]
                 if times:
-                    total += here * sign * times
+                    total += step * times
                     count += times
                     found[nxt] += 1
                     if found[nxt] >= max_paths:
@@ -156,12 +170,42 @@ class Topology:
                         live -= 1
                         if not live:
                             return PolarityResult(total / count, count, truncated=True)
-                if slack:
-                    product[nxt] = here = here * sign
+                if slack > 2:
+                    product[nxt] = here = step
                     path.append(nxt)
                     slack -= 1
                     stack.append(iter(within[slack][nxt]))
                     break
+                # the two edges left after nxt, in the order their frames would take
+                product[nxt] = step
+                for mid, sign in near[nxt]:
+                    if product[mid]:
+                        continue
+                    mid_step = step * sign
+                    times = listed[mid]
+                    if times:
+                        total += mid_step * times
+                        count += times
+                        found[mid] += 1
+                        if found[mid] >= max_paths:
+                            listed[mid] = 0
+                            truncated = True
+                            live -= 1
+                            if not live:
+                                return PolarityResult(total / count, count, truncated=True)
+                    for end, sign in last[mid]:
+                        times = listed[end]
+                        if times and not product[end]:
+                            total += mid_step * sign * times
+                            count += times
+                            found[end] += 1
+                            if found[end] >= max_paths:
+                                listed[end] = 0
+                                truncated = True
+                                live -= 1
+                                if not live:
+                                    return PolarityResult(total / count, count, truncated=True)
+                product[nxt] = 0
             else:
                 stack.pop()
                 product[path.pop()] = 0
@@ -200,16 +244,19 @@ class Topology:
         return {self._names[v]: n for v, n in steps.items()}
 
     def _within(self, targets: frozenset[str]) -> list[list[list[tuple[int, int]]]]:
-        """`within[s][n]`: the successors of id `n` at most `s` edges from the
-        nearest of `targets`, in successor order. Cached per target set."""
+        """`within[s][n]`: the successors of id `n`, other than `n` itself, at
+        most `s` edges from the nearest of `targets`, in successor order.
+        Cached per target set."""
         within = self._withins.get(targets)
         if within is None:
             # distances up to the longest a walk can use; farther ids are left out
             distance = [MAX_PATH_EDGES] * len(self._names)
             for name, steps in self.distances(targets, MAX_PATH_EDGES - 1, "upstream").items():
                 distance[self._ids[name]] = steps
+            # no simple path takes a self-loop, and the in-place scan of a
+            # walk's last edge does not check for one
+            level = [[e for e in out if e[0] != n] for n, out in enumerate(self._successors)]
             # top level first: each level filters the (shorter) lists of the one above
-            level = self._successors
             within = []
             for s in reversed(range(MAX_PATH_EDGES)):
                 level = [[e for e in out if distance[e[0]] <= s] if out else out for out in level]

@@ -265,6 +265,26 @@ def test_bench_prepare_and_score(runner, tmp_path):
     assert (report_dir / "report.md").exists()
 
 
+def test_bench_prepare_reads_a_jsonl_export_once(runner, tmp_path, monkeypatch):
+    from test_bench import hle_snapshot
+
+    raw = tmp_path / "hle.jsonl"
+    raw.write_text("".join(json.dumps(record) + "\n" for record in hle_snapshot()))
+    reads = []
+
+    def spy(path):
+        reads.append(Path(path).name)
+        return read_text(path)
+
+    read_text = biokgr.read_text
+    monkeypatch.setattr(biokgr, "read_text", spy)
+    monkeypatch.setattr(sys.modules["biokgr.cli"], "read_text", spy)
+    result = invoke(runner, ["bench", "prepare", "--benchmark", "hle_med",
+                             "--in", str(raw), "--out", str(tmp_path / "items.jsonl")])
+    assert "wrote 30 hle_med items" in result.output
+    assert reads == ["hle.jsonl"]
+
+
 @pytest.mark.parametrize("row", [{"prediction": "A"}, ["hle-med-0", "A"]],
                          ids=["row-without-id", "row-not-an-object"])
 def test_bench_score_reports_a_malformed_prediction_in_one_line(runner, tmp_path, row):
@@ -325,6 +345,11 @@ MALFORMED_INPUTS = {
         ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.json", "--out", "items.jsonl"],
         {"raw.json": "[1, 2]"},
         "hle_med record lacks 'subject': 1 is not an object"),
+    "bench-export-row-not-json": (
+        ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.jsonl", "--out", "items.jsonl"],
+        {"raw.jsonl": _rows({"id": "q1", "subject": "Medicine", "question": "q", "answer": "A"},
+                            "{not json\n")},
+        "raw.jsonl row 2 is not JSON"),
     "regimen-corpus-a-list": (
         REGIMEN, {"corpus.json": json.dumps([{"trials": []}])},
         "lacks 'trials'"),

@@ -19,7 +19,13 @@ from biokgr.pathways import (
 from biokgr.pathways.analytics import DIRECTIONS, MAX_PATHS_PER_PAIR, Topology
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
-from kgmlgen import make_kgml, random_signed_graph, shmt2_flux_kgml, ulcerative_colitis_kgml
+from kgmlgen import (
+    cascade_kgml,
+    make_kgml,
+    random_signed_graph,
+    shmt2_flux_kgml,
+    ulcerative_colitis_kgml,
+)
 from oracles import (
     betweenness_oracle,
     capped_polarity_reference,
@@ -420,8 +426,29 @@ def polarity_cases(draw):
     return declared, edges, endpoints, max_paths
 
 
-@settings(max_examples=300, deadline=None)
-@given(polarity_cases())
+@st.composite
+def layered_polarity_cases(draw):
+    """Six to nine layers of one to three nodes, each node joined to at least
+    one of the next layer, plus a few extra edges (skips, back edges,
+    self-loops), so that walks from the first layers use all `MAX_PATH_EDGES`
+    edges."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=6, max_size=9))
+    layers = [[f"L{depth}{'abc'[i]}" for i in range(width)] for depth, width in enumerate(widths)]
+    declared = [name for layer in layers for name in layer]
+    sign = st.sampled_from((1, -1))
+    edges = [(src, dst, draw(sign)) for upper, lower in zip(layers, layers[1:]) for src in upper
+             for dst in draw(st.lists(st.sampled_from(lower), min_size=1, unique=True))]
+    edges += draw(st.lists(st.tuples(st.sampled_from(declared), st.sampled_from(declared), sign),
+                           max_size=4))
+    endpoints = [draw(st.sampled_from(layers[-1]))]
+    endpoints += draw(st.lists(st.sampled_from(declared), max_size=2))
+    max_paths = draw(st.one_of(st.integers(1, 4), st.just(MAX_PATHS_PER_PAIR)))
+    return declared, edges, endpoints, max_paths
+
+
+# the random digraphs seldom hold a path of MAX_PATH_EDGES edges; the layered ones often do
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(polarity_cases(), layered_polarity_cases()))
 def test_one_walk_per_gene_equals_one_dfs_per_endpoint(case):
     declared, edges, endpoints, max_paths = case
     topology = Topology(declared, edges)
@@ -429,6 +456,34 @@ def test_one_walk_per_gene_equals_one_dfs_per_endpoint(case):
     for gene in declared:
         ours = topology.path_polarity(gene, endpoints, max_paths)
         assert ours == capped_polarity_reference(declared, edges, gene, endpoints, max_paths)
+
+
+# G0 -> G1 -> ... -> G5 reaches the two levels a walk scans in place: the
+# sixth edge, then the second-to-last and the final edge
+CHAIN = [(f"G{i}", f"G{i + 1}", 1) for i in range(5)]
+
+
+@pytest.mark.parametrize("edges, expected", [
+    # E1 is reached on the seventh edge from P (-1), Q (+1) and R (-1), and
+    # its cap of two retires it at Q, so R -> E1 is not counted; E2 stays
+    # live and is counted once, on the final edge R -> S -> E2 (+1). The
+    # self-loop on E1 is on no simple path.
+    (CHAIN + [("G5", "P", 1), ("G5", "Q", 1), ("G5", "R", 1), ("P", "E1", -1), ("Q", "E1", 1),
+              ("R", "E1", -1), ("R", "S", 1), ("S", "E2", 1), ("E1", "E1", 1)],
+     (1 / 3, 3, True)),
+    # two parallel edges retire E2 on the first edge; then E1 is reached on
+    # the final edge from M1 (-1) and M2 (-1), its cap retires the last live
+    # endpoint and the walk returns before M3 (+1)
+    (CHAIN + [("G0", "E2", -1), ("G0", "E2", 1), ("G5", "P", 1), ("P", "M1", -1),
+              ("P", "M2", 1), ("P", "M3", 1), ("M1", "E1", 1), ("M2", "E1", -1),
+              ("M3", "E1", 1)],
+     (-0.5, 4, True)),
+], ids=["retired-second-to-last-edge", "last-retired-on-final-edge"])
+def test_caps_that_fire_on_the_last_two_edges(edges, expected):
+    declared = sorted({name for src, dst, _sign in edges for name in (src, dst)})
+    result = Topology(declared, edges).path_polarity("G0", ["E1", "E2"], max_paths=2)
+    assert (result.value, result.path_count, result.truncated) == expected
+    assert result == capped_polarity_reference(declared, edges, "G0", ["E1", "E2"], max_paths=2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -595,3 +650,17 @@ def test_polarity_truncation_flag_on_dense_graphs():
     capped = path_polarity(graph, "SRC", {"DST"}, max_paths=10)
     assert capped.truncated and capped.path_count == 10
     assert capped.value == 1.0  # all-activation graph stays +1
+
+
+def test_capped_polarity_of_every_gene_of_a_dense_generated_pathway():
+    graph, _rg = parse_kgml(cascade_kgml(3, 20, 14))
+    topology = graph.topology()
+    edges = [(e.source, e.target, e.weight) for e in graph.edges]
+    genes = graph.gene_symbols()
+    capped = 0
+    for gene in genes:
+        ours = topology.path_polarity(gene, graph.endpoints)
+        assert ours == capped_polarity_reference(graph.nodes, edges, gene, graph.endpoints)
+        capped += ours.truncated
+    # the 14 genes of the dense core each hit MAX_PATHS_PER_PAIR
+    assert (len(genes), capped) == (34, 14)
