@@ -3,7 +3,10 @@
 Single-answer items score exact-match 0/1; multi-answer items score
 precision/recall/F1 against the label set; EBM gap items delegate to the gap
 curator's recall@30 scoring. Unparseable predictions degrade to zero with a
-malformed flag rather than erroring.
+malformed flag rather than erroring. A family whose items are all
+single-answer aggregates to accuracy; one with any multi-answer item to mean
+precision, recall and F1, where an exact-match item counts its score as all
+three, so the aggregate does not depend on item order.
 """
 from __future__ import annotations
 
@@ -127,13 +130,11 @@ def run_suite(items: list[BenchItem], predictions: dict) -> SuiteReport:
                 "gap_detection_rate": sum(r["gap_detected"] for r in family_rows) / n,
                 "mean_recall_at_30": sum(r["recall_at_k"] for r in family_rows) / n,
             }
-        elif "f1" in family_rows[0]:
-            aggregates[family] = {
-                "n": n,
-                "mean_precision": sum(r.get("precision", 0.0) for r in family_rows) / n,
-                "mean_recall": sum(r.get("recall", 0.0) for r in family_rows) / n,
-                "mean_f1": sum(r.get("f1", 0.0) for r in family_rows) / n,
-            }
+        elif any("f1" in r for r in family_rows):
+            # an exact-match row's score is its precision, recall and F1
+            aggregates[family] = {"n": n, **{
+                f"mean_{name}": sum(r.get(name, r["score"]) for r in family_rows) / n
+                for name in ("precision", "recall", "f1")}}
         else:
             aggregates[family] = {
                 "n": n,

@@ -97,18 +97,14 @@ def assign_target_gains(
     graph: SignedPathwayGraph,
     candidates: list[str],
     profile: LogicProfile,
-    endpoints: set[str] | None = None,
 ) -> dict[str, GainScore]:
     """Score each candidate gene for therapeutic-target plausibility."""
-    return _assign_gains(graph, graph.topology(), candidates, profile, endpoints)
+    return _assign_gains(graph, graph.topology(), candidates, profile)
 
 
-def _assign_gains(
-    graph, topology: Topology, candidates, profile, endpoints
-) -> dict[str, GainScore]:
+def _assign_gains(graph, topology: Topology, candidates, profile) -> dict[str, GainScore]:
     """`assign_target_gains` on the caller's `graph.topology()`."""
-    targets = set(endpoints) if endpoints is not None else set(graph.endpoints)
-    if not targets:
+    if not graph.endpoints:
         raise NoEndpoints(f"pathway {graph.pathway_id or '?'} has no disease endpoints")
 
     centrality = topology.betweenness
@@ -120,7 +116,7 @@ def _assign_gains(
         if is_blacklisted(graph, candidate):
             scores[candidate] = GainScore(0, "non_druggable")
             continue
-        polarity = topology.path_polarity(candidate, targets)
+        polarity = topology.path_polarity(candidate, graph.endpoints)
         node = graph.nodes[candidate]
         ftype = node.functional_type or infer_functional_type(node)
         prioritized = ftype in profile.prioritized_types
@@ -141,7 +137,6 @@ def build_target_item(
     profile: LogicProfile,
     option_count: int = 10,
     seed: int = 0,
-    endpoints: set[str] | None = None,
 ) -> McqItem:
     """One target-identification MCQ from a parsed disease pathway.
 
@@ -153,7 +148,7 @@ def build_target_item(
     if len(candidates) < option_count:
         raise InsufficientCandidates(f"{len(candidates)} candidates < option count {option_count}")
     topology = graph.topology()
-    gains = _assign_gains(graph, topology, candidates, profile, endpoints)
+    gains = _assign_gains(graph, topology, candidates, profile)
     answers = sorted(c for c, s in gains.items() if s.value == 2)
     if not answers:
         raise NoCorrectOption(f"no gain-2 candidate in pathway {graph.pathway_id or '?'}")

@@ -5,6 +5,11 @@ entities keyed by canonical identifier, typed relations between them, short
 factual observations, and provenance for every node and edge. Writes happen in
 merge cycles (batches) that are validated up front and applied atomically;
 reads may run concurrently between merges.
+
+A snapshot is one JSON file: `export_graph` writes it straight from the
+stored records under the store's lock, and `import_graph` reads it back
+through `EvidenceGraphStore.from_document`, the one checked reader of a
+snapshot.
 """
 from __future__ import annotations
 
@@ -14,9 +19,10 @@ import json
 import logging
 import re
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from biokgr import Error, Shape, WorkspaceUnavailable, field, read_text, writing
@@ -100,7 +106,7 @@ class MismatchedEndpoints(EvidenceGraphError):
 
 
 class MalformedSnapshot(EvidenceGraphError):
-    """A snapshot that is not JSON, or not a document `to_document` writes."""
+    """A snapshot that is not JSON, or not a document `export_graph` writes."""
 
 
 def normalize_label(raw: str) -> str:
@@ -297,16 +303,6 @@ class _Section(NamedTuple):
     kind: str
     shape: Shape
 
-    def rows(self, records) -> list[dict]:
-        """Document rows from tuples of field values in the shape's order; lists are copied."""
-        names = tuple(self.shape.fields)
-        return [{name: list(value) if type(value) is list else value
-                 for name, value in zip(names, values)} for values in records]
-
-    def stored_rows(self, stored) -> list[dict]:
-        """Document rows from stored records, whose attributes are named as the fields."""
-        return self.rows(map(attrgetter(*self.shape.fields), stored))
-
     def records(self, doc):
         """The field values of each record in this section of `doc`, in the shape's order.
 
@@ -326,7 +322,7 @@ class _Section(NamedTuple):
 # The snapshot's one declaration of its record shapes, in the order
 # `from_document` reads the sections and their fields. The entity and relation
 # fields are the `StoredEntity` and `StoredRelation` attributes, in their order.
-# `to_document`, the writer and `from_document` all follow these.
+# `export_graph` and `from_document` both follow these.
 _ENTITIES = _Section("entities", "entity record", Shape(
     key=_STR, name=_STR, kind=_STR, curie=_STR_OR_NULL, sources=_LIST_OF_STR))
 _RELATIONS = _Section("relations", "relation record", Shape(
@@ -335,6 +331,12 @@ _OBSERVATIONS = _Section("observations", "observation record", Shape(entity=_STR
 _CONFLICT_GROUPS = _Section("conflict_groups", "conflict group record", Shape(
     id=_STR, relations=_LIST_OF_LISTS))
 _SECTIONS = (_ENTITIES, _RELATIONS, _OBSERVATIONS, _CONFLICT_GROUPS)
+
+# The observation and conflict-group records a snapshot lists, their attributes
+# named as their sections' fields. Entities and relations are written from the
+# stored records themselves.
+_ObservationRecord = namedtuple("_ObservationRecord", _OBSERVATIONS.shape.fields)
+_ConflictGroupRecord = namedtuple("_ConflictGroupRecord", _CONFLICT_GROUPS.shape.fields)
 
 
 class EvidenceGraphStore:
@@ -384,32 +386,26 @@ class EvidenceGraphStore:
         key = self.resolve_key(ref)
         return self._entities.get(key) if key else None
 
-    def resolve_key(self, ref: str, kind: str | None = None) -> str | None:
+    def resolve_key(self, ref: str) -> str | None:
         """Resolve a CURIE, display name, or storage key to a storage key.
 
         A label stored under several kinds resolves to the first of them in
-        ENTITY_KIND_ORDER unless `kind` is given.
+        ENTITY_KIND_ORDER.
         """
-        return self._resolve(ref, _Normalized(), kind)
+        return self._resolve(ref, _Normalized())
 
-    def _resolve(self, ref: str, norm: _Normalized, kind: str | None = None) -> str | None:
+    def _resolve(self, ref: str, norm: _Normalized) -> str | None:
         if ref in self._entities:
             return ref
         hit = self._curie_index.get(norm.curie(ref))
         if hit:
             return hit
         try:
-            label = norm.label(ref)
+            by_kind = self._label_index.get(norm.label(ref))
         except EmptyLabel:
             return None
-        return self._label_key(label, kind)
-
-    def _label_key(self, label: str, kind: str | None) -> str | None:
-        by_kind = self._label_index.get(label)
         if not by_kind:
             return None
-        if kind is not None:
-            return by_kind.get(kind)
         return next(by_kind[k] for k in ENTITY_KIND_ORDER if k in by_kind)
 
     def _match(self, entity: EntityRef, norm: _Normalized) -> str | None:
@@ -418,7 +414,8 @@ class EvidenceGraphStore:
             hit = self._curie_index.get(norm.curie(entity.curie))
             if hit:
                 return hit
-        return self._label_key(norm.label(entity.name), entity.kind)
+        by_kind = self._label_index.get(norm.label(entity.name))
+        return by_kind.get(entity.kind) if by_kind else None
 
     # -- merge cycle ---------------------------------------------------------
 
@@ -698,24 +695,30 @@ class EvidenceGraphStore:
 
     # -- snapshot -------------------------------------------------------------
 
-    def to_document(self) -> dict:
-        """Snapshot with stable ordering; round-trips through `from_document`."""
-        with self._lock:
-            entities = self.entities()
-            return {
-                _ENTITIES.name: _ENTITIES.stored_rows(entities),
-                _RELATIONS.name: _RELATIONS.stored_rows(self.relations()),
-                _OBSERVATIONS.name: _OBSERVATIONS.rows(
-                    (e.key, text) for e in entities for text in e.observations),
-                _CONFLICT_GROUPS.name: _CONFLICT_GROUPS.rows(
-                    (gid, [list(k) for k in members])
-                    for gid, members in sorted(self._conflict_groups.items())),
-            }
+    def _snapshot_sections(self) -> dict:
+        """Each snapshot section's records, in the order the snapshot lists them.
+
+        The records share the store's live data, so the caller holds the
+        lock for as long as it reads them.
+        """
+        entities = self.entities()
+        return {
+            _ENTITIES.name: entities,
+            _RELATIONS.name: self.relations(),
+            _OBSERVATIONS.name: [
+                _ObservationRecord(e.key, text) for e in entities for text in e.observations],
+            _CONFLICT_GROUPS.name: [
+                _ConflictGroupRecord(gid, members)
+                for gid, members in sorted(self._conflict_groups.items())],
+        }
 
     @classmethod
     def from_document(cls, doc: dict) -> "EvidenceGraphStore":
-        """Rebuild a store from a `to_document` snapshot, without lint warnings.
+        """Rebuild a store from a parsed snapshot, without lint warnings.
 
+        This is the one checked reader of a snapshot, the document
+        `export_graph` writes; a store rebuilt from an exported snapshot
+        exports the same bytes.
         Raises MalformedSnapshot when a section or field is missing or
         ill-typed, an entity kind or predicate is outside the vocabulary, a
         relation, observation or conflict group names something not stored, a
@@ -800,20 +803,21 @@ _ENCODERS = {
 def _record_writer(shape: Shape):
     """The formatter of a list of records of `shape`, their fields in sorted key order.
 
-    It encodes a field's values a column at a time and joins each record from
+    A record's attributes are named as the shape's fields. The formatter
+    encodes a field's values a column at a time and joins each record from
     its keys and values, so per record only the null and list encoders run in
     Python.
     """
     columns, lead = [], "    {\n"
     for name in sorted(shape.fields):
         key = f"{lead}      {_quote(name)}: "
-        columns.append((key, itemgetter(name), _ENCODERS[shape.fields[name]]))
+        columns.append((key, attrgetter(name), _ENCODERS[shape.fields[name]]))
         lead = ",\n"
 
-    def write(rows: list[dict]) -> str:
+    def write(records: list) -> str:
         parts = []
         for key, get, encode in columns:
-            parts += (repeat(key), map(encode, map(get, rows)))
+            parts += (repeat(key), map(encode, map(get, records)))
         return ",\n".join(map("".join, zip(*parts, repeat("\n    }"))))
     return write
 
@@ -823,51 +827,36 @@ _WRITERS = tuple((section.name, _record_writer(section.shape))
                  for section in sorted(_SECTIONS, key=lambda section: section.name))
 
 
-def _write_document(doc: dict, fh) -> None:
-    """Write a `to_document` snapshot exactly as `json.dump(doc, fh, indent=2, sort_keys=True)`.
+def export_graph(store: EvidenceGraphStore, path) -> None:
+    """Write the store's snapshot to `path` as one JSON document.
 
-    For indented output `json.dump` runs the pure-Python encoder, which calls
-    `fh.write` once per token. Here the records are formatted by their
-    section's declared shape, strings go through the C string encoder, and
-    _CHUNK records go to each `fh.write`.
+    The records are formatted straight from the store while its lock is held,
+    so a snapshot never shows a half-applied batch. The bytes are those of
+    `json.dumps(<snapshot>, indent=2, sort_keys=True)`, which for indented
+    output runs the pure-Python encoder; here each section's records are
+    formatted by its declared shape, strings go through the C string encoder,
+    and _CHUNK records go to each `fh.write`. The file is written through
+    `biokgr.writing`, so a failed write never leaves a truncated snapshot
+    behind.
     """
-    lead = "{\n"
-    for name, records in _WRITERS:
-        rows = doc[name]
-        if not rows:
-            fh.write(f'{lead}  "{name}": []')
-        else:
-            for start in range(0, len(rows), _CHUNK):
-                head = f'{lead}  "{name}": [\n' if start == 0 else ",\n"
-                fh.write(head + records(rows[start:start + _CHUNK]))
-            fh.write("\n  ]")
-        lead = ",\n"
-    fh.write("\n}")
+    with store._lock, writing(path) as fh:
+        sections = store._snapshot_sections()
+        lead = "{\n"
+        for name, format_records in _WRITERS:
+            records = sections[name]
+            if not records:
+                fh.write(f'{lead}  "{name}": []')
+            else:
+                for start in range(0, len(records), _CHUNK):
+                    head = f'{lead}  "{name}": [\n' if start == 0 else ",\n"
+                    fh.write(head + format_records(records[start:start + _CHUNK]))
+                fh.write("\n  ]")
+            lead = ",\n"
+        fh.write("\n}")
 
 
-def export_graph(store: EvidenceGraphStore, destination) -> dict:
-    """Write the store snapshot as one JSON document; returns the document.
-
-    `destination` is a path or a writable file object. The bytes are those of
-    `json.dump(doc, fh, indent=2, sort_keys=True)`, written a chunk of records
-    at a time, so the snapshot is never built as one string. A path is written
-    through `biokgr.writing`, so a failed write never leaves a truncated
-    snapshot behind.
-    """
-    doc = store.to_document()
-    if hasattr(destination, "write"):
-        try:
-            _write_document(doc, destination)
-        except OSError as exc:
-            raise WorkspaceUnavailable(f"cannot write snapshot to {destination}: {exc}") from exc
-    else:
-        with writing(destination) as fh:
-            _write_document(doc, fh)
-    return doc
-
-
-def import_graph(source) -> EvidenceGraphStore:
-    """Load a snapshot written by :func:`export_graph`.
+def import_graph(path) -> EvidenceGraphStore:
+    """Load the snapshot that :func:`export_graph` wrote to `path`.
 
     The JSON load and the rebuild run with the cyclic garbage collector held
     off. Together they allocate a few containers per record (the parsed
@@ -877,18 +866,16 @@ def import_graph(source) -> EvidenceGraphStore:
     per import. The collector's state is restored on return and on every
     exception.
 
-    Raises WorkspaceUnavailable when the source cannot be read and
+    Raises WorkspaceUnavailable when the file cannot be read and
     MalformedSnapshot when it is not a valid snapshot.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
         try:
-            doc = json.load(source) if hasattr(source, "read") else json.loads(read_text(source))
-        except OSError as exc:
-            raise WorkspaceUnavailable(f"cannot read snapshot from {source}: {exc}") from exc
+            doc = json.loads(read_text(path))
         except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
-            raise MalformedSnapshot(f"snapshot {source} is not valid JSON: {exc}") from exc
+            raise MalformedSnapshot(f"snapshot {path} is not valid JSON: {exc}") from exc
         return EvidenceGraphStore.from_document(doc)
     finally:
         if collecting:

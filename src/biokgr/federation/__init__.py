@@ -24,7 +24,7 @@ from biokgr.federation.unified import (
     SourceStatus,
     UnifiedRecord,
 )
-from biokgr.federation.persist import WorkspaceUnavailable, load_records, persist_results
+from biokgr.federation.persist import WorkspaceUnavailable, persist_results
 
 __all__ = [
     "QuerySpec",
@@ -48,6 +48,5 @@ __all__ = [
     "SourceStatus",
     "UnifiedRecord",
     "WorkspaceUnavailable",
-    "load_records",
     "persist_results",
 ]

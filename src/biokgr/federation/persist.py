@@ -5,13 +5,13 @@ import csv
 import json
 from pathlib import Path
 
-from biokgr import WorkspaceUnavailable, read_text, writing
+from biokgr import WorkspaceUnavailable, writing
 
 
 def persist_results(records, directory) -> dict:
     """Write `results.json`, `results.csv`, and `results.md`; returns the path manifest.
 
-    The JSON file round-trips through `load_records`; the CSV is a flat
+    The JSON file holds every record as one object; the CSV is a flat
     projection with one xref namespace per column.
     """
     directory = Path(directory)
@@ -42,7 +42,3 @@ def persist_results(records, directory) -> dict:
             for row in rows[:10]:
                 fh.write(f"| {row.get('name', '')} | {';'.join(row.get('sources', []))} |\n")
     return {"json": str(json_path), "csv": str(csv_path), "md": str(md_path)}
-
-
-def load_records(json_path) -> list[dict]:
-    return json.loads(read_text(json_path))

@@ -123,17 +123,25 @@ def _read(payload, reply: dict | None, limit: int | None) -> list[tuple[int, str
     """`(rank, name, xrefs)` for each record of `payload` read through a reply shape.
 
     A missing, null or empty value is absent, and so is a value under a step
-    that is not an object; a leaf of the wrong type raises `TypeError`.
-    Without a shape, every object row under ``results`` or ``hits`` is read
-    with its ``id`` and ``*_id`` fields as xrefs.
+    that is not an object; records that are not a list, or a leaf of the
+    wrong type, raise `TypeError`. Without a shape, every object row of the
+    list under ``results`` or ``hits`` is read with its ``name`` (else its
+    ``id``) as the name and its ``id`` and ``*_id`` fields as xrefs, each an
+    ``id`` leaf.
     """
     if reply is None:
         if not isinstance(payload, dict):
             return []
-        rows = (payload.get("results") or payload.get("hits") or [])[:limit]
-        return [(i, str(row.get("name") or row.get("id") or ""),
-                 {k: str(v) for k, v in row.items() if k.endswith("_id") or k == "id"})
-                for i, row in enumerate(rows) if isinstance(row, dict)]
+        rows = payload.get("results") or payload.get("hits") or []
+        if not isinstance(rows, list):
+            raise TypeError(f"the records hold {type(rows).__name__}, not a list")
+        records = []
+        for i, row in enumerate(rows[:limit]):
+            if isinstance(row, dict):
+                ids = {k: _leaf(v, "id", k) for k, v in row.items() if k == "id" or k.endswith("_id")}
+                name = _leaf(row.get("name"), "id", "name") or ids.get("id") or ""
+                records.append((i, name, {k: v for k, v in ids.items() if v is not None}))
+        return records
     tsv = reply.get("form") == "tsv"
     if not isinstance(payload, str if tsv else dict):
         raise TypeError(f"expected {'text' if tsv else 'a JSON object'}, got {payload!r:.60}")
@@ -152,11 +160,11 @@ def _read(payload, reply: dict | None, limit: int | None) -> list[tuple[int, str
         if reads_fields and not isinstance(row, dict):
             raise TypeError(f"record {row!r} is not an object")
         name = None
-        for leaf in names:
-            if (name := _leaf(row, *leaf)) is not None:
+        for path, leaf_type in names:
+            if (name := _leaf(_walk(row, path), leaf_type, path)) is not None:
                 break
-        fields = {key: value for key, leaf in xrefs.items()
-                  if (value := _leaf(row, *leaf)) is not None}
+        fields = {key: value for key, (path, leaf_type) in xrefs.items()
+                  if (value := _leaf(_walk(row, path), leaf_type, path)) is not None}
         records.append((i, "" if name is None else reply.get("name_prefix", "") + name, fields))
     return records
 
@@ -168,9 +176,8 @@ def _walk(value, path: str):
     return value
 
 
-def _leaf(row, path: str, leaf_type: str):
-    """The leaf at `path` as a string (a list of them for `ids`); None when absent."""
-    value = _walk(row, path)
+def _leaf(value, leaf_type: str, path: str):
+    """`value`, read at `path`, as a string (a list of them for `ids`); None when absent."""
     if value is None or value == "":
         return None
     if leaf_type == "ids":

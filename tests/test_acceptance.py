@@ -3,11 +3,11 @@
 Each criterion prints a `[PASS] criterion N` line when its assertions hold
 (run with `pytest -s tests/test_acceptance.py` to see them live).
 """
-import copy
 import json
 import random
 import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +48,6 @@ from biokgr.federation import (
     RateLimiter,
     SourceUnavailable,
     persist_results,
-    load_records,
 )
 from biokgr.federation.client import FetchRequest
 from biokgr.federation.mockserver import MockTransport
@@ -65,6 +64,7 @@ from kgmlgen import (
     ulcerative_colitis_kgml,
 )
 from oracles import betweenness_oracle, k_step_oracle, polarity_oracle, scc_oracle
+from test_evidence_graph import exported
 from test_pathway_graph import NERANDOMILAST
 
 
@@ -418,15 +418,15 @@ def test_criterion_4_evidence_graph_invariants():
             assert relation.predicate in RELATION_PREDICATES
 
         # round trip
-        doc = store.to_document()
-        assert EvidenceGraphStore.from_document(doc).to_document() == doc
+        snapshot = exported(store)
+        assert exported(EvidenceGraphStore.from_document(json.loads(snapshot))) == snapshot
 
     # atomic cap rejection leaves the store bit-identical
     store = EvidenceGraphStore()
     store.upsert_batch(MergeBatch(entities=(
         EntityRef(name="SEED", kind="GENE_PROTEIN", source="s@1"),
     )))
-    before = copy.deepcopy(store.to_document())
+    before = exported(store)
     with pytest.raises(BatchLimitExceeded):
         store.upsert_batch(MergeBatch(entities=tuple(
             EntityRef(name=f"N{i}", kind="GENE_PROTEIN", source="s@1") for i in range(11)
@@ -443,7 +443,7 @@ def test_criterion_4_evidence_graph_invariants():
                 for p in sorted(RELATION_PREDICATES)[:2]
             ),
         ))
-    assert store.to_document() == before
+    assert exported(store) == before
 
     # export/import through a real file
     import tempfile, os
@@ -451,7 +451,7 @@ def test_criterion_4_evidence_graph_invariants():
     os.close(fd)
     try:
         export_graph(store, path)
-        assert import_graph(path).to_document() == store.to_document()
+        assert exported(import_graph(path)) == exported(store)
     finally:
         os.unlink(path)
 
@@ -515,7 +515,7 @@ def test_criterion_5_federation_contracts():
     with tempfile.TemporaryDirectory() as tmp:
         records = make_mock_federation().search_entities_unified(spec).records
         manifest = persist_results(records, tmp)
-        loaded = load_records(manifest["json"])
+        loaded = json.loads(Path(manifest["json"]).read_text(encoding="utf-8"))
         assert len(loaded) == len(records)
         assert [r["name"] for r in loaded] == [r.name for r in records]
         assert [r["xrefs"] for r in loaded] == [dict(sorted(r.xrefs.items())) for r in records]

@@ -200,6 +200,20 @@ def test_aggregates_equal_row_means():
     assert abs(report.aggregates["hle_med"]["accuracy"] - mean) < 1e-12
 
 
+@pytest.mark.parametrize("first", ["single", "multi"])
+def test_a_family_mixing_single_and_multi_answer_items_aggregates_by_f1(first):
+    items = [single("s1", key="A"), BenchItem(item_id="m1", family="hle_med",
+                                              question={"text": "q"}, answer_key=["A", "B"])]
+    items = items if first == "single" else items[::-1]
+    exact = run_suite(items, {"s1": "A", "m1": "A,B"})
+    assert exact.aggregates["hle_med"] == {
+        "n": 2, "mean_precision": 1.0, "mean_recall": 1.0, "mean_f1": 1.0}
+    # s1 scores 0; m1 has precision 1, recall 1/2 and F1 2/3
+    partial = run_suite(items, {"s1": "C", "m1": "A"})
+    assert partial.aggregates["hle_med"] == {
+        "n": 2, "mean_precision": 0.5, "mean_recall": 0.25, "mean_f1": pytest.approx(1 / 3)}
+
+
 def test_unmatched_prediction_id():
     with pytest.raises(UnmatchedItemId):
         run_suite([single("s1")], {"zzz": "A"})

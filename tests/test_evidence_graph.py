@@ -1,16 +1,16 @@
 """Evidence-graph store: normalization, merge cycles, dedup, conflicts, export."""
 import collections
-import copy
 import dataclasses
 import gc
 import hashlib
-import io
 import json
 import logging
+import operator
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import weakref
@@ -55,6 +55,14 @@ def gene(name, curie=None, source="kegg@r109"):
 
 def rel(subject, predicate, object_, evidence=("PMID:1",)):
     return RelationEdge(subject=subject, predicate=predicate, object=object_, evidence=tuple(evidence))
+
+
+def exported(store) -> bytes:
+    """The bytes `export_graph` writes for `store`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        export_graph(store, path)
+        return path.read_bytes()
 
 
 # -- normalize_label ---------------------------------------------------------
@@ -136,11 +144,11 @@ def test_reupsert_appends_observation_once():
 def test_batch_limit_entities_atomic():
     store = EvidenceGraphStore()
     store.upsert_batch(MergeBatch(entities=(gene("SEED"),)))
-    before = store.to_document()
+    before = exported(store)
     too_many = tuple(gene(f"G{i}") for i in range(11))
     with pytest.raises(BatchLimitExceeded):
         store.upsert_batch(MergeBatch(entities=too_many))
-    assert store.to_document() == before
+    assert exported(store) == before
 
 
 def test_batch_limit_relations():
@@ -151,10 +159,10 @@ def test_batch_limit_relations():
         rel(f"G{i}", "ACTIVATES", f"G{(i + j) % 10}")
         for j in (1, 2) for i in range(10)
     )[:17]
-    before = store.to_document()
+    before = exported(store)
     with pytest.raises(BatchLimitExceeded):
         store.upsert_batch(MergeBatch(relations=relations))
-    assert store.to_document() == before
+    assert exported(store) == before
 
 
 def test_existing_entities_do_not_count_against_cap():
@@ -459,7 +467,7 @@ def test_tag_conflict_numbers_past_a_group_a_batch_gave():
     ))
     assert store.tag_conflict(("A", "INHIBITS", "C"), ("A", "ACTIVATES", "C")) == "cg-2"
     a, b, c = (f"gene_protein/{name}" for name in "abc")
-    assert store.to_document()["conflict_groups"] == [
+    assert json.loads(exported(store))["conflict_groups"] == [
         {"id": "cg-1", "relations": [[a, "ACTIVATES", b]]},
         {"id": "cg-2", "relations": [[a, "INHIBITS", c], [a, "ACTIVATES", c]]},
     ]
@@ -482,16 +490,16 @@ def test_tag_conflict_requires_same_endpoints():
 # -- export / import ----------------------------------------------------------
 
 def test_export_empty_store(tmp_path):
-    store = EvidenceGraphStore()
-    doc = export_graph(store, tmp_path / "graph.json")
-    assert doc["entities"] == [] and doc["relations"] == []
+    path = tmp_path / "graph.json"
+    assert export_graph(EvidenceGraphStore(), path) is None
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        "entities": [], "relations": [], "observations": [], "conflict_groups": []}
 
 
-def test_export_includes_provenance(tmp_path):
+def test_export_includes_provenance():
     store = EvidenceGraphStore()
     store.upsert_batch(MergeBatch(entities=(gene("TNF", source="kegg@r109"),)))
-    doc = export_graph(store, tmp_path / "graph.json")
-    assert doc["entities"][0]["sources"] == ["kegg@r109"]
+    assert json.loads(exported(store))["entities"][0]["sources"] == ["kegg@r109"]
 
 
 def test_export_unwritable_destination(tmp_path):
@@ -507,19 +515,14 @@ def test_roundtrip_structural_equality(tmp_path):
     )
     path = tmp_path / "snapshot.json"
     export_graph(store, path)
-    loaded = import_graph(path)
-    assert loaded.to_document() == store.to_document()
+    assert exported(import_graph(path)) == path.read_bytes()
 
 
-def test_export_stable_ordering(tmp_path):
+def test_export_stable_ordering():
     store = make_small_store()
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    doc = export_graph(store, buf1)
-    export_graph(store, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-    path = tmp_path / "graph.json"
-    export_graph(store, path)
-    assert path.read_text(encoding="utf-8") == buf1.getvalue() == json.dumps(doc, indent=2, sort_keys=True)
+    written = exported(store)
+    assert exported(store) == written
+    assert written.decode("ascii") == json.dumps(json.loads(written), indent=2, sort_keys=True)
 
 
 class DiskFullAfterFirstWrite:
@@ -595,17 +598,32 @@ def snapshot_documents(draw):
             "conflict_groups": groups}
 
 
+def as_exported(doc):
+    """`doc` as the store rebuilt from it exports it: records in key order and
+    an entity's observations grouped, each text once."""
+    texts = {}
+    for observation in doc["observations"]:
+        seen = texts.setdefault(observation["entity"], [])
+        if observation["text"] not in seen:
+            seen.append(observation["text"])
+    return {
+        "entities": sorted(doc["entities"], key=operator.itemgetter("key")),
+        "relations": sorted(doc["relations"],
+                            key=operator.itemgetter("subject", "predicate", "object")),
+        "observations": [{"entity": key, "text": text} for key in sorted(texts)
+                         for text in texts[key]],
+        "conflict_groups": sorted(doc["conflict_groups"], key=operator.itemgetter("id")),
+    }
+
+
 @settings(max_examples=40, deadline=None)
 @given(snapshot_documents())
-def test_export_writes_the_bytes_of_indented_sorted_json(tmp_path_factory, doc):
-    store = EvidenceGraphStore.from_document(doc)
-    expected = json.dumps(store.to_document(), indent=2, sort_keys=True)
-    buf = io.StringIO()
-    returned = export_graph(store, buf)
-    assert buf.getvalue() == expected == json.dumps(returned, indent=2, sort_keys=True)
-    path = tmp_path_factory.mktemp("snapshot") / "graph.json"
-    export_graph(store, path)
-    assert path.read_bytes() == expected.encode("ascii")
+def test_export_writes_the_bytes_of_indented_sorted_json(doc):
+    written = exported(EvidenceGraphStore.from_document(doc))
+    parsed = json.loads(written)
+    assert written == json.dumps(parsed, indent=2, sort_keys=True).encode("ascii")
+    # through JSON, as a pair of lone surrogates reads back as one character
+    assert parsed == json.loads(json.dumps(as_exported(doc)))
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
@@ -648,7 +666,7 @@ def snapshot_doc():
         observations=(Observation(entity="IL6", text="Secreted by macrophages."),),
     ))
     store.tag_conflict(("TNF", "ACTIVATES", "IL6"), ("TNF", "INHIBITS", "IL6"))
-    return store.to_document()
+    return json.loads(exported(store))
 
 
 _DROP = object()
@@ -695,12 +713,11 @@ MALFORMED = {
 def test_snapshot_doc_is_valid():
     doc = snapshot_doc()
     store = EvidenceGraphStore.from_document(doc)
-    assert store.to_document() == doc
-    # Neither the document read nor the one written shares a list with the store.
-    for edited in (doc, store.to_document()):
-        edited["entities"][0]["sources"].append("edited")
-        edited["relations"][0]["evidence"].append("edited")
-    assert store.to_document() == snapshot_doc()
+    assert json.loads(exported(store)) == doc
+    # The rebuilt store shares no list with the document it read.
+    doc["entities"][0]["sources"].append("edited")
+    doc["relations"][0]["evidence"].append("edited")
+    assert json.loads(exported(store)) == snapshot_doc()
     # A field added to a stored record and not to the snapshot would be lost on export.
     stored = lambda cls: [f.name for f in dataclasses.fields(cls) if f.name != "observations"]
     assert list(evidence._ENTITIES.shape.fields) == stored(StoredEntity)
@@ -760,7 +777,7 @@ def test_snapshot_that_is_not_json_is_rejected(payload, tmp_path):
 
 # -- label resolution ----------------------------------------------------------
 
-def test_label_under_two_kinds_resolves_by_kind_order_whatever_the_hash_seed():
+def test_label_under_two_kinds_resolves_by_kind_order_whatever_the_hash_seed(tmp_path):
     program = textwrap.dedent("""
         import sys
         from biokgr.evidence import EntityRef, EvidenceGraphStore, MergeBatch, RelationEdge, export_graph
@@ -773,18 +790,18 @@ def test_label_under_two_kinds_resolves_by_kind_order_whatever_the_hash_seed():
                                     evidence=("PMID:1",)),),
         ))
         assert store.resolve_key("TNF") == "gene_protein/tnf"
-        assert store.resolve_key("TNF", kind="DISEASE_PHENOTYPE") == "disease_phenotype/tnf"
-        export_graph(store, sys.stdout)
+        export_graph(store, sys.argv[1])
     """)
     src = str(Path(biokgr.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    path = tmp_path / "graph.json"
     snapshots = set()
     for seed in range(6):
         env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=pythonpath)
-        run = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
-                             text=True, timeout=60)
+        run = subprocess.run([sys.executable, "-c", program, str(path)], env=env,
+                             capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
-        snapshots.add(run.stdout)
+        snapshots.add(path.read_bytes())
     assert len(snapshots) == 1
 
 
@@ -844,11 +861,11 @@ def test_rejected_batch_leaves_store_untouched(seed):
     store.upsert_batch(
         MergeBatch(entities=tuple(gene(f"G{i}") for i in range(rng.randint(1, 5))))
     )
-    before = copy.deepcopy(store.to_document())
+    before = exported(store)
     overflow = tuple(gene(f"Z{i}") for i in range(11))
     with pytest.raises(BatchLimitExceeded):
         store.upsert_batch(MergeBatch(entities=overflow))
-    assert store.to_document() == before
+    assert exported(store) == before
 
 
 def test_stats_counts():
@@ -882,8 +899,8 @@ def test_concurrent_merges_are_serialized():
     assert not errors
     # 4 writers x 7 distinct labels, deduplicated
     assert len(store) == 28
-    doc = store.to_document()
-    assert EvidenceGraphStore.from_document(doc).to_document() == doc
+    snapshot = exported(store)
+    assert exported(EvidenceGraphStore.from_document(json.loads(snapshot))) == snapshot
 
 
 # -- indexes kept current on each write ---------------------------------------------
@@ -1045,3 +1062,63 @@ def test_reads_interleave_with_merges_from_another_thread():
     assert not any(t.is_alive() for t in threads)
     assert not errors and not torn
     assert (len(store), store.relation_count) == (801, 1400)
+
+
+def test_export_while_another_thread_merges_writes_whole_snapshots(tmp_path):
+    # Every batch links the hub to four new genes and gives the hub one more
+    # source, so a snapshot that listed the entities before a batch and the
+    # relations after it would name entities it does not list, and one that
+    # read the hub during a batch would count its sources wrong.
+    store = EvidenceGraphStore()
+    errors, snapshots = [], []
+    writer_done = threading.Event()
+
+    def writer():
+        try:
+            for b in range(200):
+                names = [f"N{4 * b + j}" for j in range(4)]
+                store.upsert_batch(MergeBatch(
+                    entities=(gene("HUB", source=f"batch {b}"),) + tuple(gene(n) for n in names),
+                    relations=tuple(rel("HUB", "ACTIVATES", n) for n in names)
+                    + tuple(rel(a, "BINDS", c) for a, c in zip(names, names[1:])),
+                    observations=(Observation(entity=names[0], text=f"batch {b}"),),
+                ))
+        except Exception as exc:  # pragma: no cover - failure capture
+            errors.append(exc)
+        finally:
+            writer_done.set()
+
+    def exporter(k):
+        path = tmp_path / f"graph-{k}.json"
+        try:
+            while not writer_done.is_set():
+                export_graph(store, path)
+                snapshots.append(path.read_bytes())
+        except Exception as exc:  # pragma: no cover - failure capture
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer)]
+    threads += [threading.Thread(target=exporter, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and snapshots
+    path = tmp_path / "check.json"
+    for snapshot in set(snapshots):
+        doc = json.loads(snapshot)
+        listed = {entity["key"] for entity in doc["entities"]}
+        assert all({r["subject"], r["object"]} <= listed for r in doc["relations"])
+        # the snapshot holds the first `batches` batches whole
+        batches = len(doc["observations"])
+        hub = [e["sources"] for e in doc["entities"] if e["name"] == "HUB"]
+        assert hub == ([[f"batch {b}" for b in range(batches)]] if batches else [])
+        assert (len(listed), len(doc["relations"])) == (4 * batches + 1 if batches else 0, 7 * batches)
+        path.write_bytes(snapshot)
+        import_graph(path)

@@ -30,7 +30,6 @@ from biokgr.federation import (
     SourceUnavailable,
     WorkspaceUnavailable,
     default_registry,
-    load_records,
     persist_results,
 )
 from biokgr.federation import client as client_module
@@ -281,19 +280,43 @@ HTML_PAGE = RawResponse(status=200, body="<html><body>Service busy</body></html>
                         headers={"Content-Type": "text/html"})
 
 
-@pytest.mark.parametrize("reply", [
-    HTML_PAGE,
-    json_response({"hits": 5}),
-    json_response({"hits": [{"symbol": "TNF", "ensembl": {"gene": 5}}]}),
-], ids=["html-page", "hits-not-a-list", "ensembl-gene-not-a-string"])
-def test_unified_search_marks_an_unreadable_reply_failed(reply):
-    federation = make_federation({"mygene.test": reply, "kegg.test": kegg_payload()})
-    spec = QuerySpec(kind="gene", text="TP53", sources=("mygene", "kegg"))
+def shapeless_federation(routes):
+    """mygene and kegg, plus chembl, whose registry entry declares no reply shape."""
+    registry = {**two_source_registry(), "chembl": shipped("chembl", "http://chembl.test")}
+    assert "reply" not in registry["chembl"].operations["search"]
+    return Federation(registry=registry, transport=MockTransport(routes), clock=FakeClock(), env={})
+
+
+@pytest.mark.parametrize("source, reply", [
+    ("mygene", HTML_PAGE),
+    ("mygene", json_response({"hits": 5})),
+    ("mygene", json_response({"hits": [{"symbol": "TNF", "ensembl": {"gene": 5}}]})),
+    ("chembl", json_response({"results": "abc"})),
+    ("chembl", json_response({"results": [{"name": {"en": "TP53"}}]})),
+    ("chembl", json_response({"results": [{"name": "TP53", "id": True}]})),
+    ("chembl", json_response({"hits": [{"name": "TP53", "chembl_id": [1, 2]}]})),
+], ids=["html-page", "hits-not-a-list", "ensembl-gene-not-a-string", "shapeless-results-a-string",
+        "shapeless-name-an-object", "shapeless-id-a-bool", "shapeless-xref-a-list"])
+def test_unified_search_marks_an_unreadable_reply_failed(source, reply):
+    federation = shapeless_federation({f"{source}.test": reply, "kegg.test": kegg_payload()})
+    spec = QuerySpec(kind="gene", text="TP53", sources=(source, "kegg"))
     result = federation.search_entities_unified(spec)
     assert [r.sources for r in result.records] == [["kegg"]]
     failed = [s for s in result.statuses if not s.ok]
-    assert [s.source_id for s in failed] == ["mygene"]
-    assert "mygene sent a body its adapter cannot read" in failed[0].reason
+    assert [s.source_id for s in failed] == [source]
+    assert f"{source} sent a body its adapter cannot read" in failed[0].reason
+
+
+def test_a_source_without_a_reply_shape_reads_names_and_ids():
+    rows = [{"name": "TP53", "id": 7157, "chembl_id": "CHEMBL1", "target_id": None, "score": 9},
+            "not an object", {"id": "CHEMBL2"}, {"name": ""}]
+    federation = shapeless_federation({"chembl.test": json_response({"results": rows})})
+    result = federation.search_entities_unified(
+        QuerySpec(kind="drug", text="TP53", sources=("chembl",)))
+    assert [(r.name, r.xrefs, r.rank) for r in result.records] == [
+        ("TP53", {"id": "7157", "chembl_id": "CHEMBL1"}, 0),
+        ("CHEMBL2", {"id": "CHEMBL2"}, 2),
+        ("", {}, 3)]
 
 
 def test_one_source_search_fetches_on_the_callers_thread():
@@ -530,7 +553,7 @@ def test_persist_writes_three_files(tmp_path):
 def test_persist_roundtrip(tmp_path):
     records = sample_records()
     manifest = persist_results(records, tmp_path)
-    loaded = load_records(manifest["json"])
+    loaded = json.loads(Path(manifest["json"]).read_text(encoding="utf-8"))
     assert len(loaded) == len(records)
     assert [r["name"] for r in loaded] == [r.name for r in records]
     assert [r["xrefs"] for r in loaded] == [r.xrefs for r in records]
@@ -539,7 +562,7 @@ def test_persist_roundtrip(tmp_path):
 def test_persist_empty_records(tmp_path):
     manifest = persist_results([], tmp_path)
     assert "0 results" in Path(manifest["md"]).read_text(encoding="utf-8")
-    assert load_records(manifest["json"]) == []
+    assert json.loads(Path(manifest["json"]).read_text(encoding="utf-8")) == []
 
 
 def test_persist_unwritable_directory(tmp_path):
