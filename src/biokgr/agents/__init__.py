@@ -1,5 +1,5 @@
 """Orchestrator state machine and budgeted breadth/depth research agents."""
-from biokgr.agents.plan import InvalidStep, PlanChecklist, PlanStep, update_plan
+from biokgr.agents.plan import PlanChecklist, PlanStep
 from biokgr.agents.actions import (
     Action,
     AgentReport,
@@ -23,10 +23,8 @@ from biokgr.agents.orchestrator import (
 )
 
 __all__ = [
-    "InvalidStep",
     "PlanChecklist",
     "PlanStep",
-    "update_plan",
     "Action",
     "AgentReport",
     "AnalyzeWorkspace",

@@ -28,8 +28,6 @@ class ResearchTask:
     def validate(self) -> None:
         if self.budget < 1:
             raise ValueError("task budget must be >= 1")
-        if self.mode not in ("breadth", "depth"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "depth" and not (self.seeds or self.description):
             raise ValueError("depth mode requires seeds or an initial query")
 
@@ -41,7 +39,6 @@ class AgentReport:
     files: list[tuple[str, str]] = dataclasses.field(default_factory=list)  # (path, description)
     findings: str = ""
     key_entities: list[str] = dataclasses.field(default_factory=list)       # not rendered
-    invocations: int = 0
 
     def render(self) -> str:
         lines = ["# Files saved:"]

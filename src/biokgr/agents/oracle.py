@@ -118,7 +118,7 @@ class DefaultOracle:
                 )
             )
         if hint == "dfrs":
-            seeds = tuple(state.notes.get("candidates", ())[:3])
+            seeds = tuple(state.candidates[:3])
             return InvokeDFRS(
                 ResearchTask(
                     description=state.query,
@@ -129,20 +129,18 @@ class DefaultOracle:
                 )
             )
         if hint == "update_graph":
-            return UpdateGraph(self._batch_from_notes(state))
+            return UpdateGraph(self._batch_from_candidates(state))
         if hint == "retrieve_graph":
             return RetrieveGraph(seeds=tuple(sorted(tokenize(state.query)))[:3])
         if hint == "analyze":
-            return AnalyzeWorkspace(state.notes.get("analysis_spec", {
-                "op": "dedup", "input": "bfrs_screened.json", "key": "name",
-                "out": "bfrs_deduped.json",
-            }))
+            return AnalyzeWorkspace({"op": "dedup", "input": "bfrs_screened.json",
+                                     "key": "name", "out": "bfrs_deduped.json"})
         if hint == "finalize":
             return Finalize(answer=self._answer(state))
         return Halt(reason=f"no handler for plan hint {hint!r}")
 
-    def _batch_from_notes(self, state) -> MergeBatch:
-        candidates = list(state.notes.get("candidates", ()))[:8]
+    def _batch_from_candidates(self, state) -> MergeBatch:
+        candidates = state.candidates[:8]
         entities = tuple(
             EntityRef(name=name, kind="GENE_PROTEIN", source="federated-search")
             for name in candidates
@@ -157,7 +155,7 @@ class DefaultOracle:
 
     def _answer(self, state) -> str:
         stats = state.graph.stats()
-        top = ", ".join(list(state.notes.get("candidates", ()))[:5]) or "none"
+        top = ", ".join(state.candidates[:5]) or "none"
         return (
             f"Research complete for: {state.query}. Evidence graph holds "
             f"{stats['entities']} entities and {stats['relations']} relations. "

@@ -4,9 +4,9 @@
 subagent budgets (a subagent proposal with zero budget left coerces to
 Finalize; no proposal at all yields Halt) and appends its entry to the step
 log. `OrchestratorRunner.run` drives the full loop, executing actions,
-marking plan steps, persisting the step log (the transcript) and the
-evidence-graph snapshot into the run workspace, and closing the workspace,
-which writes its manifest, when the run ends or raises.
+closing plan steps through `PlanChecklist.mark`, persisting the step log (the
+transcript) and the evidence-graph snapshot into the run workspace, and
+closing the workspace, which writes its manifest, when the run ends or raises.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from biokgr.agents.actions import (
     action_to_dict,
 )
 from biokgr.agents.oracle import DefaultOracle
-from biokgr.agents.plan import PlanChecklist, update_plan
+from biokgr.agents.plan import PlanChecklist
 from biokgr.agents.research import run_bfrs, run_dfrs
 from biokgr.agents.workspace import AnalysisError, Workspace, run_analysis
 from biokgr.evidence import EvidenceGraphStore, EvidenceGraphError, export_graph
@@ -43,16 +43,12 @@ class OrchestratorState:
     workspace: Workspace
     graph: EvidenceGraphStore
     step_log: list = field(default_factory=list)   # append-only; the transcript
-    notes: dict = field(default_factory=dict)
+    candidates: list[str] = field(default_factory=list)  # sorted union of key entities
     answer: str | None = None
 
 
 def step_orchestrator(state: OrchestratorState, observation: str, oracle) -> Action:
     """One decision step: oracle proposal validated against budgets."""
-    for budget in state.budgets.values():
-        if budget < 0:
-            raise ValueError("budgets must never go negative")
-
     proposed = oracle.choose_action(state, observation)
     subagent = SUBAGENTS.get(type(proposed))
     extra = {}
@@ -92,6 +88,9 @@ class OrchestratorRunner:
         bfrs_budget: int = 2,
         dfrs_budget: int = 2,
     ):
+        for name, budget in (("bfrs_budget", bfrs_budget), ("dfrs_budget", dfrs_budget)):
+            if budget < 0:
+                raise ValueError(f"{name} must not be negative, got {budget}")
         self.federation = federation
         self.oracle = oracle or DefaultOracle()
         self.bfrs_budget = bfrs_budget
@@ -148,24 +147,23 @@ class OrchestratorRunner:
             kind, run_subagent = subagent
             report = run_subagent(action.task, self.federation, self.oracle, state.workspace)
             state.budgets[kind] -= 1
-            merged = sorted(set(state.notes.get("candidates", [])) | set(report.key_entities))
-            state.notes["candidates"] = merged
-            self._mark(state, kind)
+            state.candidates = sorted(set(state.candidates) | set(report.key_entities))
+            state.plan.mark(kind)
             return report.render()
         if isinstance(action, UpdateGraph):
             try:
                 report = state.graph.upsert_batch(action.batch)
             except EvidenceGraphError as exc:
-                self._mark(state, "update_graph", outcome="failed", note=str(exc))
+                state.plan.mark("update_graph", "failed", str(exc))
                 return f"graph update rejected: {exc}"
-            self._mark(state, "update_graph")
+            state.plan.mark("update_graph")
             return (
                 f"graph updated: created={report.created} merged={report.merged} "
                 f"relations={report.relations_added} rejected={report.rejected}"
             )
         if isinstance(action, RetrieveGraph):
             subgraph = state.graph.query_subgraph(list(action.seeds), action.depth)
-            self._mark(state, "retrieve_graph")
+            state.plan.mark("retrieve_graph")
             return (
                 f"retrieved subgraph: {len(subgraph['entities'])} entities, "
                 f"{len(subgraph['relations'])} relations"
@@ -174,26 +172,15 @@ class OrchestratorRunner:
             try:
                 out = run_analysis(state.workspace, action.spec)
             except AnalysisError as exc:
-                self._mark(state, "analyze", outcome="failed", note=str(exc))
+                state.plan.mark("analyze", "failed", str(exc))
                 return f"analysis failed: {exc}"
-            self._mark(state, "analyze")
+            state.plan.mark("analyze")
             return f"analysis wrote {out}"
         if isinstance(action, Finalize):
             state.answer = action.answer
-            for i, step in enumerate(state.plan.steps):
-                if step.status == "open" and step.hint == "finalize":
-                    update_plan(state.plan, i, "done")
+            while any(s.status == "open" and s.hint == "finalize" for s in state.plan.steps):
+                state.plan.mark("finalize")
             return "finalized"
         if isinstance(action, Halt):
             return f"halted: {action.reason}" if action.reason else "halted"
         raise TypeError(f"unknown action {action!r}")
-
-    @staticmethod
-    def _mark(state: OrchestratorState, hint: str, outcome: str = "done", note: str = "") -> None:
-        for i, step in enumerate(state.plan.steps):
-            if step.status == "open" and step.hint == hint:
-                update_plan(state.plan, i, outcome, note=note)
-                return
-        index = state.plan.first_open()
-        if index is not None and not state.plan.steps[index].hint:
-            update_plan(state.plan, index, outcome, note=note)

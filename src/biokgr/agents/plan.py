@@ -1,15 +1,12 @@
 """Plan checklists with checkbox rendering.
 
-Status transitions form a DAG: open->done and open->failed only. Failed steps
-carry a note.
+Steps close only through `PlanChecklist.mark`, which selects an open step, so
+a step goes open->done or open->failed once and never changes again. Failed
+steps carry a note.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-class InvalidStep(Exception):
-    pass
 
 
 @dataclass
@@ -30,6 +27,21 @@ class PlanChecklist:
                 return i
         return None
 
+    def mark(self, hint: str, outcome: str = "done", note: str = "") -> None:
+        """Close the first open step hinted `hint` as `outcome` ("done" or "failed").
+
+        With no such step, the first open step is closed when it has no hint;
+        otherwise nothing changes. A failed step keeps `note` as its reason.
+        """
+        open_steps = [step for step in self.steps if step.status == "open"]
+        step = next((s for s in open_steps if s.hint == hint), None)
+        if step is None and open_steps and not open_steps[0].hint:
+            step = open_steps[0]
+        if step is not None:
+            step.status = outcome
+            if outcome == "failed":
+                step.note = note or "unspecified failure"
+
     def render(self) -> str:
         marks = {"open": "[ ]", "done": "[v]", "failed": "[x]"}
         lines = []
@@ -44,27 +56,3 @@ class PlanChecklist:
 
     def signature(self) -> tuple:
         return tuple((s.status, s.text) for s in self.steps)
-
-
-def update_plan(
-    plan: PlanChecklist,
-    index: int,
-    outcome: str,
-    note: str = "",
-) -> PlanChecklist:
-    """Mark one step done or failed; a failed step keeps `note` as its reason."""
-    if not 0 <= index < len(plan.steps):
-        raise InvalidStep(f"step index {index} out of range")
-    if outcome not in ("done", "failed"):
-        raise InvalidStep(f"outcome must be done or failed, got {outcome!r}")
-    step = plan.steps[index]
-    if step.status == outcome:
-        return plan  # idempotent re-mark
-    if step.status != "open":
-        raise InvalidStep(
-            f"step {index} is {step.status}; only open steps can change status"
-        )
-    step.status = outcome
-    if outcome == "failed":
-        step.note = note or "unspecified failure"
-    return plan

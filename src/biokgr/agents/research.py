@@ -28,8 +28,6 @@ def run_bfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
     against the task target and persisted per source plus as a combined table.
     """
     task.validate()
-    if task.mode != "breadth":
-        raise ValueError(f"BFRS requires breadth mode, got {task.mode!r}")
 
     target = " ".join((task.description, *task.entities))
     spent = 0
@@ -75,8 +73,7 @@ def run_bfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
         + (f" ({len(failures)} source(s) failed)" if failures else "")
         + (f"; leading candidates: {', '.join(names[:4])}." if names else ".")
     )
-    return AgentReport(files=files, findings=findings, key_entities=names,
-                       invocations=spent)
+    return AgentReport(files=files, findings=findings, key_entities=names)
 
 
 def run_dfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> AgentReport:
@@ -88,8 +85,6 @@ def run_dfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
     exhaustion or when no frontier node scores above zero.
     """
     task.validate()
-    if task.mode != "depth":
-        raise ValueError(f"DFRS requires depth mode, got {task.mode!r}")
     seeds = task.seeds or (task.description,)
 
     frontier = sorted(set(seeds))
@@ -135,8 +130,7 @@ def run_dfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
         )
     else:
         findings = "No expansion: seeds matched nothing in the knowledge bases."
-    return AgentReport(files=files, findings=findings, key_entities=reached,
-                       invocations=spent)
+    return AgentReport(files=files, findings=findings, key_entities=reached)
 
 
 def _expand(federation, node: str) -> list[str]:

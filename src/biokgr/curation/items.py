@@ -2,7 +2,9 @@
 
 Options carry gain scores (2 best-supported, 1 partially valid, 0 distractor)
 and an item's answer set is exactly its gain-2 labels. Items serialize to one
-JSON object per line; every curator and the scoring harness share this schema.
+JSON object per line; every curator shares this schema. The scoring harness
+does not: `bench score` reads `BenchItem` rows (`family`, `answer_key`), not
+these (`task_type`, `answers`).
 """
 from __future__ import annotations
 

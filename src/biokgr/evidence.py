@@ -133,18 +133,25 @@ def normalize_curie(curie: str) -> str:
     return curie.lower()
 
 
+class _Refused(NamedTuple):
+    """A memoized `EmptyLabel`: only its message, so no traceback is kept."""
+
+    message: str
+
+
 class _Normalized:
     """Memo of `normalize_label` and `normalize_curie` for one store call.
 
     Both are pure functions of the string, so a string is normalized once
-    however often the call names it. An EmptyLabel is remembered and raised
-    again. Instances are local to one call and are never kept by the store.
+    however often the call names it. A refused label raises a fresh
+    EmptyLabel each time it is named. Instances are local to one call and are
+    never kept by the store.
     """
 
     __slots__ = ("_labels", "_curies")
 
     def __init__(self) -> None:
-        self._labels: dict[str, str | EmptyLabel] = {}
+        self._labels: dict[str, str | _Refused] = {}
         self._curies: dict[str, str] = {}
 
     def label(self, raw: str) -> str:
@@ -153,10 +160,10 @@ class _Normalized:
             try:
                 key = normalize_label(raw)
             except EmptyLabel as exc:
-                key = exc
+                key = _Refused(str(exc))
             self._labels[raw] = key
-        if isinstance(key, EmptyLabel):
-            raise key
+        if isinstance(key, _Refused):
+            raise EmptyLabel(key.message)
         return key
 
     def curie(self, raw: str) -> str:

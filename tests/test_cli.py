@@ -482,6 +482,16 @@ def test_research_run_with_mock_endpoints(runner, tmp_path, monkeypatch):
         server.stop()
 
 
+def test_research_run_refuses_a_negative_budget_before_making_its_workspace(runner, tmp_path):
+    result = runner.invoke(main, [
+        "research", "run", "--query", "TNF", "--bfrs-budget", "-1",
+        "--workspace", str(tmp_path / "ws"),
+    ], catch_exceptions=False)
+    assert not (tmp_path / "ws").exists()
+    assert result.exit_code == 1
+    assert result.output == "Error: bfrs_budget must not be negative, got -1\n"
+
+
 @pytest.mark.parametrize("route", ["none", "malformed"])
 def test_research_run_reports_an_unavailable_oracle_in_one_line(runner, tmp_path, route):
     # 404 and bad output both fail at once, so no backoff sleep runs

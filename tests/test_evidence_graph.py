@@ -395,6 +395,22 @@ def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
     assert memos and all(memo() is None for memo in memos)
 
 
+def test_a_batch_refused_for_a_blank_label_leaves_no_garbage_cycle():
+    store = EvidenceGraphStore()
+    refused = MergeBatch(entities=(gene("..."), gene("...")))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            try:
+                store.upsert_batch(refused)
+            except EmptyLabel:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- subgraph ----------------------------------------------------------------
 
 def make_small_store():

@@ -38,7 +38,7 @@ def test_merged_names_resolve_to_one_class():
 
 
 # the program's own invariants, which no outside input can break
-INVARIANT_ERRORS = {"ItemInvariantError", "InvalidStep", "NodeNotFound"}
+INVARIANT_ERRORS = {"ItemInvariantError", "NodeNotFound"}
 
 
 def test_every_other_exception_class_is_a_documented_failure():
