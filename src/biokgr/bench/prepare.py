@@ -6,21 +6,16 @@ Four deterministic filters, one per benchmark id:
   litqa2              seeded random sample of 25
   trialpanorama_eqa   strip study abstracts from context, keep most recent 50
 
-All filters are idempotent and output ids are a subset of input ids.
+All filters are idempotent and output ids are a subset of input ids. Each kept
+record becomes one item row, `{"id", "task_type", "question", "options",
+"answers", "metadata"}`, the layout every curator writes and `bench score`
+reads; `task_type` is the benchmark id.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
-from dataclasses import dataclass
 
-from biokgr import Error, field, read_jsonl, write_jsonl
-
-TASK_FAMILIES = (
-    "hle_med", "litqa2", "supergpqa_med_hard", "trialpanorama_eqa",
-    "target_id", "moa_pathway", "flux", "sample_size", "regimen", "surrogate",
-    "ebm_gap",
-)
+from biokgr import Error, field
 
 LITQA2_SAMPLE_SIZE = 25
 TRIALPANORAMA_KEEP = 50
@@ -42,57 +37,25 @@ class UnknownBenchmark(Error):
 
 
 class MissingField(Error):
-    """A raw export record or a bench item that lacks a field or holds one of the wrong type."""
+    """An export record or item row with a field absent or of the wrong type, or a repeated id."""
 
 
-@dataclass
-class BenchItem:
-    item_id: str
-    family: str
-    question: dict
-    answer_key: list  # single label, label set, or PMID set
-    metadata: dict = dataclasses.field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.family not in TASK_FAMILIES:
-            raise UnknownBenchmark(f"unknown task family {self.family!r}")
-        if not self.answer_key:
-            raise ValueError(f"item {self.item_id} has an empty answer key")
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.item_id,
-            "family": self.family,
-            "question": self.question,
-            "answer_key": list(self.answer_key),
-            "metadata": dict(self.metadata),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BenchItem":
-        """Raises ValueError naming a field that is absent or of the wrong type."""
-        return cls(
-            item_id=str(field(payload, "id", (str, int))),
-            family=field(payload, "family", str),
-            question=dict(field(payload, "question", dict)),
-            answer_key=list(field(payload, "answer_key", list)),
-            metadata=dict(field(payload, "metadata", dict, {})),
-        )
+def _item(record: dict, benchmark: str, filters: list[str]) -> dict:
+    item_id = str(field(record, "id", (str, int)))
+    question = field(record, "question", str)
+    # no other export field is copied: TrialPanorama's abstracts stay out, so answering
+    # requires search
+    options = field(record, "options", list, [])
+    answer = field(record, "answer", object)
+    answers = list(answer) if isinstance(answer, list) else [answer]
+    if not answers:
+        raise ValueError(f"{item_id!r} has an empty 'answer'")
+    return {"id": item_id, "task_type": benchmark, "question": question, "options": options,
+            "answers": answers,
+            "metadata": {"source_benchmark": benchmark, "filters": filters}}
 
 
-def _item(record: dict, family: str, question: dict, answers, filters: list[str]) -> BenchItem:
-    item = BenchItem(
-        item_id=str(field(record, "id", (str, int))),
-        family=family,
-        question=question,
-        answer_key=list(answers) if isinstance(answers, (list, tuple, set)) else [answers],
-        metadata={"source_benchmark": family, "filters": filters},
-    )
-    item.validate()
-    return item
-
-
-def prepare_dataset(records: list[dict], benchmark: str, seed: int = 0) -> list[BenchItem]:
+def prepare_dataset(records: list[dict], benchmark: str, seed: int = 0) -> list[dict]:
     """Apply one benchmark's filter to its raw export records; MissingField if one is malformed."""
     try:
         return _select(records, benchmark, seed)
@@ -100,48 +63,28 @@ def prepare_dataset(records: list[dict], benchmark: str, seed: int = 0) -> list[
         raise MissingField(f"{benchmark} record {exc}") from exc
 
 
-def _select(records: list[dict], benchmark: str, seed: int) -> list[BenchItem]:
+def _select(records: list[dict], benchmark: str, seed: int) -> list[dict]:
     if benchmark == "hle_med":
         filters = ["subject == Medicine", "no image required"]
         kept = [
             r for r in records
             if field(r, "subject", str) == "Medicine" and not r.get("image")
         ]
-        return [
-            _item(r, benchmark, {"text": field(r, "question", str)},
-                  field(r, "answer", object), filters)
-            for r in kept
-        ]
-
-    if benchmark == "supergpqa_med_hard":
+    elif benchmark == "supergpqa_med_hard":
         filters = ["difficulty == Hard", "field == Clinical Medicine"]
         kept = [
             r for r in records
             if field(r, "difficulty", str) == "Hard"
             and field(r, "field", str) == "Clinical Medicine"
         ]
-        return [
-            _item(r, benchmark,
-                  {"text": field(r, "question", str), "options": r.get("options", [])},
-                  field(r, "answer", object), filters)
-            for r in kept
-        ]
-
-    if benchmark == "litqa2":
+    elif benchmark == "litqa2":
         filters = [f"seeded sample of {LITQA2_SAMPLE_SIZE}"]
-        pool = sorted(records, key=lambda r: str(field(r, "id", (str, int))))
+        kept = sorted(records, key=lambda r: str(field(r, "id", (str, int))))
         rng = random.Random(seed)
-        if len(pool) > LITQA2_SAMPLE_SIZE:
-            pool = rng.sample(pool, LITQA2_SAMPLE_SIZE)
-            pool.sort(key=lambda r: str(r["id"]))
-        return [
-            _item(r, benchmark,
-                  {"text": field(r, "question", str), "options": r.get("options", [])},
-                  field(r, "answer", object), filters)
-            for r in pool
-        ]
-
-    if benchmark == "trialpanorama_eqa":
+        if len(kept) > LITQA2_SAMPLE_SIZE:
+            kept = rng.sample(kept, LITQA2_SAMPLE_SIZE)
+            kept.sort(key=lambda r: str(r["id"]))
+    elif benchmark == "trialpanorama_eqa":
         filters = ["abstracts stripped", f"most recent {TRIALPANORAMA_KEEP}"]
         ordered = sorted(
             records,
@@ -149,23 +92,6 @@ def _select(records: list[dict], benchmark: str, seed: int) -> list[BenchItem]:
             reverse=True,
         )
         kept = ordered[:TRIALPANORAMA_KEEP]
-        items = []
-        for r in kept:
-            question = {"text": field(r, "question", str), "options": r.get("options", [])}
-            # the abstracts stay out of the payload so answering requires search
-            items.append(_item(r, benchmark, question, field(r, "answer", object), filters))
-        return items
-
-    raise UnknownBenchmark(f"no preparation rule for benchmark {benchmark!r}")
-
-
-def write_bench_items(items: list[BenchItem], path) -> None:
-    write_jsonl(path, (item.to_dict() for item in items))
-
-
-def read_bench_items(path) -> list[BenchItem]:
-    """Raises MissingField naming the file and row of a line that is not a bench item."""
-    try:
-        return read_jsonl(path, BenchItem.from_dict)
-    except ValueError as exc:
-        raise MissingField(str(exc)) from exc
+    else:
+        raise UnknownBenchmark(f"no preparation rule for benchmark {benchmark!r}")
+    return [_item(r, benchmark, filters) for r in kept]

@@ -1,12 +1,15 @@
 """Uniform scoring of predictions over all task families.
 
-Single-answer items score exact-match 0/1; multi-answer items score
-precision/recall/F1 against the label set; EBM gap items delegate to the gap
-curator's recall@30 scoring. Unparseable predictions degrade to zero with a
-malformed flag rather than erroring. A family whose items are all
-single-answer aggregates to accuracy; one with any multi-answer item to mean
-precision, recall and F1, where an exact-match item counts its score as all
-three, so the aggregate does not depend on item order.
+Items are the rows every curator and `bench prepare` write, `{"id",
+"task_type", "question", "options", "answers", "metadata"}`; an item's
+family is its `task_type`. Single-answer items score exact-match 0/1;
+multi-answer items score precision/recall/F1 against the label set; EBM gap
+items (`ebm_gap`, whose answers are PMIDs) delegate to the gap curator's
+recall@30 scoring. Unparseable predictions degrade to zero with a malformed
+flag rather than erroring. A family whose items are all single-answer
+aggregates to accuracy; one with any multi-answer item to mean precision,
+recall and F1, where an exact-match item counts its score as all three, so
+the aggregate does not depend on item order.
 """
 from __future__ import annotations
 
@@ -15,10 +18,10 @@ import os
 from dataclasses import dataclass
 
 from biokgr import Error, WorkspaceUnavailable, field, read_jsonl, write_jsonl, writing
-from biokgr.bench.prepare import BenchItem
+from biokgr.bench.prepare import MissingField
 from biokgr.curation import ebm
 
-MULTI_ANSWER_FAMILIES = {"target_id", "moa_pathway", "flux", "surrogate"}
+MULTI_ANSWER_FAMILIES = {"target_id", "flux", "surrogate"}
 EBM_FAMILY = "ebm_gap"
 
 
@@ -61,10 +64,39 @@ def parse_pmids(prediction) -> list[int]:
     return pmids
 
 
-def score_item(item: BenchItem, prediction) -> dict:
-    """Score one prediction; malformed input scores zero with a flag."""
-    if item.family == EBM_FAMILY:
-        truth = frozenset(int(p) for p in item.answer_key)
+def read_items(path) -> list[dict]:
+    """The item rows of a JSON-lines file.
+
+    Raises MissingField naming the file and row of a line that is not JSON,
+    whose `id` is not a string or integer or repeats an earlier row's, whose
+    `task_type` or `question` is not a string, or whose `answers` is not a
+    non-empty list (of integers, for `ebm_gap`).
+    """
+    seen: set[str] = set()
+
+    def read(row):
+        item_id = str(field(row, "id", (str, int)))
+        task_type = field(row, "task_type", str)
+        field(row, "question", str)
+        answers = field(row, "answers", list, of=int if task_type == EBM_FAMILY else object)
+        if not answers:
+            raise ValueError("field 'answers' is empty")
+        if item_id in seen:
+            raise ValueError(f"repeats id {item_id!r}")
+        seen.add(item_id)
+        return row
+
+    try:
+        return read_jsonl(path, read)
+    except ValueError as exc:
+        raise MissingField(str(exc)) from exc
+
+
+def score_item(item: dict, prediction) -> dict:
+    """Score one prediction against an item row; malformed input scores zero with a flag."""
+    family = item["task_type"]
+    if family == EBM_FAMILY:
+        truth = frozenset(item["answers"])
         ranked = parse_pmids(prediction)
         if not ranked:
             return {"score": 0.0, "gap_detected": False, "recall_at_k": 0.0,
@@ -74,14 +106,14 @@ def score_item(item: BenchItem, prediction) -> dict:
                 "recall_at_k": result["recall_at_k"], "malformed": False}
 
     predicted = _parse_labels(prediction)
-    key = [str(k).strip().upper() for k in item.answer_key]
+    key = [str(k).strip().upper() for k in item["answers"]]
     if not predicted:
         base = {"score": 0.0, "malformed": True}
-        if item.family in MULTI_ANSWER_FAMILIES or len(key) > 1:
+        if family in MULTI_ANSWER_FAMILIES or len(key) > 1:
             base.update({"precision": 0.0, "recall": 0.0, "f1": 0.0})
         return base
 
-    if item.family in MULTI_ANSWER_FAMILIES or len(key) > 1:
+    if family in MULTI_ANSWER_FAMILIES or len(key) > 1:
         predicted_set, key_set = set(predicted), set(key)
         hit = len(predicted_set & key_set)
         precision = hit / len(predicted_set) if predicted_set else 0.0
@@ -103,20 +135,21 @@ def load_predictions(path) -> dict:
         raise MalformedPrediction(str(exc)) from exc
 
 
-def run_suite(items: list[BenchItem], predictions: dict) -> SuiteReport:
-    """Score every item and compute per-family aggregates."""
-    known_ids = {item.item_id for item in items}
+def run_suite(items: list[dict], predictions: dict) -> SuiteReport:
+    """Score every item row and compute per-family aggregates."""
+    known_ids = {str(item["id"]) for item in items}
     for pred_id in predictions:
         if pred_id not in known_ids:
             raise UnmatchedItemId(f"prediction references unknown item id {pred_id!r}")
 
     rows = []
     for item in items:
-        components = score_item(item, predictions.get(item.item_id))
+        item_id = str(item["id"])
+        components = score_item(item, predictions.get(item_id))
         rows.append({
-            "id": item.item_id,
-            "family": item.family,
-            "prediction": predictions.get(item.item_id),
+            "id": item_id,
+            "family": item["task_type"],
+            "prediction": predictions.get(item_id),
             **components,
         })
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Command groups: graph (evidence-graph snapshots), fetch (unified search),
-pathway (KGML parsing), curate (benchmark generation), score (EBM gap
-scoring), research (orchestrator runs), bench (open-benchmark prepare/score).
+pathway (KGML parsing), curate (benchmark generation), research (orchestrator
+runs), bench (open-benchmark prepare and scoring). Every `curate` command and
+`bench prepare` write item rows of one layout, which `bench score` reads.
 
 A documented failure is a `biokgr.Error` or a `ValueError` (malformed input
 files and replies, failed sources, oracles and workspaces). A documented
@@ -22,9 +23,9 @@ import click
 
 from biokgr import bench as bench_mod
 from biokgr import evidence
-from biokgr import Error, field, parse_jsonl, read_jsonl, read_text, writing
+from biokgr import Error, field, parse_jsonl, read_jsonl, read_text, write_jsonl, writing
 from biokgr.agents import DefaultOracle, HttpOracle, OrchestratorRunner
-from biokgr.bench.scoring import load_predictions, parse_pmids, run_suite, write_report
+from biokgr.bench.scoring import load_predictions, read_items, run_suite, write_report
 from biokgr.curation import ebm
 from biokgr.curation.items import write_items_jsonl
 from biokgr.curation.regimen import (
@@ -331,48 +332,10 @@ def curate_ebm(reviews_dir, out_path):
         with _skipping(path):
             versions.append(ebm.parse_review_version(read_text(path)))
     tasks, unpaired = ebm.pair_versions(versions)
-    ebm.write_gap_tasks(tasks, out_path)
+    write_items_jsonl(tasks, out_path)
     if unpaired:
         click.echo(f"unpaired base DOIs: {', '.join(unpaired)}", err=True)
     click.echo(f"wrote {len(tasks)} gap tasks to {out_path}")
-
-
-# -- score ---------------------------------------------------------------------------
-
-
-@main.group()
-def score():
-    """Prediction scoring."""
-
-
-@score.command("ebm")
-@click.option("--tasks", "tasks_path", required=True, type=click.Path(exists=True))
-@click.option("--predictions", "preds_path", required=True, type=click.Path(exists=True),
-              help="JSONL rows: {base_doi, ranked: [PMIDs...]}")
-@click.option("--k", default=30, show_default=True)
-def score_ebm(tasks_path, preds_path, k):
-    tasks = read_jsonl(tasks_path, lambda row: (field(row, "base_doi", str),
-                                                field(row, "truth", list, of=int)))
-    predictions = dict(read_jsonl(preds_path, lambda row: (
-        field(row, "base_doi", str), field(row, "ranked", (list, str), []))))
-    results = []
-    for base_doi, truth in tasks:
-        ranked = parse_pmids(predictions.get(base_doi, []))
-        if not ranked:
-            results.append({"base_doi": base_doi, "gap_detected": False, "recall_at_k": 0.0})
-            continue
-        outcome = ebm.score_predictions(ranked, frozenset(truth), k=k)
-        results.append({"base_doi": base_doi, **outcome})
-    if not results:
-        raise click.ClickException("no tasks to score")
-    gap_rate = sum(r["gap_detected"] for r in results) / len(results)
-    mean_recall = sum(r["recall_at_k"] for r in results) / len(results)
-    click.echo(json.dumps({
-        "tasks": len(results),
-        "gap_detection_rate": gap_rate,
-        f"mean_recall_at_{k}": mean_recall,
-        "per_task": results,
-    }, indent=2, sort_keys=True))
 
 
 # -- research ---------------------------------------------------------------------------
@@ -428,7 +391,7 @@ def bench_prepare(benchmark, in_path, out_path, seed):
     text = read_text(in_path)
     records = json.loads(text) if text.lstrip().startswith("[") else parse_jsonl(text, in_path)
     items = bench_mod.prepare_dataset(records, benchmark, seed=seed)
-    bench_mod.write_bench_items(items, out_path)
+    write_jsonl(out_path, items)
     expected = bench_mod.EXPECTED_SNAPSHOT_COUNTS.get(benchmark)
     note = "" if expected is None else f" (snapshot expectation: {expected})"
     click.echo(f"wrote {len(items)} {benchmark} items to {out_path}{note}")
@@ -439,8 +402,7 @@ def bench_prepare(benchmark, in_path, out_path, seed):
 @click.option("--predictions", "preds_path", required=True, type=click.Path(exists=True))
 @click.option("--report", "report_dir", required=True)
 def bench_score(items_path, preds_path, report_dir):
-    items = bench_mod.read_bench_items(items_path)
-    report = run_suite(items, load_predictions(preds_path))
+    report = run_suite(read_items(items_path), load_predictions(preds_path))
     paths = write_report(report, report_dir)
     click.echo(json.dumps(report.aggregates, indent=2, sort_keys=True))
     click.echo(f"report: {paths['jsonl']}, {paths['md']}", err=True)

@@ -2,8 +2,9 @@
 
 Review versions sharing a base DOI are paired (each with its immediately
 preceding version); the ground truth for a pair is the set of study PMIDs
-included in the newer version but not the older one. Predictions are scored
-by gap detection (any truth PMID in the top k) and recall@k.
+included in the newer version but not the older one. A task is written as an
+`ebm_gap` item row keyed by the newer version's DOI, and predictions are
+scored by gap detection (any truth PMID in the top k) and recall@k.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from biokgr import Error, write_jsonl
+from biokgr import Error
 
 logger = logging.getLogger(__name__)
 
@@ -51,22 +52,21 @@ class GapTask:
     newer: ReviewVersion
     truth: frozenset = field(default_factory=frozenset)
 
-    def context(self) -> dict:
-        """What the solver sees: the newer version's framing plus the prior inclusions."""
-        return {
-            "title": self.newer.title,
-            "objectives": self.newer.objectives,
-            "selection_criteria": self.newer.selection_criteria,
-            "outcomes": self.newer.outcomes,
-            "prior_included": sorted(self.older.included),
-        }
-
     def to_dict(self) -> dict:
+        """The task as an item row: the newer version's framing and the prior inclusions."""
         return {
-            "base_doi": self.base_doi,
-            "context": self.context(),
-            "prior_included": sorted(self.older.included),
-            "truth": sorted(self.truth),
+            "id": self.newer.version_doi,
+            "task_type": "ebm_gap",
+            "question": self.newer.title,
+            "options": [],
+            "answers": sorted(self.truth),
+            "metadata": {
+                "base_doi": self.base_doi,
+                "objectives": self.newer.objectives,
+                "selection_criteria": self.newer.selection_criteria,
+                "outcomes": self.newer.outcomes,
+                "prior_included": sorted(self.older.included),
+            },
         }
 
 
@@ -224,7 +224,3 @@ def score_predictions(
         "hits": hits,
         "k": k,
     }
-
-
-def write_gap_tasks(tasks: list[GapTask], path) -> None:
-    write_jsonl(path, (task.to_dict() for task in tasks))

@@ -2,9 +2,9 @@
 
 Options carry gain scores (2 best-supported, 1 partially valid, 0 distractor)
 and an item's answer set is exactly its gain-2 labels. Items serialize to one
-JSON object per line; every curator shares this schema. The scoring harness
-does not: `bench score` reads `BenchItem` rows (`family`, `answer_key`), not
-these (`task_type`, `answers`).
+JSON object per line, `{"id", "task_type", "question", "options", "answers",
+"metadata"}`: the one item layout, which the EBM gap tasks and `bench prepare`
+also write and `bench score` reads.
 """
 from __future__ import annotations
 
@@ -93,5 +93,6 @@ def finalize_item(
     return item
 
 
-def write_items_jsonl(items: list[McqItem], path) -> None:
+def write_items_jsonl(items, path) -> None:
+    """Write each item's `to_dict()` row (an `McqItem` or an EBM `GapTask`) as one JSON line."""
     write_jsonl(path, (item.to_dict() for item in items))

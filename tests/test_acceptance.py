@@ -192,7 +192,7 @@ def test_criterion_2_fixture_reproduction():
     ))
     tasks, _ = pair_versions([older, newer])
     assert tasks[0].truth == frozenset({30994898, 20379742, 31209158})
-    assert set(tasks[0].context()["prior_included"]) == older.included
+    assert set(tasks[0].to_dict()["metadata"]["prior_included"]) == older.included
 
     _pass(2, "all six reference fixture patterns reproduced")
 
@@ -627,27 +627,27 @@ def test_criterion_8_benchmark_preparation():
         # snapshot count expectation (synthetic stand-ins shaped like the
         # calibration snapshots; recorded expectation, see EXPECTED_SNAPSHOT_COUNTS)
         assert len(items) == EXPECTED_SNAPSHOT_COUNTS[benchmark]
-        ids = {i.item_id for i in items}
+        ids = {i["id"] for i in items}
         assert ids <= {str(r["id"]) for r in records}
         # idempotence: re-filtering the kept records reproduces the subset
         kept_records = [r for r in records if str(r["id"]) in ids]
         again = prepare_dataset(kept_records, benchmark, seed=7)
-        assert {i.item_id for i in again} == ids
+        assert {i["id"] for i in again} == ids
 
     # litqa2 seed reproducibility
     a = prepare_dataset(snapshots["litqa2"], "litqa2", seed=7)
     b = prepare_dataset(snapshots["litqa2"], "litqa2", seed=7)
-    assert [i.item_id for i in a] == [i.item_id for i in b]
+    assert [i["id"] for i in a] == [i["id"] for i in b]
 
     # no abstract text survives into any trialpanorama payload
     tp_records = snapshots["trialpanorama_eqa"]
     items = prepare_dataset(tp_records, "trialpanorama_eqa", seed=7)
-    by_id = {i.item_id: i for i in items}
+    by_id = {i["id"]: i for i in items}
     for record in tp_records:
         item = by_id.get(str(record["id"]))
         if item is None:
             continue
-        payload = json.dumps(item.question) + json.dumps(item.metadata)
+        payload = json.dumps(item)
         for abstract in record["abstracts"]:
             assert abstract not in payload
             assert "UNIQUEABSTRACTTEXT" + record["id"].split("-")[1] not in payload

@@ -4,17 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from biokgr import write_jsonl
 from biokgr.bench import (
     EXPECTED_SNAPSHOT_COUNTS,
-    BenchItem,
     MissingField,
     UnknownBenchmark,
     load_predictions,
     prepare_dataset,
-    read_bench_items,
+    read_items,
     run_suite,
     score_item,
-    write_bench_items,
 )
 from biokgr.bench.scoring import UnmatchedItemId, write_report
 
@@ -73,7 +72,7 @@ def trialpanorama_snapshot(n=80):
 def test_hle_filter_counts():
     items = prepare_dataset(hle_snapshot(), "hle_med")
     assert len(items) == EXPECTED_SNAPSHOT_COUNTS["hle_med"]
-    assert all(i.family == "hle_med" for i in items)
+    assert all(i["task_type"] == "hle_med" for i in items)
 
 
 def test_supergpqa_filter_counts():
@@ -86,8 +85,8 @@ def test_litqa2_seeded_sample():
     again = prepare_dataset(litqa2_snapshot(), "litqa2", seed=13)
     other = prepare_dataset(litqa2_snapshot(), "litqa2", seed=14)
     assert len(items) == EXPECTED_SNAPSHOT_COUNTS["litqa2"]
-    assert [i.item_id for i in items] == [i.item_id for i in again]
-    assert [i.item_id for i in items] != [i.item_id for i in other]
+    assert [i["id"] for i in items] == [i["id"] for i in again]
+    assert [i["id"] for i in items] != [i["id"] for i in other]
 
 
 def test_trialpanorama_keeps_most_recent_50():
@@ -98,11 +97,11 @@ def test_trialpanorama_keeps_most_recent_50():
 def test_trialpanorama_strips_abstracts():
     records = trialpanorama_snapshot()
     items = prepare_dataset(records, "trialpanorama_eqa")
-    kept_ids = {i.item_id for i in items}
+    kept_ids = {i["id"] for i in items}
     for record in records:
         if record["id"] not in kept_ids:
             continue
-        payload = json.dumps(next(i for i in items if i.item_id == record["id"]).question)
+        payload = json.dumps(next(i for i in items if i["id"] == record["id"]))
         for abstract in record["abstracts"]:
             assert abstract not in payload
             assert abstract.split()[0] not in payload
@@ -111,12 +110,12 @@ def test_trialpanorama_strips_abstracts():
 def test_filters_idempotent_and_subset():
     records = hle_snapshot()
     items = prepare_dataset(records, "hle_med")
-    ids = {i.item_id for i in items}
+    ids = {i["id"] for i in items}
     assert ids <= {r["id"] for r in records}
     # feeding the kept records back through changes nothing
     kept_records = [r for r in records if r["id"] in ids]
     again = prepare_dataset(kept_records, "hle_med")
-    assert {i.item_id for i in again} == ids
+    assert {i["id"] for i in again} == ids
 
 
 def test_unknown_benchmark_and_missing_field():
@@ -129,21 +128,24 @@ def test_unknown_benchmark_and_missing_field():
 def test_items_jsonl_roundtrip(tmp_path):
     items = prepare_dataset(hle_snapshot(), "hle_med")
     path = tmp_path / "items.jsonl"
-    write_bench_items(items, path)
-    loaded = read_bench_items(path)
-    assert [i.to_dict() for i in loaded] == [i.to_dict() for i in items]
+    write_jsonl(path, items)
+    loaded = read_items(path)
+    assert loaded == items
 
 
 # -- scoring -----------------------------------------------------------------------
 
+def row(item_id, task_type, answers):
+    return {"id": item_id, "task_type": task_type, "question": "q", "options": [],
+            "answers": list(answers), "metadata": {}}
+
+
 def single(item_id="s1", key="B"):
-    return BenchItem(item_id=item_id, family="hle_med", question={"text": "q"},
-                     answer_key=[key])
+    return row(item_id, "hle_med", [key])
 
 
 def multi(item_id="m1", key=("B", "C", "H")):
-    return BenchItem(item_id=item_id, family="surrogate", question={"text": "q"},
-                     answer_key=list(key))
+    return row(item_id, "surrogate", key)
 
 
 def test_single_answer_exact_match():
@@ -172,8 +174,7 @@ def test_empty_prediction_flagged():
 
 
 def test_ebm_scoring_delegates():
-    item = BenchItem(item_id="e1", family="ebm_gap", question={},
-                     answer_key=[100, 200, 300, 400])
+    item = row("e1", "ebm_gap", [100, 200, 300, 400])
     result = score_item(item, ["PMID:100", "999", "200"])
     assert result["gap_detected"] is True
     assert result["recall_at_k"] == pytest.approx(0.5)
@@ -202,8 +203,7 @@ def test_aggregates_equal_row_means():
 
 @pytest.mark.parametrize("first", ["single", "multi"])
 def test_a_family_mixing_single_and_multi_answer_items_aggregates_by_f1(first):
-    items = [single("s1", key="A"), BenchItem(item_id="m1", family="hle_med",
-                                              question={"text": "q"}, answer_key=["A", "B"])]
+    items = [single("s1", key="A"), row("m1", "hle_med", ["A", "B"])]
     items = items if first == "single" else items[::-1]
     exact = run_suite(items, {"s1": "A", "m1": "A,B"})
     assert exact.aggregates["hle_med"] == {

@@ -18,6 +18,7 @@ from biokgr.federation.mockserver import FixtureServer
 from corpusgen import make_review_xml, regimen_corpus
 from fedmock import json_response, text_response
 from kgmlgen import egfr_cancer_kgml, pde4_inflammation_kgml, shmt2_flux_kgml, ulcerative_colitis_kgml
+from test_bench import hle_snapshot
 from test_pathway_graph import NERANDOMILAST
 
 
@@ -211,35 +212,36 @@ def test_curate_and_score_ebm(runner, tmp_path):
     tasks = tmp_path / "gap_tasks.jsonl"
     invoke(runner, ["curate", "ebm", "--reviews", str(reviews), "--out", str(tasks)])
     rows = [json.loads(l) for l in tasks.read_text().splitlines()]
-    assert rows[0]["truth"] == [300, 400]
+    assert rows[0]["answers"] == [300, 400]
 
     predictions = tmp_path / "preds.jsonl"
-    # entries that are not PMIDs are skipped, as `bench score` skips them
+    # entries that are not PMIDs are skipped
     for ranked in ([300, 999], ["PMID:300", "n/a", None, "999"]):
-        predictions.write_text(json.dumps({"base_doi": base, "ranked": ranked}) + "\n")
-        result = invoke(runner, ["score", "ebm", "--tasks", str(tasks),
-                                 "--predictions", str(predictions)])
-        payload = json.loads(result.output)
+        predictions.write_text(json.dumps({"id": f"{base}.pub4", "prediction": ranked}) + "\n")
+        result = invoke(runner, ["bench", "score", "--items", str(tasks), "--predictions",
+                                 str(predictions), "--report", str(tmp_path / "report")])
+        payload = json.loads(result.output.split("report:")[0])["ebm_gap"]
         assert payload["gap_detection_rate"] == 1.0
         assert payload["mean_recall_at_30"] == 0.5
 
 
-@pytest.mark.parametrize("task, prediction, missing", [
-    ({"base_doi": "10.1/a", "truth": [1]}, {"ranked": [1]}, "preds.jsonl row 1 lacks 'base_doi'"),
-    ({"truth": [1]}, {"base_doi": "10.1/a", "ranked": [1]}, "tasks.jsonl row 1 lacks 'base_doi'"),
-    ({"base_doi": "10.1/a"}, {"base_doi": "10.1/a", "ranked": [1]},
-     "tasks.jsonl row 1 lacks 'truth'"),
-], ids=["prediction-without-doi", "task-without-doi", "task-without-truth"])
-def test_score_ebm_reports_a_row_without_a_field_in_one_line(runner, tmp_path, task,
-                                                             prediction, missing):
-    tasks, predictions = tmp_path / "tasks.jsonl", tmp_path / "preds.jsonl"
-    tasks.write_text(json.dumps(task) + "\n")
-    predictions.write_text(json.dumps(prediction) + "\n")
-    result = runner.invoke(main, ["score", "ebm", "--tasks", str(tasks),
-                                  "--predictions", str(predictions)], catch_exceptions=False)
-    assert result.exit_code != 0
-    assert result.output.startswith("Error: ") and missing in result.output
-    assert result.output.count("\n") == 1
+def test_each_gap_task_of_a_review_is_scored_under_its_own_version(runner, tmp_path):
+    reviews = tmp_path / "reviews"
+    reviews.mkdir()
+    base = "10.1002/14651858.CD000259"
+    for version in (1, 2, 3):
+        (reviews / f"v{version}.xml").write_text(make_review_xml(
+            f"{base}.pub{version}", version, "Review", "Objectives", "Criteria", "Results",
+            included=[100 * n for n in range(1, version + 1)],
+        ))
+    tasks, predictions = tmp_path / "gap_tasks.jsonl", tmp_path / "preds.jsonl"
+    invoke(runner, ["curate", "ebm", "--reviews", str(reviews), "--out", str(tasks)])
+    predictions.write_text(json.dumps({"id": f"{base}.pub2", "prediction": [200]}) + "\n"
+                           + json.dumps({"id": f"{base}.pub3", "prediction": [300]}) + "\n")
+    result = invoke(runner, ["bench", "score", "--items", str(tasks), "--predictions",
+                             str(predictions), "--report", str(tmp_path / "report")])
+    assert json.loads(result.output.split("report:")[0])["ebm_gap"] == {
+        "n": 2, "gap_detection_rate": 1.0, "mean_recall_at_30": 1.0}
 
 
 def test_bench_prepare_and_score(runner, tmp_path):
@@ -304,11 +306,10 @@ def test_bench_score_reports_a_malformed_prediction_in_one_line(runner, tmp_path
     assert result.output.count("\n") == 1
 
 
-ITEM = {"id": "x", "family": "hle_med", "question": {"text": "q"}, "answer_key": ["A"]}
-TASK = {"base_doi": "10.1/a", "truth": [1]}
+ITEM = {"id": "x", "task_type": "hle_med", "question": "q", "answers": ["A"]}
+GAP = {"id": "10.1/a.pub2", "task_type": "ebm_gap", "question": "q", "answers": [1]}
 BENCH_SCORE = ["bench", "score", "--items", "items.jsonl", "--predictions", "preds.jsonl",
                "--report", "report"]
-SCORE_EBM = ["score", "ebm", "--tasks", "tasks.jsonl", "--predictions", "preds.jsonl"]
 REGIMEN = ["curate", "regimen", "--corpus", "corpus.json", "--out", "items.jsonl"]
 
 
@@ -321,10 +322,10 @@ DIRECTORY = None  # in a case's files: make a directory where the command expect
 # one malformed or unreadable input file or unwritable output path per case; each must end its
 # command in one `Error:` line
 MALFORMED_INPUTS = {
-    "bench-item-without-family": (
-        BENCH_SCORE, {"items.jsonl": _rows({k: v for k, v in ITEM.items() if k != "family"}),
+    "bench-item-without-task-type": (
+        BENCH_SCORE, {"items.jsonl": _rows({k: v for k, v in ITEM.items() if k != "task_type"}),
                       "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
-        "items.jsonl row 1 lacks 'family'"),
+        "items.jsonl row 1 lacks 'task_type'"),
     "bench-item-a-list": (
         BENCH_SCORE, {"items.jsonl": _rows(["x", "hle_med"]),
                       "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
@@ -333,10 +334,18 @@ MALFORMED_INPUTS = {
         BENCH_SCORE, {"items.jsonl": _rows(ITEM, "{not json\n"),
                       "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
         "items.jsonl row 2 is not JSON"),
-    "bench-item-string-question": (
-        BENCH_SCORE, {"items.jsonl": _rows({**ITEM, "question": "q"}),
+    "bench-item-question-not-a-string": (
+        BENCH_SCORE, {"items.jsonl": _rows({**ITEM, "question": {"text": "q"}}),
                       "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
-        "items.jsonl row 1 field 'question' is not dict"),
+        "items.jsonl row 1 field 'question' is not str"),
+    "bench-item-answers-empty": (
+        BENCH_SCORE, {"items.jsonl": _rows({**ITEM, "answers": []}),
+                      "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
+        "items.jsonl row 1 field 'answers' is empty"),
+    "bench-item-repeated-id": (
+        BENCH_SCORE, {"items.jsonl": _rows(ITEM, {**ITEM, "answers": ["B"]}),
+                      "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
+        "items.jsonl row 2 repeats id 'x'"),
     "bench-export-without-id": (
         ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.json", "--out", "items.jsonl"],
         {"raw.json": json.dumps([{"subject": "Medicine", "question": "q", "answer": "A"}])},
@@ -345,6 +354,15 @@ MALFORMED_INPUTS = {
         ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.json", "--out", "items.jsonl"],
         {"raw.json": "[1, 2]"},
         "hle_med record lacks 'subject': 1 is not an object"),
+    "bench-export-options-not-a-list": (
+        ["bench", "prepare", "--benchmark", "litqa2", "--in", "raw.json", "--out", "items.jsonl"],
+        {"raw.json": json.dumps([{"id": "q1", "question": "q", "answer": "A",
+                                  "options": "A or B"}])},
+        "litqa2 record field 'options' is not list"),
+    "bench-export-answer-empty": (
+        ["bench", "prepare", "--benchmark", "litqa2", "--in", "raw.json", "--out", "items.jsonl"],
+        {"raw.json": json.dumps([{"id": "q1", "question": "q", "answer": []}])},
+        "litqa2 record 'q1' has an empty 'answer'"),
     "bench-export-row-not-json": (
         ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.jsonl", "--out", "items.jsonl"],
         {"raw.jsonl": _rows({"id": "q1", "subject": "Medicine", "question": "q", "answer": "A"},
@@ -388,12 +406,27 @@ MALFORMED_INPUTS = {
              "dose_ladder": [{"doses": {"A": 10, "B": True}}]}]}]})},
         "field 'doses' is not dict of int or float or NoneType"),
     "ebm-prediction-not-json": (
-        SCORE_EBM, {"tasks.jsonl": _rows(TASK), "preds.jsonl": "{not json\n"},
+        BENCH_SCORE, {"items.jsonl": _rows(GAP), "preds.jsonl": "{not json\n"},
         "preds.jsonl row 1 is not JSON"),
+    "ebm-prediction-without-id": (
+        BENCH_SCORE, {"items.jsonl": _rows(GAP), "preds.jsonl": _rows({"prediction": [1]})},
+        "preds.jsonl row 1 lacks 'id'"),
+    "ebm-item-without-id": (
+        BENCH_SCORE, {"items.jsonl": _rows({k: v for k, v in GAP.items() if k != "id"}),
+                      "preds.jsonl": _rows({"id": GAP["id"], "prediction": [1]})},
+        "items.jsonl row 1 lacks 'id'"),
+    "ebm-item-without-answers": (
+        BENCH_SCORE, {"items.jsonl": _rows({k: v for k, v in GAP.items() if k != "answers"}),
+                      "preds.jsonl": _rows({"id": GAP["id"], "prediction": [1]})},
+        "items.jsonl row 1 lacks 'answers'"),
     "ebm-truth-not-a-list": (
-        SCORE_EBM, {"tasks.jsonl": _rows({**TASK, "truth": 1}),
-                    "preds.jsonl": _rows({"base_doi": "10.1/a", "ranked": [1]})},
-        "tasks.jsonl row 1 field 'truth' is not list of int"),
+        BENCH_SCORE, {"items.jsonl": _rows({**GAP, "answers": 1}),
+                      "preds.jsonl": _rows({"id": GAP["id"], "prediction": [1]})},
+        "items.jsonl row 1 field 'answers' is not list of int"),
+    "ebm-answers-not-pmids": (
+        BENCH_SCORE, {"items.jsonl": _rows({**GAP, "answers": ["PMID:1"]}),
+                      "preds.jsonl": _rows({"id": GAP["id"], "prediction": [1]})},
+        "items.jsonl row 1 field 'answers' is not list of int"),
     "sample-size-truth-not-json": (
         ["curate", "sample-size", "--truths", "truths.jsonl", "--out", "items.jsonl"],
         {"truths.jsonl": _rows({"truth": 268}, "{not json\n")},
@@ -403,9 +436,9 @@ MALFORMED_INPUTS = {
         {"hsa04750.xml": ulcerative_colitis_kgml()[:300]},
         "XML parse failure at line"),
     "ebm-truth-empty": (
-        SCORE_EBM, {"tasks.jsonl": _rows({**TASK, "truth": []}),
-                    "preds.jsonl": _rows({"base_doi": "10.1/a", "ranked": [1]})},
-        "truth set is empty"),
+        BENCH_SCORE, {"items.jsonl": _rows({**GAP, "answers": []}),
+                      "preds.jsonl": _rows({"id": GAP["id"], "prediction": [1]})},
+        "items.jsonl row 1 field 'answers' is empty"),
     # a path under a regular file cannot be created, even by root
     "sample-size-out-unwritable": (
         ["curate", "sample-size", "--truths", "truths.jsonl", "--out", "blocker/items.jsonl"],
@@ -425,8 +458,8 @@ MALFORMED_INPUTS = {
         {"hsa04750.xml": DIRECTORY},
         "cannot read hsa04750.xml"),
     "ebm-tasks-a-directory": (
-        SCORE_EBM, {"tasks.jsonl": DIRECTORY, "preds.jsonl": _rows({"base_doi": "10.1/a"})},
-        "cannot read tasks.jsonl"),
+        BENCH_SCORE, {"items.jsonl": DIRECTORY, "preds.jsonl": _rows({"id": GAP["id"]})},
+        "cannot read items.jsonl"),
     "bench-predictions-a-directory": (
         BENCH_SCORE, {"items.jsonl": _rows(ITEM), "preds.jsonl": DIRECTORY},
         "cannot read preds.jsonl"),
@@ -454,6 +487,56 @@ def test_a_malformed_input_file_is_a_one_line_error(runner, tmp_path, monkeypatc
     assert result.exit_code == 1
     assert result.output.startswith("Error: ") and message in result.output
     assert result.output.count("\n") == 1
+
+
+REVIEW = "10.1002/14651858.CD000259"
+
+# each item writer's command, less `--out items.jsonl`, and the input files it reads
+ITEM_WRITERS = {
+    "curate-target-id": (
+        ["curate", "target-id", "--kgml-dir", "kgml", "--profile", "infection", "--seed", "42"],
+        {"kgml/hsa04750.xml": ulcerative_colitis_kgml()}),
+    "curate-flux": (
+        ["curate", "flux", "--kgml-dir", "kgml", "--target", "SHMT2", "--seed", "3"],
+        {"kgml/hsa00670.xml": shmt2_flux_kgml()}),
+    "curate-sample-size": (
+        ["curate", "sample-size", "--truths", "truths.jsonl", "--seed", "5"],
+        {"truths.jsonl": _rows({"id": "t1", "truth": 268, "condition": "Breast cancer"},
+                               {"truth": 120})}),
+    "curate-regimen": (
+        ["curate", "regimen", "--corpus", "corpus.json", "--seed", "1"],
+        {"corpus.json": json.dumps(regimen_corpus())}),
+    "curate-surrogate": (
+        ["curate", "surrogate", "--drugs", "drugs.txt", "--kgml-dir", "kgml", "--seed", "8"],
+        {"drugs.txt": NERANDOMILAST + "\n" + SECOND_DRUG,
+         "kgml/hsa04024.xml": pde4_inflammation_kgml(), "kgml/hsa05200.xml": egfr_cancer_kgml()}),
+    "curate-ebm": (
+        ["curate", "ebm", "--reviews", "reviews"],
+        {f"reviews/v{v}.xml": make_review_xml(f"{REVIEW}.pub{v}", v, "Review", "Objectives",
+                                              "Criteria", "Results", included=included)
+         for v, included in ((3, [100, 200]), (4, [100, 200, 300, 400]))}),
+    "bench-prepare": (
+        ["bench", "prepare", "--benchmark", "hle_med", "--in", "hle.json"],
+        {"hle.json": json.dumps(hle_snapshot())}),
+}
+
+
+@pytest.mark.parametrize("args, files", ITEM_WRITERS.values(), ids=ITEM_WRITERS.keys())
+def test_bench_score_reads_the_items_every_writer_writes(runner, tmp_path, monkeypatch, args,
+                                                         files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    invoke(runner, args + ["--out", "items.jsonl"])
+    items = [json.loads(line) for line in (tmp_path / "items.jsonl").read_text().splitlines()]
+    assert items
+    (tmp_path / "preds.jsonl").write_text(
+        _rows(*({"id": item["id"], "prediction": item["answers"]} for item in items)))
+    result = invoke(runner, BENCH_SCORE)
+    aggregates = json.loads(result.output.split("report:")[0])
+    assert sum(stats.pop("n") for stats in aggregates.values()) == len(items)
+    assert all(value == 1.0 for stats in aggregates.values() for value in stats.values())
 
 
 def test_research_run_with_mock_endpoints(runner, tmp_path, monkeypatch):

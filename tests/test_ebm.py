@@ -126,8 +126,8 @@ def test_pairing_computes_set_difference():
     assert len(tasks) == 1
     task = tasks[0]
     assert task.truth == frozenset({30994898, 20379742, 31209158})
-    assert set(task.context()["prior_included"]) == {8129501, 16389536, 15592551, 10166596}
-    assert "audit and feedback" in task.context()["objectives"].casefold()
+    assert set(task.to_dict()["metadata"]["prior_included"]) == {8129501, 16389536, 15592551, 10166596}
+    assert "audit and feedback" in task.to_dict()["metadata"]["objectives"].casefold()
 
 
 def test_pair_dropped_when_no_new_studies():
