@@ -60,6 +60,9 @@ def tokenize(text: str) -> set[str]:
 class DefaultOracle:
     """Deterministic planner and scorer; the reference pipeline driver."""
 
+    # the last target `score_relevance` saw, its tokens, and whether one is PMID-like
+    _target = (None, frozenset(), False)
+
     def __init__(self, knowledge_bases=("mygene", "kegg", "pubmed")):
         self.knowledge_bases = tuple(knowledge_bases)
 
@@ -87,15 +90,21 @@ class DefaultOracle:
         Exact token overlap is the base signal; a candidate carrying a
         publication identifier counts as half-relevant whenever the target is
         itself framed around publication identifiers (citation chains).
+
+        The subagents score many candidates against one target in a row, so
+        the oracle keeps the last target's tokens: a call with the same target
+        tokenizes only the candidate. The memo holds one target, never more.
         """
-        target_tokens = tokenize(target)
+        last, target_tokens, target_cites = self._target
+        if target != last:
+            target_tokens = tokenize(target)
+            target_cites = any(_PMID_TOKEN.match(t) for t in target_tokens)
+            self._target = (target, target_tokens, target_cites)
         if not target_tokens:
             return 0.0
         candidate_tokens = tokenize(candidate)
         score = min(1.0, len(candidate_tokens & target_tokens) / len(target_tokens))
-        if any(_PMID_TOKEN.match(t) for t in candidate_tokens) and any(
-            _PMID_TOKEN.match(t) for t in target_tokens
-        ):
+        if target_cites and any(_PMID_TOKEN.match(t) for t in candidate_tokens):
             score = max(score, 0.5)
         return score
 

@@ -9,7 +9,9 @@ the end of a `with` block, even one left by an exception). Files are read and
 written through `biokgr.read_text` and `biokgr.writing`, so each saved file
 and the manifest replace their previous contents atomically. Paths come from
 the oracle, possibly an outside service, so one that resolves outside the
-root is refused.
+root is refused. The root is resolved once, when the workspace opens; a plain
+relative path (no `..`) then costs one `lstat` per component, and only a path
+through a symlink, with a `..` or absolute is resolved in full.
 """
 from __future__ import annotations
 
@@ -17,7 +19,9 @@ import csv
 import io
 import json
 import logging
+import os
 import re
+import stat
 from pathlib import Path
 
 from biokgr import Error, WorkspaceUnavailable, field, read_text, writing
@@ -57,7 +61,7 @@ class Workspace:
     def close(self) -> None:
         """Write the manifest to `manifest.json`; raises `WorkspaceUnavailable`."""
         with writing(self._manifest_path) as fh:
-            json.dump(self.manifest(), fh, indent=2, sort_keys=True)
+            fh.write(json.dumps(self.manifest(), indent=2, sort_keys=True))
 
     # -- manifest ----------------------------------------------------------------
 
@@ -79,7 +83,25 @@ class Workspace:
         return self._path(relpath).exists()
 
     def _path(self, relpath: str) -> Path:
-        """`relpath` under the root; refused if it resolves outside (`..`, absolute, symlink)."""
+        """`(root / relpath).resolve()`; refused if outside the root (`..`, absolute, symlink).
+
+        A relative path without `..` whose components below the root are no
+        symlinks is that path under the resolved root, found with one `lstat`
+        per component (one that cannot be read is no symlink, as for
+        `resolve`). Any other path is resolved in full.
+        """
+        rel = Path(relpath)
+        if not rel.is_absolute() and ".." not in rel.parts:
+            path = str(self._resolved_root)
+            for part in rel.parts:
+                path = os.path.join(path, part)
+                try:
+                    if stat.S_ISLNK(os.lstat(path).st_mode):
+                        break
+                except OSError:
+                    pass
+            else:
+                return Path(path)
         path = (self.root / relpath).resolve()
         if not path.is_relative_to(self._resolved_root):
             raise WorkspaceUnavailable(f"{relpath!r} resolves outside the workspace {self.root}")
@@ -92,10 +114,11 @@ class Workspace:
 
     def save_text(self, relpath: str, text: str, description: str) -> str:
         path = self._path(relpath)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise WorkspaceUnavailable(f"cannot write {path}: {exc}") from exc
+        if path.parent != self._resolved_root:
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise WorkspaceUnavailable(f"cannot write {path}: {exc}") from exc
         with writing(path) as fh:
             fh.write(text)
         self.register(relpath, description)

@@ -46,8 +46,9 @@ def _item(record: dict, benchmark: str, filters: list[str]) -> dict:
     # no other export field is copied: TrialPanorama's abstracts stay out, so answering
     # requires search
     options = field(record, "options", list, [])
-    answer = field(record, "answer", object)
-    answers = list(answer) if isinstance(answer, list) else [answer]
+    answer = field(record, "answer", (str, int, list))
+    answers = (list(field(record, "answer", list, of=(str, int))) if isinstance(answer, list)
+               else [answer])
     if not answers:
         raise ValueError(f"{item_id!r} has an empty 'answer'")
     return {"id": item_id, "task_type": benchmark, "question": question, "options": options,

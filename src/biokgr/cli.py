@@ -198,6 +198,17 @@ def _skipping(name):
         logger.warning("skipping %s: %s", name, exc)
 
 
+def _add_item(items: dict, item) -> None:
+    """Keep `item` under its id; an id that an earlier input gave raises `ValueError`.
+
+    Two KGML files of one pathway give their items one id, which `bench score`
+    would refuse, so the later file is skipped.
+    """
+    if item.item_id in items:
+        raise ValueError(f"item id {item.item_id!r} repeats an earlier file's")
+    items[item.item_id] = item
+
+
 @main.group()
 def curate():
     """Benchmark task generation."""
@@ -211,15 +222,13 @@ def curate():
 @click.option("--option-count", default=10, show_default=True)
 @click.option("--out", "out_path", required=True)
 def curate_target_id(kgml_dir, profile, seed, option_count, out_path):
-    items = []
+    items = {}
     for path in _kgml_files(kgml_dir):
         with _skipping(path):
             graph_obj, _rg = _read_pathway(path)
-            items.append(
-                build_target_item(graph_obj, PROFILES[profile], option_count=option_count,
-                                  seed=seed)
-            )
-    write_items_jsonl(items, out_path)
+            _add_item(items, build_target_item(graph_obj, PROFILES[profile],
+                                               option_count=option_count, seed=seed))
+    write_items_jsonl(items.values(), out_path)
     click.echo(f"wrote {len(items)} target-id items to {out_path}")
 
 
@@ -229,15 +238,16 @@ def curate_target_id(kgml_dir, profile, seed, option_count, out_path):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", required=True)
 def curate_flux(kgml_dir, target, seed, out_path):
-    items = []
+    items = {}
     for path in _kgml_files(kgml_dir):
         with _skipping(path):
             graph_obj, rg = _read_pathway(path)
             try:
-                items.append(build_flux_item(graph_obj, rg, target, seed=seed))
+                item = build_flux_item(graph_obj, rg, target, seed=seed)
             except TargetNotInPathway:
-                pass  # most pathways lack any one target, so this is no warning
-    write_items_jsonl(items, out_path)
+                continue  # most pathways lack any one target, so this is no warning
+            _add_item(items, item)
+    write_items_jsonl(items.values(), out_path)
     click.echo(f"wrote {len(items)} flux items to {out_path}")
 
 

@@ -1,6 +1,7 @@
 """Agent contracts: plans, budgets, reports, determinism, oracle protocol."""
 import hashlib
 import json
+import sys
 import typing
 from pathlib import Path
 
@@ -207,6 +208,29 @@ def test_workspace_refuses_paths_outside_its_root(tmp_path):
     assert ws.exists("inside.json")
 
 
+@pytest.mark.parametrize("root_is_a_link", [False, True], ids=["root", "linked-root"])
+def test_workspace_path_is_the_resolved_path_under_the_root(tmp_path, root_is_a_link):
+    real = tmp_path / "ws"
+    (real / "data").mkdir(parents=True)
+    (real / "data" / "genes.json").write_text('[{"name": "TNF"}]', encoding="utf-8")
+    (real / "alias.json").symlink_to(real / "data" / "genes.json")
+    (tmp_path / "elsewhere").mkdir()
+    (real / "out").symlink_to(tmp_path / "elsewhere")
+    root = real
+    if root_is_a_link:
+        root = tmp_path / "link"
+        root.symlink_to(real)
+    ws = Workspace(root)
+    for relpath in ("alias.json", str(real / "data" / "genes.json"), "./data//genes.json",
+                    "data/new.json", "new/deeper/x.json", "a.json"):
+        assert ws._path(relpath) == (root / relpath).resolve()
+    assert ws.read_table("alias.json") == [{"name": "TNF"}]
+    for relpath in ("out/x.json", "out"):
+        with pytest.raises(WorkspaceUnavailable, match="outside the workspace"):
+            ws.save_json(relpath, [], "through a linked parent")
+    assert list((tmp_path / "elsewhere").iterdir()) == []
+
+
 @pytest.mark.parametrize("spec", [
     {"op": "extract", "input": "notes.txt", "pattern": "(", "out": "x.json"},
     {"op": "filter", "input": "genes.json", "where": ["kind"], "out": "x.json"},
@@ -261,6 +285,31 @@ def test_malformed_analysis_fails_its_step_and_the_run_goes_on(tmp_path, spec):
 # -- BFRS ------------------------------------------------------------------------------
 
 QUERY = "TNF and IL6 drivers of intestinal inflammation"
+
+
+def test_relevance_scores_interleaved_targets_as_a_fresh_oracle():
+    targets = [QUERY, "PMID:12345 citation chain", "", "TNF TNF inflammation", QUERY.upper()]
+    candidates = ["TNF", "IL6 Il6 inflammation", "PMID:999", "12345678", "", "x"]
+    oracle = DefaultOracle()
+    for candidate in candidates:
+        for target in targets:  # the target changes on every call
+            assert oracle.score_relevance(candidate, target) == \
+                DefaultOracle().score_relevance(candidate, target)
+
+
+def test_a_research_run_resolves_only_its_workspace_root(tmp_path, monkeypatch):
+    callers = []
+    resolve = Path.resolve
+
+    def spy(self, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return resolve(self, *args, **kwargs)
+
+    federation = make_mock_federation()
+    monkeypatch.setattr(Path, "resolve", spy)
+    result = OrchestratorRunner(federation, DefaultOracle()).run(QUERY, tmp_path)
+    assert len(result.state.workspace.manifest()["files"]) > 3
+    assert callers == ["Workspace.__init__"]
 
 
 def test_bfrs_respects_budget(tmp_path):

@@ -114,6 +114,26 @@ def test_curate_target_id_skips_a_malformed_file_with_one_warning(runner, tmp_pa
     assert len(caplog.records) == 1 and name in caplog.records[0].getMessage()
 
 
+@pytest.mark.parametrize("args, kgml, item_id", [
+    (["target-id", "--profile", "infection"], ulcerative_colitis_kgml(), "target-hsa04750-0"),
+    (["flux", "--target", "SHMT2"], shmt2_flux_kgml(), "flux-hsa00670-SHMT2-0"),
+], ids=["target-id", "flux"])
+def test_curate_skips_a_later_file_that_repeats_an_item_id(runner, tmp_path, monkeypatch, caplog,
+                                                           args, kgml, item_id):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kgml").mkdir()
+    for name in ("a.xml", "b.xml"):  # two copies of one pathway
+        (tmp_path / "kgml" / name).write_text(kgml, encoding="utf-8")
+    caplog.set_level(logging.WARNING)
+    invoke(runner, ["curate", *args, "--kgml-dir", "kgml", "--out", "items.jsonl"])
+    items = [json.loads(line) for line in (tmp_path / "items.jsonl").read_text().splitlines()]
+    assert [item["id"] for item in items] == [item_id]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping {Path('kgml', 'b.xml')}: item id {item_id!r} repeats an earlier file's"]
+    (tmp_path / "preds.jsonl").write_text(_rows({"id": item_id, "prediction": items[0]["answers"]}))
+    invoke(runner, BENCH_SCORE)
+
+
 def test_curate_target_id_lets_a_bug_keep_its_traceback(runner, tmp_path, monkeypatch):
     (tmp_path / "kgml").mkdir()
     (tmp_path / "kgml" / "hsa04750.xml").write_text(ulcerative_colitis_kgml())
@@ -363,6 +383,14 @@ MALFORMED_INPUTS = {
         ["bench", "prepare", "--benchmark", "litqa2", "--in", "raw.json", "--out", "items.jsonl"],
         {"raw.json": json.dumps([{"id": "q1", "question": "q", "answer": []}])},
         "litqa2 record 'q1' has an empty 'answer'"),
+    "bench-export-answer-null": (
+        ["bench", "prepare", "--benchmark", "litqa2", "--in", "raw.json", "--out", "items.jsonl"],
+        {"raw.json": json.dumps([{"id": "q1", "question": "q", "answer": None}])},
+        "litqa2 record field 'answer' is not str or int or list: None"),
+    "bench-export-answer-object": (
+        ["bench", "prepare", "--benchmark", "litqa2", "--in", "raw.json", "--out", "items.jsonl"],
+        {"raw.json": json.dumps([{"id": "q1", "question": "q", "answer": ["A", {"text": "B"}]}])},
+        "litqa2 record field 'answer' is not list of str or int"),
     "bench-export-row-not-json": (
         ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.jsonl", "--out", "items.jsonl"],
         {"raw.jsonl": _rows({"id": "q1", "subject": "Medicine", "question": "q", "answer": "A"},
