@@ -27,6 +27,7 @@ write leaves the previous file as it was.
 
 import json
 import os
+import re
 from contextlib import contextmanager, suppress
 from functools import cache
 from importlib import resources
@@ -53,6 +54,11 @@ def load_data(name: str):
     """
     text = resources.files("biokgr.data").joinpath(name).read_text(encoding="utf-8")
     return json.loads(text) if name.endswith(".json") else text
+
+
+def substring_pattern(words) -> re.Pattern:
+    """A pattern whose `search` finds any of `words` in a string; with no words it finds none."""
+    return re.compile("|".join(map(re.escape, words)) or "(?!)")
 
 
 def jsonl_lines(rows):

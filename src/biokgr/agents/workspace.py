@@ -131,7 +131,7 @@ class Workspace:
 
     def read_table(self, relpath: str) -> list[dict]:
         """JSON list-of-objects or CSV file as a list of row dicts."""
-        text = read_text(self._path(relpath))
+        text = self.read_text(relpath)
         if relpath.endswith(".json"):
             payload = json.loads(text)
             if isinstance(payload, list):
@@ -204,7 +204,7 @@ def _apply(workspace: Workspace, spec: dict) -> str:
         return workspace.save_json(out, table, f"counts of {spec['input']} by {group_by}")
 
     if op == "extract":
-        text = read_text(workspace._path(field(spec, "input", str)))
+        text = workspace.read_text(field(spec, "input", str))
         matches = sorted(set(re.findall(field(spec, "pattern", str), text)))
         return workspace.save_json(out, matches, f"regex extraction from {spec['input']}")
 

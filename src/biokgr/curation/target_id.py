@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from functools import cache
 
-from biokgr import Error, load_data
+from biokgr import Error, load_data, substring_pattern
 from biokgr.curation.items import McqItem, finalize_item
 from biokgr.pathways.analytics import Topology
 from biokgr.pathways.families import infer_functional_type
@@ -66,11 +67,12 @@ PROFILES = {
 
 
 @cache
-def _blacklist_rules() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The shipped rules: upper-cased symbol prefixes and casefolded label words."""
+def _blacklist_rules() -> tuple[tuple[str, ...], re.Pattern]:
+    """The shipped rules: upper-cased symbol prefixes, and one pattern over
+    case-folded text for the label words."""
     rules = load_data("druggability_blacklist.json")
     return (tuple(p.upper() for p in rules.get("prefixes", [])),
-            tuple(w.casefold() for w in rules.get("words", [])))
+            substring_pattern(w.casefold() for w in rules.get("words", [])))
 
 
 def is_blacklisted(graph: SignedPathwayGraph, symbol: str) -> bool:
@@ -81,7 +83,7 @@ def is_blacklisted(graph: SignedPathwayGraph, symbol: str) -> bool:
     haystack = symbol.casefold()
     if node is not None:
         haystack = " ".join((node.graphics_label, *node.aliases, symbol)).casefold()
-    return any(w in haystack for w in words)
+    return words.search(haystack) is not None
 
 
 def nearest_rank_percentile(values: list[float], percentile: int) -> float:

@@ -18,8 +18,10 @@ visits lie on those two levels. The loops take the successors in the order
 the frames would, so the paths are counted in the same order and each cap
 keeps the same prefix. Betweenness is Brandes' algorithm (J. Math.
 Sociol. 25(2), 2001): a BFS per source that counts shortest paths, then
-dependencies accumulated in reverse BFS order. SCCs are Tarjan's algorithm
-(SIAM J. Comput. 1(2), 1972) with an explicit stack in place of recursion.
+dependencies accumulated in reverse BFS order into each node's in-neighbours
+one level up, over tables allocated once per call and reset only where a BFS
+reached. SCCs are Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with an
+explicit stack in place of recursion.
 """
 from __future__ import annotations
 
@@ -138,10 +140,13 @@ class Topology:
         ids = self._ids
         source = ids[gene]
         listed = [0] * len(ids)  # how often each endpoint under its cap is listed
+        live = 0  # endpoints listed and under their cap
         for endpoint in targets:
             if endpoint != gene:
-                listed[ids[endpoint]] += 1
-        live = sum(1 for times in listed if times)
+                target = ids[endpoint]
+                if not listed[target]:
+                    live += 1
+                listed[target] += 1
         found = [0] * len(ids)
         total = count = 0
         truncated = False
@@ -269,37 +274,56 @@ class Topology:
 def _brandes(successors: list[list[tuple[int, int]]]) -> list[float]:
     """Unnormalized betweenness of each id, by Brandes (2001).
 
-    One BFS per source counts the shortest paths to every node (`sigma`) and
-    records each node's predecessors on them; walking the BFS order backwards
-    then accumulates each node's dependency on the source. Parallel edges
-    count once and self-loops never lie on a shortest path.
+    One BFS per source counts the shortest paths to every node (`sigma`);
+    walking the BFS order backwards then accumulates each node's dependency
+    on the source into its in-neighbours one level up, which are exactly its
+    predecessors on those paths. Parallel edges count once and self-loops
+    never lie on a shortest path. A source without successors reaches no
+    other node and is skipped.
+
+    The tables are allocated once and each BFS resets what it reached. Path
+    counts are ints, so while they stay below 2**53 every float operation
+    sees the same operands, in the same order, as with float counts.
     """
     n = len(successors)
     out = [list(dict.fromkeys(w for w, _sign in adjacent)) for adjacent in successors]
+    into: list[list[int]] = [[] for _ in range(n)]
+    for v, adjacent in enumerate(out):
+        for w in adjacent:
+            into[w].append(v)
     centrality = [0.0] * n
+    distance = [-1] * n
+    sigma = [0] * n  # set when the BFS reaches a node, so it needs no reset
+    delta = [0.0] * n
     for source in range(n):
-        distance = [-1] * n
+        if not out[source]:
+            continue
         distance[source] = 0
-        sigma = [0.0] * n
-        sigma[source] = 1.0
-        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma[source] = 1
         order = [source]
         for v in order:  # the BFS queue: iteration reaches the nodes appended below
             step = distance[v] + 1
+            paths = sigma[v]
             for w in out[v]:
                 if distance[w] < 0:
                     distance[w] = step
+                    sigma[w] = paths
                     order.append(w)
-                if distance[w] == step:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in reversed(order):
+                elif distance[w] == step:
+                    sigma[w] += paths
+        for w in order[:0:-1]:  # every reached node but the source, farthest first
             coeff = (1 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != source:
-                centrality[w] += delta[w]
+            up = distance[w] - 1
+            for v in into[w]:
+                if distance[v] == up:
+                    delta[v] += sigma[v] * coeff
+            centrality[w] += delta[w]
+            # the nodes still to come are no farther from the source than w, so
+            # none has w one level up: reset w for the next source
+            distance[w] = -1
+            delta[w] = 0.0
+        distance[source] = -1
+        delta[source] = 0.0
     return centrality
 
 

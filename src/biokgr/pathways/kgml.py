@@ -6,14 +6,25 @@ mapping (binding, phosphorylation, indirect effect, ...) are not dropped
 silently; they are recorded on the graph as skipped. Reaction elements become
 substrate→product edges keyed by compound display names, and gene entries
 carrying a `reaction` attribute provide the enzyme annotations linking gene
-symbols to those edges.
+symbols to those edges. A relation from or to a group stands for one from or
+to each member, and groups may nest; a relation through a group that
+contains itself makes the document malformed.
+
+One expat pass reads a document. It keeps each top-level `entry`, `relation`
+and `reaction` with its attributes and those of the children the graphs use
+(`graphics`, `component`, `subtype`, `substrate`, `product`), and the graphs
+are built from those records in document order, with no element tree. The
+parser reads the document as ElementTree does: namespaces resolved, a `str`
+as UTF-8 whatever encoding it declares, and an entity reference that cannot
+be expanded an error.
 """
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
+from functools import cache
+from xml.parsers import expat
 
-from biokgr import Error, load_data
+from biokgr import Error, load_data, substring_pattern
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 SUBTYPE_SIGNS = {
@@ -25,17 +36,85 @@ SUBTYPE_SIGNS = {
 
 _EC_PATTERN = re.compile(r"\b(\d+\.\d+\.\d+\.[\dn-]+)\b")
 _ACCESSION_LIKE = re.compile(r"^(C|D|G|R)\d{5}$")
+_TOP_LEVEL = ("entry", "relation", "reaction")
 
 
 class MalformedKgml(Error):
     """Raised when a document is not well-formed KGML; carries context."""
 
 
-def _graphics_label(entry: ET.Element) -> str:
-    graphics = entry.find("graphics")
-    if graphics is None:
-        return ""
-    return graphics.get("name") or ""
+@cache
+def _endpoint_terms() -> re.Pattern:
+    """The disease-endpoint lexicon as one pattern over case-folded text."""
+    return substring_pattern(t.casefold() for t in load_data("endpoint_lexicon.json")["terms"])
+
+
+def _read(document) -> tuple[str, dict[str, str], dict[str, list]]:
+    """The root's tag and attributes, and per tag in `_TOP_LEVEL` its top-level
+    elements in document order, each as `(attributes, [(child tag, child
+    attributes)])` over its direct children."""
+    parser = expat.ParserCreate(namespace_separator="}")
+    root: list = []
+    records: dict[str, list] = {tag: [] for tag in _TOP_LEVEL}
+    children: list[tuple[str, dict[str, str]]] = []  # of the open top-level element
+    depth = 0
+
+    def start(tag, attributes):
+        nonlocal children, depth
+        depth += 1
+        if depth == 3:
+            children.append((tag, attributes))
+        elif depth == 2:
+            children = []
+            elements = records.get(tag)
+            if elements is not None:
+                elements.append((attributes, children))
+        elif depth == 1:
+            root.extend((tag, attributes))
+
+    def end(_tag):
+        nonlocal depth
+        depth -= 1
+
+    # ElementTree reports the first general entity reference it cannot expand:
+    # one to an undeclared entity, or to an external one
+    external: set[str] = set()  # general entities declared with a system id
+
+    def declared(name, is_parameter_entity, _value, _base, system_id, _public_id, _notation):
+        if system_id is not None and not is_parameter_entity:
+            external.add(name)
+
+    def unexpandable(name, is_parameter_entity=False):
+        if not is_parameter_entity:
+            raise _failure(parser.CurrentLineNumber, parser.CurrentColumnNumber,
+                           f"undefined entity {f'&{name};'[:100]}")
+
+    def external_reference(context, _base, _system_id, _public_id):
+        # the context names every open entity; only the referenced one is external
+        unexpandable(next(name for name in context.split("\f") if name in external))
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.EntityDeclHandler = declared
+    parser.SkippedEntityHandler = unexpandable
+    parser.ExternalEntityRefHandler = external_reference
+    try:
+        # fed as ElementTree feeds it: the document, then an empty final chunk
+        parser.Parse(document, False)
+        parser.Parse(b"", True)
+    except expat.ExpatError as exc:
+        raise _failure(exc.lineno, exc.offset, expat.ErrorString(exc.code)) from exc
+    finally:
+        # these handlers hold the parser: drop them, so that it is freed at once
+        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
+    tag, attributes = root
+    # ElementTree writes a namespaced tag as {uri}name
+    return ("{" + tag if "}" in tag else tag), attributes, records
+
+
+def _failure(line: int, column: int, message: str) -> MalformedKgml:
+    return MalformedKgml(f"XML parse failure at line {line}, column {column}: "
+                         f"{message}: line {line}, column {column}")
 
 
 def _primary_alias(label: str) -> str:
@@ -43,14 +122,14 @@ def _primary_alias(label: str) -> str:
     return first.rstrip(".").strip()
 
 
-def _compound_display(entry: ET.Element) -> str:
-    label = _primary_alias(_graphics_label(entry))
+def _compound_display(label: str, name: str) -> str:
+    label = _primary_alias(label)
     if label and not _ACCESSION_LIKE.match(label):
         return label
-    for token in (entry.get("name") or "").split():
+    for token in name.split():
         if token.startswith("cpd:"):
             return token[len("cpd:"):]
-    return label or (entry.get("name") or "").strip()
+    return label or name.strip()
 
 
 def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
@@ -58,38 +137,43 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
 
     A node whose label contains any term of the shipped disease-endpoint
     lexicon (case-insensitive) is marked as a disease endpoint of the signed
-    graph.
+    graph. A document that is not well-formed XML, whose root is not
+    `<pathway>`, or with a relation through a group that contains itself
+    raises `MalformedKgml`.
     """
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        line, column = getattr(exc, "position", (0, 0))
-        raise MalformedKgml(f"XML parse failure at line {line}, column {column}: {exc}") from exc
-    if root.tag != "pathway":
-        raise MalformedKgml(f"root element is <{root.tag}>, expected <pathway>")
+    tag, attributes, records = _read(document)
+    if tag != "pathway":
+        raise MalformedKgml(f"root element is <{tag}>, expected <pathway>")
 
     graph = SignedPathwayGraph(
-        pathway_id=(root.get("name") or "").replace("path:", ""),
-        title=root.get("title") or "",
+        pathway_id=(attributes.get("name") or "").replace("path:", ""),
+        title=attributes.get("title") or "",
     )
     reaction_graph = ReactionGraph()
 
-    entry_key: dict[str, str] = {}        # entry id -> signed-graph node key
+    entry_key: dict[str, list[str]] = {}  # entry id -> [signed-graph node key]; no group ids
     group_members: dict[str, list[str]] = {}
     compound_key: dict[str, str] = {}     # entry id -> reaction-graph node key
     enzyme_reactions: dict[str, set[str]] = {}
 
-    for entry in root.findall("entry"):
+    for entry, children in records["entry"]:
         entry_id = entry.get("id") or ""
         entry_type = entry.get("type") or ""
-        label = _graphics_label(entry)
+        name = entry.get("name") or ""
+        label = ""
+        for child, child_attributes in children:
+            if child == "graphics":
+                label = child_attributes.get("name") or ""
+                break
         if entry_type == "group":
             group_members[entry_id] = [
-                comp.get("id") or "" for comp in entry.findall("component")
+                child_attributes.get("id") or ""
+                for child, child_attributes in children if child == "component"
             ]
+            entry_key.pop(entry_id, None)
             continue
         if entry_type == "compound":
-            display = _compound_display(entry)
+            display = _compound_display(label, name)
             if display:
                 compound_key[entry_id] = display
                 reaction_graph.compounds.setdefault(display, display)
@@ -102,14 +186,16 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
         else:
             symbol = _primary_alias(label)
         if not symbol:
-            symbol = (entry.get("name") or "").split()[0] if entry.get("name") else entry_id
-        entry_key[entry_id] = symbol
+            symbol = name.split()[0] if name else entry_id
+        if entry_id not in group_members:
+            entry_key[entry_id] = [symbol] if symbol else []
 
-        kegg_ids = tuple(t for t in (entry.get("name") or "").split() if ":" in t)
-        ec_numbers = tuple(sorted(set(
-            _EC_PATTERN.findall(label) + [t[len("ec:"):] for t in kegg_ids if t.startswith("ec:")]
-        )))
-        aliases = tuple(a.strip().rstrip(".") for a in label.split(",") if a.strip())
+        kegg_ids = tuple([t for t in name.split() if ":" in t])
+        ec_found = [t[len("ec:"):] for t in kegg_ids if t.startswith("ec:")]
+        if "." in label:  # no EC number without dots
+            ec_found += _EC_PATTERN.findall(label)
+        ec_numbers = tuple(sorted(set(ec_found)))
+        aliases = tuple([a.strip().rstrip(".") for a in label.split(",") if a.strip()])
 
         node = graph.nodes.get(symbol)
         if node is None:
@@ -126,34 +212,37 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
             node.ec_numbers = tuple(sorted(set(node.ec_numbers) | set(ec_numbers)))
             node.kegg_ids = tuple(dict.fromkeys(node.kegg_ids + kegg_ids))
 
-        reaction_names = [t for t in (entry.get("reaction") or "").split() if t]
+        reaction_names = (entry.get("reaction") or "").split()
         if reaction_names and entry_type in ("gene", "enzyme", "ortholog"):
             enzyme_reactions.setdefault(symbol, set()).update(
-                name.removeprefix("rn:") for name in reaction_names
+                reaction.removeprefix("rn:") for reaction in reaction_names
             )
 
-    def resolve_endpoints(entry_id: str) -> list[str]:
-        if entry_id in group_members:
-            keys = []
-            for member in group_members[entry_id]:
-                keys.extend(resolve_endpoints(member))
-            return keys
-        key = entry_key.get(entry_id)
-        return [key] if key else []
+    def resolve_group(entry_id: str, groups: tuple[str, ...] = ()) -> list[str]:
+        """The node keys an id not in `entry_key` stands for; `groups` are the
+        groups being expanded."""
+        if entry_id not in group_members:
+            return []
+        if entry_id in groups:
+            raise MalformedKgml(f"group {entry_id!r} contains itself")
+        groups += (entry_id,)
+        return [key for member in group_members[entry_id]
+                for key in entry_key.get(member) or resolve_group(member, groups)]
 
     seen: set[tuple[str, str, int, str]] = set()
-    for relation in root.findall("relation"):
-        subtypes = [s.get("name") or "" for s in relation.findall("subtype")]
-        sign = next((SUBTYPE_SIGNS[s] for s in subtypes if s in SUBTYPE_SIGNS), None)
-        sources = resolve_endpoints(relation.get("entry1") or "")
-        targets = resolve_endpoints(relation.get("entry2") or "")
-        if sign is None or not sources or not targets:
+    for relation, children in records["relation"]:
+        subtypes = [child_attributes.get("name") or ""
+                    for child, child_attributes in children if child == "subtype"]
+        subtype_name = next(filter(SUBTYPE_SIGNS.__contains__, subtypes), None)
+        entry1, entry2 = relation.get("entry1") or "", relation.get("entry2") or ""
+        sources = entry_key.get(entry1) or resolve_group(entry1)
+        targets = entry_key.get(entry2) or resolve_group(entry2)
+        if subtype_name is None or not sources or not targets:
             graph.skipped_relations.append(
-                (relation.get("entry1") or "", relation.get("entry2") or "",
-                 ";".join(subtypes) or "(no subtype)")
+                (entry1, entry2, ";".join(subtypes) or "(no subtype)")
             )
             continue
-        subtype_name = next(s for s in subtypes if s in SUBTYPE_SIGNS)
+        sign = SUBTYPE_SIGNS[subtype_name]
         for src in sources:
             for dst in targets:
                 sig = (src, dst, sign, subtype_name)
@@ -161,15 +250,15 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
                     graph.edges.append(SignedEdge(src, dst, sign, subtype_name))
                     seen.add(sig)
 
-    for reaction in root.findall("reaction"):
+    for reaction, children in records["reaction"]:
         name = (reaction.get("name") or "").removeprefix("rn:")
         substrates = [
             compound_key.get(s.get("id") or "", _strip_cpd(s.get("name")))
-            for s in reaction.findall("substrate")
+            for child, s in children if child == "substrate"
         ]
         products = [
             compound_key.get(p.get("id") or "", _strip_cpd(p.get("name")))
-            for p in reaction.findall("product")
+            for child, p in children if child == "product"
         ]
         substrates = [s for s in substrates if s]
         products = [p for p in products if p]
@@ -186,10 +275,9 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
         for symbol, reactions in sorted(enzyme_reactions.items())
     }
 
-    terms = [t.casefold() for t in load_data("endpoint_lexicon.json")["terms"]]
+    is_endpoint = _endpoint_terms().search
     for key, node in graph.nodes.items():
-        haystack = f"{node.graphics_label} {key}".casefold()
-        if any(term in haystack for term in terms):
+        if is_endpoint(f"{node.graphics_label} {key}".casefold()):
             graph.endpoints.add(key)
 
     return graph, reaction_graph

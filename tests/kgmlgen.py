@@ -105,6 +105,15 @@ def ulcerative_colitis_kgml() -> str:
     )
 
 
+def cyclic_group_kgml(cycle: tuple[str, ...] = ("5",)) -> str:
+    """Groups with the ids in `cycle`, each listing the next and the last the
+    first (one group lists itself), and a relation from the first to TNF."""
+    entries = [{"id": "1", "name": "hsa:7124", "graphics": "TNF"}]
+    entries += [{"id": group, "name": "undefined", "type": "group", "graphics": None,
+                 "components": [cycle[(i + 1) % len(cycle)]]} for i, group in enumerate(cycle)]
+    return make_kgml(entries=entries, relations=[(cycle[0], "1", ["activation"])])
+
+
 def shmt2_flux_kgml() -> str:
     """Reaction-graph fixture: SHMT2 feeds a chain with a terminal endpoint
     and a two-compound feedback cycle branching off it."""

@@ -7,19 +7,28 @@ fixes what the path cap keeps), betweenness by
 per-pair shortest-path counting over all-sources BFS tables, SCCs by mutual
 reachability, neighborhoods by explicit level-by-level expansion, and
 evidence-store reads and lint counts by full scans of every stored relation.
+Two former library algorithms are kept whole as references for their
+replacements, which must give the same results: KGML parsing over an
+ElementTree (`kgml_reference`) and Brandes' betweenness with a predecessor
+list per node (`brandes_reference`).
 """
 from __future__ import annotations
 
+import re
+import xml.etree.ElementTree as ET
 from collections import deque
 
 import networkx as nx
 
+from biokgr import load_data
 from biokgr.pathways.analytics import (
     MAX_PATH_EDGES,
     MAX_PATHS_PER_PAIR,
     NodeNotFound,
     PolarityResult,
 )
+from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
+from biokgr.pathways.kgml import SUBTYPE_SIGNS, MalformedKgml
 
 
 def polarity_oracle(graph, gene: str, endpoints, max_edges: int = 8) -> tuple[float, int]:
@@ -241,3 +250,206 @@ def findings_over_context_cap_oracle(store, predicates, cap: int) -> set[str]:
         if r.predicate in predicates and kinds[r.subject] == "FINDING":
             counts[r.subject] = counts.get(r.subject, 0) + 1
     return {key for key, n in counts.items() if n > cap}
+
+
+_EC_PATTERN = re.compile(r"\b(\d+\.\d+\.\d+\.[\dn-]+)\b")
+_ACCESSION_LIKE = re.compile(r"^(C|D|G|R)\d{5}$")
+
+
+def _graphics_label(entry: ET.Element) -> str:
+    graphics = entry.find("graphics")
+    if graphics is None:
+        return ""
+    return graphics.get("name") or ""
+
+
+def _primary_alias(label: str) -> str:
+    first = label.split(",")[0].strip()
+    return first.rstrip(".").strip()
+
+
+def _compound_display(entry: ET.Element) -> str:
+    label = _primary_alias(_graphics_label(entry))
+    if label and not _ACCESSION_LIKE.match(label):
+        return label
+    for token in (entry.get("name") or "").split():
+        if token.startswith("cpd:"):
+            return token[len("cpd:"):]
+    return label or (entry.get("name") or "").strip()
+
+
+def _strip_cpd(name: str | None) -> str:
+    if not name:
+        return ""
+    return name.removeprefix("cpd:").strip()
+
+
+def kgml_reference(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
+    """`parse_kgml` over an ElementTree: `ET.fromstring`, then one `findall`
+    pass each over the entries, relations and reactions. A group that
+    contains itself recurses until `RecursionError`."""
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        line, column = getattr(exc, "position", (0, 0))
+        raise MalformedKgml(f"XML parse failure at line {line}, column {column}: {exc}") from exc
+    if root.tag != "pathway":
+        raise MalformedKgml(f"root element is <{root.tag}>, expected <pathway>")
+
+    graph = SignedPathwayGraph(
+        pathway_id=(root.get("name") or "").replace("path:", ""),
+        title=root.get("title") or "",
+    )
+    reaction_graph = ReactionGraph()
+
+    entry_key: dict[str, str] = {}        # entry id -> signed-graph node key
+    group_members: dict[str, list[str]] = {}
+    compound_key: dict[str, str] = {}     # entry id -> reaction-graph node key
+    enzyme_reactions: dict[str, set[str]] = {}
+
+    for entry in root.findall("entry"):
+        entry_id = entry.get("id") or ""
+        entry_type = entry.get("type") or ""
+        label = _graphics_label(entry)
+        if entry_type == "group":
+            group_members[entry_id] = [
+                comp.get("id") or "" for comp in entry.findall("component")
+            ]
+            continue
+        if entry_type == "compound":
+            display = _compound_display(entry)
+            if display:
+                compound_key[entry_id] = display
+                reaction_graph.compounds.setdefault(display, display)
+            continue
+        if entry_type not in ("gene", "map", "enzyme", "ortholog"):
+            continue
+
+        if entry_type == "map":
+            symbol = _primary_alias(label).removeprefix("TITLE:").strip()
+        else:
+            symbol = _primary_alias(label)
+        if not symbol:
+            symbol = (entry.get("name") or "").split()[0] if entry.get("name") else entry_id
+        entry_key[entry_id] = symbol
+
+        kegg_ids = tuple(t for t in (entry.get("name") or "").split() if ":" in t)
+        ec_numbers = tuple(sorted(set(
+            _EC_PATTERN.findall(label) + [t[len("ec:"):] for t in kegg_ids if t.startswith("ec:")]
+        )))
+        aliases = tuple(a.strip().rstrip(".") for a in label.split(",") if a.strip())
+
+        node = graph.nodes.get(symbol)
+        if node is None:
+            graph.nodes[symbol] = PathwayNode(
+                symbol=symbol,
+                entry_type="gene" if entry_type in ("gene", "enzyme", "ortholog") else entry_type,
+                aliases=aliases,
+                ec_numbers=ec_numbers,
+                graphics_label=label,
+                kegg_ids=kegg_ids,
+            )
+        else:
+            node.aliases = tuple(dict.fromkeys(node.aliases + aliases))
+            node.ec_numbers = tuple(sorted(set(node.ec_numbers) | set(ec_numbers)))
+            node.kegg_ids = tuple(dict.fromkeys(node.kegg_ids + kegg_ids))
+
+        reaction_names = [t for t in (entry.get("reaction") or "").split() if t]
+        if reaction_names and entry_type in ("gene", "enzyme", "ortholog"):
+            enzyme_reactions.setdefault(symbol, set()).update(
+                name.removeprefix("rn:") for name in reaction_names
+            )
+
+    def resolve_endpoints(entry_id: str) -> list[str]:
+        if entry_id in group_members:
+            keys = []
+            for member in group_members[entry_id]:
+                keys.extend(resolve_endpoints(member))
+            return keys
+        key = entry_key.get(entry_id)
+        return [key] if key else []
+
+    seen: set[tuple[str, str, int, str]] = set()
+    for relation in root.findall("relation"):
+        subtypes = [s.get("name") or "" for s in relation.findall("subtype")]
+        sign = next((SUBTYPE_SIGNS[s] for s in subtypes if s in SUBTYPE_SIGNS), None)
+        sources = resolve_endpoints(relation.get("entry1") or "")
+        targets = resolve_endpoints(relation.get("entry2") or "")
+        if sign is None or not sources or not targets:
+            graph.skipped_relations.append(
+                (relation.get("entry1") or "", relation.get("entry2") or "",
+                 ";".join(subtypes) or "(no subtype)")
+            )
+            continue
+        subtype_name = next(s for s in subtypes if s in SUBTYPE_SIGNS)
+        for src in sources:
+            for dst in targets:
+                sig = (src, dst, sign, subtype_name)
+                if sig not in seen:
+                    graph.edges.append(SignedEdge(src, dst, sign, subtype_name))
+                    seen.add(sig)
+
+    for reaction in root.findall("reaction"):
+        name = (reaction.get("name") or "").removeprefix("rn:")
+        substrates = [
+            compound_key.get(s.get("id") or "", _strip_cpd(s.get("name")))
+            for s in reaction.findall("substrate")
+        ]
+        products = [
+            compound_key.get(p.get("id") or "", _strip_cpd(p.get("name")))
+            for p in reaction.findall("product")
+        ]
+        substrates = [s for s in substrates if s]
+        products = [p for p in products if p]
+        for compound in substrates + products:
+            reaction_graph.compounds.setdefault(compound, compound)
+        for substrate in substrates:
+            for product in products:
+                reaction_graph.edges.append((substrate, product, name))
+        reaction_graph.reaction_substrates[name] = tuple(substrates)
+        reaction_graph.reaction_products[name] = tuple(products)
+
+    reaction_graph.enzymes = {
+        symbol: tuple(sorted(reactions))
+        for symbol, reactions in sorted(enzyme_reactions.items())
+    }
+
+    terms = [t.casefold() for t in load_data("endpoint_lexicon.json")["terms"]]
+    for key, node in graph.nodes.items():
+        haystack = f"{node.graphics_label} {key}".casefold()
+        if any(term in haystack for term in terms):
+            graph.endpoints.add(key)
+
+    return graph, reaction_graph
+
+
+def brandes_reference(successors: list[list[tuple[int, int]]]) -> list[float]:
+    """`analytics._brandes` with float path counts, fresh tables per source
+    and a predecessor list per node, built during the BFS."""
+    n = len(successors)
+    out = [list(dict.fromkeys(w for w, _sign in adjacent)) for adjacent in successors]
+    centrality = [0.0] * n
+    for source in range(n):
+        distance = [-1] * n
+        distance[source] = 0
+        sigma = [0.0] * n
+        sigma[source] = 1.0
+        preds: list[list[int]] = [[] for _ in range(n)]
+        order = [source]
+        for v in order:  # the BFS queue: iteration reaches the nodes appended below
+            step = distance[v] + 1
+            for w in out[v]:
+                if distance[w] < 0:
+                    distance[w] = step
+                    order.append(w)
+                if distance[w] == step:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(order):
+            coeff = (1 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != source:
+                centrality[w] += delta[w]
+    return centrality

@@ -17,7 +17,13 @@ from biokgr.federation.mockserver import FixtureServer
 
 from corpusgen import make_review_xml, regimen_corpus
 from fedmock import json_response, text_response
-from kgmlgen import egfr_cancer_kgml, pde4_inflammation_kgml, shmt2_flux_kgml, ulcerative_colitis_kgml
+from kgmlgen import (
+    cyclic_group_kgml,
+    egfr_cancer_kgml,
+    pde4_inflammation_kgml,
+    shmt2_flux_kgml,
+    ulcerative_colitis_kgml,
+)
 from test_bench import hle_snapshot
 from test_pathway_graph import NERANDOMILAST
 
@@ -132,6 +138,21 @@ def test_curate_skips_a_later_file_that_repeats_an_item_id(runner, tmp_path, mon
         f"skipping {Path('kgml', 'b.xml')}: item id {item_id!r} repeats an earlier file's"]
     (tmp_path / "preds.jsonl").write_text(_rows({"id": item_id, "prediction": items[0]["answers"]}))
     invoke(runner, BENCH_SCORE)
+
+
+@pytest.mark.parametrize("command", [["target-id"], ["flux", "--target", "SHMT2"]])
+def test_curate_skips_a_file_with_a_group_that_contains_itself(runner, tmp_path, monkeypatch,
+                                                               caplog, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kgml").mkdir()
+    (tmp_path / "kgml" / "a.xml").write_text(cyclic_group_kgml(("5", "6")), encoding="utf-8")
+    good = ulcerative_colitis_kgml() if command == ["target-id"] else shmt2_flux_kgml()
+    (tmp_path / "kgml" / "b.xml").write_text(good, encoding="utf-8")
+    caplog.set_level(logging.WARNING)
+    invoke(runner, ["curate", *command, "--kgml-dir", "kgml", "--out", "items.jsonl"])
+    assert len((tmp_path / "items.jsonl").read_text().splitlines()) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping {Path('kgml', 'a.xml')}: group '5' contains itself"]
 
 
 def test_curate_target_id_lets_a_bug_keep_its_traceback(runner, tmp_path, monkeypatch):
@@ -463,6 +484,10 @@ MALFORMED_INPUTS = {
         ["pathway", "parse", "--kgml", "hsa04750.xml", "--out", "snapshot.json"],
         {"hsa04750.xml": ulcerative_colitis_kgml()[:300]},
         "XML parse failure at line"),
+    "kgml-group-cycle": (
+        ["pathway", "parse", "--kgml", "hsa99999.xml", "--out", "snapshot.json"],
+        {"hsa99999.xml": cyclic_group_kgml()},
+        "group '5' contains itself"),
     "ebm-truth-empty": (
         BENCH_SCORE, {"items.jsonl": _rows({**GAP, "answers": []}),
                       "preds.jsonl": _rows({"id": GAP["id"], "prediction": [1]})},
@@ -695,12 +720,18 @@ def test_cli_import_loads_neither_networkx_nor_an_http_client():
 FIELD_CHECKERS = {"_field", "_get", "_items", "_strings", "_records", "_require", "_rows_with"}
 
 
+# receivers whose `.read_text` is `Workspace.read_text`, which reads through `biokgr.read_text`
+WORKSPACE_READERS = {"self", "workspace"}
+
+
 def _file_access(call: ast.Call) -> str | None:
     """The name of the file access `call` makes, when it is one that only `biokgr` may make."""
     func = call.func
     if isinstance(func, ast.Name) and func.id == "open":
         return "open"
     if isinstance(func, ast.Attribute):
+        if func.attr == "read_text" and getattr(func.value, "id", None) in WORKSPACE_READERS:
+            return None
         if func.attr in {"read_text", "write_text"}:
             return f".{func.attr}"
         if func.attr == "replace" and getattr(func.value, "id", None) == "os":
@@ -737,6 +768,20 @@ def reader_offences(package: Path) -> list[str]:
 
 def test_one_field_reader_one_file_reader_one_file_writer_and_one_cli_error_boundary():
     assert reader_offences(Path(biokgr.__file__).resolve().parent) == []
+
+
+@pytest.mark.parametrize("call, access", [
+    ("open(path)", "open"),
+    ("Path(p).read_text()", ".read_text"),
+    ("self.root.read_text()", ".read_text"),
+    ("workspace.root.read_text()", ".read_text"),
+    ("self.write_text(relpath)", ".write_text"),
+    ("os.replace(tmp, path)", "os.replace"),
+    ("self.read_text(relpath)", None),
+    ("workspace.read_text(relpath)", None),
+])
+def test_the_file_boundary_guard_exempts_only_the_workspace_reader(call, access):
+    assert _file_access(ast.parse(call, mode="eval").body) == access
 
 
 def test_src_imports_only_the_stdlib_click_and_biokgr():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from biokgr import substring_pattern
 from biokgr.curation.flux import (
     FluxOption,
     TargetNotInPathway,
@@ -112,6 +113,17 @@ def test_is_blacklisted_prefix_and_word():
     graph = simple_graph([("TUBB1", "END", 1)], genes=["BRAF"])
     assert is_blacklisted(graph, "TUBB1")
     assert not is_blacklisted(graph, "BRAF")
+
+
+@pytest.mark.parametrize("words, text, found", [
+    ([], "", False),
+    ([], "anything", False),
+    (["ribosomal", "keratin"], "60s ribosomal protein l5", True),
+    (["a.b"], "axb", False),  # a word matches as written, not as a pattern
+    (["a.b", "(x"], "1 (x 2", True),
+])
+def test_substring_pattern_finds_any_word_as_written(words, text, found):
+    assert (substring_pattern(words).search(text) is not None) is found
 
 
 # -- UC fixture ---------------------------------------------------------------

@@ -16,21 +16,26 @@ from biokgr.pathways import (
     parse_kgml,
     path_polarity,
 )
-from biokgr.pathways.analytics import DIRECTIONS, MAX_PATHS_PER_PAIR, Topology
+from biokgr.pathways.analytics import DIRECTIONS, MAX_PATHS_PER_PAIR, Topology, _brandes
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 from kgmlgen import (
     cascade_kgml,
+    cyclic_group_kgml,
+    egfr_cancer_kgml,
     make_kgml,
+    pde4_inflammation_kgml,
     random_signed_graph,
     shmt2_flux_kgml,
     ulcerative_colitis_kgml,
 )
 from oracles import (
     betweenness_oracle,
+    brandes_reference,
     capped_polarity_reference,
     distance_oracle,
     k_step_oracle,
+    kgml_reference,
     polarity_oracle,
     scc_oracle,
     terminal_oracle,
@@ -153,6 +158,186 @@ def test_duplicate_symbol_entries_merge():
     graph, _rg = parse_kgml(doc)
     assert list(graph.nodes) == ["TNF", "BBB"]
     assert len(graph.edges) == 1  # deduplicated after symbol merge
+
+
+@pytest.mark.parametrize("cycle", [("5",), ("5", "6"), ("5", "6", "7")],
+                         ids=["lists-itself", "two-groups", "three-groups"])
+def test_a_group_that_contains_itself_is_malformed(cycle):
+    with pytest.raises(MalformedKgml, match="group '5' contains itself"):
+        parse_kgml(cyclic_group_kgml(cycle))
+
+
+def test_a_group_no_relation_uses_is_never_expanded():
+    graph, _rg = parse_kgml(cyclic_group_kgml(("5",)).replace('entry1="5"', 'entry1="1"'))
+    assert [(e.source, e.target) for e in graph.edges] == [("TNF", "TNF")]
+
+
+# -- KGML parsing against the ElementTree reference ------------------------------
+
+KEGG_PROLOG = ('<?xml version="1.0"?>\n<!DOCTYPE pathway SYSTEM '
+               '"https://www.kegg.jp/kegg/xml/KGML_v0.7.2_.dtd">\n')
+
+
+def _without_prolog(document: str) -> str:
+    return document.split("\n", 1)[1]
+
+
+def _relations_first(document: str) -> str:
+    """`document` with its relations moved before its entries."""
+    head, rest = document.split("\n  <entry", 1)
+    entries, relations = rest.split("\n  <relation", 1)
+    relations, tail = relations.split("\n</pathway>")
+    return f"{head}\n  <relation{relations}\n  <entry{entries}\n</pathway>{tail}"
+
+
+def _kgml_edge_cases() -> dict[str, str]:
+    nested_groups = make_kgml(
+        entries=[{"id": str(i), "name": f"hsa:{i}", "graphics": f"G{i}"} for i in range(1, 6)]
+        + [{"id": "10", "name": "undefined", "type": "group", "graphics": None,
+            "components": ["1", "11", "11"]},
+           {"id": "11", "name": "undefined", "type": "group", "graphics": None,
+            "components": ["2", "3", "99"]},
+           {"id": "12", "name": "undefined", "type": "group", "graphics": None}],
+        relations=[("10", "4", ["activation"]), ("5", "11", ["inhibition"]),
+                   ("12", "4", ["activation"]), ("11", "10", ["expression"])],
+    )
+    duplicates = make_kgml(
+        entries=[
+            {"id": "1", "name": "hsa:7124 ec:3.4.21.1", "graphics": "TNF, DIF, 1.1.1.1",
+             "reaction": "rn:R00001 rn:R00002"},
+            {"id": "2", "name": "hsa:7125", "graphics": "TNF, TNFA, 2.7.11.1", "reaction": "rn:R00003"},
+            {"id": "3", "name": "hsa:2", "graphics": "BBB", "type": "ortholog"},
+            {"id": "4", "name": "ko:K00001", "graphics": "TNF.", "type": "enzyme"},
+            {"id": "5", "name": "ko:K00002", "graphics": "1.14.13.39", "type": "enzyme"},
+            {"id": "1", "name": "hsa:9", "graphics": "CCC"},
+        ],
+        relations=[("1", "3", ["activation"]), ("2", "3", ["activation"]),
+                   ("4", "3", ["repression"]), ("3", "1", ["inhibition", "activation"])],
+    )
+    title_maps = make_kgml(entries=[
+        {"id": "1", "name": "path:hsa04210", "type": "map", "graphics": "TITLE:Apoptosis"},
+        {"id": "2", "name": "path:hsa04110", "type": "map", "graphics": "Cell cycle progression"},
+        {"id": "3", "name": "path:hsa00000", "type": "map", "graphics": None},
+        {"id": "4", "name": "", "type": "map", "graphics": "TITLE:"},
+        {"id": "5", "name": "hsa:5", "graphics": "Proliferation marker"},
+        {"id": "6", "name": "br:ko01000", "type": "brite", "graphics": "Apoptosis"},
+    ], relations=[("5", "1", ["activation"]), ("5", "2", ["expression"]), ("5", "3", [])])
+    compounds = make_kgml(
+        entries=[
+            {"id": "1", "name": "hsa:1", "graphics": "ENZ", "reaction": "rn:R00001"},
+            {"id": "20", "name": "cpd:C00022", "type": "compound", "graphics": "C00022"},
+            {"id": "21", "name": "cpd:C00024 cpd:C00025", "type": "compound", "graphics": None},
+            {"id": "22", "name": "gl:G00001", "type": "compound", "graphics": "G00001"},
+            {"id": "23", "name": "", "type": "compound", "graphics": None},
+            {"id": "24", "name": "cpd:C00026", "type": "compound", "graphics": "Oxoglutarate, 2-OG"},
+        ],
+        reactions=[
+            {"name": "rn:R00001", "substrates": [("20", "cpd:C00022"), ("23", "")],
+             "products": [("21", "cpd:C00024"), ("98", "cpd:C99999")]},
+            {"name": "rn:R00002", "type": "reversible", "substrates": [("22", "gl:G00001")],
+             "products": [("24", "cpd:C00026"), ("99", "")]},
+            {"name": "rn:R00003"},
+        ],
+    )
+    unsigned = make_kgml(
+        entries=[{"id": "1", "name": "hsa:1", "graphics": "AAA"},
+                 {"id": "2", "name": "hsa:2", "graphics": "BBB"}],
+        relations=[("1", "2", ["binding/association"]), ("1", "2", []),
+                   ("1", "2", ["phosphorylation", "inhibition"]), ("1", "9", ["activation"]),
+                   ("2", "1", ["indirect effect", "dissociation"])],
+    ).replace('<subtype name="dissociation"', "<subtype")
+    ids_shared = make_kgml(
+        entries=[{"id": "1", "name": "hsa:1", "graphics": "AAA"},
+                 {"id": "2", "name": "hsa:2", "graphics": "BBB"},
+                 {"id": "7", "name": "hsa:7", "graphics": "GENE7"},
+                 {"id": "7", "name": "undefined", "type": "group", "graphics": None,
+                  "components": ["1", "2"]},
+                 {"id": "8", "name": "undefined", "type": "group", "graphics": None,
+                  "components": ["2"]},
+                 {"id": "8", "name": "hsa:8", "graphics": "GENE8"}],
+        relations=[("7", "8", ["activation"]), ("8", "1", ["inhibition"])],
+    )
+    colitis = ulcerative_colitis_kgml()
+    return {
+        "kegg-doctype": KEGG_PROLOG + _without_prolog(colitis),
+        "declared-encoding-non-ascii": '<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+        + _without_prolog(colitis).replace("TNF, DIF", "TNF, TNF-\u03b1, Gr\u00f6\u00dfe")
+        .replace('"Inflammation"', '"Inflammation \u2013 acute"'),
+        "entity-references-in-attributes": colitis.replace(
+            "IL10, CSIF", "IL10, &#946;-catenin, A&amp;B, &lt;x&gt;, &quot;q&quot;, &#x3b3;"),
+        "nested-groups": nested_groups,
+        "duplicate-symbols": duplicates,
+        "title-maps": title_maps,
+        "compound-name-fallbacks": compounds,
+        "unsigned-subtypes": unsigned,
+        "relations-before-entries": _relations_first(colitis),
+        "elements-nested-below-the-records": colitis.replace(
+            "</pathway>", '<x><y><entry id="90" name="hsa:90" type="gene"><graphics name="ZZZ"/>'
+            '</entry></y></x><x><entry id="91" name="hsa:91" type="gene"/></x></pathway>').replace(
+            '<graphics name="TNF, DIF', '<graphics/><graphics name="TNF, DIF').replace(
+            '<graphics name="IL10', '<x><graphics name="NESTED"/></x><graphics name="IL10').replace(
+            '<subtype name="inhibition"', '<x><subtype name="activation"/></x><subtype name="inhibition"'),
+        "ids-shared-by-a-gene-and-a-group": ids_shared,
+    }
+
+
+def _parsed(parse, document: str):
+    """Everything `parse` makes of `document`, in order, or the failure it raises."""
+    try:
+        graph, rg = parse(document)
+    except MalformedKgml as exc:
+        return "raises", str(exc)
+    return (graph.pathway_id, graph.title, [vars(node) for node in graph.nodes.values()],
+            graph.edges, graph.skipped_relations, sorted(graph.endpoints),
+            list(rg.compounds.items()), rg.edges, list(rg.enzymes.items()),
+            list(rg.reaction_substrates.items()), list(rg.reaction_products.items()))
+
+
+KGML_FIXTURES = {
+    "make-kgml": make_kgml(),
+    "ulcerative-colitis": ulcerative_colitis_kgml(),
+    "shmt2-flux": shmt2_flux_kgml(),
+    "pde4-inflammation": pde4_inflammation_kgml(),
+    "egfr-cancer": egfr_cancer_kgml(),
+    **{f"cascade-{seed}": cascade_kgml(seed) for seed in range(4)},
+    **{f"cascade-{seed}-dense": cascade_kgml(seed, n_genes=40, dense_core=14) for seed in range(4)},
+    **_kgml_edge_cases(),
+}
+
+
+@pytest.mark.parametrize("document", KGML_FIXTURES.values(), ids=KGML_FIXTURES.keys())
+def test_parse_kgml_reads_what_the_elementtree_reference_reads(document):
+    ours = _parsed(parse_kgml, document)
+    assert ours[0] != "raises", ours
+    assert ours == _parsed(kgml_reference, document)
+
+
+MALFORMED_KGML = {
+    **{f"truncated-at-{cut}": ulcerative_colitis_kgml()[:cut] for cut in range(0, 2000, 97)},
+    "undefined-entity-after-doctype": KEGG_PROLOG + _without_prolog(
+        ulcerative_colitis_kgml()).replace("</pathway>", "&nbsp;</pathway>"),
+    "undefined-entity": ulcerative_colitis_kgml().replace("</pathway>", "&nbsp;</pathway>"),
+    "external-entity-in-content": '<!DOCTYPE pathway [<!ENTITY e SYSTEM "e.xml">]>\n'
+    + _without_prolog(make_kgml()).replace("</pathway>", "  &e;\n</pathway>"),
+    "external-entity-inside-an-internal-one": '<!DOCTYPE pathway [<!ENTITY a "1">'
+    '<!ENTITY e SYSTEM "e.xml"><!ENTITY outer "&a;&e;">]>\n'
+    + _without_prolog(make_kgml()).replace("</pathway>", "  &outer;\n</pathway>"),
+    "unbound-prefix": make_kgml().replace("</pathway>", "<k:entry/></pathway>"),
+    "mismatched-tag": make_kgml().replace("</pathway>", "</pathways>"),
+    "repeated-attribute": make_kgml().replace('org="hsa"', 'org="hsa" org="mmu"'),
+    "text-after-root": make_kgml() + "\n<pathway/>",
+    "empty": "",
+    "wrong-root": "<notkgml/>",
+    "namespaced-root": make_kgml().replace("<pathway ", '<pathway xmlns="urn:kgml" '),
+}
+
+
+@pytest.mark.parametrize("document", MALFORMED_KGML.values(), ids=MALFORMED_KGML.keys())
+def test_parse_kgml_refuses_what_the_elementtree_reference_refuses(document):
+    # the message names the same line and column
+    ours = _parsed(parse_kgml, document)
+    assert ours[0] == "raises"
+    assert ours == _parsed(kgml_reference, document)
 
 
 # -- flat records --------------------------------------------------------------
@@ -555,6 +740,36 @@ def test_betweenness_matches_counting_oracle():
         expected = betweenness_oracle(graph)
         for node in graph.nodes:
             assert abs(ours.get(node, 0.0) - expected[node]) < 1e-9
+
+
+@st.composite
+def brandes_graphs(draw):
+    """Successor lists over ids 0..n+1: random edges over the first n ids,
+    parallel edges and self-loops among them, then a sink that some of them
+    feed and an isolated id."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    edges += [(v, n) for v in draw(st.lists(ids, max_size=4))]
+    successors = [[] for _ in range(n + 2)]
+    for v, w in edges:
+        successors[v].append((w, 1))
+    return [sorted(out) for out in successors]
+
+
+@settings(max_examples=500, deadline=None)
+@given(brandes_graphs())
+def test_brandes_equals_the_predecessor_list_reference(successors):
+    assert _brandes(successors) == brandes_reference(successors)
+
+
+@pytest.mark.parametrize("document", [cascade_kgml(seed, n_genes=40, dense_core=dense)
+                                      for seed in range(3) for dense in (0, 14)])
+def test_brandes_equals_the_reference_on_generated_pathways(document):
+    # many shortest paths per pair, so the float sums are long
+    for graph in parse_kgml(document):
+        successors = graph.topology()._successors
+        assert _brandes(successors) == brandes_reference(successors)
 
 
 def test_scc_matches_reachability_oracle():
