@@ -9,10 +9,11 @@ Subpackages:
   bench       open-benchmark preparation and scoring
 
 Outside JSON (oracle replies, snapshots, manifests, analysis specs, benchmark
-files) is read through `field`, which raises `ValueError` naming the field;
-each boundary turns that into its own exception. A record with a fixed set of
-fields can be declared once as a `Shape`, whose `read` checks every field by
-`field`'s rules and fails with its wording.
+files) is decoded by `parse_json` and read through `field`; each raises
+`ValueError`, `field` naming the field, and each boundary turns that into its
+own exception. A record with a fixed set of fields can be declared once as a
+`Shape`, whose `read` checks every field by `field`'s rules and fails with its
+wording.
 
 Every exception that outside input or the environment can cause is an `Error`
 (a malformed file or reply, a failed source, oracle or workspace); one that
@@ -122,13 +123,23 @@ def parse_jsonl(text: str, path, read=None) -> list:
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
-            rows.append(row if read is None else read(row))
-        except json.JSONDecodeError as exc:
+            row = parse_json(line)
+        except ValueError as exc:
             raise ValueError(f"{path} row {number} is not JSON: {exc}") from exc
+        try:
+            rows.append(row if read is None else read(row))
         except ValueError as exc:
             raise ValueError(f"{path} row {number} {exc}") from exc
     return rows
+
+
+def parse_json(text):
+    """`json.loads(text)` for outside JSON: a value nested too deeply for the
+    decoder raises `ValueError`, as malformed JSON does, not `RecursionError`."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("nested too deeply to decode") from exc
 
 
 def field(record, name: str, types, default=_REQUIRED, of=None):

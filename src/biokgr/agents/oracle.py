@@ -15,7 +15,7 @@ import json
 import math
 import re
 
-from biokgr import Error, field
+from biokgr import Error, field, parse_json
 from biokgr.agents.actions import (
     Action,
     AnalyzeWorkspace,
@@ -212,7 +212,7 @@ class HttpOracle:
         except FederationError as exc:
             raise OracleUnavailable(f"oracle endpoint {self.endpoint}: {exc}") from exc
         try:
-            return read(json.loads(field(field(reply, "message", dict), "content", str)))
+            return read(parse_json(field(field(reply, "message", dict), "content", str)))
         except ValueError as exc:
             raise OracleUnavailable(
                 f"oracle endpoint {self.endpoint} sent a malformed {what}: {exc}") from exc

@@ -24,7 +24,7 @@ import re
 import stat
 from pathlib import Path
 
-from biokgr import Error, WorkspaceUnavailable, field, read_text, writing
+from biokgr import Error, WorkspaceUnavailable, field, parse_json, read_text, writing
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +71,7 @@ class Workspace:
 
     def _load_manifest(self) -> dict[str, str]:
         try:  # ValueError: not UTF-8, not JSON or a field of the wrong type
-            entries = field(json.loads(read_text(self._manifest_path)), "files", list, of=dict)
+            entries = field(parse_json(read_text(self._manifest_path)), "files", list, of=dict)
             return {field(e, "path", str): field(e, "description", str) for e in entries}
         except ValueError as exc:
             raise WorkspaceUnavailable(f"malformed {self._manifest_path}: {exc}") from exc
@@ -133,7 +133,7 @@ class Workspace:
         """JSON list-of-objects or CSV file as a list of row dicts."""
         text = self.read_text(relpath)
         if relpath.endswith(".json"):
-            payload = json.loads(text)
+            payload = parse_json(text)
             if isinstance(payload, list):
                 return [row for row in payload if isinstance(row, dict)]
             raise AnalysisError(f"{relpath} is not a JSON table")

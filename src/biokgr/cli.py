@@ -23,7 +23,8 @@ import click
 
 from biokgr import bench as bench_mod
 from biokgr import evidence
-from biokgr import Error, field, parse_jsonl, read_jsonl, read_text, write_jsonl, writing
+from biokgr import (Error, field, parse_json, parse_jsonl, read_jsonl, read_text, write_jsonl,
+                    writing)
 from biokgr.agents import DefaultOracle, HttpOracle, OrchestratorRunner
 from biokgr.bench.scoring import load_predictions, read_items, run_suite, write_report
 from biokgr.curation import ebm
@@ -47,7 +48,6 @@ from biokgr.curation.target_id import PROFILES, build_target_item
 from biokgr.curation.flux import build_flux_item, TargetNotInPathway
 from biokgr.federation import Federation, QuerySpec, persist_results
 from biokgr.pathways import parse_kgml, parse_flat_record
-from biokgr.pathways.families import annotate_functional_types
 from biokgr.pathways.flat import split_flat_records
 
 logger = logging.getLogger(__name__)
@@ -143,7 +143,7 @@ def pathway():
 @click.option("--out", "out_path", required=True)
 def pathway_parse(kgml_path, out_path):
     """Parse one KGML file into a JSON graph snapshot."""
-    graph_obj, rg = _read_pathway(kgml_path)
+    graph_obj, rg = parse_kgml(read_text(kgml_path))
     snapshot = {
         "pathway_id": graph_obj.pathway_id,
         "title": graph_obj.title,
@@ -171,12 +171,6 @@ def pathway_parse(kgml_path, out_path):
         f"{graph_obj.pathway_id}: {len(graph_obj.nodes)} nodes, "
         f"{len(graph_obj.edges)} signed edges, {len(rg.edges)} reaction edges"
     )
-
-
-def _read_pathway(path):
-    graph_obj, rg = parse_kgml(read_text(path))
-    annotate_functional_types(graph_obj)
-    return graph_obj, rg
 
 
 def _kgml_files(directory):
@@ -225,7 +219,7 @@ def curate_target_id(kgml_dir, profile, seed, option_count, out_path):
     items = {}
     for path in _kgml_files(kgml_dir):
         with _skipping(path):
-            graph_obj, _rg = _read_pathway(path)
+            graph_obj, _rg = parse_kgml(read_text(path))
             _add_item(items, build_target_item(graph_obj, PROFILES[profile],
                                                option_count=option_count, seed=seed))
     write_items_jsonl(items.values(), out_path)
@@ -241,7 +235,7 @@ def curate_flux(kgml_dir, target, seed, out_path):
     items = {}
     for path in _kgml_files(kgml_dir):
         with _skipping(path):
-            graph_obj, rg = _read_pathway(path)
+            graph_obj, rg = parse_kgml(read_text(path))
             try:
                 item = build_flux_item(graph_obj, rg, target, seed=seed)
             except TargetNotInPathway:
@@ -312,7 +306,7 @@ def curate_surrogate(drugs_path, kgml_dir, seed, max_pathways, out_path):
                 path = kgml_by_id.get(pathway_id)
                 if path is None:
                     continue
-                graph_obj, _rg = _read_pathway(path)
+                graph_obj, _rg = parse_kgml(read_text(path))
                 merged = graph_obj if merged is None else merged.merged_with(graph_obj)
             if merged is None:
                 raise NoMappedTarget(f"{record.accession} has no pathway KGML available")
@@ -399,7 +393,7 @@ def bench_group():
 @click.option("--seed", default=0, show_default=True)
 def bench_prepare(benchmark, in_path, out_path, seed):
     text = read_text(in_path)
-    records = json.loads(text) if text.lstrip().startswith("[") else parse_jsonl(text, in_path)
+    records = parse_json(text) if text.lstrip().startswith("[") else parse_jsonl(text, in_path)
     items = bench_mod.prepare_dataset(records, benchmark, seed=seed)
     write_jsonl(out_path, items)
     expected = bench_mod.EXPECTED_SNAPSHOT_COUNTS.get(benchmark)

@@ -51,8 +51,8 @@ class TargetFacts:
     down2: set[str]       # downstream within FLUX_STEP_LIMIT steps
     up2: set[str]         # upstream within FLUX_STEP_LIMIT steps
     reachable: set[str]   # downstream within REACHABILITY_LIMIT steps
-    terminals: set[str]   # compounds with out-degree zero
-    cyclic: set[str]      # compounds on a directed cycle
+    terminals: frozenset[str]  # compounds with out-degree zero
+    cyclic: frozenset[str]     # compounds on a directed cycle
 
 
 def target_facts(rg: ReactionGraph, target: str) -> TargetFacts:
@@ -63,7 +63,7 @@ def target_facts(rg: ReactionGraph, target: str) -> TargetFacts:
     """
     if not rg.reactions_for_gene(target):
         raise TargetNotInPathway(f"{target!r} is not linked to any reaction")
-    topology = rg.topology()
+    topology = rg.topology
     downstream = topology.distances(rg.gene_products(target), REACHABILITY_LIMIT)
     down = {n for n, steps in downstream.items() if steps < FLUX_STEP_LIMIT}
     up = set(topology.distances(rg.gene_substrates(target), FLUX_STEP_LIMIT - 1, "upstream"))

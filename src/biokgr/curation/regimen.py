@@ -9,12 +9,11 @@ the class strategy templates to the same drug combination.
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
 
-from biokgr import Error, field, read_text
+from biokgr import Error, field, parse_json, read_text
 from biokgr.curation.items import McqItem, finalize_item
 
 TOXICITY_OVERLAP_CLASS_II = 0.6
@@ -128,7 +127,7 @@ _DOSE = (int, float, type(None))
 
 def load_corpus(path) -> list[RegimenEvidence]:
     """Every trial's regimens; ValueError when the file is not JSON or a field is ill-typed."""
-    payload = json.loads(read_text(path))
+    payload = parse_json(read_text(path))
     return [
         RegimenEvidence(
             trial_id=field(trial, "trial_id", str, ""),

@@ -107,7 +107,7 @@ def infer_downstream_processes(
     roots = map_targets(record, graph)
     if not roots:
         raise NoMappedTarget(f"{record.accession} has no target mapped into the graphs")
-    depths = graph.topology().distances(roots, TRAVERSAL_DEPTH_LIMIT, "both")
+    depths = graph.topology.distances(roots, TRAVERSAL_DEPTH_LIMIT, "both")
     matches: list[ProcessMatch] = []
     for process, spec in sorted(load_data("process_markers.json")["processes"].items()):
         reached = {

@@ -16,8 +16,6 @@ from functools import cache
 
 from biokgr import Error, load_data, substring_pattern
 from biokgr.curation.items import McqItem, finalize_item
-from biokgr.pathways.analytics import Topology
-from biokgr.pathways.families import infer_functional_type
 from biokgr.pathways.graphs import SignedPathwayGraph
 
 GAIN2_THRESHOLD = 0.5
@@ -101,15 +99,10 @@ def assign_target_gains(
     profile: LogicProfile,
 ) -> dict[str, GainScore]:
     """Score each candidate gene for therapeutic-target plausibility."""
-    return _assign_gains(graph, graph.topology(), candidates, profile)
-
-
-def _assign_gains(graph, topology: Topology, candidates, profile) -> dict[str, GainScore]:
-    """`assign_target_gains` on the caller's `graph.topology()`."""
     if not graph.endpoints:
         raise NoEndpoints(f"pathway {graph.pathway_id or '?'} has no disease endpoints")
 
-    centrality = topology.betweenness
+    centrality = graph.topology.betweenness
     candidate_centrality = {c: centrality.get(c, 0.0) for c in candidates}
     cutoff = nearest_rank_percentile(list(candidate_centrality.values()), CENTRALITY_PERCENTILE)
 
@@ -118,10 +111,8 @@ def _assign_gains(graph, topology: Topology, candidates, profile) -> dict[str, G
         if is_blacklisted(graph, candidate):
             scores[candidate] = GainScore(0, "non_druggable")
             continue
-        polarity = topology.path_polarity(candidate, graph.endpoints)
-        node = graph.nodes[candidate]
-        ftype = node.functional_type or infer_functional_type(node)
-        prioritized = ftype in profile.prioritized_types
+        polarity = graph.topology.path_polarity(candidate, graph.endpoints)
+        prioritized = graph.nodes[candidate].functional_type in profile.prioritized_types
         threshold = profile.prioritized_threshold if prioritized else GAIN2_THRESHOLD
         if polarity.value < 0:
             scores[candidate] = GainScore(0, "protective")
@@ -149,21 +140,18 @@ def build_target_item(
     candidates = graph.gene_symbols()
     if len(candidates) < option_count:
         raise InsufficientCandidates(f"{len(candidates)} candidates < option count {option_count}")
-    topology = graph.topology()
-    gains = _assign_gains(graph, topology, candidates, profile)
+    gains = assign_target_gains(graph, candidates, profile)
     answers = sorted(c for c, s in gains.items() if s.value == 2)
     if not answers:
         raise NoCorrectOption(f"no gain-2 candidate in pathway {graph.pathway_id or '?'}")
 
-    centrality = topology.betweenness
+    centrality = graph.topology.betweenness
     chosen = answers[:option_count]
     fillers = sorted(set(candidates) - set(chosen), key=lambda c: (-centrality.get(c, 0.0), c))
     chosen = chosen + fillers[: option_count - len(chosen)]
 
     def render(symbol: str) -> str:
-        node = graph.nodes[symbol]
-        ftype = node.functional_type or infer_functional_type(node)
-        return f"{symbol} : {ftype}"
+        return f"{symbol} : {graph.nodes[symbol].functional_type}"
 
     scored = [(render(c), gains[c].value) for c in chosen]
     context = graph.title or graph.pathway_id or "this disease"

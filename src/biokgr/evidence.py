@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
-from biokgr import Error, Shape, WorkspaceUnavailable, field, read_text, writing
+from biokgr import Error, Shape, WorkspaceUnavailable, field, parse_json, read_text, writing
 
 logger = logging.getLogger(__name__)
 
@@ -880,7 +880,7 @@ def import_graph(path) -> EvidenceGraphStore:
     gc.disable()
     try:
         try:
-            doc = json.loads(read_text(path))
+            doc = parse_json(read_text(path))
         except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
             raise MalformedSnapshot(f"snapshot {path} is not valid JSON: {exc}") from exc
         return EvidenceGraphStore.from_document(doc)

@@ -12,6 +12,7 @@ from biokgr.federation.client import (
     FetchRequest,
     InvalidQuery,
     KgClient,
+    MalformedResponse,
     RequestFailed,
     SourceUnavailable,
 )
@@ -20,7 +21,6 @@ from biokgr.federation.unified import (
     AllSourcesFailed,
     Federation,
     FetchResult,
-    MalformedResponse,
     SourceStatus,
     UnifiedRecord,
 )

@@ -25,7 +25,7 @@ from http.client import HTTPException
 from urllib.error import HTTPError
 from urllib.parse import urlencode
 
-from biokgr import Error
+from biokgr import Error, parse_json
 from biokgr.federation.descriptors import SourceDescriptor
 from biokgr.federation.ratelimit import RateLimiter, SystemClock
 
@@ -66,6 +66,11 @@ class SourceUnavailable(FederationError):
 
 class TransportError(FederationError):
     pass
+
+
+class MalformedResponse(FederationError):
+    """A source's reply does not fit its reply shape (an HTML page, a wrong shape or leaf type,
+    JSON nested too deeply to decode)."""
 
 
 @dataclass
@@ -184,7 +189,8 @@ class KgClient:
 
 
 def parse_body(response: RawResponse):
-    """JSON bodies become dicts/lists; anything else stays text."""
+    """JSON bodies become dicts/lists; anything else stays text. JSON nested too
+    deeply to decode raises `MalformedResponse`."""
     content_type = ""
     for key, value in response.headers.items():
         if key.lower() == "content-type":
@@ -193,7 +199,9 @@ def parse_body(response: RawResponse):
     body = response.body
     if "json" in content_type or body.lstrip()[:1] in ("{", "["):
         try:
-            return json.loads(body)
+            return parse_json(body)
         except json.JSONDecodeError:
             pass
+        except ValueError as exc:
+            raise MalformedResponse(f"reply {exc}") from exc
     return body

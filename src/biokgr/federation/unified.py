@@ -27,7 +27,8 @@ from urllib.parse import quote
 
 from biokgr import load_data
 from biokgr.evidence import EntityRef
-from biokgr.federation.client import FederationError, FetchRequest, InvalidQuery, KgClient
+from biokgr.federation.client import (
+    FederationError, FetchRequest, InvalidQuery, KgClient, MalformedResponse)
 from biokgr.federation.descriptors import SLOT, QuerySpec, SourceDescriptor, default_registry
 from biokgr.federation.queries import validate_predicate
 from biokgr.federation.ratelimit import RateLimiter, SystemClock
@@ -50,10 +51,6 @@ _KIND_MAP = {
 
 class AllSourcesFailed(FederationError):
     pass
-
-
-class MalformedResponse(FederationError):
-    """A source's reply does not fit its reply shape (an HTML page, a wrong shape or leaf type)."""
 
 
 @dataclass

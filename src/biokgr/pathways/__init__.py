@@ -2,8 +2,8 @@
 
 KGML documents become a signed gene/protein interaction graph plus a
 substrate→product reaction graph; KEGG flat records become typed drug/pathway
-records. The analytics here (path polarity, betweenness, SCCs, k-step
-neighborhoods) feed every downstream curator.
+records. The analytics on each graph's one `topology` (path polarity,
+betweenness, SCCs, k-step neighborhoods) feed every downstream curator.
 """
 from biokgr.pathways.graphs import (
     PathwayNode,
@@ -16,9 +16,6 @@ from biokgr.pathways.flat import KeggFlatRecord, MalformedRecord, parse_flat_rec
 from biokgr.pathways.analytics import (
     NodeNotFound,
     PolarityResult,
-    betweenness,
-    k_step_neighborhood,
-    path_polarity,
 )
 from biokgr.pathways.families import infer_functional_type
 
@@ -34,8 +31,5 @@ __all__ = [
     "parse_flat_record",
     "NodeNotFound",
     "PolarityResult",
-    "betweenness",
-    "k_step_neighborhood",
-    "path_polarity",
     "infer_functional_type",
 ]

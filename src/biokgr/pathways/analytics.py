@@ -1,9 +1,9 @@
 """Graph analytics used by the benchmark curators.
 
-Every analytic reads a `Topology`: the structure of one pathway graph,
-compiled by `SignedPathwayGraph.topology()` or `ReactionGraph.topology()`,
-with betweenness, SCCs, cyclic and terminal nodes cached on first use. A
-curator holds one topology per item; the module functions build one per call.
+Every analytic reads a `Topology`: the structure of one pathway graph, which
+each graph builds once as its `topology`, with betweenness, SCCs, cyclic and
+terminal nodes cached on first use. The module functions at the end read it
+too; they remain only while `perfbench/curate_kgml.py` calls them.
 
 Every analytic runs over one integer index built with the topology: ids in
 name order, sorted `(id, weight)` successors and predecessor ids. One
@@ -27,10 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    from biokgr.pathways.graphs import ReactionGraph, SignedPathwayGraph
+from typing import Iterable
 
 MAX_PATH_EDGES = 8
 MAX_PATHS_PER_PAIR = 10_000
@@ -95,15 +92,16 @@ class Topology:
         return sorted(components, key=min)
 
     @cached_property
-    def cyclic(self) -> set[str]:
+    def cyclic(self) -> frozenset[str]:
         """Nodes on a directed cycle: members of a multi-node SCC or a self-loop."""
         cyclic = {n for c in self.components if len(c) > 1 for n in c}
-        return cyclic | {n for v, n in enumerate(self._names) if v in self._predecessors[v]}
+        return frozenset(cyclic).union(
+            n for v, n in enumerate(self._names) if v in self._predecessors[v])
 
     @cached_property
-    def terminals(self) -> set[str]:
+    def terminals(self) -> frozenset[str]:
         """Exactly the declared nodes with out-degree zero."""
-        return {n for n in self.nodes if not self._successors[self._ids[n]]}
+        return frozenset(n for n in self.nodes if not self._successors[self._ids[n]])
 
     def path_polarity(
         self,
@@ -374,35 +372,22 @@ def _tarjan(successors: list[list[tuple[int, int]]]) -> list[list[int]]:
     return components
 
 
-def path_polarity(
-    graph: SignedPathwayGraph,
-    gene: str,
-    endpoints: set[str] | list[str] | None = None,
-    max_paths: int = MAX_PATHS_PER_PAIR,
-) -> PolarityResult:
-    """`Topology.path_polarity`; `endpoints` defaults to the graph's disease endpoints."""
-    return graph.topology().path_polarity(
-        gene, graph.endpoints if endpoints is None else endpoints, max_paths
-    )
+def path_polarity(graph, gene: str, endpoints,
+                  max_paths: int = MAX_PATHS_PER_PAIR) -> PolarityResult:
+    """`Topology.path_polarity` on the graph's topology."""
+    return graph.topology.path_polarity(gene, endpoints, max_paths)
 
 
 def betweenness(graph) -> dict[str, float]:
-    """Unnormalized directed betweenness centrality with unit edge lengths."""
-    return graph.topology().betweenness
+    """`Topology.betweenness` of the graph's topology."""
+    return graph.topology.betweenness
 
 
-def cyclic_nodes(graph) -> set[str]:
-    """Nodes on a directed cycle: members of a multi-node SCC or a self-loop."""
-    return graph.topology().cyclic
+def cyclic_nodes(graph) -> frozenset[str]:
+    """`Topology.cyclic` of the graph's topology."""
+    return graph.topology.cyclic
 
 
-def k_step_neighborhood(
-    graph: ReactionGraph,
-    node: str,
-    k: int,
-    direction: str = "downstream",
-) -> set[str]:
+def k_step_neighborhood(graph, node: str, k: int, direction: str = "downstream") -> set[str]:
     """Nodes reachable within 1..k steps of `node`, excluding `node` itself."""
-    if direction not in ("downstream", "upstream"):
-        raise ValueError(f"direction must be downstream or upstream, got {direction!r}")
-    return set(graph.topology().distances([node], k, direction)) - {node}
+    return set(graph.topology.distances([node], k, direction)) - {node}

@@ -3,14 +3,14 @@
 Classification order: curated gene-family dictionaries (most specific class
 wins, in the precedence order shipped with the dictionaries), then the
 generic EC-number→enzyme rule, then "other". The dictionaries live in an
-editable JSON data file so coverage can grow without code changes.
+editable JSON data file so coverage can grow without code changes. Each
+`PathwayNode` derives its type here, through its `functional_type` property.
 """
 from __future__ import annotations
 
 from functools import cache
 
 from biokgr import load_data
-from biokgr.pathways.graphs import PathwayNode
 
 
 @cache
@@ -25,8 +25,8 @@ def _family_lookup() -> tuple[tuple[str, frozenset[str], tuple[str, ...]], ...]:
     return tuple(lookup)
 
 
-def infer_functional_type(node: PathwayNode) -> str:
-    """Classify a pathway node into one of the closed functional-type labels."""
+def infer_functional_type(node) -> str:
+    """Classify a `PathwayNode` into one of the closed functional-type labels."""
     symbol = node.symbol.upper()
     for label, symbols, prefixes in _family_lookup():
         if symbol in symbols or symbol.startswith(prefixes):
@@ -36,7 +36,7 @@ def infer_functional_type(node: PathwayNode) -> str:
     return "other"
 
 
-def annotate_functional_types(graph) -> None:
-    """Fill `functional_type` on every node of a signed pathway graph."""
-    for node in graph.nodes.values():
-        node.functional_type = infer_functional_type(node)
+def annotate_functional_types(graph) -> dict[str, str]:
+    """Each node's `functional_type` by key: a reader of the node property,
+    kept while `perfbench/curate_kgml.py` still times an annotate step."""
+    return {key: node.functional_type for key, node in graph.nodes.items()}

@@ -7,8 +7,8 @@ silently; they are recorded on the graph as skipped. Reaction elements become
 substrate→product edges keyed by compound display names, and gene entries
 carrying a `reaction` attribute provide the enzyme annotations linking gene
 symbols to those edges. A relation from or to a group stands for one from or
-to each member, and groups may nest; a relation through a group that
-contains itself makes the document malformed.
+to each member, and groups may nest to any depth; a relation through a
+group that contains itself makes the document malformed.
 
 One expat pass reads a document. It keeps each top-level `entry`, `relation`
 and `reaction` with its attributes and those of the children the graphs use
@@ -145,12 +145,8 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
     if tag != "pathway":
         raise MalformedKgml(f"root element is <{tag}>, expected <pathway>")
 
-    graph = SignedPathwayGraph(
-        pathway_id=(attributes.get("name") or "").replace("path:", ""),
-        title=attributes.get("title") or "",
-    )
-    reaction_graph = ReactionGraph()
-
+    nodes: dict[str, PathwayNode] = {}
+    compounds: dict[str, str] = {}
     entry_key: dict[str, list[str]] = {}  # entry id -> [signed-graph node key]; no group ids
     group_members: dict[str, list[str]] = {}
     compound_key: dict[str, str] = {}     # entry id -> reaction-graph node key
@@ -176,7 +172,7 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
             display = _compound_display(label, name)
             if display:
                 compound_key[entry_id] = display
-                reaction_graph.compounds.setdefault(display, display)
+                compounds.setdefault(display, display)
             continue
         if entry_type not in ("gene", "map", "enzyme", "ortholog"):
             continue
@@ -185,8 +181,8 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
             symbol = _primary_alias(label).removeprefix("TITLE:").strip()
         else:
             symbol = _primary_alias(label)
-        if not symbol:
-            symbol = name.split()[0] if name else entry_id
+        if not symbol:  # a name of only whitespace names nothing
+            symbol = (name.split() or [entry_id])[0]
         if entry_id not in group_members:
             entry_key[entry_id] = [symbol] if symbol else []
 
@@ -197,9 +193,9 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
         ec_numbers = tuple(sorted(set(ec_found)))
         aliases = tuple([a.strip().rstrip(".") for a in label.split(",") if a.strip()])
 
-        node = graph.nodes.get(symbol)
+        node = nodes.get(symbol)
         if node is None:
-            graph.nodes[symbol] = PathwayNode(
+            nodes[symbol] = PathwayNode(
                 symbol=symbol,
                 entry_type="gene" if entry_type in ("gene", "enzyme", "ortholog") else entry_type,
                 aliases=aliases,
@@ -208,9 +204,11 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
                 kegg_ids=kegg_ids,
             )
         else:
-            node.aliases = tuple(dict.fromkeys(node.aliases + aliases))
-            node.ec_numbers = tuple(sorted(set(node.ec_numbers) | set(ec_numbers)))
-            node.kegg_ids = tuple(dict.fromkeys(node.kegg_ids + kegg_ids))
+            nodes[symbol] = node._replace(
+                aliases=tuple(dict.fromkeys(node.aliases + aliases)),
+                ec_numbers=tuple(sorted(set(node.ec_numbers) | set(ec_numbers))),
+                kegg_ids=tuple(dict.fromkeys(node.kegg_ids + kegg_ids)),
+            )
 
         reaction_names = (entry.get("reaction") or "").split()
         if reaction_names and entry_type in ("gene", "enzyme", "ortholog"):
@@ -218,18 +216,31 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
                 reaction.removeprefix("rn:") for reaction in reaction_names
             )
 
-    def resolve_group(entry_id: str, groups: tuple[str, ...] = ()) -> list[str]:
-        """The node keys an id not in `entry_key` stands for; `groups` are the
-        groups being expanded."""
+    def resolve_group(entry_id: str) -> list[str]:
+        """The node keys an id not in `entry_key` stands for, member by member
+        and depth first, with an explicit stack so that no nesting is too deep."""
         if entry_id not in group_members:
             return []
-        if entry_id in groups:
-            raise MalformedKgml(f"group {entry_id!r} contains itself")
-        groups += (entry_id,)
-        return [key for member in group_members[entry_id]
-                for key in entry_key.get(member) or resolve_group(member, groups)]
+        keys: list[str] = []
+        expanding = {entry_id: None}  # the groups being expanded, innermost last
+        stack = [iter(group_members[entry_id])]
+        while stack:
+            for member in stack[-1]:
+                if entry_key.get(member):
+                    keys += entry_key[member]
+                elif member in group_members:
+                    if member in expanding:
+                        raise MalformedKgml(f"group {member!r} contains itself")
+                    expanding[member] = None
+                    stack.append(iter(group_members[member]))
+                    break
+            else:
+                stack.pop()
+                expanding.popitem()
+        return keys
 
-    seen: set[tuple[str, str, int, str]] = set()
+    signed: dict[tuple[str, str, int, str], None] = {}  # each edge once, in first-seen order
+    skipped = []
     for relation, children in records["relation"]:
         subtypes = [child_attributes.get("name") or ""
                     for child, child_attributes in children if child == "subtype"]
@@ -238,18 +249,16 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
         sources = entry_key.get(entry1) or resolve_group(entry1)
         targets = entry_key.get(entry2) or resolve_group(entry2)
         if subtype_name is None or not sources or not targets:
-            graph.skipped_relations.append(
-                (entry1, entry2, ";".join(subtypes) or "(no subtype)")
-            )
+            skipped.append((entry1, entry2, ";".join(subtypes) or "(no subtype)"))
             continue
         sign = SUBTYPE_SIGNS[subtype_name]
         for src in sources:
             for dst in targets:
-                sig = (src, dst, sign, subtype_name)
-                if sig not in seen:
-                    graph.edges.append(SignedEdge(src, dst, sign, subtype_name))
-                    seen.add(sig)
+                signed[src, dst, sign, subtype_name] = None
 
+    reaction_edges = []
+    reaction_substrates: dict[str, tuple[str, ...]] = {}
+    reaction_products: dict[str, tuple[str, ...]] = {}
     for reaction, children in records["reaction"]:
         name = (reaction.get("name") or "").removeprefix("rn:")
         substrates = [
@@ -263,24 +272,30 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
         substrates = [s for s in substrates if s]
         products = [p for p in products if p]
         for compound in substrates + products:
-            reaction_graph.compounds.setdefault(compound, compound)
+            compounds.setdefault(compound, compound)
         for substrate in substrates:
             for product in products:
-                reaction_graph.edges.append((substrate, product, name))
-        reaction_graph.reaction_substrates[name] = tuple(substrates)
-        reaction_graph.reaction_products[name] = tuple(products)
-
-    reaction_graph.enzymes = {
-        symbol: tuple(sorted(reactions))
-        for symbol, reactions in sorted(enzyme_reactions.items())
-    }
+                reaction_edges.append((substrate, product, name))
+        reaction_substrates[name] = tuple(substrates)
+        reaction_products[name] = tuple(products)
 
     is_endpoint = _endpoint_terms().search
-    for key, node in graph.nodes.items():
-        if is_endpoint(f"{node.graphics_label} {key}".casefold()):
-            graph.endpoints.add(key)
-
-    return graph, reaction_graph
+    return SignedPathwayGraph(
+        pathway_id=(attributes.get("name") or "").replace("path:", ""),
+        title=attributes.get("title") or "",
+        nodes=nodes,
+        edges=map(SignedEdge._make, signed),
+        endpoints=[key for key, node in nodes.items()
+                   if is_endpoint(f"{node.graphics_label} {key}".casefold())],
+        skipped_relations=skipped,
+    ), ReactionGraph(
+        compounds=compounds,
+        edges=reaction_edges,
+        enzymes={symbol: tuple(sorted(reactions))
+                 for symbol, reactions in sorted(enzyme_reactions.items())},
+        reaction_substrates=reaction_substrates,
+        reaction_products=reaction_products,
+    )
 
 
 def _strip_cpd(name: str | None) -> str:

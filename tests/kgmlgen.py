@@ -114,6 +114,27 @@ def cyclic_group_kgml(cycle: tuple[str, ...] = ("5",)) -> str:
     return make_kgml(entries=entries, relations=[(cycle[0], "1", ["activation"])])
 
 
+def blank_name_kgml() -> str:
+    """A gene and a map entry whose names are only whitespace and that have no
+    graphics label, each in a relation with BBB."""
+    entries = [{"id": "1", "name": " ", "graphics": None},
+               {"id": "2", "name": "hsa:2", "graphics": "BBB"},
+               {"id": "3", "name": "  ", "type": "map", "graphics": None}]
+    return make_kgml(entries=entries, relations=[("1", "2", ["activation"]),
+                                                 ("2", "3", ["inhibition"])])
+
+
+def group_chain_kgml(depth: int) -> str:
+    """`depth` groups nested in a chain, each listing the next and the innermost
+    TNF, and a relation from the outermost group to IL6."""
+    groups = [str(100 + i) for i in range(depth)]
+    entries = [{"id": "1", "name": "hsa:7124", "graphics": "TNF"},
+               {"id": "2", "name": "hsa:3569", "graphics": "IL6"}]
+    entries += [{"id": group, "name": "undefined", "type": "group", "graphics": None,
+                 "components": [(groups[1:] + ["1"])[i]]} for i, group in enumerate(groups)]
+    return make_kgml(entries=entries, relations=[(groups[0], "2", ["activation"])])
+
+
 def shmt2_flux_kgml() -> str:
     """Reaction-graph fixture: SHMT2 feeds a chain with a terminal endpoint
     and a two-compound feedback cycle branching off it."""
@@ -154,19 +175,18 @@ def random_signed_graph(rng: random.Random, max_nodes: int = 30) -> SignedPathwa
     """Random signed digraph with stable, lexicographically ordered node names."""
     n = rng.randint(3, max_nodes)
     names = [f"N{i:02d}" for i in range(n)]
-    graph = SignedPathwayGraph(pathway_id="random", title="random")
-    for name in names:
-        graph.nodes[name] = PathwayNode(symbol=name)
     target_edges = rng.randint(n, 2 * n)
     seen: set[tuple[str, str]] = set()
+    edges = []
     for _ in range(target_edges):
         src, dst = rng.sample(names, 2)
         if (src, dst) in seen:
             continue
         seen.add((src, dst))
         weight = rng.choice((1, -1))
-        graph.edges.append(SignedEdge(src, dst, weight, "activation" if weight > 0 else "inhibition"))
-    return graph
+        edges.append(SignedEdge(src, dst, weight, "activation" if weight > 0 else "inhibition"))
+    return SignedPathwayGraph(pathway_id="random", title="random",
+                              nodes={name: PathwayNode(symbol=name) for name in names}, edges=edges)
 
 
 def pde4_inflammation_kgml() -> str:

@@ -286,8 +286,9 @@ def _strip_cpd(name: str | None) -> str:
 
 def kgml_reference(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
     """`parse_kgml` over an ElementTree: `ET.fromstring`, then one `findall`
-    pass each over the entries, relations and reactions. A group that
-    contains itself recurses until `RecursionError`."""
+    pass each over the entries, relations and reactions. Groups expand from a
+    work list, so nesting of any depth is followed; a group that contains
+    itself raises `MalformedKgml`."""
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:
@@ -296,12 +297,8 @@ def kgml_reference(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
     if root.tag != "pathway":
         raise MalformedKgml(f"root element is <{root.tag}>, expected <pathway>")
 
-    graph = SignedPathwayGraph(
-        pathway_id=(root.get("name") or "").replace("path:", ""),
-        title=root.get("title") or "",
-    )
-    reaction_graph = ReactionGraph()
-
+    nodes: dict[str, PathwayNode] = {}
+    compounds: dict[str, str] = {}
     entry_key: dict[str, str] = {}        # entry id -> signed-graph node key
     group_members: dict[str, list[str]] = {}
     compound_key: dict[str, str] = {}     # entry id -> reaction-graph node key
@@ -320,7 +317,7 @@ def kgml_reference(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
             display = _compound_display(entry)
             if display:
                 compound_key[entry_id] = display
-                reaction_graph.compounds.setdefault(display, display)
+                compounds.setdefault(display, display)
             continue
         if entry_type not in ("gene", "map", "enzyme", "ortholog"):
             continue
@@ -330,7 +327,8 @@ def kgml_reference(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
         else:
             symbol = _primary_alias(label)
         if not symbol:
-            symbol = (entry.get("name") or "").split()[0] if entry.get("name") else entry_id
+            name_tokens = (entry.get("name") or "").split()
+            symbol = name_tokens[0] if name_tokens else entry_id
         entry_key[entry_id] = symbol
 
         kegg_ids = tuple(t for t in (entry.get("name") or "").split() if ":" in t)
@@ -339,9 +337,9 @@ def kgml_reference(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
         )))
         aliases = tuple(a.strip().rstrip(".") for a in label.split(",") if a.strip())
 
-        node = graph.nodes.get(symbol)
+        node = nodes.get(symbol)
         if node is None:
-            graph.nodes[symbol] = PathwayNode(
+            nodes[symbol] = PathwayNode(
                 symbol=symbol,
                 entry_type="gene" if entry_type in ("gene", "enzyme", "ortholog") else entry_type,
                 aliases=aliases,
@@ -350,9 +348,14 @@ def kgml_reference(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
                 kegg_ids=kegg_ids,
             )
         else:
-            node.aliases = tuple(dict.fromkeys(node.aliases + aliases))
-            node.ec_numbers = tuple(sorted(set(node.ec_numbers) | set(ec_numbers)))
-            node.kegg_ids = tuple(dict.fromkeys(node.kegg_ids + kegg_ids))
+            nodes[symbol] = PathwayNode(
+                symbol=node.symbol,
+                entry_type=node.entry_type,
+                aliases=tuple(dict.fromkeys(node.aliases + aliases)),
+                ec_numbers=tuple(sorted(set(node.ec_numbers) | set(ec_numbers))),
+                graphics_label=node.graphics_label,
+                kegg_ids=tuple(dict.fromkeys(node.kegg_ids + kegg_ids)),
+            )
 
         reaction_names = [t for t in (entry.get("reaction") or "").split() if t]
         if reaction_names and entry_type in ("gene", "enzyme", "ortholog"):
@@ -361,22 +364,28 @@ def kgml_reference(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
             )
 
     def resolve_endpoints(entry_id: str) -> list[str]:
-        if entry_id in group_members:
-            keys = []
-            for member in group_members[entry_id]:
-                keys.extend(resolve_endpoints(member))
-            return keys
-        key = entry_key.get(entry_id)
-        return [key] if key else []
+        keys = []
+        work = [(entry_id, ())]  # (id, the groups that contain it), next to expand last
+        while work:
+            member, groups = work.pop()
+            if member in groups:
+                raise MalformedKgml(f"group {member!r} contains itself")
+            if member in group_members:
+                work += [(m, groups + (member,)) for m in reversed(group_members[member])]
+            elif entry_key.get(member):
+                keys.append(entry_key[member])
+        return keys
 
     seen: set[tuple[str, str, int, str]] = set()
+    edges: list[SignedEdge] = []
+    skipped: list[tuple[str, str, str]] = []
     for relation in root.findall("relation"):
         subtypes = [s.get("name") or "" for s in relation.findall("subtype")]
         sign = next((SUBTYPE_SIGNS[s] for s in subtypes if s in SUBTYPE_SIGNS), None)
         sources = resolve_endpoints(relation.get("entry1") or "")
         targets = resolve_endpoints(relation.get("entry2") or "")
         if sign is None or not sources or not targets:
-            graph.skipped_relations.append(
+            skipped.append(
                 (relation.get("entry1") or "", relation.get("entry2") or "",
                  ";".join(subtypes) or "(no subtype)")
             )
@@ -386,9 +395,12 @@ def kgml_reference(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
             for dst in targets:
                 sig = (src, dst, sign, subtype_name)
                 if sig not in seen:
-                    graph.edges.append(SignedEdge(src, dst, sign, subtype_name))
+                    edges.append(SignedEdge(src, dst, sign, subtype_name))
                     seen.add(sig)
 
+    reaction_edges: list[tuple[str, str, str]] = []
+    reaction_substrates: dict[str, tuple[str, ...]] = {}
+    reaction_products: dict[str, tuple[str, ...]] = {}
     for reaction in root.findall("reaction"):
         name = (reaction.get("name") or "").removeprefix("rn:")
         substrates = [
@@ -402,24 +414,32 @@ def kgml_reference(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
         substrates = [s for s in substrates if s]
         products = [p for p in products if p]
         for compound in substrates + products:
-            reaction_graph.compounds.setdefault(compound, compound)
+            compounds.setdefault(compound, compound)
         for substrate in substrates:
             for product in products:
-                reaction_graph.edges.append((substrate, product, name))
-        reaction_graph.reaction_substrates[name] = tuple(substrates)
-        reaction_graph.reaction_products[name] = tuple(products)
-
-    reaction_graph.enzymes = {
-        symbol: tuple(sorted(reactions))
-        for symbol, reactions in sorted(enzyme_reactions.items())
-    }
+                reaction_edges.append((substrate, product, name))
+        reaction_substrates[name] = tuple(substrates)
+        reaction_products[name] = tuple(products)
 
     terms = [t.casefold() for t in load_data("endpoint_lexicon.json")["terms"]]
-    for key, node in graph.nodes.items():
-        haystack = f"{node.graphics_label} {key}".casefold()
-        if any(term in haystack for term in terms):
-            graph.endpoints.add(key)
-
+    endpoints = {key for key, node in nodes.items()
+                 if any(term in f"{node.graphics_label} {key}".casefold() for term in terms)}
+    graph = SignedPathwayGraph(
+        pathway_id=(root.get("name") or "").replace("path:", ""),
+        title=root.get("title") or "",
+        nodes=nodes,
+        edges=edges,
+        endpoints=endpoints,
+        skipped_relations=skipped,
+    )
+    reaction_graph = ReactionGraph(
+        compounds=compounds,
+        edges=reaction_edges,
+        enzymes={symbol: tuple(sorted(reactions))
+                 for symbol, reactions in sorted(enzyme_reactions.items())},
+        reaction_substrates=reaction_substrates,
+        reaction_products=reaction_products,
+    )
     return graph, reaction_graph
 
 

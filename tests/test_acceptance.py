@@ -7,6 +7,7 @@ import json
 import random
 import re
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -51,8 +52,8 @@ from biokgr.federation import (
 )
 from biokgr.federation.client import FetchRequest
 from biokgr.federation.mockserver import MockTransport
-from biokgr.pathways import parse_kgml, parse_flat_record, path_polarity, betweenness
-from biokgr.pathways.analytics import k_step_neighborhood
+from biokgr.pathways import parse_kgml, parse_flat_record
+from biokgr.pathways.analytics import betweenness, k_step_neighborhood, path_polarity
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 from corpusgen import make_review_xml, regimen_corpus
@@ -102,11 +103,11 @@ def test_criterion_1_analytics_match_bruteforce_oracles():
             assert abs(ours_b.get(node, 0.0) - expected_b[node]) < 1e-9
 
         # SCC exact against mutual reachability
-        assert graph.topology().components == scc_oracle(graph)
+        assert graph.topology.components == scc_oracle(graph)
 
         # k-step neighborhoods exact, both directions
-        rg = ReactionGraph(compounds={n: n for n in nodes})
-        rg.edges = [(e.source, e.target, "R") for e in graph.edges]
+        rg = ReactionGraph(compounds={n: n for n in nodes},
+                           edges=[(e.source, e.target, "R") for e in graph.edges])
         probe = rng.choice(nodes)
         for k in (1, 2, 3):
             for direction in ("downstream", "upstream"):
@@ -219,20 +220,24 @@ def _random_target_graph(rng):
     graph = random_signed_graph(rng, max_nodes=rng.randint(12, 22))
     nodes = sorted(graph.nodes)
     endpoint = "ENDPOINT"
-    graph.nodes[endpoint] = PathwayNode(symbol=endpoint, entry_type="map")
-    graph.endpoints = {endpoint}
+    decoys = ("RPL3", "ACTB", "TUBB1")
     promoter = nodes[0]
-    graph.edges.append(SignedEdge(promoter, endpoint, 1, "activation"))
-    for decoy in ("RPL3", "ACTB", "TUBB1"):
-        graph.nodes[decoy] = PathwayNode(symbol=decoy)
-        graph.edges.append(SignedEdge(decoy, endpoint, 1, "activation"))
-        graph.edges.append(SignedEdge(decoy, promoter, 1, "activation"))
+    edges = [*graph.edges, SignedEdge(promoter, endpoint, 1, "activation")]
+    for decoy in decoys:
+        edges.append(SignedEdge(decoy, endpoint, 1, "activation"))
+        edges.append(SignedEdge(decoy, promoter, 1, "activation"))
     for i, connect in enumerate(nodes[1:4]):
-        graph.edges.append(
+        edges.append(
             SignedEdge(connect, endpoint, -1 if i % 2 else 1,
                        "inhibition" if i % 2 else "activation")
         )
-    return graph
+    return replace(
+        graph,
+        nodes={**graph.nodes, endpoint: PathwayNode(symbol=endpoint, entry_type="map"),
+               **{decoy: PathwayNode(symbol=decoy) for decoy in decoys}},
+        edges=edges,
+        endpoints={endpoint},
+    )
 
 
 def _check_target_item(graph, item):
@@ -339,25 +344,26 @@ def test_criterion_3_curator_invariants_over_1000_items():
 
 
 def _random_reaction_graph(rng):
-    graph = SignedPathwayGraph(pathway_id="rand", title="rand")
-    graph.nodes["ENZ1"] = PathwayNode(symbol="ENZ1")
+    graph = SignedPathwayGraph(pathway_id="rand", title="rand",
+                               nodes={"ENZ1": PathwayNode(symbol="ENZ1")})
     n = rng.randint(5, 12)
     compounds = [f"M{i:02d}" for i in range(n)]
-    rg = ReactionGraph(compounds={c: c for c in compounds})
-    edges = set()
+    pairs = set()
     for _ in range(rng.randint(n, 2 * n)):
         a, b = rng.sample(compounds, 2)
-        if (a, b) not in edges:
-            edges.add((a, b))
-    rg.edges = [(a, b, f"R{i}") for i, (a, b) in enumerate(sorted(edges))]
-    # the enzyme catalyzes the first reaction
-    first = rg.edges[0]
-    rg.enzymes = {"ENZ1": (first[2],)}
-    rg.reaction_substrates = {first[2]: (first[0],)}
-    rg.reaction_products = {first[2]: (first[1],)}
-    for sub, prod, name in rg.edges[1:]:
-        rg.reaction_substrates.setdefault(name, tuple())
-        rg.reaction_products.setdefault(name, tuple())
+        if (a, b) not in pairs:
+            pairs.add((a, b))
+    edges = [(a, b, f"R{i}") for i, (a, b) in enumerate(sorted(pairs))]
+    # the enzyme catalyzes the first reaction; the others list no compounds
+    first = edges[0]
+    unlisted = {name: () for _sub, _prod, name in edges[1:]}
+    rg = ReactionGraph(
+        compounds={c: c for c in compounds},
+        edges=edges,
+        enzymes={"ENZ1": (first[2],)},
+        reaction_substrates={first[2]: (first[0],), **unlisted},
+        reaction_products={first[2]: (first[1],), **unlisted},
+    )
     return graph, rg
 
 

@@ -770,6 +770,10 @@ def test_http_oracle_client_error_fails_at_once():
     json_response({"message": {"content": "[1, 2]"}}),
     json_response(["not", "an", "object"]),
     RawResponse(status=200, body="<html>gateway</html>", headers={"Content-Type": "text/html"}),
+    # JSON nested deeper than the decoder recurses, as the reply and inside its message
+    RawResponse(status=200, body="[" * 100_000 + "]" * 100_000,
+                headers={"Content-Type": "application/json"}),
+    json_response({"message": {"content": "[" * 100_000 + "]" * 100_000}}),
     # well-formed messages carrying malformed plans
     assistant({"steps": ["survey"]}),
     assistant({"steps": "abc"}),

@@ -18,6 +18,7 @@ from biokgr.federation.mockserver import FixtureServer
 from corpusgen import make_review_xml, regimen_corpus
 from fedmock import json_response, text_response
 from kgmlgen import (
+    blank_name_kgml,
     cyclic_group_kgml,
     egfr_cancer_kgml,
     pde4_inflammation_kgml,
@@ -77,6 +78,18 @@ def test_pathway_parse(runner, tmp_path):
     assert snapshot["pathway_id"] == "hsa04750"
     assert {n["symbol"] for n in snapshot["nodes"]} >= {"TNF", "IL6"}
     assert snapshot["endpoints"] == ["Inflammation"]
+
+
+def test_pathway_parse_names_an_entry_named_only_by_whitespace_by_its_id(runner, tmp_path):
+    kgml = tmp_path / "blank.xml"
+    kgml.write_text(blank_name_kgml(), encoding="utf-8")
+    out = tmp_path / "snapshot.json"
+    invoke(runner, ["pathway", "parse", "--kgml", str(kgml), "--out", str(out)])
+    snapshot = json.loads(out.read_text())
+    assert [(n["symbol"], n["functional_type"]) for n in snapshot["nodes"]] == [
+        ("1", "other"), ("BBB", "other"), ("3", "other")]
+    assert [(e["source"], e["target"]) for e in snapshot["signed_edges"]] == [
+        ("1", "BBB"), ("BBB", "3")]
 
 
 def test_curate_target_id(runner, tmp_path):
@@ -359,6 +372,7 @@ def _rows(*rows):
 
 
 DIRECTORY = None  # in a case's files: make a directory where the command expects a file
+DEEP = "[" * 100_000 + "]" * 100_000  # JSON nested deeper than the decoder recurses
 
 # one malformed or unreadable input file or unwritable output path per case; each must end its
 # command in one `Error:` line
@@ -523,6 +537,12 @@ MALFORMED_INPUTS = {
     "regimen-corpus-a-directory": (
         REGIMEN, {"corpus.json": DIRECTORY},
         "cannot read corpus.json"),
+    "bench-predictions-nested-too-deeply": (
+        BENCH_SCORE, {"items.jsonl": _rows(ITEM), "preds.jsonl": _rows(DEEP)},
+        "preds.jsonl row 1 is not JSON: nested too deeply to decode"),
+    "graph-snapshot-nested-too-deeply": (
+        ["graph", "stats", "--store", "deep.json"], {"deep.json": DEEP},
+        "snapshot deep.json is not valid JSON: nested too deeply to decode"),
 }
 
 

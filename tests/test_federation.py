@@ -307,6 +307,18 @@ def test_unified_search_marks_an_unreadable_reply_failed(source, reply):
     assert f"{source} sent a body its adapter cannot read" in failed[0].reason
 
 
+def test_unified_search_marks_a_reply_nested_too_deeply_failed():
+    deep = RawResponse(status=200, body="[" * 100_000 + "]" * 100_000,
+                       headers={"Content-Type": "application/json"})
+    federation = shapeless_federation({"mygene.test": deep, "kegg.test": kegg_payload()})
+    spec = QuerySpec(kind="gene", text="TP53", sources=("mygene", "kegg"))
+    result = federation.search_entities_unified(spec)
+    assert [r.sources for r in result.records] == [["kegg"]]
+    failed = [s for s in result.statuses if not s.ok]
+    assert [s.source_id for s in failed] == ["mygene"]
+    assert "nested too deeply to decode" in failed[0].reason
+
+
 def test_a_source_without_a_reply_shape_reads_names_and_ids():
     rows = [{"name": "TP53", "id": 7157, "chembl_id": "CHEMBL1", "target_id": None, "score": 9},
             "not an object", {"id": "CHEMBL2"}, {"name": ""}]

@@ -1,6 +1,7 @@
 """Target-identification and flux curators: gain rules, fixtures, determinism."""
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,8 +25,7 @@ from biokgr.curation.target_id import (
 from biokgr.curation.items import write_items_jsonl
 from biokgr.pathways import analytics, parse_kgml
 from biokgr.pathways.analytics import MAX_PATHS_PER_PAIR
-from biokgr.pathways.families import annotate_functional_types
-from biokgr.pathways.graphs import PathwayNode, SignedEdge, SignedPathwayGraph
+from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 from kgmlgen import cascade_kgml, random_signed_graph, shmt2_flux_kgml, ulcerative_colitis_kgml
 
@@ -50,15 +50,15 @@ def shmt2_facts(shmt2):
 # -- gain assignment -------------------------------------------------------------
 
 def simple_graph(edges, genes=None, endpoint="END"):
-    graph = SignedPathwayGraph(pathway_id="x", title="x")
     nodes = {endpoint} | {e[0] for e in edges} | {e[1] for e in edges} | set(genes or [])
-    for name in nodes:
-        entry_type = "map" if name == endpoint else "gene"
-        graph.nodes[name] = PathwayNode(symbol=name, entry_type=entry_type)
-    for src, dst, w in edges:
-        graph.edges.append(SignedEdge(src, dst, w))
-    graph.endpoints = {endpoint}
-    return graph
+    return SignedPathwayGraph(
+        pathway_id="x",
+        title="x",
+        nodes={name: PathwayNode(symbol=name, entry_type="map" if name == endpoint else "gene")
+               for name in nodes},
+        edges=[SignedEdge(src, dst, w) for src, dst, w in edges],
+        endpoints={endpoint},
+    )
 
 
 def test_positive_kinase_gets_gain_two():
@@ -98,8 +98,7 @@ def test_profile_lowers_threshold():
 
 
 def test_no_endpoints_raises():
-    graph = simple_graph([("A", "B", 1)])
-    graph.endpoints = set()
+    graph = replace(simple_graph([("A", "B", 1)]), endpoints=())
     with pytest.raises(NoEndpoints):
         assign_target_gains(graph, ["A"], PROFILES["other"])
 
@@ -163,8 +162,7 @@ def test_generated_target_item_bytes_are_pinned(tmp_path):
     truncated = 0
     for seed, n_genes, dense_core in ((5, 30, 0), (7, 40, 0), (3, 20, 14)):
         graph, _rg = parse_kgml(cascade_kgml(seed, n_genes, dense_core))
-        annotate_functional_types(graph)
-        topology = graph.topology()
+        topology = graph.topology
         polarities = [topology.path_polarity(g, graph.endpoints) for g in graph.gene_symbols()]
         truncated += sum(p.truncated and p.path_count == MAX_PATHS_PER_PAIR for p in polarities)
         items.append(build_target_item(graph, PROFILES["cancer"], seed=seed))
@@ -250,17 +248,14 @@ def test_flux_item_names_real_compounds(shmt2):
 def test_flux_item_template_fallback():
     # target linked to a reaction whose products are all inside a cycle and
     # whose graph has no terminal: texts fall back to template descriptors
-    graph = SignedPathwayGraph(pathway_id="p", title="t")
-    graph.nodes["ENZ"] = PathwayNode(symbol="ENZ")
-    from biokgr.pathways.graphs import ReactionGraph
-
-    rg = ReactionGraph()
-    for c in ("X1", "X2"):
-        rg.compounds[c] = c
-    rg.edges = [("X1", "X2", "R1"), ("X2", "X1", "R2")]
-    rg.enzymes = {"ENZ": ("R1",)}
-    rg.reaction_substrates = {"R1": ("X1",), "R2": ("X2",)}
-    rg.reaction_products = {"R1": ("X2",), "R2": ("X1",)}
+    graph = SignedPathwayGraph(pathway_id="p", title="t", nodes={"ENZ": PathwayNode(symbol="ENZ")})
+    rg = ReactionGraph(
+        compounds={"X1": "X1", "X2": "X2"},
+        edges=[("X1", "X2", "R1"), ("X2", "X1", "R2")],
+        enzymes={"ENZ": ("R1",)},
+        reaction_substrates={"R1": ("X1",), "R2": ("X2",)},
+        reaction_products={"R1": ("X2",), "R2": ("X1",)},
+    )
     item = build_flux_item(graph, rg, "ENZ", seed=5)
     joined = " ".join(o.text for o in item.options)
     assert "tracer labeling" in joined
@@ -295,16 +290,19 @@ def count_calls(monkeypatch, module, name) -> list[int]:
     return calls
 
 
-def test_target_item_computes_betweenness_once(uc_graph, monkeypatch):
+def test_target_item_computes_betweenness_once(monkeypatch):
+    graph, _rg = parse_kgml(ulcerative_colitis_kgml())  # a topology not yet built
     calls = count_calls(monkeypatch, analytics, "_brandes")
-    build_target_item(uc_graph, PROFILES["infection"], seed=42)
+    build_target_item(graph, PROFILES["infection"], seed=42)
+    build_target_item(graph, PROFILES["cancer"], seed=43)
     assert len(calls) == 1
 
 
-def test_flux_item_computes_the_scc_partition_once(shmt2, monkeypatch):
-    graph, rg = shmt2
+def test_flux_item_computes_the_scc_partition_once(monkeypatch):
+    graph, rg = parse_kgml(shmt2_flux_kgml())
     calls = count_calls(monkeypatch, analytics, "_tarjan")
     build_flux_item(graph, rg, "SHMT2", seed=3)
+    build_flux_item(graph, rg, "SHMT2", seed=4)
     assert len(calls) == 1
 
 
@@ -317,7 +315,7 @@ def test_gain_invariants_on_random_graphs():
         graph = random_signed_graph(rng, max_nodes=20)
         nodes = sorted(graph.nodes)
         endpoint = nodes[-1]
-        graph.endpoints = {endpoint}
+        graph = replace(graph, endpoints={endpoint})
         candidates = nodes[:-1]
         gains = assign_target_gains(graph, candidates, PROFILES["cancer"])
         from biokgr.pathways.analytics import path_polarity

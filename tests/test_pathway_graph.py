@@ -1,28 +1,39 @@
 """KGML/flat parsing and graph analytics against brute-force oracles."""
+import ast
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import biokgr
 from biokgr.pathways import (
     MalformedKgml,
     MalformedRecord,
     NodeNotFound,
-    betweenness,
     infer_functional_type,
-    k_step_neighborhood,
     parse_flat_record,
     parse_kgml,
+)
+from biokgr.pathways.analytics import (
+    DIRECTIONS,
+    MAX_PATHS_PER_PAIR,
+    Topology,
+    _brandes,
+    betweenness,
+    k_step_neighborhood,
     path_polarity,
 )
-from biokgr.pathways.analytics import DIRECTIONS, MAX_PATHS_PER_PAIR, Topology, _brandes
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 from kgmlgen import (
+    blank_name_kgml,
     cascade_kgml,
     cyclic_group_kgml,
     egfr_cancer_kgml,
+    group_chain_kgml,
     make_kgml,
     pde4_inflammation_kgml,
     random_signed_graph,
@@ -93,8 +104,8 @@ def test_unmapped_subtype_is_recorded_as_skipped():
         relations=[("1", "2", ["binding/association"])],
     )
     graph, _rg = parse_kgml(doc)
-    assert graph.edges == []
-    assert graph.skipped_relations == [("1", "2", "binding/association")]
+    assert graph.edges == ()
+    assert graph.skipped_relations == (("1", "2", "binding/association"),)
 
 
 def test_reaction_becomes_substrate_product_edge():
@@ -170,6 +181,25 @@ def test_a_group_that_contains_itself_is_malformed(cycle):
 def test_a_group_no_relation_uses_is_never_expanded():
     graph, _rg = parse_kgml(cyclic_group_kgml(("5",)).replace('entry1="5"', 'entry1="1"'))
     assert [(e.source, e.target) for e in graph.edges] == [("TNF", "TNF")]
+
+
+def test_a_chain_of_1200_nested_groups_expands_to_its_innermost_member():
+    document = group_chain_kgml(1200)
+    graph, _rg = parse_kgml(document)
+    assert graph.edges == (SignedEdge("TNF", "IL6", 1, "activation"),)
+    assert _parsed(parse_kgml, document) == _parsed(kgml_reference, document)
+
+
+def test_a_chain_of_1200_nested_groups_that_closes_on_itself_is_malformed():
+    document = group_chain_kgml(1200).replace('<component id="1"/>', '<component id="100"/>')
+    with pytest.raises(MalformedKgml, match="group '100' contains itself"):
+        parse_kgml(document)
+
+
+def test_an_entry_named_only_by_whitespace_is_named_by_its_id():
+    graph, _rg = parse_kgml(blank_name_kgml())
+    assert list(graph.nodes) == ["1", "BBB", "3"]
+    assert [(e.source, e.target) for e in graph.edges] == [("1", "BBB"), ("BBB", "3")]
 
 
 # -- KGML parsing against the ElementTree reference ------------------------------
@@ -278,6 +308,7 @@ def _kgml_edge_cases() -> dict[str, str]:
             '<graphics name="IL10', '<x><graphics name="NESTED"/></x><graphics name="IL10').replace(
             '<subtype name="inhibition"', '<x><subtype name="activation"/></x><subtype name="inhibition"'),
         "ids-shared-by-a-gene-and-a-group": ids_shared,
+        "names-of-only-whitespace": blank_name_kgml(),
     }
 
 
@@ -287,7 +318,7 @@ def _parsed(parse, document: str):
         graph, rg = parse(document)
     except MalformedKgml as exc:
         return "raises", str(exc)
-    return (graph.pathway_id, graph.title, [vars(node) for node in graph.nodes.values()],
+    return (graph.pathway_id, graph.title, list(graph.nodes.values()),
             graph.edges, graph.skipped_relations, sorted(graph.endpoints),
             list(rg.compounds.items()), rg.edges, list(rg.enzymes.items()),
             list(rg.reaction_substrates.items()), list(rg.reaction_products.items()))
@@ -424,16 +455,111 @@ def test_unknown_symbol_is_other():
     assert infer_functional_type(PathwayNode(symbol="ZZZUNKNOWN")) == "other"
 
 
+@pytest.mark.parametrize("node", [
+    PathwayNode(symbol="TNF"),
+    PathwayNode(symbol="MAPK1", ec_numbers=("2.7.11.24",)),
+    PathwayNode(symbol="UNKNOWN1", ec_numbers=("2.7.11.1",)),
+    PathwayNode(symbol="Inflammation", entry_type="map"),
+], ids=["family", "family-beats-ec", "ec", "other"])
+def test_a_hand_built_node_reports_the_inferred_functional_type(node):
+    assert node.functional_type == infer_functional_type(node)
+
+
+# -- frozen graph values --------------------------------------------------------
+
+@pytest.mark.parametrize("change", [
+    lambda graph, rg: setattr(graph, "nodes", {}),
+    lambda graph, rg: setattr(graph, "edges", []),
+    lambda graph, rg: setattr(graph, "endpoints", set()),
+    lambda graph, rg: graph.nodes.__setitem__("X", PathwayNode(symbol="X")),
+    lambda graph, rg: graph.edges.append(graph.edges[0]),
+    lambda graph, rg: graph.endpoints.add("TNF"),
+    lambda graph, rg: setattr(graph.nodes["TNF"], "ec_numbers", ("1.1.1.1",)),
+    lambda graph, rg: setattr(graph.edges[0], "weight", -1),
+    lambda graph, rg: setattr(rg, "edges", []),
+    lambda graph, rg: rg.compounds.__setitem__("X", "X"),
+    lambda graph, rg: rg.enzymes.__setitem__("X", ("R1",)),
+], ids=["nodes", "edges", "endpoints", "add-node", "add-edge", "add-endpoint", "node-field",
+        "edge-field", "reaction-edges", "add-compound", "add-enzyme"])
+def test_a_parsed_graph_cannot_be_changed(change):
+    graph, _rg = parse_kgml(ulcerative_colitis_kgml())
+    _graph, rg = parse_kgml(shmt2_flux_kgml())
+    with pytest.raises((AttributeError, TypeError)):
+        change(graph, rg)
+
+
+def test_a_graph_copies_what_it_is_built_from():
+    nodes = {"A": PathwayNode(symbol="A")}
+    edges = [SignedEdge("A", "A", 1)]
+    graph = SignedPathwayGraph(nodes=nodes, edges=edges, endpoints={"A"})
+    nodes["B"] = PathwayNode(symbol="B")
+    edges.append(SignedEdge("A", "B", 1))
+    assert (list(graph.nodes), graph.edges) == (["A"], (SignedEdge("A", "A", 1),))
+
+
+def test_a_graph_builds_one_topology():
+    graph, rg = parse_kgml(shmt2_flux_kgml())
+    assert graph.topology is graph.topology
+    assert rg.topology is rg.topology
+
+
+def test_a_changed_graph_is_a_new_value_with_its_own_topology():
+    graph, _rg = parse_kgml(ulcerative_colitis_kgml())
+    other, rg = parse_kgml(shmt2_flux_kgml())
+    merged = graph.merged_with(other)
+    assert merged.topology is not graph.topology
+    assert merged.topology.nodes == graph.topology.nodes | other.topology.nodes
+    unlinked = replace(rg, edges=())
+    assert unlinked.topology is not rg.topology
+    assert unlinked.topology.terminals == frozenset(rg.compounds) != rg.topology.terminals
+
+
+# -- one place builds a topology --------------------------------------------------
+
+def _constructs_topology(call: ast.Call) -> bool:
+    return getattr(call.func, "id", getattr(call.func, "attr", None)) == "Topology"
+
+
+def topology_constructions(package: Path) -> list[str]:
+    """Every call under `package` that constructs a `Topology`, outside
+    `pathways/graphs.py`, whose graphs each keep the one they build."""
+    offences = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "pathways" / "graphs.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offences += [f"{path.relative_to(package)}:{node.lineno} constructs Topology"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and _constructs_topology(node)]
+    return offences
+
+
+def test_only_the_graph_values_construct_a_topology():
+    assert topology_constructions(Path(biokgr.__file__).resolve().parent) == []
+
+
+@pytest.mark.parametrize("call, constructs", [
+    ("Topology(nodes, edges)", True),
+    ("analytics.Topology(nodes, edges)", True),
+    ("graph.topology.distances(roots, 2)", False),
+    ("topology(graph)", False),
+])
+def test_the_topology_guard_finds_each_construction(call, constructs):
+    assert _constructs_topology(ast.parse(call, mode="eval").body) == constructs
+
+
 # -- analytics: pinned examples --------------------------------------------------
 
-def chain_graph(signs):
-    graph = SignedPathwayGraph()
+def signed_graph(names, edges, **fields) -> SignedPathwayGraph:
+    """A signed graph of plain nodes named `names` and `(source, target, weight)` edges."""
+    return SignedPathwayGraph(nodes={name: PathwayNode(symbol=name) for name in names},
+                              edges=[SignedEdge(*edge) for edge in edges], **fields)
+
+
+def chain_graph(signs, extra=()):
     names = [chr(ord("A") + i) for i in range(len(signs) + 1)]
-    for name in names:
-        graph.nodes[name] = PathwayNode(symbol=name)
-    for i, sign in enumerate(signs):
-        graph.edges.append(SignedEdge(names[i], names[i + 1], sign))
-    return graph, names
+    edges = [(names[i], names[i + 1], sign) for i, sign in enumerate(signs)]
+    return signed_graph(names + list(extra), edges), names
 
 
 def test_polarity_single_positive_chain():
@@ -449,8 +575,7 @@ def test_polarity_single_negative_edge():
 
 
 def test_polarity_no_path_flag():
-    graph, _names = chain_graph([1])
-    graph.nodes["Z"] = PathwayNode(symbol="Z")
+    graph, _names = chain_graph([1], extra=["Z"])
     result = path_polarity(graph, "Z", {"B"})
     assert result.value == 0.0 and result.no_path
 
@@ -473,39 +598,32 @@ def test_betweenness_chain_midpoint():
 
 
 def test_betweenness_star():
-    graph = SignedPathwayGraph()
-    for name in ["I1", "I2", "C", "O1", "O2", "O3"]:
-        graph.nodes[name] = PathwayNode(symbol=name)
-    for src in ["I1", "I2"]:
-        graph.edges.append(SignedEdge(src, "C", 1))
-    for dst in ["O1", "O2", "O3"]:
-        graph.edges.append(SignedEdge("C", dst, 1))
+    graph = signed_graph(["I1", "I2", "C", "O1", "O2", "O3"],
+                         [(src, "C", 1) for src in ["I1", "I2"]]
+                         + [("C", dst, 1) for dst in ["O1", "O2", "O3"]])
     assert betweenness(graph)["C"] == pytest.approx(6.0)
 
 
 def test_scc_dag_is_singletons():
     graph, names = chain_graph([1, 1, 1])
-    components = graph.topology().components
+    components = graph.topology.components
     assert all(len(c) == 1 for c in components)
     assert len(components) == len(names)
 
 
 def test_scc_cycle_detected():
-    graph = SignedPathwayGraph()
-    for name in "ABC":
-        graph.nodes[name] = PathwayNode(symbol=name)
-    graph.edges += [SignedEdge("A", "B", 1), SignedEdge("B", "C", 1), SignedEdge("C", "A", 1)]
-    components = graph.topology().components
+    graph = signed_graph("ABC", [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)])
+    components = graph.topology.components
     assert components == [{"A", "B", "C"}]
 
 
+def reaction_graph(names, edges) -> ReactionGraph:
+    """A reaction graph of compounds `names` and `(substrate, product, reaction)` edges."""
+    return ReactionGraph(compounds={name: name for name in names}, edges=edges)
+
+
 def reaction_chain(names):
-    rg = ReactionGraph()
-    for name in names:
-        rg.compounds[name] = name
-    for i in range(len(names) - 1):
-        rg.edges.append((names[i], names[i + 1], f"R{i}"))
-    return rg
+    return reaction_graph(names, [(names[i], names[i + 1], f"R{i}") for i in range(len(names) - 1)])
 
 
 def test_k_step_zero_is_empty():
@@ -531,15 +649,13 @@ def test_k_step_missing_node():
 
 def test_terminal_chain_tail():
     rg = reaction_chain(["C1", "C2", "C3"])
-    assert rg.topology().terminals == {"C3"}
+    assert rg.topology.terminals == {"C3"}
 
 
 def test_terminal_cycle_is_empty():
-    rg = ReactionGraph()
-    for name in ["C1", "C2", "C3"]:
-        rg.compounds[name] = name
-    rg.edges += [("C1", "C2", "R1"), ("C2", "C3", "R2"), ("C3", "C1", "R3")]
-    assert rg.topology().terminals == set()
+    rg = reaction_graph(["C1", "C2", "C3"],
+                        [("C1", "C2", "R1"), ("C2", "C3", "R2"), ("C3", "C1", "R3")])
+    assert rg.topology.terminals == set()
 
 
 def test_shmt2_fixture_shapes():
@@ -547,7 +663,7 @@ def test_shmt2_fixture_shapes():
     assert rg.reactions_for_gene("SHMT2") == ("R00945",)
     assert rg.gene_products("SHMT2") == ["Glycine"]
     assert rg.gene_substrates("SHMT2") == ["Serine"]
-    assert "Purine" in rg.topology().terminals
+    assert "Purine" in rg.topology.terminals
 
 
 # -- analytics: randomized oracle equivalence ------------------------------------
@@ -768,7 +884,7 @@ def test_brandes_equals_the_predecessor_list_reference(successors):
 def test_brandes_equals_the_reference_on_generated_pathways(document):
     # many shortest paths per pair, so the float sums are long
     for graph in parse_kgml(document):
-        successors = graph.topology()._successors
+        successors = graph.topology._successors
         assert _brandes(successors) == brandes_reference(successors)
 
 
@@ -776,7 +892,7 @@ def test_scc_matches_reachability_oracle():
     rng = random.Random(13)
     for _ in range(30):
         graph = random_signed_graph(rng, max_nodes=25)
-        assert graph.topology().components == scc_oracle(graph)
+        assert graph.topology.components == scc_oracle(graph)
 
 
 def test_sign_flip_antisymmetry_on_odd_length_paths():
@@ -787,8 +903,7 @@ def test_sign_flip_antisymmetry_on_odd_length_paths():
         length = rng.choice([1, 3, 5, 7])
         signs = [rng.choice([1, -1]) for _ in range(length)]
         graph, names = chain_graph(signs)
-        flipped = SignedPathwayGraph(nodes=dict(graph.nodes))
-        flipped.edges = [SignedEdge(e.source, e.target, -e.weight, e.subtype) for e in graph.edges]
+        flipped = replace(graph, edges=[e._replace(weight=-e.weight) for e in graph.edges])
         base = path_polarity(graph, "A", {names[-1]})
         neg = path_polarity(flipped, "A", {names[-1]})
         assert abs(base.value + neg.value) < 1e-12
@@ -799,8 +914,7 @@ def test_sign_flip_twice_is_identity():
     rng = random.Random(18)
     for _ in range(10):
         graph = random_signed_graph(rng, max_nodes=12)
-        twice = SignedPathwayGraph(nodes=dict(graph.nodes))
-        twice.edges = [SignedEdge(e.source, e.target, -(-e.weight), e.subtype) for e in graph.edges]
+        twice = replace(graph, edges=[e._replace(weight=-(-e.weight)) for e in graph.edges])
         nodes = sorted(graph.nodes)
         gene, endpoint = rng.sample(nodes, 2)
         assert path_polarity(graph, gene, {endpoint}) == path_polarity(twice, gene, {endpoint})
@@ -810,10 +924,7 @@ def test_k_step_monotone_and_matches_oracle():
     rng = random.Random(19)
     for _ in range(20):
         graph = random_signed_graph(rng, max_nodes=20)
-        rg = ReactionGraph()
-        for name in graph.nodes:
-            rg.compounds[name] = name
-        rg.edges = [(e.source, e.target, "R") for e in graph.edges]
+        rg = reaction_graph(graph.nodes, [(e.source, e.target, "R") for e in graph.edges])
         node = rng.choice(sorted(rg.compounds))
         previous = set()
         for k in range(0, 5):
@@ -824,18 +935,14 @@ def test_k_step_monotone_and_matches_oracle():
             current = k_step_neighborhood(rg, node, k, "downstream")
             assert previous <= current
             previous = current
-        assert rg.topology().terminals == terminal_oracle(rg)
+        assert rg.topology.terminals == terminal_oracle(rg)
 
 
 def test_upstream_equals_downstream_on_reversed_graph():
     rng = random.Random(23)
     graph = random_signed_graph(rng, max_nodes=15)
-    rg = ReactionGraph()
-    for name in graph.nodes:
-        rg.compounds[name] = name
-    rg.edges = [(e.source, e.target, "R") for e in graph.edges]
-    reversed_rg = ReactionGraph(compounds=dict(rg.compounds))
-    reversed_rg.edges = [(dst, src, r) for src, dst, r in rg.edges]
+    rg = reaction_graph(graph.nodes, [(e.source, e.target, "R") for e in graph.edges])
+    reversed_rg = replace(rg, edges=[(dst, src, r) for src, dst, r in rg.edges])
     for node in sorted(rg.compounds)[:5]:
         assert k_step_neighborhood(rg, node, 3, "upstream") == k_step_neighborhood(
             reversed_rg, node, 3, "downstream"
@@ -844,21 +951,11 @@ def test_upstream_equals_downstream_on_reversed_graph():
 
 def test_polarity_truncation_flag_on_dense_graphs():
     # layered graph with 3 parallel nodes per layer: 3^4 = 81 paths
-    graph = SignedPathwayGraph()
     layers = [[f"L{d}N{i}" for i in range(3)] for d in range(4)]
-    for layer in layers:
-        for name in layer:
-            graph.nodes[name] = PathwayNode(symbol=name)
-    graph.nodes["SRC"] = PathwayNode(symbol="SRC")
-    graph.nodes["DST"] = PathwayNode(symbol="DST")
-    for name in layers[0]:
-        graph.edges.append(SignedEdge("SRC", name, 1))
-    for a, b in zip(layers, layers[1:]):
-        for src in a:
-            for dst in b:
-                graph.edges.append(SignedEdge(src, dst, 1))
-    for name in layers[-1]:
-        graph.edges.append(SignedEdge(name, "DST", 1))
+    edges = [("SRC", name, 1) for name in layers[0]]
+    edges += [(src, dst, 1) for a, b in zip(layers, layers[1:]) for src in a for dst in b]
+    edges += [(name, "DST", 1) for name in layers[-1]]
+    graph = signed_graph([name for layer in layers for name in layer] + ["SRC", "DST"], edges)
 
     full = path_polarity(graph, "SRC", {"DST"})
     assert full.path_count == 81 and not full.truncated
@@ -869,7 +966,7 @@ def test_polarity_truncation_flag_on_dense_graphs():
 
 def test_capped_polarity_of_every_gene_of_a_dense_generated_pathway():
     graph, _rg = parse_kgml(cascade_kgml(3, 20, 14))
-    topology = graph.topology()
+    topology = graph.topology
     edges = [(e.source, e.target, e.weight) for e in graph.edges]
     genes = graph.gene_symbols()
     capped = 0
