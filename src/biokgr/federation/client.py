@@ -3,27 +3,30 @@
 One `KgClient` wraps one source descriptor. All requests go through
 `fetch_with_policy`, which (1) checks credentials for the source's auth mode,
 (2) acquires a rate-limit slot for the host, (3) retries transient failures
-with exponential backoff, and (4) parses the response body into structured
-form (JSON when possible, text otherwise). Every dispatched attempt adds one
-to `attempts`, which budget accounting reads; the count is kept under a lock
-because one client is shared by the federation's worker threads.
+with exponential backoff, or after the reply's `Retry-After` when that is
+longer, and (4) parses the response body into structured form (JSON when
+possible, text otherwise). Every dispatched attempt adds one to `attempts`,
+which budget accounting reads; the count is kept under a lock because one
+client is shared by the federation's worker threads.
 
 Requests leave through a transport: any object with `send(method, url,
-params, headers, body) -> RawResponse`. The default, `HttpTransport`, is
-stateless: one `urllib.request` round trip per call, with no connection
-reuse. Tests substitute `mockserver.MockTransport`.
+params, headers, body) -> RawResponse`. The default, `HttpTransport`, writes
+one HTTP/1.1 request per call on a fresh socket and reads the reply off it
+without `http.client`, keeping urllib's TLS, proxy and redirect handling;
+there is no connection reuse. Tests substitute `mockserver.MockTransport`.
 """
 from __future__ import annotations
 
 import json
 import logging
 import os
+import re
+import socket
+import string
 import threading
-import urllib.request
+from base64 import b64encode
 from dataclasses import dataclass, field
-from http.client import HTTPException
-from urllib.error import HTTPError
-from urllib.parse import urlencode
+from urllib.parse import quote, unquote, urlencode, urljoin, urlsplit
 
 from biokgr import Error, parse_json
 from biokgr.federation.descriptors import SourceDescriptor
@@ -32,7 +35,19 @@ from biokgr.federation.ratelimit import RateLimiter, SystemClock
 logger = logging.getLogger(__name__)
 
 TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
+RETRY_AFTER_STATUSES = {429, 503}
+MAX_RETRY_AFTER_S = 60.0  # the longest `Retry-After` wait honoured
 DEFAULT_TIMEOUT = 15.0
+DEFAULT_PORTS = {"http": 80, "https": 443}
+REDIRECT_STATUSES = {301, 302, 303, 307, 308}
+MAX_REDIRECTS = 10
+MAX_LINE = 65536  # bytes in one status or header line of a reply
+MAX_HEADERS = 100  # header fields in one reply
+# what could split a request: in the method or URL, a space, a control character or non-ASCII;
+# a header name that is not an RFC 9110 token; a value with a control character other than tab
+_UNSAFE = re.compile(r"[^\x21-\x7e]")
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_UNSAFE_VALUE = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
 
 
 class FederationError(Error):
@@ -90,34 +105,229 @@ class FetchRequest:
 
 
 class HttpTransport:
-    """Default transport: one standard-library HTTP round trip per call.
+    """Default transport: one HTTP/1.1 exchange per call, on a fresh socket.
 
-    A status >= 400 comes back as a `RawResponse`; a failure to connect, send
-    or read, a timeout included, raises `TransportError`. The body is decoded
-    with the `Content-Type` charset, or UTF-8 when there is none.
+    It writes the request (`Connection: close`) and reads the reply off the
+    socket itself: the body is framed by `Content-Length`, by chunked transfer
+    coding or by the end of the connection, and decoded with the
+    `Content-Type` charset, or UTF-8 when there is none. As `urllib` does, it
+    verifies TLS against the default trust store, sends through the proxies
+    `getproxies()` names (read once, when the transport is made) unless
+    `proxy_bypass()` exempts the host, and follows up to `MAX_REDIRECTS`
+    redirects: 301, 302 and 303 turn a POST into a GET without a body, and any
+    other redirect of a POST comes back as the response.
+
+    A status >= 400 comes back as a `RawResponse`. A method, URL or header
+    that could split the request raises `TransportError` before anything is
+    sent, and so does a failure to connect, send or read, a timeout included.
     """
+
+    def __init__(self):
+        # deferred: urllib.request loads http.client and email, and only its proxy lookup is used
+        from urllib.request import getproxies, proxy_bypass
+
+        self._proxies = getproxies()
+        self._bypass = proxy_bypass
+        self._tls = None  # made on the first https request
 
     def send(self, method: str, url: str, params: dict, headers: dict, body: str | None) -> RawResponse:
         if params:
             url = f"{url}?{urlencode(params)}"
+        payload = None if body is None else body.encode("utf-8")
         try:
-            request = urllib.request.Request(
-                url, data=None if body is None else body.encode("utf-8"),
-                headers={"User-Agent": "biokgr/0.1", **headers}, method=method,
-            )
-            try:
-                response = urllib.request.urlopen(request, timeout=DEFAULT_TIMEOUT)
-            except HTTPError as exc:  # the error status and body are the response
-                response = exc
-            with response:
-                charset = response.headers.get_content_charset() or "utf-8"
-                return RawResponse(
-                    status=response.status,
-                    body=response.read().decode(charset, errors="replace"),
-                    headers=dict(response.headers),
-                )
-        except (OSError, ValueError, LookupError, HTTPException) as exc:
+            for _ in range(MAX_REDIRECTS + 1):
+                status, fields, content = self._exchange(method, url, headers, payload)
+                next_url = _redirect(url, method, status, fields)
+                if next_url is None:
+                    return RawResponse(status, content.decode(_charset(fields), errors="replace"),
+                                       fields)
+                url, payload = next_url, None
+                method = "HEAD" if method == "HEAD" else "GET"
+                headers = {name: value for name, value in headers.items()
+                           if name.lower() not in ("content-length", "content-type")}
+            raise TransportError(f"more than {MAX_REDIRECTS} redirects, the last to {url}")
+        except (OSError, ValueError, LookupError) as exc:
             raise TransportError(str(exc)) from exc
+
+    def _exchange(self, method: str, url: str, headers: dict,
+                  payload: bytes | None) -> tuple[int, dict, bytes]:
+        """One request on its own connection: the reply's status, header fields and raw body."""
+        if _UNSAFE.search(method) or _UNSAFE.search(url):
+            raise TransportError(f"refusing a method or URL that holds a space, a control "
+                                 f"character or non-ASCII: {method} {url!r}")
+        parts = urlsplit(url)
+        if parts.scheme not in DEFAULT_PORTS or not parts.hostname:
+            raise TransportError(f"unknown url type or no host: {url!r}")
+        host, port = parts.hostname, parts.port or DEFAULT_PORTS[parts.scheme]
+        authority = parts.netloc.rpartition("@")[2]
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        address, tunnel, credentials = (host, port), None, {}
+        tls_host = host if parts.scheme == "https" else None
+        proxy = self._proxies.get(parts.scheme)
+        if proxy and not self._bypass(authority):
+            via = urlsplit(proxy if "://" in proxy else f"{parts.scheme}://{proxy}")
+            address = (via.hostname, via.port or DEFAULT_PORTS.get(via.scheme, 80))
+            if via.username and via.password:
+                secret = f"{unquote(via.username)}:{unquote(via.password)}".encode()
+                credentials = {"Proxy-Authorization": "Basic " + b64encode(secret).decode("ascii")}
+            if parts.scheme == "https":  # tunnel to the host, then TLS with the host itself
+                hostport = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+                tunnel = _head(f"CONNECT {hostport} HTTP/1.1", {"Host": hostport, **credentials})
+                credentials = {}
+            else:  # the proxy gets the absolute URL
+                target = url.partition("#")[0]
+                tls_host = via.hostname if via.scheme == "https" else None
+        fields = {"Host": authority, "User-Agent": "biokgr/0.1", "Accept-Encoding": "identity",
+                  **credentials, **headers, "Connection": "close"}
+        if payload is not None:
+            fields["Content-Length"] = len(payload)
+        # one field per name, case-insensitively: a caller's field replaces a default
+        fields = dict({name.lower(): (name, value) for name, value in fields.items()}.values())
+        request = _head(f"{method} {target} HTTP/1.1", fields) + (payload or b"")
+        with socket.create_connection(address, DEFAULT_TIMEOUT) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as http.client does
+            if tunnel is not None:
+                sock.sendall(tunnel)
+                with sock.makefile("rb") as reader:
+                    status, reason, _fields = _read_head(reader)
+                if status != 200:
+                    raise TransportError(f"tunnel connection failed: {status} {reason}")
+            if tls_host is None:
+                return _round_trip(sock, request, method)
+            with self._tls_context().wrap_socket(sock, server_hostname=tls_host) as tls:
+                return _round_trip(tls, request, method)
+
+    def _tls_context(self):
+        if self._tls is None:
+            import ssl
+
+            context = ssl.create_default_context()
+            context.set_alpn_protocols(["http/1.1"])
+            self._tls = context
+        return self._tls
+
+
+def _head(request_line: str, fields: dict) -> bytes:
+    """The request line and header fields, encoded; an illegal field raises `TransportError`."""
+    lines = [request_line]
+    for name, value in fields.items():
+        value = str(value)
+        if not _TOKEN.fullmatch(name) or _UNSAFE_VALUE.search(value):
+            raise TransportError(f"refusing an illegal header field {name!r}: {value!r}")
+        lines.append(f"{name}: {value}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def _round_trip(sock, request: bytes, method: str) -> tuple[int, dict, bytes]:
+    sock.sendall(request)
+    with sock.makefile("rb") as reader:
+        status, _reason, fields = _read_head(reader)
+        while status == 100:  # an interim reply; the final one follows
+            status, _reason, fields = _read_head(reader)
+        if method == "HEAD" or status in (204, 304) or status < 200:
+            return status, fields, b""
+        if (_header(fields, "transfer-encoding") or "").strip().lower() == "chunked":
+            return status, fields, _read_chunked(reader)
+        try:
+            length = int(_header(fields, "content-length"))
+        except (TypeError, ValueError):  # absent or unreadable: the body runs to the end
+            length = -1
+        if length < 0:
+            return status, fields, reader.read()
+        return status, fields, _read_exactly(reader, length, 0)
+
+
+def _read_line(reader) -> bytes:
+    line = reader.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise TransportError(f"a reply line is longer than {MAX_LINE} bytes")
+    return line
+
+
+def _read_head(reader) -> tuple[int, str, dict]:
+    """A reply's status, reason and header fields (the first of a repeated name wins)."""
+    line = _read_line(reader)
+    if not line:
+        raise TransportError("remote end closed connection without response")
+    version, _, rest = line.decode("latin-1").strip().partition(" ")
+    code, _, reason = rest.strip().partition(" ")
+    if not version.startswith("HTTP/") or not (code.isascii() and code.isdigit()
+                                               and 100 <= int(code) <= 999):
+        raise TransportError(f"bad status line {line!r}")
+    fields: dict[str, str] = {}
+    last = None
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            return int(code), reason, fields
+        text = line.decode("latin-1")
+        if text[0] in " \t":  # a folded continuation of the field before
+            if last is not None:
+                fields[last] += " " + text.strip()
+            continue
+        name, colon, value = text.partition(":")
+        last = name if colon and name not in fields else None
+        if last is not None:
+            fields[name] = value.strip()
+    raise TransportError(f"a reply has more than {MAX_HEADERS} header fields")
+
+
+def _read_exactly(reader, length: int, received: int) -> bytes:
+    """`length` more body bytes, after the `received` already read."""
+    data = reader.read(length)
+    if len(data) < length:
+        raise TransportError(f"IncompleteRead({received + len(data)} bytes read, "
+                             f"{length - len(data)} more expected)")
+    return data
+
+
+def _read_chunked(reader) -> bytes:
+    chunks, received = [], 0
+    while True:
+        try:
+            size = int(_read_line(reader).split(b";", 1)[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise TransportError(f"IncompleteRead({received} bytes read)")
+        if size == 0:
+            break
+        chunks.append(_read_exactly(reader, size, received))
+        received += size
+        _read_exactly(reader, 2, received)  # the CRLF after the chunk
+    while _read_line(reader) not in (b"\r\n", b"\n", b""):  # the trailer fields
+        pass
+    return b"".join(chunks)
+
+
+def _redirect(url: str, method: str, status: int, fields: dict) -> str | None:
+    """The URL urllib's rules send a request on to after this reply, or None."""
+    if not (status in REDIRECT_STATUSES and method in ("GET", "HEAD")
+            or status in (301, 302, 303) and method == "POST"):
+        return None
+    location = _header(fields, "location") or _header(fields, "uri")
+    if not location:
+        return None
+    next_url = urljoin(url, quote(location, encoding="iso-8859-1", safe=string.punctuation))
+    return next_url if urlsplit(next_url).scheme in DEFAULT_PORTS else None
+
+
+def _header(fields: dict, name: str) -> str | None:
+    """The value of header field `name` (lower case), whatever its case in `fields`."""
+    for key, value in fields.items():
+        if key.lower() == name:
+            return value
+    return None
+
+
+def _charset(fields: dict) -> str:
+    """The `Content-Type` charset, lower-cased; UTF-8 when there is none."""
+    for parameter in (_header(fields, "content-type") or "").split(";")[1:]:
+        key, _, value = parameter.partition("=")
+        value = value.strip().strip('"')
+        if key.strip().lower() == "charset" and value:
+            return value.lower()
+    return "utf-8"
 
 
 class KgClient:
@@ -165,6 +375,7 @@ class KgClient:
 
         last_reason = ""
         for attempt in range(1, policy.max_attempts + 1):
+            asked = 0.0
             self._limiter.acquire(host, min_interval)
             with self._attempts_lock:
                 self.attempts += 1
@@ -183,19 +394,36 @@ class KgClient:
                         f"{url} returned HTTP {response.status}", status=response.status
                     )
                 last_reason = f"HTTP {response.status}"
+                if response.status in RETRY_AFTER_STATUSES:
+                    asked = min(_retry_after(response.headers), MAX_RETRY_AFTER_S)
             if attempt < policy.max_attempts:
-                self._clock.sleep(policy.backoff_seconds * 2 ** (attempt - 1))
+                self._clock.sleep(max(policy.backoff_seconds * 2 ** (attempt - 1), asked))
         raise SourceUnavailable(host=host, attempts=policy.max_attempts, reason=last_reason)
+
+
+def _retry_after(headers: dict) -> float:
+    """The seconds a `Retry-After` field asks for: delta-seconds, or an HTTP-date less the
+    reply's own `Date`, so that the injected clock stays the only time source; 0 when absent
+    or unreadable."""
+    value = (_header(headers, "retry-after") or "").strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    date = _header(headers, "date")
+    if not value or not date:
+        return 0.0
+    from email.utils import parsedate_to_datetime  # deferred: only an HTTP-date needs it
+
+    try:
+        asked = parsedate_to_datetime(value) - parsedate_to_datetime(date)
+    except (TypeError, ValueError):  # an unreadable date, or one with a zone and one without
+        return 0.0
+    return max(0.0, asked.total_seconds())
 
 
 def parse_body(response: RawResponse):
     """JSON bodies become dicts/lists; anything else stays text. JSON nested too
     deeply to decode raises `MalformedResponse`."""
-    content_type = ""
-    for key, value in response.headers.items():
-        if key.lower() == "content-type":
-            content_type = value.lower()
-            break
+    content_type = (_header(response.headers, "content-type") or "").lower()
     body = response.body
     if "json" in content_type or body.lstrip()[:1] in ("{", "["):
         try:

@@ -1,9 +1,11 @@
 """Shared per-host rate limiting with an injectable clock.
 
 The limiter serializes timestamp grants under one lock: a caller only
-receives a dispatch slot when `now` has passed the host's next-allowed time,
-so the granted timestamps for one host are spaced by at least the configured
-minimum interval no matter how many threads contend.
+receives a dispatch slot once `now` is at least the larger of its own and the
+previous caller's minimum interval past the host's previous grant. Grants to
+one host are therefore spaced by at least each interval involved, however
+many threads contend and whichever sources (each with its own interval)
+resolve to that host.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ class RateLimiter:
     def __init__(self, clock=None):
         self._clock = clock or SystemClock()
         self._lock = threading.Lock()
-        self._next_allowed: dict[str, float] = {}
+        self._last_grant: dict[str, tuple[float, float]] = {}  # host -> (time, its interval)
 
     def acquire(self, host: str, min_interval: float) -> float:
         """Block until the host's slot opens; returns the granted timestamp."""
@@ -33,9 +35,10 @@ class RateLimiter:
         while True:
             with self._lock:
                 now = self._clock.now()
-                ready = self._next_allowed.get(host, float("-inf"))
+                granted, interval = self._last_grant.get(host, (float("-inf"), 0.0))
+                ready = granted + max(interval, min_interval)
                 if now >= ready:
-                    self._next_allowed[host] = now + min_interval
+                    self._last_grant[host] = (now, min_interval)
                     return now
                 wait = ready - now
             self._clock.sleep(wait)

@@ -7,15 +7,16 @@ reply the reader cannot follow, or a leaf of the wrong type, raises
 `MalformedResponse`, which fails that source alone.
 
 `Federation` owns one client per registered source, all sharing one rate
-limiter, one clock and one transport (the stateless `HttpTransport` unless
-one is injected), and fans a search out concurrently: the highest-priority
-source runs on the caller's thread and the others on at most `MAX_WORKERS`
-threads, so a one-source search starts no thread. It merges per-source
-records into `UnifiedRecord`s with deterministic ordering: source priority
-first, then the source's native rank. Records from different sources that
-share a cross-reference id enrich each other's xref maps; conflicting ids are
-never overwritten silently, they are recorded side by side with their
-sources.
+limiter, one clock and one transport (an `HttpTransport`, which reads the
+proxy settings once and opens a fresh connection per request, unless one is
+injected), and fans a search out concurrently: the highest-priority source
+runs on the caller's thread and the others on at most `MAX_WORKERS` threads.
+A one-source search, which is every BFRS call, builds no pool and starts no
+thread. It merges per-source records into `UnifiedRecord`s with
+deterministic ordering: source priority first, then the source's native
+rank. Records from different sources that share a cross-reference id enrich
+each other's xref maps; conflicting ids are never overwritten silently, they
+are recorded side by side with their sources.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from urllib.parse import quote
 from biokgr import load_data
 from biokgr.evidence import EntityRef
 from biokgr.federation.client import (
-    FederationError, FetchRequest, InvalidQuery, KgClient, MalformedResponse)
+    FederationError, FetchRequest, HttpTransport, InvalidQuery, KgClient, MalformedResponse)
 from biokgr.federation.descriptors import SLOT, QuerySpec, SourceDescriptor, default_registry
 from biokgr.federation.queries import validate_predicate
 from biokgr.federation.ratelimit import RateLimiter, SystemClock
@@ -104,7 +105,7 @@ def _request(template: dict, text: str, kind: str = "", limit: int | None = None
         lone = SLOT.fullmatch(value)  # keeps the value's type: an integer limit stays one
         return values[lone[1]] if lone else SLOT.sub(lambda m: str(values[m[1]]), value)
 
-    # http.client rejects a space or a non-ASCII character in the path;
+    # the transport refuses a space or a non-ASCII character in the URL;
     # reserved characters such as "/" and "+" go through as they are
     path = SLOT.sub(lambda m: quote(str(values[m[1]]), safe="!#$&'()*+,/:;=?@[]~"),
                     template["path"])
@@ -197,6 +198,7 @@ class Federation:
     ):
         self.registry = registry or default_registry()
         clock = clock or SystemClock()
+        transport = transport or HttpTransport()
         limiter = RateLimiter(clock)
         self.clients: dict[str, KgClient] = {
             source_id: KgClient(descriptor, transport=transport, limiter=limiter,
@@ -252,10 +254,12 @@ class Federation:
             except FederationError as exc:
                 return exc
 
-        # the pool starts a thread per submitted source only, so a one-source search starts none
-        with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(ordered))) as pool:
-            futures = [pool.submit(run_one, source_id) for source_id in ordered[1:]]
-            outcomes = [run_one(ordered[0])] + [future.result() for future in futures]
+        if len(ordered) == 1:  # every BFRS call: no pool and no thread
+            outcomes = [run_one(ordered[0])]
+        else:
+            with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(ordered) - 1)) as pool:
+                futures = [pool.submit(run_one, source_id) for source_id in ordered[1:]]
+                outcomes = [run_one(ordered[0])] + [future.result() for future in futures]
         for source_id, outcome in zip(ordered, outcomes):
             if isinstance(outcome, FederationError):
                 statuses.append(SourceStatus(source_id, ok=False, reason=str(outcome)))

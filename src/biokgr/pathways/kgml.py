@@ -216,28 +216,38 @@ def parse_kgml(document: str) -> tuple[SignedPathwayGraph, ReactionGraph]:
                 reaction.removeprefix("rn:") for reaction in reaction_names
             )
 
+    expanded: dict[str, list[str]] = {}  # group id -> its node keys, each once
+
     def resolve_group(entry_id: str) -> list[str]:
-        """The node keys an id not in `entry_key` stands for, member by member
-        and depth first, with an explicit stack so that no nesting is too deep."""
+        """The node keys an id not in `entry_key` stands for, each once in
+        depth-first order. Each group is expanded once, with an explicit stack
+        so that no nesting is too deep."""
         if entry_id not in group_members:
             return []
-        keys: list[str] = []
-        expanding = {entry_id: None}  # the groups being expanded, innermost last
-        stack = [iter(group_members[entry_id])]
+        if entry_id in expanded:
+            return expanded[entry_id]
+        expanding = {entry_id: {}}  # the groups being expanded, innermost last -> keys so far
+        stack = [(entry_id, iter(group_members[entry_id]))]
         while stack:
-            for member in stack[-1]:
+            group, members = stack[-1]
+            for member in members:
                 if entry_key.get(member):
-                    keys += entry_key[member]
+                    expanding[group].update(dict.fromkeys(entry_key[member]))
+                elif member in expanded:
+                    expanding[group].update(dict.fromkeys(expanded[member]))
                 elif member in group_members:
                     if member in expanding:
                         raise MalformedKgml(f"group {member!r} contains itself")
-                    expanding[member] = None
-                    stack.append(iter(group_members[member]))
+                    expanding[member] = {}
+                    stack.append((member, iter(group_members[member])))
                     break
             else:
                 stack.pop()
-                expanding.popitem()
-        return keys
+                keys = expanding.pop(group)
+                expanded[group] = list(keys)
+                if stack:
+                    expanding[stack[-1][0]].update(keys)
+        return expanded[entry_id]
 
     signed: dict[tuple[str, str, int, str], None] = {}  # each edge once, in first-seen order
     skipped = []

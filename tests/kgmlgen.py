@@ -124,14 +124,16 @@ def blank_name_kgml() -> str:
                                                  ("2", "3", ["inhibition"])])
 
 
-def group_chain_kgml(depth: int) -> str:
+def group_chain_kgml(depth: int, copies: int = 1) -> str:
     """`depth` groups nested in a chain, each listing the next and the innermost
-    TNF, and a relation from the outermost group to IL6."""
+    TNF, `copies` times over, and a relation from the outermost group to IL6.
+    With two copies, expanding every listing apart makes 2**depth keys."""
     groups = [str(100 + i) for i in range(depth)]
     entries = [{"id": "1", "name": "hsa:7124", "graphics": "TNF"},
                {"id": "2", "name": "hsa:3569", "graphics": "IL6"}]
     entries += [{"id": group, "name": "undefined", "type": "group", "graphics": None,
-                 "components": [(groups[1:] + ["1"])[i]]} for i, group in enumerate(groups)]
+                 "components": [(groups[1:] + ["1"])[i]] * copies}
+                for i, group in enumerate(groups)]
     return make_kgml(entries=entries, relations=[(groups[0], "2", ["activation"])])
 
 

@@ -731,7 +731,8 @@ def test_cli_import_loads_neither_networkx_nor_an_http_client():
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, biokgr.cli; "
-            "print(sorted({'networkx', 'requests', 'urllib3'} & set(sys.modules)))")
+            "print(sorted({'networkx', 'requests', 'urllib3', 'urllib.request', 'http.client', "
+            "'email.parser', 'ssl'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"

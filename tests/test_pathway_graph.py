@@ -190,6 +190,13 @@ def test_a_chain_of_1200_nested_groups_expands_to_its_innermost_member():
     assert _parsed(parse_kgml, document) == _parsed(kgml_reference, document)
 
 
+def test_groups_listing_one_subgroup_twice_at_30_levels_expand_each_group_once():
+    graph, _rg = parse_kgml(group_chain_kgml(30, copies=2))
+    assert graph.edges == (SignedEdge("TNF", "IL6", 1, "activation"),)
+    document = group_chain_kgml(8, copies=2)
+    assert _parsed(parse_kgml, document) == _parsed(kgml_reference, document)
+
+
 def test_a_chain_of_1200_nested_groups_that_closes_on_itself_is_malformed():
     document = group_chain_kgml(1200).replace('<component id="1"/>', '<component id="100"/>')
     with pytest.raises(MalformedKgml, match="group '100' contains itself"):
