@@ -12,7 +12,7 @@ from biokgr.agents.actions import (
     RetrieveGraph,
     UpdateGraph,
 )
-from biokgr.agents.workspace import Workspace, WorkspaceUnavailable, run_analysis
+from biokgr.agents.workspace import Workspace, run_analysis
 from biokgr.agents.oracle import DefaultOracle, HttpOracle, OracleUnavailable
 from biokgr.agents.research import run_bfrs, run_dfrs
 from biokgr.agents.orchestrator import (
@@ -36,7 +36,6 @@ __all__ = [
     "RetrieveGraph",
     "UpdateGraph",
     "Workspace",
-    "WorkspaceUnavailable",
     "run_analysis",
     "DefaultOracle",
     "HttpOracle",

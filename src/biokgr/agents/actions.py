@@ -20,7 +20,7 @@ class ResearchTask:
     description: str
     entities: tuple[str, ...] = ()
     knowledge_bases: tuple[str, ...] = ()
-    budget: int = 3                 # max federation invocations
+    budget: int = 3                 # max federation calls
     mode: str = "breadth"           # breadth | depth
     seeds: tuple[str, ...] = ()     # depth mode starting points
     entity_kind: str = "gene"

@@ -4,10 +4,10 @@
 without any model: plans come from task templates, relevance is normalized
 lexical overlap, expansion order breaks ties lexicographically. `HttpOracle`
 speaks a chat-completion-style JSON protocol to an external endpoint and is
-treated strictly as a wire format. It posts through a `KgClient`, so it shares
-the knowledge-base clients' transport, clock and retry policy: HTTP 429/5xx
-and transport errors are retried with exponential backoff, and any other
-failure raises `OracleUnavailable` at once.
+treated strictly as a wire format. It posts through `Federation.fetch`, over a
+one-entry registry, so it shares the knowledge-base sources' transport, clock
+and retry policy: HTTP 429/5xx and transport errors are retried with
+exponential backoff, and any other failure raises `OracleUnavailable` at once.
 """
 from __future__ import annotations
 
@@ -31,11 +31,12 @@ from biokgr.agents.actions import (
 )
 from biokgr.agents.plan import PlanChecklist, PlanStep
 from biokgr.evidence import EntityRef, MergeBatch, Observation
-from biokgr.federation import FederationError, FetchRequest, KgClient, SourceDescriptor
+from biokgr.federation import Federation, FederationError, FetchRequest, SourceDescriptor
+from biokgr.federation.client import redact
 
 _TOKEN = re.compile(r"[A-Za-z0-9:]+")
 _PMID_TOKEN = re.compile(r"^pmid:?\d*$|^\d{4,}$")
-TASK_BUDGET = 3  # federation invocations per delegated subagent task
+TASK_BUDGET = 3  # federation calls per delegated subagent task
 
 ORACLE_SYSTEM_GUIDE = (
     "You drive a budgeted knowledge-graph research loop. Requests arrive as "
@@ -187,10 +188,10 @@ class HttpOracle:
         self.endpoint = endpoint
         # The endpoint is a deployment address, not a registered source: no
         # rate limit, no URL override and no API key from the environment.
-        self._client = KgClient(
-            SourceDescriptor(source_id="oracle", base_url=endpoint,
-                             rate_limit_per_sec=math.inf),
-            transport=transport, clock=clock, env={},
+        self._federation = Federation(
+            {"oracle": SourceDescriptor(source_id="oracle", base_url=endpoint,
+                                        rate_limit_per_sec=math.inf)},
+            transport, clock, env={},
         )
 
     def _call(self, what: str, read, request: dict):
@@ -205,17 +206,17 @@ class HttpOracle:
             ]
         })
         try:
-            reply = self._client.fetch_with_policy(FetchRequest(
+            reply = self._federation.fetch("oracle", FetchRequest(
                 path="", method="POST", body=body,
                 headers={"Content-Type": "application/json"},
             ))
         except FederationError as exc:
-            raise OracleUnavailable(f"oracle endpoint {self.endpoint}: {exc}") from exc
+            raise OracleUnavailable(f"oracle endpoint {redact(self.endpoint)}: {exc}") from exc
         try:
             return read(parse_json(field(field(reply, "message", dict), "content", str)))
         except ValueError as exc:
             raise OracleUnavailable(
-                f"oracle endpoint {self.endpoint} sent a malformed {what}: {exc}") from exc
+                f"oracle endpoint {redact(self.endpoint)} sent a malformed {what}: {exc}") from exc
 
     def plan(self, query: str) -> PlanChecklist:
         steps = self._call("plan", plan_steps_from_dict, {"op": "plan", "query": query})

@@ -1,6 +1,7 @@
 """The breadth-first and depth-first research subagents.
 
-Both stay within an explicit federation-invocation budget, screen what they
+Both stay within an explicit budget of federation calls (a call's retries
+count in `Federation.invocations`, not against the budget), screen what they
 retrieve through the oracle's relevance scores, persist results to the run
 workspace, and return a report of at most ten lines.
 """
@@ -24,8 +25,9 @@ def run_bfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
     """Broad first-hop survey across the task's knowledge bases.
 
     One unified search per knowledge base, at most `task.budget` federation
-    invocations in total; retrieved records are screened by oracle relevance
-    against the task target and persisted per source plus as a combined table.
+    calls in total, however many attempts each takes; retrieved records are
+    screened by oracle relevance against the task target and persisted per
+    source plus as a combined table.
     """
     task.validate()
 

@@ -5,18 +5,16 @@ from biokgr.federation.descriptors import (
     SourceDescriptor,
     default_registry,
 )
-from biokgr.federation.ratelimit import RateLimiter, SystemClock
+from biokgr.federation.ratelimit import RateLimiter
 from biokgr.federation.client import (
     AuthMissing,
     FederationError,
     FetchRequest,
     InvalidQuery,
-    KgClient,
     MalformedResponse,
     RequestFailed,
     SourceUnavailable,
 )
-from biokgr.federation.queries import RELATION_SEARCH_TYPES
 from biokgr.federation.unified import (
     AllSourcesFailed,
     Federation,
@@ -24,7 +22,7 @@ from biokgr.federation.unified import (
     SourceStatus,
     UnifiedRecord,
 )
-from biokgr.federation.persist import WorkspaceUnavailable, persist_results
+from biokgr.federation.persist import persist_results
 
 __all__ = [
     "QuerySpec",
@@ -32,21 +30,17 @@ __all__ = [
     "SourceDescriptor",
     "default_registry",
     "RateLimiter",
-    "SystemClock",
     "AuthMissing",
     "FederationError",
     "FetchRequest",
     "InvalidQuery",
-    "KgClient",
     "RequestFailed",
     "SourceUnavailable",
-    "RELATION_SEARCH_TYPES",
     "AllSourcesFailed",
     "Federation",
     "FetchResult",
     "MalformedResponse",
     "SourceStatus",
     "UnifiedRecord",
-    "WorkspaceUnavailable",
     "persist_results",
 ]

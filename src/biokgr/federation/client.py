@@ -1,42 +1,26 @@
-"""Low-level knowledge-base client: auth, rate limiting, retries, parsing.
+"""The wire under the federation: requests, replies, transports and errors.
 
-One `KgClient` wraps one source descriptor. All requests go through
-`fetch_with_policy`, which (1) checks credentials for the source's auth mode,
-(2) acquires a rate-limit slot for the host, (3) retries transient failures
-with exponential backoff, or after the reply's `Retry-After` when that is
-longer, and (4) parses the response body into structured form (JSON when
-possible, text otherwise). Every dispatched attempt adds one to `attempts`,
-which budget accounting reads; the count is kept under a lock because one
-client is shared by the federation's worker threads.
-
-Requests leave through a transport: any object with `send(method, url,
-params, headers, body) -> RawResponse`. The default, `HttpTransport`, writes
-one HTTP/1.1 request per call on a fresh socket and reads the reply off it
-without `http.client`, keeping urllib's TLS, proxy and redirect handling;
-there is no connection reuse. Tests substitute `mockserver.MockTransport`.
+A transport is any object with `send(method, url, params, headers, body) ->
+RawResponse`; `Federation.fetch` (`unified.py`) is the one caller, and it
+adds auth, rate limiting, retries and body parsing. The default,
+`HttpTransport`, writes one HTTP/1.1 request per call on a fresh socket and
+reads the reply off it without `http.client`, keeping urllib's TLS, proxy and
+redirect handling; there is no connection reuse. Tests substitute
+`mockserver.MockTransport`. Every message a transport builds names a URL by
+`redact(url)`, without the userinfo and query that may hold a secret.
 """
 from __future__ import annotations
 
-import json
-import logging
-import os
 import re
 import socket
 import string
-import threading
 from base64 import b64encode
 from dataclasses import dataclass, field
+from functools import cache
 from urllib.parse import quote, unquote, urlencode, urljoin, urlsplit
 
-from biokgr import Error, parse_json
-from biokgr.federation.descriptors import SourceDescriptor
-from biokgr.federation.ratelimit import RateLimiter, SystemClock
+from biokgr import Error
 
-logger = logging.getLogger(__name__)
-
-TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
-RETRY_AFTER_STATUSES = {429, 503}
-MAX_RETRY_AFTER_S = 60.0  # the longest `Retry-After` wait honoured
 DEFAULT_TIMEOUT = 15.0
 DEFAULT_PORTS = {"http": 80, "https": 443}
 REDIRECT_STATUSES = {301, 302, 303, 307, 308}
@@ -112,10 +96,10 @@ class HttpTransport:
     coding or by the end of the connection, and decoded with the
     `Content-Type` charset, or UTF-8 when there is none. As `urllib` does, it
     verifies TLS against the default trust store, sends through the proxies
-    `getproxies()` names (read once, when the transport is made) unless
-    `proxy_bypass()` exempts the host, and follows up to `MAX_REDIRECTS`
-    redirects: 301, 302 and 303 turn a POST into a GET without a body, and any
-    other redirect of a POST comes back as the response.
+    `getproxies()` names (read once a process, as urllib's global opener did)
+    unless `proxy_bypass()` exempts the host, and follows up to
+    `MAX_REDIRECTS` redirects: 301, 302 and 303 turn a POST into a GET without
+    a body, and any other redirect of a POST comes back as the response.
 
     A status >= 400 comes back as a `RawResponse`. A method, URL or header
     that could split the request raises `TransportError` before anything is
@@ -123,11 +107,7 @@ class HttpTransport:
     """
 
     def __init__(self):
-        # deferred: urllib.request loads http.client and email, and only its proxy lookup is used
-        from urllib.request import getproxies, proxy_bypass
-
-        self._proxies = getproxies()
-        self._bypass = proxy_bypass
+        self._proxies, self._bypass = _proxy_settings()
         self._tls = None  # made on the first https request
 
     def send(self, method: str, url: str, params: dict, headers: dict, body: str | None) -> RawResponse:
@@ -145,7 +125,7 @@ class HttpTransport:
                 method = "HEAD" if method == "HEAD" else "GET"
                 headers = {name: value for name, value in headers.items()
                            if name.lower() not in ("content-length", "content-type")}
-            raise TransportError(f"more than {MAX_REDIRECTS} redirects, the last to {url}")
+            raise TransportError(f"more than {MAX_REDIRECTS} redirects, the last to {redact(url)}")
         except (OSError, ValueError, LookupError) as exc:
             raise TransportError(str(exc)) from exc
 
@@ -154,10 +134,10 @@ class HttpTransport:
         """One request on its own connection: the reply's status, header fields and raw body."""
         if _UNSAFE.search(method) or _UNSAFE.search(url):
             raise TransportError(f"refusing a method or URL that holds a space, a control "
-                                 f"character or non-ASCII: {method} {url!r}")
+                                 f"character or non-ASCII: {method} {redact(url)!r}")
         parts = urlsplit(url)
         if parts.scheme not in DEFAULT_PORTS or not parts.hostname:
-            raise TransportError(f"unknown url type or no host: {url!r}")
+            raise TransportError(f"unknown url type or no host: {redact(url)!r}")
         host, port = parts.hostname, parts.port or DEFAULT_PORTS[parts.scheme]
         authority = parts.netloc.rpartition("@")[2]
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
@@ -207,6 +187,25 @@ class HttpTransport:
         return self._tls
 
 
+@cache
+def _proxy_settings():
+    """`getproxies()` and `proxy_bypass`: the environment is read once a process, and every
+    transport shares (and only reads) the one dict."""
+    # deferred: urllib.request loads http.client and email, and only its proxy lookup is used
+    from urllib.request import getproxies, proxy_bypass
+
+    return getproxies(), proxy_bypass
+
+
+def redact(url: str) -> str:
+    """`url` without its userinfo, query and fragment, for messages: each may hold a secret."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # an unreadable authority: keep only what precedes it
+        return url.partition("//")[0]
+    return parts._replace(netloc=parts.netloc.rpartition("@")[2], query="", fragment="").geturl()
+
+
 def _head(request_line: str, fields: dict) -> bytes:
     """The request line and header fields, encoded; an illegal field raises `TransportError`."""
     lines = [request_line]
@@ -226,10 +225,10 @@ def _round_trip(sock, request: bytes, method: str) -> tuple[int, dict, bytes]:
             status, _reason, fields = _read_head(reader)
         if method == "HEAD" or status in (204, 304) or status < 200:
             return status, fields, b""
-        if (_header(fields, "transfer-encoding") or "").strip().lower() == "chunked":
+        if (header(fields, "transfer-encoding") or "").strip().lower() == "chunked":
             return status, fields, _read_chunked(reader)
         try:
-            length = int(_header(fields, "content-length"))
+            length = int(header(fields, "content-length"))
         except (TypeError, ValueError):  # absent or unreadable: the body runs to the end
             length = -1
         if length < 0:
@@ -305,14 +304,14 @@ def _redirect(url: str, method: str, status: int, fields: dict) -> str | None:
     if not (status in REDIRECT_STATUSES and method in ("GET", "HEAD")
             or status in (301, 302, 303) and method == "POST"):
         return None
-    location = _header(fields, "location") or _header(fields, "uri")
+    location = header(fields, "location") or header(fields, "uri")
     if not location:
         return None
     next_url = urljoin(url, quote(location, encoding="iso-8859-1", safe=string.punctuation))
     return next_url if urlsplit(next_url).scheme in DEFAULT_PORTS else None
 
 
-def _header(fields: dict, name: str) -> str | None:
+def header(fields: dict, name: str) -> str | None:
     """The value of header field `name` (lower case), whatever its case in `fields`."""
     for key, value in fields.items():
         if key.lower() == name:
@@ -322,114 +321,9 @@ def _header(fields: dict, name: str) -> str | None:
 
 def _charset(fields: dict) -> str:
     """The `Content-Type` charset, lower-cased; UTF-8 when there is none."""
-    for parameter in (_header(fields, "content-type") or "").split(";")[1:]:
+    for parameter in (header(fields, "content-type") or "").split(";")[1:]:
         key, _, value = parameter.partition("=")
         value = value.strip().strip('"')
         if key.strip().lower() == "charset" and value:
             return value.lower()
     return "utf-8"
-
-
-class KgClient:
-    def __init__(
-        self,
-        descriptor: SourceDescriptor,
-        transport=None,
-        limiter: RateLimiter | None = None,
-        clock=None,
-        env=None,
-    ):
-        self.descriptor = descriptor
-        self._clock = clock or SystemClock()
-        self._transport = transport or HttpTransport()
-        self._limiter = limiter or RateLimiter(self._clock)
-        self._env = env if env is not None else os.environ
-        self.attempts = 0
-        self._attempts_lock = threading.Lock()
-
-    @property
-    def source_id(self) -> str:
-        return self.descriptor.source_id
-
-    def _auth_params(self) -> dict:
-        if self.descriptor.auth == "none":
-            return {}
-        key_env = f"{self.source_id.upper()}_API_KEY"
-        key = self._env.get(key_env)
-        if not key:
-            raise AuthMissing(
-                f"source {self.source_id!r} uses {self.descriptor.auth} auth; "
-                f"set {key_env} in the environment"
-            )
-        return {"api_key": key}
-
-    def fetch_with_policy(self, request: FetchRequest):
-        """Fetch one request under the source's rate/retry policy; returns parsed body."""
-        params = dict(request.params)
-        params.update(self._auth_params())
-        base = self.descriptor.resolved_base_url(self._env)
-        url = base + request.path
-        host = base.split("//", 1)[-1].split("/", 1)[0]
-        min_interval = 1.0 / self.descriptor.rate_limit_per_sec
-        policy = self.descriptor.retry
-
-        last_reason = ""
-        for attempt in range(1, policy.max_attempts + 1):
-            asked = 0.0
-            self._limiter.acquire(host, min_interval)
-            with self._attempts_lock:
-                self.attempts += 1
-            try:
-                response = self._transport.send(
-                    request.method, url, params, dict(request.headers), request.body
-                )
-            except TransportError as exc:
-                last_reason = f"transport: {exc}"
-                logger.debug("attempt %d against %s failed: %s", attempt, host, exc)
-            else:
-                if response.status < 400:
-                    return parse_body(response)
-                if response.status not in TRANSIENT_STATUSES:
-                    raise RequestFailed(
-                        f"{url} returned HTTP {response.status}", status=response.status
-                    )
-                last_reason = f"HTTP {response.status}"
-                if response.status in RETRY_AFTER_STATUSES:
-                    asked = min(_retry_after(response.headers), MAX_RETRY_AFTER_S)
-            if attempt < policy.max_attempts:
-                self._clock.sleep(max(policy.backoff_seconds * 2 ** (attempt - 1), asked))
-        raise SourceUnavailable(host=host, attempts=policy.max_attempts, reason=last_reason)
-
-
-def _retry_after(headers: dict) -> float:
-    """The seconds a `Retry-After` field asks for: delta-seconds, or an HTTP-date less the
-    reply's own `Date`, so that the injected clock stays the only time source; 0 when absent
-    or unreadable."""
-    value = (_header(headers, "retry-after") or "").strip()
-    if value.isascii() and value.isdigit():
-        return float(value)
-    date = _header(headers, "date")
-    if not value or not date:
-        return 0.0
-    from email.utils import parsedate_to_datetime  # deferred: only an HTTP-date needs it
-
-    try:
-        asked = parsedate_to_datetime(value) - parsedate_to_datetime(date)
-    except (TypeError, ValueError):  # an unreadable date, or one with a zone and one without
-        return 0.0
-    return max(0.0, asked.total_seconds())
-
-
-def parse_body(response: RawResponse):
-    """JSON bodies become dicts/lists; anything else stays text. JSON nested too
-    deeply to decode raises `MalformedResponse`."""
-    content_type = (_header(response.headers, "content-type") or "").lower()
-    body = response.body
-    if "json" in content_type or body.lstrip()[:1] in ("{", "["):
-        try:
-            return parse_json(body)
-        except json.JSONDecodeError:
-            pass
-        except ValueError as exc:
-            raise MalformedResponse(f"reply {exc}") from exc
-    return body

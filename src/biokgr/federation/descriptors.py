@@ -29,15 +29,25 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from biokgr import load_data
+from biokgr.federation.client import InvalidQuery
 
 AUTH_MODES = ("none", "api-key")
 OPERATIONS = ("search", "relations", "citations")
 SLOT = re.compile(r"\{(\w+)\}")
 SLOTS = ("text", "limit", "kind")
+RELATION_SEARCH_TYPES = ("TREAT", "CAUSE", "INTERACT", "INHIBIT", "ASSOCIATE")
 REPLY_FORMS = ("json", "tsv")
 LEAF_TYPES = ("str", "id", "ids")
 _TEMPLATE_KEYS = {"method", "path", "params", "body", "kinds", "reply"}
 _REPLY_KEYS = {"form", "records", "names", "name_prefix", "xrefs"}
+
+
+def validate_predicate(predicate: str) -> str:
+    """`predicate` as a relation-search type, upper-cased; raises `InvalidQuery` otherwise."""
+    upper = predicate.upper()
+    if upper not in RELATION_SEARCH_TYPES:
+        raise InvalidQuery(f"{predicate!r} not in {RELATION_SEARCH_TYPES}")
+    return upper
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """A fake of the knowledge-base services, for hermetic tests.
 
-`MockTransport` stands in for `HttpTransport`: it answers each `send` from a
-route table and logs every request. `FixtureServer` puts one `MockTransport`
-behind a localhost socket, for tests that need a real HTTP round trip.
+`MockTransport` stands in for `HttpTransport` under `Federation.fetch`: it
+answers each `send` from a route table and logs every request.
+`FixtureServer` puts one `MockTransport` behind a localhost socket, for tests
+that need a real HTTP round trip; its handler is the one caller of `send`
+outside `Federation.fetch`, since it answers a request that has arrived
+rather than sending one to a source.
 """
 from __future__ import annotations
 
@@ -40,9 +43,9 @@ class MockTransport:
 
     A request goes to the first key, in registration order, that its URL
     contains; the empty key matches every URL. A request that matches no key
-    gets HTTP 404. The URL is the one given to `send`: `KgClient` passes the
-    query string apart, in `params`, while `FixtureServer` passes the raw path
-    with its query.
+    gets HTTP 404. The URL is the one given to `send`: `Federation.fetch`
+    passes the query string apart, in `params`, while `FixtureServer` passes
+    the raw path with its query.
 
     Every request is appended to `requests`, and `hits(key)` counts the
     requests that `key` answered.

@@ -6,12 +6,19 @@ through one checked reader, `_read`, so no source has code of its own. A
 reply the reader cannot follow, or a leaf of the wrong type, raises
 `MalformedResponse`, which fails that source alone.
 
-`Federation` owns one client per registered source, all sharing one rate
-limiter, one clock and one transport (an `HttpTransport`, which reads the
-proxy settings once and opens a fresh connection per request, unless one is
-injected), and fans a search out concurrently: the highest-priority source
-runs on the caller's thread and the others on at most `MAX_WORKERS` threads.
-A one-source search, which is every BFRS call, builds no pool and starts no
+Every request, the `HttpOracle`'s included, leaves through `Federation.fetch`,
+which (1) checks credentials for the source's auth mode, (2) acquires a
+rate-limit slot for the host, (3) retries transient failures with
+exponential backoff, or after the reply's `Retry-After` when that is longer,
+and (4) parses the body (JSON when possible, text otherwise). Each dispatched
+attempt adds one to `invocations`, under a lock, since worker threads share
+the federation. One rate limiter, clock and transport serve every source
+(an `HttpTransport`, which opens a fresh connection per request, unless one
+is injected).
+
+A search fans out concurrently: the highest-priority source runs on the
+caller's thread and the others on at most `MAX_WORKERS` threads. A
+one-source search, which is every BFRS call, builds no pool and starts no
 thread. It merges per-source records into `UnifiedRecord`s with
 deterministic ordering: source priority first, then the source's native
 rank. Records from different sources that share a cross-reference id enrich
@@ -22,21 +29,28 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from urllib.parse import quote
 
-from biokgr import load_data
+from biokgr import load_data, parse_json
 from biokgr.evidence import EntityRef
 from biokgr.federation.client import (
-    FederationError, FetchRequest, HttpTransport, InvalidQuery, KgClient, MalformedResponse)
-from biokgr.federation.descriptors import SLOT, QuerySpec, SourceDescriptor, default_registry
-from biokgr.federation.queries import validate_predicate
+    AuthMissing, FederationError, FetchRequest, HttpTransport, InvalidQuery, MalformedResponse,
+    RawResponse, RequestFailed, SourceUnavailable, TransportError, header, redact)
+from biokgr.federation.descriptors import (
+    SLOT, QuerySpec, SourceDescriptor, default_registry, validate_predicate)
 from biokgr.federation.ratelimit import RateLimiter, SystemClock
 
 logger = logging.getLogger(__name__)
 
 MAX_WORKERS = 6
+TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
+RETRY_AFTER_STATUSES = {429, 503}
+MAX_RETRY_AFTER_S = 60.0  # the longest `Retry-After` wait honoured
 
 _KIND_MAP = {
     "gene": "GENE_PROTEIN",
@@ -187,7 +201,7 @@ def _leaf(value, leaf_type: str, path: str):
 
 
 class Federation:
-    """Shareable facade over all registered knowledge-base clients."""
+    """Shareable facade over every registered knowledge-base source."""
 
     def __init__(
         self,
@@ -197,33 +211,66 @@ class Federation:
         env=None,
     ):
         self.registry = registry or default_registry()
-        clock = clock or SystemClock()
-        transport = transport or HttpTransport()
-        limiter = RateLimiter(clock)
-        self.clients: dict[str, KgClient] = {
-            source_id: KgClient(descriptor, transport=transport, limiter=limiter,
-                                clock=clock, env=env)
-            for source_id, descriptor in self.registry.items()
-        }
+        self._clock = clock or SystemClock()
+        self._transport = transport or HttpTransport()
+        self._limiter = RateLimiter(self._clock)
+        self._env = env if env is not None else os.environ
+        self.invocations = 0  # attempts dispatched, retries included
+        self._invocations_lock = threading.Lock()
 
-    @property
-    def invocations(self) -> int:
-        """Total fetch attempts so far, summed over every source's client."""
-        return sum(c.attempts for c in self.clients.values())
-
-    def client(self, source_id: str) -> KgClient:
-        if source_id not in self.clients:
+    def fetch(self, source_id: str, request: FetchRequest):
+        """Send `request` to `source_id` under its auth, rate and retry policy; returns the
+        parsed body."""
+        descriptor = self.registry.get(source_id)
+        if descriptor is None:
             raise InvalidQuery(f"unknown source {source_id!r}")
-        return self.clients[source_id]
+        params = dict(request.params)
+        if descriptor.auth != "none":
+            key_env = f"{source_id.upper()}_API_KEY"
+            if not self._env.get(key_env):
+                raise AuthMissing(f"source {source_id!r} uses {descriptor.auth} auth; "
+                                  f"set {key_env} in the environment")
+            params["api_key"] = self._env[key_env]
+        base = descriptor.resolved_base_url(self._env)
+        url = base + request.path
+        host = _host(base)
+        min_interval = 1.0 / descriptor.rate_limit_per_sec
+        policy = descriptor.retry
 
-    def _fetch(self, source_id: str, operation: str, text: str, kind: str = "",
+        last_reason = ""
+        for attempt in range(1, policy.max_attempts + 1):
+            asked = 0.0
+            self._limiter.acquire(host, min_interval)
+            with self._invocations_lock:
+                self.invocations += 1
+            try:
+                response = self._transport.send(
+                    request.method, url, params, dict(request.headers), request.body
+                )
+            except TransportError as exc:
+                last_reason = f"transport: {exc}"
+                logger.debug("attempt %d against %s failed: %s", attempt, host, exc)
+            else:
+                if response.status < 400:
+                    return parse_body(response)
+                if response.status not in TRANSIENT_STATUSES:
+                    raise RequestFailed(
+                        f"{redact(url)} returned HTTP {response.status}", status=response.status
+                    )
+                last_reason = f"HTTP {response.status}"
+                if response.status in RETRY_AFTER_STATUSES:
+                    asked = min(_retry_after(response.headers), MAX_RETRY_AFTER_S)
+            if attempt < policy.max_attempts:
+                self._clock.sleep(max(policy.backoff_seconds * 2 ** (attempt - 1), asked))
+        raise SourceUnavailable(host=host, attempts=policy.max_attempts, reason=last_reason)
+
+    def _query(self, source_id: str, operation: str, text: str, kind: str = "",
                limit: int | None = None) -> list[tuple[int, str, dict]]:
         """The records `source_id` answers to `operation`; raises `MalformedResponse`."""
-        client = self.client(source_id)
-        template = client.descriptor.operations.get(operation)
+        template = self.registry[source_id].operations.get(operation)
         if template is None:
             raise InvalidQuery(f"source {source_id!r} serves no {operation} requests")
-        payload = client.fetch_with_policy(_request(template, text, kind, limit))
+        payload = self.fetch(source_id, _request(template, text, kind, limit))
         try:
             return _read(payload, template.get("reply"), limit)
         except TypeError as exc:
@@ -250,7 +297,7 @@ class Federation:
         def run_one(source_id: str) -> list[UnifiedRecord] | FederationError:
             try:
                 return [UnifiedRecord(name=name, xrefs=xrefs, rank=rank) for rank, name, xrefs
-                        in self._fetch(source_id, "search", spec.text, spec.kind, spec.limit)]
+                        in self._query(source_id, "search", spec.text, spec.kind, spec.limit)]
             except FederationError as exc:
                 return exc
 
@@ -301,7 +348,7 @@ class Federation:
                               predicate: str) -> list[tuple[EntityRef, list[str]]]:
         """Entities related to `entity` under a typed predicate, with PMID evidence."""
         source_id = self._serving("relations")
-        rows = self._fetch(source_id, "relations", entity.curie or entity.name,
+        rows = self._query(source_id, "relations", entity.curie or entity.name,
                            validate_predicate(predicate))
         return [
             (EntityRef(name=name, kind=_KIND_MAP.get(fields.get("kind", "").lower(), "FINDING"),
@@ -314,7 +361,7 @@ class Federation:
     def fetch_citations(self, pmid: str) -> list[str]:
         """PMIDs cited by / citing the given paper, for citation-chain traversal."""
         return [name for _rank, name, _xrefs
-                in self._fetch(self._serving("citations"), "citations", pmid)]
+                in self._query(self._serving("citations"), "citations", pmid)]
 
     def _serving(self, operation: str) -> str:
         """The highest-priority source whose registry entry declares `operation`."""
@@ -322,6 +369,46 @@ class Federation:
         if not serving:
             raise InvalidQuery(f"no registered source serves {operation} requests")
         return min(serving, key=lambda d: d.priority).source_id
+
+
+def _host(base: str) -> str:
+    """`base`'s host and port, without userinfo: the rate-limit key and the name in messages."""
+    authority = re.split(r"[/?#]", base.split("//", 1)[-1], maxsplit=1)[0]
+    return authority.rpartition("@")[2]
+
+
+def _retry_after(headers: dict) -> float:
+    """The seconds a `Retry-After` field asks for: delta-seconds, or an HTTP-date less the
+    reply's own `Date`, so that the injected clock stays the only time source; 0 when absent
+    or unreadable."""
+    value = (header(headers, "retry-after") or "").strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    date = header(headers, "date")
+    if not value or not date:
+        return 0.0
+    from email.utils import parsedate_to_datetime  # deferred: only an HTTP-date needs it
+
+    try:
+        asked = parsedate_to_datetime(value) - parsedate_to_datetime(date)
+    except (TypeError, ValueError):  # an unreadable date, or one with a zone and one without
+        return 0.0
+    return max(0.0, asked.total_seconds())
+
+
+def parse_body(response: RawResponse):
+    """JSON bodies become dicts/lists; anything else stays text. JSON nested too
+    deeply to decode raises `MalformedResponse`."""
+    content_type = (header(response.headers, "content-type") or "").lower()
+    body = response.body
+    if "json" in content_type or body.lstrip()[:1] in ("{", "["):
+        try:
+            return parse_json(body)
+        except json.JSONDecodeError:
+            pass
+        except ValueError as exc:
+            raise MalformedResponse(f"reply {exc}") from exc
+    return body
 
 
 def _merge_xrefs(records: list[UnifiedRecord]) -> None:

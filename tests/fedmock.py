@@ -47,6 +47,11 @@ def descriptor(source_id="mock", rate=1000.0, attempts=3, backoff=0.01, **kwargs
     )
 
 
+def single(desc, transport=None, clock=None, env=None) -> Federation:
+    """A federation over `desc` alone, with an empty environment unless `env` is given."""
+    return Federation({desc.source_id: desc}, transport, clock, {} if env is None else env)
+
+
 def shipped(source_id, base_url, rate=1000.0, attempts=1, backoff=0.0, **changes):
     """The shipped registry entry for `source_id` at `base_url`, with a test rate and retry."""
     return dataclasses.replace(

@@ -44,7 +44,6 @@ from biokgr.evidence import (
     RELATION_PREDICATES,
 )
 from biokgr.federation import (
-    KgClient,
     QuerySpec,
     RateLimiter,
     SourceUnavailable,
@@ -57,7 +56,7 @@ from biokgr.pathways.analytics import betweenness, k_step_neighborhood, path_pol
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 from corpusgen import make_review_xml, regimen_corpus
-from fedmock import FakeClock, descriptor, json_response, make_mock_federation
+from fedmock import FakeClock, descriptor, json_response, make_mock_federation, single
 from kgmlgen import (
     pde4_inflammation_kgml,
     random_signed_graph,
@@ -491,20 +490,17 @@ def test_criterion_5_federation_contracts():
 
     # retry then success; exhaustion with exact attempt count
     clock = FakeClock()
-    client = KgClient(
+    federation = single(
         descriptor(attempts=2),
-        transport=MockTransport({"": [json_response({}, status=500), json_response({"ok": 1})]}),
-        clock=clock, limiter=RateLimiter(clock), env={},
+        MockTransport({"": [json_response({}, status=500), json_response({"ok": 1})]}), clock,
     )
-    assert client.fetch_with_policy(FetchRequest(path="/x")) == {"ok": 1}
+    assert federation.fetch("mock", FetchRequest(path="/x")) == {"ok": 1}
 
-    client = KgClient(
-        descriptor(attempts=2),
-        transport=MockTransport({"": json_response({}, status=500)}),
-        clock=clock, limiter=RateLimiter(clock), env={},
+    federation = single(
+        descriptor(attempts=2), MockTransport({"": json_response({}, status=500)}), clock,
     )
     with pytest.raises(SourceUnavailable) as excinfo:
-        client.fetch_with_policy(FetchRequest(path="/x"))
+        federation.fetch("mock", FetchRequest(path="/x"))
     assert excinfo.value.attempts == 2
 
     # unified merge deterministic across repeated runs on fixed mocks

@@ -32,8 +32,9 @@ def test_no_two_exception_classes_share_a_name():
 
 def test_merged_names_resolve_to_one_class():
     assert (biokgr.evidence.WorkspaceUnavailable
-            is biokgr.federation.WorkspaceUnavailable
-            is biokgr.agents.WorkspaceUnavailable)
+            is biokgr.federation.persist.WorkspaceUnavailable
+            is biokgr.agents.workspace.WorkspaceUnavailable
+            is biokgr.WorkspaceUnavailable)
     assert biokgr.curation.flux.NoCorrectOption is biokgr.curation.target_id.NoCorrectOption
 
 
