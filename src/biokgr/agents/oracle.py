@@ -6,7 +6,7 @@ lexical overlap, expansion order breaks ties lexicographically. `HttpOracle`
 speaks a chat-completion-style JSON protocol to an external endpoint and is
 treated strictly as a wire format. It posts through `Federation.fetch`, over a
 one-entry registry, so it shares the knowledge-base sources' transport, clock
-and retry policy: HTTP 429/5xx and transport errors are retried with
+and their one retry policy: HTTP 429/5xx and transport errors are retried with
 exponential backoff, and any other failure raises `OracleUnavailable` at once.
 """
 from __future__ import annotations

@@ -46,9 +46,8 @@ def run_bfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
             result = federation.search_entities_unified(
                 QuerySpec(kind=task.entity_kind, text=task.description, sources=(kb,))
             )
-        except FederationError as exc:
+        except FederationError:  # the search has logged the source's failure
             failures.append(kb)
-            logger.warning("BFRS source %s failed: %s", kb, exc)
             continue
         total += len(result.records)
         screened = [

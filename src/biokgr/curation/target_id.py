@@ -48,12 +48,12 @@ class LogicProfile:
     """Disease-specific weighting of functional classes.
 
     The priority bonus is a lowered gain-2 polarity threshold for the
-    prioritized functional types (0.3 instead of the default 0.5).
+    prioritized functional types (`PRIORITIZED_GAIN2_THRESHOLD` instead of
+    `GAIN2_THRESHOLD`).
     """
 
     category: str  # cancer | drug_resistance | infection | other
     prioritized_types: tuple[str, ...]
-    prioritized_threshold: float = PRIORITIZED_GAIN2_THRESHOLD
 
 
 PROFILES = {
@@ -113,7 +113,7 @@ def assign_target_gains(
             continue
         polarity = graph.topology.path_polarity(candidate, graph.endpoints)
         prioritized = graph.nodes[candidate].functional_type in profile.prioritized_types
-        threshold = profile.prioritized_threshold if prioritized else GAIN2_THRESHOLD
+        threshold = PRIORITIZED_GAIN2_THRESHOLD if prioritized else GAIN2_THRESHOLD
         if polarity.value < 0:
             scores[candidate] = GainScore(0, "protective")
         elif candidate_centrality[candidate] >= cutoff and polarity.value > 0:

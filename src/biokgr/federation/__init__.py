@@ -1,7 +1,6 @@
 """Uniform, rate-limited access to heterogeneous biomedical KG services."""
 from biokgr.federation.descriptors import (
     QuerySpec,
-    RetryPolicy,
     SourceDescriptor,
     default_registry,
 )
@@ -26,7 +25,6 @@ from biokgr.federation.persist import persist_results
 
 __all__ = [
     "QuerySpec",
-    "RetryPolicy",
     "SourceDescriptor",
     "default_registry",
     "RateLimiter",

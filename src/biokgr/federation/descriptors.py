@@ -1,9 +1,11 @@
 """Source descriptors and the default source registry.
 
-Every knowledge-base service is one registry entry: endpoint, auth mode,
-rate limit, retry policy, merge priority, and the wire format of each
-operation it serves (``search``, ``relations``, ``citations``). An operation
-is a request template and a reply shape:
+Every knowledge-base service is one registry entry holding only what differs
+between sources: endpoint, auth mode, rate limit, and the wire format of each
+operation it serves (``search``, ``relations``, ``citations``). The retry
+policy is one for all sources (`unified.MAX_ATTEMPTS`, `unified.BACKOFF_S`),
+and merge order is the registry's own order. An operation is a request
+template and a reply shape:
 
 - ``method`` (``GET`` or ``POST``), ``path``, ``params`` and a JSON ``body``,
   whose strings may hold the ``{text}``, ``{limit}`` and ``{kind}`` slots;
@@ -16,14 +18,13 @@ is a request template and a reply shape:
   is ``str``, ``id`` (a string or an integer, read as a string) or ``ids`` (a
   list of ids). An operation without a reply shape gets the generic reading.
 
-Endpoints are overridable per source via environment variables
-(``BIOKGR_<SOURCE>_URL``), which is also how tests point clients at the
-fixture server.
+`Federation.fetch` is the one reader of the deployment environment: it takes
+an endpoint override from ``BIOKGR_<SOURCE>_URL`` and an api key from
+``<SOURCE>_API_KEY``.
 """
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from functools import cache
@@ -51,25 +52,11 @@ def validate_predicate(predicate: str) -> str:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    max_attempts: int = 3
-    backoff_seconds: float = 0.5  # exponential: backoff * 2**(attempt-1)
-
-    def validate(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be >= 0")
-
-
-@dataclass(frozen=True)
 class SourceDescriptor:
     source_id: str
     base_url: str
     auth: str = "none"
     rate_limit_per_sec: float = 3.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    priority: int = 100          # lower merges first
     operations: dict = field(default_factory=dict)   # operation -> template and reply shape
 
     def __post_init__(self) -> None:
@@ -80,16 +67,10 @@ class SourceDescriptor:
             raise ValueError(f"unknown auth mode {self.auth!r}")
         if self.rate_limit_per_sec <= 0:
             raise ValueError("rate limit must be > 0 requests/second")
-        self.retry.validate()
         for name, template in self.operations.items():
             if name not in OPERATIONS:
                 raise ValueError(f"unknown operation {name!r}")
             _validate_template(f"{self.source_id} {name}", template)
-
-    def resolved_base_url(self, env=None) -> str:
-        env = env if env is not None else os.environ
-        override = env.get(f"BIOKGR_{self.source_id.upper()}_URL")
-        return (override or self.base_url).rstrip("/")
 
 
 def _validate_template(where: str, template: dict) -> None:
@@ -122,11 +103,11 @@ class QuerySpec:
 
 
 def load_registry(payload: dict) -> dict[str, SourceDescriptor]:
+    """The entries of `payload` by source id, in listing order, which is the merge order."""
     registry: dict[str, SourceDescriptor] = {}
     for entry in payload["sources"]:
         try:
-            descriptor = SourceDescriptor(
-                **{**entry, "retry": RetryPolicy(**entry.get("retry", {}))})
+            descriptor = SourceDescriptor(**entry)
         except TypeError as exc:  # an unknown or missing entry field
             raise ValueError(f"registry entry {entry.get('source_id')!r}: {exc}") from exc
         registry[descriptor.source_id] = descriptor

@@ -23,8 +23,8 @@ class SystemClock:
 
 
 class RateLimiter:
-    def __init__(self, clock=None):
-        self._clock = clock or SystemClock()
+    def __init__(self, clock):
+        self._clock = clock
         self._lock = threading.Lock()
         self._last_grant: dict[str, tuple[float, float]] = {}  # host -> (time, its interval)
 

@@ -8,22 +8,25 @@ reply the reader cannot follow, or a leaf of the wrong type, raises
 
 Every request, the `HttpOracle`'s included, leaves through `Federation.fetch`,
 which (1) checks credentials for the source's auth mode, (2) acquires a
-rate-limit slot for the host, (3) retries transient failures with
-exponential backoff, or after the reply's `Retry-After` when that is longer,
-and (4) parses the body (JSON when possible, text otherwise). Each dispatched
-attempt adds one to `invocations`, under a lock, since worker threads share
-the federation. One rate limiter, clock and transport serve every source
-(an `HttpTransport`, which opens a fresh connection per request, unless one
-is injected).
+rate-limit slot for the host, (3) retries transient failures under the one
+policy every source shares (`MAX_ATTEMPTS` attempts, exponential backoff from
+`BACKOFF_S`, or the reply's `Retry-After` when that is longer), and (4) parses
+the body (JSON when possible, text otherwise). It is also the one reader of
+the deployment environment: ``BIOKGR_<SOURCE>_URL`` overrides an entry's
+endpoint, and ``<SOURCE>_API_KEY`` holds an api-key source's key. Each
+dispatched attempt adds one to `invocations`, under a lock, since worker
+threads share the federation. One rate limiter, clock and transport serve
+every source (an `HttpTransport`, which opens a fresh connection per request,
+unless one is injected).
 
-A search fans out concurrently: the highest-priority source runs on the
-caller's thread and the others on at most `MAX_WORKERS` threads. A
-one-source search, which is every BFRS call, builds no pool and starts no
-thread. It merges per-source records into `UnifiedRecord`s with
-deterministic ordering: source priority first, then the source's native
-rank. Records from different sources that share a cross-reference id enrich
-each other's xref maps; conflicting ids are never overwritten silently, they
-are recorded side by side with their sources.
+A search fans out concurrently over the distinct sources it names, taken in
+registry order: the first runs on the caller's thread and the others on at
+most `MAX_WORKERS` threads. A one-source search, which is every BFRS call,
+builds no pool and starts no thread. It merges per-source records into
+`UnifiedRecord`s with deterministic ordering: registry order first, then the
+source's native rank. Records from different sources that share a
+cross-reference id enrich each other's xref maps; conflicting ids are never
+overwritten silently, they are recorded side by side with their sources.
 """
 from __future__ import annotations
 
@@ -51,6 +54,8 @@ MAX_WORKERS = 6
 TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
 RETRY_AFTER_STATUSES = {429, 503}
 MAX_RETRY_AFTER_S = 60.0  # the longest `Retry-After` wait honoured
+MAX_ATTEMPTS = 3  # per request, the first included
+BACKOFF_S = 0.5  # the wait before retry n is BACKOFF_S * 2**(n-1)
 
 _KIND_MAP = {
     "gene": "GENE_PROTEIN",
@@ -210,7 +215,7 @@ class Federation:
         clock=None,
         env=None,
     ):
-        self.registry = registry or default_registry()
+        self.registry = default_registry() if registry is None else registry
         self._clock = clock or SystemClock()
         self._transport = transport or HttpTransport()
         self._limiter = RateLimiter(self._clock)
@@ -219,8 +224,8 @@ class Federation:
         self._invocations_lock = threading.Lock()
 
     def fetch(self, source_id: str, request: FetchRequest):
-        """Send `request` to `source_id` under its auth, rate and retry policy; returns the
-        parsed body."""
+        """Send `request` to `source_id` under its auth and rate limit and the shared retry
+        policy; returns the parsed body."""
         descriptor = self.registry.get(source_id)
         if descriptor is None:
             raise InvalidQuery(f"unknown source {source_id!r}")
@@ -231,14 +236,14 @@ class Federation:
                 raise AuthMissing(f"source {source_id!r} uses {descriptor.auth} auth; "
                                   f"set {key_env} in the environment")
             params["api_key"] = self._env[key_env]
-        base = descriptor.resolved_base_url(self._env)
+        base = (self._env.get(f"BIOKGR_{source_id.upper()}_URL")
+                or descriptor.base_url).rstrip("/")
         url = base + request.path
         host = _host(base)
         min_interval = 1.0 / descriptor.rate_limit_per_sec
-        policy = descriptor.retry
 
         last_reason = ""
-        for attempt in range(1, policy.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             asked = 0.0
             self._limiter.acquire(host, min_interval)
             with self._invocations_lock:
@@ -260,9 +265,9 @@ class Federation:
                 last_reason = f"HTTP {response.status}"
                 if response.status in RETRY_AFTER_STATUSES:
                     asked = min(_retry_after(response.headers), MAX_RETRY_AFTER_S)
-            if attempt < policy.max_attempts:
-                self._clock.sleep(max(policy.backoff_seconds * 2 ** (attempt - 1), asked))
-        raise SourceUnavailable(host=host, attempts=policy.max_attempts, reason=last_reason)
+            if attempt < MAX_ATTEMPTS:
+                self._clock.sleep(max(BACKOFF_S * 2 ** (attempt - 1), asked))
+        raise SourceUnavailable(host=host, attempts=MAX_ATTEMPTS, reason=last_reason)
 
     def _query(self, source_id: str, operation: str, text: str, kind: str = "",
                limit: int | None = None) -> list[tuple[int, str, dict]]:
@@ -290,7 +295,7 @@ class Federation:
             if source_id not in self.registry:
                 raise InvalidQuery(f"unknown source {source_id!r}")
 
-        ordered = sorted(spec.sources, key=lambda s: self.registry[s].priority)
+        ordered = [source_id for source_id in self.registry if source_id in spec.sources]
         statuses: list[SourceStatus] = []
         per_source: dict[str, list[UnifiedRecord]] = {}
 
@@ -318,9 +323,7 @@ class Federation:
             statuses.append(SourceStatus(source_id, ok=True))
 
         if not per_source:
-            raise AllSourcesFailed(
-                f"all of {list(spec.sources)} failed for {spec.text!r}"
-            )
+            raise AllSourcesFailed(f"all of {ordered} failed for {spec.text!r}")
 
         merged: list[UnifiedRecord] = []
         for source_id in ordered:
@@ -330,7 +333,7 @@ class Federation:
         ok = sum(1 for s in statuses if s.ok)
         summary_lines = [
             f"# Unified {spec.kind} search: {spec.text}",
-            f"{len(merged)} records from {ok}/{len(spec.sources)} sources",
+            f"{len(merged)} records from {ok}/{len(ordered)} sources",
         ]
         for record in merged[:5]:
             summary_lines.append(f"- {record.name} [{', '.join(record.sources)}]")
@@ -364,11 +367,11 @@ class Federation:
                 in self._query(self._serving("citations"), "citations", pmid)]
 
     def _serving(self, operation: str) -> str:
-        """The highest-priority source whose registry entry declares `operation`."""
-        serving = [d for d in self.registry.values() if operation in d.operations]
-        if not serving:
-            raise InvalidQuery(f"no registered source serves {operation} requests")
-        return min(serving, key=lambda d: d.priority).source_id
+        """The first registry entry that declares `operation`."""
+        for descriptor in self.registry.values():
+            if operation in descriptor.operations:
+                return descriptor.source_id
+        raise InvalidQuery(f"no registered source serves {operation} requests")
 
 
 def _host(base: str) -> str:

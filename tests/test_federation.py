@@ -158,19 +158,22 @@ def test_attempt_counter_is_exact_under_concurrent_fetches():
 def test_retry_then_success():
     clock = FakeClock()
     transport = MockTransport({"": [json_response({}, status=500), json_response({"ok": 1})]})
-    federation = single(descriptor(attempts=2), transport, clock)
+    federation = single(descriptor(), transport, clock)
     assert federation.fetch("mock", FetchRequest(path="/x")) == {"ok": 1}
     assert federation.invocations == 2
+    assert clock.slept == [unified.BACKOFF_S]
 
 
 def test_retry_exhaustion():
     clock = FakeClock()
     transport = MockTransport({"": json_response({}, status=500)})
-    federation = single(descriptor(attempts=2), transport, clock)
+    federation = single(descriptor(), transport, clock)
     with pytest.raises(SourceUnavailable) as excinfo:
         federation.fetch("mock", FetchRequest(path="/x"))
-    assert excinfo.value.attempts == 2
+    assert excinfo.value.attempts == federation.invocations == unified.MAX_ATTEMPTS
     assert excinfo.value.host == "mock.test"
+    # exponential backoff between attempts, none after the last
+    assert clock.slept == [unified.BACKOFF_S * 2 ** n for n in range(unified.MAX_ATTEMPTS - 1)]
 
 
 @pytest.mark.parametrize("status, fields, slept", [
@@ -178,10 +181,10 @@ def test_retry_exhaustion():
     (503, {"Retry-After": "Wed, 21 Oct 2026 07:28:05 GMT", "Date": "Wed, 21 Oct 2026 07:28:00 GMT"},
      5.0),
     (429, {"Retry-After": "86400"}, unified.MAX_RETRY_AFTER_S),
-    (429, {"Retry-After": "0"}, 0.01),
-    (429, {"Retry-After": "Wed, 21 Oct 2026 07:28:05 GMT"}, 0.01),
-    (429, {"Retry-After": "soon", "Date": "Wed, 21 Oct 2026 07:28:00 GMT"}, 0.01),
-    (500, {"Retry-After": "3"}, 0.01),
+    (429, {"Retry-After": "0"}, unified.BACKOFF_S),
+    (429, {"Retry-After": "Wed, 21 Oct 2026 07:28:05 GMT"}, unified.BACKOFF_S),
+    (429, {"Retry-After": "soon", "Date": "Wed, 21 Oct 2026 07:28:00 GMT"}, unified.BACKOFF_S),
+    (500, {"Retry-After": "3"}, unified.BACKOFF_S),
 ], ids=["delta-seconds", "http-date-against-date", "capped", "shorter-than-backoff",
         "http-date-without-date", "unreadable", "not-429-or-503"])
 def test_a_retry_waits_as_long_as_retry_after_asks(status, fields, slept):
@@ -195,7 +198,7 @@ def test_a_retry_waits_as_long_as_retry_after_asks(status, fields, slept):
 def test_nontransient_error_not_retried():
     clock = FakeClock()
     transport = MockTransport({"": json_response({}, status=404)})
-    federation = single(descriptor(attempts=3), transport, clock)
+    federation = single(descriptor(), transport, clock)
     with pytest.raises(RequestFailed):
         federation.fetch("mock", FetchRequest(path="/x"))
     assert federation.invocations == 1
@@ -204,7 +207,7 @@ def test_nontransient_error_not_retried():
 def test_transport_errors_are_transient():
     clock = FakeClock()
     transport = MockTransport({"": [TransportError("boom"), json_response({"ok": 1})]})
-    federation = single(descriptor(attempts=2), transport, clock)
+    federation = single(descriptor(), transport, clock)
     assert federation.fetch("mock", FetchRequest(path="/x")) == {"ok": 1}
 
 
@@ -297,6 +300,26 @@ def test_unified_search_conflicting_ids_recorded_side_by_side():
     assert conflict["namespace"] == "entrez"
     values = {v["value"]: v["sources"] for v in conflict["values"]}
     assert values == {"7157": ["a"], "9999": ["b"]}
+
+
+def test_a_source_named_twice_is_searched_once():
+    federation = make_federation({"mygene.test": json_response(mygene_payload())})
+    spec = QuerySpec(kind="gene", text="TP53", sources=("mygene", "mygene"))
+    result = federation.search_entities_unified(spec)
+    assert [r.sources for r in result.records] == [["mygene"]]
+    assert result.summary.splitlines()[1] == "1 records from 1/1 sources"
+    assert federation.invocations == 1
+
+
+def test_an_empty_registry_serves_nothing():
+    federation = Federation({}, MockTransport({}), FakeClock(), env={})
+    assert federation.registry == {}
+    with pytest.raises(InvalidQuery, match="unknown source 'mygene'"):
+        federation.search_entities_unified(QuerySpec(kind="gene", text="TP53",
+                                                     sources=("mygene",)))
+    with pytest.raises(InvalidQuery, match="no registered source serves relations requests"):
+        federation.find_related_entities(
+            EntityRef(name="TNF", kind="GENE_PROTEIN", source="t"), "ASSOCIATE")
 
 
 def test_unified_search_partial_failure():
@@ -484,11 +507,12 @@ def test_relation_and_citation_lookups_reject_an_unreadable_reply(lookup, reply)
 @pytest.mark.parametrize("lookup, operation", [(related, "relations"), (citations, "citations")],
                          ids=["relations", "citations"])
 def test_relation_and_citation_lookups_ask_the_first_source_serving_them(lookup, operation):
-    registry = mock_registry()
-    serving = next(d for d in registry.values() if operation in d.operations)
-    # a second source serving the operation, ahead of the shipped one in merge order
-    registry["mirror"] = dataclasses.replace(serving, source_id="mirror",
-                                             base_url="http://mirror.test", priority=0)
+    shipped_registry = mock_registry()
+    serving = next(d for d in shipped_registry.values() if operation in d.operations)
+    # a second source serving the operation, ahead of the shipped one in registry order
+    registry = {"mirror": dataclasses.replace(serving, source_id="mirror",
+                                              base_url="http://mirror.test"),
+                **shipped_registry}
     transport = MockTransport({"mirror.test": json_response({operation: []})})
     assert lookup(Federation(registry=registry, transport=transport, clock=FakeClock(),
                              env={})) == []
@@ -535,7 +559,7 @@ def test_unified_search_deterministic_ordering():
     names_1 = [r.name for r in make_federation(routes).search_entities_unified(spec).records]
     names_2 = [r.name for r in make_federation(routes).search_entities_unified(spec).records]
     assert names_1 == names_2
-    # priority order puts mygene first even though kegg was listed first
+    # registry order puts mygene first even though kegg was listed first
     assert names_1[0] == "TP53"
 
 
@@ -631,7 +655,7 @@ def test_end_to_end_against_mock_server():
     server.transport.routes["/query"] = json_response(mygene_payload())
     base = server.start()
     try:
-        registry = {"mygene": shipped("mygene", "http://mygene.test", attempts=2, priority=1)}
+        registry = {"mygene": shipped("mygene", "http://mygene.test")}
         federation = Federation(registry=registry, env={"BIOKGR_MYGENE_URL": base})
         result = federation.search_entities_unified(
             QuerySpec(kind="gene", text="TP53", sources=("mygene",))
@@ -648,10 +672,13 @@ def test_mock_server_retry_sequence():
                                          json_response(mygene_payload())]
     base = server.start()
     try:
-        desc = shipped("mygene", base, attempts=2)
-        payload = single(desc).fetch("mygene", FetchRequest(path="/query", params={"q": "TP53"}))
+        clock = FakeClock()
+        desc = shipped("mygene", base)
+        payload = single(desc, clock=clock).fetch(
+            "mygene", FetchRequest(path="/query", params={"q": "TP53"}))
         assert payload["hits"][0]["symbol"] == "TP53"
         assert server.transport.hits("/query") == 2
+        assert clock.slept == [unified.BACKOFF_S]
     finally:
         server.stop()
 
@@ -661,7 +688,16 @@ def test_default_registry_loads_and_validates():
     assert {"pubmed", "pubtator", "kegg", "mygene", "clinicaltrials"} <= set(registry)
     assert len(registry) >= 15
     assert all(d.rate_limit_per_sec > 0 for d in registry.values())
-    assert all(d.retry.max_attempts >= 1 for d in registry.values())
+
+
+def test_every_optional_descriptor_field_varies_across_the_shipped_registry():
+    """A field that no shipped entry sets to a second value is a constant, not a registry knob."""
+    optional = [f.name for f in dataclasses.fields(SourceDescriptor) if f.name != "operations"
+                and (f.default, f.default_factory) != (dataclasses.MISSING, dataclasses.MISSING)]
+    assert optional
+    for name in optional:
+        values = {repr(getattr(d, name)) for d in default_registry().values()}
+        assert len(values) >= 2, f"every shipped entry has {name} = {values.pop()}"
 
 
 def search_op(**template):
@@ -687,9 +723,11 @@ def test_descriptor_rejects_an_unknown_registry_value(field, value, match):
 
 
 def test_load_registry_rejects_an_unknown_entry_field():
-    entry = {"source_id": "kegg", "base_url": "https://rest.kegg.jp", "protocol": "rest"}
-    with pytest.raises(ValueError, match="'kegg'.*'protocol'"):
-        load_registry({"sources": [entry]})
+    # no entry sets a retry policy or a merge priority: one policy and registry order serve all
+    for name, value in [("protocol", "rest"), ("retry", {"max_attempts": 1}), ("priority", 1)]:
+        entry = {"source_id": "kegg", "base_url": "https://rest.kegg.jp", name: value}
+        with pytest.raises(ValueError, match=f"'kegg'.*'{name}'"):
+            load_registry({"sources": [entry]})
 
 
 def test_request_template_keeps_literal_values():
@@ -707,7 +745,7 @@ def test_graphql_source_uses_parameterized_template():
         ]}}
     })})
 
-    registry = {"opentargets": shipped("opentargets", "http://ot.test/graphql", priority=1)}
+    registry = {"opentargets": shipped("opentargets", "http://ot.test/graphql")}
     federation = Federation(registry=registry, transport=transport,
                             clock=FakeClock(), env={})
     result = federation.search_entities_unified(
