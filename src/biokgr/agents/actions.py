@@ -1,9 +1,13 @@
-"""Typed orchestrator actions, research tasks, agent reports, and their wire format."""
+"""Typed orchestrator actions, research tasks, agent reports, and their wire format.
+
+Each action class declares its `wire_name` and the `plan_step` (plan hint) it
+closes, which keys a subagent's budget; `Halt` closes no step.
+"""
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 from biokgr import field
 from biokgr.agents.plan import PlanStep
@@ -15,7 +19,7 @@ _MAX_LISTED_FILES = 5
 
 @dataclass(frozen=True)
 class ResearchTask:
-    """A delegated search target for one subagent invocation."""
+    """A delegated search target for one subagent invocation; checked when built."""
 
     description: str
     entities: tuple[str, ...] = ()
@@ -25,7 +29,7 @@ class ResearchTask:
     seeds: tuple[str, ...] = ()     # depth mode starting points
     entity_kind: str = "gene"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError("task budget must be >= 1")
         if self.mode == "depth" and not (self.seeds or self.description):
@@ -62,71 +66,73 @@ class AgentReport:
 
 @dataclass(frozen=True)
 class InvokeBFRS:
+    wire_name: ClassVar[str] = "invoke_bfrs"
+    plan_step: ClassVar[str] = "bfrs"
     task: ResearchTask
 
 
 @dataclass(frozen=True)
 class InvokeDFRS:
+    wire_name: ClassVar[str] = "invoke_dfrs"
+    plan_step: ClassVar[str] = "dfrs"
     task: ResearchTask
 
 
 @dataclass(frozen=True)
 class AnalyzeWorkspace:
+    wire_name: ClassVar[str] = "analyze_workspace"
+    plan_step: ClassVar[str] = "analyze"
     spec: dict
 
 
 @dataclass(frozen=True)
 class UpdateGraph:
+    wire_name: ClassVar[str] = "update_graph"
+    plan_step: ClassVar[str] = "update_graph"
     batch: MergeBatch
 
 
 @dataclass(frozen=True)
 class RetrieveGraph:
+    wire_name: ClassVar[str] = "retrieve_graph"
+    plan_step: ClassVar[str] = "retrieve_graph"
     seeds: tuple[str, ...]
     depth: int = 1
 
 
 @dataclass(frozen=True)
 class Finalize:
+    wire_name: ClassVar[str] = "finalize"
+    plan_step: ClassVar[str] = "finalize"
     answer: str
 
 
 @dataclass(frozen=True)
 class Halt:
+    wire_name: ClassVar[str] = "halt"
     reason: str = ""
 
 
 Action = Union[InvokeBFRS, InvokeDFRS, AnalyzeWorkspace, UpdateGraph, RetrieveGraph, Finalize, Halt]
 
-
-# Every action's wire name; the wire fields are the dataclass fields.
-ACTION_NAMES: dict[type, str] = {
-    InvokeBFRS: "invoke_bfrs",
-    InvokeDFRS: "invoke_dfrs",
-    AnalyzeWorkspace: "analyze_workspace",
-    UpdateGraph: "update_graph",
-    RetrieveGraph: "retrieve_graph",
-    Finalize: "finalize",
-    Halt: "halt",
-}
-_ACTION_TYPES = {name: kind for kind, name in ACTION_NAMES.items()}
+# wire name -> action type; the wire fields are the dataclass fields
+ACTIONS: dict[str, type] = {kind.wire_name: kind for kind in get_args(Action)}
 _OPTIONAL_STR = (str, type(None))
 
 
 def action_to_dict(action: Action) -> dict:
-    name = ACTION_NAMES.get(type(action))
-    if name is None:
+    if type(action) not in ACTIONS.values():
         raise TypeError(f"not an action: {action!r}")
-    return {"action": name, **dataclasses.asdict(action)}
+    return {"action": action.wire_name, **dataclasses.asdict(action)}
 
 
 def action_from_dict(payload: dict) -> Action | None:
     """Decode one wire-format action; a missing, 'none' or unknown action maps to None.
 
     Fields left out take their wire defaults. Raises ValueError when a field
-    has the wrong type or a subagent task fails `ResearchTask.validate`.
+    has the wrong type or a subagent task is invalid.
     """
-    kind = _ACTION_TYPES.get(field(payload, "action", _OPTIONAL_STR, None))
+    kind = ACTIONS.get(field(payload, "action", _OPTIONAL_STR, None))
     if kind in (InvokeBFRS, InvokeDFRS):
         raw = field(payload, "task", dict, {})
         task = ResearchTask(
@@ -138,7 +144,6 @@ def action_from_dict(payload: dict) -> Action | None:
             seeds=tuple(field(raw, "seeds", list, [], of=str)),
             entity_kind=field(raw, "entity_kind", str, "gene"),
         )
-        task.validate()
         return kind(task)
     if kind is UpdateGraph:
         raw = field(payload, "batch", dict, {})

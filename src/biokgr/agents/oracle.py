@@ -73,13 +73,13 @@ class DefaultOracle:
         return PlanChecklist(
             steps=[
                 PlanStep(text=f"Survey knowledge bases for entities related to: {query}",
-                         hint="bfrs"),
+                         hint=InvokeBFRS.plan_step),
                 PlanStep(text="Deepen evidence chains from the strongest candidates",
-                         hint="dfrs"),
+                         hint=InvokeDFRS.plan_step),
                 PlanStep(text="Record screened findings in the evidence graph",
-                         hint="update_graph"),
+                         hint=UpdateGraph.plan_step),
                 PlanStep(text="Review the accumulated evidence and finalize the answer",
-                         hint="finalize"),
+                         hint=Finalize.plan_step),
             ]
         )
 
@@ -112,12 +112,10 @@ class DefaultOracle:
     # -- action choice --------------------------------------------------------------
 
     def choose_action(self, state, observation: str) -> Action | None:
-        index = state.plan.first_open()
-        if index is None:
-            return Finalize(answer=self._answer(state))
-        hint = state.plan.steps[index].hint
-
-        if hint == "bfrs":
+        """The action for the first open plan step's hint; Finalize when none is open."""
+        hint = next((s.hint for s in state.plan.steps if s.status == "open"),
+                    Finalize.plan_step)
+        if hint == InvokeBFRS.plan_step:
             return InvokeBFRS(
                 ResearchTask(
                     description=state.query,
@@ -127,7 +125,7 @@ class DefaultOracle:
                     mode="breadth",
                 )
             )
-        if hint == "dfrs":
+        if hint == InvokeDFRS.plan_step:
             seeds = tuple(state.candidates[:3])
             return InvokeDFRS(
                 ResearchTask(
@@ -138,14 +136,14 @@ class DefaultOracle:
                     seeds=seeds or (state.query,),
                 )
             )
-        if hint == "update_graph":
+        if hint == UpdateGraph.plan_step:
             return UpdateGraph(self._batch_from_candidates(state))
-        if hint == "retrieve_graph":
+        if hint == RetrieveGraph.plan_step:
             return RetrieveGraph(seeds=tuple(sorted(tokenize(state.query)))[:3])
-        if hint == "analyze":
+        if hint == AnalyzeWorkspace.plan_step:
             return AnalyzeWorkspace({"op": "dedup", "input": "bfrs_screened.json",
                                      "key": "name", "out": "bfrs_deduped.json"})
-        if hint == "finalize":
+        if hint == Finalize.plan_step:
             return Finalize(answer=self._answer(state))
         return Halt(reason=f"no handler for plan hint {hint!r}")
 
@@ -221,16 +219,12 @@ class HttpOracle:
     def plan(self, query: str) -> PlanChecklist:
         steps = self._call("plan", plan_steps_from_dict, {"op": "plan", "query": query})
         if not steps:
-            steps = [PlanStep(text=f"Investigate: {query}", hint="finalize")]
+            steps = [PlanStep(text=f"Investigate: {query}", hint=Finalize.plan_step)]
         return PlanChecklist(steps=steps)
 
     def score_relevance(self, candidate: str, target: str) -> float:
-        score = self._call("score", lambda payload: field(payload, "score", object, 0.0),
-                           {"op": "score", "candidate": candidate, "target": target})
-        try:
-            return max(0.0, min(1.0, float(score)))
-        except (TypeError, ValueError):
-            return 0.0
+        return self._call("score", _read_score,
+                          {"op": "score", "candidate": candidate, "target": target})
 
     def choose_action(self, state, observation: str) -> Action | None:
         return self._call("action", action_from_dict, {
@@ -241,3 +235,12 @@ class HttpOracle:
             "observation": observation,
             "graph_stats": state.graph.stats(),
         })
+
+
+def _read_score(payload: dict) -> float:
+    """The reply's `score` (0.0 when absent) clamped to [0, 1]; raises `ValueError` unless
+    it is a finite JSON number. An integer of any size clamps, without a float conversion."""
+    score = field(payload, "score", (int, float), 0.0)
+    if isinstance(score, float) and not math.isfinite(score):
+        raise ValueError(f"field 'score' is not finite: {score!r}")
+    return max(0.0, min(1.0, score))

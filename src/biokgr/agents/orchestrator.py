@@ -1,12 +1,14 @@
 """The orchestrator: budget-guarded action selection and the run loop.
 
 `step_orchestrator` validates one oracle proposal against the remaining
-subagent budgets (a subagent proposal with zero budget left coerces to
-Finalize; no proposal at all yields Halt) and appends its entry to the step
-log. `OrchestratorRunner.run` drives the full loop, executing actions,
-closing plan steps through `PlanChecklist.mark`, persisting the step log (the
-transcript) and the evidence-graph snapshot into the run workspace, and
-closing the workspace, which writes its manifest, when the run ends or raises.
+subagent budgets, keyed by plan step (a subagent proposal with zero budget
+left coerces to Finalize; no proposal at all yields Halt) and appends its entry
+to the step log. `OrchestratorRunner.run` drives the full loop: it executes
+each action, closes the plan step the action's class declares through one
+`PlanChecklist.mark` call, halts when an action neither ran a subagent nor
+closed a step, persists the step log (the transcript) and the evidence-graph
+snapshot into the run workspace, and closes the workspace, which writes its
+manifest, when the run ends or raises.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from dataclasses import dataclass, field
 
 from biokgr import jsonl_lines
 from biokgr.agents.actions import (
-    ACTION_NAMES,
     Action,
     AnalyzeWorkspace,
     Finalize,
@@ -31,8 +32,8 @@ from biokgr.agents.research import run_bfrs, run_dfrs
 from biokgr.agents.workspace import AnalysisError, Workspace, run_analysis
 from biokgr.evidence import EvidenceGraphStore, EvidenceGraphError, export_graph
 
-# subagent action -> (budget key and plan hint, runner)
-SUBAGENTS = {InvokeBFRS: ("bfrs", run_bfrs), InvokeDFRS: ("dfrs", run_dfrs)}
+# subagent action -> its runner; the action's plan step keys its budget
+SUBAGENTS = {InvokeBFRS: run_bfrs, InvokeDFRS: run_dfrs}
 
 
 @dataclass
@@ -50,17 +51,16 @@ class OrchestratorState:
 def step_orchestrator(state: OrchestratorState, observation: str, oracle) -> Action:
     """One decision step: oracle proposal validated against budgets."""
     proposed = oracle.choose_action(state, observation)
-    subagent = SUBAGENTS.get(type(proposed))
     extra = {}
     if proposed is None:
         action: Action = Halt(reason="oracle proposed no tool action")
-    elif subagent is not None and state.budgets.get(subagent[0], 0) <= 0:
+    elif type(proposed) in SUBAGENTS and state.budgets.get(proposed.plan_step, 0) <= 0:
         stats = state.graph.stats()
         action = Finalize(answer=(
-            f"{subagent[0].upper()} budget exhausted; finalizing with current evidence "
+            f"{proposed.plan_step.upper()} budget exhausted; finalizing with current evidence "
             f"({stats['entities']} entities, {stats['relations']} relations)."
         ))
-        extra["coerced"] = f"{ACTION_NAMES[type(proposed)]} with zero budget -> finalize"
+        extra["coerced"] = f"{proposed.wire_name} with zero budget -> finalize"
     else:
         action = proposed
     _record(state, action, **extra)
@@ -93,33 +93,29 @@ class OrchestratorRunner:
                 raise ValueError(f"{name} must not be negative, got {budget}")
         self.federation = federation
         self.oracle = oracle or DefaultOracle()
-        self.bfrs_budget = bfrs_budget
-        self.dfrs_budget = dfrs_budget
+        self.budgets = {InvokeBFRS.plan_step: bfrs_budget, InvokeDFRS.plan_step: dfrs_budget}
 
     def run(self, query: str, workspace_root) -> RunResult:
         with Workspace(workspace_root) as workspace:
             state = OrchestratorState(
                 query=query,
                 plan=self.oracle.plan(query),
-                budgets={"bfrs": self.bfrs_budget, "dfrs": self.dfrs_budget},
+                budgets=dict(self.budgets),
                 workspace=workspace,
                 graph=EvidenceGraphStore(),
             )
             observation = "run started"
             halted = False
-            max_steps = self.bfrs_budget + self.dfrs_budget + 2 * len(state.plan.steps) + 8
+            max_steps = sum(self.budgets.values()) + 2 * len(state.plan.steps) + 8
 
             for _ in range(max_steps):
-                before = (tuple(sorted(state.budgets.items())), state.plan.signature())
                 action = step_orchestrator(state, observation, self.oracle)
-                observation = self._execute(state, action)
+                observation, progressed = self._execute(state, action)
                 state.step_log[-1]["observation"] = observation
                 if isinstance(action, (Finalize, Halt)):
                     halted = isinstance(action, Halt)
                     break
-                after = (tuple(sorted(state.budgets.items())), state.plan.signature())
-                if before == after:
-                    # the action neither consumed budget nor advanced the plan
+                if not progressed:
                     _record(state, Halt(reason="no progress"), observation="halted: no progress")
                     halted = True
                     break
@@ -141,46 +137,47 @@ class OrchestratorRunner:
 
     # -- action execution ------------------------------------------------------
 
-    def _execute(self, state: OrchestratorState, action: Action) -> str:
-        subagent = SUBAGENTS.get(type(action))
-        if subagent is not None:
-            kind, run_subagent = subagent
+    def _execute(self, state: OrchestratorState, action: Action) -> tuple[str, bool]:
+        """Run `action` and close its plan step; returns the observation and whether the
+        run progressed: a subagent ran or a step closed."""
+        outcome, note = "done", ""
+        run_subagent = SUBAGENTS.get(type(action))
+        if run_subagent is not None:
             report = run_subagent(action.task, self.federation, self.oracle, state.workspace)
-            state.budgets[kind] -= 1
+            state.budgets[action.plan_step] -= 1
             state.candidates = sorted(set(state.candidates) | set(report.key_entities))
-            state.plan.mark(kind)
-            return report.render()
-        if isinstance(action, UpdateGraph):
+            observation = report.render()
+        elif isinstance(action, UpdateGraph):
             try:
                 report = state.graph.upsert_batch(action.batch)
             except EvidenceGraphError as exc:
-                state.plan.mark("update_graph", "failed", str(exc))
-                return f"graph update rejected: {exc}"
-            state.plan.mark("update_graph")
-            return (
-                f"graph updated: created={report.created} merged={report.merged} "
-                f"relations={report.relations_added} rejected={report.rejected}"
-            )
-        if isinstance(action, RetrieveGraph):
+                outcome, note = "failed", str(exc)
+                observation = f"graph update rejected: {exc}"
+            else:
+                observation = (
+                    f"graph updated: created={report.created} merged={report.merged} "
+                    f"relations={report.relations_added} rejected={report.rejected}"
+                )
+        elif isinstance(action, RetrieveGraph):
             subgraph = state.graph.query_subgraph(list(action.seeds), action.depth)
-            state.plan.mark("retrieve_graph")
-            return (
+            observation = (
                 f"retrieved subgraph: {len(subgraph['entities'])} entities, "
                 f"{len(subgraph['relations'])} relations"
             )
-        if isinstance(action, AnalyzeWorkspace):
+        elif isinstance(action, AnalyzeWorkspace):
             try:
-                out = run_analysis(state.workspace, action.spec)
+                observation = f"analysis wrote {run_analysis(state.workspace, action.spec)}"
             except AnalysisError as exc:
-                state.plan.mark("analyze", "failed", str(exc))
-                return f"analysis failed: {exc}"
-            state.plan.mark("analyze")
-            return f"analysis wrote {out}"
-        if isinstance(action, Finalize):
+                outcome, note = "failed", str(exc)
+                observation = f"analysis failed: {exc}"
+        elif isinstance(action, Finalize):
             state.answer = action.answer
-            while any(s.status == "open" and s.hint == "finalize" for s in state.plan.steps):
-                state.plan.mark("finalize")
-            return "finalized"
-        if isinstance(action, Halt):
-            return f"halted: {action.reason}" if action.reason else "halted"
-        raise TypeError(f"unknown action {action!r}")
+            while any(s.status == "open" and s.hint == action.plan_step for s in state.plan.steps):
+                state.plan.mark(action.plan_step)
+            return "finalized", True
+        elif isinstance(action, Halt):
+            return (f"halted: {action.reason}" if action.reason else "halted"), False
+        else:
+            raise TypeError(f"unknown action {action!r}")
+        closed = state.plan.mark(action.plan_step, outcome, note)
+        return observation, run_subagent is not None or closed

@@ -21,26 +21,23 @@ class PlanStep:
 class PlanChecklist:
     steps: list[PlanStep] = field(default_factory=list)
 
-    def first_open(self) -> int | None:
-        for i, step in enumerate(self.steps):
-            if step.status == "open":
-                return i
-        return None
-
-    def mark(self, hint: str, outcome: str = "done", note: str = "") -> None:
+    def mark(self, hint: str, outcome: str = "done", note: str = "") -> bool:
         """Close the first open step hinted `hint` as `outcome` ("done" or "failed").
 
         With no such step, the first open step is closed when it has no hint;
         otherwise nothing changes. A failed step keeps `note` as its reason.
+        Returns whether a step closed.
         """
         open_steps = [step for step in self.steps if step.status == "open"]
         step = next((s for s in open_steps if s.hint == hint), None)
         if step is None and open_steps and not open_steps[0].hint:
             step = open_steps[0]
-        if step is not None:
-            step.status = outcome
-            if outcome == "failed":
-                step.note = note or "unspecified failure"
+        if step is None:
+            return False
+        step.status = outcome
+        if outcome == "failed":
+            step.note = note or "unspecified failure"
+        return True
 
     def render(self) -> str:
         marks = {"open": "[ ]", "done": "[v]", "failed": "[x]"}
@@ -53,6 +50,3 @@ class PlanChecklist:
                 suffix = f" (failed: {step.note})"
             lines.append(f"{i}. {marks[step.status]} {step.text}{suffix}")
         return "\n".join(lines)
-
-    def signature(self) -> tuple:
-        return tuple((s.status, s.text) for s in self.steps)

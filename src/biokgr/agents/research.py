@@ -29,8 +29,6 @@ def run_bfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
     screened by oracle relevance against the task target and persisted per
     source plus as a combined table.
     """
-    task.validate()
-
     target = " ".join((task.description, *task.entities))
     spent = 0
     total = 0
@@ -85,7 +83,6 @@ def run_dfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
     links, entity nodes through typed relation search. Stops at budget
     exhaustion or when no frontier node scores above zero.
     """
-    task.validate()
     seeds = task.seeds or (task.description,)
 
     frontier = sorted(set(seeds))

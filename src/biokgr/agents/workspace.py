@@ -15,8 +15,6 @@ through a symlink, with a `..` or absolute is resolved in full.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import os
@@ -130,15 +128,12 @@ class Workspace:
         return read_text(self._path(relpath))
 
     def read_table(self, relpath: str) -> list[dict]:
-        """JSON list-of-objects or CSV file as a list of row dicts."""
-        text = self.read_text(relpath)
-        if relpath.endswith(".json"):
-            payload = parse_json(text)
-            if isinstance(payload, list):
-                return [row for row in payload if isinstance(row, dict)]
-            raise AnalysisError(f"{relpath} is not a JSON table")
-        reader = csv.DictReader(io.StringIO(text))
-        return [dict(row) for row in reader]
+        """The objects of a JSON list file as row dicts; a file that is not JSON raises
+        `ValueError`, and one that holds no list `AnalysisError`."""
+        payload = parse_json(self.read_text(relpath))
+        if isinstance(payload, list):
+            return [row for row in payload if isinstance(row, dict)]
+        raise AnalysisError(f"{relpath} is not a JSON table")
 
 
 def run_analysis(workspace: Workspace, spec: dict) -> str:
@@ -151,8 +146,9 @@ def run_analysis(workspace: Workspace, spec: dict) -> str:
       extract    {input, pattern, out}             (regex findall over the file text)
       dedup      {input, key, out}
 
-    A malformed spec, an input that is missing, not text or not a table, and a
-    path outside the workspace raise `AnalysisError`.
+    Tables are JSON lists of objects, the only kind of table an op writes.
+    A malformed spec, an input that is missing, not text or not a JSON table,
+    and a path outside the workspace raise `AnalysisError`.
     """
     try:
         return _apply(workspace, spec)

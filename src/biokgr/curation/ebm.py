@@ -99,29 +99,29 @@ def _included_refs(root: ET.Element) -> tuple[frozenset, frozenset, int]:
     excluded: set[int] = set()
     warnings = 0
 
-    def harvest(element: ET.Element, bucket: set[int] | None) -> None:
-        nonlocal warnings
+    # an explicit stack of (element, the bucket its pubmed ids go to), so any depth is read
+    stack: list[tuple[ET.Element, set[int] | None]] = [(root, None)]
+    while stack:
+        element, bucket = stack.pop()
         for child in element:
-            local_bucket = bucket
+            child_bucket = bucket
             if child.tag == "ReferenceList":
-                title = child.findtext("Title") or ""
-                label = title.casefold()
+                label = (child.findtext("Title") or "").casefold()
                 if "included in this review" in label:
-                    local_bucket = included
+                    child_bucket = included
                 elif "excluded from this review" in label:
-                    local_bucket = excluded
+                    child_bucket = excluded
                 # untitled nested lists inherit the enclosing classification
             if child.tag == "ArticleId" and child.get("IdType") == "pubmed":
-                if local_bucket is not None:
+                if child_bucket is not None:
                     text = (child.text or "").strip()
                     if text.isdigit():
-                        local_bucket.add(int(text))
+                        child_bucket.add(int(text))
                     else:
                         warnings += 1
                 continue
-            harvest(child, local_bucket)
+            stack.append((child, child_bucket))
 
-    harvest(root, None)
     if warnings:
         logger.warning("skipped %d malformed PMIDs while parsing references", warnings)
     if not included:

@@ -152,7 +152,7 @@ def compute_monotherapy_baselines(
     regimens: list[RegimenEvidence],
 ) -> dict[str, MonotherapyBaseline]:
     """Per-drug reference MTD (max across monotherapy trials) and DLT term set."""
-    mtds: dict[str, float] = {}
+    mtds: dict[str, int | float] = {}
     terms: dict[str, set] = {}
     for regimen in regimens:
         if regimen.is_combination():
@@ -162,7 +162,7 @@ def compute_monotherapy_baselines(
         if reported is None:
             reported = regimen.reported_mtds.get(drug)
         if reported is not None and reported > 0:
-            mtds[drug] = max(mtds.get(drug, 0.0), float(reported))
+            mtds[drug] = max(mtds.get(drug, 0), reported)  # as read: an int of any size
         bucket = terms.setdefault(drug, set())
         for level in regimen.dlt_by_level:
             bucket.update(t.casefold() for t in level["terms"])

@@ -273,7 +273,10 @@ def _read_head(reader) -> tuple[int, str, dict]:
 
 def _read_exactly(reader, length: int, received: int) -> bytes:
     """`length` more body bytes, after the `received` already read."""
-    data = reader.read(length)
+    try:
+        data = reader.read(length)
+    except (OverflowError, MemoryError):  # the reader allocates `length` bytes up front
+        raise TransportError(f"cannot read a body of {length} bytes") from None
     if len(data) < length:
         raise TransportError(f"IncompleteRead({received + len(data)} bytes read, "
                              f"{length - len(data)} more expected)")

@@ -1,6 +1,7 @@
 """Agent contracts: plans, budgets, reports, determinism, oracle protocol."""
 import hashlib
 import json
+import re
 import sys
 import typing
 from pathlib import Path
@@ -32,7 +33,7 @@ from biokgr.agents import (
     step_orchestrator,
 )
 from biokgr.agents.actions import (
-    ACTION_NAMES,
+    ACTIONS,
     action_from_dict,
     action_to_dict,
     plan_steps_from_dict,
@@ -243,14 +244,17 @@ def test_workspace_path_is_the_resolved_path_under_the_root(tmp_path, root_is_a_
     {"op": "dedup", "input": "../secret.json", "key": "name", "out": "x.json"},
     {"op": "dedup", "input": "genes.json", "key": "name", "out": "../escape.json"},
     {"op": "dedup", "input": "genes.json", "key": "name", "out": "x\x00.json"},
+    {"op": "dedup", "input": "notes.txt", "key": "name", "out": "x.json"},
+    {"op": "dedup", "input": "long.txt", "key": "name", "out": "x.json"},
 ], ids=["bad-regex", "where-not-a-dict", "contains-not-a-dict", "missing-key",
         "non-string-field", "unhashable-op", "non-json-table", "missing-input",
-        "read-outside", "write-outside", "nul-in-path"])
+        "read-outside", "write-outside", "nul-in-path", "text-table", "long-text-table"])
 def test_malformed_analysis_spec_raises_analysis_error(tmp_path, spec):
     (tmp_path / "secret.json").write_text('[{"name": "TNF"}]', encoding="utf-8")
     ws = Workspace(tmp_path / "ws")
     ws.save_json("genes.json", [{"name": "TNF"}], "genes")
     ws.save_text("notes.txt", "PMID:1", "notes")
+    ws.save_text("long.txt", "name\n" + "x" * 200_000, "one field longer than a CSV field")
     ws.save_text("broken.json", "{not json", "broken")
     with pytest.raises(AnalysisError):
         run_analysis(ws, spec)
@@ -334,11 +338,13 @@ def test_a_bfrs_budget_counts_calls_not_attempts(tmp_path):
     assert [request.url for request in transport.requests] == ["http://mygene.test/query"] * 2
 
 
-def test_bfrs_zero_budget(tmp_path):
-    federation = make_mock_federation()
-    task = ResearchTask(description=QUERY, knowledge_bases=("mygene",), budget=0)
-    with pytest.raises(ValueError, match="budget"):
-        run_bfrs(task, federation, DefaultOracle(), Workspace(tmp_path))
+@pytest.mark.parametrize("fields, match", [
+    ({"budget": 0}, "budget"),
+    ({"mode": "depth", "description": ""}, "depth mode"),
+], ids=["zero-budget", "depth-without-seeds"])
+def test_an_invalid_task_is_refused_when_built(fields, match):
+    with pytest.raises(ValueError, match=match):
+        ResearchTask(**{"description": QUERY, "knowledge_bases": ("mygene",), **fields})
 
 
 def test_bfrs_report_format(tmp_path):
@@ -693,16 +699,21 @@ ALL_ACTIONS = [
 ]
 
 
-def test_action_names_cover_every_action_type():
-    assert set(ACTION_NAMES) == set(typing.get_args(Action))
-    assert len(set(ACTION_NAMES.values())) == len(ACTION_NAMES)
-    assert {type(a) for a in ALL_ACTIONS} == set(ACTION_NAMES)
+def test_each_action_declares_a_distinct_wire_name_and_a_plan_step_the_guide_lists():
+    kinds = typing.get_args(Action)
+    assert {type(a) for a in ALL_ACTIONS} == set(kinds)
+    assert [ACTIONS[kind.wire_name] for kind in kinds] == list(kinds)
+    assert len(ACTIONS) == len(kinds)
+    assert not hasattr(Halt, "plan_step")
+    listed = re.search(r"hint is one of ([a-z_, ]+)\.", ORACLE_SYSTEM_GUIDE).group(1)
+    assert sorted(kind.plan_step for kind in kinds if kind is not Halt) == \
+        sorted(listed.split(", "))
 
 
-@pytest.mark.parametrize("action", ALL_ACTIONS, ids=lambda a: ACTION_NAMES[type(a)])
+@pytest.mark.parametrize("action", ALL_ACTIONS, ids=lambda a: a.wire_name)
 def test_action_wire_format_roundtrips(action):
     wire = json.loads(json.dumps(action_to_dict(action)))
-    assert wire["action"] == ACTION_NAMES[type(action)]
+    assert wire["action"] == action.wire_name
     assert action_from_dict(wire) == action
 
 
@@ -821,6 +832,32 @@ def test_http_oracle_bad_output_fails_at_once(reply):
     oracle, transport, clock = make_oracle(reply)
     with pytest.raises(OracleUnavailable):
         oracle.plan("q")
+    assert len(transport.requests) == 1
+    assert clock.now() == 0.0
+
+
+@pytest.mark.parametrize("reply, score", [
+    ({"score": 0.75}, 0.75),
+    ({"score": 0.25}, 0.25),
+    ({"score": 1}, 1.0),
+    ({"score": -0.5}, 0.0),
+    ({"score": 10**400}, 1.0),
+    ({"score": -10**400}, 0.0),
+    ({}, 0.0),
+], ids=["float", "another-float", "int", "negative", "huge-int", "huge-negative-int", "absent"])
+def test_http_oracle_reads_a_score_as_a_json_number_clamped_to_the_unit_interval(reply, score):
+    oracle, _transport, _clock = make_oracle(assistant(reply))
+    assert oracle.score_relevance("a", "b") == score
+
+
+@pytest.mark.parametrize("score", [
+    float("nan"), float("inf"), float("-inf"), "nan", "0.5", "high", True, None, [0.5],
+], ids=["nan", "infinity", "minus-infinity", "nan-string", "numeric-string", "word", "bool",
+        "null", "list"])
+def test_http_oracle_malformed_score_fails_at_once(score):
+    oracle, transport, clock = make_oracle(assistant({"score": score}))
+    with pytest.raises(OracleUnavailable, match="malformed score"):
+        oracle.score_relevance("a", "b")
     assert len(transport.requests) == 1
     assert clock.now() == 0.0
 

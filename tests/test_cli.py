@@ -219,6 +219,22 @@ def test_curate_regimen(runner, tmp_path):
     assert "wrote 5 regimen items" in result.output
 
 
+def test_curate_regimen_keeps_a_reported_mtd_of_any_size(runner, tmp_path):
+    items = {}
+    for mtd in (400, 10**400):
+        corpus = regimen_corpus()
+        for trial in corpus["trials"]:
+            for regimen in trial["regimens"]:
+                if "alphanib" in regimen["reported_mtds"]:
+                    regimen["reported_mtds"]["alphanib"] = mtd
+        (tmp_path / "corpus.json").write_text(json.dumps(corpus))
+        out = tmp_path / f"items-{len(items)}.jsonl"
+        invoke(runner, ["curate", "regimen", "--corpus", str(tmp_path / "corpus.json"),
+                        "--seed", "1", "--out", str(out)])
+        items[mtd] = out.read_text()
+    assert items[10**400] == items[400] != ""
+
+
 SECOND_DRUG = """\
 ENTRY       D99999                      Drug
 NAME        Examplestat (USAN)

@@ -112,6 +112,18 @@ def test_parse_review_version_fields():
     assert "randomised trials" in version.selection_criteria.casefold()
 
 
+def test_a_deeply_nested_document_yields_the_pmids_it_lists_at_depth():
+    document = make_review_xml(f"{BASE}.pub2", 2, "Review", "Objectives", "Criteria", "Results",
+                               included=[100, 300], excluded=[400])
+    for pmid in (300, 400):  # each inside 3,000 untitled lists that inherit the bucket
+        leaf = f'<ArticleId IdType="pubmed">{pmid}</ArticleId>'
+        document = document.replace(
+            leaf, "<ReferenceList>" * 3000 + leaf + "</ReferenceList>" * 3000)
+    version = parse_review_version(document)
+    assert (version.included, version.excluded) == ({100, 300}, {400})
+    assert version.parse_warnings == 0
+
+
 def test_split_base_doi():
     assert split_base_doi(f"{BASE}.pub3") == (BASE, 3)
     assert split_base_doi(BASE) == (BASE, 1)

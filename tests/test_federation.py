@@ -873,7 +873,15 @@ def test_no_transport_message_names_a_secret(url, match):
      "timed out"),
     (b"", False, "closed connection"),
     (b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\npartial", False, "IncompleteRead"),
-], ids=["silent", "stalled-error-body", "closed-without-reply", "truncated-body"])
+    # lengths no buffer can hold: past an index-sized integer, and past any allocation
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\npartial", False,
+     "cannot read a body of 99999999999999999999 bytes"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffffffffffff\r\n"
+     b"partial", False, "cannot read a body of"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 4611686018427387904\r\n\r\npartial", False,
+     "cannot read a body of 4611686018427387904 bytes"),
+], ids=["silent", "stalled-error-body", "closed-without-reply", "truncated-body",
+        "content-length-past-an-index", "chunk-size-past-an-index", "content-length-past-memory"])
 def test_transport_maps_a_broken_reply_to_transport_error(monkeypatch, reply, hold, match):
     monkeypatch.setattr(client_module, "DEFAULT_TIMEOUT", 0.2)
     done = threading.Event()
