@@ -351,7 +351,9 @@ class EvidenceGraphStore:
 
     Every write keeps the indexes current: the CURIE and label lookups, the
     relations incident to each node, and each finding's count of contextual
-    edges. A merge therefore costs O(batch) and never rescans the store.
+    edges. A merge therefore costs O(batch) and never rescans the store. Each
+    label's kinds are kept in ENTITY_KIND_ORDER, so a name resolves with one
+    lookup.
     Within a merge each distinct label or CURIE string is normalized once,
     however often the batch names it, and nothing of that is kept between
     batches. A subgraph read costs the sum of the degrees of the nodes it
@@ -373,7 +375,7 @@ class EvidenceGraphStore:
         self._lock = threading.RLock()
         self._entities: dict[str, StoredEntity] = {}
         self._curie_index: dict[str, str] = {}
-        self._label_index: dict[str, dict[str, str]] = {}  # label -> {kind: key}
+        self._label_index: dict[str, dict[str, str]] = {}  # label -> {kind: key} in kind order
         self._relations: dict[RelationKey, StoredRelation] = {}
         self._incident: dict[str, set[RelationKey]] = {}
         self._context_edges: dict[str, int] = {}
@@ -397,7 +399,8 @@ class EvidenceGraphStore:
         """Resolve a CURIE, display name, or storage key to a storage key.
 
         A label stored under several kinds resolves to the first of them in
-        ENTITY_KIND_ORDER.
+        ENTITY_KIND_ORDER. The label index keeps each label's kinds in that
+        order, so a name resolves with one lookup and no walk of the order.
         """
         return self._resolve(ref, _Normalized())
 
@@ -411,9 +414,7 @@ class EvidenceGraphStore:
             by_kind = self._label_index.get(norm.label(ref))
         except EmptyLabel:
             return None
-        if not by_kind:
-            return None
-        return next(by_kind[k] for k in ENTITY_KIND_ORDER if k in by_kind)
+        return next(iter(by_kind.values())) if by_kind else None
 
     def _match(self, entity: EntityRef, norm: _Normalized) -> str | None:
         """Dedup match: CURIE first, then normalized label within kind."""
@@ -538,9 +539,16 @@ class EvidenceGraphStore:
         report.created += 1
 
     def _add_entity(self, stored: StoredEntity, label: str, curie_key: str | None) -> None:
-        """Store and index an entity under its normalized label and CURIE."""
+        """Store and index an entity under its normalized label and CURIE.
+
+        A label that gains a kind has its kinds put back in ENTITY_KIND_ORDER.
+        """
         self._entities[stored.key] = stored
-        self._label_index.setdefault(label, {})[stored.kind] = stored.key
+        by_kind = self._label_index.setdefault(label, {})
+        gains_a_kind = bool(by_kind) and stored.kind not in by_kind
+        by_kind[stored.kind] = stored.key
+        if gains_a_kind:
+            self._label_index[label] = {k: by_kind[k] for k in ENTITY_KIND_ORDER if k in by_kind}
         if curie_key is not None:
             self._curie_index[curie_key] = stored.key
 

@@ -107,31 +107,33 @@ class FetchResult:
 
 # -- request templates and the checked reply reader ------------------------------
 
+def _fill(value, values: dict):
+    """A template `value` with each slot replaced by its entry in `values`."""
+    if isinstance(value, dict):
+        if set(value) == {"file"}:
+            return load_data(value["file"])
+        return {key: _fill(item, values) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_fill(item, values) for item in value]
+    if not isinstance(value, str):  # a literal number, boolean or null
+        return value
+    lone = SLOT.fullmatch(value)  # keeps the value's type: an integer limit stays one
+    return values[lone[1]] if lone else SLOT.sub(lambda m: str(values[m[1]]), value)
+
+
 def _request(template: dict, text: str, kind: str = "", limit: int | None = None) -> FetchRequest:
     """`template` with its slots filled; a slot in the path is percent-encoded."""
     kinds = template.get("kinds", {})
     values = {"text": text, "limit": limit, "kind": kinds.get(kind, kinds.get("*", kind))}
-
-    def fill(value):
-        if isinstance(value, dict):
-            if set(value) == {"file"}:
-                return load_data(value["file"])
-            return {key: fill(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [fill(item) for item in value]
-        if not isinstance(value, str):  # a literal number, boolean or null
-            return value
-        lone = SLOT.fullmatch(value)  # keeps the value's type: an integer limit stays one
-        return values[lone[1]] if lone else SLOT.sub(lambda m: str(values[m[1]]), value)
-
     # the transport refuses a space or a non-ASCII character in the URL;
     # reserved characters such as "/" and "+" go through as they are
     path = SLOT.sub(lambda m: quote(str(values[m[1]]), safe="!#$&'()*+,/:;=?@[]~"),
                     template["path"])
     body = template.get("body")
     return FetchRequest(
-        path=path, params=fill(template.get("params", {})), method=template.get("method", "GET"),
-        body=None if body is None else json.dumps(fill(body), sort_keys=True),
+        path=path, params=_fill(template.get("params", {}), values),
+        method=template.get("method", "GET"),
+        body=None if body is None else json.dumps(_fill(body, values), sort_keys=True),
         headers={} if body is None else {"Content-Type": "application/json"},
     )
 

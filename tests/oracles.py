@@ -6,7 +6,8 @@ by one depth-first search per endpoint (the library's former algorithm, which
 fixes what the path cap keeps), betweenness by
 per-pair shortest-path counting over all-sources BFS tables, SCCs by mutual
 reachability, neighborhoods by explicit level-by-level expansion, and
-evidence-store reads and lint counts by full scans of every stored relation.
+evidence-store reads, name resolution and lint counts by full scans of every
+stored entity or relation.
 Two former library algorithms are kept whole as references for their
 replacements, which must give the same results: KGML parsing over an
 ElementTree (`kgml_reference`) and Brandes' betweenness with a predecessor
@@ -21,6 +22,7 @@ from collections import deque
 import networkx as nx
 
 from biokgr import load_data
+from biokgr.evidence import ENTITY_KIND_ORDER, EmptyLabel, normalize_curie, normalize_label
 from biokgr.pathways.analytics import (
     MAX_PATH_EDGES,
     MAX_PATHS_PER_PAIR,
@@ -240,6 +242,25 @@ def subgraph_oracle(store, seeds, depth: int) -> dict:
         "entities": {e.key: e for e in store.entities() if e.key in reached},
         "relations": [r for r in relations if r.subject in reached and r.object in reached],
     }
+
+
+def resolve_oracle(store, ref: str) -> str | None:
+    """`resolve_key` by scans of every stored entity: an exact storage key,
+    then a CURIE, then the label's entity whose kind comes first in
+    ENTITY_KIND_ORDER."""
+    entities = store.entities()
+    if any(e.key == ref for e in entities):
+        return ref
+    curie = normalize_curie(ref)
+    for e in entities:
+        if e.curie and normalize_curie(e.curie) == curie:
+            return e.key
+    try:
+        label = normalize_label(ref)
+    except EmptyLabel:
+        return None
+    named = [e for e in entities if normalize_label(e.name) == label]
+    return min(named, key=lambda e: ENTITY_KIND_ORDER.index(e.kind)).key if named else None
 
 
 def findings_over_context_cap_oracle(store, predicates, cap: int) -> set[str]:

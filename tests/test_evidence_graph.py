@@ -46,7 +46,7 @@ from biokgr.evidence import (
     normalize_label,
 )
 
-from oracles import findings_over_context_cap_oracle, subgraph_oracle
+from oracles import findings_over_context_cap_oracle, resolve_oracle, subgraph_oracle
 
 
 def gene(name, curie=None, source="kegg@r109"):
@@ -395,18 +395,41 @@ def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
     assert memos and all(memo() is None for memo in memos)
 
 
-def test_a_batch_refused_for_a_blank_label_leaves_no_garbage_cycle():
+def test_merges_reads_and_snapshots_leave_no_garbage_cycle(tmp_path):
     store = EvidenceGraphStore()
-    refused = MergeBatch(entities=(gene("..."), gene("...")))
+    path = tmp_path / "graph.json"
+
+    def merge(batch):
+        try:
+            store.upsert_batch(batch)
+        except (BatchLimitExceeded, EmptyLabel):
+            pass
+
+    operations = {
+        "accepted merge": lambda: merge(MergeBatch(
+            entities=(gene("TNF"), gene("IL6"), gene("STAT3")),
+            relations=(rel("TNF", "ACTIVATES", "IL6"), rel("il6", "BINDS", "STAT3")),
+            observations=(Observation(entity="TNF", text="Raised in mucosa."),))),
+        "merge giving a label a second kind": lambda: merge(MergeBatch(
+            entities=(EntityRef(name="stat3.", kind="DISEASE_PHENOTYPE", source="s@1"),
+                      EntityRef(name="IL6", kind="FINDING", source="s@1")),
+            relations=(rel("STAT3", "ASSOCIATED_WITH", "disease_phenotype/stat3"),))),
+        "refused for a blank label": lambda: merge(MergeBatch(entities=(gene("..."), gene("...")))),
+        "refused over the cap": lambda: merge(
+            MergeBatch(entities=tuple(gene(f"G{i}") for i in range(11)))),
+        "query_subgraph": lambda: [store.query_subgraph(["TNF", "GHOST"], depth)
+                                   for depth in (0, 1, 2)],
+        "resolve_key": lambda: [store.resolve_key(ref) for ref in ("tnf", "IL6", "GHOST", "--")],
+        "export_graph": lambda: export_graph(store, path),
+        "import_graph": lambda: import_graph(path),
+    }
     gc.collect()
     gc.disable()
     try:
-        for _ in range(10):
-            try:
-                store.upsert_batch(refused)
-            except EmptyLabel:
-                pass
-        assert gc.collect() == 0
+        for name, operation in operations.items():
+            for _ in range(3):
+                operation()
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
 
@@ -968,6 +991,64 @@ def test_reads_between_merges_match_the_full_scan_oracle(steps):
         store, CONTEXT_PREDICATES, MAX_CONTEXT_EDGES_PER_FINDING)
 
 
+def test_a_label_that_gains_a_kind_resolves_to_it_in_the_same_batch():
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(
+        entities=(EntityRef(name="TNF", kind="DISEASE_PHENOTYPE", source="s@1"), gene("IL6"))))
+    report = store.upsert_batch(MergeBatch(
+        entities=(gene("TNF"),), relations=(rel("TNF", "ACTIVATES", "IL6"),)))
+    assert (report.created, report.relations_added) == (1, 1)
+    assert [r.key for r in store.relations()] == [("gene_protein/tnf", "ACTIVATES", "gene_protein/il6")]
+    assert store.resolve_key("tnf") == resolve_oracle(store, "tnf") == "gene_protein/tnf"
+
+
+_res_names = ["TNF", "tnf.", "IL6", "STAT3"]
+_res_curies = ["HGNC:1", "hgnc:1", "MESH:D2"]
+_res_refs = _res_names + _res_curies + ["gene_protein/tnf", "finding/tnf", "GHOST", "--"]
+
+
+@st.composite
+def resolution_batch(draw):
+    """Up to four entities whose labels collide across every kind but PAPER, and relations."""
+    kinds = st.sampled_from([kind for kind in evidence.ENTITY_KIND_ORDER if kind != "PAPER"])
+    entities = tuple(
+        EntityRef(name=draw(st.sampled_from(_res_names)), kind=draw(kinds), source="s@1",
+                  curie=draw(st.sampled_from([None, None, *_res_curies])))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    relations = tuple(
+        rel(draw(st.sampled_from(_res_refs)), "ACTIVATES", draw(st.sampled_from(_res_refs)))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return MergeBatch(entities=entities, relations=relations)
+
+
+def assert_resolves_as_the_oracle(store):
+    for ref in _res_refs + [e.key for e in store.entities()]:
+        assert store.resolve_key(ref) == resolve_oracle(store, ref), ref
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(resolution_batch(), min_size=1, max_size=8))
+def test_a_name_resolves_as_the_full_scan_oracle_says(batches):
+    store = EvidenceGraphStore()
+    for batch in batches:
+        store.upsert_batch(batch)
+        stored = {r.key for r in store.relations()}
+        for relation in batch.relations:
+            subject = resolve_oracle(store, relation.subject)
+            object_ = resolve_oracle(store, relation.object)
+            if subject and object_:
+                assert (subject, relation.predicate, object_) in stored
+        assert_resolves_as_the_oracle(store)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        export_graph(store, path)
+        restored = import_graph(path)
+    assert_resolves_as_the_oracle(restored)
+    assert list(map(restored.resolve_key, _res_refs)) == list(map(store.resolve_key, _res_refs))
+
+
 class NoScanDict(dict):
     """A table that may be probed by key but never iterated."""
 
@@ -977,7 +1058,14 @@ class NoScanDict(dict):
     __iter__ = keys = items = values = _scan
 
 
-def test_merges_and_reads_never_scan_the_tables():
+class NoWalkOrder(tuple):
+    """A kind order that may not be walked."""
+
+    def __iter__(self):
+        raise AssertionError("the store walked the kind order")
+
+
+def test_merges_and_reads_never_scan_the_tables(monkeypatch):
     store = EvidenceGraphStore()
     names = [f"G{i}" for i in range(40)]
     for start in range(0, 40, 10):
@@ -988,6 +1076,7 @@ def test_merges_and_reads_never_scan_the_tables():
         ))
     store._relations = NoScanDict(store._relations)
     store._entities = NoScanDict(store._entities)
+    monkeypatch.setattr(evidence, "ENTITY_KIND_ORDER", NoWalkOrder(evidence.ENTITY_KIND_ORDER))
     for i in range(10):
         finding = EntityRef(name=f"finding {i}", kind="FINDING", source="s@1")
         store.upsert_batch(MergeBatch(
@@ -995,9 +1084,14 @@ def test_merges_and_reads_never_scan_the_tables():
             relations=tuple(rel(finding.name, "CO_OCCURS", names[i + j]) for j in range(4))
             + (rel(names[i], "ACTIVATES", names[i + 20]),),
         ))
+        assert store.resolve_key(finding.name.upper()) == f"finding/finding {i}"
         for depth in (1, 2):
             sub = store.query_subgraph([names[i], "GHOST"], depth)
             assert sub["relations"]
+    # only a label that gains a second kind puts its kinds back in order
+    with pytest.raises(AssertionError, match="kind order"):
+        store.upsert_batch(MergeBatch(
+            entities=(EntityRef(name=names[0], kind="DISEASE_PHENOTYPE", source="s@1"),)))
 
 
 def test_context_lint_warns_once_in_the_batch_that_crosses_the_cap(caplog, tmp_path):

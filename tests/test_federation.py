@@ -39,7 +39,8 @@ from biokgr.federation.mockserver import FixtureServer, MockTransport
 from biokgr.federation.unified import UnifiedRecord
 
 from fedmock import (
-    FakeClock, descriptor, json_response, mock_registry, shipped, single, text_response)
+    FakeClock, descriptor, json_response, make_mock_federation, mock_registry, shipped, single,
+    text_response)
 
 
 # -- rate limiting -----------------------------------------------------------------
@@ -605,6 +606,27 @@ def test_find_related_empty():
     )
     entity = EntityRef(name="lonely", kind="GENE_PROTEIN", source="t")
     assert federation.find_related_entities(entity, "INTERACT") == []
+
+
+def test_requests_leave_no_garbage_cycle():
+    federation = make_mock_federation()
+    gene = EntityRef(name="TNF", kind="GENE_PROTEIN", source="t")
+    calls = [
+        lambda: federation.search_entities_unified(
+            QuerySpec(kind="gene", text="TNF", sources=("mygene",))).records,
+        lambda: federation.search_entities_unified(
+            QuerySpec(kind="gene", text="TNF and IL6", sources=("mygene", "kegg"))).records,
+        lambda: federation.find_related_entities(gene, "INTERACT"),
+        lambda: federation.fetch_citations("100"),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            assert call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- persistence -----------------------------------------------------------------------
