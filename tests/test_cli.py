@@ -1,5 +1,6 @@
 """CLI surface: every documented subcommand works end to end on fixtures."""
 import ast
+import hashlib
 import json
 import logging
 import os
@@ -832,3 +833,30 @@ def test_src_imports_only_the_stdlib_click_and_biokgr():
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 imported.add(node.module.partition(".")[0])
     assert imported <= allowed, sorted(imported - allowed)
+
+
+# sha256 of the items each curate command writes for its `ITEM_WRITERS` inputs
+CURATE_PINS = {
+    "curate-flux":
+        "96eb21fad8e34f516443ff99beaa4902377df9c7871e1c7267735a57e90196cc",
+    "curate-sample-size":
+        "2638415a2c248e25e718c49c6bd2ebe0b26361e82c234445863858082a5b08aa",
+    "curate-regimen":
+        "779d4a4724917b5e925d8ea7d038710fc48bcde5ff8ac77dc10365a78e775d60",
+    "curate-surrogate":
+        "439e146158c6db7c8cad35142d4009776585304fa4ef5dfa7a302cb6ccc0095e",
+    "curate-ebm":
+        "865f1356ac61dad43df9fb9369ee0a841ceb34d6ae25e5a49914ebd1cd5bd387",
+}
+
+
+@pytest.mark.parametrize("writer", CURATE_PINS)
+def test_curate_output_bytes_are_pinned(runner, tmp_path, monkeypatch, writer):
+    args, files = ITEM_WRITERS[writer]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    invoke(runner, args + ["--out", "items.jsonl"])
+    digest = hashlib.sha256((tmp_path / "items.jsonl").read_bytes()).hexdigest()
+    assert digest == CURATE_PINS[writer]
