@@ -6,7 +6,6 @@ from biokgr.bench.prepare import (
     prepare_dataset,
 )
 from biokgr.bench.scoring import (
-    MalformedPrediction,
     SuiteReport,
     UnmatchedItemId,
     load_predictions,
@@ -20,7 +19,6 @@ __all__ = [
     "MissingField",
     "UnknownBenchmark",
     "prepare_dataset",
-    "MalformedPrediction",
     "SuiteReport",
     "UnmatchedItemId",
     "load_predictions",

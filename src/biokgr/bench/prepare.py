@@ -37,7 +37,7 @@ class UnknownBenchmark(Error):
 
 
 class MissingField(Error):
-    """An export record or item row with a field absent or of the wrong type, or a repeated id."""
+    """A malformed row of a benchmark input file (an export, items or predictions file)."""
 
 
 def _item(record: dict, benchmark: str, filters: list[str]) -> dict:

@@ -29,10 +29,6 @@ class UnmatchedItemId(Error):
     pass
 
 
-class MalformedPrediction(Error):
-    """A predictions row that is not JSON, not an object, or has no string or integer `id`."""
-
-
 @dataclass
 class SuiteReport:
     rows: list[dict]
@@ -127,12 +123,12 @@ def score_item(item: dict, prediction) -> dict:
 
 
 def load_predictions(path) -> dict:
-    """JSONL `{id, prediction}` rows keyed by item id; a row without an id is malformed."""
+    """JSONL `{id, prediction}` rows keyed by item id; MissingField for a row without an id."""
     try:
         return dict(read_jsonl(path, lambda row: (str(field(row, "id", (str, int))),
                                                   row.get("prediction"))))
     except ValueError as exc:
-        raise MalformedPrediction(str(exc)) from exc
+        raise MissingField(str(exc)) from exc
 
 
 def run_suite(items: list[dict], predictions: dict) -> SuiteReport:

@@ -28,7 +28,7 @@ from biokgr import (Error, field, parse_json, parse_jsonl, read_jsonl, read_text
 from biokgr.agents import DefaultOracle, HttpOracle, OrchestratorRunner
 from biokgr.bench.scoring import load_predictions, read_items, run_suite, write_report
 from biokgr.curation import ebm
-from biokgr.curation.items import write_items_jsonl
+from biokgr.curation.items import InsufficientEvidence, TargetNotInPathway, write_items_jsonl
 from biokgr.curation.regimen import (
     classify_design,
     compute_monotherapy_baselines,
@@ -42,10 +42,9 @@ from biokgr.curation.surrogate import (
     categorize_context,
     gain2_strategies,
     infer_downstream_processes,
-    NoMappedTarget,
 )
 from biokgr.curation.target_id import PROFILES, build_target_item
-from biokgr.curation.flux import build_flux_item, TargetNotInPathway
+from biokgr.curation.flux import build_flux_item
 from biokgr.federation import Federation, QuerySpec, persist_results
 from biokgr.pathways import parse_kgml, parse_flat_record
 from biokgr.pathways.flat import split_flat_records
@@ -195,11 +194,12 @@ def _skipping(name):
 def _add_item(items: dict, item) -> None:
     """Keep `item` under its id; an id that an earlier input gave raises `ValueError`.
 
-    Two KGML files of one pathway give their items one id, which `bench score`
-    would refuse, so the later file is skipped.
+    `bench score` refuses a file that repeats an id (two KGML files of one
+    pathway, two truth rows of one id), so every `curate` command skips the
+    later input.
     """
     if item.item_id in items:
-        raise ValueError(f"item id {item.item_id!r} repeats an earlier file's")
+        raise ValueError(f"item id {item.item_id!r} repeats an earlier input's")
     items[item.item_id] = item
 
 
@@ -213,7 +213,7 @@ def curate():
 @click.option("--profile", default="other", show_default=True,
               type=click.Choice(sorted(PROFILES)))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--option-count", default=10, show_default=True)
+@click.option("--option-count", default=10, show_default=True, type=click.IntRange(2, 26))
 @click.option("--out", "out_path", required=True)
 def curate_target_id(kgml_dir, profile, seed, option_count, out_path):
     items = {}
@@ -251,20 +251,18 @@ def curate_flux(kgml_dir, target, seed, out_path):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", required=True)
 def curate_sample_size(truths_path, seed, out_path):
-    items = []
+    items = {}
     for i, row in enumerate(read_jsonl(truths_path)):
         with _skipping(f"row {i}"):
-            items.append(
-                gen_sample_size_item(
-                    field(row, "truth", int), seed=seed + i,
-                    item_id=field(row, "id", (str, type(None)), None),
-                    condition=field(row, "condition", str, ""),
-                    arms=field(row, "arms", list, None, of=str),
-                    primary_outcome=field(row, "primary_outcome", str, ""),
-                    assumption=field(row, "assumption", str, ""),
-                )
-            )
-    write_items_jsonl(items, out_path)
+            _add_item(items, gen_sample_size_item(
+                field(row, "truth", int), seed=seed + i,
+                item_id=field(row, "id", (str, type(None)), None),
+                condition=field(row, "condition", str, ""),
+                arms=field(row, "arms", list, None, of=str),
+                primary_outcome=field(row, "primary_outcome", str, ""),
+                assumption=field(row, "assumption", str, ""),
+            ))
+    write_items_jsonl(items.values(), out_path)
     click.echo(f"wrote {len(items)} sample-size items to {out_path}")
 
 
@@ -275,12 +273,12 @@ def curate_sample_size(truths_path, seed, out_path):
 def curate_regimen(corpus_path, seed, out_path):
     regimens = load_corpus(corpus_path)
     baselines = compute_monotherapy_baselines(regimens)
-    items = []
+    items = {}
     for i, regimen in enumerate(r for r in regimens if r.is_combination()):
         with _skipping(regimen.trial_id):
             design_class = classify_design(derive_regimen_features(regimen, baselines))
-            items.append(build_regimen_item(regimen, design_class, seed=seed + i))
-    write_items_jsonl(items, out_path)
+            _add_item(items, build_regimen_item(regimen, design_class, seed=seed + i))
+    write_items_jsonl(items.values(), out_path)
     click.echo(f"wrote {len(items)} regimen items to {out_path}")
 
 
@@ -289,7 +287,7 @@ def curate_regimen(corpus_path, seed, out_path):
               help="Flat-record file; records separated by ///")
 @click.option("--kgml-dir", required=True, type=click.Path(exists=True))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--max-pathways", default=5, show_default=True)
+@click.option("--max-pathways", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_path", required=True)
 def curate_surrogate(drugs_path, kgml_dir, seed, max_pathways, out_path):
     """Two-pass construction: per-drug correct strategies first, then items
@@ -309,20 +307,19 @@ def curate_surrogate(drugs_path, kgml_dir, seed, max_pathways, out_path):
                 graph_obj, _rg = parse_kgml(read_text(path))
                 merged = graph_obj if merged is None else merged.merged_with(graph_obj)
             if merged is None:
-                raise NoMappedTarget(f"{record.accession} has no pathway KGML available")
+                raise InsufficientEvidence(f"{record.accession} has no pathway KGML available")
             processes = infer_downstream_processes(record, merged)
             context = categorize_context(record)
             prepared.append((record, processes, context, gain2_strategies(processes, context)))
 
-    items = []
+    items = {}
     for i, (record, processes, context, own) in enumerate(prepared):
         pool = [s for _r, _p, _c, strategies in prepared for s in strategies
                 if s not in set(own)]
         with _skipping(record.accession):
-            items.append(
-                build_surrogate_item(record, processes, context, pool, seed=seed + i)
-            )
-    write_items_jsonl(items, out_path)
+            _add_item(items, build_surrogate_item(record, processes, context, pool,
+                                                  seed=seed + i))
+    write_items_jsonl(items.values(), out_path)
     click.echo(f"wrote {len(items)} surrogate items to {out_path}")
 
 
@@ -336,10 +333,14 @@ def curate_ebm(reviews_dir, out_path):
         with _skipping(path):
             versions.append(ebm.parse_review_version(read_text(path)))
     tasks, unpaired = ebm.pair_versions(versions)
-    write_items_jsonl(tasks, out_path)
+    items = {}
+    for task in tasks:
+        with _skipping(f"review {task.item_id}"):
+            _add_item(items, task)
+    write_items_jsonl(items.values(), out_path)
     if unpaired:
         click.echo(f"unpaired base DOIs: {', '.join(unpaired)}", err=True)
-    click.echo(f"wrote {len(tasks)} gap tasks to {out_path}")
+    click.echo(f"wrote {len(items)} gap tasks to {out_path}")
 
 
 # -- research ---------------------------------------------------------------------------

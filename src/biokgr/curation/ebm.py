@@ -52,10 +52,14 @@ class GapTask:
     newer: ReviewVersion
     truth: frozenset = field(default_factory=frozenset)
 
+    @property
+    def item_id(self) -> str:
+        return self.newer.version_doi
+
     def to_dict(self) -> dict:
         """The task as an item row: the newer version's framing and the prior inclusions."""
         return {
-            "id": self.newer.version_doi,
+            "id": self.item_id,
             "task_type": "ebm_gap",
             "question": self.newer.title,
             "options": [],

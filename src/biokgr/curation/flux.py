@@ -13,9 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from biokgr import Error
-from biokgr.curation.items import McqItem, finalize_item
-from biokgr.curation.target_id import GainScore, NoCorrectOption
+from biokgr.curation.items import McqItem, NoCorrectOption, TargetNotInPathway, finalize_item
+from biokgr.curation.target_id import GainScore
 from biokgr.pathways.graphs import ReactionGraph, SignedPathwayGraph
 
 FLUX_STEP_LIMIT = 2
@@ -29,10 +28,6 @@ TEMPLATE_DEPENDENCIES = (
     "glycolytic flux",
     "nucleotide biosynthesis",
 )
-
-
-class TargetNotInPathway(Error):
-    pass
 
 
 @dataclass(frozen=True)

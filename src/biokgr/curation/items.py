@@ -5,6 +5,9 @@ and an item's answer set is exactly its gain-2 labels. Items serialize to one
 JSON object per line, `{"id", "task_type", "question", "options", "answers",
 "metadata"}`: the one item layout, which the EBM gap tasks and `bench prepare`
 also write and `bench score` reads.
+
+A curator refuses an input it cannot build an item from with one of four
+`Error`s, one per failure mode, defined here for every curator.
 """
 from __future__ import annotations
 
@@ -12,11 +15,27 @@ import random
 import string
 from dataclasses import dataclass, field
 
-from biokgr import write_jsonl
+from biokgr import Error, write_jsonl
 
 
 class ItemInvariantError(Exception):
     pass
+
+
+class InsufficientCandidates(Error):
+    """Too few candidates, options or distractors for an item."""
+
+
+class NoCorrectOption(Error):
+    """Too few gain-2 options for an item."""
+
+
+class TargetNotInPathway(Error):
+    """The item's target is not in the pathway data."""
+
+
+class InsufficientEvidence(Error):
+    """The input lacks what an item is built from."""
 
 
 @dataclass(frozen=True)

@@ -13,21 +13,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from biokgr import Error, field, parse_json, read_text
-from biokgr.curation.items import McqItem, finalize_item
+from biokgr import field, parse_json, read_text
+from biokgr.curation.items import InsufficientEvidence, McqItem, finalize_item
 
 TOXICITY_OVERLAP_CLASS_II = 0.6
 _INTERACTION_HINTS = (
     "interaction", "pharmacokinetic", "pk substudy", "drug-drug", "drug drug", "cyp",
 )
-
-
-class NotACombination(Error):
-    pass
-
-
-class InsufficientEvidence(Error):
-    pass
 
 
 @dataclass
@@ -184,7 +176,7 @@ def derive_regimen_features(
 ) -> RegimenFeatures:
     """Evidence features for one combination regimen."""
     if not regimen.is_combination():
-        raise NotACombination(f"regimen in {regimen.trial_id} has a single agent")
+        raise InsufficientEvidence(f"regimen in {regimen.trial_id} has a single agent")
 
     combo_terms = {
         t.casefold()
@@ -223,9 +215,7 @@ def derive_regimen_features(
 def classify_design(features: RegimenFeatures) -> DesignClass:
     """Priority-ordered rule cascade; deterministic and total on sufficient features."""
     if not features.sufficient:
-        raise InsufficientEvidence(
-            f"regimen {'+'.join(features.drugs)} lacks dose/DLT evidence"
-        )
+        raise InsufficientEvidence(f"regimen {'+'.join(features.drugs)} lacks dose/DLT evidence")
     if features.approved_combination:
         return DesignClass.I
     if features.missing_monotherapy or features.interaction_risk:

@@ -9,22 +9,14 @@ from __future__ import annotations
 import math
 import random
 
-from biokgr import Error
-from biokgr.curation.items import McqItem, finalize_item
+from biokgr.curation.items import (InsufficientCandidates, InsufficientEvidence, McqItem,
+                                   finalize_item)
 
 RATIO_MIN = 0.25
 RATIO_MAX = 4.00
 VALIDITY_BAND = (10, 100_000)
 DISTRACTOR_COUNT = 4
 _MAX_DRAWS = 10_000
-
-
-class InvalidGroundTruth(Error):
-    pass
-
-
-class DistractorExhaustion(Error):
-    pass
 
 
 def distractor_is_valid(truth: int, candidate: int) -> bool:
@@ -51,17 +43,15 @@ def gen_sample_size_item(
     with resampling on collisions or validity failures.
     """
     if not isinstance(truth, int) or isinstance(truth, bool):
-        raise InvalidGroundTruth(f"truth must be an integer, got {truth!r}")
-    if truth <= 0 or not (VALIDITY_BAND[0] <= truth <= VALIDITY_BAND[1]):
-        raise InvalidGroundTruth(
-            f"truth {truth} outside validity band {VALIDITY_BAND}"
-        )
+        raise InsufficientEvidence(f"truth must be an integer, got {truth!r}")
+    if not VALIDITY_BAND[0] <= truth <= VALIDITY_BAND[1]:
+        raise InsufficientEvidence(f"truth {truth} outside validity band {VALIDITY_BAND}")
 
     lo = max(round(truth * RATIO_MIN), VALIDITY_BAND[0])
     hi = min(round(truth * RATIO_MAX), VALIDITY_BAND[1])
     feasible = (hi - lo + 1) - (1 if lo <= truth <= hi else 0)
     if feasible < DISTRACTOR_COUNT:
-        raise DistractorExhaustion(
+        raise InsufficientCandidates(
             f"only {feasible} valid distractor values exist for truth {truth}"
         )
 
@@ -71,12 +61,12 @@ def gen_sample_size_item(
         for ratio in ratios:
             candidate = round(truth * ratio)
             if not distractor_is_valid(truth, candidate) or candidate in distractors:
-                raise DistractorExhaustion(
+                raise InsufficientCandidates(
                     f"pinned ratio {ratio} yields invalid/duplicate distractor {candidate}"
                 )
             distractors.append(candidate)
         if len(distractors) != DISTRACTOR_COUNT:
-            raise DistractorExhaustion(
+            raise InsufficientCandidates(
                 f"{len(distractors)} pinned ratios given, need {DISTRACTOR_COUNT}"
             )
     else:
@@ -84,7 +74,7 @@ def gen_sample_size_item(
         while len(distractors) < DISTRACTOR_COUNT:
             draws += 1
             if draws > _MAX_DRAWS:
-                raise DistractorExhaustion(
+                raise InsufficientCandidates(
                     f"could not place {DISTRACTOR_COUNT} distinct distractors for {truth}"
                 )
             ratio = math.exp(rng.uniform(math.log(RATIO_MIN), math.log(RATIO_MAX)))

@@ -14,8 +14,9 @@ import random
 import re
 from dataclasses import dataclass
 
-from biokgr import Error, load_data
-from biokgr.curation.items import McqItem, finalize_item
+from biokgr import load_data
+from biokgr.curation.items import (InsufficientCandidates, InsufficientEvidence, McqItem,
+                                   NoCorrectOption, TargetNotInPathway, finalize_item)
 from biokgr.pathways.flat import KeggFlatRecord
 from biokgr.pathways.graphs import SignedPathwayGraph
 
@@ -30,18 +31,6 @@ IDENTIFIER_PATTERNS = (
     re.compile(r"\bhsa\d+\b"),
     re.compile(r"\[(?:DS|KO|HSA|DG)[^\]]*\]"),
 )
-
-
-class NoMappedTarget(Error):
-    pass
-
-
-class InsufficientOptions(Error):
-    pass
-
-
-class PoolEmpty(Error):
-    pass
 
 
 @dataclass(frozen=True)
@@ -103,10 +92,10 @@ def infer_downstream_processes(
 ) -> list[ProcessMatch]:
     """Processes whose markers are reachable from the drug's mapped targets."""
     if not record.pathways:
-        raise NoMappedTarget(f"{record.accession} has no pathway annotation")
+        raise InsufficientEvidence(f"{record.accession} has no pathway annotation")
     roots = map_targets(record, graph)
     if not roots:
-        raise NoMappedTarget(f"{record.accession} has no target mapped into the graphs")
+        raise TargetNotInPathway(f"{record.accession} has no target mapped into the graphs")
     depths = graph.topology.distances(roots, TRAVERSAL_DEPTH_LIMIT, "both")
     matches: list[ProcessMatch] = []
     for process, spec in sorted(load_data("process_markers.json")["processes"].items()):
@@ -153,13 +142,13 @@ def build_surrogate_item(
     any of this item's gain-2 options are excluded from the pool.
     """
     if not cross_drug_pool:
-        raise PoolEmpty(f"{record.accession}: cross-drug distractor pool is empty")
+        raise InsufficientCandidates(f"{record.accession}: cross-drug distractor pool is empty")
     library = load_data("surrogate_strategies.json")
     rng = random.Random(seed)
 
     correct = gain2_strategies(processes, context)
     if len(correct) < 2:
-        raise InsufficientOptions(
+        raise NoCorrectOption(
             f"{record.accession}: only {len(correct)} gain-2 strategies constructible"
         )
 
@@ -171,9 +160,7 @@ def build_surrogate_item(
     budget = MAX_OPTIONS - len(correct) - len(partial) - len(proximal)
     distractors = proximal + pool[: max(0, budget)]
     if len(distractors) < 2:
-        raise InsufficientOptions(
-            f"{record.accession}: cannot place 2 gain-0 distractors"
-        )
+        raise InsufficientCandidates(f"{record.accession}: cannot place 2 gain-0 distractors")
 
     scored = (
         [(strip_identifiers(t), 2) for t in correct]
@@ -190,7 +177,7 @@ def build_surrogate_item(
                 seen.add(text)
         scored = deduped
     if not (MIN_OPTIONS <= len(scored) <= MAX_OPTIONS):
-        raise InsufficientOptions(
+        raise InsufficientCandidates(
             f"{record.accession}: {len(scored)} options outside [{MIN_OPTIONS}, {MAX_OPTIONS}]"
         )
 

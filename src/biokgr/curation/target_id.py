@@ -14,25 +14,14 @@ import re
 from dataclasses import dataclass
 from functools import cache
 
-from biokgr import Error, load_data, substring_pattern
-from biokgr.curation.items import McqItem, finalize_item
+from biokgr import load_data, substring_pattern
+from biokgr.curation.items import (InsufficientCandidates, InsufficientEvidence, McqItem,
+                                   NoCorrectOption, finalize_item)
 from biokgr.pathways.graphs import SignedPathwayGraph
 
 GAIN2_THRESHOLD = 0.5
 PRIORITIZED_GAIN2_THRESHOLD = 0.3
 CENTRALITY_PERCENTILE = 90
-
-
-class NoEndpoints(Error):
-    pass
-
-
-class InsufficientCandidates(Error):
-    pass
-
-
-class NoCorrectOption(Error):
-    pass
 
 
 @dataclass(frozen=True)
@@ -100,7 +89,7 @@ def assign_target_gains(
 ) -> dict[str, GainScore]:
     """Score each candidate gene for therapeutic-target plausibility."""
     if not graph.endpoints:
-        raise NoEndpoints(f"pathway {graph.pathway_id or '?'} has no disease endpoints")
+        raise InsufficientEvidence(f"pathway {graph.pathway_id or '?'} has no disease endpoints")
 
     centrality = graph.topology.betweenness
     candidate_centrality = {c: centrality.get(c, 0.0) for c in candidates}

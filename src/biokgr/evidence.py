@@ -201,6 +201,11 @@ class EntityRef:
             )
         if self.kind == "PAPER" and not self.name.startswith("PMID:"):
             raise InvalidName(f"PAPER entity name must begin with 'PMID:', got {self.name!r}")
+        if self.curie:
+            # a prefix without `/` keeps a CURIE key apart from every `kind/label` key
+            prefix, colon, reference = self.curie.partition(":")
+            if not (colon and prefix.strip() and "/" not in prefix and reference.strip()):
+                raise InvalidName(f"CURIE {self.curie!r} of {self.name!r} is not prefix:reference")
 
 
 @dataclass(frozen=True)
@@ -737,8 +742,8 @@ class EvidenceGraphStore:
         Raises MalformedSnapshot when a section or field is missing or
         ill-typed, an entity kind or predicate is outside the vocabulary, a
         relation, observation or conflict group names something not stored, a
-        relation's conflict group is not listed, or an entity, relation or
-        conflict group appears twice.
+        relation's conflict group is not listed, an entity, relation or
+        conflict group appears twice, or two entities' CURIEs normalize alike.
         """
         store = cls()
         for values in _ENTITIES.records(doc):
@@ -748,9 +753,12 @@ class EvidenceGraphStore:
                     f"entity {stored.key!r} has unknown kind {stored.kind!r}")
             if stored.key in store._entities:
                 raise MalformedSnapshot(f"entity {stored.key!r} appears twice")
+            curie_key = normalize_curie(stored.curie) if stored.curie else None
+            if curie_key in store._curie_index:
+                raise MalformedSnapshot(f"entity {stored.key!r} repeats the CURIE of entity "
+                                        f"{store._curie_index[curie_key]!r}")
             try:
-                store._add_entity(stored, normalize_label(stored.name),
-                                  normalize_curie(stored.curie) if stored.curie else None)
+                store._add_entity(stored, normalize_label(stored.name), curie_key)
             except EmptyLabel as exc:
                 raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
         for values in _RELATIONS.records(doc):

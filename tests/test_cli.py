@@ -20,6 +20,7 @@ from corpusgen import make_review_xml, regimen_corpus
 from fedmock import json_response, text_response
 from kgmlgen import (
     blank_name_kgml,
+    cascade_kgml,
     cyclic_group_kgml,
     egfr_cancer_kgml,
     pde4_inflammation_kgml,
@@ -149,9 +150,60 @@ def test_curate_skips_a_later_file_that_repeats_an_item_id(runner, tmp_path, mon
     items = [json.loads(line) for line in (tmp_path / "items.jsonl").read_text().splitlines()]
     assert [item["id"] for item in items] == [item_id]
     assert [r.getMessage() for r in caplog.records] == [
-        f"skipping {Path('kgml', 'b.xml')}: item id {item_id!r} repeats an earlier file's"]
+        f"skipping {Path('kgml', 'b.xml')}: item id {item_id!r} repeats an earlier input's"]
     (tmp_path / "preds.jsonl").write_text(_rows({"id": item_id, "prediction": items[0]["answers"]}))
     invoke(runner, BENCH_SCORE)
+
+
+def test_curate_sample_size_skips_a_later_row_that_repeats_an_item_id(runner, tmp_path,
+                                                                      monkeypatch, caplog):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "truths.jsonl").write_text(_rows({"id": "x", "truth": 268},
+                                                 {"id": "x", "truth": 120}))
+    caplog.set_level(logging.WARNING)
+    invoke(runner, ["curate", "sample-size", "--truths", "truths.jsonl", "--out", "items.jsonl"])
+    items = [json.loads(line) for line in (tmp_path / "items.jsonl").read_text().splitlines()]
+    assert [(item["id"], item["metadata"]["truth"]) for item in items] == [("x", 268)]
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping row 1: item id 'x' repeats an earlier input's"]
+    (tmp_path / "preds.jsonl").write_text(_rows({"id": "x", "prediction": items[0]["answers"]}))
+    invoke(runner, BENCH_SCORE)
+
+
+def test_curate_ebm_skips_a_later_task_that_repeats_an_item_id(runner, tmp_path, caplog):
+    reviews = tmp_path / "reviews"
+    reviews.mkdir()
+    # two files of version 4 give two tasks of one id
+    for name, version, included in (("v3", 3, [100]), ("v4a", 4, [100, 200]),
+                                    ("v4b", 4, [100, 200, 300])):
+        (reviews / f"{name}.xml").write_text(make_review_xml(
+            f"{REVIEW}.pub{version}", version, "Review", "Objectives", "Criteria", "Results",
+            included=included))
+    out = tmp_path / "gap_tasks.jsonl"
+    caplog.set_level(logging.WARNING)
+    result = invoke(runner, ["curate", "ebm", "--reviews", str(reviews), "--out", str(out)])
+    assert [json.loads(line)["answers"] for line in out.read_text().splitlines()] == [[200]]
+    assert "wrote 1 gap tasks" in result.output
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping review {REVIEW}.pub4: item id '{REVIEW}.pub4' repeats an earlier input's"]
+
+
+@pytest.mark.parametrize("args", [
+    ["target-id", "--option-count", "0"],
+    ["target-id", "--option-count", "30"],
+    ["target-id", "--option-count", "-3"],
+    ["surrogate", "--drugs", "drugs.txt", "--max-pathways", "0"],
+], ids=["option-count 0", "option-count 30", "option-count -3", "max-pathways 0"])
+def test_curate_refuses_an_out_of_range_option(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kgml").mkdir()
+    (tmp_path / "kgml" / "hsa04750.xml").write_text(cascade_kgml(7, 40))  # 40 genes
+    (tmp_path / "drugs.txt").write_text(NERANDOMILAST)
+    result = runner.invoke(main, ["curate", *args, "--kgml-dir", "kgml", "--out", "items.jsonl"],
+                           catch_exceptions=False)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{args[-2]}'" in result.output
+    assert not (tmp_path / "items.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", [["target-id"], ["flux", "--target", "SHMT2"]])
@@ -557,6 +609,14 @@ MALFORMED_INPUTS = {
     "bench-predictions-nested-too-deeply": (
         BENCH_SCORE, {"items.jsonl": _rows(ITEM), "preds.jsonl": _rows(DEEP)},
         "preds.jsonl row 1 is not JSON: nested too deeply to decode"),
+    "graph-snapshot-duplicate-curie": (
+        ["graph", "stats", "--store", "store.json"],
+        {"store.json": json.dumps({
+            "entities": [{"key": key, "name": "TNF", "kind": kind, "curie": curie, "sources": []}
+                         for key, kind, curie in (("hgnc:1", "GENE_PROTEIN", "HGNC:1"),
+                                                  ("mondo:1", "DISEASE_PHENOTYPE", "hgnc:1"))],
+            "relations": [], "observations": [], "conflict_groups": []})},
+        "entity 'mondo:1' repeats the CURIE of entity 'hgnc:1'"),
     "graph-snapshot-nested-too-deeply": (
         ["graph", "stats", "--store", "deep.json"], {"deep.json": DEEP},
         "snapshot deep.json is not valid JSON: nested too deeply to decode"),

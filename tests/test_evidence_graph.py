@@ -43,6 +43,7 @@ from biokgr.evidence import (
     WorkspaceUnavailable,
     export_graph,
     import_graph,
+    normalize_curie,
     normalize_label,
 )
 
@@ -184,6 +185,30 @@ def test_invalid_name_rejected():
         store.upsert_batch(
             MergeBatch(entities=(EntityRef(name="Some study", kind="PAPER", source="x"),))
         )
+
+
+@pytest.mark.parametrize("stored, batch", [
+    ((gene("TNF"), gene("IL6")),
+     (gene("STAT3", curie="gene_protein/tnf"),)),
+    ((),
+     (gene("TNF"), gene("IL6"), gene("STAT3", curie="gene_protein/tnf"))),
+    ((EntityRef("PMID:1", "PAPER", curie="PMID:1"),),
+     (gene("STAT3", curie="paper/PMID:1"),)),
+], ids=["across batches", "within one batch", "with a colon"])
+def test_a_curie_that_could_equal_an_entity_key_refuses_its_batch(stored, batch):
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(entities=stored))
+    before = exported(store)
+    with pytest.raises(InvalidName, match="is not prefix:reference"):
+        store.upsert_batch(MergeBatch(entities=batch))
+    assert exported(store) == before
+
+
+@pytest.mark.parametrize("curie", ["HGNC", ":1", " :1", "HGNC:", "HGNC: ", "a/b:1"])
+def test_a_curie_must_be_prefix_colon_reference(curie):
+    with pytest.raises(InvalidName, match=f"CURIE {curie!r} of 'TNF' is not prefix:reference"):
+        gene("TNF", curie=curie).validate()
+    gene("TNF", curie="hgnc:11892/x").validate()  # a `/` after the colon is allowed
 
 
 def test_name_rule_is_disjunction():
@@ -611,9 +636,12 @@ _snapshot_text = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f\ud800\udfffé漢\U
 def snapshot_documents(draw):
     """A valid snapshot, in about half the draws with every section longer than one write chunk."""
     keys = draw(st.lists(_snapshot_text, max_size=8, unique=True))
+    # no two CURIEs normalize alike; `None` and "" mean none
+    curies = draw(st.lists(st.none() | _snapshot_text, min_size=len(keys), max_size=len(keys),
+                           unique_by=lambda c: normalize_curie(c) if c else object()))
     entities = [{"key": key, "name": "n" + draw(_snapshot_text), "kind": "GENE_PROTEIN",
-                 "curie": draw(st.none() | _snapshot_text),
-                 "sources": draw(st.lists(_snapshot_text, max_size=3))} for key in keys]
+                 "curie": curie, "sources": draw(st.lists(_snapshot_text, max_size=3))}
+                for key, curie in zip(keys, curies)]
     triples = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(["BINDS", "INHIBITS"]),
                                       st.sampled_from(keys)), max_size=8, unique=True)) if keys else []
     gids = draw(st.lists(_snapshot_text, max_size=3, unique=True))
@@ -738,6 +766,7 @@ MALFORMED = {
     "blank name": _edit(["entities", 0, "name"], "  "),
     "unknown kind": _edit(["entities", 0, "kind"], "ORGANISM"),
     "duplicate entity": lambda doc: {**doc, "entities": doc["entities"] * 2},
+    "duplicate CURIE": _edit(["entities", 0, "curie"], "hgnc:11892"),
     "unknown predicate": _edit(["relations", 0, "predicate"], "BLOCKS"),
     "relation to unknown entity": _edit(["relations", 0, "object"], "gene_protein/ghost"),
     "duplicate relation": lambda doc: {**doc, "relations": doc["relations"] * 2},

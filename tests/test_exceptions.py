@@ -6,7 +6,9 @@ import pkgutil
 
 import biokgr
 import biokgr.agents
+import biokgr.bench
 import biokgr.curation.flux
+import biokgr.curation.items
 import biokgr.curation.target_id
 import biokgr.evidence
 import biokgr.federation
@@ -35,7 +37,31 @@ def test_merged_names_resolve_to_one_class():
             is biokgr.federation.persist.WorkspaceUnavailable
             is biokgr.agents.workspace.WorkspaceUnavailable
             is biokgr.WorkspaceUnavailable)
-    assert biokgr.curation.flux.NoCorrectOption is biokgr.curation.target_id.NoCorrectOption
+    items = biokgr.curation.items
+    # the curator names the curate-kgml benchmark catches
+    assert biokgr.curation.target_id.InsufficientCandidates is items.InsufficientCandidates
+    assert (biokgr.curation.target_id.NoCorrectOption
+            is biokgr.curation.flux.NoCorrectOption
+            is items.NoCorrectOption)
+    assert biokgr.curation.flux.TargetNotInPathway is items.TargetNotInPathway
+    assert biokgr.bench.scoring.MissingField is biokgr.bench.MissingField
+
+
+def test_curators_and_bench_define_one_class_per_refusal():
+    defined = {cls.__name__: cls.__module__ for cls in biokgr_exception_classes()
+               if cls.__module__.startswith(("biokgr.curation.", "biokgr.bench."))}
+    assert defined == {
+        "ItemInvariantError": "biokgr.curation.items",
+        "InsufficientCandidates": "biokgr.curation.items",
+        "NoCorrectOption": "biokgr.curation.items",
+        "TargetNotInPathway": "biokgr.curation.items",
+        "InsufficientEvidence": "biokgr.curation.items",
+        "MalformedDocument": "biokgr.curation.ebm",
+        "DegenerateTruth": "biokgr.curation.ebm",
+        "MissingField": "biokgr.bench.prepare",
+        "UnknownBenchmark": "biokgr.bench.prepare",
+        "UnmatchedItemId": "biokgr.bench.scoring",
+    }
 
 
 # the program's own invariants, which no outside input can break

@@ -8,21 +8,19 @@ import pytest
 from biokgr import substring_pattern
 from biokgr.curation.flux import (
     FluxOption,
-    TargetNotInPathway,
     build_flux_item,
     classify_flux_option,
     target_facts,
 )
 from biokgr.curation.target_id import (
     PROFILES,
-    InsufficientCandidates,
-    NoEndpoints,
     assign_target_gains,
     build_target_item,
     is_blacklisted,
     nearest_rank_percentile,
 )
-from biokgr.curation.items import write_items_jsonl
+from biokgr.curation.items import (InsufficientCandidates, InsufficientEvidence,
+                                   TargetNotInPathway, write_items_jsonl)
 from biokgr.pathways import analytics, parse_kgml
 from biokgr.pathways.analytics import MAX_PATHS_PER_PAIR
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
@@ -99,7 +97,7 @@ def test_profile_lowers_threshold():
 
 def test_no_endpoints_raises():
     graph = replace(simple_graph([("A", "B", 1)]), endpoints=())
-    with pytest.raises(NoEndpoints):
+    with pytest.raises(InsufficientEvidence, match="has no disease endpoints"):
         assign_target_gains(graph, ["A"], PROFILES["other"])
 
 
@@ -143,7 +141,7 @@ def test_uc_fixture_option_rendering(uc_graph):
 
 def test_insufficient_candidates():
     graph = simple_graph([(f"G{i}", "END", 1) for i in range(7)])
-    with pytest.raises(InsufficientCandidates):
+    with pytest.raises(InsufficientCandidates, match="7 candidates < option count 10"):
         build_target_item(graph, PROFILES["other"], option_count=10)
 
 
@@ -216,7 +214,7 @@ def test_flux_no_change_zero(shmt2_facts):
 
 def test_flux_unlinked_target(shmt2):
     _graph, rg = shmt2
-    with pytest.raises(TargetNotInPathway):
+    with pytest.raises(TargetNotInPathway, match="'NOPE' is not linked to any reaction"):
         classify_flux_option(target_facts(rg, "NOPE"), FluxOption("none", "no_change"))
 
 
@@ -271,7 +269,7 @@ def test_flux_item_deterministic(shmt2):
 
 def test_flux_item_absent_gene(shmt2):
     graph, rg = shmt2
-    with pytest.raises(TargetNotInPathway):
+    with pytest.raises(TargetNotInPathway, match="'TP53' is not linked to any reaction"):
         build_flux_item(graph, rg, "TP53", seed=0)
 
 

@@ -3,10 +3,14 @@ import json
 
 import pytest
 
+from biokgr.curation.items import (
+    InsufficientCandidates,
+    InsufficientEvidence,
+    NoCorrectOption,
+    TargetNotInPathway,
+)
 from biokgr.curation.regimen import (
     DesignClass,
-    InsufficientEvidence,
-    NotACombination,
     RegimenEvidence,
     STRATEGY_TEMPLATES,
     build_regimen_item,
@@ -16,15 +20,10 @@ from biokgr.curation.regimen import (
     load_corpus,
 )
 from biokgr.curation.sample_size import (
-    DistractorExhaustion,
-    InvalidGroundTruth,
     distractor_is_valid,
     gen_sample_size_item,
 )
 from biokgr.curation.surrogate import (
-    InsufficientOptions,
-    NoMappedTarget,
-    PoolEmpty,
     build_surrogate_item,
     categorize_context,
     gain2_strategies,
@@ -65,18 +64,19 @@ def test_boundary_ratio_arithmetic():
 
 
 def test_invalid_truths():
-    with pytest.raises(InvalidGroundTruth):
+    with pytest.raises(InsufficientEvidence, match="truth -5 outside validity band"):
         gen_sample_size_item(-5)
-    with pytest.raises(InvalidGroundTruth):
+    with pytest.raises(InsufficientEvidence, match="truth 0 outside validity band"):
         gen_sample_size_item(0)
-    with pytest.raises(InvalidGroundTruth):
+    with pytest.raises(InsufficientEvidence, match="truth 5 outside validity band"):
         gen_sample_size_item(5)  # below the validity band
-    with pytest.raises(InvalidGroundTruth):
+    with pytest.raises(InsufficientEvidence, match="truth 2000000 outside validity band"):
         gen_sample_size_item(2_000_000)
 
 
 def test_pinned_ratio_validation():
-    with pytest.raises(DistractorExhaustion):
+    with pytest.raises(InsufficientCandidates,
+                       match="pinned ratio 0.1 yields invalid/duplicate distractor"):
         gen_sample_size_item(100, ratios=[0.1, 0.5, 2.0, 3.0])  # 0.1 out of band
 
 
@@ -167,12 +167,12 @@ def test_overlap_half():
 def test_empty_dlt_records_insufficient(corpus, baselines):
     features = derive_regimen_features(by_trial(corpus, "C-AB-NODLT"), baselines)
     assert not features.sufficient
-    with pytest.raises(InsufficientEvidence):
+    with pytest.raises(InsufficientEvidence, match="lacks dose/DLT evidence"):
         classify_design(features)
 
 
 def test_monotherapy_rejected(corpus, baselines):
-    with pytest.raises(NotACombination):
+    with pytest.raises(InsufficientEvidence, match="M-CAP has a single agent"):
         derive_regimen_features(by_trial(corpus, "M-CAP"), baselines)
 
 
@@ -283,7 +283,7 @@ def test_no_mapped_target_raises(pde4_graph):
         "ENTRY       D2 Drug\nNAME        Y\nEFFICACY    Anti-inflammatory\n"
         "TARGET      NOSUCHGENE [HSA:99999]\n  PATHWAY   hsa04064(99999)  x\n"
     )
-    with pytest.raises(NoMappedTarget):
+    with pytest.raises(TargetNotInPathway, match="has no target mapped into the graphs"):
         infer_downstream_processes(record, pde4_graph)
 
 
@@ -356,13 +356,13 @@ def test_surrogate_item_strips_identifiers(nerandomilast, pde4_graph):
 def test_surrogate_pool_empty(nerandomilast, pde4_graph):
     processes = infer_downstream_processes(nerandomilast, pde4_graph)
     context = categorize_context(nerandomilast)
-    with pytest.raises(PoolEmpty):
+    with pytest.raises(InsufficientCandidates, match="cross-drug distractor pool is empty"):
         build_surrogate_item(nerandomilast, processes, context, [], seed=8)
 
 
 def test_surrogate_insufficient_when_no_processes(nerandomilast):
     context = categorize_context(nerandomilast)
-    with pytest.raises(InsufficientOptions):
+    with pytest.raises(NoCorrectOption, match="only 0 gain-2 strategies constructible"):
         build_surrogate_item(nerandomilast, [], context, cross_pool(), seed=8)
 
 
