@@ -189,17 +189,21 @@ def pair_versions(
 ) -> tuple[list[GapTask], list[str]]:
     """Pair each review version with its immediately preceding version.
 
-    Returns (tasks, unpaired base DOIs). Pairs whose newer version adds no
-    studies are dropped since they cannot test gap detection.
+    Returns (tasks, unpaired base DOIs). Only the first record of a version
+    is read; each later one is skipped with a warning. Pairs whose newer
+    version adds no studies are dropped since they cannot test gap detection.
     """
-    by_base: dict[str, list[ReviewVersion]] = {}
+    by_base: dict[str, dict[int, ReviewVersion]] = {}
     for record in records:
-        by_base.setdefault(record.base_doi, []).append(record)
+        versions = by_base.setdefault(record.base_doi, {})
+        if versions.setdefault(record.version, record) is not record:
+            logger.warning("skipping review %s: an earlier record is version %d of %s",
+                           record.version_doi, record.version, record.base_doi)
 
     tasks: list[GapTask] = []
     unpaired: list[str] = []
     for base in sorted(by_base):
-        versions = sorted(by_base[base], key=lambda r: r.version)
+        versions = [by_base[base][v] for v in sorted(by_base[base])]
         if len(versions) < 2:
             unpaired.append(base)
             continue

@@ -47,14 +47,6 @@ def gen_sample_size_item(
     if not VALIDITY_BAND[0] <= truth <= VALIDITY_BAND[1]:
         raise InsufficientEvidence(f"truth {truth} outside validity band {VALIDITY_BAND}")
 
-    lo = max(round(truth * RATIO_MIN), VALIDITY_BAND[0])
-    hi = min(round(truth * RATIO_MAX), VALIDITY_BAND[1])
-    feasible = (hi - lo + 1) - (1 if lo <= truth <= hi else 0)
-    if feasible < DISTRACTOR_COUNT:
-        raise InsufficientCandidates(
-            f"only {feasible} valid distractor values exist for truth {truth}"
-        )
-
     rng = random.Random(seed)
     distractors: list[int] = []
     if ratios is not None:

@@ -6,6 +6,11 @@ factual observations, and provenance for every node and edge. Writes happen in
 merge cycles (batches) that are validated up front and applied atomically;
 reads may run concurrently between merges.
 
+A conflict group keeps contradicting relations side by side. Its only record
+is each member's `conflict_group`, and one rule governs merges and snapshot
+import alike: a relation joins a group only when the group is new or already
+joins the same (subject, object) pair, and a relation in a group keeps it.
+
 A snapshot is one JSON file: `export_graph` writes it straight from the
 stored records under the store's lock, and `import_graph` reads it back
 through `EvidenceGraphStore.from_document`, the one checked reader of a
@@ -94,14 +99,6 @@ class UnknownPredicate(EvidenceGraphError):
 
 
 class BatchLimitExceeded(EvidenceGraphError):
-    pass
-
-
-class RelationNotFound(EvidenceGraphError):
-    pass
-
-
-class MismatchedEndpoints(EvidenceGraphError):
     pass
 
 
@@ -365,8 +362,8 @@ class EvidenceGraphStore:
     reaches, plus sorting what it returns; it does not depend on the size of
     the store.
 
-    Merges, conflict tagging and every read that iterates the store (subgraph
-    queries, listings, stats and snapshots) hold one re-entrant lock, so a
+    Merges and every read that iterates the store (subgraph queries,
+    listings, stats and snapshots) hold one re-entrant lock, so a
     read never sees a half-applied batch or an index set that a merge is
     changing. Single-key lookups (`get`, `resolve_key`) take no lock.
 
@@ -384,8 +381,7 @@ class EvidenceGraphStore:
         self._relations: dict[RelationKey, StoredRelation] = {}
         self._incident: dict[str, set[RelationKey]] = {}
         self._context_edges: dict[str, int] = {}
-        self._conflict_groups: dict[str, list[RelationKey]] = {}
-        self._conflict_seq = 0
+        self._group_pairs: dict[str, tuple[str, str]] = {}  # group -> its pair; only grows
 
     # -- lookups ------------------------------------------------------------
 
@@ -561,20 +557,26 @@ class EvidenceGraphStore:
                         crossed: set[str], norm: _Normalized) -> None:
         skey = self._resolve(relation.subject, norm)
         okey = self._resolve(relation.object, norm)
+        stored = None
         if skey is None or okey is None:
             missing = relation.subject if skey is None else relation.object
+            refusal = f"endpoint {missing!r} unknown"
+        else:
+            stored = self._relations.get((skey, relation.predicate, okey))
+            refusal = self._group_refusal(relation.conflict_group, stored, skey, okey)
+        if refusal:
             report.rejected += 1
             report.warnings.append(
                 f"relation {relation.subject!r} {relation.predicate} "
-                f"{relation.object!r} rejected: endpoint {missing!r} unknown"
+                f"{relation.object!r} rejected: {refusal}"
             )
             return
-        triple = (skey, relation.predicate, okey)
-        stored = self._relations.get(triple)
         if stored is not None:
             for ev in relation.evidence:
                 if ev not in stored.evidence:
                     stored.evidence.append(ev)
+            if relation.conflict_group is not None:
+                stored.conflict_group = relation.conflict_group
             return
         if self._add_relation(StoredRelation(
             subject=skey,
@@ -584,10 +586,22 @@ class EvidenceGraphStore:
             conflict_group=relation.conflict_group,
         )):
             crossed.add(skey)
-        if relation.conflict_group is not None:
-            self._conflict_groups.setdefault(relation.conflict_group, []).append(triple)
-            self._claim_group_id(relation.conflict_group)
         report.relations_added += 1
+
+    def _group_refusal(self, group: str | None, stored: StoredRelation | None,
+                       subject: str, object_: str) -> str | None:
+        """Why a relation over (subject, object_) may not join `group`, or None.
+
+        `stored` is the relation's stored record, if any. The rule is the
+        module's grouping rule; a group that is new is recorded here.
+        """
+        if group is None:
+            return None
+        if stored is not None and stored.conflict_group not in (None, group):
+            return f"it is in conflict group {stored.conflict_group!r}, not {group!r}"
+        if self._group_pairs.setdefault(group, (subject, object_)) != (subject, object_):
+            return f"conflict group {group!r} joins another entity pair"
+        return None
 
     def _add_relation(self, rel: StoredRelation) -> bool:
         """Store and index a new relation.
@@ -617,48 +631,6 @@ class EvidenceGraphStore:
         stored = self._entities[key]
         if obs.text not in stored.observations:
             stored.observations.append(obs.text)
-
-    # -- conflicts ------------------------------------------------------------
-
-    def tag_conflict(self, relation_a: RelationKey, relation_b: RelationKey) -> str:
-        """Mark two relations over the same entity pair as conflicting.
-
-        Both relations are retained; they receive a shared group id which is
-        reused when either relation is already grouped.
-        """
-        with self._lock:
-            rel_a = self._lookup_relation(relation_a)
-            rel_b = self._lookup_relation(relation_b)
-            if (rel_a.subject, rel_a.object) != (rel_b.subject, rel_b.object):
-                raise MismatchedEndpoints(
-                    f"{rel_a.key} and {rel_b.key} do not share endpoints"
-                )
-            group = rel_a.conflict_group or rel_b.conflict_group
-            if group is None:
-                self._conflict_seq += 1
-                group = f"cg-{self._conflict_seq}"
-                self._conflict_groups[group] = []
-            members = self._conflict_groups.setdefault(group, [])
-            for rel in (rel_a, rel_b):
-                rel.conflict_group = group
-                if rel.key not in members:
-                    members.append(rel.key)
-            return group
-
-    def _claim_group_id(self, group: str) -> None:
-        """Number the groups `tag_conflict` opens past `group`, when it is a `cg-N` id."""
-        m = re.match(r"cg-(\d+)$", group)
-        if m:
-            self._conflict_seq = max(self._conflict_seq, int(m.group(1)))
-
-    def _lookup_relation(self, ref: RelationKey) -> StoredRelation:
-        subject, predicate, object_ = ref
-        skey = self.resolve_key(subject) or subject
-        okey = self.resolve_key(object_) or object_
-        stored = self._relations.get((skey, predicate, okey))
-        if stored is None:
-            raise RelationNotFound(f"no stored relation {ref!r}")
-        return stored
 
     # -- reads ----------------------------------------------------------------
 
@@ -709,7 +681,7 @@ class EvidenceGraphStore:
                 "entities": len(self._entities),
                 "relations": len(self._relations),
                 "observations": sum(len(e.observations) for e in self._entities.values()),
-                "conflict_groups": len(self._conflict_groups),
+                "conflict_groups": len(self._group_pairs),
                 "entities_by_kind": dict(sorted(kind_counts.items())),
             }
 
@@ -728,9 +700,14 @@ class EvidenceGraphStore:
             _OBSERVATIONS.name: [
                 _ObservationRecord(e.key, text) for e in entities for text in e.observations],
             _CONFLICT_GROUPS.name: [
-                _ConflictGroupRecord(gid, members)
-                for gid, members in sorted(self._conflict_groups.items())],
+                _ConflictGroupRecord(gid, self._members(gid)) for gid in sorted(self._group_pairs)],
         }
+
+    def _members(self, group: str) -> list[RelationKey]:
+        """The relations in `group`, in triple order, read off its subject's incident set."""
+        subject, object_ = self._group_pairs[group]
+        return sorted(key for key in self._incident[subject]
+                      if key[2] == object_ and self._relations[key].conflict_group == group)
 
     @classmethod
     def from_document(cls, doc: dict) -> "EvidenceGraphStore":
@@ -741,9 +718,11 @@ class EvidenceGraphStore:
         exports the same bytes.
         Raises MalformedSnapshot when a section or field is missing or
         ill-typed, an entity kind or predicate is outside the vocabulary, a
-        relation, observation or conflict group names something not stored, a
-        relation's conflict group is not listed, an entity, relation or
-        conflict group appears twice, or two entities' CURIEs normalize alike.
+        relation or observation names an entity not stored, a relation breaks
+        the grouping rule, an entity, relation or conflict group appears
+        twice, two entities' CURIEs normalize alike, or the conflict-group
+        section does not list each group named by a relation, with exactly the
+        relations that name it (in any order), and nothing else.
         """
         store = cls()
         for values in _ENTITIES.records(doc):
@@ -771,6 +750,9 @@ class EvidenceGraphStore:
                         f"relation {rel.key} names unknown entity {endpoint!r}")
             if rel.key in store._relations:
                 raise MalformedSnapshot(f"relation {rel.key} appears twice")
+            refusal = store._group_refusal(rel.conflict_group, None, rel.subject, rel.object)
+            if refusal:
+                raise MalformedSnapshot(f"relation {rel.key}: {refusal}")
             store._add_relation(rel)
         for key, text in _OBSERVATIONS.records(doc):
             entity = store._entities.get(key)
@@ -778,24 +760,19 @@ class EvidenceGraphStore:
                 raise MalformedSnapshot(f"observation names unknown entity {key!r}")
             if text not in entity.observations:
                 entity.observations.append(text)
+        listed: dict[str, set[RelationKey]] = {}
         for gid, relations in _CONFLICT_GROUPS.records(doc):
-            if gid in store._conflict_groups:
+            if gid in listed:
                 raise MalformedSnapshot(f"conflict group {gid!r} appears twice")
-            members = []
             for member in relations:
                 if not (len(member) == 3 and all(isinstance(part, str) for part in member)):
                     raise MalformedSnapshot(f"conflict group {gid!r} member {member!r:.80} "
                                             "is not a [subject, predicate, object] triple")
-                if tuple(member) not in store._relations:
-                    raise MalformedSnapshot(
-                        f"conflict group {gid!r} names unknown relation {member}")
-                members.append(tuple(member))
-            store._conflict_groups[gid] = members
-            store._claim_group_id(gid)
-        for rel in store._relations.values():
-            if rel.conflict_group is not None and rel.conflict_group not in store._conflict_groups:
+            listed[gid] = set(map(tuple, relations))
+        for gid in sorted(listed.keys() | store._group_pairs.keys()):
+            if gid not in store._group_pairs or listed.get(gid) != set(store._members(gid)):
                 raise MalformedSnapshot(
-                    f"relation {rel.key} names unknown conflict group {rel.conflict_group!r}")
+                    f"conflict group {gid!r} is not listed with exactly the relations that name it")
         return store
 
 

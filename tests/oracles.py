@@ -6,8 +6,8 @@ by one depth-first search per endpoint (the library's former algorithm, which
 fixes what the path cap keeps), betweenness by
 per-pair shortest-path counting over all-sources BFS tables, SCCs by mutual
 reachability, neighborhoods by explicit level-by-level expansion, and
-evidence-store reads, name resolution and lint counts by full scans of every
-stored entity or relation.
+evidence-store reads, name resolution, lint counts and conflict groups by full
+scans of every stored entity or relation.
 Two former library algorithms are kept whole as references for their
 replacements, which must give the same results: KGML parsing over an
 ElementTree (`kgml_reference`) and Brandes' betweenness with a predecessor
@@ -271,6 +271,16 @@ def findings_over_context_cap_oracle(store, predicates, cap: int) -> set[str]:
         if r.predicate in predicates and kinds[r.subject] == "FINDING":
             counts[r.subject] = counts.get(r.subject, 0) + 1
     return {key for key, n in counts.items() if n > cap}
+
+
+def grouping_oracle(store) -> dict[str, list[tuple[str, str, str]]]:
+    """Each conflict group a stored relation names, in id order, with the
+    sorted triples of every relation that names it."""
+    groups: dict[str, list[tuple[str, str, str]]] = {}
+    for r in store.relations():
+        if r.conflict_group is not None:
+            groups.setdefault(r.conflict_group, []).append(r.key)
+    return {gid: sorted(groups[gid]) for gid in sorted(groups)}
 
 
 _EC_PATTERN = re.compile(r"\b(\d+\.\d+\.\d+\.[\dn-]+)\b")

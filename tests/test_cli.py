@@ -170,10 +170,10 @@ def test_curate_sample_size_skips_a_later_row_that_repeats_an_item_id(runner, tm
     invoke(runner, BENCH_SCORE)
 
 
-def test_curate_ebm_skips_a_later_task_that_repeats_an_item_id(runner, tmp_path, caplog):
+def test_curate_ebm_reads_the_first_file_of_a_repeated_version(runner, tmp_path, caplog):
     reviews = tmp_path / "reviews"
     reviews.mkdir()
-    # two files of version 4 give two tasks of one id
+    # two files of version 4: the second is skipped
     for name, version, included in (("v3", 3, [100]), ("v4a", 4, [100, 200]),
                                     ("v4b", 4, [100, 200, 300])):
         (reviews / f"{name}.xml").write_text(make_review_xml(
@@ -185,7 +185,7 @@ def test_curate_ebm_skips_a_later_task_that_repeats_an_item_id(runner, tmp_path,
     assert [json.loads(line)["answers"] for line in out.read_text().splitlines()] == [[200]]
     assert "wrote 1 gap tasks" in result.output
     assert [r.getMessage() for r in caplog.records] == [
-        f"skipping review {REVIEW}.pub4: item id '{REVIEW}.pub4' repeats an earlier input's"]
+        f"skipping review {REVIEW}.pub4: an earlier record is version 4 of {REVIEW}"]
 
 
 @pytest.mark.parametrize("args", [

@@ -178,6 +178,19 @@ def test_three_versions_pair_consecutively():
     assert [sorted(t.truth) for t in tasks] == [[3], [4]]
 
 
+def test_a_repeated_version_keeps_its_first_record(caplog):
+    versions = [
+        parse_review_version(make_review_xml(f"{BASE}.pub{v}", v, "t", "o", "c", "r",
+                                             included=included))
+        for v, included in ((3, [100]), (4, [100, 200]), (4, [100, 200, 300]))
+    ]
+    tasks, unpaired = pair_versions(versions)
+    assert [(t.older.version, t.newer.version, sorted(t.truth)) for t in tasks] == [(3, 4, [200])]
+    assert tasks[0].newer is versions[1] and unpaired == []
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping review {BASE}.pub4: an earlier record is version 4 of {BASE}"]
+
+
 # -- scoring --------------------------------------------------------------------
 
 def test_scoring_hand_computed():

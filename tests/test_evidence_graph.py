@@ -32,11 +32,9 @@ from biokgr.evidence import (
     InvalidObservation,
     MalformedSnapshot,
     MergeBatch,
-    MismatchedEndpoints,
     MissingEvidence,
     Observation,
     RelationEdge,
-    RelationNotFound,
     StoredEntity,
     StoredRelation,
     UnknownPredicate,
@@ -47,15 +45,21 @@ from biokgr.evidence import (
     normalize_label,
 )
 
-from oracles import findings_over_context_cap_oracle, resolve_oracle, subgraph_oracle
+from oracles import (
+    findings_over_context_cap_oracle,
+    grouping_oracle,
+    resolve_oracle,
+    subgraph_oracle,
+)
 
 
 def gene(name, curie=None, source="kegg@r109"):
     return EntityRef(name=name, kind="GENE_PROTEIN", curie=curie, source=source)
 
 
-def rel(subject, predicate, object_, evidence=("PMID:1",)):
-    return RelationEdge(subject=subject, predicate=predicate, object=object_, evidence=tuple(evidence))
+def rel(subject, predicate, object_, evidence=("PMID:1",), group=None):
+    return RelationEdge(subject=subject, predicate=predicate, object=object_,
+                        evidence=tuple(evidence), conflict_group=group)
 
 
 def exported(store) -> bytes:
@@ -439,6 +443,11 @@ def test_merges_reads_and_snapshots_leave_no_garbage_cycle(tmp_path):
             entities=(EntityRef(name="stat3.", kind="DISEASE_PHENOTYPE", source="s@1"),
                       EntityRef(name="IL6", kind="FINDING", source="s@1")),
             relations=(rel("STAT3", "ASSOCIATED_WITH", "disease_phenotype/stat3"),))),
+        "merge stating conflict groups": lambda: merge(MergeBatch(
+            relations=(rel("TNF", "ACTIVATES", "IL6", group="tnf-il6"),
+                       rel("TNF", "INHIBITS", "IL6", group="tnf-il6")))),
+        "relation rejected by the group rule": lambda: merge(MergeBatch(
+            relations=(rel("IL6", "BINDS", "STAT3", group="tnf-il6"),))),
         "refused for a blank label": lambda: merge(MergeBatch(entities=(gene("..."), gene("...")))),
         "refused over the cap": lambda: merge(
             MergeBatch(entities=tuple(gene(f"G{i}") for i in range(11)))),
@@ -503,52 +512,156 @@ def test_subgraph_undirected_hops():
 
 # -- conflicts ----------------------------------------------------------------
 
-def test_tag_conflict_assigns_shared_group():
+A, B, C = (f"gene_protein/{name}" for name in "abc")
+
+
+def test_restating_stored_relations_with_a_group_groups_them():
     store = EvidenceGraphStore()
-    store.upsert_batch(
-        MergeBatch(
-            entities=(gene("A"), gene("B")),
-            relations=(
-                rel("A", "ACTIVATES", "B", evidence=("PMID:1",)),
-                rel("A", "INHIBITS", "B", evidence=("PMID:2",)),
-            ),
-        )
-    )
-    group = store.tag_conflict(("A", "ACTIVATES", "B"), ("A", "INHIBITS", "B"))
-    assert group == "cg-1"
-    assert store.relation_count == 2  # both retained
-    again = store.tag_conflict(("A", "ACTIVATES", "B"), ("A", "INHIBITS", "B"))
-    assert again == group
-    assert store.stats()["conflict_groups"] == 1
+    store.upsert_batch(MergeBatch(
+        entities=(gene("A"), gene("B")),
+        relations=(rel("A", "ACTIVATES", "B", evidence=("PMID:1",)),
+                   rel("A", "INHIBITS", "B", evidence=("PMID:2",))),
+    ))
+    restated = MergeBatch(relations=(rel("A", "ACTIVATES", "B", group="ab"),
+                                     rel("a", "INHIBITS", "b.", group="ab")))
+    for _ in range(2):
+        report = store.upsert_batch(restated)
+        assert (report.relations_added, report.rejected, report.warnings) == (0, 0, [])
+        assert [r.conflict_group for r in store.relations()] == ["ab", "ab"]
+        assert store.relation_count == 2  # both retained
+        assert store.stats()["conflict_groups"] == 1
 
 
-def test_tag_conflict_numbers_past_a_group_a_batch_gave():
+def test_restating_a_relation_into_a_group_of_another_pair_is_rejected():
     store = EvidenceGraphStore()
     store.upsert_batch(MergeBatch(
         entities=(gene("A"), gene("B"), gene("C")),
-        relations=(dataclasses.replace(rel("A", "ACTIVATES", "B"), conflict_group="cg-1"),
-                   rel("A", "INHIBITS", "C"), rel("A", "ACTIVATES", "C")),
+        relations=(rel("A", "ACTIVATES", "B"), rel("A", "INHIBITS", "C")),
     ))
-    assert store.tag_conflict(("A", "INHIBITS", "C"), ("A", "ACTIVATES", "C")) == "cg-2"
-    a, b, c = (f"gene_protein/{name}" for name in "abc")
-    assert json.loads(exported(store))["conflict_groups"] == [
-        {"id": "cg-1", "relations": [[a, "ACTIVATES", b]]},
-        {"id": "cg-2", "relations": [[a, "INHIBITS", c], [a, "ACTIVATES", c]]},
-    ]
+    report = store.upsert_batch(MergeBatch(relations=(
+        rel("A", "ACTIVATES", "B", group="g"), rel("A", "INHIBITS", "C", group="g"))))
+    assert (report.rejected, report.warnings) == (
+        1, ["relation 'A' INHIBITS 'C' rejected: conflict group 'g' joins another entity pair"])
+    assert {r.key: r.conflict_group for r in store.relations()} == {
+        (A, "ACTIVATES", B): "g", (A, "INHIBITS", C): None}
 
 
-def test_tag_conflict_requires_same_endpoints():
+def test_a_batch_cannot_put_two_entity_pairs_in_one_group():
     store = EvidenceGraphStore()
-    store.upsert_batch(
-        MergeBatch(
-            entities=(gene("A"), gene("B"), gene("C")),
-            relations=(rel("A", "ACTIVATES", "B"), rel("A", "INHIBITS", "C")),
-        )
-    )
-    with pytest.raises(MismatchedEndpoints):
-        store.tag_conflict(("A", "ACTIVATES", "B"), ("A", "INHIBITS", "C"))
-    with pytest.raises(RelationNotFound):
-        store.tag_conflict(("A", "ACTIVATES", "B"), ("A", "BINDS", "B"))
+    report = store.upsert_batch(MergeBatch(
+        entities=(gene("A"), gene("B"), gene("C")),
+        relations=(rel("A", "ACTIVATES", "B", group="g"), rel("A", "INHIBITS", "C", group="g")),
+    ))
+    assert (report.relations_added, report.rejected) == (1, 1)
+    assert report.warnings == [
+        "relation 'A' INHIBITS 'C' rejected: conflict group 'g' joins another entity pair"]
+    assert [r.key for r in store.relations()] == [(A, "ACTIVATES", B)]
+    assert json.loads(exported(store))["conflict_groups"] == [
+        {"id": "g", "relations": [[A, "ACTIVATES", B]]}]
+
+
+def test_restating_a_stored_relation_with_a_group_joins_it():
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(entities=(gene("A"), gene("B")),
+                                  relations=(rel("A", "ACTIVATES", "B"),)))
+    report = store.upsert_batch(MergeBatch(
+        relations=(rel("A", "ACTIVATES", "B", evidence=("PMID:2",), group="h"),)))
+    assert (report.relations_added, report.rejected, report.warnings) == (0, 0, [])
+    [stored] = store.relations()
+    assert (stored.conflict_group, stored.evidence) == ("h", ["PMID:1", "PMID:2"])
+    assert store.stats()["conflict_groups"] == 1
+    assert json.loads(exported(store))["conflict_groups"] == [
+        {"id": "h", "relations": [[A, "ACTIVATES", B]]}]
+
+
+def test_a_grouped_relation_keeps_its_group(tmp_path):
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(
+        entities=(gene("A"), gene("B")),
+        relations=(rel("A", "ACTIVATES", "B", group="cg-1"), rel("A", "BINDS", "B", group="cg-2")),
+    ))
+    report = store.upsert_batch(MergeBatch(relations=(
+        rel("A", "BINDS", "B", evidence=("PMID:2",), group="cg-1"),
+        rel("A", "ACTIVATES", "B", evidence=("PMID:3",), group="cg-1"))))
+    assert (report.rejected, report.warnings) == (
+        1, ["relation 'A' BINDS 'B' rejected: it is in conflict group 'cg-2', not 'cg-1'"])
+    # no part of the rejected relation is applied
+    assert [(r.predicate, r.conflict_group, r.evidence) for r in store.relations()] == [
+        ("ACTIVATES", "cg-1", ["PMID:1", "PMID:3"]), ("BINDS", "cg-2", ["PMID:1"])]
+    path = tmp_path / "graph.json"
+    export_graph(store, path)
+    assert json.loads(path.read_text(encoding="utf-8"))["conflict_groups"] == [
+        {"id": "cg-1", "relations": [[A, "ACTIVATES", B]]},
+        {"id": "cg-2", "relations": [[A, "BINDS", B]]},
+    ]
+    assert exported(import_graph(path)) == path.read_bytes()
+
+
+def test_a_snapshot_group_that_lists_a_relation_of_another_group_is_malformed():
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(
+        entities=(gene("A"), gene("B")),
+        relations=(rel("A", "ACTIVATES", "B", group="x"), rel("A", "INHIBITS", "B", group="y")),
+    ))
+    doc = json.loads(exported(store))
+    assert doc["conflict_groups"][1] == {"id": "y", "relations": [[A, "INHIBITS", B]]}
+    doc["conflict_groups"][1]["relations"].append([A, "ACTIVATES", B])
+    with pytest.raises(MalformedSnapshot, match="^conflict group 'y' is not listed with exactly"):
+        EvidenceGraphStore.from_document(doc)
+
+
+_group_genes = ("A", "B", "C")
+
+
+@st.composite
+def grouping_batch(draw):
+    """Up to six relations over three genes, restating triples with groups from a small pool."""
+    pick = lambda values: draw(st.sampled_from(values))
+    relations = tuple(
+        rel(pick(_group_genes), pick(["ACTIVATES", "INHIBITS"]), pick(_group_genes),
+            evidence=(pick(["PMID:1", "PMID:2"]),), group=pick([None, "g1", "g2", "g3"]))
+        for _ in range(draw(st.integers(1, 6))))
+    return MergeBatch(entities=tuple(map(gene, _group_genes)), relations=relations)
+
+
+def assert_grouping(store, expected):
+    """The store lists the expected groups, each over one pair, each relation in at most one."""
+    listed = {group["id"]: list(map(tuple, group["relations"]))
+              for group in json.loads(exported(store))["conflict_groups"]}
+    assert list(listed.items()) == list(grouping_oracle(store).items()) == list(expected.items())
+    assert store.stats()["conflict_groups"] == len(listed)
+    assert all(len({(s, o) for s, _p, o in members}) == 1 for members in listed.values())
+    every = [triple for members in listed.values() for triple in members]
+    assert len(every) == len(set(every))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(grouping_batch(), min_size=1, max_size=8))
+def test_conflict_groups_are_those_the_grouping_oracle_finds(batches):
+    store = EvidenceGraphStore()
+    group_of, pair_of = {}, {}  # the grouping rule, applied to each stated group in order
+    for batch in batches:
+        rejected = 0
+        for r in batch.relations:
+            s, o = (f"gene_protein/{name.lower()}" for name in (r.subject, r.object))
+            gid = r.conflict_group
+            if gid is None:
+                continue
+            triple = (s, r.predicate, o)
+            if group_of.get(triple, gid) != gid or pair_of.setdefault(gid, (s, o)) != (s, o):
+                rejected += 1
+            else:
+                group_of[triple] = gid
+        assert store.upsert_batch(batch).rejected == rejected
+        expected = {}
+        for triple, gid in sorted(group_of.items()):
+            expected.setdefault(gid, []).append(triple)
+        expected = dict(sorted(expected.items()))
+        assert_grouping(store, expected)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        export_graph(store, path)
+        assert_grouping(import_graph(path), expected)
 
 
 # -- export / import ----------------------------------------------------------
@@ -646,28 +759,38 @@ def snapshot_documents(draw):
                                       st.sampled_from(keys)), max_size=8, unique=True)) if keys else []
     gids = draw(st.lists(_snapshot_text, max_size=3, unique=True))
     group_of = st.none() | st.sampled_from(gids) if gids else st.none()
-    relations = [{"subject": s, "predicate": p, "object": o,
-                  "evidence": draw(st.lists(_snapshot_text, max_size=3)),
-                  "conflict_group": draw(group_of)} for s, p, o in triples]
+    pairs, members = {}, {}  # each group joins the pair of its first relation
+    relations = []
+    for s, p, o in triples:
+        gid = draw(group_of)
+        if gid is not None and pairs.setdefault(gid, (s, o)) == (s, o):
+            members.setdefault(gid, []).append([s, p, o])
+        else:
+            gid = None
+        relations.append({"subject": s, "predicate": p, "object": o,
+                          "evidence": draw(st.lists(_snapshot_text, max_size=3)),
+                          "conflict_group": gid})
     observations = [{"entity": draw(st.sampled_from(keys)), "text": draw(_snapshot_text)}
                     for _ in range(draw(st.integers(0, 5)) if keys else 0)]
-    members = st.lists(st.sampled_from(triples), max_size=3) if triples else st.just([])
-    groups = [{"id": gid, "relations": [list(t) for t in draw(members)]} for gid in gids]
+    # a group's members in any order
+    groups = [{"id": gid, "relations": draw(st.permutations(listed))}
+              for gid, listed in members.items()]
     if draw(st.booleans()):
         filler = [f"filler/{i}" for i in range(evidence._CHUNK + 2)]
         entities += [{"key": k, "name": k, "kind": "PAPER", "curie": None, "sources": []}
                      for k in filler]
         relations += [{"subject": s, "predicate": "CITES", "object": o, "evidence": [],
-                       "conflict_group": None} for s, o in zip(filler, filler[1:])]
+                       "conflict_group": s} for s, o in zip(filler, filler[1:])]
         observations += [{"entity": k, "text": k} for k in filler]
-        groups += [{"id": k, "relations": []} for k in filler]
+        groups += [{"id": s, "relations": [[s, "CITES", o]]} for s, o in zip(filler, filler[1:])]
     return {"entities": entities, "relations": relations, "observations": observations,
             "conflict_groups": groups}
 
 
 def as_exported(doc):
-    """`doc` as the store rebuilt from it exports it: records in key order and
-    an entity's observations grouped, each text once."""
+    """`doc` as the store rebuilt from it exports it: records in key order, a
+    conflict group's members in triple order, and an entity's observations
+    grouped, each text once."""
     texts = {}
     for observation in doc["observations"]:
         seen = texts.setdefault(observation["entity"], [])
@@ -679,7 +802,9 @@ def as_exported(doc):
                             key=operator.itemgetter("subject", "predicate", "object")),
         "observations": [{"entity": key, "text": text} for key in sorted(texts)
                          for text in texts[key]],
-        "conflict_groups": sorted(doc["conflict_groups"], key=operator.itemgetter("id")),
+        "conflict_groups": [
+            {"id": group["id"], "relations": sorted(group["relations"])}
+            for group in sorted(doc["conflict_groups"], key=operator.itemgetter("id"))],
     }
 
 
@@ -729,10 +854,10 @@ def snapshot_doc():
     store = EvidenceGraphStore()
     store.upsert_batch(MergeBatch(
         entities=(gene("TNF", curie="HGNC:11892"), gene("IL6")),
-        relations=(rel("TNF", "ACTIVATES", "IL6"), rel("TNF", "INHIBITS", "IL6")),
+        relations=(rel("TNF", "ACTIVATES", "IL6", group="cg-1"),
+                   rel("TNF", "INHIBITS", "IL6", group="cg-1"), rel("IL6", "BINDS", "TNF")),
         observations=(Observation(entity="IL6", text="Secreted by macrophages."),),
     ))
-    store.tag_conflict(("TNF", "ACTIVATES", "IL6"), ("TNF", "INHIBITS", "IL6"))
     return json.loads(exported(store))
 
 
@@ -752,6 +877,22 @@ def _edit(path, value=_DROP):
             target[last] = value
         return doc
     return mutate
+
+
+def _group_relation(doc, relation, gid):
+    """Put `relation` of `doc` in group `gid`, listed with it."""
+    relation["conflict_group"] = gid
+    listed = {group["id"]: group for group in doc["conflict_groups"]}
+    triple = [relation["subject"], relation["predicate"], relation["object"]]
+    if gid in listed:
+        listed[gid]["relations"].append(triple)
+    else:
+        doc["conflict_groups"].append({"id": gid, "relations": [triple]})
+    return doc
+
+
+def _relation(doc, predicate):
+    return next(r for r in doc["relations"] if r["predicate"] == predicate)
 
 
 MALFORMED = {
@@ -775,6 +916,12 @@ MALFORMED = {
     "conflict member unknown": _edit(["conflict_groups", 0, "relations", 0], ["a", "BINDS", "b"]),
     "duplicate conflict group": lambda doc: {**doc, "conflict_groups": doc["conflict_groups"] * 2},
     "relation in an unlisted conflict group": _edit(["relations", 0, "conflict_group"], "cg-7"),
+    "conflict group over two pairs":
+        lambda doc: _group_relation(doc, _relation(doc, "BINDS"), "cg-1"),
+    "conflict group no relation names": lambda doc: {
+        **doc, "conflict_groups": doc["conflict_groups"] + [{"id": "cg-9", "relations": []}]},
+    "conflict group listing another group's relation":
+        lambda doc: _group_relation(doc, _relation(doc, "INHIBITS"), "cg-2"),
 }
 
 

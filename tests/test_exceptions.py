@@ -64,6 +64,21 @@ def test_curators_and_bench_define_one_class_per_refusal():
     }
 
 
+def test_the_evidence_store_defines_one_class_per_refusal():
+    defined = {cls.__name__ for cls in biokgr_exception_classes()
+               if cls.__module__ == "biokgr.evidence"}
+    assert defined == {
+        "EvidenceGraphError",
+        "EmptyLabel",
+        "InvalidName",
+        "InvalidObservation",
+        "MissingEvidence",
+        "UnknownPredicate",
+        "BatchLimitExceeded",
+        "MalformedSnapshot",
+    }
+
+
 # the program's own invariants, which no outside input can break
 INVARIANT_ERRORS = {"ItemInvariantError", "NodeNotFound"}
 

@@ -20,6 +20,10 @@ from biokgr.curation.regimen import (
     load_corpus,
 )
 from biokgr.curation.sample_size import (
+    DISTRACTOR_COUNT,
+    RATIO_MAX,
+    RATIO_MIN,
+    VALIDITY_BAND,
     distractor_is_valid,
     gen_sample_size_item,
 )
@@ -90,6 +94,19 @@ def test_distractors_respect_band_and_distinctness():
         for value in values:
             if value != truth:
                 assert round(truth * 0.25) <= value <= round(truth * 4.0)
+
+
+def test_every_truth_in_the_band_has_enough_valid_distractors():
+    # so gen_sample_size_item draws without counting them first
+    def valid_count(truth):
+        lo = max(round(truth * RATIO_MIN), VALIDITY_BAND[0])
+        hi = min(round(truth * RATIO_MAX), VALIDITY_BAND[1])
+        return hi - lo + 1 - (lo <= truth <= hi)
+
+    assert all(valid_count(t) == sum(distractor_is_valid(t, c) for c in range(4 * t + 2))
+               for t in range(VALIDITY_BAND[0], 60))
+    fewest = min(map(valid_count, range(VALIDITY_BAND[0], VALIDITY_BAND[1] + 1)))
+    assert fewest == 30 >= DISTRACTOR_COUNT
 
 
 def test_sample_size_deterministic():
