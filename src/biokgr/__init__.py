@@ -23,7 +23,8 @@ the `Error` for a file or directory that cannot be read or written.
 Apart from the bundled data `load_data` reads, `read_text` and `writing` are
 the only places the library opens a file: one reads a file, the other writes
 one, and each raises `WorkspaceUnavailable` naming the path. Every output replaces its target atomically, so a failed
-write leaves the previous file as it was.
+write leaves the previous file as it was. `indented_json` lays out every
+indented JSON document the library writes or prints.
 """
 
 import json
@@ -65,6 +66,32 @@ def substring_pattern(words) -> re.Pattern:
 def jsonl_lines(rows):
     """Each row as one line of JSON with sorted keys, its newline included."""
     return (json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def indented_json(value, indent: str = "") -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`, for string-keyed objects.
+
+    `indent` is the padding of the line `value` starts on. The stdlib's
+    indented encoder is pure Python and leaves one reference cycle per call
+    (its nested closures); this recursion leaves none, quoting keys with the C
+    string encoder and leaving every scalar to `json.dumps`.
+    """
+    pad = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{_quote(key)}: {indented_json(item, pad)}"
+                 for key, item in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [indented_json(item, pad) for item in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def read_text(path) -> str:

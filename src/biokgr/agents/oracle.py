@@ -1,13 +1,15 @@
 """Decision oracles: the pluggable planner / action chooser / relevance scorer.
 
-`DefaultOracle` is fully deterministic so the entire pipeline is testable
-without any model: plans come from task templates, relevance is normalized
-lexical overlap, expansion order breaks ties lexicographically. `HttpOracle`
-speaks a chat-completion-style JSON protocol to an external endpoint and is
-treated strictly as a wire format. It posts through `Federation.fetch`, over a
-one-entry registry, so it shares the knowledge-base sources' transport, clock
-and their one retry policy: HTTP 429/5xx and transport errors are retried with
-exponential backoff, and any other failure raises `OracleUnavailable` at once.
+The scorer takes a candidate list and one target, and returns one score in
+[0, 1] per candidate, in order. `DefaultOracle` is fully deterministic so the
+entire pipeline is testable without any model: plans come from task templates,
+relevance is normalized lexical overlap, expansion order breaks ties
+lexicographically. `HttpOracle` speaks a chat-completion-style JSON protocol
+to an external endpoint and is treated strictly as a wire format. It posts
+through `Federation.fetch`, over a one-entry registry, so it shares the
+knowledge-base sources' transport, clock and their one retry policy: HTTP
+429/5xx and transport errors are retried with exponential backoff, and any
+other failure raises `OracleUnavailable` at once.
 """
 from __future__ import annotations
 
@@ -45,8 +47,9 @@ ORACLE_SYSTEM_GUIDE = (
     "hint is one of bfrs, dfrs, update_graph, retrieve_graph, analyze, "
     "finalize. For choose_action: one action object such as "
     "{\"action\": \"invoke_bfrs\", \"task\": {...}} or {\"action\": \"none\"}. "
-    "For score: {\"score\": <float in [0,1]>}. Keep subagent reports under 10 "
-    "lines; render plans as numbered checkboxes ([ ] open, [v] done, [x] failed)."
+    "For score: {\"scores\": [<float in [0,1]>, ...]}, one per candidate in order. "
+    "Keep subagent reports under 10 lines; render plans as numbered checkboxes "
+    "([ ] open, [v] done, [x] failed)."
 )
 
 
@@ -60,9 +63,6 @@ def tokenize(text: str) -> set[str]:
 
 class DefaultOracle:
     """Deterministic planner and scorer; the reference pipeline driver."""
-
-    # the last target `score_relevance` saw, its tokens, and whether one is PMID-like
-    _target = (None, frozenset(), False)
 
     def __init__(self, knowledge_bases=("mygene", "kegg", "pubmed")):
         self.knowledge_bases = tuple(knowledge_bases)
@@ -85,29 +85,22 @@ class DefaultOracle:
 
     # -- relevance ---------------------------------------------------------------
 
-    def score_relevance(self, candidate: str, target: str) -> float:
-        """Normalized lexical/identifier overlap between candidate and target.
+    def score_relevance(self, candidates, target: str) -> list[float]:
+        """Each candidate's normalized lexical/identifier overlap with `target`, in order.
 
         Exact token overlap is the base signal; a candidate carrying a
         publication identifier counts as half-relevant whenever the target is
         itself framed around publication identifiers (citation chains).
-
-        The subagents score many candidates against one target in a row, so
-        the oracle keeps the last target's tokens: a call with the same target
-        tokenizes only the candidate. The memo holds one target, never more.
         """
-        last, target_tokens, target_cites = self._target
-        if target != last:
-            target_tokens = tokenize(target)
-            target_cites = any(_PMID_TOKEN.match(t) for t in target_tokens)
-            self._target = (target, target_tokens, target_cites)
+        target_tokens = tokenize(target)
         if not target_tokens:
-            return 0.0
-        candidate_tokens = tokenize(candidate)
-        score = min(1.0, len(candidate_tokens & target_tokens) / len(target_tokens))
-        if target_cites and any(_PMID_TOKEN.match(t) for t in candidate_tokens):
-            score = max(score, 0.5)
-        return score
+            return [0.0] * len(candidates)
+        target_cites = any(map(_PMID_TOKEN.match, target_tokens))
+        return [
+            max(len(tokens & target_tokens) / len(target_tokens),
+                0.5 if target_cites and any(map(_PMID_TOKEN.match, tokens)) else 0.0)
+            for tokens in map(tokenize, candidates)
+        ]
 
     # -- action choice --------------------------------------------------------------
 
@@ -222,9 +215,12 @@ class HttpOracle:
             steps = [PlanStep(text=f"Investigate: {query}", hint=Finalize.plan_step)]
         return PlanChecklist(steps=steps)
 
-    def score_relevance(self, candidate: str, target: str) -> float:
-        return self._call("score", _read_score,
-                          {"op": "score", "candidate": candidate, "target": target})
+    def score_relevance(self, candidates, target: str) -> list[float]:
+        """Posts {"op": "score", "candidates": [...], "target": ...} once per non-empty list."""
+        if not candidates:
+            return []
+        return self._call("score", lambda reply: _read_scores(reply, len(candidates)),
+                          {"op": "score", "candidates": candidates, "target": target})
 
     def choose_action(self, state, observation: str) -> Action | None:
         return self._call("action", action_from_dict, {
@@ -237,10 +233,11 @@ class HttpOracle:
         })
 
 
-def _read_score(payload: dict) -> float:
-    """The reply's `score` (0.0 when absent) clamped to [0, 1]; raises `ValueError` unless
-    it is a finite JSON number. An integer of any size clamps, without a float conversion."""
-    score = field(payload, "score", (int, float), 0.0)
-    if isinstance(score, float) and not math.isfinite(score):
-        raise ValueError(f"field 'score' is not finite: {score!r}")
-    return max(0.0, min(1.0, score))
+def _read_scores(payload: dict, count: int) -> list[float]:
+    """The reply's `scores` (all 0.0 when absent), each clamped to [0, 1]; raises `ValueError`
+    unless it is a list of `count` finite JSON numbers. An integer of any size clamps,
+    without a float conversion."""
+    scores = field(payload, "scores", list, [0.0] * count, of=(int, float))
+    if len(scores) != count or not all(math.isfinite(s) for s in scores if type(s) is float):
+        raise ValueError(f"field 'scores' is not {count} finite numbers: {scores!r:.80}")
+    return [max(0.0, min(1.0, score)) for score in scores]

@@ -2,8 +2,9 @@
 
 Both stay within an explicit budget of federation calls (a call's retries
 count in `Federation.invocations`, not against the budget), screen what they
-retrieve through the oracle's relevance scores, persist results to the run
-workspace, and return a report of at most ten lines.
+retrieve through the oracle's relevance scores, one oracle call per BFRS search
+and per DFRS layer, persist results to the run workspace, and return a report
+of at most ten lines.
 """
 from __future__ import annotations
 
@@ -48,12 +49,11 @@ def run_bfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
             failures.append(kb)
             continue
         total += len(result.records)
-        screened = [
-            record for record in result.records
-            if oracle.score_relevance(
-                f"{record.name} {' '.join(record.xrefs.values())}", target
-            ) > SCREEN_THRESHOLD
-        ]
+        scores = oracle.score_relevance(
+            [f"{record.name} {' '.join(record.xrefs.values())}" for record in result.records],
+            target)
+        screened = [record for record, score in zip(result.records, scores, strict=True)
+                    if score > SCREEN_THRESHOLD]
         rows = [record.to_dict() for record in screened]
         kept.extend(rows)
         relpath = workspace.save_json(
@@ -92,10 +92,8 @@ def run_dfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
     spent = 0
 
     while frontier and spent < task.budget:
-        scored = sorted(
-            ((oracle.score_relevance(node, task.description), node) for node in frontier),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
+        scores = oracle.score_relevance(frontier, task.description)
+        scored = sorted(zip(scores, frontier, strict=True), key=lambda pair: (-pair[0], pair[1]))
         promising = [node for score, node in scored if score > 0]
         if not promising:
             if layers:  # beyond the seed layer, nothing promising: stop

@@ -15,14 +15,14 @@ through a symlink, with a `..` or absolute is resolved in full.
 """
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
 import stat
 from pathlib import Path
 
-from biokgr import Error, WorkspaceUnavailable, field, parse_json, read_text, writing
+from biokgr import (Error, WorkspaceUnavailable, field, indented_json, parse_json, read_text,
+                    writing)
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +59,7 @@ class Workspace:
     def close(self) -> None:
         """Write the manifest to `manifest.json`; raises `WorkspaceUnavailable`."""
         with writing(self._manifest_path) as fh:
-            fh.write(json.dumps(self.manifest(), indent=2, sort_keys=True))
+            fh.write(indented_json(self.manifest()))
 
     # -- manifest ----------------------------------------------------------------
 
@@ -108,7 +108,7 @@ class Workspace:
     # -- writers ------------------------------------------------------------------
 
     def save_json(self, relpath: str, payload, description: str) -> str:
-        return self.save_text(relpath, json.dumps(payload, indent=2, sort_keys=True), description)
+        return self.save_text(relpath, indented_json(payload), description)
 
     def save_text(self, relpath: str, text: str, description: str) -> str:
         path = self._path(relpath)

@@ -14,7 +14,6 @@ bug and keeps its traceback.
 """
 from __future__ import annotations
 
-import json
 import logging
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,8 +22,8 @@ import click
 
 from biokgr import bench as bench_mod
 from biokgr import evidence
-from biokgr import (Error, field, parse_json, parse_jsonl, read_jsonl, read_text, write_jsonl,
-                    writing)
+from biokgr import (Error, field, indented_json, parse_json, parse_jsonl, read_jsonl, read_text,
+                    write_jsonl, writing)
 from biokgr.agents import DefaultOracle, HttpOracle, OrchestratorRunner
 from biokgr.bench.scoring import load_predictions, read_items, run_suite, write_report
 from biokgr.curation import ebm
@@ -96,7 +95,7 @@ def graph_export(store_path, out_path):
 @click.option("--store", "store_path", default="evidence_graph.json", show_default=True)
 def graph_stats(store_path):
     store = _load_store(store_path)
-    click.echo(json.dumps(store.stats(), indent=2, sort_keys=True))
+    click.echo(indented_json(store.stats()))
 
 
 def _load_store(path):
@@ -165,7 +164,7 @@ def pathway_parse(kgml_path, out_path):
         "enzymes": {k: list(v) for k, v in rg.enzymes.items()},
     }
     with writing(out_path) as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
+        fh.write(indented_json(snapshot))
     click.echo(
         f"{graph_obj.pathway_id}: {len(graph_obj.nodes)} nodes, "
         f"{len(graph_obj.edges)} signed edges, {len(rg.edges)} reaction edges"
@@ -409,7 +408,7 @@ def bench_prepare(benchmark, in_path, out_path, seed):
 def bench_score(items_path, preds_path, report_dir):
     report = run_suite(read_items(items_path), load_predictions(preds_path))
     paths = write_report(report, report_dir)
-    click.echo(json.dumps(report.aggregates, indent=2, sort_keys=True))
+    click.echo(indented_json(report.aggregates))
     click.echo(f"report: {paths['jsonl']}, {paths['md']}", err=True)
 
 

@@ -11,6 +11,11 @@ is each member's `conflict_group`, and one rule governs merges and snapshot
 import alike: a relation joins a group only when the group is new or already
 joins the same (subject, object) pair, and a relation in a group keeps it.
 
+Each record rule (an entity's kind, name and CURIE, a relation's predicate and
+evidence, an observation's length) is stated once, in the `validate` of a
+merged record, over fields its stored form shares; merges and snapshot import
+both apply it, so a snapshot holds no record that a merge would refuse.
+
 A snapshot is one JSON file: `export_graph` writes it straight from the
 stored records under the store's lock, and `import_graph` reads it back
 through `EvidenceGraphStore.from_document`, the one checked reader of a
@@ -189,6 +194,7 @@ class EntityRef:
     source: str = "unattributed"
 
     def validate(self) -> None:
+        """The entity record rules; reads only fields a `StoredEntity` shares. Raises InvalidName."""
         if self.kind not in ENTITY_KINDS:
             raise InvalidName(f"unknown entity kind {self.kind!r} for {self.name!r}")
         if not name_is_valid(self.name):
@@ -220,6 +226,7 @@ class RelationEdge:
     conflict_group: str | None = None
 
     def validate(self) -> None:
+        """The relation record rules; reads only fields a `StoredRelation` shares."""
         if self.predicate not in RELATION_PREDICATES:
             raise UnknownPredicate(
                 f"predicate {self.predicate!r} on {self.subject!r}->{self.object!r} "
@@ -238,16 +245,14 @@ class Observation:
     entity: str
     text: str
 
-    @property
-    def word_count(self) -> int:
-        return len(self.text.split())
-
     def validate(self) -> None:
-        if not self.text.strip():
+        """The observation record rules; reads only fields a snapshot's observation shares."""
+        words = len(self.text.split())
+        if not words:
             raise InvalidObservation(f"empty observation for {self.entity!r}")
-        if self.word_count > MAX_OBSERVATION_WORDS:
+        if words > MAX_OBSERVATION_WORDS:
             raise InvalidObservation(
-                f"observation for {self.entity!r} has {self.word_count} words "
+                f"observation for {self.entity!r} has {words} words "
                 f"(limit {MAX_OBSERVATION_WORDS}): {self.text[:60]!r}..."
             )
 
@@ -716,20 +721,22 @@ class EvidenceGraphStore:
         This is the one checked reader of a snapshot, the document
         `export_graph` writes; a store rebuilt from an exported snapshot
         exports the same bytes.
-        Raises MalformedSnapshot when a section or field is missing or
-        ill-typed, an entity kind or predicate is outside the vocabulary, a
-        relation or observation names an entity not stored, a relation breaks
-        the grouping rule, an entity, relation or conflict group appears
-        twice, two entities' CURIEs normalize alike, or the conflict-group
-        section does not list each group named by a relation, with exactly the
-        relations that name it (in any order), and nothing else.
+        Raises MalformedSnapshot, naming the record, when a section or field is
+        missing or ill-typed, a record breaks a record rule that merges apply
+        (each record is checked in the pass that reads it), a relation or
+        observation names an entity not stored, a relation breaks the grouping
+        rule, an entity, relation or conflict group appears twice, two
+        entities' CURIEs normalize alike, or the conflict-group section does
+        not list each group named by a relation, with exactly the relations
+        that name it (in any order), and nothing else.
         """
         store = cls()
         for values in _ENTITIES.records(doc):
             stored = StoredEntity(*values)
-            if stored.kind not in ENTITY_KINDS:
-                raise MalformedSnapshot(
-                    f"entity {stored.key!r} has unknown kind {stored.kind!r}")
+            try:
+                EntityRef.validate(stored)
+            except InvalidName as exc:
+                raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
             if stored.key in store._entities:
                 raise MalformedSnapshot(f"entity {stored.key!r} appears twice")
             curie_key = normalize_curie(stored.curie) if stored.curie else None
@@ -742,8 +749,10 @@ class EvidenceGraphStore:
                 raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
         for values in _RELATIONS.records(doc):
             rel = StoredRelation(*values)
-            if rel.predicate not in RELATION_PREDICATES:
-                raise MalformedSnapshot(f"relation {rel.key} has unknown predicate")
+            try:
+                RelationEdge.validate(rel)
+            except (UnknownPredicate, MissingEvidence) as exc:
+                raise MalformedSnapshot(f"relation {rel.key}: {exc}") from exc
             for endpoint in (rel.subject, rel.object):
                 if endpoint not in store._entities:
                     raise MalformedSnapshot(
@@ -755,6 +764,10 @@ class EvidenceGraphStore:
                 raise MalformedSnapshot(f"relation {rel.key}: {refusal}")
             store._add_relation(rel)
         for key, text in _OBSERVATIONS.records(doc):
+            try:
+                Observation.validate(_ObservationRecord(key, text))
+            except InvalidObservation as exc:
+                raise MalformedSnapshot(f"observation record: {exc}") from exc
             entity = store._entities.get(key)
             if entity is None:
                 raise MalformedSnapshot(f"observation names unknown entity {key!r}")

@@ -2,10 +2,9 @@
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
-from biokgr import WorkspaceUnavailable, writing
+from biokgr import WorkspaceUnavailable, indented_json, writing
 
 
 def persist_results(records, directory) -> dict:
@@ -26,7 +25,7 @@ def persist_results(records, directory) -> dict:
     except OSError as exc:
         raise WorkspaceUnavailable(f"cannot write results under {directory}: {exc}") from exc
     with writing(json_path) as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
+        fh.write(indented_json(rows))
     with writing(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "sources"] + namespaces)

@@ -1,4 +1,5 @@
 """Agent contracts: plans, budgets, reports, determinism, oracle protocol."""
+import gc
 import hashlib
 import json
 import re
@@ -43,8 +44,9 @@ from biokgr.agents.orchestrator import OrchestratorState
 from biokgr.agents.workspace import AnalysisError
 from biokgr.evidence import EntityRef, EvidenceGraphStore, MergeBatch, Observation, RelationEdge
 from biokgr.federation.client import RawResponse, TransportError
-from biokgr.federation import Federation
+from biokgr.federation import Federation, persist_results
 from biokgr.federation.mockserver import MockTransport
+from biokgr.federation.unified import UnifiedRecord
 
 from fedmock import (
     FakeClock, json_response, make_mock_federation, mock_registry, mock_routes, shipped)
@@ -291,14 +293,21 @@ def test_malformed_analysis_fails_its_step_and_the_run_goes_on(tmp_path, spec):
 QUERY = "TNF and IL6 drivers of intestinal inflammation"
 
 
-def test_relevance_scores_interleaved_targets_as_a_fresh_oracle():
-    targets = [QUERY, "PMID:12345 citation chain", "", "TNF TNF inflammation", QUERY.upper()]
+def test_list_scores_equal_each_candidates_score_alone():
     candidates = ["TNF", "IL6 Il6 inflammation", "PMID:999", "12345678", "", "x"]
+    # each candidate's score when scored on its own, one call per candidate
+    alone = {
+        QUERY: [0.14285714285714285, 0.2857142857142857, 0.0, 0.0, 0.0, 0.0],
+        "PMID:12345 citation chain": [0.0, 0.0, 0.5, 0.5, 0.0, 0.0],
+        "": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        "TNF TNF inflammation": [0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+        QUERY.upper(): [0.14285714285714285, 0.2857142857142857, 0.0, 0.0, 0.0, 0.0],
+    }
     oracle = DefaultOracle()
-    for candidate in candidates:
-        for target in targets:  # the target changes on every call
-            assert oracle.score_relevance(candidate, target) == \
-                DefaultOracle().score_relevance(candidate, target)
+    for target, scores in alone.items():
+        assert oracle.score_relevance(candidates, target) == scores
+        assert oracle.score_relevance(candidates[::-1], target) == scores[::-1]
+        assert oracle.score_relevance([], target) == []
 
 
 def test_a_research_run_resolves_only_its_workspace_root(tmp_path, monkeypatch):
@@ -630,6 +639,23 @@ def test_mock_run_transcript_and_manifest_bytes_are_pinned(tmp_path):
     assert result.transcript_path == str(tmp_path / "transcript.jsonl")
 
 
+def test_a_research_run_and_persisted_results_leave_no_garbage_cycle(tmp_path):
+    records = [UnifiedRecord(name="TP53", xrefs={"entrez": "7157"}, sources=["mygene"])]
+    operations = {
+        "one mock research run": lambda: OrchestratorRunner(
+            make_mock_federation(), DefaultOracle()).run(QUERY, tmp_path / "run"),
+        "persist_results": lambda: persist_results(records, tmp_path / "results"),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, operation in operations.items():
+            assert operation(), name
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
+
+
 def test_full_run_writes_the_manifest_once(tmp_path, monkeypatch):
     manifest_writes = []
 
@@ -752,12 +778,13 @@ def test_http_oracle_plan_and_action():
                                         {"text": "wrap up", "hint": "finalize"}]})
         if request["op"] == "choose_action":
             return assistant({"action": "finalize", "answer": "done"})
-        return assistant({"score": 0.75})
+        assert request == {"op": "score", "candidates": ["a", "c"], "target": "b"}
+        return assistant({"scores": [0.75, 0.25]})
 
     oracle, transport, _clock = make_oracle(handler)
     plan = oracle.plan("query")
     assert [s.hint for s in plan.steps] == ["bfrs", "finalize"]
-    assert oracle.score_relevance("a", "b") == 0.75
+    assert oracle.score_relevance(["a", "c"], "b") == [0.75, 0.25]
 
     state = OrchestratorState(query="q", plan=plan, budgets={"bfrs": 1, "dfrs": 1},
                               workspace=None, graph=EvidenceGraphStore())
@@ -785,9 +812,9 @@ def test_http_oracle_unavailable_after_retries():
 @pytest.mark.parametrize("status", [503, 429])
 def test_http_oracle_retries_a_transient_status_after_backoff(status):
     oracle, transport, clock = make_oracle([
-        json_response({}, status=status), assistant({"score": 0.25}),
+        json_response({}, status=status), assistant({"scores": [0.25]}),
     ])
-    assert oracle.score_relevance("a", "b") == 0.25
+    assert oracle.score_relevance(["a"], "b") == [0.25]
     assert len(transport.requests) == 2
     assert clock.now() == 0.5
 
@@ -836,30 +863,86 @@ def test_http_oracle_bad_output_fails_at_once(reply):
     assert clock.now() == 0.0
 
 
-@pytest.mark.parametrize("reply, score", [
-    ({"score": 0.75}, 0.75),
-    ({"score": 0.25}, 0.25),
-    ({"score": 1}, 1.0),
-    ({"score": -0.5}, 0.0),
-    ({"score": 10**400}, 1.0),
-    ({"score": -10**400}, 0.0),
-    ({}, 0.0),
+@pytest.mark.parametrize("reply, scores", [
+    ({"scores": [0.75, 0.5]}, [0.75, 0.5]),
+    ({"scores": [0.25, 0.5]}, [0.25, 0.5]),
+    ({"scores": [1, 0.5]}, [1.0, 0.5]),
+    ({"scores": [-0.5, 0.5]}, [0.0, 0.5]),
+    ({"scores": [10**400, 0.5]}, [1.0, 0.5]),
+    ({"scores": [-10**400, 0.5]}, [0.0, 0.5]),
+    ({}, [0.0, 0.0]),
 ], ids=["float", "another-float", "int", "negative", "huge-int", "huge-negative-int", "absent"])
-def test_http_oracle_reads_a_score_as_a_json_number_clamped_to_the_unit_interval(reply, score):
-    oracle, _transport, _clock = make_oracle(assistant(reply))
-    assert oracle.score_relevance("a", "b") == score
+def test_http_oracle_reads_scores_as_json_numbers_clamped_to_the_unit_interval(reply, scores):
+    oracle, transport, _clock = make_oracle(assistant(reply))
+    assert oracle.score_relevance(["a", "c"], "b") == scores
+    request = json.loads(json.loads(transport.requests[0].body)["messages"][1]["content"])
+    assert request == {"op": "score", "candidates": ["a", "c"], "target": "b"}
 
 
-@pytest.mark.parametrize("score", [
-    float("nan"), float("inf"), float("-inf"), "nan", "0.5", "high", True, None, [0.5],
+@pytest.mark.parametrize("scores", [
+    [0.5, float("nan")], [0.5, float("inf")], [0.5, float("-inf")], [0.5, "nan"],
+    [0.5, "0.5"], [0.5, "high"], [0.5, True], [0.5, None], [0.5, [0.5]],
+    [0.5], [0.5, 0.5, 0.5], 0.5, {"a": 0.5, "c": 0.5},
 ], ids=["nan", "infinity", "minus-infinity", "nan-string", "numeric-string", "word", "bool",
-        "null", "list"])
-def test_http_oracle_malformed_score_fails_at_once(score):
-    oracle, transport, clock = make_oracle(assistant({"score": score}))
+        "null", "nested-list", "too-few", "too-many", "number-not-list", "object-not-list"])
+def test_http_oracle_malformed_scores_fail_at_once(scores):
+    oracle, transport, clock = make_oracle(assistant({"scores": scores}))
     with pytest.raises(OracleUnavailable, match="malformed score"):
-        oracle.score_relevance("a", "b")
+        oracle.score_relevance(["a", "c"], "b")
     assert len(transport.requests) == 1
     assert clock.now() == 0.0
+
+
+def test_http_oracle_scores_an_empty_list_without_a_request():
+    oracle, transport, _clock = make_oracle(assistant({"scores": [0.5]}))
+    assert oracle.score_relevance([], "b") == []
+    assert transport.requests == []
+
+
+def test_an_http_oracle_run_posts_one_score_request_per_non_empty_candidate_list(tmp_path):
+    actions = iter([
+        InvokeBFRS(ResearchTask(description=QUERY, knowledge_bases=("mygene", "kegg", "pubmed"),
+                                budget=3)),
+        InvokeDFRS(ResearchTask(description=QUERY, budget=3, mode="depth", seeds=("TNF",))),
+        Finalize(answer="done"),
+    ])
+    posted = []
+
+    def handler(sent):
+        request = json.loads(json.loads(sent.body)["messages"][1]["content"])
+        if request["op"] == "plan":
+            return assistant({"steps": [{"text": "survey", "hint": "bfrs"},
+                                        {"text": "deepen", "hint": "dfrs"},
+                                        {"text": "answer", "hint": "finalize"}]})
+        if request["op"] == "choose_action":
+            return assistant(action_to_dict(next(actions)))
+        posted.append(request["candidates"])
+        return assistant({"scores": DefaultOracle().score_relevance(request["candidates"],
+                                                                    request["target"])})
+
+    class CountingOracle(HttpOracle):
+        def score_relevance(self, candidates, target):
+            called.append(list(candidates))
+            return super().score_relevance(candidates, target)
+
+    called = []
+    oracle = CountingOracle("http://oracle.test/chat", transport=MockTransport(
+        {"oracle.test": handler}), clock=FakeClock())
+    routes = mock_routes()
+    routes["mygene.test/query"] = json_response({"hits": []})  # one search finds nothing
+    federation = Federation(registry=mock_registry(), transport=MockTransport(routes),
+                            clock=FakeClock(), env={})
+    result = OrchestratorRunner(federation, oracle).run(QUERY, tmp_path)
+    assert result.answer == "done" and not result.halted
+    files = [entry["path"] for entry in result.state.workspace.manifest()["files"]]
+    searches = sum(re.fullmatch(r"bfrs_(mygene|kegg|pubmed)\.json", f) is not None
+                   for f in files)
+    layers = sum(f.startswith("dfrs_layer_") for f in files)
+    # one call per search, and one per DFRS frontier: the expanded layer's, then the
+    # children's, where nothing scores above zero and the search stops
+    assert (searches, layers, len(called)) == (3, 1, 5)
+    assert called[0] == [] and called[3] == ["TNF"]
+    assert posted == [candidates for candidates in called if candidates]
 
 
 @pytest.mark.parametrize("action", [

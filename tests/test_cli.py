@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import biokgr
 from biokgr.cli import main
@@ -880,6 +881,42 @@ def test_one_field_reader_one_file_reader_one_file_writer_and_one_cli_error_boun
 ])
 def test_the_file_boundary_guard_exempts_only_the_workspace_reader(call, access):
     assert _file_access(ast.parse(call, mode="eval").body) == access
+
+
+def indented_json_offences(package: Path) -> list[str]:
+    """Outside `biokgr/__init__.py`: calls of `json.dump` or `json.dumps` with an `indent`,
+    whose pure-Python encoder leaves a reference cycle per call, instead of going through
+    `biokgr.indented_json`."""
+    offences = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "__init__.py":
+            continue
+        offences += [
+            f"{path.relative_to(package)}:{node.lineno} calls json.{node.func.attr} with indent"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"dump", "dumps"} and getattr(node.func.value, "id", None) == "json"
+            and any(keyword.arg == "indent" for keyword in node.keywords)]
+    return offences
+
+
+def test_one_indented_json_writer():
+    assert indented_json_offences(Path(biokgr.__file__).resolve().parent) == []
+
+
+_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\u2028\U0001f600') | st.characters())
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400)
+    | st.floats() | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_JSON)
+def test_indented_json_is_the_stdlib_indented_text(value):
+    assert biokgr.indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_src_imports_only_the_stdlib_click_and_biokgr():

@@ -745,12 +745,25 @@ _snapshot_text = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f\ud800\udfffé漢\U
                          max_size=6)
 
 
+# A CURIE as a merge accepts it: a prefix without `/`, a colon, and a reference, neither blank.
+_snapshot_curie = st.builds(
+    "{}:{}".format,
+    st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f\ud800\udfffé漢\U0001f600aZ '), min_size=1,
+            max_size=4).filter(str.strip),
+    _snapshot_text.filter(str.strip))
+
+
 @st.composite
 def snapshot_documents(draw):
-    """A valid snapshot, in about half the draws with every section longer than one write chunk."""
+    """A valid snapshot, in about half the draws with every section longer than one write chunk.
+
+    Every record keeps the rules a merge applies: a relation has evidence, a
+    paper's name is a PMID, and an observation is not blank.
+    """
     keys = draw(st.lists(_snapshot_text, max_size=8, unique=True))
     # no two CURIEs normalize alike; `None` and "" mean none
-    curies = draw(st.lists(st.none() | _snapshot_text, min_size=len(keys), max_size=len(keys),
+    curies = draw(st.lists(st.none() | st.just("") | _snapshot_curie, min_size=len(keys),
+                           max_size=len(keys),
                            unique_by=lambda c: normalize_curie(c) if c else object()))
     entities = [{"key": key, "name": "n" + draw(_snapshot_text), "kind": "GENE_PROTEIN",
                  "curie": curie, "sources": draw(st.lists(_snapshot_text, max_size=3))}
@@ -768,18 +781,18 @@ def snapshot_documents(draw):
         else:
             gid = None
         relations.append({"subject": s, "predicate": p, "object": o,
-                          "evidence": draw(st.lists(_snapshot_text, max_size=3)),
+                          "evidence": draw(st.lists(_snapshot_text, min_size=1, max_size=3)),
                           "conflict_group": gid})
-    observations = [{"entity": draw(st.sampled_from(keys)), "text": draw(_snapshot_text)}
+    observations = [{"entity": draw(st.sampled_from(keys)), "text": "o" + draw(_snapshot_text)}
                     for _ in range(draw(st.integers(0, 5)) if keys else 0)]
     # a group's members in any order
     groups = [{"id": gid, "relations": draw(st.permutations(listed))}
               for gid, listed in members.items()]
     if draw(st.booleans()):
         filler = [f"filler/{i}" for i in range(evidence._CHUNK + 2)]
-        entities += [{"key": k, "name": k, "kind": "PAPER", "curie": None, "sources": []}
-                     for k in filler]
-        relations += [{"subject": s, "predicate": "CITES", "object": o, "evidence": [],
+        entities += [{"key": k, "name": f"PMID:{i}", "kind": "PAPER", "curie": None,
+                      "sources": []} for i, k in enumerate(filler)]
+        relations += [{"subject": s, "predicate": "CITES", "object": o, "evidence": [s],
                        "conflict_group": s} for s, o in zip(filler, filler[1:])]
         observations += [{"entity": k, "text": k} for k in filler]
         groups += [{"id": s, "relations": [[s, "CITES", o]]} for s, o in zip(filler, filler[1:])]
@@ -923,6 +936,36 @@ MALFORMED = {
     "conflict group listing another group's relation":
         lambda doc: _group_relation(doc, _relation(doc, "INHIBITS"), "cg-2"),
 }
+
+# Records that a merge refuses, each with what the refusal of its import names: the
+# record, then the rule. A snapshot that holds one was never written by `export_graph`.
+_TITLE = ("Sustained mucosal healing after tumour-necrosis-factor blockade in multicentre "
+          "cohorts of adults with colitis.")  # 13 words, 110 characters
+MERGE_REFUSALS = {
+    "paper named by a long title": (
+        lambda doc: _edit(["entities", 0, "name"], _TITLE)(
+            _edit(["entities", 0, "kind"], "PAPER")(doc)),
+        r"^entity 'gene_protein/il6': name 'Sustained .*' violates the 5-word/40-char rule$"),
+    "CURIE without a colon": (
+        _edit(["entities", 0, "curie"], "nocolon"),
+        r"^entity 'gene_protein/il6': CURIE 'nocolon' of 'IL6' is not prefix:reference$"),
+    "relation without evidence": (
+        _edit(["relations", 0, "evidence"], []),
+        r"^relation \('gene_protein/il6', 'BINDS', 'hgnc:11892'\): .* has no evidence$"),
+    "blank observation": (
+        _edit(["observations", 0, "text"], "  "),
+        r"^observation record: empty observation for 'gene_protein/il6'$"),
+    "observation of 80 words": (
+        _edit(["observations", 0, "text"], " ".join(["word"] * 80)),
+        r"^observation record: observation for 'gene_protein/il6' has 80 words \(limit 30\)"),
+}
+MALFORMED.update({name: mutate for name, (mutate, _match) in MERGE_REFUSALS.items()})
+
+
+@pytest.mark.parametrize("mutate, match", MERGE_REFUSALS.values(), ids=MERGE_REFUSALS.keys())
+def test_import_refuses_a_record_a_merge_refuses_naming_the_record_and_the_rule(mutate, match):
+    with pytest.raises(MalformedSnapshot, match=match):
+        EvidenceGraphStore.from_document(mutate(snapshot_doc()))
 
 
 def test_snapshot_doc_is_valid():
