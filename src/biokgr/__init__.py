@@ -76,9 +76,15 @@ def indented_json(value, indent: str = "") -> str:
 
     `indent` is the padding of the line `value` starts on. The stdlib's
     indented encoder is pure Python and leaves one reference cycle per call
-    (its nested closures); this recursion leaves none, quoting keys with the C
-    string encoder and leaving every scalar to `json.dumps`.
+    (its nested closures); this recursion leaves none. It quotes keys and
+    string leaves with the C string encoder, writes an int (not a bool) with
+    `int.__repr__` as `json.dumps` does, and leaves every other scalar to
+    `json.dumps`.
     """
+    if isinstance(value, str):
+        return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
     pad = indent + "  "
     if isinstance(value, dict):
         brackets = "{}"

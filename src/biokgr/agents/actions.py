@@ -118,12 +118,30 @@ Action = Union[InvokeBFRS, InvokeDFRS, AnalyzeWorkspace, UpdateGraph, RetrieveGr
 # wire name -> action type; the wire fields are the dataclass fields
 ACTIONS: dict[str, type] = {kind.wire_name: kind for kind in get_args(Action)}
 _OPTIONAL_STR = (str, type(None))
+_SCALARS = (str, int, float, type(None))
 
 
 def action_to_dict(action: Action) -> dict:
+    """`action`'s wire record: `{"action": wire_name, **dataclasses.asdict(action)}` as JSON
+    reads it back, built without copying a leaf; it shares no list or dict with `action`."""
     if type(action) not in ACTIONS.values():
         raise TypeError(f"not an action: {action!r}")
-    return {"action": action.wire_name, **dataclasses.asdict(action)}
+    return {"action": action.wire_name, **_plain(action)}
+
+
+def _plain(value):
+    """`value` in JSON's containers: a dataclass becomes a dict of its fields, a list or
+    tuple a new list and a dict a new dict, each item converted the same way; any other
+    value is a leaf and is returned as it is (the common leaves are tested first)."""
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
 
 
 def action_from_dict(payload: dict) -> Action | None:

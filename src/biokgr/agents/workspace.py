@@ -8,10 +8,13 @@ and written to `manifest.json` once, when the workspace closes (`close()`, or
 the end of a `with` block, even one left by an exception). Files are read and
 written through `biokgr.read_text` and `biokgr.writing`, so each saved file
 and the manifest replace their previous contents atomically. Paths come from
-the oracle, possibly an outside service, so one that resolves outside the
-root is refused. The root is resolved once, when the workspace opens; a plain
-relative path (no `..`) then costs one `lstat` per component, and only a path
-through a symlink, with a `..` or absolute is resolved in full.
+the oracle, possibly an outside service, so one that does not resolve to a
+path below the root is refused: one that leads outside it, and one that names
+the root itself (`""`, `"."`, `"a/.."`), before anything is written. The root
+is resolved once, when the workspace opens, and paths are then joined and
+checked as strings: a plain relative path (no `..`) costs one `lstat` per
+component, and only a path through a symlink, with a `..` or absolute is
+resolved in full, by `os.path.realpath`.
 """
 from __future__ import annotations
 
@@ -38,7 +41,8 @@ class Workspace:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise WorkspaceUnavailable(f"cannot create workspace {root}: {exc}") from exc
-        self._resolved_root = self.root.resolve()
+        self._resolved_root = str(self.root.resolve())
+        self._below_root = os.path.join(self._resolved_root, "")  # the prefix of a path in it
         self._manifest_path = self.root / "manifest.json"
         self._files: dict[str, str] = {}  # registered path -> description
         if self._manifest_path.exists():
@@ -78,32 +82,41 @@ class Workspace:
         self._files[relpath] = description
 
     def exists(self, relpath: str) -> bool:
-        return self._path(relpath).exists()
+        return os.path.exists(self._path(relpath))
 
-    def _path(self, relpath: str) -> Path:
-        """`(root / relpath).resolve()`; refused if outside the root (`..`, absolute, symlink).
+    def _path(self, relpath: str) -> str:
+        """`os.path.realpath(root/relpath)`; refused unless it lies below the root (a path with
+        `..`, absolute or through a symlink may lead outside it, and `""`, `"."` or `"a/.."`
+        names the root itself).
 
         A relative path without `..` whose components below the root are no
         symlinks is that path under the resolved root, found with one `lstat`
         per component (one that cannot be read is no symlink, as for
-        `resolve`). Any other path is resolved in full.
+        `realpath`). Any other path is resolved in full.
         """
-        rel = Path(relpath)
-        if not rel.is_absolute() and ".." not in rel.parts:
-            path = str(self._resolved_root)
-            for part in rel.parts:
-                path = os.path.join(path, part)
-                try:
-                    if stat.S_ISLNK(os.lstat(path).st_mode):
-                        break
-                except OSError:
-                    pass
-            else:
-                return Path(path)
-        path = (self.root / relpath).resolve()
-        if not path.is_relative_to(self._resolved_root):
-            raise WorkspaceUnavailable(f"{relpath!r} resolves outside the workspace {self.root}")
-        return path
+        if not relpath.startswith("/"):
+            parts = [part for part in relpath.split("/") if part not in ("", ".")]
+            if ".." not in parts:
+                path = self._resolved_root
+                for part in parts:
+                    path = os.path.join(path, part)
+                    try:
+                        if stat.S_ISLNK(os.lstat(path).st_mode):
+                            break
+                    except OSError:
+                        pass
+                else:
+                    return self._below(relpath, path)
+        return self._below(relpath, os.path.realpath(os.path.join(self.root, relpath)))
+
+    def _below(self, relpath: str, path: str) -> str:
+        """`path`, which `relpath` resolved to, if it lies below the root."""
+        if path == self._resolved_root:
+            raise WorkspaceUnavailable(f"{relpath!r} names the workspace {self.root} itself, "
+                                       f"not a file in it")
+        if path.startswith(self._below_root):
+            return path
+        raise WorkspaceUnavailable(f"{relpath!r} resolves outside the workspace {self.root}")
 
     # -- writers ------------------------------------------------------------------
 
@@ -112,9 +125,10 @@ class Workspace:
 
     def save_text(self, relpath: str, text: str, description: str) -> str:
         path = self._path(relpath)
-        if path.parent != self._resolved_root:
+        parent = os.path.dirname(path)
+        if parent != self._resolved_root:
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
+                os.makedirs(parent, exist_ok=True)
             except OSError as exc:
                 raise WorkspaceUnavailable(f"cannot write {path}: {exc}") from exc
         with writing(path) as fh:

@@ -169,28 +169,37 @@ def _read(payload, reply: dict | None, limit: int | None) -> list[tuple[int, str
         rows = [{"id": ident.strip(), "name": label.split(";")[0].split(",")[0].strip()}
                 for ident, _, label in lines]
     else:
-        rows = _walk(payload, reply.get("records", ""))
+        rows = _walk(payload, _keys(reply.get("records", "")))
         if not isinstance(rows, (list, type(None))):
             raise TypeError(f"{reply.get('records')!r} holds {type(rows).__name__}, not a list")
-    names, xrefs = reply.get("names", ()), reply.get("xrefs", {})
-    reads_fields = any(path for path, _type in [*names, *xrefs.values()])
+    # each path split once per reply, not once per record
+    names = [(_keys(path), leaf_type, path) for path, leaf_type in reply.get("names", ())]
+    xrefs = [(key, _keys(path), leaf_type, path)
+             for key, (path, leaf_type) in reply.get("xrefs", {}).items()]
+    reads_fields = any(path for *_, path in [*names, *xrefs])
+    prefix = reply.get("name_prefix", "")
     records = []
     for i, row in enumerate((rows or [])[:limit]):
         if reads_fields and not isinstance(row, dict):
             raise TypeError(f"record {row!r} is not an object")
         name = None
-        for path, leaf_type in names:
-            if (name := _leaf(_walk(row, path), leaf_type, path)) is not None:
+        for keys, leaf_type, path in names:
+            if (name := _leaf(_walk(row, keys), leaf_type, path)) is not None:
                 break
-        fields = {key: value for key, (path, leaf_type) in xrefs.items()
-                  if (value := _leaf(_walk(row, path), leaf_type, path)) is not None}
-        records.append((i, "" if name is None else reply.get("name_prefix", "") + name, fields))
+        fields = {key: value for key, keys, leaf_type, path in xrefs
+                  if (value := _leaf(_walk(row, keys), leaf_type, path)) is not None}
+        records.append((i, "" if name is None else prefix + name, fields))
     return records
 
 
-def _walk(value, path: str):
-    """The value at a dotted path (the empty path is `value` itself); None past a non-object."""
-    for key in path.split(".") if path else ():
+def _keys(path: str) -> list[str]:
+    """The keys of a dotted path; none for the empty path."""
+    return path.split(".") if path else []
+
+
+def _walk(value, keys: list[str]):
+    """The value under `keys` (`value` itself for none); None past a non-object."""
+    for key in keys:
         value = value.get(key) if isinstance(value, dict) else None
     return value
 

@@ -1,4 +1,5 @@
 """Agent contracts: plans, budgets, reports, determinism, oracle protocol."""
+import dataclasses
 import gc
 import hashlib
 import json
@@ -41,6 +42,7 @@ from biokgr.agents.actions import (
 )
 from biokgr.agents.oracle import ORACLE_SYSTEM_GUIDE
 from biokgr.agents.orchestrator import OrchestratorState
+from biokgr.agents import workspace as workspace_module
 from biokgr.agents.workspace import AnalysisError
 from biokgr.evidence import EntityRef, EvidenceGraphStore, MergeBatch, Observation, RelationEdge
 from biokgr.federation.client import RawResponse, TransportError
@@ -211,6 +213,34 @@ def test_workspace_refuses_paths_outside_its_root(tmp_path):
     assert ws.exists("inside.json")
 
 
+@pytest.mark.parametrize("relpath", ["", ".", "./", "a/.."])
+def test_workspace_refuses_a_path_naming_its_root_before_writing(tmp_path, monkeypatch,
+                                                                relpath):
+    ws = Workspace(tmp_path / "ws")
+    before = sorted(tmp_path.iterdir())
+    written = []
+    monkeypatch.setattr(workspace_module, "writing", written.append)
+    for save in (ws.save_json, ws.save_text):
+        with pytest.raises(WorkspaceUnavailable, match="names the workspace .* itself"):
+            save(relpath, "[]", "the root itself")
+    assert written == []
+    assert sorted(tmp_path.iterdir()) == before
+    assert list((tmp_path / "ws").iterdir()) == []
+    assert ws.manifest() == {"files": []}
+
+
+def test_a_path_through_a_symlink_loop_is_unavailable(tmp_path):
+    ws = Workspace(tmp_path / "ws")
+    (tmp_path / "ws" / "loop").symlink_to("loop")
+    with pytest.raises(WorkspaceUnavailable, match="loop/x.json"):
+        ws.save_json("loop/x.json", [], "through a loop")
+    with pytest.raises(WorkspaceUnavailable, match="loop/x.json"):
+        ws.read_text("loop/x.json")
+    with pytest.raises(AnalysisError, match="loop/x.json"):
+        run_analysis(ws, {"op": "dedup", "input": "loop/x.json", "key": "k", "out": "o.json"})
+    assert ws.manifest() == {"files": []}
+
+
 @pytest.mark.parametrize("root_is_a_link", [False, True], ids=["root", "linked-root"])
 def test_workspace_path_is_the_resolved_path_under_the_root(tmp_path, root_is_a_link):
     real = tmp_path / "ws"
@@ -226,7 +256,7 @@ def test_workspace_path_is_the_resolved_path_under_the_root(tmp_path, root_is_a_
     ws = Workspace(root)
     for relpath in ("alias.json", str(real / "data" / "genes.json"), "./data//genes.json",
                     "data/new.json", "new/deeper/x.json", "a.json"):
-        assert ws._path(relpath) == (root / relpath).resolve()
+        assert ws._path(relpath) == str((root / relpath).resolve())
     assert ws.read_table("alias.json") == [{"name": "TNF"}]
     for relpath in ("out/x.json", "out"):
         with pytest.raises(WorkspaceUnavailable, match="outside the workspace"):
@@ -741,6 +771,32 @@ def test_action_wire_format_roundtrips(action):
     wire = json.loads(json.dumps(action_to_dict(action)))
     assert wire["action"] == action.wire_name
     assert action_from_dict(wire) == action
+
+
+def _containers(value) -> list:
+    """Every list and dict reachable from `value` through dataclass fields, tuples, lists
+    and dicts."""
+    if dataclasses.is_dataclass(value):
+        return [c for f in dataclasses.fields(value) for c in _containers(getattr(value, f.name))]
+    if isinstance(value, dict):
+        return [value] + [c for item in value.values() for c in _containers(item)]
+    if isinstance(value, (list, tuple)):
+        inner = [c for item in value for c in _containers(item)]
+        return [value] + inner if isinstance(value, list) else inner
+    return []
+
+
+@pytest.mark.parametrize("action", ALL_ACTIONS + [AnalyzeWorkspace({
+    "op": "filter", "input": "a.json", "out": "b.json",
+    "where": {"kind": "gene", "tags": ["x", {"deep": [1, None, True, 2.5]}]},
+})], ids=lambda a: a.wire_name)
+def test_action_to_dict_is_asdict_as_json_reads_it_and_shares_no_container(action):
+    record = action_to_dict(action)
+    expected = {"action": action.wire_name, **dataclasses.asdict(action)}
+    assert json.loads(json.dumps(record)) == json.loads(json.dumps(expected))
+    assert list(record) == list(expected)
+    shared = {id(c) for c in _containers(action)} & {id(c) for c in _containers(record)}
+    assert not shared
 
 
 def test_action_to_dict_rejects_a_non_action():

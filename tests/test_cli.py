@@ -1,5 +1,6 @@
 """CLI surface: every documented subcommand works end to end on fixtures."""
 import ast
+import gc
 import hashlib
 import json
 import logging
@@ -105,6 +106,26 @@ def test_curate_target_id(runner, tmp_path):
     assert len(items) == 1
     answers = {o["text"] for o in items[0]["options"] if o["label"] in items[0]["answers"]}
     assert answers == {"TNF : cytokine", "IL6 : cytokine"}
+
+
+def test_a_curate_command_leaves_no_garbage_cycle(tmp_path, caplog):
+    kgml = tmp_path / "kgml"
+    kgml.mkdir()
+    (kgml / "hsa04750.xml").write_text(ulcerative_colitis_kgml())
+    (kgml / "hsa00001.xml").write_text(ulcerative_colitis_kgml()[:300])  # skipped, with a warning
+    args = ["curate", "target-id", "--kgml-dir", str(kgml), "--profile", "infection",
+            "--seed", "42", "--out", str(tmp_path / "items.jsonl")]
+    # `main.main` without click's standalone mode: `CliRunner.invoke` itself leaves
+    # cycles (the exception it catches holds the frames that hold it)
+    gc.collect()
+    gc.disable()
+    try:
+        assert main.main(args, standalone_mode=False) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert (tmp_path / "items.jsonl").read_text().count("\n") == 1
+    assert "skipping" in caplog.text
 
 
 def test_curate_flux(runner, tmp_path):

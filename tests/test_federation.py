@@ -993,6 +993,81 @@ def test_transport_reads_a_reply_without_content_length(reply):
     assert response.headers["Content-Type"] == "text/plain"
 
 
+def _answer_once(write) -> tuple[RawResponse, float]:
+    """The transport's reply to one GET, with its seconds, from a listener that reads the
+    request and hands the connection to `write`."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                _read_request(conn)
+                write(conn)
+
+        thread = threading.Thread(target=answer)
+        thread.start()
+        try:
+            with no_resource_warning():
+                started = time.perf_counter()
+                response = HttpTransport().send(
+                    "GET", f"http://127.0.0.1:{listener.getsockname()[1]}/x", {}, {}, None)
+                seconds = time.perf_counter() - started
+        finally:
+            thread.join(timeout=30)
+    assert not thread.is_alive()
+    return response, seconds
+
+
+def test_transport_reads_a_reply_sent_a_byte_at_a_time():
+    reply = (b"HTTP/1.1 100 Continue\r\n\r\n"
+             b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nX-Folded: first\r\n  second\r\n"
+             b"\tthird\r\nTransfer-Encoding: chunked\r\nX-Folded: repeated\r\n\r\n"
+             b"4;note=1\r\nTNF \r\n5\r\nalpha\r\n0\r\nX-Trailer: 1\r\n\r\n")
+
+    def write(conn):
+        for i in range(len(reply)):
+            conn.sendall(reply[i:i + 1])
+
+    response, _seconds = _answer_once(write)
+    assert (response.status, response.body) == (200, "TNF alpha")
+    assert response.headers == {"Content-Type": "text/plain", "X-Folded": "first second third",
+                                "Transfer-Encoding": "chunked"}
+
+
+def test_transport_reads_a_large_body_sent_in_small_pieces_in_linear_time():
+    body = bytes(range(256)) * (16 * 4096)  # 16 MiB
+    piece = 1024
+
+    def write(conn):
+        conn.sendall(b"HTTP/1.0 200 OK\r\nContent-Type: text/plain; charset=latin-1\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(body))
+        for start in range(0, len(body), piece):
+            conn.sendall(body[start:start + piece])
+
+    response, seconds = _answer_once(write)
+    assert response.status == 200
+    assert response.body == body.decode("latin-1")
+    # about 0.2-0.4 s on a 2-core VM; copying the buffer once on each of the 5,000-9,000
+    # receives this takes (tens of GiB in all) took 3-5 s there
+    assert seconds < 1.5
+
+
+@pytest.mark.parametrize("line, match", [
+    (b"X-Long: " + b"v" * (client_module.MAX_LINE - 10) + b"\r\n", None),
+    (b"X-Long: " + b"v" * (client_module.MAX_LINE - 9) + b"\r\n", "longer than 65536 bytes"),
+    (b"X-Long: " + b"v" * (3 * client_module.MAX_LINE), "longer than 65536 bytes"),
+    (b"X-Field: 1\r\n" * (client_module.MAX_HEADERS - 1), None),
+    (b"X-Field: 1\r\n" * client_module.MAX_HEADERS, "more than 100 header fields"),
+], ids=["longest-line", "line-too-long", "far-too-long-line", "most-fields", "too-many-fields"])
+def test_transport_limits_a_reply_line_and_its_header_fields(line, match):
+    reply = b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n" + line + b"\r\nok"
+    if match is None:
+        assert _answer_once(lambda conn: conn.sendall(reply))[0].body == "ok"
+        return
+    with pytest.raises(TransportError, match=match):
+        _answer_once(lambda conn: conn.sendall(reply))
+
+
 @pytest.mark.parametrize("method, body, status, sent, final", [
     ("GET", None, 302, [("GET", "/from", None), ("GET", "/to", None)], 200),
     ("POST", "{}", 303, [("POST", "/from", "{}"), ("GET", "/to", None)], 200),

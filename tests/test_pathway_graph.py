@@ -1,5 +1,6 @@
 """KGML/flat parsing and graph analytics against brute-force oracles."""
 import ast
+import gc
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -155,6 +156,43 @@ def test_malformed_kgml_raises_with_context():
         parse_kgml("<pathway><entry></pathway>")
     with pytest.raises(MalformedKgml, match="expected <pathway>"):
         parse_kgml("<notkgml/>")
+
+
+def test_kgml_parse_and_analytics_leave_no_garbage_cycle():
+    document = cascade_kgml(3, n_genes=30, dense_core=6)
+    graph = parse_kgml(document)[0]
+    genes = graph.gene_symbols()
+
+    def topologies():  # fresh ones, so that no analytic is a cache hit
+        signed, reactions = parse_kgml(shmt2_flux_kgml())
+        return signed.topology, reactions.topology
+
+    def refused(text):
+        with pytest.raises(MalformedKgml):
+            parse_kgml(text)
+        return True
+
+    operations = {
+        "parse": lambda: parse_kgml(document),
+        "parse with groups and reactions": lambda: parse_kgml(shmt2_flux_kgml()),
+        "refused: a group that contains itself": lambda: refused(cyclic_group_kgml()),
+        "refused: not well-formed": lambda: refused(ulcerative_colitis_kgml()[:300]),
+        "betweenness, components, cyclic and terminals": lambda: [
+            (topology.betweenness, topology.components, topology.cyclic, topology.terminals)
+            for topology in topologies()],
+        "path_polarity": lambda: [graph.topology.path_polarity(gene, sorted(graph.endpoints))
+                                  for gene in genes[:5]],
+        "distances": lambda: [graph.topology.distances(genes[:2], 3, direction)
+                              for direction in DIRECTIONS],
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, operation in operations.items():
+            assert operation(), name
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_duplicate_symbol_entries_merge():
