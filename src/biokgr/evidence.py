@@ -363,9 +363,11 @@ class EvidenceGraphStore:
     lookup.
     Within a merge each distinct label or CURIE string is normalized once,
     however often the batch names it, and nothing of that is kept between
-    batches. A subgraph read costs the sum of the degrees of the nodes it
-    reaches, plus sorting what it returns; it does not depend on the size of
-    the store.
+    batches. A batch's new entities (or new relations) are counted against
+    their cap only when the batch holds more entities (or relations) than
+    the cap, since a count never exceeds the batch's length. A subgraph read
+    costs the sum of the degrees of the nodes it reaches, plus sorting what
+    it returns; it does not depend on the size of the store.
 
     Merges and every read that iterates the store (subgraph queries,
     listings, stats and snapshots) hold one re-entrant lock, so a
@@ -436,10 +438,13 @@ class EvidenceGraphStore:
     def upsert_batch(self, batch: MergeBatch) -> MergeReport:
         """Apply one merge cycle atomically.
 
-        The whole batch is validated first; a batch that trips the new-entity
-        or new-relation cap is rejected without touching the store. Entities
-        that match an existing node (by CURIE, then by normalized label within
-        kind) update that node in place instead of creating a duplicate.
+        The whole batch is validated first, then every entity name is read
+        unless its CURIE is already stored; a name that normalizes to nothing
+        raises EmptyLabel. A batch longer than the new-entity or new-relation
+        cap then has its new records counted, and one that trips a cap is
+        rejected; no refusal touches the store. Entities that match an
+        existing node (by CURIE, then by normalized label within kind) update
+        that node in place instead of creating a duplicate.
         """
         with self._lock:
             for entity in batch.entities:
@@ -450,18 +455,25 @@ class EvidenceGraphStore:
                 obs.validate()
 
             norm = _Normalized()
-            new_entities = self._count_new_entities(batch.entities, norm)
-            if new_entities > MAX_NEW_ENTITIES_PER_BATCH:
-                raise BatchLimitExceeded(
-                    f"batch introduces {new_entities} new entities "
-                    f"(limit {MAX_NEW_ENTITIES_PER_BATCH})"
-                )
-            new_relations = self._count_new_relations(batch, norm)
-            if new_relations > MAX_NEW_RELATIONS_PER_BATCH:
-                raise BatchLimitExceeded(
-                    f"batch introduces {new_relations} new relations "
-                    f"(limit {MAX_NEW_RELATIONS_PER_BATCH})"
-                )
+            for entity in batch.entities:
+                # `_match`'s CURIE-first rule: a name is read unless its CURIE is stored
+                if not (entity.curie and self._curie_index.get(norm.curie(entity.curie))):
+                    norm.label(entity.name)  # raises EmptyLabel before anything changes
+            # a count never exceeds its batch's length, so a batch within a cap skips it
+            if len(batch.entities) > MAX_NEW_ENTITIES_PER_BATCH:
+                new_entities = self._count_new_entities(batch.entities, norm)
+                if new_entities > MAX_NEW_ENTITIES_PER_BATCH:
+                    raise BatchLimitExceeded(
+                        f"batch introduces {new_entities} new entities "
+                        f"(limit {MAX_NEW_ENTITIES_PER_BATCH})"
+                    )
+            if len(batch.relations) > MAX_NEW_RELATIONS_PER_BATCH:
+                new_relations = self._count_new_relations(batch, norm)
+                if new_relations > MAX_NEW_RELATIONS_PER_BATCH:
+                    raise BatchLimitExceeded(
+                        f"batch introduces {new_relations} new relations "
+                        f"(limit {MAX_NEW_RELATIONS_PER_BATCH})"
+                    )
 
             report = MergeReport()
             crossed: set[str] = set()
@@ -499,8 +511,16 @@ class EvidenceGraphStore:
         return count
 
     def _count_new_relations(self, batch: MergeBatch, norm: _Normalized) -> int:
-        # Endpoint resolution can only be approximated before entities are
-        # applied; count relations whose triple is not already stored.
+        """The batch's distinct triples that are not stored, read before the merge.
+
+        An endpoint the store does not know stands for itself (its normalized
+        label, or the raw string), so a relation to an entity new in the batch
+        counts, and so does one that the merge will reject for an unknown
+        endpoint. The count is never more than the batch's relations. It is
+        not exact: it over-counts those rejections and two spellings of one
+        new entity, and under-counts when a new entity takes over a stored
+        label's name, so that two relations read as one triple here.
+        """
         count = 0
         seen: set[tuple[str, str, str]] = set()
         for relation in batch.relations:

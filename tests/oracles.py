@@ -8,10 +8,11 @@ per-pair shortest-path counting over all-sources BFS tables, SCCs by mutual
 reachability, neighborhoods by explicit level-by-level expansion, and
 evidence-store reads, name resolution, lint counts and conflict groups by full
 scans of every stored entity or relation.
-Two former library algorithms are kept whole as references for their
+Three former library algorithms are kept whole as references for their
 replacements, which must give the same results: KGML parsing over an
-ElementTree (`kgml_reference`) and Brandes' betweenness with a predecessor
-list per node (`brandes_reference`).
+ElementTree (`kgml_reference`), Brandes' betweenness with a predecessor
+list per node (`brandes_reference`), and a merge that counts its new
+entities and relations on every batch (`counted_upsert`).
 """
 from __future__ import annotations
 
@@ -22,7 +23,18 @@ from collections import deque
 import networkx as nx
 
 from biokgr import load_data
-from biokgr.evidence import ENTITY_KIND_ORDER, EmptyLabel, normalize_curie, normalize_label
+from biokgr.evidence import (
+    ENTITY_KIND_ORDER,
+    MAX_CONTEXT_EDGES_PER_FINDING,
+    MAX_NEW_ENTITIES_PER_BATCH,
+    MAX_NEW_RELATIONS_PER_BATCH,
+    BatchLimitExceeded,
+    EmptyLabel,
+    MergeReport,
+    _Normalized,
+    normalize_curie,
+    normalize_label,
+)
 from biokgr.pathways.analytics import (
     MAX_PATH_EDGES,
     MAX_PATHS_PER_PAIR,
@@ -281,6 +293,52 @@ def grouping_oracle(store) -> dict[str, list[tuple[str, str, str]]]:
         if r.conflict_group is not None:
             groups.setdefault(r.conflict_group, []).append(r.key)
     return {gid: sorted(groups[gid]) for gid in sorted(groups)}
+
+
+def counted_upsert(store, batch) -> MergeReport:
+    """`EvidenceGraphStore.upsert_batch` as it was when every batch was counted.
+
+    After validation, the new entities and the new relations are counted on
+    every batch, whatever its length; the entity count also refuses a label
+    that normalizes to nothing. The batch is then applied through the store's
+    own record steps. The context-lint warnings go to the report only.
+    """
+    with store._lock:
+        for entity in batch.entities:
+            entity.validate()
+        for relation in batch.relations:
+            relation.validate()
+        for obs in batch.observations:
+            obs.validate()
+
+        norm = _Normalized()
+        new_entities = store._count_new_entities(batch.entities, norm)
+        if new_entities > MAX_NEW_ENTITIES_PER_BATCH:
+            raise BatchLimitExceeded(
+                f"batch introduces {new_entities} new entities "
+                f"(limit {MAX_NEW_ENTITIES_PER_BATCH})"
+            )
+        new_relations = store._count_new_relations(batch, norm)
+        if new_relations > MAX_NEW_RELATIONS_PER_BATCH:
+            raise BatchLimitExceeded(
+                f"batch introduces {new_relations} new relations "
+                f"(limit {MAX_NEW_RELATIONS_PER_BATCH})"
+            )
+
+        report = MergeReport()
+        crossed: set[str] = set()
+        for entity in batch.entities:
+            store._apply_entity(entity, report, norm)
+        for relation in batch.relations:
+            store._apply_relation(relation, report, crossed, norm)
+        for obs in batch.observations:
+            store._apply_observation(obs, report, norm)
+        for key in sorted(crossed):
+            report.warnings.append(
+                f"finding {key!r} carries {store._context_edges[key]} contextual edges "
+                f"(recommended max {MAX_CONTEXT_EDGES_PER_FINDING})"
+            )
+        return report
 
 
 _EC_PATTERN = re.compile(r"\b(\d+\.\d+\.\d+\.[\dn-]+)\b")

@@ -24,6 +24,8 @@ from biokgr import evidence
 from biokgr.evidence import (
     CONTEXT_PREDICATES,
     MAX_CONTEXT_EDGES_PER_FINDING,
+    MAX_NEW_ENTITIES_PER_BATCH,
+    MAX_NEW_RELATIONS_PER_BATCH,
     BatchLimitExceeded,
     EmptyLabel,
     EntityRef,
@@ -46,6 +48,7 @@ from biokgr.evidence import (
 )
 
 from oracles import (
+    counted_upsert,
     findings_over_context_cap_oracle,
     grouping_oracle,
     resolve_oracle,
@@ -178,6 +181,84 @@ def test_existing_entities_do_not_count_against_cap():
     again = entities + tuple(gene(f"H{i}") for i in range(10))
     report = store.upsert_batch(MergeBatch(entities=again))
     assert report.created == 10 and report.merged == 10
+
+
+def capped_batch(entities, relations):
+    """`entities` new genes N0, N1, … and `relations` new relations among them."""
+    names = [f"N{i}" for i in range(entities)]
+    pairs = [(a, b) for a in names for b in names if a != b][:relations]
+    return MergeBatch(entities=tuple(map(gene, names)),
+                      relations=tuple(rel(a, "ACTIVATES", b) for a, b in pairs))
+
+
+def test_a_batch_at_both_caps_is_accepted():
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(entities=(gene("SEED"),)))
+    report = store.upsert_batch(capped_batch(10, 16))
+    assert (report.created, report.relations_added, report.rejected) == (10, 16, 0)
+
+
+@pytest.mark.parametrize("entities, relations, message", [
+    (11, 16, "batch introduces 11 new entities (limit 10)"),
+    (10, 17, "batch introduces 17 new relations (limit 16)"),
+], ids=["one entity more", "one relation more"])
+def test_one_more_than_a_cap_refuses_the_batch(entities, relations, message):
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(entities=(gene("SEED"),)))
+    before = exported(store)
+    with pytest.raises(BatchLimitExceeded) as refused:
+        store.upsert_batch(capped_batch(entities, relations))
+    assert str(refused.value) == message
+    assert exported(store) == before
+
+
+def test_a_batch_longer_than_a_cap_is_counted_not_refused():
+    """Stored matches and repeats within the batch are not new, so the count decides."""
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(entities=(gene("S0"), gene("S1")),
+                                  relations=(rel("S0", "BINDS", "S1"),)))
+    at_caps = capped_batch(10, 16)
+    batch = MergeBatch(
+        entities=at_caps.entities + (gene("s0"), gene("S1."), gene("n0")),
+        relations=at_caps.relations + (rel("S0", "BINDS", "S1"), rel("s0", "BINDS", "s1."),
+                                       rel("n0", "ACTIVATES", "N1")),
+    )
+    assert len(batch.entities) > MAX_NEW_ENTITIES_PER_BATCH
+    assert len(batch.relations) > MAX_NEW_RELATIONS_PER_BATCH
+    report = store.upsert_batch(batch)
+    assert (report.created, report.merged, report.relations_added, report.rejected) == (10, 3, 16, 0)
+
+
+def test_a_punctuation_only_name_refuses_a_batch_within_the_caps():
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(entities=(gene("TNF"),)))
+    before = exported(store)
+    with pytest.raises(EmptyLabel):
+        store.upsert_batch(MergeBatch(entities=(gene("STAT3"), gene("?!")),
+                                      relations=(rel("STAT3", "BINDS", "TNF"),)))
+    assert exported(store) == before
+
+
+def test_a_punctuation_only_name_merges_through_a_stored_curie():
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(entities=(gene("TNF", curie="HGNC:11892"),)))
+    report = store.upsert_batch(MergeBatch(entities=(gene("?!", curie="hgnc:11892"),)))
+    assert (report.created, report.merged) == (0, 1)
+    # a CURIE first named in the same batch is not stored yet, so the name is read
+    before = exported(store)
+    with pytest.raises(EmptyLabel):
+        store.upsert_batch(MergeBatch(entities=(gene("STAT3", curie="HGNC:11364"),
+                                                gene("?!", curie="HGNC:11364"))))
+    assert exported(store) == before
+
+
+@pytest.mark.parametrize("batch, error", [
+    (MergeBatch(entities=(gene("?!"), EntityRef(name="Some study", kind="PAPER"))), InvalidName),
+    (MergeBatch(entities=(gene("?!"),), relations=(rel("TNF", "BLOCKS", "IL6"),)), UnknownPredicate),
+], ids=["InvalidName", "UnknownPredicate"])
+def test_a_record_rule_wins_over_an_empty_label(batch, error):
+    with pytest.raises(error):
+        EvidenceGraphStore().upsert_batch(batch)
 
 
 def test_invalid_name_rejected():
@@ -376,6 +457,39 @@ PINNED_WARNINGS_SHA256 = "567667009549a7ea067d4e34c86cebebea42ccfb19f44215730bd6
 PINNED_SNAPSHOT_SHA256 = "43f448bad42003876ff7bfc1dee2e67abe5f93980cf9dc0d32d680dae9250f8a"
 
 
+def _outcome(merge, store, batch):
+    """What `merge(store, batch)` gives: its report, or its refusal's type and message."""
+    try:
+        return merge(store, batch)
+    except (BatchLimitExceeded, EmptyLabel) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 14, 27])
+def test_a_merge_that_counts_past_a_cap_only_matches_one_that_always_counts(seed):
+    """The store counts a batch's new records only when the batch is longer than
+    a cap; that is exact because neither count exceeds its batch's length."""
+    store, reference = EvidenceGraphStore(), EvidenceGraphStore()
+    sides = collections.Counter()
+    for batch in pinned_merge_stream(seed):
+        norm = evidence._Normalized()
+        try:
+            assert store._count_new_entities(batch.entities, norm) <= len(batch.entities)
+        except EmptyLabel:
+            pass
+        assert store._count_new_relations(batch, norm) <= len(batch.relations)
+        outcome = _outcome(EvidenceGraphStore.upsert_batch, store, batch)
+        assert outcome == _outcome(counted_upsert, reference, batch)
+        accepted = not isinstance(outcome, tuple)
+        sides["entities", len(batch.entities) > MAX_NEW_ENTITIES_PER_BATCH, accepted] += 1
+        sides["relations", len(batch.relations) > MAX_NEW_RELATIONS_PER_BATCH, accepted] += 1
+    assert exported(store) == exported(reference)
+    # batches on both sides of both caps, and some longer than the entity cap accepted
+    assert {key[:2] for key in sides} == {
+        (cap, longer) for cap in ("entities", "relations") for longer in (False, True)}, sides
+    assert sides["entities", True, True], sides
+
+
 def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
     calls = collections.Counter()
     for name in ("normalize_label", "normalize_curie"):
@@ -394,6 +508,15 @@ def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
             memos.append(weakref.ref(self))
 
     monkeypatch.setattr(evidence, "_Normalized", Recorded)
+    counts = collections.Counter()
+    for name in ("_count_new_entities", "_count_new_relations"):
+        original = getattr(EvidenceGraphStore, name)
+
+        def spied(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(EvidenceGraphStore, name, spied)
 
     store = EvidenceGraphStore()
     attributes = set(vars(store))
@@ -412,12 +535,21 @@ def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
     ))
     assert (report.created, report.merged, report.relations_added, report.rejected) == (1, 5, 3, 4)
     assert calls and max(calls.values()) == 1, [c for c, n in calls.items() if n > 1]
+    assert not counts  # a batch within both caps is not counted
 
     too_many = MergeBatch(entities=tuple(gene(f"G{i}") for i in range(11)) + (gene("TNF"),) * 3)
     calls.clear()
     with pytest.raises(BatchLimitExceeded):
         store.upsert_batch(too_many)
     assert calls and max(calls.values()) == 1
+    assert counts == {"_count_new_entities": 1}
+
+    counts.clear()
+    calls.clear()
+    report = store.upsert_batch(MergeBatch(relations=(rel("TNF", "ACTIVATES", "il6"),) * 17))
+    assert report.relations_added == 0
+    assert calls and max(calls.values()) == 1
+    assert counts == {"_count_new_relations": 1}
 
     gc.collect()
     assert set(vars(store)) == attributes
