@@ -197,6 +197,14 @@ def field(record, name: str, types, default=_REQUIRED, of=None):
     raise ValueError(f"field {name!r} is not {_names(types)}{listed}: {value!r:.80}")
 
 
+def unique_id(item_id: str, seen: set) -> str:
+    """`item_id`, added to `seen`; raises `ValueError` if `seen` already holds it."""
+    if item_id in seen:
+        raise ValueError(f"repeats id {item_id!r}")
+    seen.add(item_id)
+    return item_id
+
+
 class Shape:
     """A JSON object's fields in reading order, each with the `types` and `of` `field` takes."""
 

@@ -49,9 +49,8 @@ def run_bfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
             failures.append(kb)
             continue
         total += len(result.records)
-        scores = oracle.score_relevance(
-            [f"{record.name} {' '.join(record.xrefs.values())}" for record in result.records],
-            target)
+        scores = oracle.score_relevance([_screening_text(record) for record in result.records],
+                                        target)
         screened = [record for record, score in zip(result.records, scores, strict=True)
                     if score > SCREEN_THRESHOLD]
         rows = [record.to_dict() for record in screened]
@@ -73,6 +72,12 @@ def run_bfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> Ag
         + (f"; leading candidates: {', '.join(names[:4])}." if names else ".")
     )
     return AgentReport(files=files, findings=findings, key_entities=names)
+
+
+def _screening_text(record) -> str:
+    """A record's name and its xref ids, an `ids` xref's ids each on its own."""
+    ids = (" ".join(v) if isinstance(v, list) else v for v in record.xrefs.values())
+    return f"{record.name} {' '.join(ids)}"
 
 
 def run_dfrs(task: ResearchTask, federation, oracle, workspace: Workspace) -> AgentReport:

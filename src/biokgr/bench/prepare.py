@@ -6,16 +6,17 @@ Four deterministic filters, one per benchmark id:
   litqa2              seeded random sample of 25
   trialpanorama_eqa   strip study abstracts from context, keep most recent 50
 
-All filters are idempotent and output ids are a subset of input ids. Each kept
-record becomes one item row, `{"id", "task_type", "question", "options",
-"answers", "metadata"}`, the layout every curator writes and `bench score`
-reads; `task_type` is the benchmark id.
+All filters are idempotent and output ids are a subset of input ids; an
+export whose kept records repeat an id is refused. Each kept record becomes
+one item row, `{"id", "task_type", "question", "options", "answers",
+"metadata"}`, the layout every curator writes and `bench score` reads;
+`task_type` is the benchmark id.
 """
 from __future__ import annotations
 
 import random
 
-from biokgr import Error, field
+from biokgr import Error, field, unique_id
 
 LITQA2_SAMPLE_SIZE = 25
 TRIALPANORAMA_KEEP = 50
@@ -57,7 +58,10 @@ def _item(record: dict, benchmark: str, filters: list[str]) -> dict:
 
 
 def prepare_dataset(records: list[dict], benchmark: str, seed: int = 0) -> list[dict]:
-    """Apply one benchmark's filter to its raw export records; MissingField if one is malformed."""
+    """Apply one benchmark's filter to its raw export records.
+
+    Raises MissingField if a kept record is malformed or repeats an earlier one's id.
+    """
     try:
         return _select(records, benchmark, seed)
     except ValueError as exc:
@@ -95,4 +99,8 @@ def _select(records: list[dict], benchmark: str, seed: int) -> list[dict]:
         kept = ordered[:TRIALPANORAMA_KEEP]
     else:
         raise UnknownBenchmark(f"no preparation rule for benchmark {benchmark!r}")
-    return [_item(r, benchmark, filters) for r in kept]
+    items = [_item(r, benchmark, filters) for r in kept]
+    seen: set[str] = set()
+    for item in items:  # `bench score` refuses an items file that repeats an id
+        unique_id(item["id"], seen)
+    return items

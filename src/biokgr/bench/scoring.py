@@ -17,7 +17,8 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from biokgr import Error, WorkspaceUnavailable, field, read_jsonl, write_jsonl, writing
+from biokgr import (Error, WorkspaceUnavailable, field, read_jsonl, unique_id, write_jsonl,
+                    writing)
 from biokgr.bench.prepare import MissingField
 from biokgr.curation import ebm
 
@@ -77,9 +78,7 @@ def read_items(path) -> list[dict]:
         answers = field(row, "answers", list, of=int if task_type == EBM_FAMILY else object)
         if not answers:
             raise ValueError("field 'answers' is empty")
-        if item_id in seen:
-            raise ValueError(f"repeats id {item_id!r}")
-        seen.add(item_id)
+        unique_id(item_id, seen)
         return row
 
     try:
@@ -123,10 +122,18 @@ def score_item(item: dict, prediction) -> dict:
 
 
 def load_predictions(path) -> dict:
-    """JSONL `{id, prediction}` rows keyed by item id; MissingField for a row without an id."""
+    """JSONL `{id, prediction}` rows keyed by item id.
+
+    Raises MissingField naming the file and row of a line that is not JSON, or
+    whose `id` is absent, not a string or integer, or repeats an earlier row's.
+    """
+    seen: set[str] = set()
+
+    def read(row):
+        return unique_id(str(field(row, "id", (str, int))), seen), row.get("prediction")
+
     try:
-        return dict(read_jsonl(path, lambda row: (str(field(row, "id", (str, int))),
-                                                  row.get("prediction"))))
+        return dict(read_jsonl(path, read))
     except ValueError as exc:
         raise MissingField(str(exc)) from exc
 

@@ -16,6 +16,9 @@ evidence, an observation's length) is stated once, in the `validate` of a
 merged record, over fields its stored form shares; merges and snapshot import
 both apply it, so a snapshot holds no record that a merge would refuse.
 
+A merge or a lookup normalizes names through two bounded caches that every
+store shares; a snapshot import calls the normalizers once per record.
+
 A snapshot is one JSON file: `export_graph` writes it straight from the
 stored records under the store's lock, and `import_graph` reads it back
 through `EvidenceGraphStore.from_document`, the one checked reader of a
@@ -31,6 +34,7 @@ import re
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -135,44 +139,12 @@ def normalize_curie(curie: str) -> str:
     return curie.lower()
 
 
-class _Refused(NamedTuple):
-    """A memoized `EmptyLabel`: only its message, so no traceback is kept."""
-
-    message: str
-
-
-class _Normalized:
-    """Memo of `normalize_label` and `normalize_curie` for one store call.
-
-    Both are pure functions of the string, so a string is normalized once
-    however often the call names it. A refused label raises a fresh
-    EmptyLabel each time it is named. Instances are local to one call and are
-    never kept by the store.
-    """
-
-    __slots__ = ("_labels", "_curies")
-
-    def __init__(self) -> None:
-        self._labels: dict[str, str | _Refused] = {}
-        self._curies: dict[str, str] = {}
-
-    def label(self, raw: str) -> str:
-        key = self._labels.get(raw)
-        if key is None:
-            try:
-                key = normalize_label(raw)
-            except EmptyLabel as exc:
-                key = _Refused(str(exc))
-            self._labels[raw] = key
-        if isinstance(key, _Refused):
-            raise EmptyLabel(key.message)
-        return key
-
-    def curie(self, raw: str) -> str:
-        key = self._curies.get(raw)
-        if key is None:
-            key = self._curies[raw] = normalize_curie(raw)
-        return key
+# A string is normalized once while among the last _KEYS_CACHED named (a count of
+# strings, not bytes, kept for the process's life). `lru_cache` keeps no exception:
+# a label that normalizes to nothing raises a fresh EmptyLabel each time it is named.
+_KEYS_CACHED = 4096
+_label = lru_cache(maxsize=_KEYS_CACHED)(normalize_label)
+_curie = lru_cache(maxsize=_KEYS_CACHED)(normalize_curie)
 
 
 def name_is_valid(name: str) -> bool:
@@ -361,9 +333,10 @@ class EvidenceGraphStore:
     edges. A merge therefore costs O(batch) and never rescans the store. Each
     label's kinds are kept in ENTITY_KIND_ORDER, so a name resolves with one
     lookup.
-    Within a merge each distinct label or CURIE string is normalized once,
-    however often the batch names it, and nothing of that is kept between
-    batches. A batch's new entities (or new relations) are counted against
+    Labels and CURIEs are normalized through two caches that every store
+    shares, each holding the last _KEYS_CACHED strings named (a count, not a
+    byte bound: a name's length is not capped, and the strings outlive the
+    store). A batch's new entities (or new relations) are counted against
     their cap only when the batch holds more entities (or relations) than
     the cap, since a count never exceeds the batch's length. A subgraph read
     costs the sum of the degrees of the nodes it reaches, plus sorting what
@@ -410,27 +383,24 @@ class EvidenceGraphStore:
         ENTITY_KIND_ORDER. The label index keeps each label's kinds in that
         order, so a name resolves with one lookup and no walk of the order.
         """
-        return self._resolve(ref, _Normalized())
-
-    def _resolve(self, ref: str, norm: _Normalized) -> str | None:
         if ref in self._entities:
             return ref
-        hit = self._curie_index.get(norm.curie(ref))
+        hit = self._curie_index.get(_curie(ref))
         if hit:
             return hit
         try:
-            by_kind = self._label_index.get(norm.label(ref))
+            by_kind = self._label_index.get(_label(ref))
         except EmptyLabel:
             return None
         return next(iter(by_kind.values())) if by_kind else None
 
-    def _match(self, entity: EntityRef, norm: _Normalized) -> str | None:
+    def _match(self, entity: EntityRef) -> str | None:
         """Dedup match: CURIE first, then normalized label within kind."""
         if entity.curie:
-            hit = self._curie_index.get(norm.curie(entity.curie))
+            hit = self._curie_index.get(_curie(entity.curie))
             if hit:
                 return hit
-        by_kind = self._label_index.get(norm.label(entity.name))
+        by_kind = self._label_index.get(_label(entity.name))
         return by_kind.get(entity.kind) if by_kind else None
 
     # -- merge cycle ---------------------------------------------------------
@@ -454,21 +424,20 @@ class EvidenceGraphStore:
             for obs in batch.observations:
                 obs.validate()
 
-            norm = _Normalized()
             for entity in batch.entities:
                 # `_match`'s CURIE-first rule: a name is read unless its CURIE is stored
-                if not (entity.curie and self._curie_index.get(norm.curie(entity.curie))):
-                    norm.label(entity.name)  # raises EmptyLabel before anything changes
+                if not (entity.curie and self._curie_index.get(_curie(entity.curie))):
+                    _label(entity.name)  # raises EmptyLabel before anything changes
             # a count never exceeds its batch's length, so a batch within a cap skips it
             if len(batch.entities) > MAX_NEW_ENTITIES_PER_BATCH:
-                new_entities = self._count_new_entities(batch.entities, norm)
+                new_entities = self._count_new_entities(batch.entities)
                 if new_entities > MAX_NEW_ENTITIES_PER_BATCH:
                     raise BatchLimitExceeded(
                         f"batch introduces {new_entities} new entities "
                         f"(limit {MAX_NEW_ENTITIES_PER_BATCH})"
                     )
             if len(batch.relations) > MAX_NEW_RELATIONS_PER_BATCH:
-                new_relations = self._count_new_relations(batch, norm)
+                new_relations = self._count_new_relations(batch)
                 if new_relations > MAX_NEW_RELATIONS_PER_BATCH:
                     raise BatchLimitExceeded(
                         f"batch introduces {new_relations} new relations "
@@ -478,11 +447,11 @@ class EvidenceGraphStore:
             report = MergeReport()
             crossed: set[str] = set()
             for entity in batch.entities:
-                self._apply_entity(entity, report, norm)
+                self._apply_entity(entity, report)
             for relation in batch.relations:
-                self._apply_relation(relation, report, crossed, norm)
+                self._apply_relation(relation, report, crossed)
             for obs in batch.observations:
-                self._apply_observation(obs, report, norm)
+                self._apply_observation(obs, report)
             for key in sorted(crossed):
                 msg = (
                     f"finding {key!r} carries {self._context_edges[key]} contextual edges "
@@ -492,15 +461,15 @@ class EvidenceGraphStore:
                 logger.warning(msg)
             return report
 
-    def _count_new_entities(self, entities: tuple[EntityRef, ...], norm: _Normalized) -> int:
+    def _count_new_entities(self, entities: tuple[EntityRef, ...]) -> int:
         seen: set[tuple[str, str]] = set()
         curies: set[str] = set()
         count = 0
         for entity in entities:
-            if self._match(entity, norm) is not None:
+            if self._match(entity) is not None:
                 continue
-            label_key = (entity.kind, norm.label(entity.name))
-            curie_key = norm.curie(entity.curie) if entity.curie else None
+            label_key = (entity.kind, _label(entity.name))
+            curie_key = _curie(entity.curie) if entity.curie else None
             # duplicates inside the batch collapse onto the first occurrence
             if label_key in seen or (curie_key and curie_key in curies):
                 continue
@@ -510,7 +479,7 @@ class EvidenceGraphStore:
             count += 1
         return count
 
-    def _count_new_relations(self, batch: MergeBatch, norm: _Normalized) -> int:
+    def _count_new_relations(self, batch: MergeBatch) -> int:
         """The batch's distinct triples that are not stored, read before the merge.
 
         An endpoint the store does not know stands for itself (its normalized
@@ -524,8 +493,8 @@ class EvidenceGraphStore:
         count = 0
         seen: set[tuple[str, str, str]] = set()
         for relation in batch.relations:
-            skey = self._resolve_or_raw(relation.subject, norm)
-            okey = self._resolve_or_raw(relation.object, norm)
+            skey = self._resolve_or_raw(relation.subject)
+            okey = self._resolve_or_raw(relation.object)
             triple = (skey, relation.predicate, okey)
             if triple in self._relations or triple in seen:
                 continue
@@ -533,28 +502,28 @@ class EvidenceGraphStore:
             count += 1
         return count
 
-    def _resolve_or_raw(self, ref: str, norm: _Normalized) -> str:
-        key = self._resolve(ref, norm)
+    def _resolve_or_raw(self, ref: str) -> str:
+        key = self.resolve_key(ref)
         if key:
             return key
         try:
-            return norm.label(ref)
+            return _label(ref)
         except EmptyLabel:
             return ref
 
-    def _apply_entity(self, entity: EntityRef, report: MergeReport, norm: _Normalized) -> None:
-        existing_key = self._match(entity, norm)
+    def _apply_entity(self, entity: EntityRef, report: MergeReport) -> None:
+        existing_key = self._match(entity)
         if existing_key is not None:
             stored = self._entities[existing_key]
             if entity.curie and not stored.curie:
                 stored.curie = entity.curie
-                self._curie_index[norm.curie(entity.curie)] = existing_key
+                self._curie_index[_curie(entity.curie)] = existing_key
             if entity.source not in stored.sources:
                 stored.sources.append(entity.source)
             report.merged += 1
             return
-        label = norm.label(entity.name)
-        curie_key = norm.curie(entity.curie) if entity.curie else None
+        label = _label(entity.name)
+        curie_key = _curie(entity.curie) if entity.curie else None
         self._add_entity(StoredEntity(
             key=f"{entity.kind.lower()}/{label}" if curie_key is None else curie_key,
             name=entity.name,
@@ -579,9 +548,9 @@ class EvidenceGraphStore:
             self._curie_index[curie_key] = stored.key
 
     def _apply_relation(self, relation: RelationEdge, report: MergeReport,
-                        crossed: set[str], norm: _Normalized) -> None:
-        skey = self._resolve(relation.subject, norm)
-        okey = self._resolve(relation.object, norm)
+                        crossed: set[str]) -> None:
+        skey = self.resolve_key(relation.subject)
+        okey = self.resolve_key(relation.object)
         stored = None
         if skey is None or okey is None:
             missing = relation.subject if skey is None else relation.object
@@ -644,9 +613,8 @@ class EvidenceGraphStore:
         n = self._context_edges[rel.subject] = self._context_edges.get(rel.subject, 0) + 1
         return n == MAX_CONTEXT_EDGES_PER_FINDING + 1
 
-    def _apply_observation(self, obs: Observation, report: MergeReport,
-                           norm: _Normalized) -> None:
-        key = self._resolve(obs.entity, norm)
+    def _apply_observation(self, obs: Observation, report: MergeReport) -> None:
+        key = self.resolve_key(obs.entity)
         if key is None:
             report.rejected += 1
             report.warnings.append(

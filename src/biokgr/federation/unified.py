@@ -428,8 +428,9 @@ def parse_body(response: RawResponse):
 def _merge_xrefs(records: list[UnifiedRecord]) -> None:
     """Union xref maps across records sharing any (namespace, id) pair.
 
-    Uses union-find over shared ids; within each group, missing namespaces are
-    adopted and namespaces with more than one distinct value are flagged in
+    Uses union-find over shared ids, an `ids` list counting as one value;
+    within each group, missing namespaces are adopted (a list as a list) and
+    namespaces with more than one distinct value are flagged in
     `xref_conflicts` with the contributing sources.
     """
     parent = list(range(len(records)))
@@ -443,10 +444,10 @@ def _merge_xrefs(records: list[UnifiedRecord]) -> None:
     def union(i: int, j: int) -> None:
         parent[find(i)] = find(j)
 
-    owners: dict[tuple[str, str], int] = {}
+    owners: dict[tuple, int] = {}
     for i, record in enumerate(records):
         for namespace, value in record.xrefs.items():
-            key = (namespace, str(value))
+            key = (namespace, _xref_key(value))
             if key in owners:
                 union(i, owners[key])
             else:
@@ -459,19 +460,23 @@ def _merge_xrefs(records: list[UnifiedRecord]) -> None:
     for members in groups.values():
         if len(members) < 2:
             continue
-        values: dict[str, dict[str, list[str]]] = {}
+        # namespace -> key -> (value, its sources)
+        values: dict[str, dict] = {}
         for i in members:
             for namespace, value in records[i].xrefs.items():
-                values.setdefault(namespace, {}).setdefault(str(value), [])
+                _value, sources = values.setdefault(namespace, {}).setdefault(
+                    _xref_key(value), (value, []))
                 for source in records[i].sources:
-                    if source not in values[namespace][str(value)]:
-                        values[namespace][str(value)].append(source)
+                    if source not in sources:
+                        sources.append(source)
         conflicts = [
             {
                 "namespace": namespace,
                 "values": [
                     {"value": value, "sources": sources}
-                    for value, sources in sorted(variants.items())
+                    # single ids first, then `ids` lists
+                    for _key, (value, sources) in sorted(
+                        variants.items(), key=lambda item: (isinstance(item[0], tuple), item[0]))
                 ],
             }
             for namespace, variants in sorted(values.items())
@@ -480,5 +485,12 @@ def _merge_xrefs(records: list[UnifiedRecord]) -> None:
         for i in members:
             for namespace, variants in values.items():
                 if namespace not in records[i].xrefs and len(variants) == 1:
-                    records[i].xrefs[namespace] = next(iter(variants))
+                    value = next(iter(variants.values()))[0]
+                    # a copy: records adopting an `ids` list must not share one mutable list
+                    records[i].xrefs[namespace] = list(value) if isinstance(value, list) else value
             records[i].xref_conflicts = conflicts
+
+
+def _xref_key(value) -> str | tuple[str, ...]:
+    """An xref value as a dict key: an `ids` list as the tuple of its ids."""
+    return tuple(value) if isinstance(value, list) else value

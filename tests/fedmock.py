@@ -55,6 +55,16 @@ def shipped(source_id, base_url, rate=1000.0, **changes):
     )
 
 
+def pubtator_reading_pmids() -> SourceDescriptor:
+    """The mock pubtator entry whose search shape also reads `pmids`, an `ids` leaf
+    (no shipped search shape has one)."""
+    pubtator = mock_registry()["pubtator"]
+    search = pubtator.operations["search"]
+    xrefs = {**search["reply"]["xrefs"], "pmids": ["pmids", "ids"]}
+    return dataclasses.replace(pubtator, operations={
+        **pubtator.operations, "search": {**search, "reply": {**search["reply"], "xrefs": xrefs}}})
+
+
 CITATION_CHAIN = {
     "100": ["200"],
     "200": ["300"],

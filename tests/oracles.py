@@ -31,7 +31,6 @@ from biokgr.evidence import (
     BatchLimitExceeded,
     EmptyLabel,
     MergeReport,
-    _Normalized,
     normalize_curie,
     normalize_label,
 )
@@ -311,14 +310,13 @@ def counted_upsert(store, batch) -> MergeReport:
         for obs in batch.observations:
             obs.validate()
 
-        norm = _Normalized()
-        new_entities = store._count_new_entities(batch.entities, norm)
+        new_entities = store._count_new_entities(batch.entities)
         if new_entities > MAX_NEW_ENTITIES_PER_BATCH:
             raise BatchLimitExceeded(
                 f"batch introduces {new_entities} new entities "
                 f"(limit {MAX_NEW_ENTITIES_PER_BATCH})"
             )
-        new_relations = store._count_new_relations(batch, norm)
+        new_relations = store._count_new_relations(batch)
         if new_relations > MAX_NEW_RELATIONS_PER_BATCH:
             raise BatchLimitExceeded(
                 f"batch introduces {new_relations} new relations "
@@ -328,11 +326,11 @@ def counted_upsert(store, batch) -> MergeReport:
         report = MergeReport()
         crossed: set[str] = set()
         for entity in batch.entities:
-            store._apply_entity(entity, report, norm)
+            store._apply_entity(entity, report)
         for relation in batch.relations:
-            store._apply_relation(relation, report, crossed, norm)
+            store._apply_relation(relation, report, crossed)
         for obs in batch.observations:
-            store._apply_observation(obs, report, norm)
+            store._apply_observation(obs, report)
         for key in sorted(crossed):
             report.warnings.append(
                 f"finding {key!r} carries {store._context_edges[key]} contextual edges "

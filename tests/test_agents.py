@@ -51,7 +51,8 @@ from biokgr.federation.mockserver import MockTransport
 from biokgr.federation.unified import UnifiedRecord
 
 from fedmock import (
-    FakeClock, json_response, make_mock_federation, mock_registry, mock_routes, shipped)
+    FakeClock, json_response, make_mock_federation, mock_registry, mock_routes,
+    pubtator_reading_pmids, shipped)
 
 
 # -- plan checklist ----------------------------------------------------------------
@@ -406,6 +407,26 @@ def test_bfrs_screens_by_relevance(tmp_path):
     assert report.key_entities == ["TNF"]  # IL6 has no lexical overlap
     kept = ws.read_table("bfrs_screened.json")
     assert [r["name"] for r in kept] == ["TNF"]
+
+
+def test_bfrs_screens_a_record_with_an_ids_xref_by_its_ids(tmp_path):
+    transport = MockTransport({"pubtator.test/search": json_response(
+        {"results": [{"name": "TNF", "pmids": [101, "102"]}]})})
+    federation = Federation({"pubtator": pubtator_reading_pmids()}, transport, FakeClock(),
+                            env={})
+    screened = []
+
+    class Recording(DefaultOracle):
+        def score_relevance(self, candidates, target):
+            screened.extend(candidates)
+            return super().score_relevance(candidates, target)
+
+    ws = Workspace(tmp_path)
+    task = ResearchTask(description="TNF signaling", knowledge_bases=("pubtator",), budget=1)
+    report = run_bfrs(task, federation, Recording(), ws)
+    assert screened == ["TNF 101 102"]
+    assert report.key_entities == ["TNF"]
+    assert ws.read_table("bfrs_screened.json")[0]["xrefs"] == {"pmids": ["101", "102"]}
 
 
 def test_bfrs_manifest_paths_exist(tmp_path):

@@ -492,6 +492,16 @@ MALFORMED_INPUTS = {
         BENCH_SCORE, {"items.jsonl": _rows(ITEM, {**ITEM, "answers": ["B"]}),
                       "preds.jsonl": _rows({"id": "x", "prediction": "A"})},
         "items.jsonl row 2 repeats id 'x'"),
+    "bench-export-repeated-id": (
+        ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.json", "--out", "items.jsonl"],
+        {"raw.json": json.dumps([{"id": "q1", "subject": "Medicine", "question": q, "answer": "A"}
+                                 for q in ("first", "second")])},
+        "hle_med record repeats id 'q1'"),
+    "bench-prediction-repeated-id": (
+        BENCH_SCORE, {"items.jsonl": _rows(ITEM),
+                      "preds.jsonl": _rows({"id": "x", "prediction": "A"},
+                                           {"id": "x", "prediction": "B"})},
+        "preds.jsonl row 2 repeats id 'x'"),
     "bench-export-without-id": (
         ["bench", "prepare", "--benchmark", "hle_med", "--in", "raw.json", "--out", "items.jsonl"],
         {"raw.json": json.dumps([{"subject": "Medicine", "question": "q", "answer": "A"}])},
@@ -951,6 +961,96 @@ def test_src_imports_only_the_stdlib_click_and_biokgr():
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 imported.add(node.module.partition(".")[0])
     assert imported <= allowed, sorted(imported - allowed)
+
+
+def _cache_kind(node) -> str | None:
+    """`cache` or `lru_cache` when `node` names that `functools` decorator, else None."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+        name = node.attr
+    else:
+        return None
+    return name if name in {"cache", "lru_cache"} else None
+
+
+def _has_parameters(function: ast.FunctionDef) -> bool:
+    arguments = function.args
+    return bool(arguments.posonlyargs or arguments.args or arguments.vararg
+                or arguments.kwonlyargs or arguments.kwarg)
+
+
+def cache_offences(source: str) -> list[str]:
+    """The caches in `source` that may grow without bound, as `line: what`.
+
+    `functools.cache` and `lru_cache(maxsize=None)` may decorate only a function
+    without parameters, or `load_data`, whose names are the bundled files. Every
+    other `lru_cache` passes a `maxsize` that is an integer literal or a module
+    constant bound to one.
+    """
+    tree = ast.parse(source)
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+                 for target in node.targets if isinstance(target, ast.Name)}
+    decorated = {id(decorator): function for function in ast.walk(tree)
+                 if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for decorator in function.decorator_list}
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    offences = []
+    for node in ast.walk(tree):
+        kind = _cache_kind(node)
+        if kind is None:
+            continue
+        wrapper = node
+        if kind == "lru_cache":
+            call = calls.get(id(node))
+            sizes = [] if call is None else [
+                *call.args[:1], *(k.value for k in call.keywords if k.arg == "maxsize")]
+            if not sizes:
+                offences.append(f"{node.lineno}: lru_cache without a maxsize")
+                continue
+            size = sizes[0]
+            if isinstance(size, ast.Constant) and type(size.value) is int or (
+                    isinstance(size, ast.Name) and size.id in constants):
+                continue
+            if not (isinstance(size, ast.Constant) and size.value is None):
+                offences.append(f"{node.lineno}: lru_cache maxsize is not an integer constant")
+                continue
+            wrapper = call
+        function = decorated.get(id(wrapper))
+        if function is None or function.name != "load_data" and _has_parameters(function):
+            offences.append(f"{node.lineno}: unbounded {kind} of a function with parameters")
+    return offences
+
+
+def test_every_cache_in_src_is_bounded_or_keyed_by_nothing_but_bundled_files():
+    package = Path(biokgr.__file__).resolve().parent
+    assert [f"{path.relative_to(package)}:{offence}" for path in sorted(package.rglob("*.py"))
+            for offence in cache_offences(path.read_text(encoding="utf-8"))] == []
+
+
+@pytest.mark.parametrize("source, offences", [
+    ("_label = lru_cache(maxsize=None)(normalize_label)",
+     ["1: unbounded lru_cache of a function with parameters"]),
+    ("_label = functools.cache(normalize_label)",
+     ["1: unbounded cache of a function with parameters"]),
+    ("@cache\ndef _label(raw):\n    return normalize_label(raw)",
+     ["1: unbounded cache of a function with parameters"]),
+    ("@functools.lru_cache(None)\ndef _label(raw, *, strict):\n    pass",
+     ["1: unbounded lru_cache of a function with parameters"]),
+    ("@lru_cache\ndef _label(raw):\n    pass", ["1: lru_cache without a maxsize"]),
+    ("_label = lru_cache()(normalize_label)", ["1: lru_cache without a maxsize"]),
+    ("_label = lru_cache(maxsize=size())(normalize_label)",
+     ["1: lru_cache maxsize is not an integer constant"]),
+    ("_KEYS = 4096\n_label = lru_cache(maxsize=_KEYS)(normalize_label)", []),
+    ("_label = lru_cache(64, typed=True)(normalize_label)", []),
+    ("@cache\ndef _rules():\n    pass", []),
+    ("@lru_cache(maxsize=None)\ndef _rules():\n    pass", []),
+    ("@cache\ndef load_data(name):\n    pass", []),
+])
+def test_the_cache_guard_refuses_an_unbounded_cache_of_a_function_with_parameters(source,
+                                                                                  offences):
+    assert cache_offences(source) == offences
 
 
 # sha256 of the items each curate command writes for its `ITEM_WRITERS` inputs

@@ -13,7 +13,6 @@ import sys
 import tempfile
 import textwrap
 import threading
-import weakref
 from pathlib import Path
 
 import pytest
@@ -472,12 +471,11 @@ def test_a_merge_that_counts_past_a_cap_only_matches_one_that_always_counts(seed
     store, reference = EvidenceGraphStore(), EvidenceGraphStore()
     sides = collections.Counter()
     for batch in pinned_merge_stream(seed):
-        norm = evidence._Normalized()
         try:
-            assert store._count_new_entities(batch.entities, norm) <= len(batch.entities)
+            assert store._count_new_entities(batch.entities) <= len(batch.entities)
         except EmptyLabel:
             pass
-        assert store._count_new_relations(batch, norm) <= len(batch.relations)
+        assert store._count_new_relations(batch) <= len(batch.relations)
         outcome = _outcome(EvidenceGraphStore.upsert_batch, store, batch)
         assert outcome == _outcome(counted_upsert, reference, batch)
         accepted = not isinstance(outcome, tuple)
@@ -491,23 +489,9 @@ def test_a_merge_that_counts_past_a_cap_only_matches_one_that_always_counts(seed
 
 
 def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
-    calls = collections.Counter()
-    for name in ("normalize_label", "normalize_curie"):
-        original = getattr(evidence, name)
-
-        def counted(raw, _name=name, _original=original):
-            calls[_name, raw] += 1
-            return _original(raw)
-
-        monkeypatch.setattr(evidence, name, counted)
-    memos = []
-
-    class Recorded(evidence._Normalized):
-        def __init__(self):
-            super().__init__()
-            memos.append(weakref.ref(self))
-
-    monkeypatch.setattr(evidence, "_Normalized", Recorded)
+    """Names go through the module's two bounded caches: within them each string is
+    normalized once, the store keeps nothing of it, and neither cache grows past
+    _KEYS_CACHED."""
     counts = collections.Counter()
     for name in ("_count_new_entities", "_count_new_relations"):
         original = getattr(EvidenceGraphStore, name)
@@ -517,11 +501,13 @@ def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(EvidenceGraphStore, name, spied)
+    caches = (evidence._label, evidence._curie)
 
     store = EvidenceGraphStore()
     attributes = set(vars(store))
     store.upsert_batch(MergeBatch(entities=(gene("TNF", curie="HGNC:11892"), gene("IL6"))))
-    calls.clear()
+    for cache in caches:
+        cache.cache_clear()
     report = store.upsert_batch(MergeBatch(
         entities=(gene("tnf", curie="hgnc:11892"), gene("TNF."), gene("IL6"), gene("IL6"),
                   gene("STAT3", curie="HGNC:11364"), gene("stat3")),
@@ -534,26 +520,41 @@ def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
                       Observation(entity="--", text="Nothing.")),
     ))
     assert (report.created, report.merged, report.relations_added, report.rejected) == (1, 5, 3, 4)
-    assert calls and max(calls.values()) == 1, [c for c, n in calls.items() if n > 1]
+    # The strings that normalize: a name whose CURIE is stored is not read as a label,
+    # and a storage key ("hgnc:11364", STAT3's once it is stored) is not normalized.
+    labels = {"TNF.", "IL6", "STAT3", "stat3", "TNF", "tnf", "il6", "GHOST"}
+    curies = {"hgnc:11892", "HGNC:11364", "TNF", "IL6", "tnf", "il6", "HGNC:11892", "STAT3",
+              "GHOST", "--"}
+    label_info, curie_info = (cache.cache_info() for cache in caches)
+    assert (label_info.currsize, curie_info.currsize) == (len(labels), len(curies))
+    # "--" normalizes to nothing and is read as a label each of the 3 times it is named
+    assert (label_info.misses, curie_info.misses) == (len(labels) + 3, len(curies))
     assert not counts  # a batch within both caps is not counted
 
     too_many = MergeBatch(entities=tuple(gene(f"G{i}") for i in range(11)) + (gene("TNF"),) * 3)
-    calls.clear()
+    for cache in caches:
+        cache.cache_clear()
     with pytest.raises(BatchLimitExceeded):
         store.upsert_batch(too_many)
-    assert calls and max(calls.values()) == 1
+    assert evidence._label.cache_info().misses == 12  # G0…G10 and TNF, each once
     assert counts == {"_count_new_entities": 1}
 
     counts.clear()
-    calls.clear()
+    for cache in caches:
+        cache.cache_clear()
     report = store.upsert_batch(MergeBatch(relations=(rel("TNF", "ACTIVATES", "il6"),) * 17))
     assert report.relations_added == 0
-    assert calls and max(calls.values()) == 1
+    assert [cache.cache_info().misses for cache in caches] == [2, 2]  # "TNF" and "il6"
     assert counts == {"_count_new_relations": 1}
 
-    gc.collect()
+    named = 0
+    while named <= evidence._KEYS_CACHED:
+        store.upsert_batch(MergeBatch(entities=tuple(
+            gene(f"N{named + i}", curie=f"NS:{named + i}") for i in range(10))))
+        named += 10
+    for cache in caches:
+        assert cache.cache_info().misses > evidence._KEYS_CACHED >= cache.cache_info().currsize
     assert set(vars(store)) == attributes
-    assert memos and all(memo() is None for memo in memos)
 
 
 def test_merges_reads_and_snapshots_leave_no_garbage_cycle(tmp_path):

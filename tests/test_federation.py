@@ -39,8 +39,8 @@ from biokgr.federation.mockserver import FixtureServer, MockTransport
 from biokgr.federation.unified import UnifiedRecord
 
 from fedmock import (
-    FakeClock, descriptor, json_response, make_mock_federation, mock_registry, shipped, single,
-    text_response)
+    FakeClock, descriptor, json_response, make_mock_federation, mock_registry,
+    pubtator_reading_pmids, shipped, single, text_response)
 
 
 # -- rate limiting -----------------------------------------------------------------
@@ -283,6 +283,31 @@ def test_unified_search_xref_enrichment_on_matching_ids():
     assert mygene.xrefs == pubtator.xrefs == {
         "entrez": "7157", "ensembl": "ENSG00000141510", "symbol": "TP53", "curie": "HGNC:11998"}
     assert mygene.xref_conflicts == pubtator.xref_conflicts == []
+
+
+def test_unified_search_adopts_an_ids_xref_as_a_list():
+    registry = {"mygene": mock_registry()["mygene"], "pubtator": pubtator_reading_pmids()}
+    federation = Federation(
+        registry=registry,
+        transport=MockTransport({
+            "mygene.test": json_response(mygene_payload()),
+            "pubtator.test": json_response(
+                {"results": [{"name": "TP53", "entrez": 7157, "pmids": [101, "102"]}]}),
+        }),
+        clock=FakeClock(),
+        env={},
+    )
+    spec = QuerySpec(kind="gene", text="TP53", sources=("mygene", "pubtator"))
+    mygene, pubtator = federation.search_entities_unified(spec).records
+    assert mygene.xrefs["pmids"] == pubtator.xrefs["pmids"] == ["101", "102"]
+    assert mygene.xrefs["pmids"] is not pubtator.xrefs["pmids"]  # adopted as a copy
+    assert mygene.xref_conflicts == pubtator.xref_conflicts == []
+
+    records = [UnifiedRecord(name="TP53", xrefs={"entrez": "7157", "pmids": pmids}, sources=[s])
+               for s, pmids in (("a", ["1", "2"]), ("b", "3"), ("c", ["1", "2"]))]
+    unified._merge_xrefs(records)
+    assert records[0].xref_conflicts[0] == {"namespace": "pmids", "values": [
+        {"value": "3", "sources": ["b"]}, {"value": ["1", "2"], "sources": ["a", "c"]}]}
 
 
 def test_unified_search_conflicting_ids_recorded_side_by_side():
