@@ -17,7 +17,9 @@ merged record, over fields its stored form shares; merges and snapshot import
 both apply it, so a snapshot holds no record that a merge would refuse.
 
 A merge or a lookup normalizes names through two bounded caches that every
-store shares; a snapshot import calls the normalizers once per record.
+store shares; a snapshot import calls the normalizers once per record. A ref
+without a colon is never normalized as a CURIE, since every stored CURIE holds
+one.
 
 A snapshot is one JSON file: `export_graph` writes it straight from the
 stored records under the store's lock, and `import_graph` reads it back
@@ -32,7 +34,7 @@ import json
 import logging
 import re
 import threading
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -124,7 +126,9 @@ def normalize_label(raw: str) -> str:
     if raw is None or not raw.strip():
         raise EmptyLabel("label is blank after trimming")
     key = " ".join(raw.split()).casefold()
-    key = _OUTER_PUNCT.sub("", key)
+    # `[\W_]` is "not isalnum()"; test the folded key, whose ends casefold may change
+    if not (key[0].isalnum() and key[-1].isalnum()):
+        key = _OUTER_PUNCT.sub("", key)
     if not key:
         raise EmptyLabel(f"label {raw!r} is only punctuation")
     return key
@@ -149,7 +153,7 @@ _curie = lru_cache(maxsize=_KEYS_CACHED)(normalize_curie)
 
 def name_is_valid(name: str) -> bool:
     """Short-label rule: at most 5 words or at most 40 characters."""
-    return bool(name.strip()) and (len(name.split()) <= MAX_NAME_WORDS or len(name) <= MAX_NAME_CHARS)
+    return bool(name.strip()) and (len(name) <= MAX_NAME_CHARS or len(name.split()) <= MAX_NAME_WORDS)
 
 
 @dataclass(frozen=True)
@@ -329,10 +333,11 @@ class EvidenceGraphStore:
     """In-memory deduplicated entity/relation store with snapshot export.
 
     Every write keeps the indexes current: the CURIE and label lookups, the
-    relations incident to each node, and each finding's count of contextual
-    edges. A merge therefore costs O(batch) and never rescans the store. Each
+    relations incident to each node (an append-only list per node, where a
+    self-loop is listed once), and each finding's count of contextual edges.
+    A merge therefore costs O(batch) and never rescans the store. Each
     label's kinds are kept in ENTITY_KIND_ORDER, so a name resolves with one
-    lookup.
+    lookup, and a ref without a colon is never looked up as a CURIE.
     Labels and CURIEs are normalized through two caches that every store
     shares, each holding the last _KEYS_CACHED strings named (a count, not a
     byte bound: a name's length is not capped, and the strings outlive the
@@ -359,7 +364,7 @@ class EvidenceGraphStore:
         self._curie_index: dict[str, str] = {}
         self._label_index: dict[str, dict[str, str]] = {}  # label -> {kind: key} in kind order
         self._relations: dict[RelationKey, StoredRelation] = {}
-        self._incident: dict[str, set[RelationKey]] = {}
+        self._incident: defaultdict[str, list[RelationKey]] = defaultdict(list)  # only grows
         self._context_edges: dict[str, int] = {}
         self._group_pairs: dict[str, tuple[str, str]] = {}  # group -> its pair; only grows
 
@@ -385,7 +390,8 @@ class EvidenceGraphStore:
         """
         if ref in self._entities:
             return ref
-        hit = self._curie_index.get(_curie(ref))
+        # every stored CURIE key holds a colon, so a ref without one is not probed
+        hit = ":" in ref and self._curie_index.get(_curie(ref))
         if hit:
             return hit
         try:
@@ -551,13 +557,14 @@ class EvidenceGraphStore:
                         crossed: set[str]) -> None:
         skey = self.resolve_key(relation.subject)
         okey = self.resolve_key(relation.object)
-        stored = None
+        stored = refusal = None
         if skey is None or okey is None:
             missing = relation.subject if skey is None else relation.object
             refusal = f"endpoint {missing!r} unknown"
         else:
             stored = self._relations.get((skey, relation.predicate, okey))
-            refusal = self._group_refusal(relation.conflict_group, stored, skey, okey)
+            if relation.conflict_group is not None:
+                refusal = self._group_refusal(relation.conflict_group, stored, skey, okey)
         if refusal:
             report.rejected += 1
             report.warnings.append(
@@ -582,15 +589,14 @@ class EvidenceGraphStore:
             crossed.add(skey)
         report.relations_added += 1
 
-    def _group_refusal(self, group: str | None, stored: StoredRelation | None,
+    def _group_refusal(self, group: str, stored: StoredRelation | None,
                        subject: str, object_: str) -> str | None:
         """Why a relation over (subject, object_) may not join `group`, or None.
 
         `stored` is the relation's stored record, if any. The rule is the
-        module's grouping rule; a group that is new is recorded here.
+        module's grouping rule; a group that is new is recorded here. A
+        relation that names no group is not checked.
         """
-        if group is None:
-            return None
         if stored is not None and stored.conflict_group not in (None, group):
             return f"it is in conflict group {stored.conflict_group!r}, not {group!r}"
         if self._group_pairs.setdefault(group, (subject, object_)) != (subject, object_):
@@ -606,8 +612,9 @@ class EvidenceGraphStore:
         """
         key = rel.key
         self._relations[key] = rel
-        self._incident.setdefault(rel.subject, set()).add(key)
-        self._incident.setdefault(rel.object, set()).add(key)
+        self._incident[rel.subject].append(key)
+        if rel.object != rel.subject:  # a self-loop is listed once
+            self._incident[rel.object].append(key)
         if rel.predicate not in CONTEXT_PREDICATES or self._entities[rel.subject].kind != "FINDING":
             return False
         n = self._context_edges[rel.subject] = self._context_edges.get(rel.subject, 0) + 1
@@ -647,7 +654,7 @@ class EvidenceGraphStore:
                 if not frontier:
                     break
                 reached |= frontier
-            # An induced relation is listed once, from its subject's incident set.
+            # An induced relation is listed once, from its subject's incident list.
             induced = [
                 triple for key in reached for triple in self._incident.get(key, ())
                 if triple[0] == key and triple[2] in reached
@@ -697,7 +704,7 @@ class EvidenceGraphStore:
         }
 
     def _members(self, group: str) -> list[RelationKey]:
-        """The relations in `group`, in triple order, read off its subject's incident set."""
+        """The relations in `group`, in triple order, read off its subject's incident list."""
         subject, object_ = self._group_pairs[group]
         return sorted(key for key in self._incident[subject]
                       if key[2] == object_ and self._relations[key].conflict_group == group)
@@ -747,7 +754,8 @@ class EvidenceGraphStore:
                         f"relation {rel.key} names unknown entity {endpoint!r}")
             if rel.key in store._relations:
                 raise MalformedSnapshot(f"relation {rel.key} appears twice")
-            refusal = store._group_refusal(rel.conflict_group, None, rel.subject, rel.object)
+            refusal = rel.conflict_group is not None and store._group_refusal(
+                rel.conflict_group, None, rel.subject, rel.object)
             if refusal:
                 raise MalformedSnapshot(f"relation {rel.key}: {refusal}")
             store._add_relation(rel)

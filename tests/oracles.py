@@ -8,11 +8,13 @@ per-pair shortest-path counting over all-sources BFS tables, SCCs by mutual
 reachability, neighborhoods by explicit level-by-level expansion, and
 evidence-store reads, name resolution, lint counts and conflict groups by full
 scans of every stored entity or relation.
-Three former library algorithms are kept whole as references for their
+Four former library algorithms are kept whole as references for their
 replacements, which must give the same results: KGML parsing over an
 ElementTree (`kgml_reference`), Brandes' betweenness with a predecessor
-list per node (`brandes_reference`), and a merge that counts its new
-entities and relations on every batch (`counted_upsert`).
+list per node (`brandes_reference`), a merge that counts its new
+entities and relations on every batch (`counted_upsert`), and label
+normalization that always strips outer punctuation by regex
+(`normalize_label_reference`).
 """
 from __future__ import annotations
 
@@ -253,6 +255,17 @@ def subgraph_oracle(store, seeds, depth: int) -> dict:
         "entities": {e.key: e for e in store.entities() if e.key in reached},
         "relations": [r for r in relations if r.subject in reached and r.object in reached],
     }
+
+
+def normalize_label_reference(raw: str) -> str:
+    """`normalize_label` as it was when every label went through the
+    outer-punctuation regex, whatever its first and last characters."""
+    if raw is None or not raw.strip():
+        raise EmptyLabel("label is blank after trimming")
+    key = re.sub(r"^[\W_]+|[\W_]+$", "", " ".join(raw.split()).casefold())
+    if not key:
+        raise EmptyLabel(f"label {raw!r} is only punctuation")
+    return key
 
 
 def resolve_oracle(store, ref: str) -> str | None:
