@@ -486,21 +486,41 @@ class EvidenceGraphStore:
         return count
 
     def _count_new_relations(self, batch: MergeBatch) -> int:
-        """The batch's distinct triples that are not stored, read before the merge.
+        """The batch's distinct triples that are not stored, each endpoint
+        resolved as the merge will resolve it.
 
-        An endpoint the store does not know stands for itself (its normalized
-        label, or the raw string), so a relation to an entity new in the batch
-        counts, and so does one that the merge will reject for an unknown
-        endpoint. The count is never more than the batch's relations. It is
-        not exact: it over-counts those rejections and two spellings of one
-        new entity, and under-counts when a new entity takes over a stored
-        label's name, so that two relations read as one triple here.
+        The batch's entities are laid over the store's indexes first, as the
+        merge will apply them, without touching the store, so an endpoint
+        named by a new entity, or by a new kind of a stored label, resolves
+        to the key the merge will find. An endpoint that resolves to nothing
+        stands for itself (its normalized label, or the raw string). The
+        count therefore never falls short of the relations the merge adds,
+        and it exceeds them only by relations the merge rejects: for an
+        unknown endpoint, or for their conflict group.
         """
+        keys, curies, labels = self._pending(batch.entities)
+        entities, curie_index, label_index = self._entities, self._curie_index, self._label_index
+
+        def resolve(ref: str) -> str:
+            if ref in entities or ref in keys:
+                return ref
+            if ":" in ref:
+                curie_key = _curie(ref)
+                hit = curie_index.get(curie_key) or curies.get(curie_key)
+                if hit:
+                    return hit
+            try:
+                label = _label(ref)
+            except EmptyLabel:
+                return ref
+            by_kind = labels.get(label) or label_index.get(label)
+            return next(iter(by_kind.values())) if by_kind else label
+
         count = 0
         seen: set[tuple[str, str, str]] = set()
         for relation in batch.relations:
-            skey = self._resolve_or_raw(relation.subject)
-            okey = self._resolve_or_raw(relation.object)
+            skey = resolve(relation.subject)
+            okey = resolve(relation.object)
             triple = (skey, relation.predicate, okey)
             if triple in self._relations or triple in seen:
                 continue
@@ -508,14 +528,40 @@ class EvidenceGraphStore:
             count += 1
         return count
 
-    def _resolve_or_raw(self, ref: str) -> str:
-        key = self.resolve_key(ref)
-        if key:
-            return key
-        try:
-            return _label(ref)
-        except EmptyLabel:
-            return ref
+    def _pending(self, entities: tuple[EntityRef, ...]
+                 ) -> tuple[set[str], dict[str, str], dict[str, dict[str, str]]]:
+        """What applying `entities` would change in the indexes, read without
+        touching the store: the new keys, the new CURIE index entries, and the
+        label index entries that gain a kind, as `_add_entity` will leave them."""
+        keys: set[str] = set()
+        curies: dict[str, str] = {}
+        labels: dict[str, dict[str, str]] = {}
+        curied: set[str] = set()  # keys that the batch gives a CURIE
+        stored, curie_index, label_index = self._entities, self._curie_index, self._label_index
+        for entity in entities:
+            curie_key = _curie(entity.curie) if entity.curie else None
+            if curie_key and (curie_key in curies or curie_index.get(curie_key)):
+                continue  # `_match` takes the CURIE first
+            try:
+                label = _label(entity.name)
+            except EmptyLabel:  # the merge refuses the batch before it counts
+                continue
+            by_kind = labels.get(label) or label_index.get(label)
+            key = by_kind.get(entity.kind) if by_kind else None
+            if key is None:
+                key = f"{entity.kind.lower()}/{label}" if curie_key is None else curie_key
+                keys.add(key)
+                if by_kind:  # the label gains a kind: its kinds in ENTITY_KIND_ORDER
+                    by_kind = {**by_kind, entity.kind: key}
+                    labels[label] = {k: by_kind[k] for k in ENTITY_KIND_ORDER if k in by_kind}
+                else:
+                    labels[label] = {entity.kind: key}
+            elif not curie_key or key in curied or key not in keys and stored[key].curie:
+                continue  # `_apply_entity` gives a CURIE only to a match that has none
+            if curie_key:
+                curies[curie_key] = key
+                curied.add(key)
+        return keys, curies, labels
 
     def _apply_entity(self, entity: EntityRef, report: MergeReport) -> None:
         existing_key = self._match(entity)

@@ -11,23 +11,24 @@ breadth-first search, `Topology.distances`, serves k-step, flux and surrogate
 reach and the pruning of path polarity, which walks the simple paths from a
 gene once for all its endpoints, with a path cap per endpoint; the pruned
 successor lists are cached per endpoint set, so a curator's calls for every
-candidate gene share them. The walk keeps stack frames only for nodes with
-three or more edges left, and scans the last two edges of each path in
-place, in nested loops over the pruned lists; most of the nodes a walk
-visits lie on those two levels. The loops take the successors in the order
-the frames would, so the paths are counted in the same order and each cap
-keeps the same prefix. Betweenness is Brandes' algorithm (J. Math.
-Sociol. 25(2), 2001): a BFS per source that counts shortest paths, then
-dependencies accumulated in reverse BFS order into each node's in-neighbours
-one level up, over tables allocated once per call and reset only where a BFS
-reached. SCCs are Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with an
-explicit stack in place of recursion.
+candidate gene share them, and a node that is too far from the endpoints for
+any successor to be kept at a level shares one empty sequence there. The
+walk keeps stack frames only for nodes with four or more edges left, and
+scans the last three edges of each path in place, in nested loops over the
+pruned lists; most of the nodes a walk visits lie on those three levels. The
+loops take the successors in the order the frames would, so the paths are
+counted in the same order and each cap keeps the same prefix. Betweenness is
+Brandes' algorithm (J. Math. Sociol. 25(2), 2001): a BFS per source that
+counts shortest paths, then dependencies accumulated in reverse BFS order
+into each node's in-neighbours one level up, over tables allocated once per
+call and reset only where a BFS reached. SCCs are Tarjan's algorithm (SIAM
+J. Comput. 1(2), 1972) with an explicit stack in place of recursion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 MAX_PATH_EDGES = 8
 MAX_PATHS_PER_PAIR = 10_000
@@ -77,7 +78,7 @@ class Topology:
             self._predecessors[target].append(source)
         for out in self._successors:
             out.sort()
-        self._withins: dict[frozenset[str], list[list[list[tuple[int, int]]]]] = {}
+        self._withins: dict[frozenset[str], list[list[Sequence[tuple[int, int]]]]] = {}
 
     @cached_property
     def betweenness(self) -> dict[str, float]:
@@ -124,12 +125,14 @@ class Topology:
         endpoint set exceeds the edges left: that distance ignores the
         simple-path rule, so it is a lower bound and no counted path is lost.
 
-        The walk pushes a frame for each node with three or more edges left.
-        A node with two edges left gets none: the walk scans those two edges
-        in place, counting each successor in order and then that successor's
-        own successors in order before it takes the next one. That is the
-        order in which frames would visit them, so the paths are counted in
-        the same lexicographic order and each cap keeps the same prefix.
+        The walk pushes a frame for each node with four or more edges left.
+        A node with three edges left gets none: the walk scans those three
+        edges in place, counting each successor in order and then, depth
+        first, that successor's own successors and theirs before it takes the
+        next one. That is the order in which frames would visit them, so the
+        paths are counted in the same lexicographic order and each cap keeps
+        the same prefix. The scan marks the successor whose subtree it is in
+        as on the path, so no path takes a node twice.
         """
         if gene not in self.nodes:
             raise NodeNotFound(f"gene {gene!r} not in pathway graph")
@@ -156,7 +159,7 @@ class Topology:
         path = [source]
         slack = MAX_PATH_EDGES - 1  # edges left after the next one
         stack = [iter(within[slack][source])]
-        near, last = within[1], within[0]
+        far, near, last = within[2], within[1], within[0]
         while stack:
             for nxt, sign in stack[-1]:
                 if product[nxt]:
@@ -173,41 +176,58 @@ class Topology:
                         live -= 1
                         if not live:
                             return PolarityResult(total / count, count, truncated=True)
-                if slack > 2:
+                if slack > 3:
                     product[nxt] = here = step
                     path.append(nxt)
                     slack -= 1
                     stack.append(iter(within[slack][nxt]))
                     break
-                # the two edges left after nxt, in the order their frames would take
+                # the three edges left after nxt, in the order their frames would take
                 product[nxt] = step
-                for mid, sign in near[nxt]:
-                    if product[mid]:
+                for top, sign in far[nxt]:
+                    if product[top]:
                         continue
-                    mid_step = step * sign
-                    times = listed[mid]
+                    top_step = step * sign
+                    times = listed[top]
                     if times:
-                        total += mid_step * times
+                        total += top_step * times
                         count += times
-                        found[mid] += 1
-                        if found[mid] >= max_paths:
-                            listed[mid] = 0
+                        found[top] += 1
+                        if found[top] >= max_paths:
+                            listed[top] = 0
                             truncated = True
                             live -= 1
                             if not live:
                                 return PolarityResult(total / count, count, truncated=True)
-                    for end, sign in last[mid]:
-                        times = listed[end]
-                        if times and not product[end]:
-                            total += mid_step * sign * times
+                    product[top] = top_step
+                    for mid, sign in near[top]:
+                        if product[mid]:
+                            continue
+                        mid_step = top_step * sign
+                        times = listed[mid]
+                        if times:
+                            total += mid_step * times
                             count += times
-                            found[end] += 1
-                            if found[end] >= max_paths:
-                                listed[end] = 0
+                            found[mid] += 1
+                            if found[mid] >= max_paths:
+                                listed[mid] = 0
                                 truncated = True
                                 live -= 1
                                 if not live:
                                     return PolarityResult(total / count, count, truncated=True)
+                        for end, sign in last[mid]:
+                            times = listed[end]
+                            if times and not product[end]:
+                                total += mid_step * sign * times
+                                count += times
+                                found[end] += 1
+                                if found[end] >= max_paths:
+                                    listed[end] = 0
+                                    truncated = True
+                                    live -= 1
+                                    if not live:
+                                        return PolarityResult(total / count, count, truncated=True)
+                    product[top] = 0
                 product[nxt] = 0
             else:
                 stack.pop()
@@ -246,23 +266,29 @@ class Topology:
             steps.update(dict.fromkeys(frontier, step))
         return {self._names[v]: n for v, n in steps.items()}
 
-    def _within(self, targets: frozenset[str]) -> list[list[list[tuple[int, int]]]]:
+    def _within(self, targets: frozenset[str]) -> list[list[Sequence[tuple[int, int]]]]:
         """`within[s][n]`: the successors of id `n`, other than `n` itself, at
-        most `s` edges from the nearest of `targets`, in successor order.
-        Cached per target set."""
+        most `s` edges from the nearest of `targets`, in successor order. A
+        node more than `s + 1` edges from the targets has none, and gets one
+        shared empty tuple. Cached per target set."""
         within = self._withins.get(targets)
         if within is None:
             # distances up to the longest a walk can use; farther ids are left out
             distance = [MAX_PATH_EDGES] * len(self._names)
             for name, steps in self.distances(targets, MAX_PATH_EDGES - 1, "upstream").items():
                 distance[self._ids[name]] = steps
-            # no simple path takes a self-loop, and the in-place scan of a
-            # walk's last edge does not check for one
-            level = [[e for e in out if e[0] != n] for n, out in enumerate(self._successors)]
-            # top level first: each level filters the (shorter) lists of the one above
-            within = []
-            for s in reversed(range(MAX_PATH_EDGES)):
-                level = [[e for e in out if distance[e[0]] <= s] if out else out for out in level]
+            # the top level drops self-loops: no simple path takes one, and the
+            # in-place scan of a walk's last edge does not check for one
+            top = MAX_PATH_EDGES - 1
+            level = [[e for e in out if distance[e[0]] <= top and e[0] != n] if out else ()
+                     for n, out in enumerate(self._successors)]
+            # each lower level filters the (shorter) lists of the one above; a
+            # node more than s + 1 edges away has no successor within s, so it
+            # gets the one shared empty sequence unfiltered
+            within = [level]
+            for s in reversed(range(top)):
+                level = [[e for e in out if distance[e[0]] <= s] if out and d <= s + 1 else ()
+                         for d, out in zip(distance, level)]
                 within.append(level)
             within.reverse()
             self._withins[targets] = within

@@ -255,12 +255,10 @@ def test_a_batch_longer_than_a_cap_is_counted_not_refused():
     assert (report.created, report.merged, report.relations_added, report.rejected) == (10, 3, 16, 0)
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="_count_new_relations resolves endpoints before the batch's "
-                          "entities are applied, so it under-counts here")
 def test_a_batch_whose_new_entity_takes_over_a_label_is_held_to_the_relation_cap():
-    """Before the merge "TNF" and "DOID:5" both resolve to the stored disease, so
-    the count reads one triple where the merge adds two: 16 of 17 new relations."""
+    """Before the merge "TNF" and "DOID:5" both resolve to the stored disease; after
+    the batch's gene is applied "TNF" resolves to the gene, so the merge would add
+    17 new relations, and the count must read them as 17."""
     store = EvidenceGraphStore()
     ys = [f"Y{i}" for i in range(8)]
     store.upsert_batch(MergeBatch(entities=(
@@ -270,8 +268,43 @@ def test_a_batch_whose_new_entity_takes_over_a_label_is_held_to_the_relation_cap
                  + tuple(rel("X", "BINDS", y) for y in ys)
                  + tuple(rel("Y0", "BINDS", y) for y in ys[1:]))
     assert len(relations) == MAX_NEW_RELATIONS_PER_BATCH + 1
-    with pytest.raises(BatchLimitExceeded):
+    with pytest.raises(BatchLimitExceeded, match="introduces 17 new relations"):
         store.upsert_batch(MergeBatch(entities=(gene("TNF"),), relations=relations))
+
+
+def _shared(name, kind, curie=None):
+    return EntityRef(name=name, kind=kind, curie=curie, source="s@1")
+
+
+_SHARED = st.builds(_shared, st.sampled_from(("TNF", "tnf.", "IL6")),
+                    st.sampled_from(("GENE_PROTEIN", "DISEASE_PHENOTYPE")),
+                    st.sampled_from((None, "X:1", "x:1", "X:2")))
+_REFS = st.sampled_from(("TNF", "IL6", "X:1", "x:2", "gene_protein/tnf", "ghost"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_SHARED, max_size=4), st.lists(_SHARED, max_size=4),
+       st.lists(st.tuples(_REFS, _REFS), min_size=1, max_size=8))
+# the batch's gene takes "TNF" over from the stored disease, which keeps "X:1"
+@example(stored=[_shared("TNF", "DISEASE_PHENOTYPE", "X:1"), _shared("IL6", "GENE_PROTEIN")],
+         batched=[_shared("TNF", "GENE_PROTEIN")], pairs=[("IL6", "X:1"), ("IL6", "TNF")])
+# the batch gives the stored gene its CURIE, so "X:1" and "TNF" name one node
+@example(stored=[_shared("TNF", "GENE_PROTEIN"), _shared("IL6", "GENE_PROTEIN")],
+         batched=[_shared("tnf.", "GENE_PROTEIN", "x:1")], pairs=[("IL6", "X:1"), ("IL6", "TNF")])
+def test_the_relation_count_resolves_endpoints_as_the_merge_does(stored, batched, pairs):
+    """Names shared across kinds and CURIEs in two spellings, so the batch's
+    entities can take over a stored label or give a stored entity its CURIE:
+    read before the merge, the count equals the relations the merge adds
+    whenever it rejects none, and is never less."""
+    store = EvidenceGraphStore()
+    store.upsert_batch(MergeBatch(entities=tuple(stored)))
+    batch = MergeBatch(entities=tuple(batched),
+                       relations=tuple(rel(s, "BINDS", o) for s, o in pairs))
+    counted = store._count_new_relations(batch)
+    report = store.upsert_batch(batch)
+    assert counted >= report.relations_added
+    if not report.rejected:
+        assert counted == report.relations_added
 
 
 def test_a_punctuation_only_name_refuses_a_batch_within_the_caps():
@@ -521,10 +554,13 @@ def test_a_merge_that_counts_past_a_cap_only_matches_one_that_always_counts(seed
             assert store._count_new_entities(batch.entities) <= len(batch.entities)
         except EmptyLabel:
             pass
-        assert store._count_new_relations(batch) <= len(batch.relations)
+        new_relations = store._count_new_relations(batch)
+        assert new_relations <= len(batch.relations)
         outcome = _outcome(EvidenceGraphStore.upsert_batch, store, batch)
         assert outcome == _outcome(counted_upsert, reference, batch)
         accepted = not isinstance(outcome, tuple)
+        # the count never falls short of what the merge adds
+        assert not accepted or new_relations >= outcome.relations_added
         sides["entities", len(batch.entities) > MAX_NEW_ENTITIES_PER_BATCH, accepted] += 1
         sides["relations", len(batch.relations) > MAX_NEW_RELATIONS_PER_BATCH, accepted] += 1
     assert exported(store) == exported(reference)

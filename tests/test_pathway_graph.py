@@ -20,6 +20,7 @@ from biokgr.pathways import (
 )
 from biokgr.pathways.analytics import (
     DIRECTIONS,
+    MAX_PATH_EDGES,
     MAX_PATHS_PER_PAIR,
     Topology,
     _brandes,
@@ -804,8 +805,9 @@ def test_one_walk_per_gene_equals_one_dfs_per_endpoint(case):
         assert ours == capped_polarity_reference(declared, edges, gene, endpoints, max_paths)
 
 
-# G0 -> G1 -> ... -> G5 reaches the two levels a walk scans in place: the
-# sixth edge, then the second-to-last and the final edge
+# G0 -> G1 -> ... -> G5 takes five of the eight edges, so a walk scans the
+# last three in place from G5: the sixth (third-to-last) edge, then the
+# second-to-last and the final edge
 CHAIN = [(f"G{i}", f"G{i + 1}", 1) for i in range(5)]
 
 
@@ -830,6 +832,67 @@ def test_caps_that_fire_on_the_last_two_edges(edges, expected):
     result = Topology(declared, edges).path_polarity("G0", ["E1", "E2"], max_paths=2)
     assert (result.value, result.path_count, result.truncated) == expected
     assert result == capped_polarity_reference(declared, edges, "G0", ["E1", "E2"], max_paths=2)
+
+
+@pytest.mark.parametrize("edges, expected", [
+    # E1 is counted on the fifth edge G4 -> E1 (+1) and again on the sixth,
+    # G5 -> E1 (-1), where its cap of two retires it, so G5 -> P -> E1 is
+    # not counted; E2 stays live and is counted on the final edge (-1)
+    (CHAIN + [("G4", "E1", 1), ("G5", "E1", -1), ("G5", "P", 1), ("P", "E1", 1),
+              ("P", "Q", -1), ("Q", "E2", 1)],
+     (-1 / 3, 3, True)),
+    # two parallel edges retire E2 on the first edge; E1 is counted on the
+    # fifth edge and retired on the sixth, the last live endpoint, so the
+    # walk returns before G5 -> P -> E1
+    (CHAIN + [("G0", "E2", -1), ("G0", "E2", 1), ("G4", "E1", 1), ("G5", "E1", 1),
+              ("G5", "P", 1), ("P", "E1", -1)],
+     (0.5, 4, True)),
+    # E2 is reached on the fifth edge and E1 on the sixth, from E2; the final
+    # edges M -> E1 (back to the sixth edge's node, a 2-cycle) and M -> E2
+    # (back to the fifth edge's node) would repeat a node, so neither counts
+    (CHAIN + [("G4", "E2", 1), ("E2", "E1", -1), ("E1", "M", 1), ("M", "E1", 1),
+              ("M", "E2", 1)],
+     (0.0, 2, False)),
+], ids=["retired-third-to-last-edge", "last-retired-on-third-to-last-edge",
+        "no-node-twice"])
+def test_caps_and_repeats_on_the_third_to_last_edge(edges, expected):
+    declared = sorted({name for src, dst, _sign in edges for name in (src, dst)})
+    result = Topology(declared, edges).path_polarity("G0", ["E1", "E2"], max_paths=2)
+    assert (result.value, result.path_count, result.truncated) == expected
+    assert result == capped_polarity_reference(declared, edges, "G0", ["E1", "E2"], max_paths=2)
+
+
+@st.composite
+def within_cases(draw):
+    """A chain of up to twelve nodes into a target, so some nodes lie farther
+    than a walk can use, plus random edges (self-loops, parallel edges) over
+    the chain and nodes that reach no target."""
+    chain = [f"C{i:02}" for i in range(draw(st.integers(0, 12)))] + ["T"]
+    names = chain + ["U", "V", "W"]
+    edges = [(src, dst, 1) for src, dst in zip(chain, chain[1:])]
+    edges += draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from(names), st.sampled_from((1, -1))),
+        max_size=20,
+    ))
+    targets = ["T"] + draw(st.lists(st.sampled_from(names), max_size=2))
+    return names, edges, targets
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(within_cases())
+def test_pruned_successors_match_their_definition(case):
+    """`within[s][n]` is the successors of n other than n, at most s edges from
+    the targets, in successor order."""
+    names, edges, targets = case
+    topology = Topology(names, edges)
+    within = topology._within(frozenset(targets))
+    distance = distance_oracle(edges, targets, len(names), "upstream")
+    assert len(within) == MAX_PATH_EDGES
+    for s, level in enumerate(within):
+        for node in topology._names:
+            expected = sorted((dst, sign) for src, dst, sign in edges
+                              if src == node and dst != node and distance.get(dst, s + 1) <= s)
+            assert [(topology._names[v], sign) for v, sign in level[topology._ids[node]]] == expected
 
 
 @settings(max_examples=300, deadline=None)
