@@ -151,6 +151,11 @@ _label = lru_cache(maxsize=_KEYS_CACHED)(normalize_label)
 _curie = lru_cache(maxsize=_KEYS_CACHED)(normalize_curie)
 
 
+def _new_key(kind: str, label: str, curie_key: str | None) -> str:
+    """The key a merge gives a new entity: its normalized CURIE, else `kind/label`."""
+    return f"{kind.lower()}/{label}" if curie_key is None else curie_key
+
+
 def name_is_valid(name: str) -> bool:
     """Short-label rule: at most 5 words or at most 40 characters."""
     return bool(name.strip()) and (len(name) <= MAX_NAME_CHARS or len(name.split()) <= MAX_NAME_WORDS)
@@ -263,6 +268,8 @@ class StoredEntity:
 
 
 RelationKey = tuple[str, str, str]  # (subject key, predicate, object key)
+# A batch's new keys, new CURIE index entries and label index entries that gain a kind
+_Pending = tuple[set[str], dict[str, str], dict[str, dict[str, str]]]
 
 
 @dataclass(slots=True)
@@ -341,11 +348,14 @@ class EvidenceGraphStore:
     Labels and CURIEs are normalized through two caches that every store
     shares, each holding the last _KEYS_CACHED strings named (a count, not a
     byte bound: a name's length is not capped, and the strings outlive the
-    store). A batch's new entities (or new relations) are counted against
-    their cap only when the batch holds more entities (or relations) than
-    the cap, since a count never exceeds the batch's length. A subgraph read
-    costs the sum of the degrees of the nodes it reaches, plus sorting what
-    it returns; it does not depend on the size of the store.
+    store). One simulation of a merge, `_pending`, serves both caps: it lays
+    a batch's entities over the indexes without touching them, which gives
+    the exact number of new entities and the keys that new relations are
+    counted by. It runs only for a batch with more entities or relations
+    than their cap, since neither count exceeds its batch's length. A
+    subgraph read costs the sum of the degrees of the nodes it reaches,
+    plus sorting what it returns; it does not depend on the size of the
+    store.
 
     Merges and every read that iterates the store (subgraph queries,
     listings, stats and snapshots) hold one re-entrant lock, so a
@@ -416,11 +426,12 @@ class EvidenceGraphStore:
 
         The whole batch is validated first, then every entity name is read
         unless its CURIE is already stored; a name that normalizes to nothing
-        raises EmptyLabel. A batch longer than the new-entity or new-relation
-        cap then has its new records counted, and one that trips a cap is
-        rejected; no refusal touches the store. Entities that match an
-        existing node (by CURIE, then by normalized label within kind) update
-        that node in place instead of creating a duplicate.
+        raises EmptyLabel. A batch longer than a cap is then laid over the
+        indexes once (`_pending`) to count its new entities (exactly) and its
+        new relations, and one that trips a cap is rejected; no refusal
+        touches the store. Entities that match an existing node (by CURIE,
+        then by normalized label within kind) update that node in place
+        instead of creating a duplicate.
         """
         with self._lock:
             for entity in batch.entities:
@@ -434,21 +445,18 @@ class EvidenceGraphStore:
                 # `_match`'s CURIE-first rule: a name is read unless its CURIE is stored
                 if not (entity.curie and self._curie_index.get(_curie(entity.curie))):
                     _label(entity.name)  # raises EmptyLabel before anything changes
-            # a count never exceeds its batch's length, so a batch within a cap skips it
-            if len(batch.entities) > MAX_NEW_ENTITIES_PER_BATCH:
-                new_entities = self._count_new_entities(batch.entities)
-                if new_entities > MAX_NEW_ENTITIES_PER_BATCH:
-                    raise BatchLimitExceeded(
-                        f"batch introduces {new_entities} new entities "
-                        f"(limit {MAX_NEW_ENTITIES_PER_BATCH})"
-                    )
-            if len(batch.relations) > MAX_NEW_RELATIONS_PER_BATCH:
-                new_relations = self._count_new_relations(batch)
-                if new_relations > MAX_NEW_RELATIONS_PER_BATCH:
-                    raise BatchLimitExceeded(
-                        f"batch introduces {new_relations} new relations "
-                        f"(limit {MAX_NEW_RELATIONS_PER_BATCH})"
-                    )
+            # neither count exceeds its batch's length, so a batch within both caps skips them
+            if (len(batch.entities) > MAX_NEW_ENTITIES_PER_BATCH
+                    or len(batch.relations) > MAX_NEW_RELATIONS_PER_BATCH):
+                pending = self._pending(batch.entities)
+                for records, count, cap in (
+                    ("entities", len(pending[0]), MAX_NEW_ENTITIES_PER_BATCH),
+                    ("relations", self._count_new_relations(batch.relations, pending),
+                     MAX_NEW_RELATIONS_PER_BATCH),
+                ):
+                    if count > cap:
+                        raise BatchLimitExceeded(
+                            f"batch introduces {count} new {records} (limit {cap})")
 
             report = MergeReport()
             crossed: set[str] = set()
@@ -467,30 +475,12 @@ class EvidenceGraphStore:
                 logger.warning(msg)
             return report
 
-    def _count_new_entities(self, entities: tuple[EntityRef, ...]) -> int:
-        seen: set[tuple[str, str]] = set()
-        curies: set[str] = set()
-        count = 0
-        for entity in entities:
-            if self._match(entity) is not None:
-                continue
-            label_key = (entity.kind, _label(entity.name))
-            curie_key = _curie(entity.curie) if entity.curie else None
-            # duplicates inside the batch collapse onto the first occurrence
-            if label_key in seen or (curie_key and curie_key in curies):
-                continue
-            seen.add(label_key)
-            if curie_key:
-                curies.add(curie_key)
-            count += 1
-        return count
-
-    def _count_new_relations(self, batch: MergeBatch) -> int:
-        """The batch's distinct triples that are not stored, each endpoint
+    def _count_new_relations(self, relations: tuple[RelationEdge, ...], pending: _Pending) -> int:
+        """The distinct triples of `relations` that are not stored, each endpoint
         resolved as the merge will resolve it.
 
-        The batch's entities are laid over the store's indexes first, as the
-        merge will apply them, without touching the store, so an endpoint
+        `pending` is what `_pending` gives for the batch's entities: they are
+        laid over the store's indexes as the merge will apply them, so an endpoint
         named by a new entity, or by a new kind of a stored label, resolves
         to the key the merge will find. An endpoint that resolves to nothing
         stands for itself (its normalized label, or the raw string). The
@@ -498,7 +488,7 @@ class EvidenceGraphStore:
         and it exceeds them only by relations the merge rejects: for an
         unknown endpoint, or for their conflict group.
         """
-        keys, curies, labels = self._pending(batch.entities)
+        keys, curies, labels = pending
         entities, curie_index, label_index = self._entities, self._curie_index, self._label_index
 
         def resolve(ref: str) -> str:
@@ -518,7 +508,7 @@ class EvidenceGraphStore:
 
         count = 0
         seen: set[tuple[str, str, str]] = set()
-        for relation in batch.relations:
+        for relation in relations:
             skey = resolve(relation.subject)
             okey = resolve(relation.object)
             triple = (skey, relation.predicate, okey)
@@ -528,11 +518,11 @@ class EvidenceGraphStore:
             count += 1
         return count
 
-    def _pending(self, entities: tuple[EntityRef, ...]
-                 ) -> tuple[set[str], dict[str, str], dict[str, dict[str, str]]]:
+    def _pending(self, entities: tuple[EntityRef, ...]) -> _Pending:
         """What applying `entities` would change in the indexes, read without
-        touching the store: the new keys, the new CURIE index entries, and the
-        label index entries that gain a kind, as `_add_entity` will leave them."""
+        touching the store: the new keys (one per entity the merge creates), the
+        new CURIE index entries, and the label index entries that gain a kind,
+        as `_add_entity` will leave them."""
         keys: set[str] = set()
         curies: dict[str, str] = {}
         labels: dict[str, dict[str, str]] = {}
@@ -549,7 +539,7 @@ class EvidenceGraphStore:
             by_kind = labels.get(label) or label_index.get(label)
             key = by_kind.get(entity.kind) if by_kind else None
             if key is None:
-                key = f"{entity.kind.lower()}/{label}" if curie_key is None else curie_key
+                key = _new_key(entity.kind, label, curie_key)
                 keys.add(key)
                 if by_kind:  # the label gains a kind: its kinds in ENTITY_KIND_ORDER
                     by_kind = {**by_kind, entity.kind: key}
@@ -577,7 +567,7 @@ class EvidenceGraphStore:
         label = _label(entity.name)
         curie_key = _curie(entity.curie) if entity.curie else None
         self._add_entity(StoredEntity(
-            key=f"{entity.kind.lower()}/{label}" if curie_key is None else curie_key,
+            key=_new_key(entity.kind, label, curie_key),
             name=entity.name,
             kind=entity.kind,
             curie=entity.curie,
@@ -767,9 +757,10 @@ class EvidenceGraphStore:
         (each record is checked in the pass that reads it), a relation or
         observation names an entity not stored, a relation breaks the grouping
         rule, an entity, relation or conflict group appears twice, two
-        entities' CURIEs normalize alike, or the conflict-group section does
-        not list each group named by a relation, with exactly the relations
-        that name it (in any order), and nothing else.
+        entities' CURIEs normalize alike, an entity's key is not one a merge
+        gives it (`kind/label` or its normalized CURIE), or the conflict-group
+        section does not list each group named by a relation, with exactly
+        the relations that name it (in any order), and nothing else.
         """
         store = cls()
         for values in _ENTITIES.records(doc):
@@ -785,9 +776,14 @@ class EvidenceGraphStore:
                 raise MalformedSnapshot(f"entity {stored.key!r} repeats the CURIE of entity "
                                         f"{store._curie_index[curie_key]!r}")
             try:
-                store._add_entity(stored, normalize_label(stored.name), curie_key)
+                label = normalize_label(stored.name)
             except EmptyLabel as exc:
                 raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
+            # a merge gives only these keys; under another, a new entity could overwrite it
+            if stored.key not in (_new_key(stored.kind, label, None), curie_key):
+                raise MalformedSnapshot(f"entity {stored.key!r} is keyed neither by its "
+                                        "kind and label nor by its CURIE")
+            store._add_entity(stored, label, curie_key)
         for values in _RELATIONS.records(doc):
             rel = StoredRelation(*values)
             try:

@@ -5,9 +5,10 @@ polarity by exhaustive simple-path enumeration via networkx, capped polarity
 by one depth-first search per endpoint (the library's former algorithm, which
 fixes what the path cap keeps), betweenness by
 per-pair shortest-path counting over all-sources BFS tables, SCCs by mutual
-reachability, neighborhoods by explicit level-by-level expansion, and
+reachability, neighborhoods by explicit level-by-level expansion,
 evidence-store reads, name resolution, lint counts and conflict groups by full
-scans of every stored entity or relation.
+scans of every stored entity or relation, and a batch's new entities by
+applying them one at a time to a copy of the store (`new_entities_oracle`).
 Four former library algorithms are kept whole as references for their
 replacements, which must give the same results: KGML parsing over an
 ElementTree (`kgml_reference`), Brandes' betweenness with a predecessor
@@ -32,7 +33,10 @@ from biokgr.evidence import (
     MAX_NEW_RELATIONS_PER_BATCH,
     BatchLimitExceeded,
     EmptyLabel,
+    EvidenceGraphStore,
+    MergeBatch,
     MergeReport,
+    _ENTITIES,
     normalize_curie,
     normalize_label,
 )
@@ -307,13 +311,28 @@ def grouping_oracle(store) -> dict[str, list[tuple[str, str, str]]]:
     return {gid: sorted(groups[gid]) for gid in sorted(groups)}
 
 
+def new_entities_oracle(store, entities) -> int:
+    """The entities a merge of `entities` creates: each applied alone, in order,
+    to a copy of `store` rebuilt through `from_document`, summing `created`.
+
+    Which entities a merge creates depends on the stored entities alone, so
+    the copy holds no relation or observation.
+    """
+    fields = _ENTITIES.shape.fields
+    copy = EvidenceGraphStore.from_document({
+        "entities": [{name: getattr(e, name) for name in fields} for e in store.entities()],
+        "relations": [], "observations": [], "conflict_groups": []})
+    return sum(copy.upsert_batch(MergeBatch(entities=(entity,))).created for entity in entities)
+
+
 def counted_upsert(store, batch) -> MergeReport:
     """`EvidenceGraphStore.upsert_batch` as it was when every batch was counted.
 
-    After validation, the new entities and the new relations are counted on
-    every batch, whatever its length; the entity count also refuses a label
-    that normalizes to nothing. The batch is then applied through the store's
-    own record steps. The context-lint warnings go to the report only.
+    After validation, and the refusal of a name that normalizes to nothing
+    unless its CURIE is stored, the new entities (by `new_entities_oracle`)
+    and the new relations are counted on every batch, whatever its length.
+    The batch is then applied through the store's own record steps. The
+    context-lint warnings go to the report only.
     """
     with store._lock:
         for entity in batch.entities:
@@ -322,14 +341,17 @@ def counted_upsert(store, batch) -> MergeReport:
             relation.validate()
         for obs in batch.observations:
             obs.validate()
+        for entity in batch.entities:
+            if not (entity.curie and store._curie_index.get(normalize_curie(entity.curie))):
+                normalize_label(entity.name)
 
-        new_entities = store._count_new_entities(batch.entities)
+        new_entities = new_entities_oracle(store, batch.entities)
         if new_entities > MAX_NEW_ENTITIES_PER_BATCH:
             raise BatchLimitExceeded(
                 f"batch introduces {new_entities} new entities "
                 f"(limit {MAX_NEW_ENTITIES_PER_BATCH})"
             )
-        new_relations = store._count_new_relations(batch)
+        new_relations = store._count_new_relations(batch.relations, store._pending(batch.entities))
         if new_relations > MAX_NEW_RELATIONS_PER_BATCH:
             raise BatchLimitExceeded(
                 f"batch introduces {new_relations} new relations "

@@ -944,7 +944,7 @@ _JSON = st.recursive(
     max_leaves=24)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None)
 @given(_JSON)
 def test_indented_json_is_the_stdlib_indented_text(value):
     assert biokgr.indented_json(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -878,7 +878,7 @@ def within_cases(draw):
     return names, edges, targets
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(within_cases())
 def test_pruned_successors_match_their_definition(case):
     """`within[s][n]` is the successors of n other than n, at most s edges from
