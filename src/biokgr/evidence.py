@@ -3,8 +3,9 @@
 The store is the agent's persistent record of what it has learned: biomedical
 entities keyed by canonical identifier, typed relations between them, short
 factual observations, and provenance for every node and edge. Writes happen in
-merge cycles (batches) that are validated up front and applied atomically;
-reads may run concurrently between merges.
+merge cycles (batches) that are validated up front and applied atomically: a
+batch's entities are applied before its caps are checked, and a refusal undoes
+them. Reads may run concurrently between merges.
 
 A conflict group keeps contradicting relations side by side. Its only record
 is each member's `conflict_group`, and one rule governs merges and snapshot
@@ -268,8 +269,6 @@ class StoredEntity:
 
 
 RelationKey = tuple[str, str, str]  # (subject key, predicate, object key)
-# A batch's new keys, new CURIE index entries and label index entries that gain a kind
-_Pending = tuple[set[str], dict[str, str], dict[str, dict[str, str]]]
 
 
 @dataclass(slots=True)
@@ -348,19 +347,19 @@ class EvidenceGraphStore:
     Labels and CURIEs are normalized through two caches that every store
     shares, each holding the last _KEYS_CACHED strings named (a count, not a
     byte bound: a name's length is not capped, and the strings outlive the
-    store). One simulation of a merge, `_pending`, serves both caps: it lays
-    a batch's entities over the indexes without touching them, which gives
-    the exact number of new entities and the keys that new relations are
-    counted by. It runs only for a batch with more entities or relations
-    than their cap, since neither count exceeds its batch's length. A
-    subgraph read costs the sum of the degrees of the nodes it reaches,
-    plus sorting what it returns; it does not depend on the size of the
-    store.
+    store). A merge has one write path: a batch's entities are applied,
+    and the caps are checked against what they did. Only a batch longer
+    than a cap can be refused, so only such a batch logs its entity
+    changes, and a refusal undoes them. A subgraph read costs the sum of
+    the degrees of the nodes it reaches, plus sorting what it returns; it
+    does not depend on the size of the store.
 
     Merges and every read that iterates the store (subgraph queries,
     listings, stats and snapshots) hold one re-entrant lock, so a
-    read never sees a half-applied batch or an index set that a merge is
-    changing. Single-key lookups (`get`, `resolve_key`) take no lock.
+    read never sees a half-applied batch, an entity of a refused batch, or
+    an index set that a merge is changing. Single-key lookups (`get`,
+    `resolve_key`) take no lock, so one may briefly see an entity of a
+    batch that is then refused and undone.
 
     A finding is warned about once in the store's lifetime: in the merge whose
     new relations take its contextual edges past
@@ -425,13 +424,14 @@ class EvidenceGraphStore:
         """Apply one merge cycle atomically.
 
         The whole batch is validated first, then every entity name is read
-        unless its CURIE is already stored; a name that normalizes to nothing
-        raises EmptyLabel. A batch longer than a cap is then laid over the
-        indexes once (`_pending`) to count its new entities (exactly) and its
-        new relations, and one that trips a cap is rejected; no refusal
-        touches the store. Entities that match an existing node (by CURIE,
-        then by normalized label within kind) update that node in place
-        instead of creating a duplicate.
+        unless its CURIE was stored before the batch; a name that normalizes
+        to nothing raises EmptyLabel before anything changes. The entities
+        are then applied in order: one that matches a stored node (by CURIE,
+        then by normalized label within kind) updates that node in place
+        instead of creating a duplicate. A batch that creates more entities,
+        or would add more relations, than a cap allows has its entity
+        changes undone and raises BatchLimitExceeded; relations and
+        observations are applied only after both caps pass.
         """
         with self._lock:
             for entity in batch.entities:
@@ -445,23 +445,18 @@ class EvidenceGraphStore:
                 # `_match`'s CURIE-first rule: a name is read unless its CURIE is stored
                 if not (entity.curie and self._curie_index.get(_curie(entity.curie))):
                     _label(entity.name)  # raises EmptyLabel before anything changes
-            # neither count exceeds its batch's length, so a batch within both caps skips them
-            if (len(batch.entities) > MAX_NEW_ENTITIES_PER_BATCH
-                    or len(batch.relations) > MAX_NEW_RELATIONS_PER_BATCH):
-                pending = self._pending(batch.entities)
-                for records, count, cap in (
-                    ("entities", len(pending[0]), MAX_NEW_ENTITIES_PER_BATCH),
-                    ("relations", self._count_new_relations(batch.relations, pending),
-                     MAX_NEW_RELATIONS_PER_BATCH),
-                ):
-                    if count > cap:
-                        raise BatchLimitExceeded(
-                            f"batch introduces {count} new {records} (limit {cap})")
-
             report = MergeReport()
-            crossed: set[str] = set()
+            # neither count exceeds its batch's length, so a batch within both caps keeps no log
+            undo = [] if (len(batch.entities) > MAX_NEW_ENTITIES_PER_BATCH
+                          or len(batch.relations) > MAX_NEW_RELATIONS_PER_BATCH) else None
             for entity in batch.entities:
-                self._apply_entity(entity, report)
+                self._apply_entity(entity, report, undo)
+            refusal = undo is not None and self._cap_refusal(report.created, batch.relations)
+            if refusal:
+                self._undo(undo)
+                raise BatchLimitExceeded(refusal)
+
+            crossed: set[str] = set()
             for relation in batch.relations:
                 self._apply_relation(relation, report, crossed)
             for obs in batch.observations:
@@ -475,105 +470,95 @@ class EvidenceGraphStore:
                 logger.warning(msg)
             return report
 
-    def _count_new_relations(self, relations: tuple[RelationEdge, ...], pending: _Pending) -> int:
+    def _cap_refusal(self, created: int, relations: tuple[RelationEdge, ...]) -> str | None:
+        """Why a batch whose entities created `created` entities is refused, or None."""
+        if created > MAX_NEW_ENTITIES_PER_BATCH:
+            return f"batch introduces {created} new entities (limit {MAX_NEW_ENTITIES_PER_BATCH})"
+        if len(relations) > MAX_NEW_RELATIONS_PER_BATCH:
+            count = self._count_new_relations(relations)
+            if count > MAX_NEW_RELATIONS_PER_BATCH:
+                return f"batch introduces {count} new relations (limit {MAX_NEW_RELATIONS_PER_BATCH})"
+        return None
+
+    def _count_new_relations(self, relations: tuple[RelationEdge, ...]) -> int:
         """The distinct triples of `relations` that are not stored, each endpoint
         resolved as the merge will resolve it.
 
-        `pending` is what `_pending` gives for the batch's entities: they are
-        laid over the store's indexes as the merge will apply them, so an endpoint
-        named by a new entity, or by a new kind of a stored label, resolves
-        to the key the merge will find. An endpoint that resolves to nothing
+        It runs after the batch's entities are applied, so `resolve_key` finds
+        the keys the merge will find. An endpoint that resolves to nothing
         stands for itself (its normalized label, or the raw string). The
         count therefore never falls short of the relations the merge adds,
         and it exceeds them only by relations the merge rejects: for an
         unknown endpoint, or for their conflict group.
         """
-        keys, curies, labels = pending
-        entities, curie_index, label_index = self._entities, self._curie_index, self._label_index
-
         def resolve(ref: str) -> str:
-            if ref in entities or ref in keys:
-                return ref
-            if ":" in ref:
-                curie_key = _curie(ref)
-                hit = curie_index.get(curie_key) or curies.get(curie_key)
-                if hit:
-                    return hit
+            key = self.resolve_key(ref)
+            if key is not None:
+                return key
             try:
-                label = _label(ref)
+                return _label(ref)
             except EmptyLabel:
                 return ref
-            by_kind = labels.get(label) or label_index.get(label)
-            return next(iter(by_kind.values())) if by_kind else label
 
         count = 0
-        seen: set[tuple[str, str, str]] = set()
+        seen: set[RelationKey] = set()
         for relation in relations:
-            skey = resolve(relation.subject)
-            okey = resolve(relation.object)
-            triple = (skey, relation.predicate, okey)
+            triple = (resolve(relation.subject), relation.predicate, resolve(relation.object))
             if triple in self._relations or triple in seen:
                 continue
             seen.add(triple)
             count += 1
         return count
 
-    def _pending(self, entities: tuple[EntityRef, ...]) -> _Pending:
-        """What applying `entities` would change in the indexes, read without
-        touching the store: the new keys (one per entity the merge creates), the
-        new CURIE index entries, and the label index entries that gain a kind,
-        as `_add_entity` will leave them."""
-        keys: set[str] = set()
-        curies: dict[str, str] = {}
-        labels: dict[str, dict[str, str]] = {}
-        curied: set[str] = set()  # keys that the batch gives a CURIE
-        stored, curie_index, label_index = self._entities, self._curie_index, self._label_index
-        for entity in entities:
-            curie_key = _curie(entity.curie) if entity.curie else None
-            if curie_key and (curie_key in curies or curie_index.get(curie_key)):
-                continue  # `_match` takes the CURIE first
-            try:
-                label = _label(entity.name)
-            except EmptyLabel:  # the merge refuses the batch before it counts
-                continue
-            by_kind = labels.get(label) or label_index.get(label)
-            key = by_kind.get(entity.kind) if by_kind else None
-            if key is None:
-                key = _new_key(entity.kind, label, curie_key)
-                keys.add(key)
-                if by_kind:  # the label gains a kind: its kinds in ENTITY_KIND_ORDER
-                    by_kind = {**by_kind, entity.kind: key}
-                    labels[label] = {k: by_kind[k] for k in ENTITY_KIND_ORDER if k in by_kind}
-                else:
-                    labels[label] = {entity.kind: key}
-            elif not curie_key or key in curied or key not in keys and stored[key].curie:
-                continue  # `_apply_entity` gives a CURIE only to a match that has none
-            if curie_key:
-                curies[curie_key] = key
-                curied.add(key)
-        return keys, curies, labels
-
-    def _apply_entity(self, entity: EntityRef, report: MergeReport) -> None:
+    def _apply_entity(self, entity: EntityRef, report: MergeReport, undo: list | None) -> None:
+        """Merge `entity` into its match, or store it as new; `undo`, when given,
+        logs each change as `(key, curie_key, label)` for `_undo`."""
         existing_key = self._match(entity)
         if existing_key is not None:
             stored = self._entities[existing_key]
             if entity.curie and not stored.curie:
                 stored.curie = entity.curie
-                self._curie_index[_curie(entity.curie)] = existing_key
+                curie_key = _curie(entity.curie)
+                self._curie_index[curie_key] = existing_key
+                if undo is not None:
+                    undo.append((existing_key, curie_key, None))
             if entity.source not in stored.sources:
                 stored.sources.append(entity.source)
+                if undo is not None:
+                    undo.append((existing_key, None, None))
             report.merged += 1
             return
         label = _label(entity.name)
         curie_key = _curie(entity.curie) if entity.curie else None
+        key = _new_key(entity.kind, label, curie_key)
         self._add_entity(StoredEntity(
-            key=_new_key(entity.kind, label, curie_key),
+            key=key,
             name=entity.name,
             kind=entity.kind,
             curie=entity.curie,
             sources=[entity.source],
         ), label, curie_key)
+        if undo is not None:
+            undo.append((key, curie_key, label))
         report.created += 1
+
+    def _undo(self, undo: list) -> None:
+        """Reverse the changes `_apply_entity` logged, latest first; a label
+        keeps its other kinds, in their order."""
+        for key, curie_key, label in reversed(undo):
+            if label is not None:  # a new entity
+                stored = self._entities.pop(key)
+                by_kind = self._label_index[label]
+                del by_kind[stored.kind]
+                if not by_kind:
+                    del self._label_index[label]
+                if curie_key is not None:
+                    del self._curie_index[curie_key]
+            elif curie_key is not None:  # a CURIE given to a stored entity
+                self._entities[key].curie = None
+                del self._curie_index[curie_key]
+            else:  # a source appended
+                self._entities[key].sources.pop()
 
     def _add_entity(self, stored: StoredEntity, label: str, curie_key: str | None) -> None:
         """Store and index an entity under its normalized label and CURIE.
@@ -756,9 +741,10 @@ class EvidenceGraphStore:
         missing or ill-typed, a record breaks a record rule that merges apply
         (each record is checked in the pass that reads it), a relation or
         observation names an entity not stored, a relation breaks the grouping
-        rule, an entity, relation or conflict group appears twice, two
-        entities' CURIEs normalize alike, an entity's key is not one a merge
-        gives it (`kind/label` or its normalized CURIE), or the conflict-group
+        rule, a relation or conflict group appears twice, two entities'
+        CURIEs normalize alike, two entities of one kind have names that
+        normalize alike, an entity's key is not one a merge gives it
+        (`kind/label` or its normalized CURIE), or the conflict-group
         section does not list each group named by a relation, with exactly
         the relations that name it (in any order), and nothing else.
         """
@@ -769,8 +755,6 @@ class EvidenceGraphStore:
                 EntityRef.validate(stored)
             except InvalidName as exc:
                 raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
-            if stored.key in store._entities:
-                raise MalformedSnapshot(f"entity {stored.key!r} appears twice")
             curie_key = normalize_curie(stored.curie) if stored.curie else None
             if curie_key in store._curie_index:
                 raise MalformedSnapshot(f"entity {stored.key!r} repeats the CURIE of entity "
@@ -779,6 +763,12 @@ class EvidenceGraphStore:
                 label = normalize_label(stored.name)
             except EmptyLabel as exc:
                 raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
+            # `_match` finds an entity by its CURIE, then by its kind and label, so no merge
+            # stores two entities that share either; nor, with the key check below, one key twice
+            same = store._label_index.get(label, {}).get(stored.kind)
+            if same is not None:
+                raise MalformedSnapshot(f"entity {stored.key!r} repeats the kind and label of "
+                                        f"entity {same!r}")
             # a merge gives only these keys; under another, a new entity could overwrite it
             if stored.key not in (_new_key(stored.kind, label, None), curie_key):
                 raise MalformedSnapshot(f"entity {stored.key!r} is keyed neither by its "

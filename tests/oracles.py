@@ -7,8 +7,9 @@ fixes what the path cap keeps), betweenness by
 per-pair shortest-path counting over all-sources BFS tables, SCCs by mutual
 reachability, neighborhoods by explicit level-by-level expansion,
 evidence-store reads, name resolution, lint counts and conflict groups by full
-scans of every stored entity or relation, and a batch's new entities by
-applying them one at a time to a copy of the store (`new_entities_oracle`).
+scans of every stored entity or relation, and a batch's new entities and
+relations by applying its entities one at a time to a copy of the store
+(`new_entities_oracle`, `new_relations_oracle`).
 Four former library algorithms are kept whole as references for their
 replacements, which must give the same results: KGML parsing over an
 ElementTree (`kgml_reference`), Brandes' betweenness with a predecessor
@@ -311,28 +312,57 @@ def grouping_oracle(store) -> dict[str, list[tuple[str, str, str]]]:
     return {gid: sorted(groups[gid]) for gid in sorted(groups)}
 
 
-def new_entities_oracle(store, entities) -> int:
-    """The entities a merge of `entities` creates: each applied alone, in order,
-    to a copy of `store` rebuilt through `from_document`, summing `created`.
+def _entities_applied(store, entities):
+    """A copy of `store`'s entities, rebuilt through `from_document`, with
+    `entities` applied to it one at a time, and the `created` each reports.
 
-    Which entities a merge creates depends on the stored entities alone, so
-    the copy holds no relation or observation.
+    Which entities a merge creates, and which key a name resolves to,
+    depend on the stored entities alone, so the copy holds no relation or
+    observation.
     """
     fields = _ENTITIES.shape.fields
     copy = EvidenceGraphStore.from_document({
         "entities": [{name: getattr(e, name) for name in fields} for e in store.entities()],
         "relations": [], "observations": [], "conflict_groups": []})
-    return sum(copy.upsert_batch(MergeBatch(entities=(entity,))).created for entity in entities)
+    return copy, [copy.upsert_batch(MergeBatch(entities=(entity,))).created for entity in entities]
 
 
-def counted_upsert(store, batch) -> MergeReport:
+def new_entities_oracle(store, entities) -> int:
+    """The entities a merge of `entities` creates: each applied alone, in order,
+    to a copy of `store`, summing `created`."""
+    return sum(_entities_applied(store, entities)[1])
+
+
+def new_relations_oracle(store, batch) -> int:
+    """The relations of `batch` that are new to `store`: its entities applied
+    one at a time to a copy of `store`, then the distinct triples not stored,
+    each endpoint resolved in the copy by `resolve_oracle`. An endpoint that
+    resolves to nothing stands for its normalized label, or for itself."""
+    copy, _created = _entities_applied(store, batch.entities)
+
+    def resolve(ref):
+        key = resolve_oracle(copy, ref)
+        if key is None:
+            try:
+                key = normalize_label(ref)
+            except EmptyLabel:
+                key = ref
+        return key
+
+    triples = {(resolve(r.subject), r.predicate, resolve(r.object)) for r in batch.relations}
+    return len(triples - {r.key for r in store.relations()})
+
+
+def counted_upsert(store, batch, counts: dict | None = None) -> MergeReport:
     """`EvidenceGraphStore.upsert_batch` as it was when every batch was counted.
 
     After validation, and the refusal of a name that normalizes to nothing
     unless its CURIE is stored, the new entities (by `new_entities_oracle`)
-    and the new relations are counted on every batch, whatever its length.
-    The batch is then applied through the store's own record steps. The
-    context-lint warnings go to the report only.
+    and the new relations (by `new_relations_oracle`) are counted on every
+    batch, whatever its length, before the store is touched; `counts`, when
+    given, receives them under "entities" and "relations". The batch is then
+    applied through the store's own record steps. The context-lint warnings
+    go to the report only.
     """
     with store._lock:
         for entity in batch.entities:
@@ -345,23 +375,19 @@ def counted_upsert(store, batch) -> MergeReport:
             if not (entity.curie and store._curie_index.get(normalize_curie(entity.curie))):
                 normalize_label(entity.name)
 
-        new_entities = new_entities_oracle(store, batch.entities)
-        if new_entities > MAX_NEW_ENTITIES_PER_BATCH:
-            raise BatchLimitExceeded(
-                f"batch introduces {new_entities} new entities "
-                f"(limit {MAX_NEW_ENTITIES_PER_BATCH})"
-            )
-        new_relations = store._count_new_relations(batch.relations, store._pending(batch.entities))
-        if new_relations > MAX_NEW_RELATIONS_PER_BATCH:
-            raise BatchLimitExceeded(
-                f"batch introduces {new_relations} new relations "
-                f"(limit {MAX_NEW_RELATIONS_PER_BATCH})"
-            )
+        counts = {} if counts is None else counts
+        counts.update(entities=new_entities_oracle(store, batch.entities),
+                      relations=new_relations_oracle(store, batch))
+        for records, cap in (("entities", MAX_NEW_ENTITIES_PER_BATCH),
+                             ("relations", MAX_NEW_RELATIONS_PER_BATCH)):
+            if counts[records] > cap:
+                raise BatchLimitExceeded(
+                    f"batch introduces {counts[records]} new {records} (limit {cap})")
 
         report = MergeReport()
         crossed: set[str] = set()
         for entity in batch.entities:
-            store._apply_entity(entity, report)
+            store._apply_entity(entity, report, None)
         for relation in batch.relations:
             store._apply_relation(relation, report, crossed)
         for obs in batch.observations:

@@ -1,6 +1,7 @@
 """Evidence-graph store: normalization, merge cycles, dedup, conflicts, export."""
 import collections
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -51,6 +52,7 @@ from oracles import (
     findings_over_context_cap_oracle,
     grouping_oracle,
     new_entities_oracle,
+    new_relations_oracle,
     normalize_label_reference,
     resolve_oracle,
     subgraph_oracle,
@@ -273,8 +275,8 @@ def test_a_batch_whose_new_entity_takes_over_a_label_is_held_to_the_relation_cap
         store.upsert_batch(MergeBatch(entities=(gene("TNF"),), relations=relations))
 
 
-def _shared(name, kind, curie=None):
-    return EntityRef(name=name, kind=kind, curie=curie, source="s@1")
+def _shared(name, kind, curie=None, source="s@1"):
+    return EntityRef(name=name, kind=kind, curie=curie, source=source)
 
 
 _SHARED = st.builds(_shared, st.sampled_from(("TNF", "tnf.", "IL6")),
@@ -301,7 +303,7 @@ def test_the_relation_count_resolves_endpoints_as_the_merge_does(stored, batched
     store.upsert_batch(MergeBatch(entities=tuple(stored)))
     batch = MergeBatch(entities=tuple(batched),
                        relations=tuple(rel(s, "BINDS", o) for s, o in pairs))
-    counted = store._count_new_relations(batch.relations, store._pending(batch.entities))
+    counted = new_relations_oracle(store, batch)
     report = store.upsert_batch(batch)
     assert counted >= report.relations_added
     if not report.rejected:
@@ -580,15 +582,15 @@ def test_a_merge_that_counts_past_a_cap_only_matches_one_that_always_counts(seed
     store, reference = EvidenceGraphStore(), EvidenceGraphStore()
     sides = collections.Counter()
     for batch in pinned_merge_stream(seed):
-        pending = store._pending(batch.entities)
-        assert len(pending[0]) <= len(batch.entities)
-        new_relations = store._count_new_relations(batch.relations, pending)
-        assert new_relations <= len(batch.relations)
+        counts = {}  # the oracles' counts, unless a name is refused before counting
         outcome = _outcome(EvidenceGraphStore.upsert_batch, store, batch)
-        assert outcome == _outcome(counted_upsert, reference, batch)
+        assert outcome == _outcome(functools.partial(counted_upsert, counts=counts), reference,
+                                   batch)
+        assert counts.get("entities", 0) <= len(batch.entities)
+        assert counts.get("relations", 0) <= len(batch.relations)
         accepted = not isinstance(outcome, tuple)
         # the count never falls short of what the merge adds
-        assert not accepted or new_relations >= outcome.relations_added
+        assert not accepted or counts["relations"] >= outcome.relations_added
         sides["entities", len(batch.entities) > MAX_NEW_ENTITIES_PER_BATCH, accepted] += 1
         sides["relations", len(batch.relations) > MAX_NEW_RELATIONS_PER_BATCH, accepted] += 1
     assert exported(store) == exported(reference)
@@ -603,13 +605,13 @@ def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
     normalized once, a string without a colon never reaches the CURIE cache, the
     store keeps nothing of it, and neither cache grows past _KEYS_CACHED."""
     counts = collections.Counter()
-    pending = EvidenceGraphStore._pending
+    count_new_relations = EvidenceGraphStore._count_new_relations
 
-    def spied(self, entities):
-        counts["_pending"] += 1
-        return pending(self, entities)
+    def spied(self, relations):
+        counts["_count_new_relations"] += 1
+        return count_new_relations(self, relations)
 
-    monkeypatch.setattr(EvidenceGraphStore, "_pending", spied)
+    monkeypatch.setattr(EvidenceGraphStore, "_count_new_relations", spied)
     caches = (evidence._label, evidence._curie)
 
     store = EvidenceGraphStore()
@@ -638,9 +640,9 @@ def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
     assert (label_info.currsize, curie_info.currsize) == (len(labels), len(curies))
     # "--" normalizes to nothing and is read as a label each of the 3 times it is named
     assert (label_info.misses, curie_info.misses) == (len(labels) + 3, len(curies))
-    assert not counts  # a batch within both caps is not laid over the indexes
+    assert not counts  # a batch within both caps counts nothing
 
-    # past both caps: one simulation counts the entities and the relations
+    # past both caps: the entity cap trips first, so the relations are not counted
     too_many = MergeBatch(
         entities=tuple(gene(f"G{i}") for i in range(11)) + (gene("TNF"),) * 3,
         relations=tuple(rel(f"G{i}", "BINDS", "TNF") for i in range(11))
@@ -650,7 +652,7 @@ def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
     with pytest.raises(BatchLimitExceeded, match="introduces 11 new entities"):
         store.upsert_batch(too_many)
     assert evidence._label.cache_info().misses == 12  # G0…G10 and TNF, each once
-    assert counts == {"_pending": 1}
+    assert not counts
 
     counts.clear()
     for cache in caches:
@@ -658,7 +660,7 @@ def test_a_batch_normalizes_each_string_once_and_keeps_nothing(monkeypatch):
     report = store.upsert_batch(MergeBatch(relations=(rel("TNF", "ACTIVATES", "il6"),) * 17))
     assert report.relations_added == 0
     assert [cache.cache_info().misses for cache in caches] == [2, 0]  # "TNF" and "il6", as labels only
-    assert counts == {"_pending": 1}
+    assert counts == {"_count_new_relations": 1}
 
     named = 0
     while named <= evidence._KEYS_CACHED:
@@ -1190,6 +1192,9 @@ MALFORMED = {
     "unknown kind": _edit(["entities", 0, "kind"], "ORGANISM"),
     "duplicate entity": lambda doc: {**doc, "entities": doc["entities"] * 2},
     "duplicate CURIE": _edit(["entities", 0, "curie"], "hgnc:11892"),
+    "duplicate kind and label": lambda doc: {**doc, "entities": doc["entities"] + [
+        {"key": "gene_protein/tnf", "name": "tnf.", "kind": "GENE_PROTEIN", "curie": None,
+         "sources": []}]},
     "key neither kind/label nor CURIE": lambda doc: json.loads(
         json.dumps(doc).replace('"gene_protein/il6"', '"hgnc:1"')),  # renamed wherever named
     "unknown predicate": _edit(["relations", 0, "predicate"], "BLOCKS"),
@@ -1267,6 +1272,31 @@ def test_import_refuses_a_key_that_a_merge_could_give_a_new_entity():
     report = store.upsert_batch(MergeBatch(entities=(gene("Y", curie="hgnc:1"),)))
     assert (report.created, report.merged, len(store)) == (0, 1, 2)
     assert store.get("Y") is None and store.get("hgnc:1").name == "X"
+
+
+def _entity(key, name, kind="GENE_PROTEIN", curie=None):
+    return {"key": key, "name": name, "kind": kind, "curie": curie, "sources": []}
+
+
+@pytest.mark.parametrize("first, second", [
+    (_entity("gene_protein/tnf", "TNF"), _entity("hgnc:1", "tnf.", curie="HGNC:1")),
+    (_entity("hgnc:1", "tnf.", curie="HGNC:1"), _entity("gene_protein/tnf", "TNF")),
+    (_entity("gene_protein/tnf", "TNF"), _entity("gene_protein/tnf", "TNF")),
+], ids=["label key first", "CURIE key first", "one key twice"])
+def test_import_refuses_two_entities_of_one_kind_whose_names_normalize_alike(first, second):
+    """A merge of the second name would match the first entity, so no merge
+    stores both, and the label could reach only one of them."""
+    doc = {"entities": [first, second], "relations": [], "observations": [],
+           "conflict_groups": []}
+    with pytest.raises(MalformedSnapshot, match=rf"^entity {second['key']!r} repeats the kind "
+                                                rf"and label of entity {first['key']!r}$"):
+        EvidenceGraphStore.from_document(doc)
+    # under another kind the label is shared, as a merge shares it
+    second["kind"] = "DISEASE_PHENOTYPE"
+    if second["curie"] is None:
+        second["key"] = "disease_phenotype/tnf"
+    store = EvidenceGraphStore.from_document(doc)
+    assert (len(store), store.resolve_key("Tnf")) == (2, first["key"])
 
 
 def test_snapshot_doc_is_valid():
@@ -1410,21 +1440,62 @@ def test_dedup_invariants_hold_over_upsert_sequences(batches):
             seen_pmids[pmid] = entity.key
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_rejected_batch_leaves_store_untouched(seed):
-    import random as _random
+# Names shared across kinds, CURIEs in two spellings and two sources, so that a
+# batch's entities create entities, give a label another kind, give stored or
+# new entities a CURIE and append sources before its refusal.
+_TRACE_REFS = ("TNF", "tnf.", "IL6", "il6.", "STAT3")
+_TRACE = st.builds(_shared, st.sampled_from(_TRACE_REFS),
+                   st.sampled_from(("GENE_PROTEIN", "DISEASE_PHENOTYPE")),
+                   st.sampled_from((None, "X:1", "x:1", "X:2")), st.sampled_from(("s@1", "s@2")))
 
-    rng = _random.Random(seed)
+
+def _seen(store, refs):
+    """What a refused batch must leave as it found it."""
+    return exported(store), store.stats(), {ref: store.resolve_key(ref) for ref in refs}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TRACE, max_size=4), st.lists(_TRACE, max_size=6),
+       st.lists(st.tuples(st.sampled_from(_TRACE_REFS + ("X:1", "x:2", "ghost")),
+                          st.sampled_from(_TRACE_REFS)), max_size=4),
+       st.sampled_from(("entities", "relations", "empty label")))
+# before the entity cap trips: a source appended to IL6, then a CURIE given to it;
+# TNF gains a kind ahead of the stored one; STAT3 is new, then given a CURIE
+@example(stored=[_shared("TNF", "DISEASE_PHENOTYPE"), gene("IL6", source="s@1")],
+         batched=[gene("IL6", source="s@2"), gene("il6.", curie="X:1", source="s@1"),
+                  gene("TNF"), gene("STAT3"), gene("stat3", curie="x:2")],
+         pairs=[("X:1", "TNF")], refusal="entities")
+def test_a_refused_batch_leaves_no_trace(stored, batched, pairs, refusal):
+    """A batch past a cap, or with a name that normalizes to nothing, is refused
+    after or before its entities change the store; either way the snapshot, the
+    stats and what each name in the batch resolves to are as they were."""
     store = EvidenceGraphStore()
-    store.upsert_batch(
-        MergeBatch(entities=tuple(gene(f"G{i}") for i in range(rng.randint(1, 5))))
-    )
-    before = exported(store)
-    overflow = tuple(gene(f"Z{i}") for i in range(11))
-    with pytest.raises(BatchLimitExceeded):
-        store.upsert_batch(MergeBatch(entities=overflow))
-    assert exported(store) == before
+    store.upsert_batch(MergeBatch(entities=tuple(stored)))
+    entities = list(batched)
+    relations = [rel(s, "BINDS", o) for s, o in pairs]
+    if refusal == "entities":
+        fresh = MAX_NEW_ENTITIES_PER_BATCH + 1 - new_entities_oracle(store, entities)
+        entities += [gene(f"N{i}") for i in range(fresh)]
+    elif refusal == "relations":
+        relations += [rel("IL6", "BINDS", f"ghost {i}") for i in range(MAX_NEW_RELATIONS_PER_BATCH + 1)]
+    else:
+        entities.insert(len(entities) // 2, gene("?!"))
+    batch = MergeBatch(entities=tuple(entities), relations=tuple(relations),
+                       observations=(Observation(entity="TNF", text="Raised in mucosa."),))
+    refs = ({e.name for e in entities} | {e.curie for e in entities if e.curie}
+            | {ref for r in relations for ref in (r.subject, r.object)})
+    before = _seen(store, refs)
+    if refusal == "empty label":
+        refused = pytest.raises(EmptyLabel)
+    else:  # the refusal names the count the oracles give
+        count, cap = ((new_entities_oracle(store, entities), MAX_NEW_ENTITIES_PER_BATCH)
+                      if refusal == "entities" else
+                      (new_relations_oracle(store, batch), MAX_NEW_RELATIONS_PER_BATCH))
+        refused = pytest.raises(BatchLimitExceeded, match=rf"^batch introduces {count} new "
+                                                          rf"{refusal} \(limit {cap}\)$")
+    with refused:
+        store.upsert_batch(batch)
+    assert _seen(store, refs) == before
 
 
 def test_stats_counts():
@@ -1622,6 +1693,13 @@ def test_merges_and_reads_never_scan_the_tables(monkeypatch):
         for depth in (1, 2):
             sub = store.query_subgraph([names[i], "GHOST"], depth)
             assert sub["relations"]
+    # a batch past a cap is counted, refused and undone without a scan too
+    with pytest.raises(BatchLimitExceeded, match="introduces 17 new relations"):
+        store.upsert_batch(MergeBatch(entities=(gene(names[0], source="s@2"), gene("fresh")),
+                                      relations=tuple(rel(names[0], "BINDS", f"ghost {i}")
+                                                      for i in range(17))))
+    with pytest.raises(BatchLimitExceeded, match="introduces 11 new entities"):
+        store.upsert_batch(MergeBatch(entities=tuple(gene(f"new {i}") for i in range(11))))
     # only a label that gains a second kind puts its kinds back in order
     with pytest.raises(AssertionError, match="kind order"):
         store.upsert_batch(MergeBatch(
@@ -1766,3 +1844,64 @@ def test_export_while_another_thread_merges_writes_whole_snapshots(tmp_path):
         assert (len(listed), len(doc["relations"])) == (4 * batches + 1 if batches else 0, 7 * batches)
         path.write_bytes(snapshot)
         import_graph(path)
+
+
+def test_export_while_another_thread_has_batches_refused_shows_none_of_them(tmp_path):
+    # Each refused batch first gives the hub a source, a stored gene a CURIE and
+    # the store new genes, and is refused by the entity cap or, with one new
+    # gene and 17 relations to unknown names, by the relation cap; the accepted
+    # batch after it links the hub to two new genes.
+    store = EvidenceGraphStore()
+    errors, snapshots, refused = [], [], []
+    writer_done = threading.Event()
+
+    def writer():
+        try:
+            for b in range(150):
+                names = [f"N{2 * b}", f"N{2 * b + 1}"]
+                fresh = 11 if b % 2 else 1
+                try:
+                    store.upsert_batch(MergeBatch(
+                        entities=(gene("HUB", source=f"refused {b}"), gene("N0", curie=f"R:{b}"))
+                        + tuple(gene(f"R{b}-{i}") for i in range(fresh)),
+                        relations=tuple(rel("HUB", "BINDS", f"ghost {i}") for i in range(17)),
+                    ))
+                except BatchLimitExceeded:
+                    refused.append(b)
+                store.upsert_batch(MergeBatch(
+                    entities=(gene("HUB", source=f"batch {b}"),) + tuple(map(gene, names)),
+                    relations=tuple(rel("HUB", "ACTIVATES", n) for n in names),
+                ))
+        except Exception as exc:  # pragma: no cover - failure capture
+            errors.append(exc)
+        finally:
+            writer_done.set()
+
+    def exporter(k):
+        path = tmp_path / f"graph-{k}.json"
+        try:
+            while not writer_done.is_set():
+                export_graph(store, path)
+                snapshots.append(path.read_bytes())
+        except Exception as exc:  # pragma: no cover - failure capture
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer)]
+    threads += [threading.Thread(target=exporter, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and snapshots and refused == list(range(150))
+    for snapshot in set(snapshots):
+        doc = json.loads(snapshot)
+        assert not [e for e in doc["entities"] if e["name"].startswith("R") or e["curie"]]
+        batches = len(doc["relations"])
+        hub = [e["sources"] for e in doc["entities"] if e["name"] == "HUB"]
+        assert hub == ([[f"batch {b}" for b in range(batches // 2)]] if batches else [])
