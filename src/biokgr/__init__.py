@@ -206,30 +206,27 @@ def unique_id(item_id: str, seen: set) -> str:
 
 
 class Shape:
-    """A JSON object's fields in reading order, each with the `types` and `of` `field` takes."""
+    """A JSON object's fields in reading order, each with the `types` and `of` `field` takes.
+
+    `read` checks a record a field at a time. A reader that meets many
+    records may test their exact types itself and call `read` only for a
+    record that fails its test, to name the field: the snapshot reader,
+    `biokgr.evidence.EvidenceGraphStore.from_document`, reads its records so.
+    """
 
     def __init__(self, **fields) -> None:
         self.fields = fields
-        self._checks = [
-            (name, types, of, _tuple(types), of and _tuple(of).__contains__, types is list)
-            for name, (types, of) in fields.items()]
 
     def read(self, record) -> list:
-        """The values of `record`'s fields in order, each checked by `field`'s rules.
+        """The values of `record`'s fields in order, each read by `field`, which
+        raises its `ValueError` naming the field or accepts a subclass of a type.
 
-        A value passes with one exact type test, and a list's items with one
-        each; anything else goes to `field`, which raises its `ValueError` or
-        accepts a subclass. A list field comes back copied, so the caller
-        shares no list with `record`.
+        A list field comes back copied, so the caller shares no list with `record`.
         """
-        if not isinstance(record, dict):
-            field(record, self._checks[0][0], object)  # raises: not an object
         values = []
-        for name, types, of, exact, item_fits, copy in self._checks:
-            value = record.get(name, _REQUIRED)
-            if type(value) not in exact or of and not all(map(item_fits, map(type, _items(value)))):
-                field(record, name, types, of=of)
-            values.append(list(value) if copy else value)
+        for name, (types, of) in self.fields.items():
+            value = field(record, name, types, of=of)
+            values.append(list(value) if types is list else value)
         return values
 
 

@@ -22,10 +22,13 @@ store shares; a snapshot import calls the normalizers once per record. A ref
 without a colon is never normalized as a CURIE, since every stored CURIE holds
 one.
 
-A snapshot is one JSON file: `export_graph` writes it straight from the
-stored records under the store's lock, and `import_graph` reads it back
-through `EvidenceGraphStore.from_document`, the one checked reader of a
-snapshot.
+A snapshot is one JSON file. `export_graph` writes it straight from the
+stored records under the store's lock, a field's values a column at a time.
+`import_graph` reads it back through `EvidenceGraphStore.from_document`, the
+one checked reader of a snapshot, in one pass per section: each record's
+fields are taken with one `itemgetter` and their JSON types tested exactly in
+place, and `Shape.read` reads only a record that fails that test, to name the
+record and the field it refuses.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from biokgr import Error, Shape, WorkspaceUnavailable, field, parse_json, read_text, writing
@@ -290,6 +293,9 @@ _STR = (str, None)
 _STR_OR_NULL = ((str, type(None)), None)
 _LIST_OF_STR = (list, str)
 _LIST_OF_LISTS = (list, list)
+# Exact type tests of a list's items, as `from_document` applies them to each record.
+_IS_STR = frozenset((str,)).__contains__
+_IS_LIST = frozenset((list,)).__contains__
 
 
 class _Section(NamedTuple):
@@ -299,20 +305,21 @@ class _Section(NamedTuple):
     kind: str
     shape: Shape
 
-    def records(self, doc):
-        """The field values of each record in this section of `doc`, in the shape's order.
-
-        Raises MalformedSnapshot naming the section or the record kind, and the field.
-        """
+    def rows(self, doc) -> list:
+        """This section's records in `doc`; raises MalformedSnapshot naming the section."""
         try:
-            rows = field(doc, self.name, list)
+            return field(doc, self.name, list)
         except ValueError as exc:
             raise MalformedSnapshot(f"snapshot {exc}") from exc
-        for row in rows:
-            try:
-                yield self.shape.read(row)
-            except ValueError as exc:
-                raise MalformedSnapshot(f"{self.kind} {exc}") from exc
+
+    def read(self, row) -> list:
+        """`Shape.read` of `row`, a record that failed `from_document`'s exact
+        type test: it raises MalformedSnapshot naming the record kind and the
+        field, or gives the values when each is of a subclass of its type."""
+        try:
+            return self.shape.read(row)
+        except ValueError as exc:
+            raise MalformedSnapshot(f"{self.kind} {exc}") from exc
 
 
 # The snapshot's one declaration of its record shapes, in the order
@@ -747,69 +754,122 @@ class EvidenceGraphStore:
         (`kind/label` or its normalized CURIE), or the conflict-group
         section does not list each group named by a relation, with exactly
         the relations that name it (in any order), and nothing else.
+
+        Each section is read in one pass, a record at a time, and each record
+        is checked before the next is read, so a refusal names the first
+        faulty record. A record's fields are taken with one `itemgetter` and
+        their JSON types tested exactly, here, as the section's `Shape`
+        declares them; only a record that fails that test goes to the shape's
+        `read`, which names the field it refuses (or accepts a subclass of a
+        declared type). The record rules are still each record type's
+        `validate`, and the indexes are written through `_add_entity` and
+        `_add_relation`, as a merge writes them.
         """
         store = cls()
-        for values in _ENTITIES.records(doc):
-            stored = StoredEntity(*values)
+        fields = itemgetter(*_ENTITIES.shape.fields)
+        for row in _ENTITIES.rows(doc):
+            try:
+                key, name, kind, curie, sources = fields(row)
+                exact = (type(row) is dict and type(key) is str and type(name) is str
+                         and type(kind) is str and (curie is None or type(curie) is str)
+                         and type(sources) is list and all(map(_IS_STR, map(type, sources))))
+            except (KeyError, TypeError):  # a field is missing, or the record is not an object
+                exact = False
+            if exact:
+                sources = list(sources)
+            else:
+                key, name, kind, curie, sources = _ENTITIES.read(row)
+            stored = StoredEntity(key, name, kind, curie, sources)
             try:
                 EntityRef.validate(stored)
             except InvalidName as exc:
-                raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
-            curie_key = normalize_curie(stored.curie) if stored.curie else None
+                raise MalformedSnapshot(f"entity {key!r}: {exc}") from exc
+            curie_key = normalize_curie(curie) if curie else None
             if curie_key in store._curie_index:
-                raise MalformedSnapshot(f"entity {stored.key!r} repeats the CURIE of entity "
+                raise MalformedSnapshot(f"entity {key!r} repeats the CURIE of entity "
                                         f"{store._curie_index[curie_key]!r}")
             try:
-                label = normalize_label(stored.name)
+                label = normalize_label(name)
             except EmptyLabel as exc:
-                raise MalformedSnapshot(f"entity {stored.key!r}: {exc}") from exc
+                raise MalformedSnapshot(f"entity {key!r}: {exc}") from exc
             # `_match` finds an entity by its CURIE, then by its kind and label, so no merge
             # stores two entities that share either; nor, with the key check below, one key twice
-            same = store._label_index.get(label, {}).get(stored.kind)
+            same = store._label_index.get(label, {}).get(kind)
             if same is not None:
-                raise MalformedSnapshot(f"entity {stored.key!r} repeats the kind and label of "
+                raise MalformedSnapshot(f"entity {key!r} repeats the kind and label of "
                                         f"entity {same!r}")
             # a merge gives only these keys; under another, a new entity could overwrite it
-            if stored.key not in (_new_key(stored.kind, label, None), curie_key):
-                raise MalformedSnapshot(f"entity {stored.key!r} is keyed neither by its "
+            if key != curie_key and key != _new_key(kind, label, None):
+                raise MalformedSnapshot(f"entity {key!r} is keyed neither by its "
                                         "kind and label nor by its CURIE")
             store._add_entity(stored, label, curie_key)
-        for values in _RELATIONS.records(doc):
-            rel = StoredRelation(*values)
+        entities = store._entities
+        fields = itemgetter(*_RELATIONS.shape.fields)
+        for row in _RELATIONS.rows(doc):
+            try:
+                subject, predicate, object_, evidence, group = fields(row)
+                exact = (type(row) is dict and type(subject) is str and type(predicate) is str
+                         and type(object_) is str and type(evidence) is list
+                         and all(map(_IS_STR, map(type, evidence)))
+                         and (group is None or type(group) is str))
+            except (KeyError, TypeError):
+                exact = False
+            if exact:
+                evidence = list(evidence)
+            else:
+                subject, predicate, object_, evidence, group = _RELATIONS.read(row)
+            rel = StoredRelation(subject, predicate, object_, evidence, group)
+            key = (subject, predicate, object_)
             try:
                 RelationEdge.validate(rel)
             except (UnknownPredicate, MissingEvidence) as exc:
-                raise MalformedSnapshot(f"relation {rel.key}: {exc}") from exc
-            for endpoint in (rel.subject, rel.object):
-                if endpoint not in store._entities:
-                    raise MalformedSnapshot(
-                        f"relation {rel.key} names unknown entity {endpoint!r}")
-            if rel.key in store._relations:
-                raise MalformedSnapshot(f"relation {rel.key} appears twice")
-            refusal = rel.conflict_group is not None and store._group_refusal(
-                rel.conflict_group, None, rel.subject, rel.object)
-            if refusal:
-                raise MalformedSnapshot(f"relation {rel.key}: {refusal}")
+                raise MalformedSnapshot(f"relation {key}: {exc}") from exc
+            if subject not in entities or object_ not in entities:
+                missing = subject if subject not in entities else object_
+                raise MalformedSnapshot(f"relation {key} names unknown entity {missing!r}")
+            if key in store._relations:
+                raise MalformedSnapshot(f"relation {key} appears twice")
+            if group is not None:
+                refusal = store._group_refusal(group, None, subject, object_)
+                if refusal:
+                    raise MalformedSnapshot(f"relation {key}: {refusal}")
             store._add_relation(rel)
-        for key, text in _OBSERVATIONS.records(doc):
+        fields = itemgetter(*_OBSERVATIONS.shape.fields)
+        for row in _OBSERVATIONS.rows(doc):
+            try:
+                key, text = fields(row)
+                exact = type(row) is dict and type(key) is str and type(text) is str
+            except (KeyError, TypeError):
+                exact = False
+            if not exact:
+                key, text = _OBSERVATIONS.read(row)
             try:
                 Observation.validate(_ObservationRecord(key, text))
             except InvalidObservation as exc:
                 raise MalformedSnapshot(f"observation record: {exc}") from exc
-            entity = store._entities.get(key)
+            entity = entities.get(key)
             if entity is None:
                 raise MalformedSnapshot(f"observation names unknown entity {key!r}")
             if text not in entity.observations:
                 entity.observations.append(text)
         listed: dict[str, set[RelationKey]] = {}
-        for gid, relations in _CONFLICT_GROUPS.records(doc):
+        fields = itemgetter(*_CONFLICT_GROUPS.shape.fields)
+        for row in _CONFLICT_GROUPS.rows(doc):
+            try:
+                gid, members = fields(row)
+                exact = (type(row) is dict and type(gid) is str and type(members) is list
+                         and all(map(_IS_LIST, map(type, members))))
+            except (KeyError, TypeError):
+                exact = False
+            if not exact:
+                gid, members = _CONFLICT_GROUPS.read(row)
             if gid in listed:
                 raise MalformedSnapshot(f"conflict group {gid!r} appears twice")
-            for member in relations:
+            for member in members:
                 if not (len(member) == 3 and all(isinstance(part, str) for part in member)):
                     raise MalformedSnapshot(f"conflict group {gid!r} member {member!r:.80} "
                                             "is not a [subject, predicate, object] triple")
-            listed[gid] = set(map(tuple, relations))
+            listed[gid] = set(map(tuple, members))
         for gid in sorted(listed.keys() | store._group_pairs.keys()):
             if gid not in store._group_pairs or listed.get(gid) != set(store._members(gid)):
                 raise MalformedSnapshot(
@@ -823,21 +883,24 @@ _CHUNK = 512
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _array(items: list[str], indent: str) -> str:
-    """A JSON array of already-encoded `items`, laid out as `indent=2` lays it out at `indent`."""
-    if not items:
-        return "[]"
+def _arrays(column, indent: str) -> list[str]:
+    """Each list of already-encoded items in `column` as a JSON array, laid
+    out as `indent=2` lays it out at `indent`; the lists are joined a column
+    at a time, and an empty one is `[]`."""
     pad = f"\n{indent}  "
-    return f"[{pad}{(',' + pad).join(items)}\n{indent}]"
+    # only an empty list joins to "", since an encoded item is never empty
+    return [f"[{pad}{items}\n{indent}]" if items else "[]"
+            for items in map(f",{pad}".join, column)]
 
 
-# Each field type encoded as `indent=2` lays it out as the value of a record field.
+# Each field type's encoder: it takes a column of values and gives each as
+# `indent=2` lays it out as the value of a record field.
 _ENCODERS = {
-    _STR: _quote,
-    _STR_OR_NULL: lambda value: "null" if value is None else _quote(value),
-    _LIST_OF_STR: lambda value: _array(list(map(_quote, value)), "      "),
-    _LIST_OF_LISTS: lambda value: _array(
-        [_array(list(map(_quote, item)), "        ") for item in value], "      "),
+    _STR: lambda column: map(_quote, column),
+    _STR_OR_NULL: lambda column: ["null" if value is None else _quote(value) for value in column],
+    _LIST_OF_STR: lambda column: _arrays(map(map, repeat(_quote), column), "      "),
+    _LIST_OF_LISTS: lambda column: _arrays(
+        (_arrays(map(map, repeat(_quote), value), "        ") for value in column), "      "),
 }
 
 
@@ -845,9 +908,11 @@ def _record_writer(shape: Shape):
     """The formatter of a list of records of `shape`, their fields in sorted key order.
 
     A record's attributes are named as the shape's fields. The formatter
-    encodes a field's values a column at a time and joins each record from
-    its keys and values, so per record only the null and list encoders run in
-    Python.
+    encodes a field's values a column at a time: strings, a list's included,
+    through C-level maps, and a null or a list's brackets in one
+    comprehension over the column, so no Python function is called per
+    record (but per conflict group, for its list of triples). It then joins
+    each record from its keys and values.
     """
     columns, lead = [], "    {\n"
     for name in sorted(shape.fields):
@@ -858,7 +923,7 @@ def _record_writer(shape: Shape):
     def write(records: list) -> str:
         parts = []
         for key, get, encode in columns:
-            parts += (repeat(key), map(encode, map(get, records)))
+            parts += (repeat(key), encode(map(get, records)))
         return ",\n".join(map("".join, zip(*parts, repeat("\n    }"))))
     return write
 
@@ -875,8 +940,9 @@ def export_graph(store: EvidenceGraphStore, path) -> None:
     so a snapshot never shows a half-applied batch. The bytes are those of
     `json.dumps(<snapshot>, indent=2, sort_keys=True)`, which for indented
     output runs the pure-Python encoder; here each section's records are
-    formatted by its declared shape, strings go through the C string encoder,
-    and _CHUNK records go to each `fh.write`. The file is written through
+    formatted by its declared shape a field at a time, strings (a list's
+    items too) go through the C string encoder in C-level maps, and _CHUNK
+    records go to each `fh.write`. The file is written through
     `biokgr.writing`, so a failed write never leaves a truncated snapshot
     behind.
     """

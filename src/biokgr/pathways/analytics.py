@@ -262,7 +262,7 @@ class Topology:
                 reached.update(w for v in frontier for w, _sign in self._successors[v])
             if direction != "downstream":
                 reached.update(w for v in frontier for w in self._predecessors[v])
-            frontier = reached - steps.keys()
+            frontier = reached.difference(steps)
             steps.update(dict.fromkeys(frontier, step))
         return {self._names[v]: n for v, n in steps.items()}
 

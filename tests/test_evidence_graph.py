@@ -1175,6 +1175,10 @@ def _group_relation(doc, relation, gid):
     return doc
 
 
+def _entity(key, name, kind="GENE_PROTEIN", curie=None):
+    return {"key": key, "name": name, "kind": kind, "curie": curie, "sources": []}
+
+
 def _relation(doc, predicate):
     return next(r for r in doc["relations"] if r["predicate"] == predicate)
 
@@ -1211,6 +1215,17 @@ MALFORMED = {
         **doc, "conflict_groups": doc["conflict_groups"] + [{"id": "cg-9", "relations": []}]},
     "conflict group listing another group's relation":
         lambda doc: _group_relation(doc, _relation(doc, "INHIBITS"), "cg-2"),
+    # the fault in the last record of its section, after records that pass every check
+    "ill-typed field, last record": _edit(["entities", -1, "sources"], "kegg@r109"),
+    "non-string list item, last record": _edit(["relations", -1, "evidence"], ["PMID:1", 1]),
+    "unknown predicate, last record": _edit(["relations", -1, "predicate"], "BLOCKS"),
+    "relation to unknown entity, last record":
+        _edit(["relations", -1, "object"], "gene_protein/ghost"),
+    "duplicate CURIE, last record": lambda doc: {**doc, "entities": doc["entities"] + [
+        _entity("gene_protein/x", "X", curie="hgnc:11892")]},
+    # a rule broken in one record and a type in a later one: the earlier record is named
+    "two faulty relations": lambda doc: _edit(["relations", -1, "evidence"], "PMID:1")(
+        _edit(["relations", 0, "predicate"], "BLOCKS")(doc)),
 }
 
 # Records that a merge refuses, each with what the refusal of its import names: the
@@ -1236,6 +1251,78 @@ MERGE_REFUSALS = {
         r"^observation record: observation for 'gene_protein/il6' has 80 words \(limit 30\)"),
 }
 MALFORMED.update({name: mutate for name, (mutate, _match) in MERGE_REFUSALS.items()})
+
+# Each refusal's message, as the record-at-a-time reader words it.
+MALFORMED_MESSAGES = {
+    "not an object":
+        "snapshot lacks 'entities': [{'conflict_groups': [{'id': 'cg-1', 'relations':"
+        " [['hgnc:11892', 'ACTIVATES', ' is not an object",
+    "missing section": "snapshot lacks 'relations'",
+    "section not a list": "snapshot field 'entities' is not list: {'TNF': {}}",
+    "record not an object": "entity record lacks 'key': 'TNF' is not an object",
+    "missing field": "entity record lacks 'kind'",
+    "ill-typed field": "entity record field 'sources' is not list of str: 'kegg@r109'",
+    "non-string list item": "relation record field 'evidence' is not list of str: [1]",
+    "null name": "entity record field 'name' is not str: None",
+    "blank name": "entity 'gene_protein/il6': name '  ' violates the 5-word/40-char rule",
+    "unknown kind": "entity 'gene_protein/il6': unknown entity kind 'ORGANISM' for 'IL6'",
+    "duplicate entity":
+        "entity 'gene_protein/il6' repeats the kind and label of entity 'gene_protein/il6'",
+    "duplicate CURIE": "entity 'hgnc:11892' repeats the CURIE of entity 'gene_protein/il6'",
+    "duplicate kind and label":
+        "entity 'gene_protein/tnf' repeats the kind and label of entity 'hgnc:11892'",
+    "key neither kind/label nor CURIE":
+        "entity 'hgnc:1' is keyed neither by its kind and label nor by its CURIE",
+    "unknown predicate":
+        "relation ('gene_protein/il6', 'BLOCKS', 'hgnc:11892'): predicate 'BLOCKS' on"
+        " 'gene_protein/il6'->'hgnc:11892' is not in the relation vocabulary",
+    "relation to unknown entity":
+        "relation ('gene_protein/il6', 'BINDS', 'gene_protein/ghost') names unknown entity"
+        " 'gene_protein/ghost'",
+    "duplicate relation": "relation ('gene_protein/il6', 'BINDS', 'hgnc:11892') appears twice",
+    "observation of unknown entity": "observation names unknown entity 'gene_protein/ghost'",
+    "conflict member not a triple":
+        "conflict group 'cg-1' member ['a', 'b'] is not a [subject, predicate, object] triple",
+    "conflict member unknown":
+        "conflict group 'cg-1' is not listed with exactly the relations that name it",
+    "duplicate conflict group": "conflict group 'cg-1' appears twice",
+    "relation in an unlisted conflict group":
+        "conflict group 'cg-7' is not listed with exactly the relations that name it",
+    "conflict group over two pairs":
+        "relation ('hgnc:11892', 'ACTIVATES', 'gene_protein/il6'): conflict group 'cg-1' joins"
+        " another entity pair",
+    "conflict group no relation names":
+        "conflict group 'cg-9' is not listed with exactly the relations that name it",
+    "conflict group listing another group's relation":
+        "conflict group 'cg-1' is not listed with exactly the relations that name it",
+    "ill-typed field, last record": "entity record field 'sources' is not list of str: 'kegg@r109'",
+    "non-string list item, last record":
+        "relation record field 'evidence' is not list of str: ['PMID:1', 1]",
+    "unknown predicate, last record":
+        "relation ('hgnc:11892', 'BLOCKS', 'gene_protein/il6'): predicate 'BLOCKS' on"
+        " 'hgnc:11892'->'gene_protein/il6' is not in the relation vocabulary",
+    "relation to unknown entity, last record":
+        "relation ('hgnc:11892', 'INHIBITS', 'gene_protein/ghost') names unknown entity"
+        " 'gene_protein/ghost'",
+    "duplicate CURIE, last record":
+        "entity 'gene_protein/x' repeats the CURIE of entity 'hgnc:11892'",
+    "two faulty relations":
+        "relation ('gene_protein/il6', 'BLOCKS', 'hgnc:11892'): predicate 'BLOCKS' on"
+        " 'gene_protein/il6'->'hgnc:11892' is not in the relation vocabulary",
+    "paper named by a long title":
+        "entity 'gene_protein/il6': name 'Sustained mucosal healing after"
+        " tumour-necrosis-factor blockade in multicentre cohorts of adults with colitis.'"
+        " violates the 5-word/40-char rule",
+    "CURIE without a colon":
+        "entity 'gene_protein/il6': CURIE 'nocolon' of 'IL6' is not prefix:reference",
+    "relation without evidence":
+        "relation ('gene_protein/il6', 'BINDS', 'hgnc:11892'): relation 'gene_protein/il6'"
+        " BINDS 'hgnc:11892' has no evidence",
+    "blank observation": "observation record: empty observation for 'gene_protein/il6'",
+    "observation of 80 words":
+        "observation record: observation for 'gene_protein/il6' has 80 words (limit 30): 'word"
+        " word word word word word word word word word word word '...",
+}
 
 
 @pytest.mark.parametrize("mutate, match", MERGE_REFUSALS.values(), ids=MERGE_REFUSALS.keys())
@@ -1272,10 +1359,6 @@ def test_import_refuses_a_key_that_a_merge_could_give_a_new_entity():
     report = store.upsert_batch(MergeBatch(entities=(gene("Y", curie="hgnc:1"),)))
     assert (report.created, report.merged, len(store)) == (0, 1, 2)
     assert store.get("Y") is None and store.get("hgnc:1").name == "X"
-
-
-def _entity(key, name, kind="GENE_PROTEIN", curie=None):
-    return {"key": key, "name": name, "kind": kind, "curie": curie, "sources": []}
 
 
 @pytest.mark.parametrize("first, second", [
@@ -1342,6 +1425,39 @@ def test_a_field_that_field_rejects_is_a_malformed_snapshot(section, kind, name)
         except ValueError:
             with pytest.raises(MalformedSnapshot, match=f"^{kind} field '{name}' is not "):
                 EvidenceGraphStore.from_document(doc)
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_a_malformed_snapshot_is_refused_with_its_message(name):
+    with pytest.raises(MalformedSnapshot) as refused:
+        EvidenceGraphStore.from_document(MALFORMED[name](snapshot_doc()))
+    assert str(refused.value) == MALFORMED_MESSAGES[name]
+
+
+@settings(max_examples=30, deadline=None)
+@given(snapshot_documents(), st.sampled_from(evidence._SECTIONS))
+def test_only_a_record_that_fails_its_type_test_is_read_by_its_shape(doc, section):
+    """A valid record's types are tested in place; `Shape.read` runs only to
+    name the field of the record that is refused."""
+    reads = []
+    read = biokgr.Shape.read
+
+    def spy(shape, row):
+        reads.append(row)
+        return read(shape, row)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(biokgr.Shape, "read", spy)
+        EvidenceGraphStore.from_document(doc)
+        assert reads == []
+        if not doc[section.name]:
+            return
+        last = doc[section.name][-1]
+        first_field = next(iter(section.shape.fields))
+        last[first_field] = None  # every section's first field is a string
+        with pytest.raises(MalformedSnapshot, match=f"^{section.kind} field '{first_field}' "):
+            EvidenceGraphStore.from_document(doc)
+    assert reads == [last]
 
 
 @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
