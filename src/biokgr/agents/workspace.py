@@ -3,18 +3,20 @@
 Agents act on retrieved data through a closed set of deterministic table
 operations (filter, join, aggregate, extract, dedup) over workspace files
 instead of free-form code execution. Every saved artifact is registered in
-the manifest with a one-sentence description; the manifest is kept in memory
-and written to `manifest.json` once, when the workspace closes (`close()`, or
-the end of a `with` block, even one left by an exception). Files are read and
-written through `biokgr.read_text` and `biokgr.writing`, so each saved file
-and the manifest replace their previous contents atomically. Paths come from
-the oracle, possibly an outside service, so one that does not resolve to a
-path below the root is refused: one that leads outside it, and one that names
-the root itself (`""`, `"."`, `"a/.."`), before anything is written. The root
-is resolved once, when the workspace opens, and paths are then joined and
-checked as strings: a plain relative path (no `..`) costs one `lstat` per
-component, and only a path through a symlink, with a `..` or absolute is
-resolved in full, by `os.path.realpath`.
+the manifest under its path below the resolved root, so one file has one
+entry however its path was spelled, with a one-sentence description; the
+manifest is kept in memory and written to `manifest.json` once, when the
+workspace closes (`close()`, or the end of a `with` block, even one left by
+an exception). Files are read and written through `biokgr.read_text` and
+`biokgr.writing`, so each saved file and the manifest replace their previous
+contents atomically. Paths come from the oracle, possibly an outside
+service, so one that does not resolve to a path below the root is refused:
+one that leads outside it, one that names the root itself (`""`, `"."`,
+`"a/.."`), and a saved one ending in `/`, before anything is written. The
+root is resolved once, when the workspace opens, and paths are then joined
+and checked as strings: a plain relative path (no `..`) costs one `lstat`
+per component, and only a path through a symlink, with a `..` or absolute
+is resolved in full, by `os.path.realpath`.
 """
 from __future__ import annotations
 
@@ -124,7 +126,13 @@ class Workspace:
         return self.save_text(relpath, indented_json(payload), description)
 
     def save_text(self, relpath: str, text: str, description: str) -> str:
+        """Write `text` to `relpath` and register the file under its path below the
+        resolved root, which is returned: `"./a//b.json"` is registered as `"a/b.json"`,
+        so one file has one manifest entry. A path ending in `/` names no file and is
+        refused before anything is written."""
         path = self._path(relpath)
+        if relpath.endswith("/"):
+            raise WorkspaceUnavailable(f"{relpath!r} names a directory, not a file")
         parent = os.path.dirname(path)
         if parent != self._resolved_root:
             try:
@@ -133,8 +141,9 @@ class Workspace:
                 raise WorkspaceUnavailable(f"cannot write {path}: {exc}") from exc
         with writing(path) as fh:
             fh.write(text)
-        self.register(relpath, description)
-        return relpath
+        written = path[len(self._below_root):]
+        self.register(written, description)
+        return written
 
     # -- readers --------------------------------------------------------------------
 
@@ -151,7 +160,7 @@ class Workspace:
 
 
 def run_analysis(workspace: Workspace, spec: dict) -> str:
-    """Execute one typed analysis action; returns the output file's relpath.
+    """Execute one typed analysis action; returns the output file's path as registered.
 
     Supported ops:
       filter     {input, out, where: {col: value}} or {input, out, contains: {col, text}}

@@ -5,12 +5,18 @@ endpoints, betweenness centrality (top decile elevates positive-polarity
 genes), and a druggability blacklist that forces gain 0. Disease-specific
 logic profiles lower the gain-2 polarity threshold for prioritized
 functional classes.
+
+Candidates are scored lazily, one at a time, because the polarity walk is
+most of an item's cost. An item scores its candidates in name order and
+stops at the last gain-2 candidate it can show, so a gene that could not
+appear in the item gets no polarity walk.
 """
 from __future__ import annotations
 
 import math
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -86,8 +92,14 @@ def assign_target_gains(
     graph: SignedPathwayGraph,
     candidates: list[str],
     profile: LogicProfile,
-) -> dict[str, GainScore]:
-    """Score each candidate gene for therapeutic-target plausibility."""
+) -> Iterator[tuple[str, GainScore]]:
+    """Score each candidate gene for therapeutic-target plausibility.
+
+    Yields `(candidate, GainScore)` in the order of `candidates`, scoring each
+    one only when it is taken. The set-up runs at the call: a pathway with no
+    disease endpoints raises `InsufficientEvidence`, and the centrality cutoff
+    is the top decile over all the candidates, however many are taken.
+    """
     if not graph.endpoints:
         raise InsufficientEvidence(f"pathway {graph.pathway_id or '?'} has no disease endpoints")
 
@@ -95,23 +107,21 @@ def assign_target_gains(
     candidate_centrality = {c: centrality.get(c, 0.0) for c in candidates}
     cutoff = nearest_rank_percentile(list(candidate_centrality.values()), CENTRALITY_PERCENTILE)
 
-    scores: dict[str, GainScore] = {}
-    for candidate in candidates:
+    def gain(candidate: str) -> GainScore:
         if is_blacklisted(graph, candidate):
-            scores[candidate] = GainScore(0, "non_druggable")
-            continue
+            return GainScore(0, "non_druggable")
         polarity = graph.topology.path_polarity(candidate, graph.endpoints)
         prioritized = graph.nodes[candidate].functional_type in profile.prioritized_types
         threshold = PRIORITIZED_GAIN2_THRESHOLD if prioritized else GAIN2_THRESHOLD
         if polarity.value < 0:
-            scores[candidate] = GainScore(0, "protective")
-        elif candidate_centrality[candidate] >= cutoff and polarity.value > 0:
-            scores[candidate] = GainScore(2, "positive_polarity_central")
-        elif polarity.value > threshold:
-            scores[candidate] = GainScore(2, "positive_polarity")
-        else:
-            scores[candidate] = GainScore(1, "neutral")
-    return scores
+            return GainScore(0, "protective")
+        if candidate_centrality[candidate] >= cutoff and polarity.value > 0:
+            return GainScore(2, "positive_polarity_central")
+        if polarity.value > threshold:
+            return GainScore(2, "positive_polarity")
+        return GainScore(1, "neutral")
+
+    return ((candidate, gain(candidate)) for candidate in candidates)
 
 
 def build_target_item(
@@ -122,22 +132,32 @@ def build_target_item(
 ) -> McqItem:
     """One target-identification MCQ from a parsed disease pathway.
 
-    All gain-2 candidates enter the option set first; the remainder is filled
-    with the highest-centrality non-answer candidates, then the set is
-    shuffled by the seeded RNG.
+    The gain-2 candidates enter the option set first, up to `option_count` of
+    them in name order; the remainder is filled with the highest-centrality
+    non-answer candidates, then the set is shuffled by the seeded RNG.
+
+    Candidates are scored in name order, and the walk stops at the
+    `option_count`-th gain-2 candidate: no candidate after it can be an
+    option. With fewer answers every candidate is scored, so the fillers and
+    `NoCorrectOption` rest on a full walk.
     """
     candidates = graph.gene_symbols()
     if len(candidates) < option_count:
         raise InsufficientCandidates(f"{len(candidates)} candidates < option count {option_count}")
-    gains = assign_target_gains(graph, candidates, profile)
-    answers = sorted(c for c, s in gains.items() if s.value == 2)
+    gains: dict[str, GainScore] = {}
+    answers: list[str] = []
+    for candidate, score in assign_target_gains(graph, sorted(candidates), profile):
+        gains[candidate] = score
+        if score.value == 2:
+            answers.append(candidate)
+            if len(answers) == option_count:
+                break
     if not answers:
         raise NoCorrectOption(f"no gain-2 candidate in pathway {graph.pathway_id or '?'}")
 
     centrality = graph.topology.betweenness
-    chosen = answers[:option_count]
-    fillers = sorted(set(candidates) - set(chosen), key=lambda c: (-centrality.get(c, 0.0), c))
-    chosen = chosen + fillers[: option_count - len(chosen)]
+    fillers = sorted(set(candidates) - set(answers), key=lambda c: (-centrality.get(c, 0.0), c))
+    chosen = answers + fillers[: option_count - len(answers)]
 
     def render(symbol: str) -> str:
         return f"{symbol} : {graph.nodes[symbol].functional_type}"

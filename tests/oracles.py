@@ -10,16 +10,18 @@ evidence-store reads, name resolution, lint counts and conflict groups by full
 scans of every stored entity or relation, and a batch's new entities and
 relations by applying its entities one at a time to a copy of the store
 (`new_entities_oracle`, `new_relations_oracle`).
-Four former library algorithms are kept whole as references for their
+Five former library algorithms are kept whole as references for their
 replacements, which must give the same results: KGML parsing over an
 ElementTree (`kgml_reference`), Brandes' betweenness with a predecessor
 list per node (`brandes_reference`), a merge that counts its new
-entities and relations on every batch (`counted_upsert`), and label
+entities and relations on every batch (`counted_upsert`), label
 normalization that always strips outer punctuation by regex
-(`normalize_label_reference`).
+(`normalize_label_reference`), and a target-id item built after scoring
+every candidate (`target_item_reference`).
 """
 from __future__ import annotations
 
+import random
 import re
 import xml.etree.ElementTree as ET
 from collections import deque
@@ -27,6 +29,8 @@ from collections import deque
 import networkx as nx
 
 from biokgr import load_data
+from biokgr.curation.items import McqItem, NoCorrectOption, finalize_item
+from biokgr.curation.target_id import LogicProfile, assign_target_gains
 from biokgr.evidence import (
     ENTITY_KIND_ORDER,
     MAX_CONTEXT_EDGES_PER_FINDING,
@@ -621,3 +625,34 @@ def brandes_reference(successors: list[list[tuple[int, int]]]) -> list[float]:
             if w != source:
                 centrality[w] += delta[w]
     return centrality
+
+
+def target_item_reference(graph: SignedPathwayGraph, profile: LogicProfile,
+                          option_count: int = 10, seed: int = 0) -> McqItem:
+    """`build_target_item` scoring every candidate before it looks at a score:
+    the gain-2 candidates in name order, then the highest-centrality
+    non-answers, shuffled by the seeded RNG. Takes a graph with at least
+    `option_count` candidates."""
+    candidates = graph.gene_symbols()
+    gains = dict(assign_target_gains(graph, candidates, profile))
+    answers = sorted(c for c, s in gains.items() if s.value == 2)
+    if not answers:
+        raise NoCorrectOption(f"no gain-2 candidate in pathway {graph.pathway_id or '?'}")
+    centrality = graph.topology.betweenness
+    chosen = answers[:option_count]
+    fillers = sorted(set(candidates) - set(chosen), key=lambda c: (-centrality.get(c, 0.0), c))
+    chosen = chosen + fillers[: option_count - len(chosen)]
+    context = graph.title or graph.pathway_id or "this disease"
+    return finalize_item(
+        item_id=f"target-{graph.pathway_id or 'pathway'}-{seed}",
+        task_type="target_id",
+        question=(f"Which genes represent the most promising therapeutic targets for "
+                  f"modulating {context}? Focus on targets that can be inhibited to "
+                  f"interrupt disease progression. Select the most promising genes."),
+        scored_options=[(f"{c} : {graph.nodes[c].functional_type}", gains[c].value)
+                        for c in chosen],
+        rng=random.Random(seed),
+        metadata={"pathway_id": graph.pathway_id, "pathway_title": graph.title,
+                  "profile": profile.category, "seed": seed,
+                  "gain_rationales": {c: gains[c].rationale for c in chosen}},
+    )

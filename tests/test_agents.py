@@ -86,6 +86,39 @@ def test_workspace_manifest_roundtrip(tmp_path):
     assert manifest["files"][0] == {"path": "a.json", "description": "one record"}
 
 
+def test_a_file_saved_under_two_spellings_has_one_manifest_entry(tmp_path):
+    ws = Workspace(tmp_path)
+    ws.save_json("rows.json", [{"k": 1}, {"k": 1}], "rows")
+    out = run_analysis(ws, {"op": "dedup", "input": "rows.json", "key": "k",
+                            "out": "./rows.json"})
+    assert out == "rows.json"
+    assert ws.manifest() == {"files": [{"path": "rows.json",
+                                        "description": "dedup of rows.json by k"}]}
+
+
+def test_a_doubled_slash_is_registered_as_the_path_written(tmp_path):
+    ws = Workspace(tmp_path)
+    assert ws.save_json("a//b.json", [], "nested") == "a/b.json"
+    assert ws.manifest() == {"files": [{"path": "a/b.json", "description": "nested"}]}
+    assert (tmp_path / "a" / "b.json").is_file()
+
+
+@pytest.mark.parametrize("relpath", ["sub/", "a/b/", "a//"])
+def test_a_path_ending_in_a_slash_is_refused_before_writing(tmp_path, monkeypatch, relpath):
+    ws = Workspace(tmp_path / "ws")
+    ws.save_json("rows.json", [], "rows")
+    written = []
+    monkeypatch.setattr(workspace_module, "writing", written.append)
+    for save in (ws.save_json, ws.save_text):
+        with pytest.raises(WorkspaceUnavailable, match="names a directory"):
+            save(relpath, "[]", "a directory")
+    with pytest.raises(AnalysisError, match="names a directory"):
+        run_analysis(ws, {"op": "dedup", "input": "rows.json", "key": "k", "out": relpath})
+    assert written == []
+    assert sorted(p.name for p in (tmp_path / "ws").iterdir()) == ["rows.json"]
+    assert ws.manifest() == {"files": [{"path": "rows.json", "description": "rows"}]}
+
+
 def test_workspace_reopened_keeps_earlier_manifest_entries(tmp_path):
     with Workspace(tmp_path) as first:
         first.save_text("a.txt", "one", "first file")

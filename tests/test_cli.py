@@ -853,6 +853,10 @@ FIELD_CHECKERS = {"_field", "_get", "_items", "_strings", "_records", "_require"
 # receivers whose `.read_text` is `Workspace.read_text`, which reads through `biokgr.read_text`
 WORKSPACE_READERS = {"self", "workspace"}
 
+# module functions that open, replace or rename a file, named as `module.function`
+MODULE_FILE_CALLS = {("os", "open"), ("os", "fdopen"), ("os", "replace"), ("os", "rename"),
+                     ("os", "renames"), ("io", "open")}
+
 
 def _file_access(call: ast.Call) -> str | None:
     """The name of the file access `call` makes, when it is one that only `biokgr` may make."""
@@ -860,12 +864,13 @@ def _file_access(call: ast.Call) -> str | None:
     if isinstance(func, ast.Name) and func.id == "open":
         return "open"
     if isinstance(func, ast.Attribute):
-        if func.attr == "read_text" and getattr(func.value, "id", None) in WORKSPACE_READERS:
+        owner = getattr(func.value, "id", None)
+        if func.attr == "read_text" and owner in WORKSPACE_READERS:
             return None
-        if func.attr in {"read_text", "write_text"}:
+        if (owner, func.attr) in MODULE_FILE_CALLS:
+            return f"{owner}.{func.attr}"
+        if func.attr in {"read_text", "write_text", "open"}:
             return f".{func.attr}"
-        if func.attr == "replace" and getattr(func.value, "id", None) == "os":
-            return "os.replace"
     return None
 
 
@@ -907,6 +912,14 @@ def test_one_field_reader_one_file_reader_one_file_writer_and_one_cli_error_boun
     ("workspace.root.read_text()", ".read_text"),
     ("self.write_text(relpath)", ".write_text"),
     ("os.replace(tmp, path)", "os.replace"),
+    ("os.open(path, os.O_WRONLY)", "os.open"),
+    ("os.fdopen(fd, 'w')", "os.fdopen"),
+    ("io.open(path)", "io.open"),
+    ("os.rename(tmp, path)", "os.rename"),
+    ("os.renames(tmp, path)", "os.renames"),
+    ("Path(p).open('w')", ".open"),
+    ("self.root.open()", ".open"),
+    ("os.path.join(root, name)", None),
     ("self.read_text(relpath)", None),
     ("workspace.read_text(relpath)", None),
 ])

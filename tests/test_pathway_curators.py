@@ -20,12 +20,13 @@ from biokgr.curation.target_id import (
     nearest_rank_percentile,
 )
 from biokgr.curation.items import (InsufficientCandidates, InsufficientEvidence,
-                                   TargetNotInPathway, write_items_jsonl)
+                                   NoCorrectOption, TargetNotInPathway, write_items_jsonl)
 from biokgr.pathways import analytics, parse_kgml
 from biokgr.pathways.analytics import MAX_PATHS_PER_PAIR
 from biokgr.pathways.graphs import PathwayNode, ReactionGraph, SignedEdge, SignedPathwayGraph
 
 from kgmlgen import cascade_kgml, random_signed_graph, shmt2_flux_kgml, ulcerative_colitis_kgml
+from oracles import target_item_reference
 
 
 @pytest.fixture(scope="module")
@@ -61,20 +62,20 @@ def simple_graph(edges, genes=None, endpoint="END"):
 
 def test_positive_kinase_gets_gain_two():
     graph = simple_graph([("MAPK1", "END", 1)])
-    gains = assign_target_gains(graph, ["MAPK1"], PROFILES["cancer"])
+    gains = dict(assign_target_gains(graph, ["MAPK1"], PROFILES["cancer"]))
     assert gains["MAPK1"].value == 2
 
 
 def test_blacklisted_symbol_forced_zero():
     graph = simple_graph([("RPL3", "END", 1)])
-    gains = assign_target_gains(graph, ["RPL3"], PROFILES["cancer"])
+    gains = dict(assign_target_gains(graph, ["RPL3"], PROFILES["cancer"]))
     assert gains["RPL3"].value == 0
     assert gains["RPL3"].rationale == "non_druggable"
 
 
 def test_negative_polarity_protective():
     graph = simple_graph([("GENE1", "END", -1)])
-    gains = assign_target_gains(graph, ["GENE1"], PROFILES["other"])
+    gains = dict(assign_target_gains(graph, ["GENE1"], PROFILES["other"]))
     assert gains["GENE1"].value == 0
     assert gains["GENE1"].rationale == "protective"
 
@@ -89,8 +90,8 @@ def test_profile_lowers_threshold():
     graph = simple_graph(edges)
     # relay genes carry the betweenness, so TNF is not top-decile central
     candidates = ["TNF", "A1", "A2", "A3"]
-    infection = assign_target_gains(graph, candidates, PROFILES["infection"])
-    other = assign_target_gains(graph, candidates, PROFILES["other"])
+    infection = dict(assign_target_gains(graph, candidates, PROFILES["infection"]))
+    other = dict(assign_target_gains(graph, candidates, PROFILES["other"]))
     assert infection["TNF"].value == 2
     assert other["TNF"].value == 1
 
@@ -176,6 +177,80 @@ def test_shuffle_preserves_text_gain_pairs(uc_graph):
     assert sorted((o.text, o.gain) for o in a.options) == sorted(
         (o.text, o.gain) for o in b.options
     )
+
+
+# -- candidates scored in name order, up to the last answer shown ------------------
+
+# cascade_kgml arguments: two cascades, one with few answers, and two whose dense
+# cores hit the path cap
+LAZY_CASCADES = [(5, 30, 0), (7, 40, 0), (2, 12, 8), (3, 20, 14), (13, 36, 12)]
+
+
+def memoized_polarity(graph) -> SignedPathwayGraph:
+    """`graph` with its topology's polarity calls cached, so a walk is paid once
+    for all the items built from it; a cached result is the one the walk gives."""
+    topology = graph.topology
+    walk, results = topology.path_polarity, {}
+
+    def cached(gene, endpoints):
+        key = (gene, tuple(endpoints))
+        if key not in results:
+            results[key] = walk(gene, endpoints)
+        return results[key]
+
+    topology.path_polarity = cached
+    return graph
+
+
+@pytest.mark.parametrize("args", LAZY_CASCADES)
+def test_target_item_equals_the_item_built_after_scoring_every_candidate(args):
+    graph = memoized_polarity(parse_kgml(cascade_kgml(*args))[0])
+    for profile in PROFILES.values():
+        for option_count in range(1, 13):
+            for seed in (0, 1, 7):
+                item = build_target_item(graph, profile, option_count=option_count, seed=seed)
+                assert item.to_dict() == target_item_reference(
+                    graph, profile, option_count=option_count, seed=seed).to_dict()
+
+
+def polarity_calls(monkeypatch) -> list[str]:
+    """The genes of every `Topology.path_polarity` call, in call order."""
+    genes: list[str] = []
+    walk = analytics.Topology.path_polarity
+
+    def recorded(self, gene, *args, **kwargs):
+        genes.append(gene)
+        return walk(self, gene, *args, **kwargs)
+
+    monkeypatch.setattr(analytics.Topology, "path_polarity", recorded)
+    return genes
+
+
+def test_no_candidate_after_the_last_answer_shown_is_scored(monkeypatch):
+    graph, _rg = parse_kgml(cascade_kgml(7, 40, 0))
+    calls = polarity_calls(monkeypatch)
+    item = build_target_item(graph, PROFILES["cancer"], option_count=10, seed=3)
+    shown = sorted(o.text.split(" : ")[0] for o in item.options if o.gain == 2)
+    assert len(shown) == 10  # 19 candidates have gain 2
+    druggable = [c for c in sorted(graph.gene_symbols()) if not is_blacklisted(graph, c)]
+    assert calls == [c for c in druggable if c <= shown[-1]]
+    assert len(calls) < len(druggable)
+
+
+def test_fewer_answers_than_options_score_every_candidate(monkeypatch):
+    graph, _rg = parse_kgml(cascade_kgml(2, 12, 8))
+    calls = polarity_calls(monkeypatch)
+    item = build_target_item(graph, PROFILES["cancer"], option_count=10, seed=3)
+    assert len(item.answers) == 7
+    assert calls == [c for c in sorted(graph.gene_symbols()) if not is_blacklisted(graph, c)]
+
+
+def test_a_pathway_with_no_answer_scores_every_candidate(monkeypatch):
+    graph = simple_graph([(f"G{i}", "END", -1) for i in range(12)] + [("RPL3", "END", 1)])
+    calls = polarity_calls(monkeypatch)
+    with pytest.raises(NoCorrectOption):
+        build_target_item(graph, PROFILES["other"], option_count=10)
+    assert calls == sorted(f"G{i}" for i in range(12))
 
 
 # -- flux classification -----------------------------------------------------------
@@ -315,7 +390,7 @@ def test_gain_invariants_on_random_graphs():
         endpoint = nodes[-1]
         graph = replace(graph, endpoints={endpoint})
         candidates = nodes[:-1]
-        gains = assign_target_gains(graph, candidates, PROFILES["cancer"])
+        gains = dict(assign_target_gains(graph, candidates, PROFILES["cancer"]))
         from biokgr.pathways.analytics import path_polarity
 
         for candidate, score in gains.items():
